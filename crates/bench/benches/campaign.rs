@@ -93,14 +93,16 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     group.sample_size(10);
     let campaign = scifi_campaign(n);
     for workers in [1usize, 2, 4, 8] {
-        group.bench_function(format!("workers_{workers}"), |b| {
+        group.bench_function(&format!("workers_{workers}"), |b| {
             b.iter(|| {
-                runner::run_campaign_parallel(
+                runner::run_campaign_parallel_journaled_opts(
                     ThorTarget::default,
                     None::<fn() -> Box<dyn envsim::Environment>>,
                     &campaign,
                     &ProgressMonitor::new(n),
                     workers,
+                    None,
+                    true,
                 )
                 .unwrap()
             });
@@ -137,12 +139,14 @@ fn bench_journal_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut journal = ExperimentJournal::create(&journal_path, &campaign.name).unwrap();
             let mut target = ThorTarget::default();
-            algorithms::run_campaign_journaled(
+            algorithms::run_campaign_journaled_opts(
                 &mut target,
                 &campaign,
                 &ProgressMonitor::new(n),
                 &mut envsim::NullEnvironment,
                 Some(&mut journal),
+                None,
+                true,
             )
             .unwrap()
         });
@@ -151,13 +155,14 @@ fn bench_journal_overhead(c: &mut Criterion) {
     group.bench_function("parallel4_journaled", |b| {
         b.iter(|| {
             let mut journal = ExperimentJournal::create(&journal_path, &campaign.name).unwrap();
-            runner::run_campaign_parallel_journaled(
+            runner::run_campaign_parallel_journaled_opts(
                 ThorTarget::default,
                 None::<fn() -> Box<dyn envsim::Environment>>,
                 &campaign,
                 &ProgressMonitor::new(n),
                 4,
                 Some(&mut journal),
+                true,
             )
             .unwrap()
         });
@@ -267,7 +272,7 @@ fn bench_supervision_overhead(c: &mut Criterion) {
         ("probe_every_1", 1),
     ] {
         let mut campaign = base.clone();
-        campaign.policy = campaign.policy.clone().with_health_check(cadence);
+        campaign.policy = campaign.policy.with_health_check(cadence);
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut target = ThorTarget::default();
@@ -296,7 +301,8 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.sample_size(10);
     let campaign = scifi_campaign(n);
 
-    let cases: [(&str, fn() -> Telemetry); 3] = [
+    type Case = (&'static str, fn() -> Telemetry);
+    let cases: [Case; 3] = [
         ("telemetry_disabled", Telemetry::disabled),
         ("metrics_only", Telemetry::enabled),
         ("metrics_and_ring_trace", || {

@@ -39,7 +39,7 @@ fn bench_cpu(c: &mut Criterion) {
         cpu.load_image(&wl.image).unwrap();
         assert_eq!(cpu.run(10_000_000), StopReason::Halted);
         group.throughput(Throughput::Elements(cpu.instructions()));
-        group.bench_function(format!("run_{name}"), |b| {
+        group.bench_function(&format!("run_{name}"), |b| {
             let mut cpu = Cpu::new(CpuConfig::default());
             cpu.load_image(&wl.image).unwrap();
             b.iter(|| {

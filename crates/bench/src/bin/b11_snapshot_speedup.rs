@@ -20,7 +20,8 @@
 //!   average case.
 //!
 //! `--quick` shrinks both configs for CI's perf-smoke step; `--per-workload
-//! N` and `--workers N` override the defaults (400, 4).
+//! N` and `--workers N` override the defaults (400, and the machine's
+//! available parallelism).
 
 use goofi_core::campaign::Campaign;
 use goofi_core::monitor::ProgressMonitor;
@@ -128,7 +129,7 @@ fn measure(label: &str, campaigns: &[Campaign]) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut per_workload = 400usize;
-    let mut workers = 4usize;
+    let mut workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut uniform_names: Vec<&str> = vec!["bubblesort", "crc32", "matmul"];
     let mut i = 0;
     while i < args.len() {

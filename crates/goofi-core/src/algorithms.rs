@@ -26,7 +26,8 @@ use crate::journal::ExperimentJournal;
 use crate::logging::{ExperimentRecord, LoggingMode, StateSnapshot, TerminationCause, Validity};
 use crate::monitor::ProgressMonitor;
 use crate::policy::{ExperimentFailure, Watchdog};
-use crate::supervisor::{RecoveryRecord, RecoveryTrigger, Supervisor};
+use crate::runner;
+use crate::supervisor::RecoveryRecord;
 use crate::target::{RunBudget, RunEvent, TargetAccess, TargetSnapshot};
 use crate::telemetry::{Metric, Stage, Telemetry};
 use crate::trigger::Trigger;
@@ -196,29 +197,16 @@ pub fn run_campaign<T: TargetAccess + ?Sized>(
     monitor: &ProgressMonitor,
     env: &mut dyn Environment,
 ) -> Result<CampaignResult> {
-    run_campaign_journaled(target, campaign, monitor, env, None)
+    run_campaign_journaled_opts(target, campaign, monitor, env, None, None, true)
 }
 
-/// [`run_campaign`] with an optional crash-safe journal: each finished
-/// experiment is appended (and synced) before the next one starts, so a
-/// process crash loses at most the experiment in flight — see
-/// [`crate::runner::resume_campaign`].
+/// [`run_campaign`] with the journal and hot-path controls exposed — the
+/// campaign engine's drive loop run inline on `target`
+/// (see [`crate::runner`]):
 ///
-/// # Errors
-///
-/// As [`run_campaign`], plus journal I/O errors.
-pub fn run_campaign_journaled<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    monitor: &ProgressMonitor,
-    env: &mut dyn Environment,
-    journal: Option<&mut ExperimentJournal>,
-) -> Result<CampaignResult> {
-    run_campaign_journaled_opts(target, campaign, monitor, env, journal, None, true)
-}
-
-/// [`run_campaign_journaled`] with the hot-path controls exposed:
-///
+/// * `journal` — each finished experiment is appended (and synced) before
+///   the next one starts, so a process crash loses at most the experiment
+///   in flight — see [`crate::runner::resume_campaign`];
 /// * `cache` — a [`GoldenCache`] consulted before the reference run; a hit
 ///   skips recomputing the golden log entirely (and a revalidation drift
 ///   invalidates the cached entry);
@@ -227,360 +215,27 @@ pub fn run_campaign_journaled<T: TargetAccess + ?Sized>(
 ///
 /// # Errors
 ///
-/// As [`run_campaign_journaled`].
+/// As [`run_campaign`], plus journal I/O errors and
+/// [`GoofiError::TargetOffline`] when supervision finds the target dead.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_journaled_opts<T: TargetAccess + ?Sized>(
     target: &mut T,
     campaign: &Campaign,
     monitor: &ProgressMonitor,
     env: &mut dyn Environment,
-    mut journal: Option<&mut ExperimentJournal>,
+    journal: Option<&mut ExperimentJournal>,
     cache: Option<&GoldenCache>,
     snapshots: bool,
 ) -> Result<CampaignResult> {
     campaign.validate()?;
     let tel = monitor.telemetry().clone();
     let _campaign_span = tel.campaign_span(&campaign.name);
-    let reference = match cache.and_then(|c| c.load(campaign)) {
-        Some(cached) => {
-            tel.count(Metric::GoldenCacheHits, 1);
-            cached
-        }
-        None => {
-            let fresh = reference_run_traced(target, campaign, &mut *env, &tel)?;
-            if let Some(c) = cache {
-                tel.count(Metric::GoldenCacheMisses, 1);
-                c.store(campaign, &fresh);
-            }
-            fresh
-        }
-    };
-    if let Some(j) = journal.as_deref_mut() {
-        tel.time(Stage::DbWrite, || j.append_record(None, &reference))?;
-    }
-    // Snapshot mode only changes anything when the target (and its whole
-    // decorator stack) can actually take and safely reuse snapshots;
-    // otherwise stay on the slow path — including its execution order.
-    let snapshots = snapshots && target.supports_snapshot() && target.prefix_restore_safe();
-    let mut session = if snapshots {
-        Some(ExperimentSession::new())
-    } else {
-        None
-    };
-    // Snapshot mode executes experiments in trigger order: each experiment
-    // then fast-forwards from the previous trigger snapshot instead of
-    // re-executing its whole prefix, so total prefix work across the
-    // campaign is one amortised sweep of the reference run. The sort is
-    // stable (ties keep campaign-index order) and the records are
-    // reassembled in campaign-index order before returning, so callers see
-    // the same result as the slow path.
-    let mut order: Vec<usize> = (0..campaign.faults.len()).collect();
-    if snapshots {
-        order.sort_by_key(|&i| trigger_order_key(&campaign.faults[i].trigger));
-    }
-    let mut records = Vec::with_capacity(campaign.faults.len());
-    let mut record_order: Vec<usize> = Vec::with_capacity(campaign.faults.len());
-    let mut failures = Vec::new();
-    let mut quarantined = Vec::new();
-    let mut recoveries = Vec::new();
-    // The supervisor borrows the reference for its golden smoke probe; a
-    // clone keeps the original free to move into the result.
-    let probe_reference = reference.clone();
-    let supervisor = Supervisor::from_campaign(campaign, &probe_reference);
-    // Golden-run revalidation window: (campaign index, position in
-    // `records`) of every experiment completed since the last clean check.
-    let mut window: Vec<(usize, usize)> = Vec::new();
-    let revalidate_every = campaign
-        .policy
-        .revalidate_every
-        .map(|n| n as usize)
-        .filter(|n| *n > 0);
-    for index in order {
-        monitor.checkpoint()?;
-        match run_experiment_with_policy(
-            target,
-            campaign,
-            index,
-            monitor,
-            &mut *env,
-            session.as_mut(),
-        )? {
-            Ok(record) => {
-                let outcome = resolve_hangs(
-                    target,
-                    campaign,
-                    supervisor.as_ref(),
-                    record,
-                    index,
-                    monitor,
-                    &mut *env,
-                    &mut journal,
-                    &mut quarantined,
-                    &mut recoveries,
-                )?;
-                match outcome {
-                    SuperviseOutcome::Record(record) => {
-                        monitor.record(&record.termination);
-                        if let Some(j) = journal.as_deref_mut() {
-                            tel.time(Stage::DbWrite, || j.append_record(Some(index), &record))?;
-                        }
-                        window.push((index, records.len()));
-                        record_order.push(index);
-                        records.push(record);
-                    }
-                    SuperviseOutcome::Failure(failure) => {
-                        monitor.record_failed();
-                        if let Some(j) = journal.as_deref_mut() {
-                            tel.time(Stage::DbWrite, || j.append_failure(&failure))?;
-                        }
-                        if campaign.policy.fails_campaign() {
-                            return Err(GoofiError::ExperimentFailed {
-                                failure,
-                                partial: Box::new(CampaignResult {
-                                    reference,
-                                    records,
-                                    failures,
-                                    quarantined,
-                                    recoveries,
-                                }),
-                            });
-                        }
-                        failures.push(failure);
-                    }
-                    SuperviseOutcome::Offline(context) => {
-                        return Err(GoofiError::TargetOffline {
-                            context,
-                            partial: Box::new(CampaignResult {
-                                reference,
-                                records,
-                                failures,
-                                quarantined,
-                                recoveries,
-                            }),
-                        });
-                    }
-                }
-            }
-            Err(failure) => {
-                monitor.record_failed();
-                if let Some(j) = journal.as_deref_mut() {
-                    tel.time(Stage::DbWrite, || j.append_failure(&failure))?;
-                }
-                if campaign.policy.fails_campaign() {
-                    return Err(GoofiError::ExperimentFailed {
-                        failure,
-                        partial: Box::new(CampaignResult {
-                            reference,
-                            records,
-                            failures,
-                            quarantined,
-                            recoveries,
-                        }),
-                    });
-                }
-                failures.push(failure);
-            }
-        }
-        // Scheduled health probes between experiments.
-        if let Some(sup) = &supervisor {
-            if sup.probe_due(index + 1) && !sup.probe(target, &mut *env, monitor).passed() {
-                let context = campaign.experiment_name(index);
-                let recovery = sup.recover(
-                    target,
-                    &mut *env,
-                    monitor,
-                    &context,
-                    RecoveryTrigger::ProbeFailure,
-                );
-                let recovered = recovery.recovered;
-                recoveries.push(recovery);
-                if !recovered {
-                    return Err(GoofiError::TargetOffline {
-                        context,
-                        partial: Box::new(CampaignResult {
-                            reference,
-                            records,
-                            failures,
-                            quarantined,
-                            recoveries,
-                        }),
-                    });
-                }
-            }
-        }
-        if revalidate_every.is_some_and(|n| window.len() >= n) {
-            let fatal = revalidate_window(
-                target,
-                campaign,
-                monitor,
-                &mut *env,
-                &mut journal,
-                &reference,
-                &mut records,
-                &mut failures,
-                &mut quarantined,
-                &mut window,
-                cache,
-            )?;
-            if let Some(failure) = fatal {
-                return Err(GoofiError::ExperimentFailed {
-                    failure,
-                    partial: Box::new(CampaignResult {
-                        reference,
-                        records,
-                        failures,
-                        quarantined,
-                        recoveries,
-                    }),
-                });
-            }
-        }
-    }
-    // A final check covers the tail window of a campaign whose length is
-    // not a multiple of the interval.
-    if revalidate_every.is_some() && !window.is_empty() {
-        let fatal = revalidate_window(
-            target,
-            campaign,
-            monitor,
-            &mut *env,
-            &mut journal,
-            &reference,
-            &mut records,
-            &mut failures,
-            &mut quarantined,
-            &mut window,
-            cache,
-        )?;
-        if let Some(failure) = fatal {
-            return Err(GoofiError::ExperimentFailed {
-                failure,
-                partial: Box::new(CampaignResult {
-                    reference,
-                    records,
-                    failures,
-                    quarantined,
-                    recoveries,
-                }),
-            });
-        }
-    }
-    // Undo the trigger-order execution permutation: rebuild `records` in
-    // campaign-index order (revalidation replaced records in place, so the
-    // lockstep `record_order` stayed aligned throughout).
-    let mut indexed: Vec<(usize, ExperimentRecord)> =
-        record_order.into_iter().zip(records).collect();
-    indexed.sort_by_key(|(index, _)| *index);
-    let records = indexed.into_iter().map(|(_, record)| record).collect();
-    failures.sort_by_key(|failure| failure.index);
-    Ok(CampaignResult {
-        reference,
-        records,
-        failures,
-        quarantined,
-        recoveries,
-    })
-}
-
-/// Execution-order key for snapshot-mode campaigns: instruction-count
-/// triggers sort by their absolute trigger time so successive experiments
-/// fast-forward monotonically; every other trigger keys to zero (those
-/// experiments restore the post-load snapshot directly, so their relative
-/// order is irrelevant to the hot path).
-pub(crate) fn trigger_order_key(trigger: &Trigger) -> u64 {
-    match trigger {
-        Trigger::AfterInstructions(n) => *n,
-        _ => 0,
-    }
-}
-
-/// What target supervision decided about a freshly-completed record.
-#[allow(clippy::large_enum_variant)] // transient per-experiment value, never stored in bulk
-enum SuperviseOutcome {
-    /// The record stands (possibly a `parentExperiment`-linked re-run that
-    /// replaced a quarantined hang).
-    Record(ExperimentRecord),
-    /// The experiment kept hanging (or its re-run failed); handled by the
-    /// campaign's failure policy.
-    Failure(ExperimentFailure),
-    /// The recovery ladder was exhausted: the target is offline.
-    Offline(String),
-}
-
-/// Confirms `Timeout` terminations with the health-probe suite and, for
-/// real target hangs, quarantines the record (termination rewritten to
-/// [`TerminationCause::TargetHang`]), climbs the recovery ladder and
-/// re-runs the experiment as a `parentExperiment`-linked child — looping
-/// (bounded by the ladder's `max_hang_rounds`) in case the re-run wedges
-/// the target again. A `Timeout` whose probes pass is a slow workload and
-/// stands unchanged; without a supervisor every record stands unchanged.
-///
-/// # Errors
-///
-/// [`GoofiError::Stopped`] or journal I/O errors.
-#[allow(clippy::too_many_arguments)]
-fn resolve_hangs<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    supervisor: Option<&Supervisor<'_>>,
-    mut record: ExperimentRecord,
-    index: usize,
-    monitor: &ProgressMonitor,
-    env: &mut dyn Environment,
-    journal: &mut Option<&mut ExperimentJournal>,
-    quarantined: &mut Vec<ExperimentRecord>,
-    recoveries: &mut Vec<RecoveryRecord>,
-) -> Result<SuperviseOutcome> {
-    let Some(sup) = supervisor else {
-        return Ok(SuperviseOutcome::Record(record));
-    };
-    let mut round: u32 = 0;
-    loop {
-        if record.termination != TerminationCause::Timeout {
-            return Ok(SuperviseOutcome::Record(record));
-        }
-        if sup.probe(target, &mut *env, monitor).passed() {
-            // The target answers its probes: a slow workload, not a wedge.
-            // The Timeout stands.
-            return Ok(SuperviseOutcome::Record(record));
-        }
-        // Confirmed hang: quarantine the record, recover, re-run.
-        round += 1;
-        monitor.record_hang();
-        record.termination = TerminationCause::TargetHang;
-        record.validity = Validity::Invalid;
-        if let Some(j) = journal.as_deref_mut() {
-            monitor
-                .telemetry()
-                .time(Stage::DbWrite, || j.append_record(Some(index), &record))?;
-        }
-        monitor.record_quarantined();
-        let parent = record.name.clone();
-        quarantined.push(record);
-        let recovery = sup.recover(target, env, monitor, &parent, RecoveryTrigger::TargetHang);
-        let recovered = recovery.recovered;
-        recoveries.push(recovery);
-        if !recovered {
-            return Ok(SuperviseOutcome::Offline(parent));
-        }
-        if round > sup.ladder().max_hang_rounds {
-            return Ok(SuperviseOutcome::Failure(ExperimentFailure {
-                index,
-                name: parent,
-                attempts: round,
-                error: "target hang persisted across recovery re-runs".into(),
-            }));
-        }
-        let original = campaign.experiment_name(index);
-        let link = Some((format!("{original}/rerun{round}"), parent));
-        // Recovery re-runs stay on the slow path: a just-recovered target
-        // should genuinely re-execute, not restore pre-hang state.
-        match run_linked_experiment_with_policy(target, campaign, index, link, monitor, env, None)?
-        {
-            Ok(rerun) => record = rerun,
-            Err(failure) => return Ok(SuperviseOutcome::Failure(failure)),
-        }
-    }
+    let journal = journal.map(parking_lot::Mutex::new);
+    let reference = runner::reference_step(campaign, &tel, None, cache, journal.as_ref(), || {
+        reference_run_traced(&mut *target, campaign, &mut *env, &tel)
+    })?;
+    runner::Engine::new(campaign, monitor, reference, journal, cache, snapshots)
+        .run_inline(target, env)
 }
 
 /// Whether a freshly-executed golden run reproduces the stored reference
@@ -593,116 +248,16 @@ pub fn golden_run_matches(reference: &ExperimentRecord, golden: &ExperimentRecor
         && golden.state.same_state(&reference.state)
 }
 
-/// Re-runs the fault-free reference and, on drift from the stored golden
-/// log, quarantines every record in `window` (marked invalid, re-journaled)
-/// and re-runs each as a fresh `parentExperiment`-linked experiment that
-/// replaces the quarantined original in `records` — the paper's §2.3 re-run
-/// workflow turned into a link-integrity countermeasure.
+/// Runs experiment `index` under the campaign's retry policy. `Ok(Ok(_))`
+/// is a completed record; `Ok(Err(_))` is an experiment that kept failing
+/// after every allowed retry (the caller applies the policy's skip/fail
+/// choice); `Err(_)` is reserved for [`GoofiError::Stopped`].
 ///
-/// Returns `Ok(Some(failure))` when a re-run failed and the policy aborts
-/// the campaign; the window is cleared in every non-error case.
-#[allow(clippy::too_many_arguments)]
-fn revalidate_window<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    monitor: &ProgressMonitor,
-    env: &mut dyn Environment,
-    journal: &mut Option<&mut ExperimentJournal>,
-    reference: &ExperimentRecord,
-    records: &mut [ExperimentRecord],
-    failures: &mut Vec<ExperimentFailure>,
-    quarantined: &mut Vec<ExperimentRecord>,
-    window: &mut Vec<(usize, usize)>,
-    cache: Option<&GoldenCache>,
-) -> Result<Option<ExperimentFailure>> {
-    // Revalidation goldens are always genuinely re-executed — never served
-    // from the cache — because their whole purpose is to exercise the link
-    // and target afresh.
-    let golden = reference_run_traced(target, campaign, &mut *env, monitor.telemetry())?;
-    if golden_run_matches(reference, &golden) {
-        // A clean check is also the moment the cache entry is known good:
-        // store it if a previous store failed or never ran.
-        if let Some(c) = cache {
-            c.store(campaign, reference);
-        }
-        window.clear();
-        return Ok(None);
-    }
-    // Drift: the cached golden can no longer be trusted by future runs.
-    if let Some(c) = cache {
-        c.invalidate(campaign);
-    }
-    // Mark the whole window first, re-run second: once the quarantine
-    // entries hit the journal, a crash at any later point still re-runs
-    // every suspect experiment on resume.
-    for &(index, pos) in window.iter() {
-        records[pos].validity = Validity::Invalid;
-        if let Some(j) = journal.as_deref_mut() {
-            monitor.telemetry().time(Stage::DbWrite, || {
-                j.append_record(Some(index), &records[pos])
-            })?;
-        }
-        monitor.record_quarantined();
-    }
-    for (index, pos) in window.drain(..) {
-        let original = records[pos].name.clone();
-        let link = Some((format!("{original}/rerun1"), original));
-        // The experiment already counted toward progress when it first
-        // completed, so re-run outcomes update only the quarantine
-        // counter, never `completed`/`failed`. Quarantine re-runs stay on
-        // the slow path: they replace results produced over a suspect
-        // link, so nothing from before the drift may be reused.
-        match run_linked_experiment_with_policy(target, campaign, index, link, monitor, env, None)?
-        {
-            Ok(rerun) => {
-                if let Some(j) = journal.as_deref_mut() {
-                    monitor
-                        .telemetry()
-                        .time(Stage::DbWrite, || j.append_record(Some(index), &rerun))?;
-                }
-                quarantined.push(std::mem::replace(&mut records[pos], rerun));
-            }
-            Err(failure) => {
-                if let Some(j) = journal.as_deref_mut() {
-                    monitor
-                        .telemetry()
-                        .time(Stage::DbWrite, || j.append_failure(&failure))?;
-                }
-                // The invalid original stays in place (still quarantined);
-                // a later resume re-runs it from the journal.
-                if campaign.policy.fails_campaign() {
-                    return Ok(Some(failure));
-                }
-                failures.push(failure);
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// Runs one experiment under the campaign's retry policy. `Ok(Ok(_))` is a
-/// completed record; `Ok(Err(_))` is an experiment that kept failing after
-/// every allowed retry (the caller applies the policy's skip/fail choice);
-/// `Err(_)` is reserved for [`GoofiError::Stopped`].
-///
-/// # Errors
-///
-/// [`GoofiError::Stopped`] when the monitor ends the campaign mid-retry.
-pub fn run_experiment_with_policy<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    index: usize,
-    monitor: &ProgressMonitor,
-    env: &mut dyn Environment,
-    session: Option<&mut ExperimentSession>,
-) -> Result<std::result::Result<ExperimentRecord, ExperimentFailure>> {
-    run_linked_experiment_with_policy(target, campaign, index, None, monitor, env, session)
-}
-
-/// [`run_experiment_with_policy`] for a re-run: the produced record is
-/// renamed to `name` and linked to `parent` via `parentExperiment` — the
-/// paper's §2.3 re-run workflow, used by campaign resume to re-run
-/// previously failed experiments as fresh, linked experiments.
+/// With a `link`, the experiment is a re-run: the produced record is
+/// renamed to the link's name and tied to its parent via
+/// `parentExperiment` — the paper's §2.3 re-run workflow, used by campaign
+/// resume, hang recovery and revalidation to re-run experiments as fresh,
+/// linked experiments. `session` enables the snapshot fast path.
 ///
 /// # Errors
 ///

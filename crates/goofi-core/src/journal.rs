@@ -11,7 +11,7 @@
 //!
 //! The campaign service ([`crate::service`]) leans on the same property
 //! one level up: each shard worker keeps a private journal under
-//! [`crate::runner::resume_campaign_shard`] (entries carry *global*
+//! [`crate::runner::resume_campaign`] (entries carry *global*
 //! campaign indices), so a crashed or lease-revoked worker's replacement
 //! replays the journal instead of redoing its work, and the scheduler
 //! merges shard journals into the database idempotently via

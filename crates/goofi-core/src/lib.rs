@@ -25,8 +25,9 @@
 //! 2. **Set-up** — build a [`campaign::Campaign`]: workload, fault
 //!    locations/times (sampled from a [`fault::FaultSpace`]), fault models,
 //!    termination conditions, logging mode.
-//! 3. **Fault injection** — run [`algorithms`] (serially or via the parallel
-//!    [`runner`]), logging every experiment to the database.
+//! 3. **Fault injection** — run [`algorithms`] through the campaign engine
+//!    in [`runner`] (serial, parallel, resumed or sharded), logging every
+//!    experiment to the database.
 //! 4. **Analysis** — query the `LoggedSystemState` table (`goofi-analysis`).
 
 #![forbid(unsafe_code)]

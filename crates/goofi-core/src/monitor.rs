@@ -55,9 +55,9 @@ pub struct Progress {
     pub card_reinits: usize,
     /// Power-cycle recovery attempts applied.
     pub power_cycles: usize,
-    /// Targets that exhausted the recovery ladder and went offline
-    /// (the parallel runner retires the worker and redistributes its
-    /// remaining experiments).
+    /// Targets that exhausted the recovery ladder and went offline (the
+    /// campaign engine retires that target's drive loop and redistributes
+    /// its remaining experiments).
     pub targets_offline: usize,
     /// Completed experiments per termination cause (encoded form).
     pub by_termination: BTreeMap<String, usize>,

@@ -2,8 +2,8 @@
 //! across worker OS processes.
 //!
 //! The paper runs one campaign on one workstation driving one test card.
-//! This module generalises the parallel [`runner`](crate::runner) one
-//! level up: a long-lived daemon (`goofi serve`) accepts campaign
+//! This module generalises the campaign engine ([`runner`](crate::runner))
+//! one level up: a long-lived daemon (`goofi serve`) accepts campaign
 //! submissions over a newline-delimited-JSON wire protocol ([`wire`]),
 //! partitions each campaign's experiment index space into contiguous
 //! *shards* ([`partition`]), and hands every shard to a spawned
@@ -12,13 +12,13 @@
 //!
 //! - Each shard runs under its own [`ExperimentJournal`]
 //!   (crate::journal::ExperimentJournal) via
-//!   [`runner::resume_campaign_shard`](crate::runner::resume_campaign_shard),
-//!   so journal entries keep their global campaign indices.
+//!   [`runner::resume_campaign`](crate::runner::resume_campaign) over
+//!   the shard's index range, so journal entries keep their global
+//!   campaign indices.
 //! - A worker renews its lease by reporting progress on stdout. A worker
 //!   that crashes, hangs past its lease deadline, or reports the target
 //!   offline gets its shard revoked and reassigned with exponential
-//!   backoff — the process-level twin of the parallel runner's
-//!   worker-retirement.
+//!   backoff — the process-level twin of a drive loop's retirement.
 //! - At-least-once execution is made idempotent by the journal: a
 //!   reassigned shard replays its journal and re-runs only what is
 //!   missing, so the merged database is essence-equal to a serial run.

@@ -2,15 +2,13 @@
 //!
 //! A worker is one OS process owning one shard of a campaign's experiment
 //! index space. It loads the campaign from the shared database, runs its
-//! shard via [`runner::resume_campaign_shard`] under a private journal,
-//! and streams [`WorkerEvent`] lines on stdout — the daemon reads them to
-//! renew the shard lease and aggregate job progress. The binary wrapping
+//! shard's index range via [`runner::resume_campaign`] under a private
+//! journal, and streams [`WorkerEvent`] lines on stdout — the daemon reads
+//! them to renew the shard lease and aggregate job progress. The binary wrapping
 //! [`run_worker`] chooses the target system (`goofi worker` builds the
 //! Thor simulator; the test binary builds
 //! [`SimTarget`](crate::framework::SimTarget)), which is all that differs
 //! between production and test workers.
-//!
-//! [`runner::resume_campaign_shard`]: crate::runner::resume_campaign_shard
 
 use super::chaos::{ChaosConfig, ChaosMode, CHAOS_EXIT_CODE};
 use super::net::{encode_frame, FaultInjector, FaultWriter, NetFaultConfig};
@@ -302,12 +300,13 @@ where
         });
     }
 
-    let result = runner::resume_campaign_shard(
+    let result = runner::resume_campaign(
         &make_target,
         None::<fn() -> Box<dyn envsim::Environment>>,
         &campaign,
         &monitor,
         1,
+        &crate::vfs::RealFs,
         &args.journal,
         range,
     );

@@ -643,8 +643,16 @@ mod tests {
     use super::*;
 
     fn temp_path(name: &str) -> PathBuf {
+        // Unique per call: the tests of one binary share a pid and run on
+        // parallel threads, so the pid alone does not keep their dirs apart.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
         let mut p = std::env::temp_dir();
-        p.push(format!("goofi-vfs-test-{}-{name}", std::process::id()));
+        p.push(format!(
+            "goofi-vfs-test-{}-{}-{name}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         p
     }
 

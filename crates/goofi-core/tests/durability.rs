@@ -39,7 +39,15 @@ use std::sync::OnceLock;
 const CAMPAIGN: &str = "torture";
 
 fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("goofi-durability-{}-{name}", std::process::id()));
+    // Unique per call: the tests of one binary share a pid and run on
+    // parallel threads, so the pid alone does not keep their dirs apart.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "goofi-durability-{}-{}-{name}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -136,7 +144,7 @@ fn run_and_persist(
     journal_path: &Path,
 ) -> goofi_core::Result<()> {
     let monitor = ProgressMonitor::new(campaign.experiment_count());
-    runner::resume_campaign_shard_vfs(
+    runner::resume_campaign(
         SimTarget::new,
         None::<fn() -> Box<dyn envsim::Environment>>,
         campaign,

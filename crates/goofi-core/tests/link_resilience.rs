@@ -236,8 +236,16 @@ fn campaign_n(n: usize, policy: ExperimentPolicy) -> Campaign {
 }
 
 fn temp_path(name: &str) -> PathBuf {
+    // Unique per call: the tests of one binary share a pid and run on
+    // parallel threads, so the pid alone does not keep their dirs apart.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
     let mut p = std::env::temp_dir();
-    p.push(format!("goofi-link-{}-{name}", std::process::id()));
+    p.push(format!(
+        "goofi-link-{}-{}-{name}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     p
 }
 
@@ -305,12 +313,14 @@ fn golden_run_drift_quarantines_window_and_reruns_with_parent_links() {
     let _ = std::fs::remove_file(&journal_path);
     let mut journal = ExperimentJournal::create(&journal_path, "lossy").unwrap();
     let monitor = ProgressMonitor::new(4);
-    let result = algorithms::run_campaign_journaled(
+    let result = algorithms::run_campaign_journaled_opts(
         &mut target,
         &c,
         &monitor,
         &mut envsim::NullEnvironment,
         Some(&mut journal),
+        None,
+        true,
     )
     .unwrap();
     drop(journal);
@@ -373,12 +383,14 @@ fn interrupted_quarantine_is_finished_by_resume() {
     let journal_path = temp_path("crashed-quarantine.gjl");
     let _ = std::fs::remove_file(&journal_path);
     let mut journal = ExperimentJournal::create(&journal_path, "lossy").unwrap();
-    algorithms::run_campaign_journaled(
+    algorithms::run_campaign_journaled_opts(
         &mut target,
         &c,
         &ProgressMonitor::new(4),
         &mut envsim::NullEnvironment,
         Some(&mut journal),
+        None,
+        true,
     )
     .unwrap();
     drop(journal);
@@ -396,7 +408,9 @@ fn interrupted_quarantine_is_finished_by_resume() {
         &c,
         &ProgressMonitor::new(4),
         2,
+        &goofi_core::vfs::RealFs,
         &crashed,
+        0..c.faults.len(),
     )
     .unwrap();
     assert_eq!(resumed.records.len(), 4);
@@ -409,19 +423,62 @@ fn interrupted_quarantine_is_finished_by_resume() {
 }
 
 #[test]
-fn parallel_runner_quarantines_on_end_of_run_drift() {
-    // The drift begins after all experiments completed, so the end-of-run
-    // golden check sees it and quarantines everything completed this run.
-    let c = campaign_n(4, ExperimentPolicy::default().with_revalidation(1));
+fn serial_and_single_loop_resume_quarantine_the_same_window() {
+    // Same timeline as the serial quarantine test above. Resume with one
+    // loop makes its reference run on its own target, so the factory hands
+    // out views of one physical target (one shared load counter).
+    let c = campaign_n(4, ExperimentPolicy::default().with_revalidation(2));
+    let mut target = LabTarget::drifting(200, 4..5, Arc::new(AtomicU64::new(0)));
+    let serial = algorithms::run_campaign(
+        &mut target,
+        &c,
+        &ProgressMonitor::new(4),
+        &mut envsim::NullEnvironment,
+    )
+    .unwrap();
+    assert_eq!(serial.quarantined.len(), 2);
+
+    // A private dir keeps the golden cache, stored beside the journal, from
+    // serving a reference left behind by another run.
+    let dir = temp_path("single-loop-resume");
+    std::fs::create_dir_all(&dir).unwrap();
     let loads = Arc::new(AtomicU64::new(0));
-    let make_loads = loads.clone();
+    let resumed = runner::resume_campaign(
+        move || LabTarget::drifting(200, 4..5, loads.clone()),
+        None::<fn() -> Box<dyn envsim::Environment>>,
+        &c,
+        &ProgressMonitor::new(4),
+        1,
+        &goofi_core::vfs::RealFs,
+        dir.join("fresh.gjl"),
+        0..c.faults.len(),
+    )
+    .unwrap();
+    assert_eq!(resumed.records, serial.records);
+    assert_eq!(resumed.quarantined, serial.quarantined);
+    let links = |r: &goofi_core::algorithms::CampaignResult| -> Vec<Option<String>> {
+        r.records.iter().map(|r| r.parent.clone()).collect()
+    };
+    assert_eq!(links(&resumed), links(&serial));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn parallel_loops_quarantine_drift_seen_on_their_own_targets() {
+    // Every target's link goes bad from its own second workload load on:
+    // each loop's first experiment runs clean, and every golden check after
+    // it drifts. Each loop checks after every record, so however the two
+    // loops split the items, every record is quarantined exactly once.
+    let c = campaign_n(4, ExperimentPolicy::default().with_revalidation(1));
     let monitor = ProgressMonitor::new(4);
-    let result = runner::run_campaign_parallel(
-        move || LabTarget::drifting(200, 6..u64::MAX, make_loads.clone()),
+    let result = runner::run_campaign_parallel_journaled_opts(
+        || LabTarget::drifting(200, 2..u64::MAX, Arc::new(AtomicU64::new(0))),
         None::<fn() -> Box<dyn envsim::Environment>>,
         &c,
         &monitor,
         2,
+        None,
+        true,
     )
     .unwrap();
     assert_eq!(result.records.len(), 4);

@@ -251,8 +251,16 @@ fn run_serial(
 }
 
 fn temp_path(name: &str) -> PathBuf {
+    // Unique per call: the tests of one binary share a pid and run on
+    // parallel threads, so the pid alone does not keep their dirs apart.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
     let mut p = std::env::temp_dir();
-    p.push(format!("goofi-resilience-{}-{name}", std::process::id()));
+    p.push(format!(
+        "goofi-resilience-{}-{}-{name}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     p
 }
 
@@ -366,12 +374,14 @@ fn parallel_runner_reports_lowest_index_failure_with_partials() {
         t
     };
     let c = campaign_n(6, ExperimentPolicy::fail_fast());
-    let err = runner::run_campaign_parallel(
+    let err = runner::run_campaign_parallel_journaled_opts(
         make_target,
         None::<fn() -> Box<dyn envsim::Environment>>,
         &c,
         &ProgressMonitor::new(6),
         2,
+        None,
+        true,
     )
     .unwrap_err();
     match err {
@@ -396,12 +406,14 @@ fn parallel_runner_skip_policy_matches_serial() {
     let c = campaign_n(6, ExperimentPolicy::skip_and_continue());
     let mut serial_target = make_target();
     let serial = run_serial(&mut serial_target, &c, &ProgressMonitor::new(6)).unwrap();
-    let parallel = runner::run_campaign_parallel(
+    let parallel = runner::run_campaign_parallel_journaled_opts(
         make_target,
         None::<fn() -> Box<dyn envsim::Environment>>,
         &c,
         &ProgressMonitor::new(6),
         3,
+        None,
+        true,
     )
     .unwrap();
     assert_eq!(serial, parallel);
@@ -419,12 +431,14 @@ fn resume_reruns_failed_experiments_as_linked_children() {
     let mut flaky = FlakyTarget::new(200);
     flaky.fail_plan.insert(trigger_of(1), u32::MAX);
     let mut j = ExperimentJournal::create(&journal, "mock").unwrap();
-    let first = algorithms::run_campaign_journaled(
+    let first = algorithms::run_campaign_journaled_opts(
         &mut flaky,
         &c,
         &ProgressMonitor::new(3),
         &mut envsim::NullEnvironment,
         Some(&mut j),
+        None,
+        true,
     )
     .unwrap();
     drop(j);
@@ -438,7 +452,9 @@ fn resume_reruns_failed_experiments_as_linked_children() {
         &c,
         &ProgressMonitor::new(3),
         2,
+        &goofi_core::vfs::RealFs,
         &journal,
+        0..c.faults.len(),
     )
     .unwrap();
     assert_eq!(resumed.records.len(), 3);
@@ -474,12 +490,14 @@ fn resume_after_any_crash_point_reproduces_the_uninterrupted_run() {
     // Uninterrupted journaled run — the ground truth.
     let mut target = FlakyTarget::new(200);
     let mut j = ExperimentJournal::create(&journal, "mock").unwrap();
-    let full = algorithms::run_campaign_journaled(
+    let full = algorithms::run_campaign_journaled_opts(
         &mut target,
         &c,
         &ProgressMonitor::new(6),
         &mut envsim::NullEnvironment,
         Some(&mut j),
+        None,
+        true,
     )
     .unwrap();
     drop(j);
@@ -499,7 +517,9 @@ fn resume_after_any_crash_point_reproduces_the_uninterrupted_run() {
             &c,
             &ProgressMonitor::new(6),
             2,
+            &goofi_core::vfs::RealFs,
             &partial,
+            0..c.faults.len(),
         )
         .unwrap_or_else(|e| panic!("resume after {crash_after} lines: {e}"));
         assert_eq!(resumed, full, "crash after {crash_after} journal lines");
@@ -518,7 +538,9 @@ fn resume_after_any_crash_point_reproduces_the_uninterrupted_run() {
         &c,
         &ProgressMonitor::new(6),
         2,
+        &goofi_core::vfs::RealFs,
         &torn,
+        0..c.faults.len(),
     )
     .unwrap();
     assert_eq!(resumed, full, "torn journal tail");
@@ -538,7 +560,9 @@ fn resume_on_a_missing_journal_runs_the_full_campaign() {
         &c,
         &ProgressMonitor::new(3),
         2,
+        &goofi_core::vfs::RealFs,
         &journal,
+        0..c.faults.len(),
     )
     .unwrap();
     assert_eq!(resumed, serial);

@@ -21,7 +21,15 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("goofi-service-{}-{name}", std::process::id()));
+    // Unique per call: the tests of one binary share a pid and run on
+    // parallel threads, so the pid alone does not keep their dirs apart.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "goofi-service-{}-{}-{name}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir

@@ -253,8 +253,16 @@ fn run_serial<T: TargetAccess>(
 }
 
 fn temp_path(name: &str) -> PathBuf {
+    // Unique per call: the tests of one binary share a pid and run on
+    // parallel threads, so the pid alone does not keep their dirs apart.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
     let mut p = std::env::temp_dir();
-    p.push(format!("goofi-supervision-{}-{name}", std::process::id()));
+    p.push(format!(
+        "goofi-supervision-{}-{}-{name}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     p
 }
 
@@ -422,12 +430,14 @@ fn parallel_runner_retires_offline_worker_and_redistributes_its_shard() {
         WedgeableTarget::new(MockTarget::new(200), config)
     };
     let monitor = ProgressMonitor::new(6);
-    let result = runner::run_campaign_parallel(
+    let result = runner::run_campaign_parallel_journaled_opts(
         make_target,
         None::<fn() -> Box<dyn envsim::Environment>>,
         &c,
         &monitor,
         2,
+        None,
+        true,
     )
     .unwrap();
 
@@ -477,12 +487,14 @@ fn parallel_runner_fails_only_when_every_target_is_offline() {
         WedgeableTarget::new(MockTarget::new(200), config)
     };
     let monitor = ProgressMonitor::new(6);
-    let err = runner::run_campaign_parallel(
+    let err = runner::run_campaign_parallel_journaled_opts(
         make_target,
         None::<fn() -> Box<dyn envsim::Environment>>,
         &c,
         &monitor,
         2,
+        None,
+        true,
     )
     .unwrap_err();
     match err {
@@ -510,12 +522,14 @@ fn resume_after_crash_mid_recovery_reruns_the_quarantined_hang() {
         one_hang_config(RecoveryDepth::PowerCycle),
     );
     let mut j = ExperimentJournal::create(&journal, "mock").unwrap();
-    let full = algorithms::run_campaign_journaled(
+    let full = algorithms::run_campaign_journaled_opts(
         &mut wedged,
         &c,
         &ProgressMonitor::new(4),
         &mut envsim::NullEnvironment,
         Some(&mut j),
+        None,
+        true,
     )
     .unwrap();
     drop(j);
@@ -556,7 +570,9 @@ fn resume_after_crash_mid_recovery_reruns_the_quarantined_hang() {
         &c,
         &monitor,
         2,
+        &goofi_core::vfs::RealFs,
         &crashed,
+        0..c.faults.len(),
     )
     .unwrap();
     assert_eq!(resumed.records, full.records);

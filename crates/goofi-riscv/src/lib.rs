@@ -340,7 +340,7 @@ struct RiscvSnapshot {
 }
 
 #[cfg(test)]
-mod tests {
+mod rv32i_tests {
     use super::*;
     use riscv::{encode, AluImmOp, Instr, LoadWidth, Reg, StoreWidth};
 

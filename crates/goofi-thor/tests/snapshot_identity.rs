@@ -101,6 +101,7 @@ fn observe(target: &mut ThorTarget) -> (Vec<u32>, Vec<(String, String)>, u64, u6
 }
 
 proptest! {
+    #[test]
     fn snapshot_mutate_restore_is_identity(
         workload in prop_oneof![Just("bubblesort"), Just("crc32"), Just("fibonacci")],
         prefix in 0u64..400,
@@ -126,6 +127,7 @@ proptest! {
         let _ = target.run_workload(RunBudget { max_instructions: 10 }).unwrap();
     }
 
+    #[test]
     fn memoized_memory_digest_matches_flat_digest(
         workload in prop_oneof![Just("bubblesort"), Just("crc32")],
         prefix in 0u64..400,

@@ -747,7 +747,7 @@ impl Cpu {
 }
 
 #[cfg(test)]
-mod tests {
+mod rv32i_tests {
     use super::*;
     use crate::isa::encode;
 

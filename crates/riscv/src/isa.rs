@@ -850,7 +850,7 @@ impl fmt::Display for Instr {
 }
 
 #[cfg(test)]
-mod tests {
+mod rv32i_tests {
     use super::*;
 
     #[test]

@@ -338,7 +338,7 @@ impl Memory {
 }
 
 #[cfg(test)]
-mod tests {
+mod rv32i_tests {
     use super::*;
 
     #[test]

@@ -184,7 +184,7 @@ impl ScanTarget for Cpu {
 }
 
 #[cfg(test)]
-mod tests {
+mod rv32i_tests {
     use super::*;
     use crate::cpu::{CpuConfig, Detection, Image, StopReason, ECALL_ASSERT, ECALL_HALT};
     use crate::isa::{encode, AluImmOp, Instr};

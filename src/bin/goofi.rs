@@ -827,7 +827,9 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         &campaign,
         &monitor,
         workers,
+        &goofi::core::vfs::RealFs,
         journal_path,
+        0..campaign.experiment_count(),
     )
     .map_err(|e| dump_flight(&tel, &flags, db_path, salvage_partial(&mut db, db_path, e)))?;
     finish_run(

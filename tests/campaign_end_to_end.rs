@@ -306,12 +306,14 @@ fn parallel_runner_matches_serial() {
     )
     .unwrap();
 
-    let parallel = runner::run_campaign_parallel(
+    let parallel = runner::run_campaign_parallel_journaled_opts(
         ThorTarget::default,
         None::<fn() -> Box<dyn goofi::envsim::Environment>>,
         &campaign,
         &ProgressMonitor::new(16),
         4,
+        None,
+        true,
     )
     .unwrap();
 
@@ -335,13 +337,14 @@ fn journaled_campaign_resumes_to_identical_results() {
     let _ = std::fs::remove_file(&path);
 
     let mut journal = ExperimentJournal::create(&path, &campaign.name).unwrap();
-    let full = runner::run_campaign_parallel_journaled(
+    let full = runner::run_campaign_parallel_journaled_opts(
         ThorTarget::default,
         None::<fn() -> Box<dyn goofi::envsim::Environment>>,
         &campaign,
         &ProgressMonitor::new(8),
         3,
         Some(&mut journal),
+        true,
     )
     .unwrap();
     drop(journal);
@@ -359,7 +362,9 @@ fn journaled_campaign_resumes_to_identical_results() {
         &campaign,
         &monitor,
         3,
+        &goofi::core::vfs::RealFs,
         &path,
+        0..campaign.faults.len(),
     )
     .unwrap();
     assert_eq!(resumed, full, "resume must reproduce the uninterrupted run");

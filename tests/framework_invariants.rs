@@ -170,23 +170,27 @@ fn parallel_runner_surfaces_worker_errors_and_validates_workers() {
     use goofi::core::runner;
     let campaign = random_campaign(41, 4, "primes");
     // An unported target fails on the very first building block.
-    let err = runner::run_campaign_parallel(
+    let err = runner::run_campaign_parallel_journaled_opts(
         NullTarget::new,
         None::<fn() -> Box<dyn goofi::envsim::Environment>>,
         &campaign,
         &ProgressMonitor::new(4),
         2,
+        None,
+        true,
     )
     .unwrap_err();
     assert!(matches!(err, GoofiError::Unimplemented("init_test_card")));
 
     // Zero workers is a configuration error.
-    let err = runner::run_campaign_parallel(
+    let err = runner::run_campaign_parallel_journaled_opts(
         ThorTarget::default,
         None::<fn() -> Box<dyn goofi::envsim::Environment>>,
         &campaign,
         &ProgressMonitor::new(4),
         0,
+        None,
+        true,
     )
     .unwrap_err();
     assert!(matches!(err, GoofiError::Config(_)));
@@ -194,12 +198,14 @@ fn parallel_runner_surfaces_worker_errors_and_validates_workers() {
     // A pre-stopped monitor aborts the parallel run too.
     let monitor = ProgressMonitor::new(4);
     monitor.stop();
-    let err = runner::run_campaign_parallel(
+    let err = runner::run_campaign_parallel_journaled_opts(
         ThorTarget::default,
         None::<fn() -> Box<dyn goofi::envsim::Environment>>,
         &campaign,
         &monitor,
         2,
+        None,
+        true,
     )
     .unwrap_err();
     assert!(matches!(err, GoofiError::Stopped));

@@ -17,7 +17,9 @@
 //!    outputs, counters) may differ. The same holds under a faulty link
 //!    (quarantine + linked re-runs) and under a wedge drill (hang
 //!    recovery), and a truncated journal must resume to the uninterrupted
-//!    result on either CPU.
+//!    result on either CPU. On either CPU, one campaign yields the same
+//!    records in every execution mode of the campaign engine: slow and
+//!    snapshot serial, two loops, resume and merged service shards.
 
 use goofi::core::algorithms;
 use goofi::core::campaign::{
@@ -25,6 +27,7 @@ use goofi::core::campaign::{
 };
 use goofi::core::conformance::{run_suite, ConformanceSpec, ReadoutFallback, CHECK_NAMES};
 use goofi::core::fault::{FaultLocation, FaultSpec};
+use goofi::core::journal::ExperimentJournal;
 use goofi::core::link::{UnreliableTarget, VerifiedTarget};
 use goofi::core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi::core::monitor::ProgressMonitor;
@@ -309,16 +312,16 @@ fn truncated_journal_resumes_to_the_uninterrupted_result_on_either_cpu() {
         ));
         let _ = std::fs::remove_file(&path);
 
-        let mut journal =
-            goofi::core::journal::ExperimentJournal::create(&path, &campaign.name).unwrap();
+        let mut journal = ExperimentJournal::create(&path, &campaign.name).unwrap();
         let make_target = move || kind.build();
-        let full = runner::run_campaign_parallel_journaled(
+        let full = runner::run_campaign_parallel_journaled_opts(
             make_target,
             None::<fn() -> Box<dyn goofi::envsim::Environment>>,
             &campaign,
             &ProgressMonitor::new(8),
             3,
             Some(&mut journal),
+            true,
         )
         .unwrap();
         drop(journal);
@@ -336,7 +339,9 @@ fn truncated_journal_resumes_to_the_uninterrupted_result_on_either_cpu() {
             &campaign,
             &monitor,
             3,
+            &goofi::core::vfs::RealFs,
             &path,
+            0..campaign.faults.len(),
         )
         .unwrap();
         assert_eq!(
@@ -345,6 +350,122 @@ fn truncated_journal_resumes_to_the_uninterrupted_result_on_either_cpu() {
         );
         assert_eq!(monitor.snapshot().fraction(), 1.0);
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The part of a record every execution mode must reproduce.
+fn mode_essence(
+    r: &ExperimentRecord,
+) -> (String, Option<String>, Option<FaultSpec>, String, String) {
+    (
+        r.name.clone(),
+        r.parent.clone(),
+        r.fault.clone(),
+        r.termination.encode(),
+        r.state.encode(),
+    )
+}
+
+#[test]
+fn every_execution_mode_yields_the_same_records_on_either_cpu() {
+    type NoEnv = Option<fn() -> Box<dyn goofi::envsim::Environment>>;
+    for kind in TargetKind::ALL {
+        let campaign = campaign_for(kind, "diff-modes")
+            .faults(scifi_faults(kind, 16, 0x40DE))
+            .build()
+            .unwrap();
+        let n = campaign.faults.len();
+        let monitor = || ProgressMonitor::new(n);
+        let serial = |snapshots: bool, journal: Option<&mut ExperimentJournal>| {
+            algorithms::run_campaign_journaled_opts(
+                &mut kind.build(),
+                &campaign,
+                &monitor(),
+                &mut NullEnvironment,
+                journal,
+                None,
+                snapshots,
+            )
+            .unwrap()
+        };
+        let slow = serial(false, None);
+        let mut modes = vec![
+            ("snapshot serial", serial(true, None)),
+            (
+                "workers = 2",
+                runner::run_campaign_parallel_journaled_opts(
+                    || kind.build(),
+                    None as NoEnv,
+                    &campaign,
+                    &monitor(),
+                    2,
+                    None,
+                    true,
+                )
+                .unwrap(),
+            ),
+        ];
+
+        let dir = std::env::temp_dir().join(format!(
+            "goofi-second-target-modes-{}-{}",
+            std::process::id(),
+            kind.flag()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let resume = |workers: usize, journal: &std::path::Path, range: std::ops::Range<usize>| {
+            runner::resume_campaign(
+                || kind.build(),
+                None as NoEnv,
+                &campaign,
+                &monitor(),
+                workers,
+                &goofi::core::vfs::RealFs,
+                journal,
+                range,
+            )
+            .unwrap()
+        };
+
+        // Resume from a journal cut mid-campaign: header, campaign line,
+        // reference and the first half of the experiments survive.
+        let path = dir.join("cut.journal");
+        let mut journal = ExperimentJournal::create(&path, &campaign.name).unwrap();
+        serial(true, Some(&mut journal));
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let keep: String = text
+            .lines()
+            .take(3 + n / 2)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(&path, keep).unwrap();
+        modes.push(("resume of a cut journal", resume(2, &path, 0..n)));
+
+        // Two service shards, each over its own journal, merged by index.
+        let low = resume(1, &dir.join("shard-0.journal"), 0..n / 2);
+        let high = resume(1, &dir.join("shard-1.journal"), n / 2..n);
+        assert_eq!(low.reference, high.reference, "{kind}: shard references");
+        let mut union = low;
+        union.records.extend(high.records);
+        modes.push(("union of two shards", union));
+
+        let want: Vec<_> = slow.records.iter().map(mode_essence).collect();
+        assert_eq!(want.len(), n);
+        for (mode, result) in &modes {
+            assert_eq!(
+                mode_essence(&result.reference),
+                mode_essence(&slow.reference),
+                "{kind}, {mode}: reference differs from the slow serial run"
+            );
+            let got: Vec<_> = result.records.iter().map(mode_essence).collect();
+            assert_eq!(
+                got, want,
+                "{kind}, {mode}: records differ from the slow serial run"
+            );
+            assert!(result.failures.is_empty() && result.quarantined.is_empty());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
