@@ -203,6 +203,25 @@ impl EventSender {
     }
 }
 
+/// This process's parent id, where the platform reports one.
+fn parent_id() -> Option<u32> {
+    #[cfg(unix)]
+    return Some(std::os::unix::process::parent_id());
+    #[cfg(not(unix))]
+    return None;
+}
+
+/// A stalled chaos worker's end: the daemon kills it at the lease
+/// deadline. Should that daemon die first, the worker is re-parented, its
+/// parent id stops matching `daemon`, and it exits rather than sleep
+/// forever with nobody left to kill it.
+fn stall_until_orphaned(daemon: Option<u32>) -> ! {
+    while parent_id() == daemon {
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    std::process::exit(CHAOS_EXIT_CODE)
+}
+
 /// Runs one shard to completion: the body of every worker binary.
 ///
 /// Loads the campaign from `args.db`, replays/extends the shard journal
@@ -220,6 +239,9 @@ where
     T: TargetAccess,
     FT: Fn() -> T + Sync,
 {
+    // The daemon that spawned this worker, read before the database load
+    // so that a daemon dying during start-up is still seen to be gone.
+    let daemon = parent_id();
     let db = dbio::load_database(&crate::vfs::RealFs, &args.db)?;
     let campaign: Campaign = dbio::load_campaign(&db, &args.campaign)?;
     let range =
@@ -289,9 +311,7 @@ where
                             // Freeze the campaign without exiting: the
                             // lease deadline must catch us.
                             monitor.pause();
-                            loop {
-                                std::thread::sleep(Duration::from_secs(3600));
-                            }
+                            stall_until_orphaned(daemon)
                         }
                     }
                 }

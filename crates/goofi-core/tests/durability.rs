@@ -559,7 +559,7 @@ proptest! {
         let cut = cut.min(text.len());
         let scan = journal::scan_text(&text[..cut]);
         prop_assert!(scan.valid.len() <= text.lines().count());
-        salvage_converges("trunc", text[..cut].as_bytes());
+        salvage_converges("trunc", &text.as_bytes()[..cut]);
     }
 
     #[test]

@@ -80,7 +80,18 @@ fn apply(target: &mut ThorTarget, mutation: &Mutation) {
 }
 
 /// Everything an experiment can observe about the target.
-fn observe(target: &mut ThorTarget) -> (Vec<u32>, Vec<(String, String)>, u64, u64, u64, Vec<u32>) {
+#[derive(Debug, PartialEq)]
+struct Observation {
+    memory: Vec<u32>,
+    /// `(chain name, captured bits)` per scan chain.
+    chains: Vec<(String, String)>,
+    instructions: u64,
+    cycles: u64,
+    iterations: u64,
+    outputs: Vec<u32>,
+}
+
+fn observe(target: &mut ThorTarget) -> Observation {
     let memory = target
         .read_memory(0, target.memory_size() as usize)
         .unwrap();
@@ -90,14 +101,14 @@ fn observe(target: &mut ThorTarget) -> (Vec<u32>, Vec<(String, String)>, u64, u6
         let bits = target.read_scan_chain(&name).unwrap();
         chains.push((name, bits.to_bit_string()));
     }
-    (
+    Observation {
         memory,
         chains,
-        target.instructions_executed(),
-        target.cycles_executed(),
-        target.iterations_completed(),
-        target.read_output_ports().unwrap(),
-    )
+        instructions: target.instructions_executed(),
+        cycles: target.cycles_executed(),
+        iterations: target.iterations_completed(),
+        outputs: target.read_output_ports().unwrap(),
+    }
 }
 
 proptest! {

@@ -19,7 +19,9 @@
 //! environment call the environment does not know is itself an error the
 //! workload's software EDM layer reports.
 
-use crate::isa::{decode, AluImmOp, AluOp, BranchCond, Instr, LoadWidth, Reg, ShiftOp, StoreWidth};
+use crate::isa::{
+    decode, AluImmOp, AluOp, BranchCond, DecodeError, Instr, LoadWidth, Reg, ShiftOp, StoreWidth,
+};
 use crate::memory::{Memory, MemoryError};
 use scanchain::{BusEvent, DebugEvent, DebugUnit};
 use std::fmt;
@@ -195,6 +197,43 @@ impl AccessLog {
     }
 }
 
+/// Slots in the decoded-instruction cache.
+const DECODE_SLOTS: usize = 64;
+
+/// A direct-mapped cache of decoded instructions, indexed by the low bits
+/// of the fetch word address and keyed by the fetched word itself.
+///
+/// Decoding is a pure function of the word, so a slot whose stored word
+/// equals the fetched word holds exactly what [`decode`] would return, and
+/// nothing ever needs invalidating: a SWIFI code flip changes the fetched
+/// word and misses. Words that fail to decode are never stored.
+#[derive(Debug, Clone)]
+struct DecodeCache {
+    slots: [(u32, Instr); DECODE_SLOTS],
+}
+
+impl DecodeCache {
+    fn new() -> Self {
+        // Every slot starts as the valid pair (nop, decode(nop)).
+        const NOP: u32 = 0x0000_0013; // addi x0, x0, 0
+        let nop = decode(NOP).expect("nop decodes");
+        DecodeCache {
+            slots: [(NOP, nop); DECODE_SLOTS],
+        }
+    }
+
+    #[inline(always)]
+    fn decode(&mut self, word_addr: u32, word: u32) -> Result<Instr, DecodeError> {
+        let slot = &mut self.slots[word_addr as usize % DECODE_SLOTS];
+        if slot.0 == word {
+            return Ok(slot.1);
+        }
+        let instr = decode(word)?;
+        *slot = (word, instr);
+        Ok(instr)
+    }
+}
+
 /// The simulated RV32I processor.
 ///
 /// See the crate docs for an end-to-end example. The scan-chain view of
@@ -217,6 +256,7 @@ pub struct Cpu {
     entry: u32,
     initial_sp: u32,
     scratch_log: AccessLog,
+    decoded: DecodeCache,
     pub(crate) chains: crate::scan::ChainSet,
 }
 
@@ -251,6 +291,7 @@ impl Cpu {
             entry: 0,
             initial_sp,
             scratch_log: AccessLog::default(),
+            decoded: DecodeCache::new(),
             chains: crate::scan::ChainSet::new(),
         }
     }
@@ -374,7 +415,7 @@ impl Cpu {
     /// Runs until a stop condition, retiring at most `max_instructions`.
     pub fn run(&mut self, max_instructions: u64) -> StopReason {
         for _ in 0..max_instructions {
-            if let Some(stop) = self.step() {
+            if let Some(stop) = self.step_inner::<false>() {
                 return stop;
             }
         }
@@ -383,7 +424,7 @@ impl Cpu {
 
     /// Executes one instruction; `None` means execution continues.
     pub fn step(&mut self) -> Option<StopReason> {
-        self.step_inner(false)
+        self.step_inner::<false>()
     }
 
     /// Executes one instruction and fills `log` with its architectural
@@ -391,12 +432,14 @@ impl Cpu {
     /// analysis).
     pub fn step_logged(&mut self, log: &mut AccessLog) -> Option<StopReason> {
         self.scratch_log.clear();
-        let r = self.step_inner(true);
+        let r = self.step_inner::<true>();
         std::mem::swap(log, &mut self.scratch_log);
         r
     }
 
-    fn step_inner(&mut self, want_log: bool) -> Option<StopReason> {
+    /// One instruction; `LOG` fills `scratch_log` with its accesses.
+    #[inline(always)]
+    fn step_inner<const LOG: bool>(&mut self) -> Option<StopReason> {
         if self.halted {
             return Some(StopReason::Halted);
         }
@@ -412,7 +455,7 @@ impl Cpu {
         if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
             return Some(StopReason::DebugEvent(ev));
         }
-        if want_log {
+        if LOG {
             self.scratch_log.pc = self.pc;
         }
 
@@ -430,13 +473,13 @@ impl Cpu {
         };
 
         // Decode (strict: any reserved encoding traps).
-        let instr = match decode(word) {
+        let instr = match self.decoded.decode(word_addr, word) {
             Ok(i) => i,
             Err(_) => return Some(self.detect(Detection::IllegalInstr)),
         };
 
         // Execute.
-        let stop = self.execute(instr, want_log);
+        let stop = self.execute::<LOG>(instr);
         self.instret += 1;
         if stop.is_some() {
             return stop;
@@ -451,18 +494,20 @@ impl Cpu {
         StopReason::Detected(d)
     }
 
-    fn log_reg_read(&mut self, want_log: bool, r: Reg) -> u32 {
-        if want_log && r != Reg::X0 {
+    #[inline(always)]
+    fn log_reg_read<const LOG: bool>(&mut self, r: Reg) -> u32 {
+        if LOG && r != Reg::X0 {
             self.scratch_log.reg_reads.push(r);
         }
         self.regs[r.index()]
     }
 
-    fn log_reg_write(&mut self, want_log: bool, r: Reg, v: u32) {
+    #[inline(always)]
+    fn log_reg_write<const LOG: bool>(&mut self, r: Reg, v: u32) {
         if r == Reg::X0 {
             return; // x0 is hardwired to zero
         }
-        if want_log {
+        if LOG {
             self.scratch_log.reg_writes.push(r);
         }
         self.regs[r.index()] = v;
@@ -470,11 +515,11 @@ impl Cpu {
 
     /// Loads through the data bus. Byte addresses; returns `Err(stop)` on
     /// detection.
-    fn data_load(
+    #[inline(always)]
+    fn data_load<const LOG: bool>(
         &mut self,
         width: LoadWidth,
         addr: u32,
-        want_log: bool,
     ) -> Result<u32, StopReason> {
         let align = match width {
             LoadWidth::B | LoadWidth::Bu => 1,
@@ -489,7 +534,7 @@ impl Cpu {
             Ok(w) => w,
             Err(_) => return Err(self.detect(Detection::AccessFault)),
         };
-        if want_log {
+        if LOG {
             self.scratch_log.mem_reads.push(word_addr);
         }
         self.debug.observe(BusEvent::DataRead { addr: word_addr });
@@ -505,12 +550,12 @@ impl Cpu {
 
     /// Stores through the data bus (read-modify-write for sub-word
     /// widths). Returns `Err(stop)` on detection.
-    fn data_store(
+    #[inline(always)]
+    fn data_store<const LOG: bool>(
         &mut self,
         width: StoreWidth,
         addr: u32,
         value: u32,
-        want_log: bool,
     ) -> Result<(), StopReason> {
         let align = match width {
             StoreWidth::B => 1,
@@ -541,7 +586,7 @@ impl Cpu {
             // both surface as an access fault.
             return Err(self.detect(Detection::AccessFault));
         }
-        if want_log {
+        if LOG {
             self.scratch_log.mem_writes.push(word_addr);
         }
         self.debug.observe(BusEvent::DataWrite { addr: word_addr });
@@ -550,6 +595,7 @@ impl Cpu {
 
     /// Transfers control to `target` (branch/jal/jalr). Returns
     /// `Err(stop)` when the target is rejected.
+    #[inline(always)]
     fn jump(&mut self, target: u32, is_call: bool) -> Result<(), StopReason> {
         if !target.is_multiple_of(4) {
             return Err(self.detect(Detection::Misaligned));
@@ -567,7 +613,8 @@ impl Cpu {
         Ok(())
     }
 
-    fn execute(&mut self, instr: Instr, want_log: bool) -> Option<StopReason> {
+    #[inline(always)]
+    fn execute<const LOG: bool>(&mut self, instr: Instr) -> Option<StopReason> {
         let next_pc = self.pc.wrapping_add(4);
         let mut pc_set = false;
         let mut cost = 1u64;
@@ -586,23 +633,23 @@ impl Cpu {
 
         match instr {
             Instr::Lui { rd, imm20 } => {
-                self.log_reg_write(want_log, rd, imm20 << 12);
+                self.log_reg_write::<LOG>(rd, imm20 << 12);
             }
             Instr::Auipc { rd, imm20 } => {
-                self.log_reg_write(want_log, rd, self.pc.wrapping_add(imm20 << 12));
+                self.log_reg_write::<LOG>(rd, self.pc.wrapping_add(imm20 << 12));
             }
             Instr::Jal { rd, offset } => {
                 cost += 2;
                 let target = self.pc.wrapping_add(offset as u32);
-                self.log_reg_write(want_log, rd, next_pc);
+                self.log_reg_write::<LOG>(rd, next_pc);
                 stop_on!(self.jump(target, rd == Reg::RA));
                 pc_set = true;
             }
             Instr::Jalr { rd, rs1, offset } => {
                 cost += 2;
-                let base = self.log_reg_read(want_log, rs1);
+                let base = self.log_reg_read::<LOG>(rs1);
                 let target = base.wrapping_add(offset as u32) & !1;
-                self.log_reg_write(want_log, rd, next_pc);
+                self.log_reg_write::<LOG>(rd, next_pc);
                 stop_on!(self.jump(target, rd == Reg::RA));
                 pc_set = true;
             }
@@ -612,8 +659,8 @@ impl Cpu {
                 rs2,
                 offset,
             } => {
-                let a = self.log_reg_read(want_log, rs1);
-                let b = self.log_reg_read(want_log, rs2);
+                let a = self.log_reg_read::<LOG>(rs1);
+                let b = self.log_reg_read::<LOG>(rs2);
                 let taken = match cond {
                     BranchCond::Eq => a == b,
                     BranchCond::Ne => a != b,
@@ -636,10 +683,10 @@ impl Cpu {
                 offset,
             } => {
                 cost += 2;
-                let base = self.log_reg_read(want_log, rs1);
+                let base = self.log_reg_read::<LOG>(rs1);
                 let addr = base.wrapping_add(offset as u32);
-                let v = stop_on!(self.data_load(width, addr, want_log));
-                self.log_reg_write(want_log, rd, v);
+                let v = stop_on!(self.data_load::<LOG>(width, addr));
+                self.log_reg_write::<LOG>(rd, v);
             }
             Instr::Store {
                 width,
@@ -648,13 +695,13 @@ impl Cpu {
                 offset,
             } => {
                 cost += 2;
-                let base = self.log_reg_read(want_log, rs1);
+                let base = self.log_reg_read::<LOG>(rs1);
                 let addr = base.wrapping_add(offset as u32);
-                let v = self.log_reg_read(want_log, rs2);
-                stop_on!(self.data_store(width, addr, v, want_log));
+                let v = self.log_reg_read::<LOG>(rs2);
+                stop_on!(self.data_store::<LOG>(width, addr, v));
             }
             Instr::AluImm { op, rd, rs1, imm } => {
-                let a = self.log_reg_read(want_log, rs1);
+                let a = self.log_reg_read::<LOG>(rs1);
                 let simm = imm as u32;
                 let r = match op {
                     AluImmOp::Addi => a.wrapping_add(simm),
@@ -664,20 +711,20 @@ impl Cpu {
                     AluImmOp::Ori => a | simm,
                     AluImmOp::Andi => a & simm,
                 };
-                self.log_reg_write(want_log, rd, r);
+                self.log_reg_write::<LOG>(rd, r);
             }
             Instr::Shift { op, rd, rs1, shamt } => {
-                let a = self.log_reg_read(want_log, rs1);
+                let a = self.log_reg_read::<LOG>(rs1);
                 let r = match op {
                     ShiftOp::Sll => a << shamt,
                     ShiftOp::Srl => a >> shamt,
                     ShiftOp::Sra => ((a as i32) >> shamt) as u32,
                 };
-                self.log_reg_write(want_log, rd, r);
+                self.log_reg_write::<LOG>(rd, r);
             }
             Instr::Alu { op, rd, rs1, rs2 } => {
-                let a = self.log_reg_read(want_log, rs1);
-                let b = self.log_reg_read(want_log, rs2);
+                let a = self.log_reg_read::<LOG>(rs1);
+                let b = self.log_reg_read::<LOG>(rs2);
                 let r = match op {
                     AluOp::Add => a.wrapping_add(b),
                     AluOp::Sub => a.wrapping_sub(b),
@@ -690,11 +737,11 @@ impl Cpu {
                     AluOp::Or => a | b,
                     AluOp::And => a & b,
                 };
-                self.log_reg_write(want_log, rd, r);
+                self.log_reg_write::<LOG>(rd, r);
             }
             Instr::Fence => {}
             Instr::Ecall => {
-                let code = self.log_reg_read(want_log, Reg::A7);
+                let code = self.log_reg_read::<LOG>(Reg::A7);
                 match code {
                     ECALL_HALT => {
                         self.halted = true;
@@ -703,7 +750,7 @@ impl Cpu {
                         return Some(StopReason::Halted);
                     }
                     ECALL_SYNC => {
-                        let tag = self.log_reg_read(want_log, Reg::A0) as u16;
+                        let tag = self.log_reg_read::<LOG>(Reg::A0) as u16;
                         self.iterations += 1;
                         self.pc = next_pc;
                         self.cycles += cost;
@@ -714,17 +761,17 @@ impl Cpu {
                         });
                     }
                     ECALL_IN => {
-                        let port = self.log_reg_read(want_log, Reg::A0) as usize % PORT_COUNT;
+                        let port = self.log_reg_read::<LOG>(Reg::A0) as usize % PORT_COUNT;
                         let v = self.in_ports[port];
-                        self.log_reg_write(want_log, Reg::A0, v);
+                        self.log_reg_write::<LOG>(Reg::A0, v);
                     }
                     ECALL_OUT => {
-                        let port = self.log_reg_read(want_log, Reg::A0) as usize % PORT_COUNT;
-                        let v = self.log_reg_read(want_log, Reg::A1);
+                        let port = self.log_reg_read::<LOG>(Reg::A0) as usize % PORT_COUNT;
+                        let v = self.log_reg_read::<LOG>(Reg::A1);
                         self.out_ports[port] = v;
                     }
                     ECALL_ASSERT => {
-                        let id = self.log_reg_read(want_log, Reg::A0) as u16;
+                        let id = self.log_reg_read::<LOG>(Reg::A0) as u16;
                         return Some(self.detect(Detection::Assertion(id)));
                     }
                     unknown => {
@@ -834,6 +881,34 @@ mod rv32i_tests {
         ]));
         assert_eq!(stop, StopReason::Halted);
         assert_eq!(cpu.reg(Reg::new(6)), 55);
+    }
+
+    #[test]
+    fn code_word_flip_runs_the_new_instruction() {
+        // x5 += 1 (word 2) on each of three passes; after the first pass,
+        // a SWIFI flip of immediate bit 1 turns it into x5 += 3. Decoded
+        // instructions are cached by word, so the flip must take effect.
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.load_image(&image(halting(vec![
+            addi(5, 0, 0),
+            addi(6, 0, 3),
+            addi(5, 5, 1),
+            addi(6, 6, -1),
+            encode(Instr::Branch {
+                cond: BranchCond::Ne,
+                rs1: Reg::new(6),
+                rs2: Reg::X0,
+                offset: -8,
+            }),
+        ])))
+        .unwrap();
+        for _ in 0..5 {
+            assert_eq!(cpu.step(), None);
+        }
+        assert_eq!((cpu.pc(), cpu.reg(Reg::new(5))), (8, 1));
+        cpu.memory_mut().flip_bit(2, 20 + 1).unwrap();
+        assert_eq!(cpu.run(100), StopReason::Halted);
+        assert_eq!(cpu.reg(Reg::new(5)), 7);
     }
 
     #[test]

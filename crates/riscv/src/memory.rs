@@ -207,6 +207,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`MemoryError::OutOfRange`] past the end of memory.
+    #[inline]
     pub fn read(&self, addr: u32) -> Result<u32, MemoryError> {
         if (addr as usize) < self.len {
             Ok(self.word(addr as usize))
@@ -222,6 +223,7 @@ impl Memory {
     /// Returns [`MemoryError::OutOfRange`] past the end of memory and
     /// [`MemoryError::WriteProtected`] for stores into a protected code
     /// segment.
+    #[inline]
     pub fn write(&mut self, addr: u32, value: u32) -> Result<(), MemoryError> {
         if self.protect_code && addr < self.code_words {
             return Err(MemoryError::WriteProtected { addr });

@@ -9,8 +9,9 @@
 
 use proptest::prelude::*;
 use riscv::{
-    decode, encode, AluImmOp, AluOp, BranchCond, Cpu, CpuConfig, Detection, Image, Instr,
-    LoadWidth, Reg, ShiftOp, StopReason, StoreWidth,
+    decode, encode, AccessLog, AluImmOp, AluOp, BranchCond, Cpu, CpuConfig, Detection, Image,
+    Instr, LoadWidth, Reg, ShiftOp, StopReason, StoreWidth, ECALL_HALT, ECALL_IN, ECALL_OUT,
+    PORT_COUNT,
 };
 
 fn pick<T: std::fmt::Debug + Clone>(items: Vec<T>) -> impl Strategy<Value = T> {
@@ -125,7 +126,180 @@ fn trap_fingerprint(word: u32) -> (StopReason, u64, u64) {
     (stop, cpu.instructions(), cpu.cycles())
 }
 
+fn addi(rd: u8, rs1: u8, imm: i32) -> u32 {
+    encode(Instr::AluImm {
+        op: AluImmOp::Addi,
+        rd: Reg::new(rd),
+        rs1: Reg::new(rs1),
+        imm,
+    })
+}
+
+fn jal(rd: u8, offset: i32) -> u32 {
+    encode(Instr::Jal {
+        rd: Reg::new(rd),
+        offset,
+    })
+}
+
+/// An input-driven program for the determinism property: `in[0] % 16`
+/// passes of a loop with word and byte stores and loads and a call, then
+/// the accumulated sum on output port 0. Data lives at byte 512 on.
+fn port_loop_image() -> Image {
+    const A0: u8 = 10;
+    const A7: u8 = 17;
+    let (s0, s1, t0, t1, t2, t3) = (8u8, 9u8, 5u8, 6u8, 7u8, 28u8);
+    let r = Reg::new;
+    let words = vec![
+        addi(A7, 0, ECALL_IN as i32), // 0
+        addi(A0, 0, 0),
+        encode(Instr::Ecall), // a0 = in[0]
+        encode(Instr::AluImm {
+            op: AluImmOp::Andi,
+            rd: r(s0),
+            rs1: r(A0),
+            imm: 15,
+        }),
+        addi(A0, 0, 1),
+        encode(Instr::Ecall), // 5: a0 = in[1]
+        addi(s1, A0, 0),
+        addi(t0, 0, 0),
+        // 8, loop: exit to `done` (word 18) when s0 == 0.
+        encode(Instr::Branch {
+            cond: BranchCond::Eq,
+            rs1: r(s0),
+            rs2: Reg::X0,
+            offset: 40,
+        }),
+        encode(Instr::Alu {
+            op: AluOp::Add,
+            rd: r(t0),
+            rs1: r(t0),
+            rs2: r(s1),
+        }),
+        encode(Instr::Shift {
+            op: ShiftOp::Sll,
+            rd: r(t1),
+            rs1: r(s0),
+            shamt: 2,
+        }),
+        encode(Instr::Store {
+            width: StoreWidth::W,
+            rs1: r(t1),
+            rs2: r(t0),
+            offset: 512,
+        }),
+        encode(Instr::Load {
+            width: LoadWidth::W,
+            rd: r(t2),
+            rs1: r(t1),
+            offset: 512,
+        }),
+        encode(Instr::Store {
+            width: StoreWidth::B,
+            rs1: r(t1),
+            rs2: r(t2),
+            offset: 1025,
+        }),
+        encode(Instr::Load {
+            width: LoadWidth::Bu,
+            rd: r(t3),
+            rs1: r(t1),
+            offset: 1025,
+        }),
+        jal(1, 36), // 15: call `twice` (word 24)
+        addi(s0, s0, -1),
+        jal(0, -36), // back to `loop`
+        // 18, done: out[0] = t0, then halt.
+        addi(A7, 0, ECALL_OUT as i32),
+        addi(A0, 0, 0),
+        addi(11, t0, 0),
+        encode(Instr::Ecall),
+        addi(A7, 0, ECALL_HALT as i32),
+        encode(Instr::Ecall),
+        // 24, twice: t2 += t2.
+        encode(Instr::Alu {
+            op: AluOp::Add,
+            rd: r(t2),
+            rs1: r(t2),
+            rs2: r(t2),
+        }),
+        encode(Instr::Jalr {
+            rd: Reg::X0,
+            rs1: Reg::RA,
+            offset: 0,
+        }),
+    ];
+    let code_words = words.len() as u32;
+    Image {
+        words,
+        code_words,
+        entry: 0,
+    }
+}
+
+#[test]
+fn port_loop_program_sums_its_input() {
+    let mut cpu = Cpu::new(CpuConfig::default());
+    cpu.load_image(&port_loop_image()).unwrap();
+    cpu.set_in_port(0, 5);
+    cpu.set_in_port(1, 7);
+    assert_eq!(cpu.run(1000), StopReason::Halted);
+    assert_eq!(cpu.out_port(0), 35);
+    // The last pass (s0 = 1) stored the sum at byte 516 and its low byte
+    // at byte 1029.
+    assert_eq!(cpu.memory().read_block(129, 1).unwrap(), vec![35]);
+    assert_eq!(cpu.memory().read_block(257, 1).unwrap(), vec![35 << 8]);
+}
+
 proptest! {
+    #[test]
+    fn execution_is_deterministic_under_any_inputs(
+        inputs in proptest::collection::vec(any::<u32>(), PORT_COUNT),
+        n in 0u64..256,
+    ) {
+        // `run(n)`, n single steps and n logged steps must all end in the
+        // same stop and the same architectural state: the step loop is
+        // inlined into `run`, and logging is compiled in or out.
+        let image = port_loop_image();
+        let fresh = || {
+            let mut cpu = Cpu::new(CpuConfig::default());
+            cpu.load_image(&image).unwrap();
+            for (port, v) in inputs.iter().enumerate() {
+                cpu.set_in_port(port, *v);
+            }
+            cpu
+        };
+        let end = |cpu: Cpu, stop: Option<StopReason>| {
+            (
+                stop.unwrap_or(StopReason::InstrLimit),
+                (0..32).map(|i| cpu.reg(Reg::new(i))).collect::<Vec<_>>(),
+                cpu.pc(),
+                (0..PORT_COUNT).map(|p| cpu.out_port(p)).collect::<Vec<_>>(),
+                cpu.memory().read_block(128, 160).unwrap(),
+                cpu.detection(),
+                cpu.instructions(),
+                cpu.cycles(),
+            )
+        };
+        let run = || {
+            let mut cpu = fresh();
+            let stop = cpu.run(n);
+            end(cpu, Some(stop))
+        };
+        let ran = run();
+        prop_assert_eq!(&ran, &run());
+
+        let mut cpu = fresh();
+        let stop = (0..n).find_map(|_| cpu.step());
+        prop_assert_eq!(&ran, &end(cpu, stop));
+
+        let mut cpu = fresh();
+        let mut log = AccessLog::default();
+        let stop = (0..n).find_map(|_| cpu.step_logged(&mut log));
+        prop_assert_eq!(&ran, &end(cpu, stop));
+    }
+
     #[test]
     fn every_encodable_instruction_round_trips(instr in arb_instr()) {
         let word = encode(instr);

@@ -125,6 +125,7 @@ impl DebugUnit {
     }
 
     /// The latched event, if one has fired.
+    #[inline(always)]
     pub fn pending(&self) -> Option<DebugEvent> {
         self.pending
     }
@@ -151,9 +152,27 @@ impl DebugUnit {
         self.cycles
     }
 
+    /// Whether no condition is armed and no event is latched: the unit
+    /// only counts, so the core's per-instruction reports take the inlined
+    /// path and never reach condition matching.
+    #[inline(always)]
+    fn idle(&self) -> bool {
+        self.conditions.is_empty() && self.pending.is_none()
+    }
+
     /// Advances the cycle counter; fires any armed cycle-count condition.
+    #[inline(always)]
     pub fn on_cycles(&mut self, cycles: u64) {
         self.cycles += cycles;
+        if !self.idle() {
+            self.match_cycles();
+        }
+    }
+
+    /// [`Self::on_cycles`] with a condition armed or an event latched.
+    #[cold]
+    #[inline(never)]
+    fn match_cycles(&mut self) {
         if self.pending.is_none() {
             for &c in &self.conditions {
                 if let DebugCondition::CycleCount(n) = c {
@@ -177,7 +196,21 @@ impl DebugUnit {
     /// count `n` fires before the `(n+1)`-th instruction executes (i.e.
     /// after `n` complete instructions — the semantics the SCIFI algorithm
     /// needs to inject "after N instructions").
+    #[inline(always)]
     pub fn observe(&mut self, event: BusEvent) -> Option<DebugEvent> {
+        if self.idle() {
+            if let BusEvent::Fetch { .. } = event {
+                self.instructions += 1;
+            }
+            return None;
+        }
+        self.match_event(event)
+    }
+
+    /// [`Self::observe`] with a condition armed or an event latched.
+    #[cold]
+    #[inline(never)]
+    fn match_event(&mut self, event: BusEvent) -> Option<DebugEvent> {
         if self.pending.is_some() {
             if let BusEvent::Fetch { .. } = event {
                 // Core is halting; don't double-count.

@@ -54,8 +54,17 @@ pub struct Line {
 }
 
 impl Line {
+    /// Whether `tag` and `data` together hold an odd number of ones: the
+    /// parity of `tag ^ data`, folded down to one bit.
+    #[inline]
     fn computed_parity(tag: u32, data: u32) -> bool {
-        (tag.count_ones() + data.count_ones()) % 2 == 1
+        let mut x = tag ^ data;
+        x ^= x >> 16;
+        x ^= x >> 8;
+        x ^= x >> 4;
+        x ^= x >> 2;
+        x ^= x >> 1;
+        x & 1 == 1
     }
 
     /// Whether the line's stored parity matches its contents.
@@ -76,9 +85,18 @@ pub enum Lookup {
 }
 
 /// A direct-mapped, parity-protected, write-through cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A line installed by [`Cache::fill`] (or cleared by [`Cache::reset`])
+/// always carries consistent parity, and invalidation touches only the
+/// valid bit, which parity does not cover. Only a scan write can make
+/// parity disagree with a line's contents, so [`Cache::lookup`] checks
+/// parity only on lines written through [`Cache::update_line`] or
+/// [`Cache::line_mut`] since their last fill.
+#[derive(Debug, Clone)]
 pub struct Cache {
     lines: Vec<Line>,
+    /// Per line: written by scan since the last fill, so parity may be off.
+    scanned: Vec<bool>,
     mask: u32,
     shift: u32,
     stats: CacheStats,
@@ -98,6 +116,7 @@ impl Cache {
         );
         Cache {
             lines: vec![Line::default(); config.lines],
+            scanned: vec![false; config.lines],
             mask: (config.lines - 1) as u32,
             shift: config.lines.trailing_zeros(),
             stats: CacheStats::default(),
@@ -116,7 +135,9 @@ impl Cache {
     }
 
     /// Mutable access to a line (for scan update — this is how faults land).
+    /// The line's parity is checked on every hit until its next fill.
     pub fn line_mut(&mut self, index: usize) -> &mut Line {
+        self.scanned[index] = true;
         &mut self.lines[index]
     }
 
@@ -133,9 +154,11 @@ impl Cache {
     /// Invalidates all lines and clears statistics.
     pub fn reset(&mut self) {
         self.lines.fill(Line::default());
+        self.scanned.fill(false);
         self.stats = CacheStats::default();
     }
 
+    #[inline]
     fn index_tag(&self, addr: u32) -> (usize, u32) {
         ((addr & self.mask) as usize, addr >> self.shift)
     }
@@ -143,11 +166,12 @@ impl Cache {
     /// Looks up `addr`. On a parity error with the check disabled, the
     /// corrupted word is returned as a hit (silent data corruption), exactly
     /// as disabling the EDM would behave on hardware.
+    #[inline]
     pub fn lookup(&mut self, addr: u32) -> Lookup {
         let (idx, tag) = self.index_tag(addr);
         let line = self.lines[idx];
         if line.valid && line.tag == tag {
-            if !line.parity_ok() && self.parity_enabled {
+            if self.parity_enabled && self.scanned[idx] && !line.parity_ok() {
                 self.stats.parity_errors += 1;
                 return Lookup::ParityError;
             }
@@ -162,6 +186,7 @@ impl Cache {
 
     /// Installs `data` for `addr` with freshly computed parity (refill or
     /// write-through allocate).
+    #[inline]
     pub fn fill(&mut self, addr: u32, data: u32) {
         let (idx, tag) = self.index_tag(addr);
         self.lines[idx] = Line {
@@ -170,6 +195,7 @@ impl Cache {
             data,
             parity: Line::computed_parity(tag, data),
         };
+        self.scanned[idx] = false;
     }
 
     /// Invalidates the line holding `addr`, if it matches.
@@ -204,13 +230,26 @@ impl Cache {
     pub fn update_line(&mut self, index: usize, bits: &BitVec) {
         let tag_bits = self.tag_bits();
         assert_eq!(bits.len(), 1 + tag_bits + 32 + 1, "line image size");
-        let line = &mut self.lines[index];
+        let line = self.line_mut(index);
         line.valid = bits.get(0);
         line.tag = bits.read_range(1, tag_bits) as u32;
         line.data = bits.read_range(1 + tag_bits, 32) as u32;
         line.parity = bits.get(1 + tag_bits + 32);
     }
 }
+
+/// Equal lines, statistics and parity enable. The scan marks are left out:
+/// a marked line with consistent parity behaves exactly like an unmarked
+/// one.
+impl PartialEq for Cache {
+    fn eq(&self, other: &Self) -> bool {
+        self.lines == other.lines
+            && self.stats == other.stats
+            && self.parity_enabled == other.parity_enabled
+    }
+}
+
+impl Eq for Cache {}
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,7 @@
 use crate::asm::Image;
 use crate::cache::{Cache, CacheConfig, Lookup};
 use crate::edm::{Detection, EdmSet};
-use crate::isa::{decode, Instr, Opcode, Reg};
+use crate::isa::{decode, DecodeError, Instr, Opcode, Reg};
 use crate::memory::{Memory, MemoryError};
 use scanchain::{BusEvent, DebugEvent, DebugUnit};
 
@@ -98,6 +98,43 @@ impl AccessLog {
     }
 }
 
+/// Slots in the decoded-instruction cache.
+const DECODE_SLOTS: usize = 64;
+
+/// A direct-mapped cache of decoded instructions, indexed by the low bits
+/// of the fetch address and keyed by the fetched word itself.
+///
+/// Decoding is a pure function of the word, so a slot whose stored word
+/// equals the fetched word holds exactly what [`decode`] would return, and
+/// nothing ever needs invalidating: a SWIFI code flip or a scan fault in
+/// the instruction cache changes the fetched word and misses. Words that
+/// fail to decode are never stored.
+#[derive(Debug, Clone)]
+struct DecodeCache {
+    slots: [(u32, Instr); DECODE_SLOTS],
+}
+
+impl DecodeCache {
+    fn new() -> Self {
+        // Every slot starts as the valid pair (0, decode(0)).
+        let nop = decode(0).expect("word 0 decodes");
+        DecodeCache {
+            slots: [(0, nop); DECODE_SLOTS],
+        }
+    }
+
+    #[inline(always)]
+    fn decode(&mut self, addr: u32, word: u32) -> Result<Instr, DecodeError> {
+        let slot = &mut self.slots[addr as usize % DECODE_SLOTS];
+        if slot.0 == word {
+            return Ok(slot.1);
+        }
+        let instr = decode(word)?;
+        *slot = (word, instr);
+        Ok(instr)
+    }
+}
+
 /// A snapshot of the CPU's scan-observable architectural state.
 ///
 /// This is the `statevector` that GOOFI logs to the `LoggedSystemState`
@@ -174,6 +211,7 @@ pub struct Cpu {
     /// later experiment (and the golden run) of a campaign.
     config_edm: EdmSet,
     scratch_log: AccessLog,
+    decoded: DecodeCache,
     pub(crate) chains: crate::scan::ChainSet,
 }
 
@@ -217,6 +255,7 @@ impl Cpu {
             initial_sp,
             config_edm: config.edm,
             scratch_log: AccessLog::default(),
+            decoded: DecodeCache::new(),
             chains,
         }
     }
@@ -398,7 +437,7 @@ impl Cpu {
     /// Runs until a stop condition, retiring at most `max_instructions`.
     pub fn run(&mut self, max_instructions: u64) -> StopReason {
         for _ in 0..max_instructions {
-            if let Some(stop) = self.step() {
+            if let Some(stop) = self.step_inner::<false>() {
                 return stop;
             }
         }
@@ -407,7 +446,7 @@ impl Cpu {
 
     /// Executes one instruction; `None` means execution continues.
     pub fn step(&mut self) -> Option<StopReason> {
-        self.step_inner(false)
+        self.step_inner::<false>()
     }
 
     /// Executes one instruction and fills `log` with its architectural
@@ -415,12 +454,14 @@ impl Cpu {
     /// analysis).
     pub fn step_logged(&mut self, log: &mut AccessLog) -> Option<StopReason> {
         self.scratch_log.clear();
-        let r = self.step_inner(true);
+        let r = self.step_inner::<true>();
         std::mem::swap(log, &mut self.scratch_log);
         r
     }
 
-    fn step_inner(&mut self, want_log: bool) -> Option<StopReason> {
+    /// One instruction; `LOG` fills `scratch_log` with its accesses.
+    #[inline(always)]
+    fn step_inner<const LOG: bool>(&mut self) -> Option<StopReason> {
         if self.halted {
             return Some(StopReason::Halted);
         }
@@ -436,7 +477,7 @@ impl Cpu {
         if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
             return Some(StopReason::DebugEvent(ev));
         }
-        if want_log {
+        if LOG {
             self.scratch_log.pc = self.pc;
         }
 
@@ -471,7 +512,7 @@ impl Cpu {
         self.mar = self.pc;
 
         // Decode.
-        let instr = match decode(word) {
+        let instr = match self.decoded.decode(self.pc, word) {
             Ok(i) => i,
             Err(_) => {
                 if self.edm.illegal_opcode {
@@ -487,7 +528,7 @@ impl Cpu {
         };
 
         // Execute.
-        let stop = self.execute(instr, want_log);
+        let stop = self.execute::<LOG>(instr);
         self.instret += 1;
         if stop.is_some() {
             return stop;
@@ -531,24 +572,27 @@ impl Cpu {
         }
     }
 
-    fn log_reg_read(&mut self, want_log: bool, r: Reg) -> u32 {
-        if want_log {
+    #[inline(always)]
+    fn log_reg_read<const LOG: bool>(&mut self, r: Reg) -> u32 {
+        if LOG {
             self.scratch_log.reg_reads.push(r);
         }
         self.regs[r.index()]
     }
 
-    fn log_reg_write(&mut self, want_log: bool, r: Reg, v: u32) {
-        if want_log {
+    #[inline(always)]
+    fn log_reg_write<const LOG: bool>(&mut self, r: Reg, v: u32) {
+        if LOG {
             self.scratch_log.reg_writes.push(r);
         }
         self.regs[r.index()] = v;
     }
 
     /// Data read through the D-cache. Returns `Err(stop)` on detection.
-    fn data_read(&mut self, addr: u32, want_log: bool) -> Result<u32, StopReason> {
+    #[inline(always)]
+    fn data_read<const LOG: bool>(&mut self, addr: u32) -> Result<u32, StopReason> {
         self.mar = addr;
-        if want_log {
+        if LOG {
             self.scratch_log.mem_reads.push(addr);
         }
         let value = match self.dcache.lookup(addr) {
@@ -582,10 +626,11 @@ impl Cpu {
 
     /// Data write, write-through with allocate. Returns `Err(stop)` on
     /// detection.
-    fn data_write(&mut self, addr: u32, value: u32, want_log: bool) -> Result<(), StopReason> {
+    #[inline(always)]
+    fn data_write<const LOG: bool>(&mut self, addr: u32, value: u32) -> Result<(), StopReason> {
         self.mar = addr;
         self.mdr = value;
-        if want_log {
+        if LOG {
             self.scratch_log.mem_writes.push(addr);
         }
         match self.mem.write(addr, value) {
@@ -609,6 +654,7 @@ impl Cpu {
 
     /// Transfers control to `target` (branch/call/return). Returns
     /// `Err(stop)` when control-flow checking rejects the target.
+    #[inline(always)]
     fn jump(&mut self, target: u32, is_call: bool) -> Result<(), StopReason> {
         if self.edm.control_flow && target >= self.mem.code_segment() {
             return Err(self.detect(Detection::ControlFlow));
@@ -625,7 +671,8 @@ impl Cpu {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn execute(&mut self, instr: Instr, want_log: bool) -> Option<StopReason> {
+    #[inline(always)]
+    fn execute<const LOG: bool>(&mut self, instr: Instr) -> Option<StopReason> {
         use Opcode::*;
         let next_pc = self.pc.wrapping_add(1);
         let mut pc_set = false;
@@ -645,8 +692,8 @@ impl Cpu {
 
         match instr {
             Instr::R { op, rd, rs1, rs2 } => {
-                let a = self.log_reg_read(want_log, rs1);
-                let b = self.log_reg_read(want_log, rs2);
+                let a = self.log_reg_read::<LOG>(rs1);
+                let b = self.log_reg_read::<LOG>(rs2);
                 match op {
                     Nop => {}
                     Halt => {
@@ -661,10 +708,10 @@ impl Cpu {
                             return Some(self.detect(Detection::Overflow));
                         }
                         self.set_arith_flags(a, b, r, c);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     Sub | Cmp => {
                         let (r, borrow) = a.overflowing_sub(b);
@@ -675,11 +722,11 @@ impl Cpu {
                             return Some(self.detect(Detection::Overflow));
                         }
                         self.set_arith_flags(a, !b, r, !borrow);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
                         if op == Sub {
-                            self.log_reg_write(want_log, rd, r);
+                            self.log_reg_write::<LOG>(rd, r);
                         }
                     }
                     Mul => {
@@ -689,10 +736,10 @@ impl Cpu {
                         }
                         let r = a.wrapping_mul(b);
                         self.set_zn(r);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     Div => {
                         cost += 10;
@@ -701,10 +748,10 @@ impl Cpu {
                         }
                         let r = ((a as i32).wrapping_div(b as i32)) as u32;
                         self.set_zn(r);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     And | Or | Xor | Shl | Shr | Asr => {
                         let r = match op {
@@ -717,41 +764,41 @@ impl Cpu {
                             _ => unreachable!(),
                         };
                         self.set_zn(r);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     Mov => {
-                        self.log_reg_write(want_log, rd, a);
+                        self.log_reg_write::<LOG>(rd, a);
                     }
                     Ldx => {
                         let addr = a.wrapping_add(b);
-                        let v = stop_on!(self.data_read(addr, want_log));
-                        self.log_reg_write(want_log, rd, v);
+                        let v = stop_on!(self.data_read::<LOG>(addr));
+                        self.log_reg_write::<LOG>(rd, v);
                         cost += 1;
                     }
                     Stx => {
                         let addr = a.wrapping_add(b);
-                        let v = self.log_reg_read(want_log, rd);
-                        stop_on!(self.data_write(addr, v, want_log));
+                        let v = self.log_reg_read::<LOG>(rd);
+                        stop_on!(self.data_write::<LOG>(addr, v));
                         cost += 1;
                     }
                     Push => {
-                        let sp = self.log_reg_read(want_log, Reg::SP).wrapping_sub(1);
-                        self.log_reg_write(want_log, Reg::SP, sp);
-                        stop_on!(self.data_write(sp, a, want_log));
+                        let sp = self.log_reg_read::<LOG>(Reg::SP).wrapping_sub(1);
+                        self.log_reg_write::<LOG>(Reg::SP, sp);
+                        stop_on!(self.data_write::<LOG>(sp, a));
                         cost += 1;
                     }
                     Pop => {
-                        let sp = self.log_reg_read(want_log, Reg::SP);
-                        let v = stop_on!(self.data_read(sp, want_log));
-                        self.log_reg_write(want_log, rd, v);
-                        self.log_reg_write(want_log, Reg::SP, sp.wrapping_add(1));
+                        let sp = self.log_reg_read::<LOG>(Reg::SP);
+                        let v = stop_on!(self.data_read::<LOG>(sp));
+                        self.log_reg_write::<LOG>(rd, v);
+                        self.log_reg_write::<LOG>(Reg::SP, sp.wrapping_add(1));
                         cost += 1;
                     }
                     Ret => {
-                        let target = self.log_reg_read(want_log, Reg::LR);
+                        let target = self.log_reg_read::<LOG>(Reg::LR);
                         stop_on!(self.jump(target, false));
                         pc_set = true;
                     }
@@ -767,7 +814,7 @@ impl Cpu {
                 let zimm = imm as u16 as u32;
                 match op {
                     Addi | Subi | Muli | Cmpi => {
-                        let a = self.log_reg_read(want_log, rs1);
+                        let a = self.log_reg_read::<LOG>(rs1);
                         match op {
                             Addi => {
                                 let (r, c) = a.overflowing_add(simm);
@@ -776,7 +823,7 @@ impl Cpu {
                                     return Some(self.detect(Detection::Overflow));
                                 }
                                 self.set_arith_flags(a, simm, r, c);
-                                self.log_reg_write(want_log, rd, r);
+                                self.log_reg_write::<LOG>(rd, r);
                             }
                             Subi | Cmpi => {
                                 let (r, borrow) = a.overflowing_sub(simm);
@@ -788,7 +835,7 @@ impl Cpu {
                                 }
                                 self.set_arith_flags(a, !simm, r, !borrow);
                                 if op == Subi {
-                                    self.log_reg_write(want_log, rd, r);
+                                    self.log_reg_write::<LOG>(rd, r);
                                 }
                             }
                             Muli => {
@@ -799,16 +846,16 @@ impl Cpu {
                                 }
                                 let r = a.wrapping_mul(simm);
                                 self.set_zn(r);
-                                self.log_reg_write(want_log, rd, r);
+                                self.log_reg_write::<LOG>(rd, r);
                             }
                             _ => unreachable!(),
                         }
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
                     }
                     Andi | Ori | Xori | Shli | Shri => {
-                        let a = self.log_reg_read(want_log, rs1);
+                        let a = self.log_reg_read::<LOG>(rs1);
                         let r = match op {
                             Andi => a & zimm,
                             Ori => a | zimm,
@@ -818,29 +865,29 @@ impl Cpu {
                             _ => unreachable!(),
                         };
                         self.set_zn(r);
-                        if want_log {
+                        if LOG {
                             self.scratch_log.flags_written = true;
                         }
-                        self.log_reg_write(want_log, rd, r);
+                        self.log_reg_write::<LOG>(rd, r);
                     }
                     Ldi => {
-                        self.log_reg_write(want_log, rd, simm);
+                        self.log_reg_write::<LOG>(rd, simm);
                     }
                     Lui => {
-                        self.log_reg_write(want_log, rd, zimm << 16);
+                        self.log_reg_write::<LOG>(rd, zimm << 16);
                     }
                     Ld => {
-                        let base = self.log_reg_read(want_log, rs1);
+                        let base = self.log_reg_read::<LOG>(rs1);
                         let addr = base.wrapping_add(simm);
-                        let v = stop_on!(self.data_read(addr, want_log));
-                        self.log_reg_write(want_log, rd, v);
+                        let v = stop_on!(self.data_read::<LOG>(addr));
+                        self.log_reg_write::<LOG>(rd, v);
                         cost += 1;
                     }
                     St => {
-                        let base = self.log_reg_read(want_log, rs1);
+                        let base = self.log_reg_read::<LOG>(rs1);
                         let addr = base.wrapping_add(simm);
-                        let v = self.log_reg_read(want_log, rd);
-                        stop_on!(self.data_write(addr, v, want_log));
+                        let v = self.log_reg_read::<LOG>(rd);
+                        stop_on!(self.data_write::<LOG>(addr, v));
                         cost += 1;
                     }
                     Br | Beq | Bne | Blt | Bge | Bgt | Ble => {
@@ -857,7 +904,7 @@ impl Cpu {
                             Ble => z || n != v,
                             _ => unreachable!(),
                         };
-                        if want_log && op != Br {
+                        if LOG && op != Br {
                             self.scratch_log.flags_read = true;
                         }
                         if taken {
@@ -867,16 +914,16 @@ impl Cpu {
                         }
                     }
                     Call => {
-                        self.log_reg_write(want_log, Reg::LR, next_pc);
+                        self.log_reg_write::<LOG>(Reg::LR, next_pc);
                         stop_on!(self.jump(zimm, true));
                         pc_set = true;
                     }
                     In => {
                         let v = self.in_ports[(zimm as usize) % PORT_COUNT];
-                        self.log_reg_write(want_log, rd, v);
+                        self.log_reg_write::<LOG>(rd, v);
                     }
                     Out => {
-                        let v = self.log_reg_read(want_log, rs1);
+                        let v = self.log_reg_read::<LOG>(rs1);
                         self.out_ports[(zimm as usize) % PORT_COUNT] = v;
                     }
                     Sync => {

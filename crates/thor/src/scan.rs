@@ -17,6 +17,7 @@
 //! target, where memory faults are the domain of pre-runtime SWIFI while
 //! SCIFI reaches the microarchitectural state (the basis of experiment E2).
 
+use crate::cache::Line;
 use crate::cpu::{Cpu, PORT_COUNT};
 use crate::edm::EdmSet;
 use crate::isa::Reg;
@@ -192,11 +193,17 @@ impl Cpu {
         let line_width = 1 + tag_bits + 32 + 1;
         for i in 0..cache.line_count() {
             let off = i * line_width;
-            let line = cache.line_mut(i);
-            line.valid = bits.get(off);
-            line.tag = bits.read_range(off + 1, tag_bits) as u32;
-            line.data = bits.read_range(off + 1 + tag_bits, 32) as u32;
-            line.parity = bits.get(off + 1 + tag_bits + 32);
+            let line = Line {
+                valid: bits.get(off),
+                tag: bits.read_range(off + 1, tag_bits) as u32,
+                data: bits.read_range(off + 1 + tag_bits, 32) as u32,
+                parity: bits.get(off + 1 + tag_bits + 32),
+            };
+            // Rewriting a line with its own contents keeps its parity as
+            // it was; only changed lines need their parity checked again.
+            if *cache.line(i) != line {
+                *cache.line_mut(i) = line;
+            }
         }
     }
 

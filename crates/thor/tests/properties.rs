@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use scanchain::{ScanTarget, TestCard};
-use thor::{asm, decode, encode, Cpu, CpuConfig, Instr, Opcode, Reg, StopReason};
+use thor::{asm, decode, encode, AccessLog, Cpu, CpuConfig, Instr, Opcode, Reg, StopReason};
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u8..16).prop_map(Reg::new)
@@ -130,32 +130,76 @@ proptest! {
     #[test]
     fn execution_is_deterministic_under_any_inputs(
         inputs in proptest::collection::vec(any::<u32>(), 4),
+        n in 0u64..256,
     ) {
-        let wl = workloads_source();
-        let image = asm::assemble(&wl).unwrap();
-        let run = || {
+        // `run(n)`, n single steps and n logged steps must all end in the
+        // same stop and the same architectural and cache state: the step
+        // loop is inlined into `run`, and logging is compiled in or out.
+        let image = asm::assemble(&workloads_source()).unwrap();
+        let fresh = || {
             let mut cpu = Cpu::new(CpuConfig::default());
             cpu.load_image(&image).unwrap();
             for (port, v) in inputs.iter().enumerate() {
                 cpu.set_in_port(port, *v);
             }
-            let stop = cpu.run(100_000);
-            (stop, cpu.state_vector(), cpu.cycles())
+            cpu
         };
-        prop_assert_eq!(run(), run());
+        let end = |cpu: Cpu, stop: Option<StopReason>| {
+            (
+                stop.unwrap_or(StopReason::InstrLimit),
+                cpu.state_vector(),
+                cpu.cycles(),
+                cpu.icache_stats(),
+                cpu.dcache_stats(),
+            )
+        };
+        let run = || {
+            let mut cpu = fresh();
+            let stop = cpu.run(n);
+            end(cpu, Some(stop))
+        };
+        let ran = run();
+        prop_assert_eq!(&ran, &run());
+
+        let mut cpu = fresh();
+        let stop = (0..n).find_map(|_| cpu.step());
+        prop_assert_eq!(&ran, &end(cpu, stop));
+
+        let mut cpu = fresh();
+        let mut log = AccessLog::default();
+        let stop = (0..n).find_map(|_| cpu.step_logged(&mut log));
+        prop_assert_eq!(&ran, &end(cpu, stop));
     }
 }
 
-/// A small port-echo program for the determinism property.
+/// An input-driven program for the determinism property: `in[0] % 16`
+/// passes of a loop with arithmetic (which may overflow), a store and a
+/// load, the stack and a call, then the results on the output ports.
 fn workloads_source() -> String {
     r"
-        in r1, 0
-        in r2, 1
-        add r3, r1, r2
-        out 0, r3
-        xor r4, r1, r2
-        out 1, r4
+        in   r1, 0
+        in   r2, 1
+        andi r3, r1, 15
+        ldi  r4, 0
+    loop:
+        cmpi r3, 0
+        ble  done
+        add  r4, r4, r2
+        st   r3, r4, 200
+        ld   r5, r3, 200
+        push r5
+        pop  r6
+        call twice
+        subi r3, r3, 1
+        br   loop
+    done:
+        out  0, r4
+        xor  r7, r1, r2
+        out  1, r7
         halt
+    twice:
+        add  r6, r6, r6
+        ret
     "
     .to_string()
 }

@@ -198,6 +198,25 @@ fn chaos_drill_survives_worker_kills_and_matches_serial_run() {
     }
 }
 
+/// Live processes with `arg` as one of their command-line arguments.
+#[cfg(target_os = "linux")]
+fn processes_naming(arg: &str) -> Vec<u32> {
+    let Ok(entries) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter_map(|entry| {
+            let pid = entry.file_name().to_str()?.parse().ok()?;
+            let cmdline = std::fs::read(entry.path().join("cmdline")).ok()?;
+            cmdline
+                .split(|&b| b == 0)
+                .any(|a| a == arg.as_bytes())
+                .then_some(pid)
+        })
+        .collect()
+}
+
 #[test]
 fn sigkilled_daemon_resumes_the_job_on_restart() {
     let guard = tempdir::create("resume");
@@ -255,6 +274,22 @@ fn sigkilled_daemon_resumes_the_job_on_restart() {
         !spool.join(&job).join("done").exists(),
         "job must still be in flight when the daemon dies"
     );
+    // The stalled workers notice they are orphaned and exit.
+    #[cfg(target_os = "linux")]
+    {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let alive = processes_naming(&db);
+            if alive.is_empty() {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "processes {alive:?} outlived their SIGKILLed daemon"
+            );
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    }
 
     // Phase 2: a fresh daemon (chaos off) recovers the spool and the job
     // completes; watching it attaches to the resumed run.
