@@ -58,7 +58,7 @@ use crate::trigger::Trigger;
 use crate::vfs::Vfs;
 use crate::{GoofiError, Result};
 use envsim::Environment;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::path::Path;
@@ -365,6 +365,9 @@ pub(crate) struct Engine<'a> {
     /// Loops looking for or holding an unsettled claim; idle loops stay
     /// alive while a retirement could still requeue work.
     in_flight: AtomicUsize,
+    /// Idle loops park here, on the `requeue` lock, until a claim settles
+    /// with its item requeued or with nothing left in flight.
+    settled: Condvar,
     aborted: AtomicBool,
     abort: Mutex<Option<(usize, Abort)>>,
     quarantined: Mutex<Vec<ExperimentRecord>>,
@@ -404,6 +407,7 @@ impl<'a> Engine<'a> {
             next: AtomicUsize::new(0),
             requeue: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
+            settled: Condvar::new(),
             aborted: AtomicBool::new(false),
             abort: Mutex::new(None),
             quarantined: Mutex::new(Vec::new()),
@@ -499,13 +503,21 @@ impl<'a> Engine<'a> {
                 Err(halt) => break Some(halt),
             };
             let ran = self.run_item(target, env, supervisor.as_ref(), session.as_mut(), pos);
-            if matches!(ran, Err(Halt::Retire(_))) {
+            let retired = matches!(ran, Err(Halt::Retire(_)));
+            if retired {
                 // Hand the experiment to the surviving loops. Requeue
                 // before the in-flight decrement so idle loops never miss
                 // the hand-off.
                 self.requeue.lock().push(pos);
             }
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
+            let last = self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1;
+            if self.loops > 1 && (retired || last) {
+                // Wake parked loops (a lone loop never parks). Taking the
+                // lock orders the signal after any parked loop's last look
+                // at the queue and the count.
+                let _requeue = self.requeue.lock();
+                self.settled.notify_all();
+            }
             if let Err(halt) = ran {
                 break Some(halt);
             }
@@ -556,13 +568,20 @@ impl<'a> Engine<'a> {
             if claimed.is_some() {
                 return Ok(claimed);
             }
-            if self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1 && self.requeue.lock().is_empty()
-            {
+            let mut requeue = self.requeue.lock();
+            let idle = self.in_flight.fetch_sub(1, Ordering::AcqRel) == 1;
+            if !requeue.is_empty() {
+                continue;
+            }
+            if idle {
+                // All work is accounted for; parked loops may exit too.
+                self.settled.notify_all();
                 return Ok(None);
             }
-            // A busy loop may yet retire and requeue its item; stay alive
-            // until all work is accounted for.
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            // A busy loop may yet retire and requeue its item: park until
+            // a claim settles. The bound keeps a pause or stop visible.
+            self.settled
+                .wait_for(&mut requeue, std::time::Duration::from_millis(5));
         }
     }
 

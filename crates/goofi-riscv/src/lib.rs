@@ -3,12 +3,13 @@
 //! `goofi-thor`.
 //!
 //! The port is deliberately boring: every [`goofi_core::TargetAccess`]
-//! building block maps onto the `riscv` simulator wrapped in a
-//! [`scanchain::TestCard`], exactly as the Thor port does. That is the
-//! paper's genericity claim made concrete — a different ISA (byte-addressed
-//! PCs, a hardwired zero register, ECALL-based environment calls, no
-//! caches) slots in behind the identical interface, and the campaign
-//! algorithms, database and analyses never notice.
+//! building block comes from the one generic test-card port,
+//! [`goofi_core::card::CardTarget`], exactly as for Thor; this crate only
+//! fills in the [`CardCpu`] impl. That is the paper's genericity claim made
+//! concrete — a different ISA (byte-addressed PCs, a hardwired zero
+//! register, ECALL-based environment calls, no caches) slots in behind the
+//! identical interface, and the campaign algorithms, database and analyses
+//! never notice.
 //!
 //! Unit conventions: memory addresses are in words (like Thor), but the
 //! program counter — and therefore [`goofi_core::trigger::Trigger::Breakpoint`]
@@ -32,231 +33,62 @@
 #![warn(missing_docs)]
 
 use goofi_core::campaign::WorkloadImage;
+use goofi_core::card::{CardCpu, CardTarget};
 use goofi_core::preinject::StepAccess;
-use goofi_core::trigger::Trigger;
-use goofi_core::DetectionInfo;
-use goofi_core::{GoofiError, Result, RunBudget, RunEvent, TargetAccess, TargetSnapshot};
+use goofi_core::{DetectionInfo, RunEvent};
 use riscv::{AccessLog, Cpu, CpuConfig, Image, StopReason, PORT_COUNT};
-use scanchain::{BitVec, ChainLayout, TestCard, TestCardStats};
-use std::sync::Arc;
+use scanchain::{DebugUnit, Memory, MemoryError};
 
 /// The RV32I target system behind a scan-chain test card.
-///
-/// Same copy-on-write shape as `ThorTarget`: the card (CPU, memory, TAP)
-/// lives behind an [`Arc`] so a snapshot is a reference-count bump, a
-/// restore re-points the `Arc`, and the one deep copy is deferred to the
-/// first mutation after a restore.
+pub type RiscvTarget = CardTarget<Rv32i>;
+
+/// The RV32I core's half of [`RiscvTarget`]. It has no caches, so
+/// tool-side writes need no invalidation.
 #[derive(Debug)]
-pub struct RiscvTarget {
-    card: Arc<TestCard<Cpu>>,
-    /// Construction config, kept so a power cycle can rebuild the CPU
-    /// from scratch.
-    config: CpuConfig,
-    /// The last downloaded workload, reloaded after a power cycle.
-    last_image: Option<WorkloadImage>,
-}
+pub struct Rv32i;
 
-impl Default for RiscvTarget {
-    fn default() -> Self {
-        Self::new(CpuConfig::default())
-    }
-}
+impl CardCpu for Rv32i {
+    type Cpu = Cpu;
+    type Config = CpuConfig;
+    type Stop = StopReason;
 
-impl RiscvTarget {
-    /// Creates a target with the given CPU configuration.
-    pub fn new(config: CpuConfig) -> Self {
-        RiscvTarget {
-            card: Arc::new(TestCard::new(Cpu::new(config))),
-            config,
-            last_image: None,
-        }
+    const NAME: &'static str = "rv32i";
+    const PORTS: usize = PORT_COUNT;
+
+    fn build(config: CpuConfig) -> Cpu {
+        Cpu::new(config)
     }
 
-    /// Read access to the wrapped CPU (for assertions in tests/benches).
-    pub fn cpu(&self) -> &Cpu {
-        self.card.target()
+    /// `WorkloadImage` fields are in the target's native units: the entry
+    /// point of an RV32I image is a byte address.
+    fn load(cpu: &mut Cpu, image: &WorkloadImage) -> Result<(), MemoryError> {
+        cpu.load_image(&Image {
+            words: image.words.clone(),
+            code_words: image.code_words,
+            entry: image.entry,
+        })
     }
 
-    /// Mutable access to the wrapped CPU.
-    pub fn cpu_mut(&mut self) -> &mut Cpu {
-        self.card_mut().target_mut()
-    }
-
-    /// Mutable access to the card, copy-on-write: clones the shared state
-    /// exactly once after a restore, then stays free until the next one.
-    fn card_mut(&mut self) -> &mut TestCard<Cpu> {
-        Arc::make_mut(&mut self.card)
-    }
-
-    /// Scan-traffic statistics (TCK cycles, bits shifted).
-    pub fn testcard_stats(&self) -> TestCardStats {
-        self.card.stats()
-    }
-
-    /// Resets the scan-traffic statistics.
-    pub fn reset_testcard_stats(&mut self) {
-        self.card_mut().reset_stats();
-    }
-
-    fn map_stop(&mut self, stop: StopReason) -> RunEvent {
+    fn event(stop: StopReason) -> RunEvent {
         match stop {
             StopReason::Halted => RunEvent::Halted,
             StopReason::Detected(d) => RunEvent::Detected(DetectionInfo {
                 mechanism: d.mechanism().to_string(),
                 code: d.encode(),
             }),
-            StopReason::DebugEvent(ev) => {
-                // Unlatch so execution can continue after injection.
-                self.card_mut().target_mut().debug_unit_mut().clear();
-                RunEvent::Breakpoint {
-                    at_instruction: ev.at_instruction,
-                    at_cycle: ev.at_cycle,
-                }
-            }
+            StopReason::DebugEvent(ev) => RunEvent::Breakpoint {
+                at_instruction: ev.at_instruction,
+                at_cycle: ev.at_cycle,
+            },
             StopReason::Sync { iteration, .. } => RunEvent::IterationBoundary { iteration },
             StopReason::Timeout => RunEvent::Timeout,
             StopReason::InstrLimit => RunEvent::BudgetExhausted,
         }
     }
-}
 
-fn scan_err(e: scanchain::ScanError) -> GoofiError {
-    GoofiError::Scan(e)
-}
-
-fn mem_err(e: riscv::MemoryError) -> GoofiError {
-    GoofiError::Target(format!("memory access failed: {e}"))
-}
-
-impl TargetAccess for RiscvTarget {
-    fn target_name(&self) -> &str {
-        "rv32i"
-    }
-
-    fn init_test_card(&mut self) -> Result<()> {
-        self.card_mut().init().map_err(scan_err)
-    }
-
-    fn load_workload(&mut self, image: &WorkloadImage) -> Result<()> {
-        // WorkloadImage fields are in the target's native units: the entry
-        // point of an RV32I image is a byte address.
-        let rv_image = Image {
-            words: image.words.clone(),
-            code_words: image.code_words,
-            entry: image.entry,
-        };
-        self.card_mut()
-            .target_mut()
-            .load_image(&rv_image)
-            .map_err(mem_err)?;
-        self.last_image = Some(image.clone());
-        Ok(())
-    }
-
-    fn reset_target(&mut self) -> Result<()> {
-        self.card_mut().target_mut().reset();
-        Ok(())
-    }
-
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
-        // No caches to keep coherent — tool-side writes land directly.
-        self.card_mut()
-            .target_mut()
-            .memory_mut()
-            .load_block(addr, data)
-            .map_err(mem_err)
-    }
-
-    fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
-        self.card
-            .target()
-            .memory()
-            .read_block(addr, len)
-            .map_err(mem_err)
-    }
-
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> Result<()> {
-        self.card_mut()
-            .target_mut()
-            .memory_mut()
-            .flip_bit(addr, bit)
-            .map_err(mem_err)
-    }
-
-    fn memory_size(&self) -> u32 {
-        self.card.target().memory().len() as u32
-    }
-
-    fn set_breakpoint(&mut self, trigger: Trigger) -> Result<()> {
-        let condition = trigger
-            .to_debug_condition()
-            .ok_or_else(|| GoofiError::Config("pre-runtime triggers need no breakpoint".into()))?;
-        self.card_mut().target_mut().debug_unit_mut().arm(condition);
-        Ok(())
-    }
-
-    fn clear_breakpoints(&mut self) -> Result<()> {
-        self.card_mut().target_mut().debug_unit_mut().disarm_all();
-        Ok(())
-    }
-
-    fn run_workload(&mut self, budget: RunBudget) -> Result<RunEvent> {
-        let stop = self.card_mut().target_mut().run(budget.max_instructions);
-        Ok(self.map_stop(stop))
-    }
-
-    fn step_instruction(&mut self) -> Result<Option<RunEvent>> {
-        let stop = self.card_mut().target_mut().step();
-        Ok(stop.map(|s| self.map_stop(s)))
-    }
-
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        riscv::ChainSet::names()
-            .iter()
-            .filter_map(|n| self.card.target().chains().by_name(n).cloned())
-            .collect()
-    }
-
-    fn read_scan_chain(&mut self, chain: &str) -> Result<BitVec> {
-        self.card_mut().read_chain(chain).map_err(scan_err)
-    }
-
-    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> Result<()> {
-        self.card_mut()
-            .write_chain(chain, bits)
-            .map(|_| ())
-            .map_err(scan_err)
-    }
-
-    fn write_input_ports(&mut self, inputs: &[u32]) -> Result<()> {
-        for (port, value) in inputs.iter().enumerate().take(PORT_COUNT) {
-            self.card_mut().target_mut().set_in_port(port, *value);
-        }
-        Ok(())
-    }
-
-    fn read_output_ports(&mut self) -> Result<Vec<u32>> {
-        Ok((0..PORT_COUNT)
-            .map(|p| self.card.target().out_port(p))
-            .collect())
-    }
-
-    fn instructions_executed(&self) -> u64 {
-        self.card.target().instructions()
-    }
-
-    fn cycles_executed(&self) -> u64 {
-        self.card.target().cycles()
-    }
-
-    fn iterations_completed(&self) -> u64 {
-        self.card.target().iterations()
-    }
-
-    fn step_traced(&mut self) -> Result<(Option<RunEvent>, StepAccess)> {
+    fn step_traced(cpu: &mut Cpu, access: &mut StepAccess) -> Option<StopReason> {
         let mut log = AccessLog::default();
-        let stop = self.card_mut().target_mut().step_logged(&mut log);
-        let mut access = StepAccess::default();
+        let stop = cpu.step_logged(&mut log);
         for r in &log.reg_reads {
             access.reads.push(format!("internal:X{}", r.index()));
         }
@@ -269,79 +101,59 @@ impl TargetAccess for RiscvTarget {
         for addr in &log.mem_writes {
             access.writes.push(format!("mem:{addr}"));
         }
-        Ok((stop.map(|s| self.map_stop(s)), access))
+        stop
     }
 
-    /// Real cold-reset semantics: the CPU and the test card's TAP are
-    /// rebuilt from scratch and the last workload image is downloaded
-    /// again.
-    fn power_cycle(&mut self) -> Result<()> {
-        self.card = Arc::new(TestCard::new(Cpu::new(self.config)));
-        self.card_mut().init().map_err(scan_err)?;
-        if let Some(image) = self.last_image.clone() {
-            self.load_workload(&image)?;
-        }
-        Ok(())
+    fn memory(cpu: &Cpu) -> &Memory {
+        cpu.memory()
     }
 
-    /// Native copy-on-write snapshot, same shape as the Thor port: a
-    /// capture is a reference-count bump, a restore re-points the `Arc`.
-    fn snapshot(&mut self) -> Result<TargetSnapshot> {
-        Ok(TargetSnapshot::new(RiscvSnapshot {
-            card: Arc::clone(&self.card),
-            last_image: self.last_image.clone(),
-        }))
+    fn memory_mut(cpu: &mut Cpu) -> &mut Memory {
+        cpu.memory_mut()
     }
 
-    fn restore(&mut self, snapshot: &TargetSnapshot) -> Result<()> {
-        let snap = snapshot
-            .downcast_ref::<RiscvSnapshot>()
-            .ok_or_else(|| GoofiError::Target("snapshot is not an rv32i capture".into()))?;
-        self.card = Arc::clone(&snap.card);
-        self.last_image = snap.last_image.clone();
-        Ok(())
+    fn debug_unit(cpu: &mut Cpu) -> &mut DebugUnit {
+        cpu.debug_unit_mut()
     }
 
-    fn supports_snapshot(&self) -> bool {
-        true
+    fn reset(cpu: &mut Cpu) {
+        cpu.reset();
     }
 
-    fn memory_digest(&mut self, len: usize) -> Result<u64> {
-        // The digest block size matches the CoW page size so a page still
-        // shared with a snapshot never has to be re-hashed.
-        const _: () = assert!(riscv::PAGE_WORDS == goofi_core::logging::DIGEST_BLOCK_WORDS);
-        let memory = self.card.target().memory();
-        if len != memory.len() {
-            return Ok(goofi_core::logging::digest_words(
-                &self.read_memory(0, len)?,
-            ));
-        }
-        let mut hash = goofi_core::logging::digest_seed(len);
-        for index in 0..memory.page_count() {
-            let digest = match memory.cached_page_digest(index) {
-                Some(digest) => digest,
-                None => {
-                    let digest = goofi_core::logging::digest_block(memory.page_words(index));
-                    memory.cache_page_digest(index, digest);
-                    digest
-                }
-            };
-            hash = goofi_core::logging::digest_fold(hash, digest);
-        }
-        Ok(hash)
+    fn run(cpu: &mut Cpu, max_instructions: u64) -> StopReason {
+        cpu.run(max_instructions)
     }
-}
 
-/// The opaque payload behind [`RiscvTarget::snapshot`].
-#[derive(Debug, Clone)]
-struct RiscvSnapshot {
-    card: Arc<TestCard<Cpu>>,
-    last_image: Option<WorkloadImage>,
+    fn step(cpu: &mut Cpu) -> Option<StopReason> {
+        cpu.step()
+    }
+
+    fn set_in_port(cpu: &mut Cpu, port: usize, value: u32) {
+        cpu.set_in_port(port, value);
+    }
+
+    fn out_port(cpu: &Cpu, port: usize) -> u32 {
+        cpu.out_port(port)
+    }
+
+    fn instructions(cpu: &Cpu) -> u64 {
+        cpu.instructions()
+    }
+
+    fn cycles(cpu: &Cpu) -> u64 {
+        cpu.cycles()
+    }
+
+    fn iterations(cpu: &Cpu) -> u64 {
+        cpu.iterations()
+    }
 }
 
 #[cfg(test)]
 mod rv32i_tests {
     use super::*;
+    use goofi_core::trigger::Trigger;
+    use goofi_core::{RunBudget, TargetAccess};
     use riscv::{encode, AluImmOp, Instr, LoadWidth, Reg, StoreWidth};
 
     fn addi(rd: u8, rs1: u8, imm: i32) -> u32 {

@@ -1,12 +1,14 @@
 //! The GOOFI `TargetSystemInterface` for the Thor-RD-like CPU simulator.
 //!
-//! This crate is the Rust equivalent of the paper's target-specific class:
-//! it implements every abstract building block of
-//! [`goofi_core::TargetAccess`] in terms of the `thor` simulator wrapped in
-//! a [`scanchain::TestCard`] — scan accesses walk the real TAP state
-//! machine, breakpoints are programmed into the debug unit, memory is
-//! downloaded through the test card, exactly as §3 of the paper describes
-//! for the real Thor RD.
+//! This crate is the Rust equivalent of the paper's target-specific class.
+//! The building blocks of [`goofi_core::TargetAccess`] are written once, in
+//! [`goofi_core::card::CardTarget`], for any core behind a
+//! [`scanchain::TestCard`] — scan accesses walk the real TAP state machine,
+//! breakpoints are programmed into the debug unit, memory is downloaded
+//! through the test card, exactly as §3 of the paper describes for the real
+//! Thor RD. What is Thor's own is the [`CardCpu`] impl below: the target
+//! name, image download, cache invalidation after tool-side writes, the
+//! stop-reason mapping and the register names in access traces.
 //!
 //! # Example
 //!
@@ -24,232 +26,68 @@
 #![warn(missing_docs)]
 
 use goofi_core::campaign::WorkloadImage;
+use goofi_core::card::{CardCpu, CardTarget};
 use goofi_core::preinject::StepAccess;
-use goofi_core::trigger::Trigger;
-use goofi_core::DetectionInfo;
-use goofi_core::{GoofiError, Result, RunBudget, RunEvent, TargetAccess, TargetSnapshot};
-use scanchain::{BitVec, ChainLayout, TestCard, TestCardStats};
-use std::sync::Arc;
+use goofi_core::{DetectionInfo, RunEvent};
+use scanchain::{DebugUnit, Memory, MemoryError};
 use thor::{AccessLog, Cpu, CpuConfig, StopReason, PORT_COUNT};
 
 /// The Thor target system behind a scan-chain test card.
-///
-/// The card (CPU, caches, memory, TAP) lives behind an [`Arc`] so that
-/// snapshots are copy-on-write: a capture is a reference-count bump, a
-/// restore re-points the `Arc`, and the one deep copy is deferred to the
-/// first mutation after a restore.
+pub type ThorTarget = CardTarget<Thor>;
+
+/// Thor's half of [`ThorTarget`].
 #[derive(Debug)]
-pub struct ThorTarget {
-    card: Arc<TestCard<Cpu>>,
-    /// Construction config, kept so a power cycle can rebuild the CPU
-    /// from scratch.
-    config: CpuConfig,
-    /// The last downloaded workload, reloaded after a power cycle.
-    last_image: Option<WorkloadImage>,
-}
+pub struct Thor;
 
-impl Default for ThorTarget {
-    fn default() -> Self {
-        Self::new(CpuConfig::default())
+impl CardCpu for Thor {
+    type Cpu = Cpu;
+    type Config = CpuConfig;
+    type Stop = StopReason;
+
+    const NAME: &'static str = "thor-rd";
+    const PORTS: usize = PORT_COUNT;
+
+    fn build(config: CpuConfig) -> Cpu {
+        Cpu::new(config)
     }
-}
 
-impl ThorTarget {
-    /// Creates a target with the given CPU configuration.
-    pub fn new(config: CpuConfig) -> Self {
-        ThorTarget {
-            card: Arc::new(TestCard::new(Cpu::new(config))),
-            config,
-            last_image: None,
+    fn load(cpu: &mut Cpu, image: &WorkloadImage) -> Result<(), MemoryError> {
+        cpu.load_image(&thor::asm::Image {
+            words: image.words.clone(),
+            code_words: image.code_words,
+            entry: image.entry,
+            labels: Default::default(),
+        })
+    }
+
+    /// Keeps the caches coherent with the tool-side write, or the fault
+    /// would be masked by a stale cached copy.
+    fn invalidate(cpu: &mut Cpu, addr: u32, words: u32) {
+        for addr in addr..addr + words {
+            cpu.invalidate_cached(addr);
         }
     }
 
-    /// Read access to the wrapped CPU (for assertions in tests/benches).
-    pub fn cpu(&self) -> &Cpu {
-        self.card.target()
-    }
-
-    /// Mutable access to the wrapped CPU.
-    pub fn cpu_mut(&mut self) -> &mut Cpu {
-        self.card_mut().target_mut()
-    }
-
-    /// Mutable access to the card, copy-on-write: clones the shared state
-    /// exactly once after a restore, then stays free until the next one.
-    fn card_mut(&mut self) -> &mut TestCard<Cpu> {
-        Arc::make_mut(&mut self.card)
-    }
-
-    /// Scan-traffic statistics (TCK cycles, bits shifted) — the cost model
-    /// for the logging-overhead experiment.
-    pub fn testcard_stats(&self) -> TestCardStats {
-        self.card.stats()
-    }
-
-    /// Resets the scan-traffic statistics.
-    pub fn reset_testcard_stats(&mut self) {
-        self.card_mut().reset_stats();
-    }
-
-    fn map_stop(&mut self, stop: StopReason) -> RunEvent {
+    fn event(stop: StopReason) -> RunEvent {
         match stop {
             StopReason::Halted => RunEvent::Halted,
             StopReason::Detected(d) => RunEvent::Detected(DetectionInfo {
                 mechanism: d.mechanism().to_string(),
                 code: d.encode(),
             }),
-            StopReason::DebugEvent(ev) => {
-                // Unlatch so execution can continue after injection.
-                self.card_mut().target_mut().debug_unit_mut().clear();
-                RunEvent::Breakpoint {
-                    at_instruction: ev.at_instruction,
-                    at_cycle: ev.at_cycle,
-                }
-            }
+            StopReason::DebugEvent(ev) => RunEvent::Breakpoint {
+                at_instruction: ev.at_instruction,
+                at_cycle: ev.at_cycle,
+            },
             StopReason::Sync { iteration, .. } => RunEvent::IterationBoundary { iteration },
             StopReason::Timeout => RunEvent::Timeout,
             StopReason::InstrLimit => RunEvent::BudgetExhausted,
         }
     }
-}
 
-fn scan_err(e: scanchain::ScanError) -> GoofiError {
-    GoofiError::Scan(e)
-}
-
-fn mem_err(e: thor::MemoryError) -> GoofiError {
-    GoofiError::Target(format!("memory access failed: {e}"))
-}
-
-impl TargetAccess for ThorTarget {
-    fn target_name(&self) -> &str {
-        "thor-rd"
-    }
-
-    fn init_test_card(&mut self) -> Result<()> {
-        self.card_mut().init().map_err(scan_err)
-    }
-
-    fn load_workload(&mut self, image: &WorkloadImage) -> Result<()> {
-        let thor_image = thor::asm::Image {
-            words: image.words.clone(),
-            code_words: image.code_words,
-            entry: image.entry,
-            labels: Default::default(),
-        };
-        self.card_mut()
-            .target_mut()
-            .load_image(&thor_image)
-            .map_err(mem_err)?;
-        self.last_image = Some(image.clone());
-        Ok(())
-    }
-
-    fn reset_target(&mut self) -> Result<()> {
-        self.card_mut().target_mut().reset();
-        Ok(())
-    }
-
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
-        let cpu = self.card_mut().target_mut();
-        cpu.memory_mut().load_block(addr, data).map_err(mem_err)?;
-        for offset in 0..data.len() as u32 {
-            cpu.invalidate_cached(addr + offset);
-        }
-        Ok(())
-    }
-
-    fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
-        self.card
-            .target()
-            .memory()
-            .read_block(addr, len)
-            .map_err(mem_err)
-    }
-
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> Result<()> {
-        let cpu = self.card_mut().target_mut();
-        cpu.memory_mut().flip_bit(addr, bit).map_err(mem_err)?;
-        // Keep the caches coherent with the tool-side write, or the fault
-        // would be masked by a stale cached copy.
-        cpu.invalidate_cached(addr);
-        Ok(())
-    }
-
-    fn memory_size(&self) -> u32 {
-        self.card.target().memory().len() as u32
-    }
-
-    fn set_breakpoint(&mut self, trigger: Trigger) -> Result<()> {
-        let condition = trigger
-            .to_debug_condition()
-            .ok_or_else(|| GoofiError::Config("pre-runtime triggers need no breakpoint".into()))?;
-        self.card_mut().target_mut().debug_unit_mut().arm(condition);
-        Ok(())
-    }
-
-    fn clear_breakpoints(&mut self) -> Result<()> {
-        self.card_mut().target_mut().debug_unit_mut().disarm_all();
-        Ok(())
-    }
-
-    fn run_workload(&mut self, budget: RunBudget) -> Result<RunEvent> {
-        let stop = self.card_mut().target_mut().run(budget.max_instructions);
-        Ok(self.map_stop(stop))
-    }
-
-    fn step_instruction(&mut self) -> Result<Option<RunEvent>> {
-        let stop = self.card_mut().target_mut().step();
-        Ok(stop.map(|s| self.map_stop(s)))
-    }
-
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        thor::ChainSet::names()
-            .iter()
-            .filter_map(|n| self.card.target().chains().by_name(n).cloned())
-            .collect()
-    }
-
-    fn read_scan_chain(&mut self, chain: &str) -> Result<BitVec> {
-        self.card_mut().read_chain(chain).map_err(scan_err)
-    }
-
-    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> Result<()> {
-        self.card_mut()
-            .write_chain(chain, bits)
-            .map(|_| ())
-            .map_err(scan_err)
-    }
-
-    fn write_input_ports(&mut self, inputs: &[u32]) -> Result<()> {
-        for (port, value) in inputs.iter().enumerate().take(PORT_COUNT) {
-            self.card_mut().target_mut().set_in_port(port, *value);
-        }
-        Ok(())
-    }
-
-    fn read_output_ports(&mut self) -> Result<Vec<u32>> {
-        Ok((0..PORT_COUNT)
-            .map(|p| self.card.target().out_port(p))
-            .collect())
-    }
-
-    fn instructions_executed(&self) -> u64 {
-        self.card.target().instructions()
-    }
-
-    fn cycles_executed(&self) -> u64 {
-        self.card.target().cycles()
-    }
-
-    fn iterations_completed(&self) -> u64 {
-        self.card.target().iterations()
-    }
-
-    fn step_traced(&mut self) -> Result<(Option<RunEvent>, StepAccess)> {
+    fn step_traced(cpu: &mut Cpu, access: &mut StepAccess) -> Option<StopReason> {
         let mut log = AccessLog::default();
-        let stop = self.card_mut().target_mut().step_logged(&mut log);
-        let mut access = StepAccess::default();
+        let stop = cpu.step_logged(&mut log);
         for r in &log.reg_reads {
             access.reads.push(format!("internal:R{}", r.index()));
         }
@@ -268,86 +106,59 @@ impl TargetAccess for ThorTarget {
         for addr in &log.mem_writes {
             access.writes.push(format!("mem:{addr}"));
         }
-        Ok((stop.map(|s| self.map_stop(s)), access))
+        stop
     }
 
-    /// Real cold-reset semantics: the CPU (registers, caches, detection
-    /// latches, debug unit) and the test card's TAP are rebuilt from
-    /// scratch — state a warm [`reset_target`](TargetAccess::reset_target)
-    /// cannot reach, such as a wedged EDM latch, is wiped too — and the
-    /// last workload image is downloaded again.
-    fn power_cycle(&mut self) -> Result<()> {
-        self.card = Arc::new(TestCard::new(Cpu::new(self.config)));
-        self.card_mut().init().map_err(scan_err)?;
-        if let Some(image) = self.last_image.clone() {
-            self.load_workload(&image)?;
-        }
-        Ok(())
+    fn memory(cpu: &Cpu) -> &Memory {
+        cpu.memory()
     }
 
-    /// Native copy-on-write snapshot: the whole device — CPU registers,
-    /// caches, memory, EDM latches, debug-unit counters and the test
-    /// card's TAP — is plain data behind an [`Arc`], so a capture is a
-    /// reference-count bump and a restore re-points the `Arc`; the single
-    /// deep copy is deferred to the first mutation afterwards. No scan
-    /// traffic at all, which is the entire point: a restore replaces a
-    /// workload download plus prefix re-execution.
-    fn snapshot(&mut self) -> Result<TargetSnapshot> {
-        Ok(TargetSnapshot::new(ThorSnapshot {
-            card: Arc::clone(&self.card),
-            last_image: self.last_image.clone(),
-        }))
+    fn memory_mut(cpu: &mut Cpu) -> &mut Memory {
+        cpu.memory_mut()
     }
 
-    fn restore(&mut self, snapshot: &TargetSnapshot) -> Result<()> {
-        let snap = snapshot
-            .downcast_ref::<ThorSnapshot>()
-            .ok_or_else(|| GoofiError::Target("snapshot is not a thor-rd capture".into()))?;
-        self.card = Arc::clone(&snap.card);
-        self.last_image = snap.last_image.clone();
-        Ok(())
+    fn debug_unit(cpu: &mut Cpu) -> &mut DebugUnit {
+        cpu.debug_unit_mut()
     }
 
-    fn supports_snapshot(&self) -> bool {
-        true
+    fn reset(cpu: &mut Cpu) {
+        cpu.reset();
     }
 
-    fn memory_digest(&mut self, len: usize) -> Result<u64> {
-        // The digest block size is chosen to match the CoW page size so a
-        // page still shared with a snapshot never has to be re-hashed.
-        const _: () = assert!(thor::PAGE_WORDS == goofi_core::logging::DIGEST_BLOCK_WORDS);
-        let memory = self.card.target().memory();
-        if len != memory.len() {
-            return Ok(goofi_core::logging::digest_words(
-                &self.read_memory(0, len)?,
-            ));
-        }
-        let mut hash = goofi_core::logging::digest_seed(len);
-        for index in 0..memory.page_count() {
-            let digest = match memory.cached_page_digest(index) {
-                Some(digest) => digest,
-                None => {
-                    let digest = goofi_core::logging::digest_block(memory.page_words(index));
-                    memory.cache_page_digest(index, digest);
-                    digest
-                }
-            };
-            hash = goofi_core::logging::digest_fold(hash, digest);
-        }
-        Ok(hash)
+    fn run(cpu: &mut Cpu, max_instructions: u64) -> StopReason {
+        cpu.run(max_instructions)
     }
-}
 
-/// The opaque payload behind [`ThorTarget::snapshot`].
-#[derive(Debug, Clone)]
-struct ThorSnapshot {
-    card: Arc<TestCard<Cpu>>,
-    last_image: Option<WorkloadImage>,
+    fn step(cpu: &mut Cpu) -> Option<StopReason> {
+        cpu.step()
+    }
+
+    fn set_in_port(cpu: &mut Cpu, port: usize, value: u32) {
+        cpu.set_in_port(port, value);
+    }
+
+    fn out_port(cpu: &Cpu, port: usize) -> u32 {
+        cpu.out_port(port)
+    }
+
+    fn instructions(cpu: &Cpu) -> u64 {
+        cpu.instructions()
+    }
+
+    fn cycles(cpu: &Cpu) -> u64 {
+        cpu.cycles()
+    }
+
+    fn iterations(cpu: &Cpu) -> u64 {
+        cpu.iterations()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goofi_core::trigger::Trigger;
+    use goofi_core::{RunBudget, TargetAccess};
 
     fn workload(src: &str) -> WorkloadImage {
         let image = thor::asm::assemble(src).unwrap();

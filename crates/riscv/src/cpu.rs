@@ -22,8 +22,7 @@
 use crate::isa::{
     decode, AluImmOp, AluOp, BranchCond, DecodeError, Instr, LoadWidth, Reg, ShiftOp, StoreWidth,
 };
-use crate::memory::{Memory, MemoryError};
-use scanchain::{BusEvent, DebugEvent, DebugUnit};
+use scanchain::{BusEvent, DebugEvent, DebugUnit, Memory, MemoryError};
 use std::fmt;
 
 /// Number of I/O ports in each direction.
@@ -67,7 +66,7 @@ pub struct CpuConfig {
 impl Default for CpuConfig {
     fn default() -> Self {
         CpuConfig {
-            mem_words: crate::memory::DEFAULT_WORDS,
+            mem_words: scanchain::DEFAULT_MEMORY_WORDS,
             watchdog_cycles: Some(2_000_000),
         }
     }

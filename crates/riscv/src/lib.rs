@@ -41,7 +41,6 @@
 
 mod cpu;
 mod isa;
-mod memory;
 pub mod scan;
 
 pub use cpu::{
@@ -52,5 +51,5 @@ pub use isa::{
     decode, encode, AluImmOp, AluOp, BranchCond, DecodeError, Instr, LoadWidth, Reg, ShiftOp,
     StoreWidth,
 };
-pub use memory::{Memory, MemoryError, PAGE_WORDS};
 pub use scan::ChainSet;
+pub use scanchain::{Memory, MemoryError, PAGE_WORDS};

@@ -7,9 +7,15 @@
 //! *test card* that shifts bits in and out of a target device.
 //!
 //! The central abstraction is [`ScanTarget`]: any device (for this
-//! reproduction, the `thor` CPU simulator) that exposes named scan chains can
-//! be driven by a [`TestCard`], which in turn is what the GOOFI framework's
-//! SCIFI algorithm talks to.
+//! reproduction, the `thor` and `riscv` CPU simulators) that exposes named
+//! scan chains can be driven by a [`TestCard`], which in turn is what the
+//! GOOFI framework's SCIFI algorithm talks to.
+//!
+//! The crate also holds what every CPU core behind a card shares besides
+//! its scan chains, so each core and the one generic test-card port in
+//! `goofi-core` use the same types: the [`DebugUnit`] that fires fault
+//! triggers, and the paged copy-on-write main [`Memory`] that snapshots
+//! share and the memoized memory digest reads page by page.
 //!
 //! # Example
 //!
@@ -36,6 +42,7 @@ mod chain;
 mod debug;
 mod error;
 mod link;
+mod memory;
 mod tap;
 mod testcard;
 mod wedge;
@@ -45,6 +52,7 @@ pub use chain::{CellAccess, CellDef, ChainLayout, ChainLayoutBuilder};
 pub use debug::{BusEvent, DebugCondition, DebugEvent, DebugUnit, DEBUG_SLOTS};
 pub use error::ScanError;
 pub use link::{FaultyScanTarget, LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel};
+pub use memory::{Memory, MemoryError, DEFAULT_MEMORY_WORDS, PAGE_WORDS};
 pub use tap::{TapController, TapInstruction, TapState};
 pub use testcard::{ScanTarget, ScanTxn, TestCard, TestCardStats};
 pub use wedge::{RecoveryDepth, WedgeConfig, WedgeCounts, WedgeKind, WedgeModel};

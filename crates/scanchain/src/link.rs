@@ -202,7 +202,8 @@ pub struct LinkFaultModel {
 
 /// SplitMix64 step — small, fast, and good enough for fault scheduling;
 /// hand-rolled because this crate deliberately has no runtime dependencies.
-fn splitmix64(state: &mut u64) -> u64 {
+/// The link and wedge models share it; each seeds its own state.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

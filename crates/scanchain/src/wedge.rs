@@ -18,6 +18,7 @@
 //! seeded from [`WedgeConfig::seed`], so a campaign against a wedging
 //! target is exactly reproducible.
 
+use crate::link::splitmix64;
 use std::fmt;
 
 /// The ways a target can wedge.
@@ -189,14 +190,6 @@ impl WedgeCounts {
     pub fn total(&self) -> u32 {
         self.hangs + self.stuck_taps + self.garbage_scans
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The seeded wedge state machine.

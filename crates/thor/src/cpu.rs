@@ -4,8 +4,7 @@ use crate::asm::Image;
 use crate::cache::{Cache, CacheConfig, Lookup};
 use crate::edm::{Detection, EdmSet};
 use crate::isa::{decode, DecodeError, Instr, Opcode, Reg};
-use crate::memory::{Memory, MemoryError};
-use scanchain::{BusEvent, DebugEvent, DebugUnit};
+use scanchain::{BusEvent, DebugEvent, DebugUnit, Memory, MemoryError};
 
 /// Number of I/O ports in each direction.
 pub const PORT_COUNT: usize = 4;
@@ -28,7 +27,7 @@ pub struct CpuConfig {
 impl Default for CpuConfig {
     fn default() -> Self {
         CpuConfig {
-            mem_words: crate::memory::DEFAULT_WORDS,
+            mem_words: scanchain::DEFAULT_MEMORY_WORDS,
             icache: CacheConfig::default(),
             dcache: CacheConfig::default(),
             edm: EdmSet::default(),

@@ -46,12 +46,11 @@ mod cache;
 mod cpu;
 mod edm;
 mod isa;
-mod memory;
 pub mod scan;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use cpu::{AccessLog, Cpu, CpuConfig, StateVector, StopReason, PORT_COUNT};
 pub use edm::{Detection, EdmSet};
 pub use isa::{decode, encode, DecodeError, Instr, Opcode, Reg};
-pub use memory::{Memory, MemoryError, PAGE_WORDS};
 pub use scan::ChainSet;
+pub use scanchain::{Memory, MemoryError, PAGE_WORDS};

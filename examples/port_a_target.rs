@@ -19,9 +19,15 @@
 //! 3. the *same* `faultinjector_swifi` that drives Thor campaigns runs an
 //!    exhaustive pre-runtime campaign against the new CPU unchanged.
 //!
-//! The shipped `goofi-riscv` crate is where this port ends up after
-//! polishing (native CoW snapshots, access tracing, real cold reset); this
-//! example is the honest first milestone on the way there.
+//! The shipped `goofi-riscv` crate is where this port ends up, and it is
+//! smaller than this example: every `TargetAccess` method, native CoW
+//! snapshots and real cold reset included, is written once in
+//! `goofi_core::card::CardTarget`, and the crate only implements
+//! `goofi_core::card::CardCpu` — the target name, core construction, image
+//! download, the stop-reason mapping and the register names in access
+//! traces, plus one forwarding line per core operation. This example stays
+//! a hand-written `TargetAccess` port on purpose: it is the honest first
+//! milestone for a target that is not a simulated core behind a test card.
 //!
 //! ```sh
 //! cargo run --example port_a_target
@@ -41,8 +47,8 @@ use riscv::{Cpu, CpuConfig, Image, StopReason, PORT_COUNT};
 
 /// Day one of the RV32I port: the real core behind the real scan-chain
 /// test card, and nothing else. Contrast with `goofi_riscv::RiscvTarget`,
-/// which adds native copy-on-write snapshots, access tracing and true
-/// cold-reset semantics on top of exactly this skeleton.
+/// whose generic `CardTarget` adds native copy-on-write snapshots, access
+/// tracing and true cold-reset semantics on top of exactly this skeleton.
 struct FreshRv32iPort {
     card: TestCard<Cpu>,
 }

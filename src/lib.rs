@@ -38,9 +38,12 @@ pub mod targets {
     //! Everything above the `TargetAccess` seam is target-agnostic; the
     //! only components that must name concrete ports are the CLI entry
     //! points (`--target` flag, worker spawn) and they all go through
-    //! here. Adding a third target means one new variant and three match
-    //! arms — nothing else in the tool changes.
+    //! here. Adding a third CPU core means one `CardCpu` impl in its port
+    //! crate and one new variant here, with its arm in each method below
+    //! and in the CLI's worker spawn and workload pick — nothing else in
+    //! the tool changes.
 
+    use goofi_core::card::CardCpu;
     use goofi_core::TargetAccess;
 
     /// A ported target system selectable on the command line.
@@ -78,8 +81,8 @@ pub mod targets {
         /// `target_system` field in the database).
         pub fn system_name(self) -> &'static str {
             match self {
-                TargetKind::Thor => "thor-rd",
-                TargetKind::Riscv => "rv32i",
+                TargetKind::Thor => goofi_thor::Thor::NAME,
+                TargetKind::Riscv => goofi_riscv::Rv32i::NAME,
             }
         }
 

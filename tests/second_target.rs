@@ -238,6 +238,43 @@ fn conformance_suite_passes_for_every_decorator_stack_over_both_cpus() {
     }
 }
 
+/// Both ports share one generic snapshot payload, so only its CPU type
+/// parameter keeps one CPU's capture out of the other: a restore across
+/// CPUs must fail and leave the target exactly as it was.
+#[test]
+fn a_snapshot_from_the_other_cpu_is_refused_and_changes_nothing() {
+    let started = |kind: TargetKind| {
+        let mut target = kind.build();
+        target.init_test_card().unwrap();
+        target.load_workload(&workload_for(kind).0).unwrap();
+        let budget = goofi::core::RunBudget {
+            max_instructions: 50,
+        };
+        target.run_workload(budget).unwrap();
+        target
+    };
+    let observe = |target: &mut Box<dyn TargetAccess>| {
+        let len = target.memory_size() as usize;
+        (
+            target.memory_digest(len).unwrap(),
+            target.instructions_executed(),
+            target.read_scan_chain("internal").unwrap(),
+        )
+    };
+    for from in TargetKind::ALL {
+        for into in TargetKind::ALL.into_iter().filter(|&k| k != from) {
+            let snapshot = started(from).snapshot().unwrap();
+            let mut target = started(into);
+            let before = observe(&mut target);
+            assert!(
+                target.restore(&snapshot).is_err(),
+                "{from} snapshot restored into {into}"
+            );
+            assert_eq!(observe(&mut target), before, "{from} into {into}");
+        }
+    }
+}
+
 #[test]
 fn e1_scifi_framework_essence_is_bit_identical_across_cpus() {
     let mut essences = Vec::new();
