@@ -10,7 +10,8 @@
 //! campaign must still complete with a merged database essence-equal to a
 //! serial run.
 //!
-//! The spec uses the same `key=value` comma list as `--wedge`:
+//! The spec follows the drill grammar of [`scanchain::plan`], like
+//! `--wedge`:
 //!
 //! ```text
 //! kill-after=3,seed=7            kill within the first 3 completions, once
@@ -21,6 +22,8 @@
 //! `mode=stall` rehearses the *hang* half of the lease discipline: the
 //! worker stops making progress without exiting, so the daemon must
 //! revoke the lease on deadline and kill the process itself.
+
+use scanchain::plan::{self, mix};
 
 /// Exit code of a chaos-killed worker, distinct from ordinary failures.
 pub const CHAOS_EXIT_CODE: i32 = 86;
@@ -65,66 +68,39 @@ impl ChaosConfig {
         1 + mix(self.seed, shard as u64, u64::from(attempt)) % n
     }
 
-    /// Encodes to the `key=value` comma list accepted by [`ChaosConfig::decode`].
+    /// Encodes to the [`plan`] spec accepted by [`ChaosConfig::decode`].
     pub fn encode(&self) -> String {
-        let mut out = format!("kill-after={},seed={}", self.kill_after, self.seed);
+        let mut spec = String::new();
+        plan::push(&mut spec, "kill-after", self.kill_after);
+        plan::push(&mut spec, "seed", self.seed);
         if self.kills != 1 {
-            out.push_str(&format!(",kills={}", self.kills));
+            plan::push(&mut spec, "kills", self.kills);
         }
         if self.mode == ChaosMode::Stall {
-            out.push_str(",mode=stall");
+            plan::push(&mut spec, "mode", "stall");
         }
-        out
+        spec
     }
 
     /// Parses `kill-after=<n>,seed=<s>[,kills=<k>][,mode=exit|stall]`.
-    /// Returns `None` on unknown keys or malformed values.
-    pub fn decode(s: &str) -> Option<ChaosConfig> {
-        let mut config = ChaosConfig {
-            kill_after: 0,
-            seed: 0,
-            kills: 1,
-            mode: ChaosMode::Exit,
-        };
-        let mut saw_kill_after = false;
-        for part in s.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = part.split_once('=')?;
-            match key {
-                "kill-after" => {
-                    config.kill_after = value.parse().ok()?;
-                    saw_kill_after = true;
-                }
-                "seed" => config.seed = value.parse().ok()?,
-                "kills" => config.kills = value.parse().ok()?,
-                "mode" => {
-                    config.mode = match value {
-                        "exit" => ChaosMode::Exit,
-                        "stall" => ChaosMode::Stall,
-                        _ => return None,
-                    }
-                }
-                _ => return None,
-            }
-        }
-        if !saw_kill_after || config.kill_after == 0 {
-            return None;
-        }
-        Some(config)
+    /// Returns `None` on a spec the grammar rejects, a malformed value, or
+    /// a drill that could never strike (`kill-after` or `kills` of 0).
+    pub fn decode(spec: &str) -> Option<ChaosConfig> {
+        plan::read(spec, |spec| {
+            let mode = |m: &str| match m {
+                "exit" => Some(ChaosMode::Exit),
+                "stall" => Some(ChaosMode::Stall),
+                _ => None,
+            };
+            let config = ChaosConfig {
+                kill_after: spec.num("kill-after")?.unwrap_or(0),
+                seed: spec.num("seed")?.unwrap_or(0),
+                kills: spec.num("kills")?.unwrap_or(1),
+                mode: spec.value("mode", mode)?.unwrap_or(ChaosMode::Exit),
+            };
+            (config.kill_after > 0 && config.kills > 0).then_some(config)
+        })
     }
-}
-
-/// SplitMix64-style mixer over three words; the service's only source of
-/// "randomness", so drills replay bit-for-bit. Shared with the network
-/// fault plane ([`super::net`]), which seeds frame perturbations from it.
-pub(crate) fn mix(a: u64, b: u64, c: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(b.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(c.wrapping_mul(0x94d0_49bb_1331_11eb))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -159,6 +135,11 @@ mod tests {
         assert_eq!(ChaosConfig::decode("kill-after=x"), None);
         assert_eq!(ChaosConfig::decode("kill-after=2,bogus=1"), None);
         assert_eq!(ChaosConfig::decode("kill-after=2,mode=melt"), None);
+        assert_eq!(
+            ChaosConfig::decode("kill-after=2,kill-after=3,seed=1"),
+            None
+        );
+        assert_eq!(ChaosConfig::decode("kill-after=3,seed=7,kills=0"), None);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! interleaving, but the *schedule itself* is a pure function of the
 //! seed, which is what the torture harness sweeps.
 
-use super::chaos::mix;
 use crate::journal::fnv1a;
+use scanchain::plan::{self, mix, Kind};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -459,22 +459,7 @@ impl NetFaultKind {
 
     /// Codec keyword (`drop`, `dup`, …).
     pub fn encode(self) -> &'static str {
-        match self {
-            NetFaultKind::Drop => "drop",
-            NetFaultKind::Dup => "dup",
-            NetFaultKind::Reorder => "reorder",
-            NetFaultKind::Delay => "delay",
-            NetFaultKind::Truncate => "truncate",
-            NetFaultKind::Corrupt => "corrupt",
-            NetFaultKind::Reset => "reset",
-            NetFaultKind::HalfOpen => "half-open",
-            NetFaultKind::Partition => "partition",
-        }
-    }
-
-    /// Parses a codec keyword.
-    pub fn decode(s: &str) -> Option<NetFaultKind> {
-        NetFaultKind::ALL.into_iter().find(|k| k.encode() == s)
+        self.key()
     }
 
     /// Which operation class this fault can strike.
@@ -484,6 +469,20 @@ impl NetFaultKind {
             _ => class == OpClass::Send,
         }
     }
+}
+
+impl Kind for NetFaultKind {
+    const KEYS: &'static [(NetFaultKind, &'static str)] = &[
+        (NetFaultKind::Drop, "drop"),
+        (NetFaultKind::Dup, "dup"),
+        (NetFaultKind::Reorder, "reorder"),
+        (NetFaultKind::Delay, "delay"),
+        (NetFaultKind::Truncate, "truncate"),
+        (NetFaultKind::Corrupt, "corrupt"),
+        (NetFaultKind::Reset, "reset"),
+        (NetFaultKind::HalfOpen, "half-open"),
+        (NetFaultKind::Partition, "partition"),
+    ];
 }
 
 /// The class of a counted network operation.
@@ -539,82 +538,48 @@ impl NetFaultConfig {
         NetFaultConfig::plan(u64::MAX, NetFaultKind::Drop, 0)
     }
 
-    /// Encodes to the `key=value` comma list accepted by
-    /// [`NetFaultConfig::decode`].
+    /// Encodes to the [`plan`] spec accepted by [`NetFaultConfig::decode`].
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        let mut spec = String::new();
         if self.at > 0 {
-            out.push_str(&format!(
-                "at={},kind={}",
-                self.at,
-                self.kind.map_or("none", NetFaultKind::encode)
-            ));
+            plan::push(&mut spec, "at", self.at);
+            plan::push(
+                &mut spec,
+                "kind",
+                self.kind.map_or("none", NetFaultKind::encode),
+            );
         } else {
-            for (kind, ppm) in &self.rates {
-                if !out.is_empty() {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}={}", kind.encode(), ppm_encode(*ppm)));
+            for &(kind, ppm) in &self.rates {
+                plan::push(&mut spec, kind.encode(), f64::from(ppm) / 1_000_000.0);
             }
         }
-        if !out.is_empty() {
-            out.push(',');
-        }
-        out.push_str(&format!("seed={}", self.seed));
+        plan::push(&mut spec, "seed", self.seed);
         if self.delay_ms != 25 {
-            out.push_str(&format!(",delay-ms={}", self.delay_ms));
+            plan::push(&mut spec, "delay-ms", self.delay_ms);
         }
-        out
+        spec
     }
 
     /// Parses `at=N,kind=K,seed=S` or `drop=0.05,…,seed=S[,delay-ms=M]`.
-    /// Returns `None` on unknown keys, malformed values, rates outside
-    /// `[0, 1]`, or a plan that mixes the two modes.
-    pub fn decode(s: &str) -> Option<NetFaultConfig> {
-        let mut config = NetFaultConfig {
-            seed: 0,
-            at: 0,
-            kind: None,
-            rates: Vec::new(),
-            delay_ms: 25,
-        };
-        for part in s.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = part.split_once('=')?;
-            match key {
-                "at" => config.at = value.parse().ok()?,
-                "kind" => config.kind = Some(NetFaultKind::decode(value)?),
-                "seed" => config.seed = value.parse().ok()?,
-                "delay-ms" => config.delay_ms = value.parse().ok()?,
-                rate_kind => {
-                    let kind = NetFaultKind::decode(rate_kind)?;
-                    let rate: f64 = value.parse().ok()?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return None;
-                    }
-                    config
-                        .rates
-                        .push((kind, (rate * 1_000_000.0).round() as u32));
-                }
-            }
-        }
-        let deterministic = config.at > 0 || config.kind.is_some();
-        if deterministic && (!config.rates.is_empty() || config.at == 0 || config.kind.is_none()) {
-            return None;
-        }
-        if !deterministic && config.rates.is_empty() {
-            return None;
-        }
-        Some(config)
-    }
-}
-
-/// Renders parts-per-million back as the decimal fraction users write.
-fn ppm_encode(ppm: u32) -> String {
-    let text = format!("{}", f64::from(ppm) / 1_000_000.0);
-    if text.contains('.') {
-        text
-    } else {
-        format!("{text}.0")
+    /// Returns `None` on a spec the grammar rejects, a malformed value, or
+    /// a plan that mixes the two modes.
+    pub fn decode(spec: &str) -> Option<NetFaultConfig> {
+        plan::read(spec, |spec| {
+            let config = NetFaultConfig {
+                seed: spec.num("seed")?.unwrap_or(0),
+                at: spec.num("at")?.unwrap_or(0),
+                kind: spec.value("kind", NetFaultKind::from_key)?,
+                rates: spec
+                    .rates::<NetFaultKind>()?
+                    .into_iter()
+                    .map(|(kind, rate)| (kind, (rate * 1_000_000.0).round() as u32))
+                    .collect(),
+                delay_ms: spec.num("delay-ms")?.unwrap_or(25),
+            };
+            // One strike (`at` and `kind`) or a set of rates, never both.
+            let strike = config.at > 0;
+            (strike == config.kind.is_some() && strike == config.rates.is_empty()).then_some(config)
+        })
     }
 }
 
@@ -665,7 +630,7 @@ impl FaultInjector {
     /// any. In deterministic mode the plan arms at op `at` and fires at
     /// the first op its kind applies to, so a `partition` plan armed on a
     /// send op still strikes the next accept.
-    fn decide(&self, class: OpClass) -> Option<NetFaultKind> {
+    pub fn decide(&self, class: OpClass) -> Option<NetFaultKind> {
         let mut state = self.state.lock();
         state.ops += 1;
         let op = state.ops;
@@ -720,14 +685,6 @@ impl FaultInjector {
     /// op still advances the deterministic walk).
     fn note_connect(&self) {
         let _ = self.decide(OpClass::Connect);
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn delay(&self) -> Duration {
-        Duration::from_millis(self.cfg.delay_ms)
     }
 }
 
@@ -825,7 +782,7 @@ impl<S: FrameSink> FaultWriter<S> {
             return self.write_through(frame);
         };
         let op = injector.ops();
-        let seed = injector.seed();
+        let seed = injector.cfg.seed;
         match kind {
             NetFaultKind::Drop => Ok(()),
             NetFaultKind::Dup => {
@@ -840,7 +797,7 @@ impl<S: FrameSink> FaultWriter<S> {
                 }
             }
             NetFaultKind::Delay => {
-                std::thread::sleep(injector.delay());
+                std::thread::sleep(Duration::from_millis(injector.cfg.delay_ms));
                 self.write_through(frame)
             }
             NetFaultKind::Truncate => {
@@ -1098,14 +1055,15 @@ mod tests {
     fn net_fault_config_rejects_garbage() {
         for bad in [
             "",
-            "seed=1",                 // neither mode
-            "at=3,seed=1",            // deterministic without kind
-            "kind=drop,seed=1",       // kind without at
-            "at=3,kind=melt,seed=1",  // unknown kind
-            "drop=1.5,seed=1",        // rate out of range
-            "drop=0.1,at=3,kind=dup", // mixed modes
-            "bogus=1,seed=2",         // unknown key
-            "drop=x,seed=1",          // malformed rate
+            "seed=1",                   // neither mode
+            "at=3,seed=1",              // deterministic without kind
+            "kind=drop,seed=1",         // kind without at
+            "at=3,kind=melt,seed=1",    // unknown kind
+            "drop=1.5,seed=1",          // rate out of range
+            "drop=0.1,at=3,kind=dup",   // mixed modes
+            "bogus=1,seed=2",           // unknown key
+            "drop=x,seed=1",            // malformed rate
+            "drop=0.1,drop=0.2,seed=1", // repeated key
         ] {
             assert_eq!(NetFaultConfig::decode(bad), None, "accepted {bad:?}");
         }

@@ -382,7 +382,7 @@ fn jittered(delay: Duration) -> Duration {
     let nanos = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| u64::from(d.subsec_nanos()));
-    let roll = super::chaos::mix(
+    let roll = scanchain::plan::mix(
         u64::from(std::process::id()),
         SALT.fetch_add(1, Ordering::Relaxed),
         nanos,

@@ -11,16 +11,9 @@
 //! prove behaviour by injecting faults, not by hoping — applied to the
 //! framework's own storage layer.
 //!
-//! A [`FaultPlan`] uses the service's `key=value` drill codec (see
-//! [`crate::service::chaos`]):
-//!
-//! ```text
-//! at=12,kind=torn,seed=7     crash at mutating op 12, tearing the write
-//! at=3,kind=garble,seed=9    crash at op 3, corrupting the write's tail
-//! at=5,kind=lost-sync,seed=1 drop all fsyncs; at op 5 the power fails
-//! at=4,kind=enospc           op 4 fails with ENOSPC (transient, no crash)
-//! at=4,kind=eio              op 4 fails with EIO (transient, no crash)
-//! ```
+//! A [`FaultPlan`] names the mutating operation it strikes, the
+//! [`FaultKind`] that happens there and the seed of its torn-write cut
+//! points and garbage bytes.
 //!
 //! Mutating operations (file create, data write, fsync, rename, unlink)
 //! are counted from 1; reads are free. After a crash-kind fault fires, the
@@ -28,6 +21,7 @@
 //! the test harness switches to a fresh [`RealFs`] to play the part of the
 //! rebooted machine running `goofi fsck`.
 
+use scanchain::plan::mix;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -287,7 +281,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable text form used in the plan codec.
+    /// Stable text form (`torn`, `lost-sync`, …).
     pub fn encode(self) -> &'static str {
         match self {
             FaultKind::Torn => "torn",
@@ -296,19 +290,6 @@ impl FaultKind {
             FaultKind::Enospc => "enospc",
             FaultKind::Eio => "eio",
         }
-    }
-
-    /// Inverse of [`FaultKind::encode`].
-    pub fn decode(s: &str) -> Option<FaultKind> {
-        [
-            FaultKind::Torn,
-            FaultKind::Garble,
-            FaultKind::LostSync,
-            FaultKind::Enospc,
-            FaultKind::Eio,
-        ]
-        .into_iter()
-        .find(|k| k.encode() == s)
     }
 
     /// Whether this fault kills the process (vs. a transient error).
@@ -330,42 +311,6 @@ pub struct FaultPlan {
     pub kind: FaultKind,
     /// Seed for torn-write cut points and garbage bytes.
     pub seed: u64,
-}
-
-impl FaultPlan {
-    /// Encodes to the `key=value` comma list accepted by
-    /// [`FaultPlan::decode`].
-    pub fn encode(&self) -> String {
-        format!(
-            "at={},kind={},seed={}",
-            self.at,
-            self.kind.encode(),
-            self.seed
-        )
-    }
-
-    /// Parses `at=<n>,kind=<kind>[,seed=<s>]`. Returns `None` on unknown
-    /// keys, malformed values, or `at=0`.
-    pub fn decode(s: &str) -> Option<FaultPlan> {
-        let mut at = None;
-        let mut kind = None;
-        let mut seed = 0;
-        for part in s.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = part.split_once('=')?;
-            match key {
-                "at" => at = Some(value.parse().ok()?),
-                "kind" => kind = Some(FaultKind::decode(value)?),
-                "seed" => seed = value.parse().ok()?,
-                _ => return None,
-            }
-        }
-        let plan = FaultPlan {
-            at: at?,
-            kind: kind?,
-            seed,
-        };
-        (plan.at > 0).then_some(plan)
-    }
 }
 
 #[derive(Default)]
@@ -625,19 +570,6 @@ impl Vfs for FaultFs {
     }
 }
 
-/// SplitMix64-style mixer over three words — the same construction as the
-/// service chaos drill, so fault schedules replay bit-for-bit.
-fn mix(a: u64, b: u64, c: u64) -> u64 {
-    let mut z = a
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(b.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(c.wrapping_mul(0x94d0_49bb_1331_11eb))
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,34 +586,6 @@ mod tests {
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         p
-    }
-
-    #[test]
-    fn plan_codec_roundtrips() {
-        let plans = [
-            FaultPlan {
-                at: 12,
-                kind: FaultKind::Torn,
-                seed: 7,
-            },
-            FaultPlan {
-                at: 1,
-                kind: FaultKind::LostSync,
-                seed: 0,
-            },
-            FaultPlan {
-                at: 3,
-                kind: FaultKind::Enospc,
-                seed: 99,
-            },
-        ];
-        for plan in plans {
-            assert_eq!(FaultPlan::decode(&plan.encode()), Some(plan));
-        }
-        assert_eq!(FaultPlan::decode("at=0,kind=torn"), None);
-        assert_eq!(FaultPlan::decode("kind=torn"), None);
-        assert_eq!(FaultPlan::decode("at=2,kind=melt"), None);
-        assert_eq!(FaultPlan::decode("at=2,kind=eio,bogus=1"), None);
     }
 
     #[test]

@@ -97,49 +97,46 @@ impl Cpu {
         &self.chains
     }
 
+    // Both chains are captured and updated by cell index, in the order
+    // `ChainSet::new` builds their cells.
+
     fn capture_internal(&self) -> Result<BitVec, ScanError> {
-        let l = &self.chains.internal;
-        let mut bits = BitVec::zeros(l.total_bits());
-        l.write_cell(&mut bits, "PC", self.pc as u64)?;
-        for i in 0..Reg::COUNT {
-            l.write_cell(&mut bits, &format!("X{i}"), self.regs[i] as u64)?;
-        }
-        l.write_cell(
-            &mut bits,
-            "DETECT",
+        let regs = self.regs.iter().map(|&r| r as u64);
+        let status = [
             self.detection.map_or(0, |d| d.encode()) as u64,
-        )?;
-        l.write_cell(&mut bits, "ITER", self.iterations & 0xFFFF_FFFF)?;
-        l.write_cell(&mut bits, "HALTED", self.halted as u64)?;
-        Ok(bits)
+            self.iterations & 0xFFFF_FFFF,
+            self.halted as u64,
+        ];
+        let cells = std::iter::once(self.pc as u64).chain(regs).chain(status);
+        self.chains.internal.pack(cells)
     }
 
     fn update_internal(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        let l = self.chains.internal.clone();
-        self.pc = l.read_cell(bits, "PC")? as u32;
         // X0 is not a latch: skipped. DETECT/ITER/HALTED are read-only.
-        for i in 1..Reg::COUNT {
-            self.regs[i] = l.read_cell(bits, &format!("X{i}"))? as u32;
+        let [pc, _x0, regs @ .., _detect, _iter, _halted] =
+            self.chains.internal.unpack::<{ Reg::COUNT + 4 }>(bits)?;
+        self.pc = pc as u32;
+        for (reg, value) in self.regs[1..].iter_mut().zip(regs) {
+            *reg = value as u32;
         }
         Ok(())
     }
 
     fn capture_boundary(&self) -> Result<BitVec, ScanError> {
-        let l = &self.chains.boundary;
-        let mut bits = BitVec::zeros(l.total_bits());
-        for i in 0..PORT_COUNT {
-            l.write_cell(&mut bits, &format!("IN_PORT{i}"), self.in_ports[i] as u64)?;
-            l.write_cell(&mut bits, &format!("OUT_PORT{i}"), self.out_ports[i] as u64)?;
-        }
-        l.write_cell(&mut bits, "ERROR_PIN", self.detection.is_some() as u64)?;
-        l.write_cell(&mut bits, "HALT_PIN", self.halted as u64)?;
-        Ok(bits)
+        let ports = self.in_ports.iter().chain(&self.out_ports);
+        let pins = [self.detection.is_some() as u64, self.halted as u64];
+        let cells = ports.map(|&p| p as u64).chain(pins);
+        self.chains.boundary.pack(cells)
     }
 
     fn update_boundary(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        let l = self.chains.boundary.clone();
-        for i in 0..PORT_COUNT {
-            self.in_ports[i] = l.read_cell(bits, &format!("IN_PORT{i}"))? as u32;
+        // Output ports and pins are read-only.
+        let cells = self
+            .chains
+            .boundary
+            .unpack::<{ 2 * PORT_COUNT + 2 }>(bits)?;
+        for (port, value) in self.in_ports.iter_mut().zip(cells) {
+            *port = value as u32;
         }
         Ok(())
     }
@@ -215,6 +212,71 @@ mod rv32i_tests {
         })
         .unwrap();
         cpu
+    }
+
+    #[test]
+    fn every_cell_captures_and_updates_its_own_field() {
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.pc = 0x1000;
+        for (i, reg) in cpu.regs.iter_mut().enumerate() {
+            *reg = 0x100 + i as u32;
+        }
+        for i in 0..PORT_COUNT {
+            cpu.in_ports[i] = 0x200 + i as u32;
+            cpu.out_ports[i] = 0x300 + i as u32;
+        }
+        // Detected but not halted: the two 1-bit pins differ.
+        cpu.detection = Some(Detection::Assertion(3));
+        cpu.iterations = 0x7_0000_0042;
+        cpu.halted = false;
+
+        let internal = cpu.capture_chain(INTERNAL).unwrap();
+        let cell = |name: &str| cpu.chains.internal.read_cell(&internal, name).unwrap();
+        assert_eq!(cell("PC"), 0x1000);
+        for i in 0..Reg::COUNT {
+            assert_eq!(cell(&format!("X{i}")), 0x100 + i as u64, "X{i}");
+        }
+        assert_eq!(cell("DETECT"), u64::from(Detection::Assertion(3).encode()));
+        assert_eq!(cell("ITER"), 0x42);
+        assert_eq!(cell("HALTED"), 0);
+        let boundary = cpu.capture_chain(BOUNDARY).unwrap();
+        let pin = |name: &str| cpu.chains.boundary.read_cell(&boundary, name).unwrap();
+        for i in 0..PORT_COUNT {
+            assert_eq!(pin(&format!("IN_PORT{i}")), 0x200 + i as u64, "IN_PORT{i}");
+            assert_eq!(
+                pin(&format!("OUT_PORT{i}")),
+                0x300 + i as u64,
+                "OUT_PORT{i}"
+            );
+        }
+        assert_eq!((pin("ERROR_PIN"), pin("HALT_PIN")), (1, 0));
+
+        let layout = cpu.chains.internal.clone();
+        let mut bits = internal.clone();
+        layout.write_cell(&mut bits, "PC", 0x2000).unwrap();
+        for i in 0..Reg::COUNT {
+            layout
+                .write_cell(&mut bits, &format!("X{i}"), 0x400 + i as u64)
+                .unwrap();
+        }
+        cpu.update_chain(INTERNAL, &bits).unwrap();
+        assert_eq!(cpu.pc, 0x2000);
+        assert_eq!(cpu.regs[0], 0x100, "X0 is not a latch");
+        for i in 1..Reg::COUNT {
+            assert_eq!(cpu.regs[i], 0x400 + i as u32, "X{i}");
+        }
+        let layout = cpu.chains.boundary.clone();
+        let mut bits = boundary.clone();
+        for i in 0..PORT_COUNT {
+            layout
+                .write_cell(&mut bits, &format!("IN_PORT{i}"), 0x500 + i as u64)
+                .unwrap();
+        }
+        cpu.update_chain(BOUNDARY, &bits).unwrap();
+        for i in 0..PORT_COUNT {
+            assert_eq!(cpu.in_ports[i], 0x500 + i as u32, "IN_PORT{i}");
+            assert_eq!(cpu.out_ports[i], 0x300 + i as u32, "OUT_PORT{i}");
+        }
     }
 
     #[test]

@@ -48,6 +48,20 @@ impl CellDef {
     pub fn bit_range(&self) -> std::ops::Range<usize> {
         self.offset..self.offset + self.width
     }
+
+    /// Writes `value` into this cell of `bits`, rejecting a value wider
+    /// than the cell.
+    fn write(&self, bits: &mut BitVec, value: u64) -> Result<(), ScanError> {
+        if self.width < 64 && value >= (1u64 << self.width) {
+            return Err(ScanError::ValueTooWide {
+                cell: self.name.clone(),
+                width: self.width,
+                value,
+            });
+        }
+        bits.write_range(self.offset, self.width, value);
+        Ok(())
+    }
 }
 
 /// The static description of a scan chain: an ordered list of cells.
@@ -155,18 +169,52 @@ impl ChainLayout {
     /// [`ScanError::LengthMismatch`] for a wrong-size vector.
     pub fn write_cell(&self, bits: &mut BitVec, name: &str, value: u64) -> Result<(), ScanError> {
         self.check_len(bits)?;
-        let cell = self
-            .cell(name)
-            .ok_or_else(|| ScanError::UnknownCell(name.to_string()))?;
-        if cell.width < 64 && value >= (1u64 << cell.width) {
-            return Err(ScanError::ValueTooWide {
-                cell: name.to_string(),
-                width: cell.width,
-                value,
-            });
+        self.cell(name)
+            .ok_or_else(|| ScanError::UnknownCell(name.to_string()))?
+            .write(bits, value)
+    }
+
+    /// Builds a full chain image from one value per cell, in shift order:
+    /// a target captures its chain by walking the cells by index instead
+    /// of looking each one up by name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScanError::ValueTooWide`] when a value does not fit its
+    /// cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one value per cell; like a bad
+    /// [`ChainLayoutBuilder::cell`], that is a porting error.
+    pub fn pack(&self, values: impl IntoIterator<Item = u64>) -> Result<BitVec, ScanError> {
+        let mut bits = BitVec::zeros(self.inner.total_bits);
+        let mut values = values.into_iter();
+        for cell in &self.inner.cells {
+            cell.write(&mut bits, values.next().expect("one value per cell"))?;
         }
-        bits.write_range(cell.offset, cell.width, value);
-        Ok(())
+        assert!(values.next().is_none(), "one value per cell");
+        Ok(bits)
+    }
+
+    /// Reads every cell of a captured image, in shift order: the
+    /// by-index counterpart of [`ChainLayout::pack`] for a target's update.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScanError::LengthMismatch`] if `bits` is not a full
+    /// capture of this chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `N` is the number of cells.
+    pub fn unpack<const N: usize>(&self, bits: &BitVec) -> Result<[u64; N], ScanError> {
+        self.check_len(bits)?;
+        assert_eq!(N, self.inner.cells.len(), "one value per cell");
+        Ok(std::array::from_fn(|i| {
+            let cell = &self.inner.cells[i];
+            bits.read_range(cell.offset, cell.width)
+        }))
     }
 
     /// Combines a previously captured state with a shifted-in update,

@@ -13,6 +13,7 @@
 //! chain so the test card programs it exactly the way the paper describes.
 
 use crate::{BitVec, CellAccess, ChainLayout};
+use std::sync::OnceLock;
 
 /// A condition the debug unit can be armed with.
 ///
@@ -242,21 +243,26 @@ impl DebugUnit {
         None
     }
 
-    /// Layout of the debug unit's configuration/status scan chain.
+    /// Layout of the debug unit's configuration/status scan chain, built
+    /// once per process.
     ///
     /// Four condition slots (kind + operand each) plus read-only status.
     pub fn chain_layout() -> ChainLayout {
-        let mut b = ChainLayout::builder("debug");
-        for i in 0..DEBUG_SLOTS {
-            b = b
-                .cell(format!("COND{i}.KIND"), 4, CellAccess::ReadWrite)
-                .cell(format!("COND{i}.OPERAND"), 64, CellAccess::ReadWrite);
-        }
-        b.cell("HIT", 1, CellAccess::ReadOnly)
-            .cell("HIT_SLOT", 4, CellAccess::ReadOnly)
-            .cell("ICOUNT", 64, CellAccess::ReadOnly)
-            .cell("CCOUNT", 64, CellAccess::ReadOnly)
-            .build()
+        static LAYOUT: OnceLock<ChainLayout> = OnceLock::new();
+        let layout = LAYOUT.get_or_init(|| {
+            let mut b = ChainLayout::builder("debug");
+            for i in 0..DEBUG_SLOTS {
+                b = b
+                    .cell(format!("COND{i}.KIND"), 4, CellAccess::ReadWrite)
+                    .cell(format!("COND{i}.OPERAND"), 64, CellAccess::ReadWrite);
+            }
+            b.cell("HIT", 1, CellAccess::ReadOnly)
+                .cell("HIT_SLOT", 4, CellAccess::ReadOnly)
+                .cell("ICOUNT", 64, CellAccess::ReadOnly)
+                .cell("CCOUNT", 64, CellAccess::ReadOnly)
+                .build()
+        });
+        layout.clone()
     }
 
     /// Captures the unit's registers into a scan image.
@@ -267,22 +273,24 @@ impl DebugUnit {
     /// the layout this unit builds itself, but kept fallible so callers in
     /// scan transport paths never have to panic.
     pub fn capture(&self) -> Result<BitVec, crate::ScanError> {
-        let layout = Self::chain_layout();
-        let mut bits = BitVec::zeros(layout.total_bits());
-        for (i, c) in self.conditions.iter().enumerate() {
-            let (kind, operand) = encode_condition(*c);
-            layout.write_cell(&mut bits, &format!("COND{i}.KIND"), kind as u64)?;
-            layout.write_cell(&mut bits, &format!("COND{i}.OPERAND"), operand)?;
-        }
+        let slots = (0..DEBUG_SLOTS).flat_map(|i| {
+            let (kind, operand) = self
+                .conditions
+                .get(i)
+                .map_or((0, 0), |&c| encode_condition(c));
+            [kind as u64, operand]
+        });
         let hit_slot = self
             .pending
             .and_then(|ev| self.conditions.iter().position(|&c| c == ev.condition))
             .unwrap_or(0);
-        layout.write_cell(&mut bits, "HIT", self.pending.is_some() as u64)?;
-        layout.write_cell(&mut bits, "HIT_SLOT", hit_slot as u64)?;
-        layout.write_cell(&mut bits, "ICOUNT", self.instructions)?;
-        layout.write_cell(&mut bits, "CCOUNT", self.cycles)?;
-        Ok(bits)
+        let status = [
+            self.pending.is_some() as u64,
+            hit_slot as u64,
+            self.instructions,
+            self.cycles,
+        ];
+        Self::chain_layout().pack(slots.chain(status))
     }
 
     /// Applies an update image to the unit's writable registers.
@@ -292,16 +300,11 @@ impl DebugUnit {
     /// Returns [`crate::ScanError::LengthMismatch`] (via cell access) when
     /// `bits` is not a full debug-chain image.
     pub fn update(&mut self, bits: &BitVec) -> Result<(), crate::ScanError> {
-        let layout = Self::chain_layout();
-        let mut decoded = Vec::new();
-        for i in 0..DEBUG_SLOTS {
-            let kind = layout.read_cell(bits, &format!("COND{i}.KIND"))? as u8;
-            let operand = layout.read_cell(bits, &format!("COND{i}.OPERAND"))?;
-            if let Some(c) = decode_condition(kind, operand) {
-                decoded.push(c);
-            }
-        }
-        self.conditions = decoded;
+        let cells = Self::chain_layout().unpack::<{ 2 * DEBUG_SLOTS + 4 }>(bits)?;
+        self.conditions = cells[..2 * DEBUG_SLOTS]
+            .chunks(2)
+            .filter_map(|slot| decode_condition(slot[0] as u8, slot[1]))
+            .collect();
         Ok(())
     }
 }
@@ -334,6 +337,58 @@ fn decode_condition(kind: u8, operand: u64) -> Option<DebugCondition> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_cell_captures_and_updates_its_own_field() {
+        let armed = [
+            DebugCondition::DataWrite(0x44),
+            DebugCondition::CycleCount(0x1_0000_0005),
+            DebugCondition::PcEquals(0x40),
+            DebugCondition::InstructionCount(77),
+        ];
+        let mut du = DebugUnit::new();
+        for c in armed {
+            du.arm(c);
+        }
+        du.instructions = 0xABCD;
+        du.cycles = 0x1234_5678_9ABC;
+        du.pending = Some(DebugEvent {
+            condition: armed[2],
+            at_instruction: 0,
+            at_cycle: 0,
+        });
+        let layout = DebugUnit::chain_layout();
+        let bits = du.capture().unwrap();
+        let cell = |name: &str| layout.read_cell(&bits, name).unwrap();
+        for (i, c) in armed.into_iter().enumerate() {
+            let (kind, operand) = encode_condition(c);
+            assert_eq!(cell(&format!("COND{i}.KIND")), u64::from(kind), "slot {i}");
+            assert_eq!(cell(&format!("COND{i}.OPERAND")), operand, "slot {i}");
+        }
+        assert_eq!(
+            ["HIT", "HIT_SLOT", "ICOUNT", "CCOUNT"].map(cell),
+            [1, 2, 0xABCD, 0x1234_5678_9ABC]
+        );
+
+        let written = [
+            DebugCondition::CallExecuted,
+            DebugCondition::DataAccess(0x80),
+            DebugCondition::BranchExecuted,
+            DebugCondition::InstructionCount(9),
+        ];
+        let mut bits = bits;
+        for (i, c) in written.into_iter().enumerate() {
+            let (kind, operand) = encode_condition(c);
+            layout
+                .write_cell(&mut bits, &format!("COND{i}.KIND"), u64::from(kind))
+                .unwrap();
+            layout
+                .write_cell(&mut bits, &format!("COND{i}.OPERAND"), operand)
+                .unwrap();
+        }
+        du.update(&bits).unwrap();
+        assert_eq!(du.conditions(), written);
+    }
 
     #[test]
     fn pc_breakpoint_fires_on_fetch() {

@@ -17,6 +17,11 @@
 //! triggers, and the paged copy-on-write main [`Memory`] that snapshots
 //! share and the memoized memory digest reads page by page.
 //!
+//! [`plan`] is the one grammar of the `key=value` drill specs and the one
+//! source of seeded draws behind every self-injection drill: the link and
+//! wedge fault models here, and the network and worker-kill drills of the
+//! campaign service.
+//!
 //! # Example
 //!
 //! ```
@@ -43,6 +48,7 @@ mod debug;
 mod error;
 mod link;
 mod memory;
+pub mod plan;
 mod tap;
 mod testcard;
 mod wedge;

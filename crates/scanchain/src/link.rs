@@ -11,9 +11,10 @@
 //! Determinism matters: an experiment campaign run twice with the same
 //! [`LinkFaultConfig`] sees the *same* sequence of link faults, which is
 //! what makes the recovery layer's "bit-for-bit identical result" tests
-//! possible. The model therefore draws from an in-crate SplitMix64 stream
+//! possible. The model therefore draws from a [`plan::splitmix64`] stream
 //! rather than any global randomness.
 
+use crate::plan::{self, Kind};
 use crate::{BitVec, ChainLayout, ScanError, ScanTarget};
 use std::fmt;
 
@@ -49,12 +50,22 @@ impl fmt::Display for LinkFault {
     }
 }
 
+impl Kind for LinkFault {
+    const KEYS: &'static [(LinkFault, &'static str)] = &[
+        (LinkFault::CorruptBit, "corrupt"),
+        (LinkFault::Drop, "drop"),
+        (LinkFault::Duplicate, "dup"),
+        (LinkFault::Stall, "stall"),
+        (LinkFault::Disconnect, "disc"),
+    ];
+}
+
 /// Configuration of the link fault model: per-transaction probabilities of
 /// each fault kind, plus bounds that keep campaigns controllable.
 ///
 /// All rates are per scan transaction, in `[0, 1]`; their sum must not
 /// exceed 1. The default configuration injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFaultConfig {
     /// Seed of the deterministic fault stream.
     pub seed: u64,
@@ -76,21 +87,6 @@ pub struct LinkFaultConfig {
     pub max_events: Option<u64>,
 }
 
-impl Default for LinkFaultConfig {
-    fn default() -> Self {
-        LinkFaultConfig {
-            seed: 0,
-            corrupt_rate: 0.0,
-            drop_rate: 0.0,
-            duplicate_rate: 0.0,
-            stall_rate: 0.0,
-            disconnect_rate: 0.0,
-            skip_ops: 0,
-            max_events: None,
-        }
-    }
-}
-
 impl LinkFaultConfig {
     /// A configuration that corrupts single bits at `rate` with `seed`.
     pub fn corrupt(seed: u64, rate: f64) -> Self {
@@ -103,11 +99,7 @@ impl LinkFaultConfig {
 
     /// Sum of all fault rates (probability a transaction is disturbed).
     pub fn total_rate(&self) -> f64 {
-        self.corrupt_rate
-            + self.drop_rate
-            + self.duplicate_rate
-            + self.stall_rate
-            + self.disconnect_rate
+        self.rates().iter().map(|r| r.1).sum()
     }
 
     /// Whether the configuration can ever inject a fault.
@@ -115,53 +107,53 @@ impl LinkFaultConfig {
         self.total_rate() > 0.0 && self.max_events != Some(0)
     }
 
-    /// Parses a `key=value,...` specification as used by the CLI's
-    /// `--link-faults` flag, e.g.
+    /// Each fault kind with its rate, in draw order.
+    pub(crate) fn rates(&self) -> [(LinkFault, f64); 5] {
+        [
+            (LinkFault::CorruptBit, self.corrupt_rate),
+            (LinkFault::Drop, self.drop_rate),
+            (LinkFault::Duplicate, self.duplicate_rate),
+            (LinkFault::Stall, self.stall_rate),
+            (LinkFault::Disconnect, self.disconnect_rate),
+        ]
+    }
+
+    /// Parses a [`crate::plan`] spec as used by the CLI's `--link-faults`
+    /// flag, e.g.
     /// `seed=42,corrupt=0.01,drop=0.001,dup=0.001,stall=0.0005,disc=0.0005,skip=30,max=100`.
     ///
-    /// Unknown keys, malformed numbers, out-of-range rates, or a rate sum
-    /// above 1 return `None`.
+    /// Returns `None` on a spec the grammar rejects, a malformed number, or
+    /// a rate sum above 1.
     pub fn decode(spec: &str) -> Option<Self> {
-        let mut cfg = LinkFaultConfig::default();
-        for part in spec.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = part.split_once('=')?;
-            let rate = |v: &str| -> Option<f64> {
-                let r: f64 = v.parse().ok()?;
-                (0.0..=1.0).contains(&r).then_some(r)
+        plan::read(spec, |spec| {
+            let cfg = LinkFaultConfig {
+                seed: spec.num("seed")?.unwrap_or(0),
+                corrupt_rate: spec.rate(LinkFault::CorruptBit)?,
+                drop_rate: spec.rate(LinkFault::Drop)?,
+                duplicate_rate: spec.rate(LinkFault::Duplicate)?,
+                stall_rate: spec.rate(LinkFault::Stall)?,
+                disconnect_rate: spec.rate(LinkFault::Disconnect)?,
+                skip_ops: spec.num("skip")?.unwrap_or(0),
+                max_events: spec.num("max")?,
             };
-            match key.trim() {
-                "seed" => cfg.seed = value.parse().ok()?,
-                "corrupt" => cfg.corrupt_rate = rate(value)?,
-                "drop" => cfg.drop_rate = rate(value)?,
-                "dup" | "duplicate" => cfg.duplicate_rate = rate(value)?,
-                "stall" => cfg.stall_rate = rate(value)?,
-                "disc" | "disconnect" => cfg.disconnect_rate = rate(value)?,
-                "skip" => cfg.skip_ops = value.parse().ok()?,
-                "max" => cfg.max_events = Some(value.parse().ok()?),
-                _ => return None,
-            }
-        }
-        (cfg.total_rate() <= 1.0).then_some(cfg)
+            (cfg.total_rate() <= 1.0).then_some(cfg)
+        })
     }
 
     /// Renders the configuration in [`LinkFaultConfig::decode`] format.
     pub fn encode(&self) -> String {
-        let mut s = format!(
-            "seed={},corrupt={},drop={},dup={},stall={},disc={}",
-            self.seed,
-            self.corrupt_rate,
-            self.drop_rate,
-            self.duplicate_rate,
-            self.stall_rate,
-            self.disconnect_rate
-        );
+        let mut spec = String::new();
+        plan::push(&mut spec, "seed", self.seed);
+        for (kind, rate) in self.rates() {
+            plan::push(&mut spec, kind.key(), rate);
+        }
         if self.skip_ops > 0 {
-            s.push_str(&format!(",skip={}", self.skip_ops));
+            plan::push(&mut spec, "skip", self.skip_ops);
         }
         if let Some(max) = self.max_events {
-            s.push_str(&format!(",max={max}"));
+            plan::push(&mut spec, "max", max);
         }
-        s
+        spec
     }
 }
 
@@ -200,17 +192,6 @@ pub struct LinkFaultModel {
     counts: LinkFaultCounts,
 }
 
-/// SplitMix64 step — small, fast, and good enough for fault scheduling;
-/// hand-rolled because this crate deliberately has no runtime dependencies.
-/// The link and wedge models share it; each seeds its own state.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl LinkFaultModel {
     /// Creates a model from a configuration.
     pub fn new(config: LinkFaultConfig) -> Self {
@@ -242,15 +223,10 @@ impl LinkFaultModel {
         self.counts.total()
     }
 
-    /// Draws a uniform value in `[0, 1)`.
-    fn uniform(&mut self) -> f64 {
-        (splitmix64(&mut self.rng) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Draws a uniform index in `0..n` (`n > 0`).
     pub fn random_index(&mut self, n: usize) -> usize {
         debug_assert!(n > 0);
-        (splitmix64(&mut self.rng) % n as u64) as usize
+        (plan::splitmix64(&mut self.rng) % n as u64) as usize
     }
 
     /// Decides the fate of the next transaction.
@@ -261,7 +237,7 @@ impl LinkFaultModel {
     /// unrelated kinds.
     pub fn next_fault(&mut self) -> Option<LinkFault> {
         self.ops += 1;
-        let u = self.uniform();
+        let u = plan::uniform(&mut self.rng);
         if self.ops <= self.config.skip_ops {
             return None;
         }
@@ -270,32 +246,16 @@ impl LinkFaultModel {
                 return None;
             }
         }
-        let mut threshold = self.config.corrupt_rate;
-        if u < threshold {
-            self.counts.corrupted += 1;
-            return Some(LinkFault::CorruptBit);
-        }
-        threshold += self.config.drop_rate;
-        if u < threshold {
-            self.counts.dropped += 1;
-            return Some(LinkFault::Drop);
-        }
-        threshold += self.config.duplicate_rate;
-        if u < threshold {
-            self.counts.duplicated += 1;
-            return Some(LinkFault::Duplicate);
-        }
-        threshold += self.config.stall_rate;
-        if u < threshold {
-            self.counts.stalled += 1;
-            return Some(LinkFault::Stall);
-        }
-        threshold += self.config.disconnect_rate;
-        if u < threshold {
-            self.counts.disconnected += 1;
-            return Some(LinkFault::Disconnect);
-        }
-        None
+        let fault = plan::pick(u, self.config.rates())?;
+        let count = match fault {
+            LinkFault::CorruptBit => &mut self.counts.corrupted,
+            LinkFault::Drop => &mut self.counts.dropped,
+            LinkFault::Duplicate => &mut self.counts.duplicated,
+            LinkFault::Stall => &mut self.counts.stalled,
+            LinkFault::Disconnect => &mut self.counts.disconnected,
+        };
+        *count += 1;
+        Some(fault)
     }
 
     /// Applies a fault decision to a captured (read) image.
@@ -497,6 +457,7 @@ mod tests {
         assert_eq!(LinkFaultConfig::decode("nope=1"), None);
         assert_eq!(LinkFaultConfig::decode("corrupt"), None);
         assert_eq!(LinkFaultConfig::decode("corrupt=0.9,drop=0.9"), None);
+        assert_eq!(LinkFaultConfig::decode("drop=0.1,drop=0.2,seed=1"), None);
         // Empty spec = default.
         assert_eq!(
             LinkFaultConfig::decode(""),

@@ -14,11 +14,11 @@
 //! failure (a latched-up core needs a power cycle; a confused TAP recovers
 //! on test-card re-init).
 //!
-//! Like the link model, everything is driven by one SplitMix64 stream
-//! seeded from [`WedgeConfig::seed`], so a campaign against a wedging
-//! target is exactly reproducible.
+//! Like the link model, everything is driven by one [`plan::splitmix64`]
+//! stream seeded from [`WedgeConfig::seed`], so a campaign against a
+//! wedging target is exactly reproducible.
 
-use crate::link::splitmix64;
+use crate::plan::{self, Kind};
 use std::fmt;
 
 /// The ways a target can wedge.
@@ -41,6 +41,14 @@ impl fmt::Display for WedgeKind {
             WedgeKind::GarbageScan => f.write_str("garbage-scan"),
         }
     }
+}
+
+impl Kind for WedgeKind {
+    const KEYS: &'static [(WedgeKind, &'static str)] = &[
+        (WedgeKind::Hang, "hang"),
+        (WedgeKind::StuckTap, "stuck"),
+        (WedgeKind::GarbageScan, "garbage"),
+    ];
 }
 
 /// How deep a recovery action must reach to clear a wedge.
@@ -125,7 +133,7 @@ impl WedgeConfig {
 
     /// Total per-operation wedge probability.
     pub fn total_rate(&self) -> f64 {
-        self.hang_rate + self.stuck_tap_rate + self.garbage_rate
+        self.rates().iter().map(|r| r.1).sum()
     }
 
     /// Whether this configuration can ever wedge.
@@ -133,44 +141,45 @@ impl WedgeConfig {
         self.total_rate() > 0.0 && self.max_events != Some(0)
     }
 
-    /// Compact `key=value,...` form, mirroring
-    /// [`crate::LinkFaultConfig::encode`].
-    pub fn encode(&self) -> String {
-        let mut s = format!(
-            "seed={},hang={},stuck={},garbage={},recover={}",
-            self.seed,
-            self.hang_rate,
-            self.stuck_tap_rate,
-            self.garbage_rate,
-            self.recovery.encode(),
-        );
-        if let Some(max) = self.max_events {
-            s.push_str(&format!(",max={max}"));
-        }
-        s
+    /// Each wedge kind with its rate, in draw order.
+    pub(crate) fn rates(&self) -> [(WedgeKind, f64); 3] {
+        [
+            (WedgeKind::Hang, self.hang_rate),
+            (WedgeKind::StuckTap, self.stuck_tap_rate),
+            (WedgeKind::GarbageScan, self.garbage_rate),
+        ]
     }
 
-    /// Parses [`WedgeConfig::encode`] output. Rejects unknown keys, rates
-    /// outside `[0, 1]` and rate sums above 1.
-    pub fn decode(s: &str) -> Option<WedgeConfig> {
-        let mut config = WedgeConfig::default();
-        for part in s.split(',').filter(|p| !p.is_empty()) {
-            let (key, value) = part.split_once('=')?;
-            match key {
-                "seed" => config.seed = value.parse().ok()?,
-                "hang" => config.hang_rate = value.parse().ok()?,
-                "stuck" => config.stuck_tap_rate = value.parse().ok()?,
-                "garbage" => config.garbage_rate = value.parse().ok()?,
-                "recover" => config.recovery = RecoveryDepth::decode(value)?,
-                "max" => config.max_events = Some(value.parse().ok()?),
-                _ => return None,
-            }
+    /// Compact [`crate::plan`] spec form, as the CLI's `--wedge` flag takes it.
+    pub fn encode(&self) -> String {
+        let mut spec = String::new();
+        plan::push(&mut spec, "seed", self.seed);
+        for (kind, rate) in self.rates() {
+            plan::push(&mut spec, kind.key(), rate);
         }
-        let rates = [config.hang_rate, config.stuck_tap_rate, config.garbage_rate];
-        if rates.iter().any(|r| !(0.0..=1.0).contains(r)) || config.total_rate() > 1.0 {
-            return None;
+        plan::push(&mut spec, "recover", self.recovery.encode());
+        if let Some(max) = self.max_events {
+            plan::push(&mut spec, "max", max);
         }
-        Some(config)
+        spec
+    }
+
+    /// Parses [`WedgeConfig::encode`] output. Rejects a spec the grammar
+    /// rejects, rates outside `[0, 1]` and rate sums above 1.
+    pub fn decode(spec: &str) -> Option<WedgeConfig> {
+        plan::read(spec, |spec| {
+            let config = WedgeConfig {
+                seed: spec.num("seed")?.unwrap_or(0),
+                hang_rate: spec.rate(WedgeKind::Hang)?,
+                stuck_tap_rate: spec.rate(WedgeKind::StuckTap)?,
+                garbage_rate: spec.rate(WedgeKind::GarbageScan)?,
+                max_events: spec.num("max")?,
+                recovery: spec
+                    .value("recover", RecoveryDepth::decode)?
+                    .unwrap_or(RecoveryDepth::PowerCycle),
+            };
+            (config.total_rate() <= 1.0).then_some(config)
+        })
     }
 }
 
@@ -239,11 +248,6 @@ impl WedgeModel {
         self.wedged
     }
 
-    fn uniform(&mut self) -> f64 {
-        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        (splitmix64(&mut self.rng) >> 11) as f64 * SCALE
-    }
-
     /// Advances the model by one armed operation and returns the current
     /// wedge (freshly entered or persisting). While already wedged, no
     /// draw is consumed — the target is stuck, not re-rolling.
@@ -252,21 +256,13 @@ impl WedgeModel {
             return self.wedged;
         }
         self.ops += 1;
-        let draw = self.uniform();
+        let draw = plan::uniform(&mut self.rng);
         if let Some(max) = self.config.max_events {
             if self.counts.total() >= max {
                 return None;
             }
         }
-        let kind = if draw < self.config.hang_rate {
-            WedgeKind::Hang
-        } else if draw < self.config.hang_rate + self.config.stuck_tap_rate {
-            WedgeKind::StuckTap
-        } else if draw < self.config.total_rate() {
-            WedgeKind::GarbageScan
-        } else {
-            return None;
-        };
+        let kind = plan::pick(draw, self.config.rates())?;
         match kind {
             WedgeKind::Hang => self.counts.hangs += 1,
             WedgeKind::StuckTap => self.counts.stuck_taps += 1,
@@ -295,9 +291,7 @@ impl WedgeModel {
     pub fn garbage_bits(&mut self, len: usize) -> crate::BitVec {
         let mut bits = crate::BitVec::zeros(len);
         for i in 0..len {
-            if splitmix64(&mut self.rng) & 1 == 1 {
-                bits.set(i, true);
-            }
+            bits.set(i, plan::splitmix64(&mut self.rng) & 1 == 1);
         }
         bits
     }
@@ -327,6 +321,7 @@ mod tests {
         assert_eq!(WedgeConfig::decode("hang=1.5"), None);
         assert_eq!(WedgeConfig::decode("hang=0.6,stuck=0.6"), None);
         assert_eq!(WedgeConfig::decode("bogus=1"), None);
+        assert_eq!(WedgeConfig::decode("hang=0.1,hang=0.2,seed=1"), None);
         for d in [
             RecoveryDepth::SoftReset,
             RecoveryDepth::Reinit,

@@ -121,45 +121,40 @@ impl Cpu {
         &self.chains
     }
 
+    // The internal and boundary chains are captured and updated by cell
+    // index, in the order `ChainSet::new` builds their cells.
+
     fn capture_internal(&self) -> Result<BitVec, ScanError> {
-        let l = &self.chains.internal;
-        let mut bits = BitVec::zeros(l.total_bits());
-        l.write_cell(&mut bits, "PC", self.pc as u64)?;
-        l.write_cell(&mut bits, "FLAGS", self.flags as u64)?;
-        l.write_cell(&mut bits, "IR", self.ir as u64)?;
-        l.write_cell(&mut bits, "MAR", self.mar as u64)?;
-        l.write_cell(&mut bits, "MDR", self.mdr as u64)?;
-        for r in Reg::all() {
-            l.write_cell(
-                &mut bits,
-                &format!("R{}", r.index()),
-                self.regs[r.index()] as u64,
-            )?;
-        }
-        l.write_cell(&mut bits, "PSW", self.edm.to_bits() as u64)?;
-        l.write_cell(
-            &mut bits,
-            "DETECT",
+        let latches = [
+            self.pc as u64,
+            self.flags as u64,
+            self.ir as u64,
+            self.mar as u64,
+            self.mdr as u64,
+        ];
+        let regs = self.regs.iter().map(|&r| r as u64);
+        let status = [
+            self.edm.to_bits() as u64,
             self.detection.map_or(0, |d| d.encode()) as u64,
-        )?;
-        l.write_cell(&mut bits, "ITER", self.iterations & 0xFFFF_FFFF)?;
-        l.write_cell(&mut bits, "HALTED", self.halted as u64)?;
-        Ok(bits)
+            self.iterations & 0xFFFF_FFFF,
+            self.halted as u64,
+        ];
+        self.chains
+            .internal
+            .pack(latches.into_iter().chain(regs).chain(status))
     }
 
     fn update_internal(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        let l = self.chains.internal.clone();
-        self.pc = l.read_cell(bits, "PC")? as u32;
-        self.flags = l.read_cell(bits, "FLAGS")? as u8;
-        self.ir = l.read_cell(bits, "IR")? as u32;
-        self.mar = l.read_cell(bits, "MAR")? as u32;
-        self.mdr = l.read_cell(bits, "MDR")? as u32;
-        for i in 0..Reg::COUNT {
-            self.regs[i] = l.read_cell(bits, &format!("R{i}"))? as u32;
-        }
-        let edm = EdmSet::from_bits(l.read_cell(bits, "PSW")? as u8);
-        self.set_edm(edm);
         // DETECT / ITER / HALTED are read-only: ignored on update.
+        let [pc, flags, ir, mar, mdr, regs @ .., psw, _detect, _iter, _halted] =
+            self.chains.internal.unpack::<{ Reg::COUNT + 9 }>(bits)?;
+        self.pc = pc as u32;
+        self.flags = flags as u8;
+        self.ir = ir as u32;
+        self.mar = mar as u32;
+        self.mdr = mdr as u32;
+        self.regs = regs.map(|r| r as u32);
+        self.set_edm(EdmSet::from_bits(psw as u8));
         Ok(())
     }
 
@@ -208,21 +203,20 @@ impl Cpu {
     }
 
     fn capture_boundary(&self) -> Result<BitVec, ScanError> {
-        let l = &self.chains.boundary;
-        let mut bits = BitVec::zeros(l.total_bits());
-        for i in 0..PORT_COUNT {
-            l.write_cell(&mut bits, &format!("IN_PORT{i}"), self.in_ports[i] as u64)?;
-            l.write_cell(&mut bits, &format!("OUT_PORT{i}"), self.out_ports[i] as u64)?;
-        }
-        l.write_cell(&mut bits, "ERROR_PIN", self.detection.is_some() as u64)?;
-        l.write_cell(&mut bits, "HALT_PIN", self.halted as u64)?;
-        Ok(bits)
+        let ports = self.in_ports.iter().chain(&self.out_ports);
+        let pins = [self.detection.is_some() as u64, self.halted as u64];
+        let cells = ports.map(|&p| p as u64).chain(pins);
+        self.chains.boundary.pack(cells)
     }
 
     fn update_boundary(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        let l = self.chains.boundary.clone();
-        for i in 0..PORT_COUNT {
-            self.in_ports[i] = l.read_cell(bits, &format!("IN_PORT{i}"))? as u32;
+        // Output ports and pins are read-only.
+        let cells = self
+            .chains
+            .boundary
+            .unpack::<{ 2 * PORT_COUNT + 2 }>(bits)?;
+        for (port, value) in self.in_ports.iter_mut().zip(cells) {
+            *port = value as u32;
         }
         Ok(())
     }
@@ -284,6 +278,87 @@ mod tests {
         let mut cpu = Cpu::new(CpuConfig::default());
         cpu.load_image(&image).unwrap();
         cpu
+    }
+
+    #[test]
+    fn every_cell_captures_and_updates_its_own_field() {
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.pc = 0x1000;
+        cpu.flags = 0b1010;
+        cpu.ir = 0x1001;
+        cpu.mar = 0x1002;
+        cpu.mdr = 0x1003;
+        for (i, reg) in cpu.regs.iter_mut().enumerate() {
+            *reg = 0x100 + i as u32;
+        }
+        cpu.set_edm(EdmSet::from_bits(0b10_1101));
+        for i in 0..PORT_COUNT {
+            cpu.in_ports[i] = 0x200 + i as u32;
+            cpu.out_ports[i] = 0x300 + i as u32;
+        }
+        // Detected but not halted: the two 1-bit pins differ.
+        cpu.detection = Some(Detection::Assertion(3));
+        cpu.iterations = 0x7_0000_0042;
+        cpu.halted = false;
+
+        let internal = cpu.capture_chain(INTERNAL).unwrap();
+        let cell = |name: &str| cpu.chains.internal.read_cell(&internal, name).unwrap();
+        assert_eq!(
+            ["PC", "FLAGS", "IR", "MAR", "MDR", "PSW"].map(cell),
+            [0x1000, 0b1010, 0x1001, 0x1002, 0x1003, 0b10_1101]
+        );
+        for i in 0..Reg::COUNT {
+            assert_eq!(cell(&format!("R{i}")), 0x100 + i as u64, "R{i}");
+        }
+        assert_eq!(cell("DETECT"), u64::from(Detection::Assertion(3).encode()));
+        assert_eq!(cell("ITER"), 0x42);
+        assert_eq!(cell("HALTED"), 0);
+        let boundary = cpu.capture_chain(BOUNDARY).unwrap();
+        let pin = |name: &str| cpu.chains.boundary.read_cell(&boundary, name).unwrap();
+        for i in 0..PORT_COUNT {
+            assert_eq!(pin(&format!("IN_PORT{i}")), 0x200 + i as u64, "IN_PORT{i}");
+            assert_eq!(
+                pin(&format!("OUT_PORT{i}")),
+                0x300 + i as u64,
+                "OUT_PORT{i}"
+            );
+        }
+        assert_eq!((pin("ERROR_PIN"), pin("HALT_PIN")), (1, 0));
+
+        let layout = cpu.chains.internal.clone();
+        let mut bits = internal.clone();
+        for (name, value) in [("PC", 0x2000), ("FLAGS", 0b0101), ("IR", 0x2001)]
+            .into_iter()
+            .chain([("MAR", 0x2002), ("MDR", 0x2003), ("PSW", 0b01_0110)])
+        {
+            layout.write_cell(&mut bits, name, value).unwrap();
+        }
+        for i in 0..Reg::COUNT {
+            layout
+                .write_cell(&mut bits, &format!("R{i}"), 0x400 + i as u64)
+                .unwrap();
+        }
+        cpu.update_chain(INTERNAL, &bits).unwrap();
+        assert_eq!(
+            (cpu.pc, cpu.flags, cpu.ir, cpu.mar, cpu.mdr),
+            (0x2000, 0b0101, 0x2001, 0x2002, 0x2003)
+        );
+        assert_eq!(cpu.edm().to_bits(), 0b01_0110);
+        for i in 0..Reg::COUNT {
+            assert_eq!(cpu.regs[i], 0x400 + i as u32, "R{i}");
+        }
+        let layout = cpu.chains.boundary.clone();
+        let mut bits = boundary.clone();
+        for i in 0..PORT_COUNT {
+            layout
+                .write_cell(&mut bits, &format!("IN_PORT{i}"), 0x500 + i as u64)
+                .unwrap();
+        }
+        cpu.update_chain(BOUNDARY, &bits).unwrap();
+        for i in 0..PORT_COUNT {
+            assert_eq!(cpu.in_ports[i], 0x500 + i as u32, "IN_PORT{i}");
+            assert_eq!(cpu.out_ports[i], 0x300 + i as u32, "OUT_PORT{i}");
+        }
     }
 
     #[test]

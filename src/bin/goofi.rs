@@ -152,15 +152,21 @@ fn print_usage() {
             [--env none|motor|tank|jet] [--link-faults <spec>] [--verify-reads]\n        \
             [--health-check-every N] [--wedge <spec>] [--trace <file>] [--metrics]\n  \
          goofi serve <db> [--addr HOST:PORT] [--workers N] [--lease-ms N]\n        \
-            [--poison-after N] [--chaos kill-after=N,seed=S[,kills=K][,mode=exit|stall]]\n        \
-            [--net-chaos drop=P,corrupt=P,...,seed=S | at=N,kind=K,seed=S]\n  \
+            [--poison-after N] [--chaos <spec>] [--net-chaos <spec>]\n  \
          goofi submit <addr> --name <campaign> [--target thor|riscv] [--workers N] [--watch]\n  \
          goofi submit <addr> --job <id> --watch | --status | --shutdown\n  \
          goofi worker --db <db> --campaign <name> --shard K --range A:B --journal <file>\n        \
             [--attempt N] [--chaos <spec>] [--net-chaos <spec>]   (spawned by `goofi serve`)\n  \
          goofi fsck <db> [--name <campaign> --journal <file>] [--repair]\n  \
          goofi report <db> --name <campaign> [--timings <trace>] [--trace <file>]\n  \
-         goofi sql <db> \"<SELECT ...>\""
+         goofi sql <db> \"<SELECT ...>\"\n\n\
+         drill specs: comma-separated key=value items, each key at most once, spaces\n\
+         ignored; S is a seed, P a rate in [0, 1], N and K are counts (DESIGN.md §6)\n  \
+         --link-faults seed=S[,corrupt=P][,drop=P][,dup=P][,stall=P][,disc=P][,skip=N][,max=N]\n  \
+         --wedge       seed=S[,hang=P][,stuck=P][,garbage=P][,recover=soft|reinit|power|never][,max=N]\n  \
+         --chaos       kill-after=N,seed=S[,kills=K][,mode=exit|stall]\n  \
+         --net-chaos   drop|dup|reorder|delay|truncate|corrupt|reset|half-open|partition=P,...,seed=S\n                \
+                       [,delay-ms=N]  or  at=N,kind=<one of those kinds>,seed=S"
     );
 }
 
