@@ -98,9 +98,8 @@ fn run_sharded(campaigns: &[Campaign], workers: usize, snapshots: bool) -> (usiz
     (experiments, started.elapsed().as_secs_f64())
 }
 
-/// Identity check plus serial timing for one config; returns the serial
-/// multiplier.
-fn measure(label: &str, campaigns: &[Campaign]) -> f64 {
+/// Identity check plus serial timing for one config.
+fn measure(label: &str, campaigns: &[Campaign]) {
     for campaign in campaigns {
         let slow = bench::run_opts(campaign, false);
         let fast = bench::run_opts(campaign, true);
@@ -123,7 +122,6 @@ fn measure(label: &str, campaigns: &[Campaign]) -> f64 {
         n as f64 / slow_s,
         n as f64 / fast_s,
     );
-    speedup
 }
 
 fn main() {
@@ -157,7 +155,7 @@ fn main() {
     let deep = campaigns(&["fibonacci"], per_workload, Window::Late);
     let uniform = campaigns(&uniform_names, per_workload, Window::Uniform);
 
-    let headline = measure("deep-prefix (fibonacci)", &deep);
+    measure("deep-prefix (fibonacci)", &deep);
     measure(&format!("uniform ({})", uniform_names.join("/")), &uniform);
     println!("\nidentity checks passed: snapshot-path records == slow-path records\n");
 
@@ -168,13 +166,5 @@ fn main() {
         n as f64 / slow_s,
         n as f64 / fast_s,
         slow_s / fast_s,
-    );
-
-    bench::emit_bench_json(
-        "b11_snapshot_speedup",
-        "serial_speedup",
-        headline,
-        "x",
-        SEED,
     );
 }

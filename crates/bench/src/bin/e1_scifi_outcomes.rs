@@ -58,11 +58,4 @@ fn main() {
         "{}",
         report::full_report("E1: all workloads combined", &stats)
     );
-    bench::emit_bench_json(
-        "e1_scifi_outcomes",
-        "error_effectiveness",
-        stats.effectiveness().proportion,
-        "fraction",
-        0xE1,
-    );
 }

@@ -6,8 +6,8 @@
 //! everything — fault-space construction, campaign drive, classification,
 //! reporting — is byte-for-byte the code that runs the Thor studies; only
 //! the `TargetAccess` port behind the interface differs. The bin also
-//! times the campaign and emits `BENCH_riscv_e1.json` so CI's perf-smoke
-//! job tracks second-target campaign throughput per commit.
+//! times the campaign and prints its throughput; CI's perf-smoke job runs
+//! it with `--quick`.
 
 use goofi_analysis::report;
 use rand::rngs::StdRng;
@@ -79,11 +79,4 @@ fn main() {
 
     let throughput = experiments as f64 / elapsed;
     println!("campaign throughput: {throughput:.1} exp/s ({experiments} experiments)");
-    bench::emit_bench_json(
-        "riscv_e1",
-        "experiments_per_second",
-        throughput,
-        "exp/s",
-        SEED,
-    );
 }

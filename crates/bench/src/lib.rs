@@ -180,34 +180,6 @@ pub fn run_opts(campaign: &Campaign, snapshots: bool) -> CampaignResult {
     .expect("campaign failed")
 }
 
-/// Writes `BENCH_<bench>.json` into the current directory: one flat,
-/// machine-readable record per benchmark so CI's perf-smoke step (and any
-/// trend tooling) can consume results without scraping stdout.
-///
-/// # Panics
-///
-/// Panics when the file cannot be written — a benchmark that cannot
-/// publish its result has failed.
-pub fn emit_bench_json(bench: &str, metric: &str, value: f64, unit: &str, seed: u64) {
-    let path = format!("BENCH_{bench}.json");
-    std::fs::write(&path, bench_json(bench, metric, value, unit, seed))
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path}");
-}
-
-/// The `BENCH_*.json` line. A value that is not finite (a rate over a zero
-/// elapsed time) is written as `null`, since JSON has no `inf` or `NaN`.
-fn bench_json(bench: &str, metric: &str, value: f64, unit: &str, seed: u64) -> String {
-    let value = if value.is_finite() {
-        value.to_string()
-    } else {
-        "null".into()
-    };
-    format!(
-        "{{\"bench\":\"{bench}\",\"metric\":\"{metric}\",\"value\":{value},\"unit\":\"{unit}\",\"seed\":{seed}}}\n"
-    )
-}
-
 /// Classifies a campaign result.
 pub fn classify(result: &CampaignResult) -> Vec<ClassifiedExperiment> {
     classify_campaign(&result.reference, &result.records)
@@ -258,19 +230,6 @@ mod tests {
         let result = run(&campaign);
         assert_eq!(result.records.len(), 5);
         assert_eq!(stats(&result).total, 5);
-    }
-
-    #[test]
-    fn bench_json_writes_null_for_non_finite_values() {
-        let line = bench_json("b", "rate", 2.5, "x/s", 7);
-        assert_eq!(
-            line,
-            "{\"bench\":\"b\",\"metric\":\"rate\",\"value\":2.5,\"unit\":\"x/s\",\"seed\":7}\n"
-        );
-        for value in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
-            let line = bench_json("b", "rate", value, "x/s", 7);
-            assert!(line.contains("\"value\":null,"), "{line}");
-        }
     }
 
     #[test]

@@ -308,7 +308,7 @@ pub fn run_linked_experiment_with_policy<T: TargetAccess + ?Sized>(
             Err(GoofiError::Stopped) => return Err(GoofiError::Stopped),
             Err(e) => {
                 if attempt < retries {
-                    monitor.record_retry();
+                    monitor.count(Metric::Retried, 1);
                     let delay = campaign.policy.backoff.delay(attempt);
                     if !delay.is_zero() {
                         std::thread::sleep(delay);

@@ -142,11 +142,6 @@ impl<P: CardCpu> CardTarget<P> {
         self.card.stats()
     }
 
-    /// Resets the scan-traffic statistics.
-    pub fn reset_testcard_stats(&mut self) {
-        self.card_mut().reset_stats();
-    }
-
     fn event(&mut self, stop: P::Stop) -> RunEvent {
         let event = P::event(stop);
         if let RunEvent::Breakpoint { .. } = event {

@@ -29,6 +29,7 @@
 use crate::campaign::WorkloadImage;
 use crate::monitor::ProgressMonitor;
 use crate::target::{RunBudget, RunEvent, TargetAccess, TargetSnapshot};
+use crate::telemetry::Metric;
 use crate::trigger::Trigger;
 use crate::{GoofiError, Result};
 use scanchain::{
@@ -73,11 +74,6 @@ impl<T: TargetAccess> UnreliableTarget<T> {
     /// Shared access to the wrapped target.
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// Consumes the wrapper, returning the target and the model.
-    pub fn into_parts(self) -> (T, LinkFaultModel) {
-        (self.inner, self.model)
     }
 
     /// Applies one fault decision to a write-like transaction carrying
@@ -394,7 +390,7 @@ impl<T: TargetAccess> VerifiedTarget<T> {
     fn note_recovered(&mut self, operation: &str) {
         self.stats.recovered += 1;
         if let Some(m) = &self.monitor {
-            m.record_link_recovered();
+            m.count(Metric::LinkRecovered, 1);
             m.telemetry().event("link-recovered", operation);
         }
     }
@@ -402,7 +398,7 @@ impl<T: TargetAccess> VerifiedTarget<T> {
     fn fail(&mut self, operation: &str, attempts: u32, detail: String) -> GoofiError {
         self.stats.unrecovered += 1;
         if let Some(m) = &self.monitor {
-            m.record_link_unrecovered();
+            m.count(Metric::LinkUnrecovered, 1);
             m.telemetry().event(
                 "link-unrecovered",
                 &format!("{operation} after {attempts} attempts"),

@@ -7,13 +7,19 @@
 //! campaign loop calls [`ProgressMonitor::checkpoint`] between experiments,
 //! which blocks while paused and aborts when stopped; any thread (a CLI, a
 //! UI, a test) can pause/resume/stop and read the live counters.
+//!
+//! Each campaign event is counted once, into a [`MetricsRegistry`]: the
+//! telemetry's registry when telemetry is enabled, a private one otherwise.
+//! [`ProgressMonitor::snapshot`] reads [`Progress`] back from it, so the
+//! progress window and a `--metrics` snapshot cannot disagree.
 
 use crate::logging::TerminationCause;
-use crate::telemetry::{Metric, Telemetry};
+use crate::telemetry::{Metric, MetricsRegistry, Telemetry};
 use crate::{GoofiError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
@@ -22,7 +28,8 @@ enum Command {
     Stop,
 }
 
-/// Live campaign counters.
+/// Live campaign counters, as read by [`ProgressMonitor::snapshot`]. Each
+/// counter is the [`Metric`] of the same name in the monitor's registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Progress {
     /// Experiments configured in the campaign.
@@ -78,10 +85,13 @@ impl Progress {
 struct Inner {
     command: Mutex<Command>,
     wakeup: Condvar,
-    progress: Mutex<Progress>,
-    // Paired with `progress` (a condvar must never be used with two
-    // different mutexes); notified on every counter change so watchers
-    // such as `goofi submit --watch` can stream live progress.
+    total: usize,
+    counters: Arc<MetricsRegistry>,
+    // Every count takes this lock, so `completed` and the map change
+    // together and `progress_changed` (a condvar must never be used with
+    // two different mutexes) wakes watchers such as `goofi submit --watch`
+    // on every count.
+    by_termination: Mutex<BTreeMap<String, usize>>,
     progress_changed: Condvar,
     telemetry: Telemetry,
 }
@@ -105,18 +115,18 @@ impl ProgressMonitor {
         Self::with_telemetry(total, Telemetry::disabled())
     }
 
-    /// Creates a monitor whose counters are mirrored into `telemetry`'s
-    /// metrics registry, and which carries the handle to every component
-    /// the monitor reaches (runner, algorithms, supervisor, link).
+    /// Creates a monitor that counts into `telemetry`'s metrics registry
+    /// (two monitors given one enabled handle share their counters), and
+    /// which carries the handle to every component the monitor reaches
+    /// (runner, algorithms, supervisor, link).
     pub fn with_telemetry(total: usize, telemetry: Telemetry) -> Self {
         ProgressMonitor {
             inner: Arc::new(Inner {
                 command: Mutex::new(Command::Run),
                 wakeup: Condvar::new(),
-                progress: Mutex::new(Progress {
-                    total,
-                    ..Progress::default()
-                }),
+                total,
+                counters: telemetry.registry().unwrap_or_default(),
+                by_termination: Mutex::new(BTreeMap::new()),
                 progress_changed: Condvar::new(),
                 telemetry,
             }),
@@ -170,149 +180,70 @@ impl ProgressMonitor {
         Ok(())
     }
 
-    /// Mutates the counters under the lock and wakes progress watchers.
-    fn update(&self, mutate: impl FnOnce(&mut Progress)) {
-        let mut p = self.inner.progress.lock();
-        mutate(&mut p);
+    /// Records a completed experiment and its termination cause.
+    pub fn record(&self, cause: &TerminationCause) {
+        let mut by_termination = self.inner.by_termination.lock();
+        *by_termination.entry(cause.encode()).or_insert(0) += 1;
+        self.inner.counters.add(Metric::Completed, 1);
         self.inner.progress_changed.notify_all();
     }
 
-    /// Records a completed experiment and its termination cause.
-    pub fn record(&self, cause: &TerminationCause) {
-        self.update(|p| {
-            p.completed += 1;
-            *p.by_termination.entry(cause.encode()).or_insert(0) += 1;
-        });
-        self.inner.telemetry.count(Metric::Completed, 1);
-    }
-
-    /// Records an experiment skipped without running (pre-injection
-    /// analysis).
-    pub fn record_skipped(&self) {
-        self.update(|p| p.skipped += 1);
-        self.inner.telemetry.count(Metric::Skipped, 1);
-    }
-
-    /// Records an experiment that failed despite the campaign's policy.
-    pub fn record_failed(&self) {
-        self.update(|p| p.failed += 1);
-        self.inner.telemetry.count(Metric::Failed, 1);
-    }
-
-    /// Records one retry attempt of a failing experiment.
-    pub fn record_retry(&self) {
-        self.update(|p| p.retried += 1);
-        self.inner.telemetry.count(Metric::Retried, 1);
-    }
-
-    /// Records a link fault that was detected and recovered.
-    pub fn record_link_recovered(&self) {
-        self.update(|p| p.link_recovered += 1);
-        self.inner.telemetry.count(Metric::LinkRecovered, 1);
-    }
-
-    /// Records a link fault that exhausted the recovery budget.
-    pub fn record_link_unrecovered(&self) {
-        self.update(|p| p.link_unrecovered += 1);
-        self.inner.telemetry.count(Metric::LinkUnrecovered, 1);
-    }
-
-    /// Records one experiment record quarantined by golden-run
-    /// revalidation.
-    pub fn record_quarantined(&self) {
-        self.update(|p| p.quarantined += 1);
-        self.inner.telemetry.count(Metric::Quarantined, 1);
-    }
-
-    /// Records one health-probe suite and whether it passed.
-    pub fn record_probe(&self, passed: bool) {
-        self.update(|p| {
-            p.probes_run += 1;
-            if !passed {
-                p.probes_failed += 1;
-            }
-        });
-        self.inner.telemetry.count(Metric::ProbesRun, 1);
-        if !passed {
-            self.inner.telemetry.count(Metric::ProbesFailed, 1);
-        }
-    }
-
-    /// Records a watchdog timeout confirmed as a wedged target.
-    pub fn record_hang(&self) {
-        self.update(|p| p.hangs += 1);
-        self.inner.telemetry.count(Metric::Hangs, 1);
-    }
-
-    /// Records a soft-reset recovery attempt.
-    pub fn record_soft_reset(&self) {
-        self.update(|p| p.soft_resets += 1);
-        self.inner.telemetry.count(Metric::SoftResets, 1);
-    }
-
-    /// Records a test-card re-init recovery attempt.
-    pub fn record_card_reinit(&self) {
-        self.update(|p| p.card_reinits += 1);
-        self.inner.telemetry.count(Metric::CardReinits, 1);
-    }
-
-    /// Records a power-cycle recovery attempt.
-    pub fn record_power_cycle(&self) {
-        self.update(|p| p.power_cycles += 1);
-        self.inner.telemetry.count(Metric::PowerCycles, 1);
-    }
-
-    /// Records a target that exhausted the recovery ladder.
-    pub fn record_target_offline(&self) {
-        self.update(|p| p.targets_offline += 1);
-        self.inner.telemetry.count(Metric::TargetsOffline, 1);
-    }
-
-    /// Marks previously-journaled work as done when a campaign resumes:
-    /// bumps the completed/failed counters without re-running anything.
-    pub fn record_resumed(&self, completed: usize, failed: usize) {
-        self.update(|p| {
-            p.completed += completed;
-            p.failed += failed;
-        });
-        self.inner
-            .telemetry
-            .count(Metric::Completed, completed as u64);
-        self.inner.telemetry.count(Metric::Failed, failed as u64);
-    }
-
-    /// Adjusts the expected experiment count (e.g. when campaigns merge).
-    pub fn set_total(&self, total: usize) {
-        self.update(|p| p.total = total);
+    /// Adds `n` to a campaign counter (a skipped, failed or retried
+    /// experiment, a link event, a quarantined record, a probe suite, a
+    /// recovery action) and wakes progress watchers. A completed
+    /// experiment goes through [`ProgressMonitor::record`], which also
+    /// counts its termination cause.
+    pub fn count(&self, metric: Metric, n: u64) {
+        let _lock = self.inner.by_termination.lock();
+        self.inner.counters.add(metric, n);
+        self.inner.progress_changed.notify_all();
     }
 
     /// A copy of the current counters.
     pub fn snapshot(&self) -> Progress {
-        self.inner.progress.lock().clone()
+        self.snapshot_locked(&self.inner.by_termination.lock())
+    }
+
+    /// [`ProgressMonitor::snapshot`] for a caller holding the lock.
+    fn snapshot_locked(&self, by_termination: &BTreeMap<String, usize>) -> Progress {
+        let n = |metric| self.inner.counters.counter(metric) as usize;
+        Progress {
+            total: self.inner.total,
+            completed: n(Metric::Completed),
+            skipped: n(Metric::Skipped),
+            failed: n(Metric::Failed),
+            retried: n(Metric::Retried),
+            link_recovered: n(Metric::LinkRecovered),
+            link_unrecovered: n(Metric::LinkUnrecovered),
+            quarantined: n(Metric::Quarantined),
+            probes_run: n(Metric::ProbesRun),
+            probes_failed: n(Metric::ProbesFailed),
+            hangs: n(Metric::Hangs),
+            soft_resets: n(Metric::SoftResets),
+            card_reinits: n(Metric::CardReinits),
+            power_cycles: n(Metric::PowerCycles),
+            targets_offline: n(Metric::TargetsOffline),
+            by_termination: by_termination.clone(),
+        }
     }
 
     /// Blocks until the counters differ from `last` or `timeout` elapses,
     /// then returns a copy of the current counters. This is the push side
     /// of live progress streaming: shard workers loop on it to emit one
     /// wire event per change instead of polling [`ProgressMonitor::snapshot`].
-    pub fn wait_for_change(&self, last: &Progress, timeout: std::time::Duration) -> Progress {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut p = self.inner.progress.lock();
-        while *p == *last {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break;
+    pub fn wait_for_change(&self, last: &Progress, timeout: Duration) -> Progress {
+        let deadline = Instant::now() + timeout;
+        let mut by_termination = self.inner.by_termination.lock();
+        loop {
+            let p = self.snapshot_locked(&by_termination);
+            let now = Instant::now();
+            if p != *last || now >= deadline {
+                return p;
             }
-            if self
-                .inner
+            self.inner
                 .progress_changed
-                .wait_for(&mut p, deadline - now)
-                .timed_out()
-            {
-                break;
-            }
+                .wait_for(&mut by_termination, deadline - now);
         }
-        p.clone()
     }
 }
 
@@ -321,7 +252,6 @@ mod tests {
     use super::*;
     use crate::target::DetectionInfo;
     use std::thread;
-    use std::time::Duration;
 
     #[test]
     fn records_and_fractions() {
@@ -331,7 +261,7 @@ mod tests {
             mechanism: "parity_icache".into(),
             code: 1,
         }));
-        m.record_skipped();
+        m.count(Metric::Skipped, 1);
         let p = m.snapshot();
         assert_eq!(p.completed, 2);
         assert_eq!(p.skipped, 1);
@@ -343,10 +273,11 @@ mod tests {
     fn failed_experiments_count_toward_progress() {
         let m = ProgressMonitor::new(4);
         m.record(&TerminationCause::WorkloadEnd);
-        m.record_retry();
-        m.record_retry();
-        m.record_failed();
-        m.record_resumed(1, 1);
+        m.count(Metric::Retried, 1);
+        m.count(Metric::Retried, 1);
+        m.count(Metric::Failed, 1);
+        m.count(Metric::Completed, 1);
+        m.count(Metric::Failed, 1);
         let p = m.snapshot();
         assert_eq!(p.completed, 2);
         assert_eq!(p.failed, 2);
@@ -357,10 +288,10 @@ mod tests {
     #[test]
     fn link_and_quarantine_counters_accumulate() {
         let m = ProgressMonitor::new(2);
-        m.record_link_recovered();
-        m.record_link_recovered();
-        m.record_link_unrecovered();
-        m.record_quarantined();
+        m.count(Metric::LinkRecovered, 1);
+        m.count(Metric::LinkRecovered, 1);
+        m.count(Metric::LinkUnrecovered, 1);
+        m.count(Metric::Quarantined, 1);
         let p = m.snapshot();
         assert_eq!(p.link_recovered, 2);
         assert_eq!(p.link_unrecovered, 1);
@@ -372,14 +303,15 @@ mod tests {
     #[test]
     fn supervision_counters_accumulate() {
         let m = ProgressMonitor::new(2);
-        m.record_probe(true);
-        m.record_probe(false);
-        m.record_hang();
-        m.record_soft_reset();
-        m.record_soft_reset();
-        m.record_card_reinit();
-        m.record_power_cycle();
-        m.record_target_offline();
+        m.count(Metric::ProbesRun, 1);
+        m.count(Metric::ProbesRun, 1);
+        m.count(Metric::ProbesFailed, 1);
+        m.count(Metric::Hangs, 1);
+        m.count(Metric::SoftResets, 1);
+        m.count(Metric::SoftResets, 1);
+        m.count(Metric::CardReinits, 1);
+        m.count(Metric::PowerCycles, 1);
+        m.count(Metric::TargetsOffline, 1);
         let p = m.snapshot();
         assert_eq!(p.probes_run, 2);
         assert_eq!(p.probes_failed, 1);
@@ -390,6 +322,69 @@ mod tests {
         assert_eq!(p.targets_offline, 1);
         // Supervision events are not experiment progress.
         assert_eq!(p.completed, 0);
+    }
+
+    /// Reads one counter field of a `Progress`.
+    type Field = fn(&Progress) -> usize;
+
+    /// Each campaign-event metric paired with the `Progress` field that
+    /// reads it.
+    fn progress_fields() -> [(Metric, Field); 14] {
+        [
+            (Metric::Completed, |p| p.completed),
+            (Metric::Skipped, |p| p.skipped),
+            (Metric::Failed, |p| p.failed),
+            (Metric::Retried, |p| p.retried),
+            (Metric::LinkRecovered, |p| p.link_recovered),
+            (Metric::LinkUnrecovered, |p| p.link_unrecovered),
+            (Metric::Quarantined, |p| p.quarantined),
+            (Metric::ProbesRun, |p| p.probes_run),
+            (Metric::ProbesFailed, |p| p.probes_failed),
+            (Metric::Hangs, |p| p.hangs),
+            (Metric::SoftResets, |p| p.soft_resets),
+            (Metric::CardReinits, |p| p.card_reinits),
+            (Metric::PowerCycles, |p| p.power_cycles),
+            (Metric::TargetsOffline, |p| p.targets_offline),
+        ]
+    }
+
+    #[test]
+    fn every_progress_counter_reads_its_own_metric() {
+        for telemetry in [Telemetry::disabled(), Telemetry::enabled()] {
+            let m = ProgressMonitor::with_telemetry(100, telemetry);
+            // A distinct amount per metric, so two fields read from each
+            // other's metric cannot pass.
+            for (n, (metric, _)) in (1..).zip(progress_fields()) {
+                m.count(metric, n);
+            }
+            let p = m.snapshot();
+            for (n, (metric, field)) in (1..).zip(progress_fields()) {
+                assert_eq!(field(&p), n, "{}", metric.encode());
+            }
+            if let Some(t) = m.telemetry().metrics() {
+                for (n, (metric, _)) in (1..).zip(progress_fields()) {
+                    assert_eq!(t.counter(metric.encode()), n as u64, "{}", metric.encode());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn completed_is_the_sum_over_termination_causes() {
+        let m = ProgressMonitor::new(8);
+        for cause in [
+            TerminationCause::WorkloadEnd,
+            TerminationCause::Timeout,
+            TerminationCause::WorkloadEnd,
+            TerminationCause::TargetHang,
+            TerminationCause::WorkloadEnd,
+        ] {
+            m.record(&cause);
+            m.count(Metric::Retried, 1);
+        }
+        let p = m.snapshot();
+        assert_eq!(p.completed, 5);
+        assert_eq!(p.by_termination.values().sum::<usize>(), p.completed);
     }
 
     #[test]
@@ -451,6 +446,25 @@ mod tests {
     }
 
     #[test]
+    fn wait_for_change_wakes_on_count() {
+        let m = ProgressMonitor::new(2);
+        let last = m.snapshot();
+        let m2 = m.clone();
+        let handle = thread::spawn(move || {
+            let started = Instant::now();
+            let p = m2.wait_for_change(&last, Duration::from_secs(5));
+            (p, started.elapsed())
+        });
+        // Give the watcher time to block, so the count has to wake it. On
+        // any interleaving it must return well inside the timeout.
+        thread::sleep(Duration::from_millis(50));
+        m.count(Metric::Quarantined, 1);
+        let (p, waited) = handle.join().unwrap();
+        assert_eq!(p.quarantined, 1);
+        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+    }
+
+    #[test]
     fn wait_for_change_times_out_unchanged() {
         let m = ProgressMonitor::new(2);
         let last = m.snapshot();
@@ -462,10 +476,12 @@ mod tests {
     fn counters_mirror_into_telemetry() {
         let m = ProgressMonitor::with_telemetry(3, Telemetry::enabled());
         m.record(&TerminationCause::WorkloadEnd);
-        m.record_retry();
-        m.record_probe(false);
-        m.record_resumed(2, 1);
-        m.record_quarantined();
+        m.count(Metric::Retried, 1);
+        m.count(Metric::ProbesRun, 1);
+        m.count(Metric::ProbesFailed, 1);
+        m.count(Metric::Completed, 2);
+        m.count(Metric::Failed, 1);
+        m.count(Metric::Quarantined, 1);
         let p = m.snapshot();
         let t = m.telemetry().metrics().unwrap();
         assert_eq!(t.counter("completed"), p.completed as u64);

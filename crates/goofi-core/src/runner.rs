@@ -606,7 +606,7 @@ impl<'a> Engine<'a> {
                 self.slots[pos].lock().record = Some(record);
             }
             Err(failure) => {
-                self.monitor.record_failed();
+                self.monitor.count(Metric::Failed, 1);
                 self.log_failure(pos, &failure)?;
                 if self.campaign.policy.fails_campaign() {
                     return Err(Halt::Abort(pos, Abort::Failed(failure)));
@@ -642,11 +642,11 @@ impl<'a> Engine<'a> {
                 return Ok(Ok(record));
             }
             round += 1;
-            self.monitor.record_hang();
+            self.monitor.count(Metric::Hangs, 1);
             record.termination = TerminationCause::TargetHang;
             record.validity = Validity::Invalid;
             self.log(pos, &record)?;
-            self.monitor.record_quarantined();
+            self.monitor.count(Metric::Quarantined, 1);
             let parent = record.name.clone();
             self.quarantined.lock().push(record);
             if !self.recover(target, env, sup, &parent, RecoveryTrigger::TargetHang) {
@@ -763,7 +763,7 @@ impl<'a> Engine<'a> {
             let record = slot.record.as_mut().expect("window positions hold records");
             record.validity = Validity::Invalid;
             self.log(pos, record)?;
-            self.monitor.record_quarantined();
+            self.monitor.count(Metric::Quarantined, 1);
             suspects.push((pos, record.name.clone()));
         }
         for (pos, original) in suspects {

@@ -342,7 +342,6 @@ impl JobShared {
 
 struct JobEntry {
     campaign: String,
-    workers: usize,
     shared: Arc<JobShared>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -535,7 +534,7 @@ impl Scheduler {
                         // Finished before the restart: register it as a
                         // terminal entry so status listings, watches and
                         // dedup'd resubmits resolve, but run nothing.
-                        self.register_done_job(&id, &campaign, workers);
+                        self.register_done_job(&id, &campaign);
                     } else {
                         self.start_job(&id, &campaign, workers);
                         outcome.resumed.push(id);
@@ -559,7 +558,7 @@ impl Scheduler {
     /// Registers a job that completed before a restart: terminal state,
     /// no runner thread. Counters are left at zero — the merged database,
     /// not this summary, is the record of what happened.
-    fn register_done_job(&self, id: &str, campaign: &str, workers: usize) {
+    fn register_done_job(&self, id: &str, campaign: &str) {
         let shared = Arc::new(JobShared::new());
         shared.set(|p| {
             p.state = JobState::Done;
@@ -569,7 +568,6 @@ impl Scheduler {
             id.to_string(),
             JobEntry {
                 campaign: campaign.to_string(),
-                workers,
                 shared,
                 thread: None,
             },
@@ -596,7 +594,6 @@ impl Scheduler {
             id.to_string(),
             JobEntry {
                 campaign: campaign.to_string(),
-                workers,
                 shared,
                 thread: Some(thread),
             },
@@ -624,11 +621,6 @@ impl Scheduler {
                 )
             })
             .collect()
-    }
-
-    /// Declared shard count of a job (for reporting).
-    pub fn job_workers(&self, id: &str) -> Option<usize> {
-        self.shared.jobs.lock().get(id).map(|entry| entry.workers)
     }
 
     /// Stops the scheduler: runner threads kill their worker processes

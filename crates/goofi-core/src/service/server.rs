@@ -428,15 +428,6 @@ impl Client {
         Client::connect_via(&RealNet, addr, CONNECT_ATTEMPTS)
     }
 
-    /// [`Client::connect`] with an explicit attempt budget (minimum 1).
-    ///
-    /// # Errors
-    ///
-    /// [`GoofiError::Wire`] naming `addr` when no attempt succeeds.
-    pub fn connect_with(addr: &str, attempts: u32) -> Result<Client> {
-        Client::connect_via(&RealNet, addr, attempts)
-    }
-
     /// [`Client::connect`] over an explicit transport — the seam the
     /// torture harness uses to dial through a `FaultNet`.
     ///

@@ -38,6 +38,7 @@ use crate::logging::ExperimentRecord;
 use crate::monitor::ProgressMonitor;
 use crate::policy::ExperimentPolicy;
 use crate::target::{RunBudget, RunEvent, TargetAccess, TargetSnapshot};
+use crate::telemetry::Metric;
 use crate::trigger::Trigger;
 use crate::{GoofiError, Result};
 use envsim::Environment;
@@ -327,8 +328,9 @@ impl<'a> Supervisor<'a> {
             self.probe_smoke_workload(target, env),
         ];
         let suite = ProbeSuite { reports };
-        monitor.record_probe(suite.passed());
+        monitor.count(Metric::ProbesRun, 1);
         if !suite.passed() {
+            monitor.count(Metric::ProbesFailed, 1);
             span.set_detail(&suite.failure_summary());
         }
         suite
@@ -449,15 +451,15 @@ impl<'a> Supervisor<'a> {
             for attempt in 1..=attempts {
                 let applied = match stage {
                     RecoveryStage::SoftReset => {
-                        monitor.record_soft_reset();
+                        monitor.count(Metric::SoftResets, 1);
                         target.reset_target()
                     }
                     RecoveryStage::ReinitTestCard => {
-                        monitor.record_card_reinit();
+                        monitor.count(Metric::CardReinits, 1);
                         target.init_test_card()
                     }
                     RecoveryStage::PowerCycle => {
-                        monitor.record_power_cycle();
+                        monitor.count(Metric::PowerCycles, 1);
                         target.power_cycle()
                     }
                     RecoveryStage::Offline => unreachable!("Offline is not applied"),
@@ -495,7 +497,7 @@ impl<'a> Supervisor<'a> {
                 }
             }
         }
-        monitor.record_target_offline();
+        monitor.count(Metric::TargetsOffline, 1);
         span.set_detail(&format!(
             "{}: {}: ladder exhausted, target offline",
             experiment,

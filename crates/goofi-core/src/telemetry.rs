@@ -10,8 +10,8 @@
 //!    nothing at all. A disabled handle (the default) costs one branch per
 //!    call site — no clock reads, no allocation, no locks.
 //! 2. **Metrics** — a [`MetricsRegistry`] of atomic [`Metric`] counters
-//!    (mirroring every `ProgressMonitor` counter) and log-scale latency
-//!    [`Histogram`]s per workflow [`Stage`]
+//!    (the one store of every `ProgressMonitor` counter) and log-scale
+//!    latency [`Histogram`]s per workflow [`Stage`]
 //!    (load/run/inject/scan/classify/db-write/probe/recover).
 //! 3. **Flight recorder** — a [`RingSink`] keeps the last-N spans; on a
 //!    campaign-fatal `GoofiError` the CLI dumps it next to the journal so
@@ -112,9 +112,9 @@ impl Stage {
     }
 }
 
-/// A monotonically increasing campaign counter. The first fourteen mirror
-/// the `ProgressMonitor` counters one-for-one so a metrics snapshot can be
-/// reconciled against the progress window.
+/// A monotonically increasing campaign counter. The first fourteen are the
+/// `ProgressMonitor` counters: the monitor counts them here and reads its
+/// progress window back from them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Metric {
     /// Experiments completed.
@@ -510,18 +510,6 @@ impl RingSink {
             ring: Mutex::new(VecDeque::new()),
         }
     }
-
-    /// Writes the buffered spans as JSONL to `path`, returning how many
-    /// were written. Creates or truncates the file.
-    pub fn dump_to(&self, path: &Path) -> std::io::Result<usize> {
-        let spans = self.buffered();
-        let mut w = BufWriter::new(File::create(path)?);
-        for s in &spans {
-            writeln!(w, "{}", s.encode())?;
-        }
-        w.flush()?;
-        Ok(spans.len())
-    }
 }
 
 impl TraceSink for RingSink {
@@ -706,7 +694,8 @@ impl HistogramSnapshot {
 }
 
 /// Atomic counters plus per-stage latency histograms. Shared by all
-/// campaign workers through the [`Telemetry`] handle.
+/// campaign workers through the [`Telemetry`] handle and by the
+/// `ProgressMonitor` that carries it.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     stages: [Histogram; Stage::ALL.len()],
@@ -840,7 +829,7 @@ struct TelemetryInner {
     /// every signature.
     campaign_span: AtomicU64,
     sinks: Vec<Arc<dyn TraceSink>>,
-    metrics: MetricsRegistry,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl TelemetryInner {
@@ -894,7 +883,7 @@ impl Telemetry {
                 next_id: AtomicU64::new(1),
                 campaign_span: AtomicU64::new(0),
                 sinks,
-                metrics: MetricsRegistry::default(),
+                metrics: Arc::default(),
             })),
         }
     }
@@ -907,6 +896,12 @@ impl Telemetry {
     /// A snapshot of the metrics registry, or `None` when disabled.
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
         self.inner.as_ref().map(|i| i.metrics.snapshot())
+    }
+
+    /// The registry itself, shared with the caller, or `None` when
+    /// disabled.
+    pub(crate) fn registry(&self) -> Option<Arc<MetricsRegistry>> {
+        self.inner.as_ref().map(|i| i.metrics.clone())
     }
 
     /// Adds `n` to a counter (no-op when disabled).

@@ -291,14 +291,6 @@ impl FaultKind {
             FaultKind::Eio => "eio",
         }
     }
-
-    /// Whether this fault kills the process (vs. a transient error).
-    pub fn is_crash(self) -> bool {
-        matches!(
-            self,
-            FaultKind::Torn | FaultKind::Garble | FaultKind::LostSync
-        )
-    }
 }
 
 /// A seeded single-fault schedule for a [`FaultFs`]. The whole drill is a

@@ -148,11 +148,6 @@ impl DebugUnit {
         self.instructions
     }
 
-    /// Cycles observed since the last reset.
-    pub fn cycle_count(&self) -> u64 {
-        self.cycles
-    }
-
     /// Whether no condition is armed and no event is latched: the unit
     /// only counts, so the core's per-instruction reports take the inlined
     /// path and never reach condition matching.

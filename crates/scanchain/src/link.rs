@@ -313,11 +313,6 @@ impl<T: ScanTarget> FaultyScanTarget<T> {
     pub fn model(&self) -> &LinkFaultModel {
         &self.model
     }
-
-    /// Consumes the wrapper, returning the target and the model.
-    pub fn into_parts(self) -> (T, LinkFaultModel) {
-        (self.inner, self.model)
-    }
 }
 
 impl<T: ScanTarget> ScanTarget for FaultyScanTarget<T> {

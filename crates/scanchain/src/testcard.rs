@@ -145,27 +145,6 @@ impl<T: ScanTarget> TestCard<T> {
         self.stats
     }
 
-    /// Resets traffic statistics (e.g. between experiments).
-    pub fn reset_stats(&mut self) {
-        self.stats = TestCardStats::default();
-        // Leave the TAP cycle counter running; stats track deltas.
-    }
-
-    /// Cold-resets the card: a fresh TAP controller (as after a power
-    /// cycle, not merely five TMS-high clocks from an arbitrary state) and
-    /// zeroed traffic statistics, then a normal [`TestCard::init`]. The
-    /// strongest recovery action the card itself offers — a stuck TAP that
-    /// `init` cannot un-wedge is gone after this.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TestCard::init`] errors.
-    pub fn cold_reset(&mut self) -> Result<(), ScanError> {
-        self.tap = TapController::default();
-        self.stats = TestCardStats::default();
-        self.init()
-    }
-
     /// Reads the device identification code through the IDCODE data
     /// register — the standard first step of a test-card session, used to
     /// verify the expected target is attached before downloading anything.
