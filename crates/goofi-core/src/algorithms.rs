@@ -17,7 +17,18 @@
 //!
 //! `injectFault()` is realised as read-chain → invert bits → write-chain
 //! ("reading the contents of the scan-chains, inverting the bits stated in
-//! the campaign data and writing back", §3.3).
+//! the campaign data and writing back", §3.3); stuck-at faults set the bits
+//! to 0 or 1 instead of inverting them.
+//!
+//! `runWorkload(); waitForBreakpoint();` and `waitForTermination();` are
+//! one run loop, shared by the reference run, every experiment and every
+//! detail re-run. It runs the target in whole `run_workload` slices, or
+//! single-steps when detail logging must log the state after each
+//! instruction or a persistent fault model must be re-asserted after each
+//! one. It either stops at the armed trigger breakpoint or runs to
+//! termination, and it maps every `RunEvent` to a `TerminationCause` in
+//! one place. Detail mode (§3.3) thus differs from normal mode in one
+//! argument of each loop call: the logging mode.
 
 use crate::campaign::{Campaign, EnvExchange, OutputRegion, Technique};
 use crate::fault::{FaultLocation, FaultModel, FaultSpec};
@@ -276,34 +287,23 @@ pub fn run_linked_experiment_with_policy<T: TargetAccess + ?Sized>(
     let tel = monitor.telemetry();
     let mut attempt: u32 = 0;
     loop {
-        let result = match &link {
-            None => run_experiment_inner(
-                target,
-                campaign,
-                index,
-                &mut *env,
-                None,
-                campaign.logging,
-                tel,
-                session.as_deref_mut(),
-            ),
-            Some((name, parent)) => run_experiment_inner(
-                target,
-                campaign,
-                index,
-                &mut *env,
-                Some(parent.clone()),
-                campaign.logging,
-                tel,
-                session.as_deref_mut(),
-            )
-            .map(|mut record| {
-                record.name = name.clone();
-                record
-            }),
-        };
+        let result = run_experiment_inner(
+            target,
+            campaign,
+            index,
+            &mut *env,
+            link.as_ref().map(|(_, parent)| parent.clone()),
+            campaign.logging,
+            tel,
+            session.as_deref_mut(),
+        );
         match result {
-            Ok(record) => return Ok(Ok(record)),
+            Ok(mut record) => {
+                if let Some((name, _)) = &link {
+                    record.name = name.clone();
+                }
+                return Ok(Ok(record));
+            }
             // A user stop is not an experiment failure: propagate it.
             Err(GoofiError::Stopped) => return Err(GoofiError::Stopped),
             Err(e) => {
@@ -358,20 +358,13 @@ pub(crate) fn reference_run_traced<T: TargetAccess + ?Sized>(
         .experiment_span_with(|| format!("{}/{}", campaign.name, ExperimentRecord::REFERENCE_NAME));
     {
         let _load = tel.stage_span(Stage::Load, exp_span.id());
-        target.init_test_card()?;
-        target.load_workload(&campaign.workload)?;
-        env.reset();
-        target.write_input_ports(&campaign.initial_inputs)?;
-        target.clear_breakpoints()?;
+        load(target, campaign, env)?;
     }
-    let mut wd = Watchdog::start(&campaign.policy.watchdog, target.cycles_executed());
-    let (termination, trace) = {
+    let mut run = RunLoop::new(&*target, campaign, env);
+    let termination = {
         let _run = tel.stage_span(Stage::Run, exp_span.id());
-        if campaign.logging == LoggingMode::Detail {
-            continue_stepping(target, campaign, env, None, true, &mut wd)?
-        } else {
-            continue_to_termination(target, campaign, env, &mut wd)?
-        }
+        run.until(target, Until::End(None), campaign.logging)?
+            .expect("a run to the end stops only by terminating")
     };
     let state = {
         let _scan = tel.stage_span(Stage::Scan, exp_span.id());
@@ -384,7 +377,7 @@ pub(crate) fn reference_run_traced<T: TargetAccess + ?Sized>(
         fault: None,
         termination,
         state,
-        trace,
+        trace: run.trace,
         validity: Validity::Valid,
     })
 }
@@ -480,11 +473,7 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
     }
     if !restored {
         let _load = tel.stage_span(Stage::Load, exp_span.id());
-        target.init_test_card()?;
-        target.load_workload(&campaign.workload)?;
-        env.reset();
-        target.write_input_ports(&campaign.initial_inputs)?;
-        target.clear_breakpoints()?;
+        load(target, campaign, env)?;
         if let Some(s) = session.as_deref_mut() {
             if s.usable(&*target) {
                 let _sr = tel.stage_span(Stage::SnapshotRestore, exp_span.id());
@@ -501,80 +490,64 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
         }
     }
     let mut wd_start = target.cycles_executed();
-    let mut wd = Watchdog::start(&campaign.policy.watchdog, wd_start);
+    let mut run = RunLoop::new(&*target, campaign, env);
+    let detail = logging == LoggingMode::Detail;
 
-    let trace: Vec<StateSnapshot>;
-    let termination = if spec.trigger.is_pre_runtime() {
-        // Pre-runtime SWIFI: corrupt the image, then just run.
+    // Trigger fast-forward: `AfterInstructions` fires on an absolute
+    // instruction counter that is part of the captured debug-unit state,
+    // so the latest trigger capture at instruction t seeds any experiment
+    // with trigger T ≥ t — restore, then execute only the delta (or
+    // nothing at all when t == T). Gated on normal-mode logging (detail
+    // mode must log the whole prefix) and on captures taken before any
+    // environment exchange (the host-side environment starts every
+    // experiment freshly reset, so restoring past an exchange would
+    // desynchronise it from the target).
+    let mut at_trigger = false;
+    if !detail {
+        if let (Trigger::AfterInstructions(want), Some(s)) = (spec.trigger, session.as_deref_mut())
         {
-            let _inject = tel.stage_span(Stage::Inject, exp_span.id());
-            apply_fault(target, spec)?;
-        }
-        let (t, tr) = {
-            let _run = tel.stage_span(Stage::Run, exp_span.id());
-            continue_with_model(target, campaign, spec, env, logging, &mut wd)?
-        };
-        trace = tr;
-        t
-    } else {
-        // runWorkload(); waitForBreakpoint(). In detail mode the
-        // pre-injection phase is logged per instruction too, so the
-        // experiment trace aligns with the reference trace.
-        let detail = logging == LoggingMode::Detail;
-        // Trigger fast-forward: `AfterInstructions` fires on an absolute
-        // instruction counter that is part of the captured debug-unit
-        // state, so the latest trigger capture at instruction t seeds any
-        // experiment with trigger T ≥ t — restore, then execute only the
-        // delta (or nothing at all when t == T). Gated on normal-mode
-        // logging (detail mode must log the whole prefix) and on captures
-        // taken before any environment exchange (the host-side
-        // environment starts every experiment freshly reset, so restoring
-        // past an exchange would desynchronise it from the target).
-        let mut exchanges: u64 = 0;
-        let mut at_trigger = false;
-        if !detail {
-            if let (Trigger::AfterInstructions(want), Some(s)) =
-                (spec.trigger, session.as_deref_mut())
-            {
-                if s.usable(&*target) {
-                    if let Some(ts) = &s.trigger {
-                        if ts.instructions <= want {
-                            let _sr = tel.stage_span(Stage::SnapshotRestore, exp_span.id());
-                            target.restore(&ts.snap)?;
-                            tel.count(Metric::Restores, 1);
-                            // The slow path's watchdog starts counting at
-                            // the post-load cycle mark; keep that origin.
-                            wd_start = ts.post_load_cycles;
-                            wd = Watchdog::start(&campaign.policy.watchdog, wd_start);
-                            at_trigger = ts.instructions == want;
-                        }
+            if s.usable(&*target) {
+                if let Some(ts) = &s.trigger {
+                    if ts.instructions <= want {
+                        let _sr = tel.stage_span(Stage::SnapshotRestore, exp_span.id());
+                        target.restore(&ts.snap)?;
+                        tel.count(Metric::Restores, 1);
+                        // The slow path's watchdog starts counting at the
+                        // post-load cycle mark; keep that origin.
+                        wd_start = ts.post_load_cycles;
+                        run.wd = Watchdog::start(&campaign.policy.watchdog, wd_start);
+                        at_trigger = ts.instructions == want;
                     }
                 }
             }
         }
-        let (outcome, mut pre_trace) = if at_trigger {
-            // Restored exactly onto the trigger point (post-unlatch,
-            // post-clear state as captured): nothing left to execute.
-            (WaitOutcome::Breakpoint, Vec::new())
-        } else {
-            target.set_breakpoint(spec.trigger)?;
-            let _run = tel.stage_span(Stage::Run, exp_span.id());
-            if detail {
-                wait_for_breakpoint_detailed(target, campaign, &mut *env, &mut wd)?
-            } else {
-                (
-                    wait_for_breakpoint(target, campaign, &mut *env, &mut wd, &mut exchanges)?,
-                    Vec::new(),
-                )
-            }
-        };
-        match outcome {
-            WaitOutcome::Breakpoint => {
+    }
+
+    // runWorkload(); waitForBreakpoint(); — unless a pre-runtime fault
+    // corrupts the image before anything runs, or the restore landed
+    // exactly on the trigger point (post-unlatch, post-clear state as
+    // captured). In detail mode the pre-injection phase is logged per
+    // instruction too, so the experiment trace aligns with the reference
+    // trace.
+    let pre_runtime = spec.trigger.is_pre_runtime();
+    let stopped = if pre_runtime || at_trigger {
+        None
+    } else {
+        target.set_breakpoint(spec.trigger)?;
+        let _run = tel.stage_span(Stage::Run, exp_span.id());
+        run.until(target, Until::Trigger, logging)?
+    };
+    let termination = match stopped {
+        // The trigger never fired: the workload terminated first. The
+        // fault was never injected; log the natural termination.
+        Some(cause) => cause,
+        None => {
+            if !pre_runtime {
                 target.clear_breakpoints()?;
                 // Re-seed the trigger cache at this experiment's point:
                 // the next experiment restores here when its own trigger
                 // is at or past this instant.
-                if !detail && !at_trigger && exchanges == 0 {
+                if !detail && !at_trigger && run.exchanges == 0 {
                     if let (Trigger::AfterInstructions(_), Some(s)) = (spec.trigger, session) {
                         if s.usable(&*target) {
                             let _sr = tel.stage_span(Stage::SnapshotRestore, exp_span.id());
@@ -589,26 +562,16 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
                         }
                     }
                 }
-                // readScanChain(); injectFault(); writeScanChain();
-                {
-                    let _inject = tel.stage_span(Stage::Inject, exp_span.id());
-                    apply_fault(target, spec)?;
-                }
-                // waitForTermination();
-                let (t, tr) = {
-                    let _run = tel.stage_span(Stage::Run, exp_span.id());
-                    continue_with_model(target, campaign, spec, env, logging, &mut wd)?
-                };
-                pre_trace.extend(tr);
-                trace = pre_trace;
-                t
             }
-            // The trigger never fired: the workload terminated first. The
-            // fault was never injected; log the natural termination.
-            WaitOutcome::Terminated(t) => {
-                trace = pre_trace;
-                t
+            // readScanChain(); injectFault(); writeScanChain();
+            {
+                let _inject = tel.stage_span(Stage::Inject, exp_span.id());
+                apply_fault(target, spec)?;
             }
+            // waitForTermination();
+            let _run = tel.stage_span(Stage::Run, exp_span.id());
+            run.until(target, Until::End(Some(spec)), logging)?
+                .expect("a run to the end stops only by terminating")
         }
     };
 
@@ -624,69 +587,52 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
         fault: Some(spec.clone()),
         termination,
         state,
-        trace,
+        trace: run.trace,
         validity: Validity::Valid,
     })
+}
+
+/// `initTestCard(); loadWorkload(); writeMemory();` — the load block of
+/// the reference run, of every slow-path experiment and of the liveness
+/// trace: the workload freshly loaded, the environment reset, the
+/// campaign's initial inputs applied and no breakpoint armed.
+pub(crate) fn load<T: TargetAccess + ?Sized>(
+    target: &mut T,
+    campaign: &Campaign,
+    env: &mut dyn Environment,
+) -> Result<()> {
+    target.init_test_card()?;
+    target.load_workload(&campaign.workload)?;
+    env.reset();
+    target.write_input_ports(&campaign.initial_inputs)?;
+    target.clear_breakpoints()
 }
 
 // ---------------------------------------------------------------------------
 // Fault application.
 
-/// Injects every location of `spec` once: scan cells via
-/// read-chain/flip/write-chain, memory bits via the SWIFI primitive.
+/// Injects every location of `spec` once — the one fault routine behind
+/// every model: transient and intermittent faults toggle each bit,
+/// stuck-at faults set it to 0 or 1. Scan cells go through
+/// read-chain/change/write-chain, memory bits through the SWIFI primitive.
 ///
 /// # Errors
 ///
 /// Scan or memory errors (e.g. attempting to flip a read-only cell).
 pub fn apply_fault<T: TargetAccess + ?Sized>(target: &mut T, spec: &FaultSpec) -> Result<()> {
-    match spec.model {
-        FaultModel::TransientBitFlip | FaultModel::Intermittent { .. } => {
-            flip_locations(target, &spec.locations)
-        }
-        FaultModel::StuckAtZero => force_locations(target, &spec.locations, false),
-        FaultModel::StuckAtOne => force_locations(target, &spec.locations, true),
-    }
-}
-
-fn flip_locations<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    locations: &[FaultLocation],
-) -> Result<()> {
-    // Batched scan transaction: all flips into one chain share a single
+    // `None` toggles a bit; `Some(v)` sets it to `v`.
+    let stuck = match spec.model {
+        FaultModel::TransientBitFlip | FaultModel::Intermittent { .. } => None,
+        FaultModel::StuckAtZero => Some(false),
+        FaultModel::StuckAtOne => Some(true),
+    };
+    // Batched scan transaction: all changes to one chain share a single
     // capture–shift–update walk instead of paying a read+write pair per
-    // bit. Bit flips commute, so grouping cannot change the outcome.
-    let mut chains: BTreeMap<String, BitVec> = BTreeMap::new();
-    for loc in locations {
-        match loc {
-            FaultLocation::ScanCell { chain, cell, bit } => {
-                let layout = chain_layout(target, chain)?;
-                let offset = cell_bit_offset(&layout, chain, cell, *bit)?;
-                if !chains.contains_key(chain) {
-                    chains.insert(chain.clone(), target.read_scan_chain(chain)?);
-                }
-                let bits = chains.get_mut(chain).expect("chain captured above");
-                bits.flip(offset);
-            }
-            FaultLocation::Memory { addr, bit } => {
-                target.flip_memory_bit(*addr, *bit)?;
-            }
-        }
-    }
-    for (chain, bits) in &chains {
-        target.write_scan_chain(chain, bits)?;
-    }
-    Ok(())
-}
-
-fn force_locations<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    locations: &[FaultLocation],
-    value: bool,
-) -> Result<()> {
-    // Same batching as `flip_locations`; a chain none of whose bits
-    // actually change skips its update walk entirely.
+    // bit. Toggles commute and sets are idempotent, so grouping cannot
+    // change the outcome; a chain none of whose bits change skips its
+    // update walk entirely.
     let mut chains: BTreeMap<String, (BitVec, bool)> = BTreeMap::new();
-    for loc in locations {
+    for loc in &spec.locations {
         match loc {
             FaultLocation::ScanCell { chain, cell, bit } => {
                 let layout = chain_layout(target, chain)?;
@@ -696,15 +642,20 @@ fn force_locations<T: TargetAccess + ?Sized>(
                     chains.insert(chain.clone(), (bits, false));
                 }
                 let (bits, dirty) = chains.get_mut(chain).expect("chain captured above");
+                let value = stuck.unwrap_or(!bits.get(offset));
                 if bits.get(offset) != value {
                     bits.set(offset, value);
                     *dirty = true;
                 }
             }
             FaultLocation::Memory { addr, bit } => {
-                let word = target.read_memory(*addr, 1)?[0];
-                let is_set = (word >> bit) & 1 == 1;
-                if is_set != value {
+                let flip = match stuck {
+                    None => true,
+                    Some(value) => {
+                        (target.read_memory(*addr, 1)?[0] >> bit) & 1 != u32::from(value)
+                    }
+                };
+                if flip {
                     target.flip_memory_bit(*addr, *bit)?;
                 }
             }
@@ -755,258 +706,164 @@ fn cell_bit_offset(
 }
 
 // ---------------------------------------------------------------------------
-// Run-control helpers.
+// The run loop.
 
-enum WaitOutcome {
-    Breakpoint,
-    Terminated(TerminationCause),
+/// Where [`RunLoop::until`] stops.
+#[derive(Clone, Copy)]
+enum Until<'a> {
+    /// `waitForBreakpoint()`: at the armed trigger (`Ok(None)`), or at
+    /// termination if that comes first.
+    Trigger,
+    /// `waitForTermination()`: at termination, re-asserting the injected
+    /// fault after every instruction when its model is persistent. A
+    /// stray breakpoint is cleared and the run goes on.
+    End(Option<&'a FaultSpec>),
 }
 
-/// Detail-mode variant of [`wait_for_breakpoint`]: single-steps to the
-/// breakpoint, logging a snapshot after every instruction.
-fn wait_for_breakpoint_detailed<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    env: &mut dyn Environment,
-    wd: &mut Watchdog,
-) -> Result<(WaitOutcome, Vec<StateSnapshot>)> {
-    let mut trace = Vec::new();
-    loop {
-        if remaining_budget(target, campaign) == 0 || wd.expired(target.cycles_executed()) {
-            return Ok((WaitOutcome::Terminated(TerminationCause::Timeout), trace));
-        }
-        let before = target.instructions_executed();
-        let event = target.step_instruction()?;
-        if target.instructions_executed() > before {
-            trace.push(snapshot(target, campaign, false)?);
-        }
-        match event {
-            None => {}
-            Some(RunEvent::Breakpoint { .. }) => return Ok((WaitOutcome::Breakpoint, trace)),
-            Some(RunEvent::Halted) => {
-                return Ok((
-                    WaitOutcome::Terminated(TerminationCause::WorkloadEnd),
-                    trace,
-                ))
-            }
-            Some(RunEvent::Detected(d)) => {
-                return Ok((
-                    WaitOutcome::Terminated(TerminationCause::Detected(d)),
-                    trace,
-                ))
-            }
-            Some(RunEvent::Timeout | RunEvent::BudgetExhausted) => {
-                return Ok((WaitOutcome::Terminated(TerminationCause::Timeout), trace))
-            }
-            Some(RunEvent::IterationBoundary { iteration }) => {
-                if campaign
-                    .termination
-                    .max_iterations
-                    .is_some_and(|max| iteration >= max)
-                {
-                    return Ok((
-                        WaitOutcome::Terminated(TerminationCause::IterationLimit),
-                        trace,
-                    ));
-                }
-                exchange_env(target, campaign, &mut *env)?;
-            }
+/// One run of the workload, the reference run's or an experiment's, from
+/// its load block to its termination.
+struct RunLoop<'a> {
+    campaign: &'a Campaign,
+    env: &'a mut dyn Environment,
+    wd: Watchdog,
+    /// The state after every instruction retired under detail logging.
+    trace: Vec<StateSnapshot>,
+    /// Environment exchanges so far; a trigger capture is only reusable
+    /// when none happened before it.
+    exchanges: u64,
+}
+
+impl<'a> RunLoop<'a> {
+    /// Arms the campaign's watchdog at the target's current cycle count.
+    fn new<T: TargetAccess + ?Sized>(
+        target: &T,
+        campaign: &'a Campaign,
+        env: &'a mut dyn Environment,
+    ) -> Self {
+        RunLoop {
+            campaign,
+            env,
+            wd: Watchdog::start(&campaign.policy.watchdog, target.cycles_executed()),
+            trace: Vec::new(),
+            exchanges: 0,
         }
     }
-}
 
-/// Runs until the armed breakpoint fires, exchanging environment data at
-/// iteration boundaries; reports natural termination if it comes first.
-/// `exchanges` counts the environment exchanges performed — a trigger-point
-/// snapshot is only reusable when none happened before it.
-fn wait_for_breakpoint<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    env: &mut dyn Environment,
-    wd: &mut Watchdog,
-    exchanges: &mut u64,
-) -> Result<WaitOutcome> {
-    loop {
-        let remaining = remaining_budget(target, campaign);
-        if remaining == 0 || wd.expired(target.cycles_executed()) || wd.check_wall_now() {
-            return Ok(WaitOutcome::Terminated(TerminationCause::Timeout));
-        }
-        let slice = wd.clamp_slice(remaining);
-        match target.run_workload(RunBudget {
-            max_instructions: slice,
-        })? {
-            RunEvent::Breakpoint { .. } => return Ok(WaitOutcome::Breakpoint),
-            RunEvent::Halted => return Ok(WaitOutcome::Terminated(TerminationCause::WorkloadEnd)),
-            RunEvent::Detected(d) => {
-                return Ok(WaitOutcome::Terminated(TerminationCause::Detected(d)))
+    /// Runs the target until `until`: in whole `run_workload` slices, or
+    /// one instruction at a time when detail `logging` or a persistent
+    /// fault needs control after each one. "In detail mode the system
+    /// state is logged as frequently as the target system allows,
+    /// typically after the execution of each machine instruction, which
+    /// increases the time-overhead" (§3.3). Environment data is exchanged
+    /// at every iteration boundary short of the campaign's limit. Returns
+    /// the termination cause, or `None` when the armed trigger fired.
+    fn until<T: TargetAccess + ?Sized>(
+        &mut self,
+        target: &mut T,
+        until: Until<'_>,
+        logging: LoggingMode,
+    ) -> Result<Option<TerminationCause>> {
+        let persistent = match until {
+            Until::End(Some(spec)) if spec.model != FaultModel::TransientBitFlip => Some(spec),
+            _ => None,
+        };
+        let detail = logging == LoggingMode::Detail;
+        let stepping = detail || persistent.is_some();
+        let injected_at = target.instructions_executed();
+        let mut bursts_done: u32 = 1; // the initial injection counts as burst 1
+        let termination = &self.campaign.termination;
+        loop {
+            let remaining = termination
+                .max_instructions
+                .saturating_sub(target.instructions_executed());
+            // A slice covers thousands of instructions, so the wall clock
+            // is read before each one; single steps read it every few.
+            if remaining == 0
+                || self.wd.expired(target.cycles_executed())
+                || (!stepping && self.wd.check_wall_now())
+            {
+                return Ok(Some(TerminationCause::Timeout));
             }
-            RunEvent::Timeout => return Ok(WaitOutcome::Terminated(TerminationCause::Timeout)),
-            RunEvent::BudgetExhausted => {
-                // Only a real timeout when the whole remaining budget was
-                // offered; a clamped watchdog slice just loops to re-check.
-                if slice == remaining {
-                    return Ok(WaitOutcome::Terminated(TerminationCause::Timeout));
+            // A watchdog clamps slices so it is re-checked often enough; a
+            // single step is never clamped.
+            let slice = if stepping {
+                remaining
+            } else {
+                self.wd.clamp_slice(remaining)
+            };
+            let event = if stepping {
+                let before = target.instructions_executed();
+                let event = target.step_instruction()?;
+                // Only retired instructions get a trace entry, so the
+                // faulty trace stays index-aligned with the reference
+                // trace. Detail-mode entries skip the memory digest:
+                // hashing all of memory per instruction would dwarf the
+                // experiment itself.
+                if detail && target.instructions_executed() > before {
+                    self.trace.push(snapshot(target, self.campaign, false)?);
                 }
-            }
-            RunEvent::IterationBoundary { iteration } => {
-                if campaign
-                    .termination
-                    .max_iterations
-                    .is_some_and(|max| iteration >= max)
-                {
-                    return Ok(WaitOutcome::Terminated(TerminationCause::IterationLimit));
-                }
-                *exchanges += 1;
-                exchange_env(target, campaign, &mut *env)?;
-            }
-        }
-    }
-}
-
-/// Continues a just-injected experiment to termination, honouring the fault
-/// model (persistent models keep re-asserting the fault) and the logging
-/// mode (detail mode snapshots after every instruction).
-fn continue_with_model<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    spec: &FaultSpec,
-    env: &mut dyn Environment,
-    logging: LoggingMode,
-    wd: &mut Watchdog,
-) -> Result<(TerminationCause, Vec<StateSnapshot>)> {
-    let detail = logging == LoggingMode::Detail;
-    match spec.model {
-        FaultModel::TransientBitFlip if !detail => {
-            continue_to_termination(target, campaign, env, wd)
-        }
-        FaultModel::TransientBitFlip => continue_stepping(target, campaign, env, None, true, wd),
-        // Persistent models need per-instruction control.
-        model => continue_stepping(target, campaign, env, Some((spec, model)), detail, wd),
-    }
-}
-
-/// Coarse-grained continuation: whole `run_workload` slices (normal mode),
-/// clamped to short slices while a watchdog is armed.
-fn continue_to_termination<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    env: &mut dyn Environment,
-    wd: &mut Watchdog,
-) -> Result<(TerminationCause, Vec<StateSnapshot>)> {
-    loop {
-        let remaining = remaining_budget(target, campaign);
-        if remaining == 0 || wd.expired(target.cycles_executed()) || wd.check_wall_now() {
-            return Ok((TerminationCause::Timeout, Vec::new()));
-        }
-        let slice = wd.clamp_slice(remaining);
-        match target.run_workload(RunBudget {
-            max_instructions: slice,
-        })? {
-            RunEvent::Halted => return Ok((TerminationCause::WorkloadEnd, Vec::new())),
-            RunEvent::Detected(d) => return Ok((TerminationCause::Detected(d), Vec::new())),
-            RunEvent::Timeout => return Ok((TerminationCause::Timeout, Vec::new())),
-            RunEvent::BudgetExhausted => {
-                if slice == remaining {
-                    return Ok((TerminationCause::Timeout, Vec::new()));
-                }
-            }
-            RunEvent::Breakpoint { .. } => {
-                // A stray breakpoint (should not happen: cleared before).
-                target.clear_breakpoints()?;
-            }
-            RunEvent::IterationBoundary { iteration } => {
-                if campaign
-                    .termination
-                    .max_iterations
-                    .is_some_and(|max| iteration >= max)
-                {
-                    return Ok((TerminationCause::IterationLimit, Vec::new()));
-                }
-                exchange_env(target, campaign, &mut *env)?;
-            }
-        }
-    }
-}
-
-/// Fine-grained continuation: single-step, used by detail-mode logging and
-/// by persistent fault models. "In detail mode the system state is logged
-/// as frequently as the target system allows, typically after the execution
-/// of each machine instruction, which increases the time-overhead" (§3.3).
-fn continue_stepping<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    env: &mut dyn Environment,
-    persistent: Option<(&FaultSpec, FaultModel)>,
-    detail: bool,
-    wd: &mut Watchdog,
-) -> Result<(TerminationCause, Vec<StateSnapshot>)> {
-    let mut trace = Vec::new();
-    let inject_instr = target.instructions_executed();
-    let mut bursts_done: u32 = 1; // the initial injection counts as burst 1
-
-    loop {
-        if remaining_budget(target, campaign) == 0 || wd.expired(target.cycles_executed()) {
-            return Ok((TerminationCause::Timeout, trace));
-        }
-        let before = target.instructions_executed();
-        let event = target.step_instruction()?;
-        // Only retired instructions get a trace entry, so the faulty trace
-        // stays index-aligned with the reference trace. Detail-mode entries
-        // skip the memory digest: hashing all of memory per instruction
-        // would dwarf the experiment itself.
-        if detail && target.instructions_executed() > before {
-            trace.push(snapshot(target, campaign, false)?);
-        }
-        // Re-assert persistent faults.
-        if let Some((spec, model)) = persistent {
-            match model {
-                FaultModel::StuckAtZero => force_locations(target, &spec.locations, false)?,
-                FaultModel::StuckAtOne => force_locations(target, &spec.locations, true)?,
-                FaultModel::Intermittent { period, bursts } => {
-                    let elapsed = target.instructions_executed().saturating_sub(inject_instr);
-                    if bursts_done < bursts && period > 0 && elapsed >= period * bursts_done as u64
-                    {
-                        flip_locations(target, &spec.locations)?;
-                        bursts_done += 1;
+                // Re-assert a persistent fault: stuck-at after every
+                // instruction, intermittent once per period.
+                if let Some(spec) = persistent {
+                    match spec.model {
+                        FaultModel::Intermittent { period, bursts } => {
+                            let elapsed =
+                                target.instructions_executed().saturating_sub(injected_at);
+                            if bursts_done < bursts
+                                && period > 0
+                                && elapsed >= period * u64::from(bursts_done)
+                            {
+                                apply_fault(target, spec)?;
+                                bursts_done += 1;
+                            }
+                        }
+                        _ => apply_fault(target, spec)?,
                     }
                 }
-                FaultModel::TransientBitFlip => {}
-            }
-        }
-        match event {
-            None => {}
-            Some(RunEvent::Halted) => return Ok((TerminationCause::WorkloadEnd, trace)),
-            Some(RunEvent::Detected(d)) => return Ok((TerminationCause::Detected(d), trace)),
-            Some(RunEvent::Timeout | RunEvent::BudgetExhausted) => {
-                return Ok((TerminationCause::Timeout, trace))
-            }
-            Some(RunEvent::Breakpoint { .. }) => {
-                target.clear_breakpoints()?;
-            }
-            Some(RunEvent::IterationBoundary { iteration }) => {
-                if campaign
-                    .termination
-                    .max_iterations
-                    .is_some_and(|max| iteration >= max)
-                {
-                    return Ok((TerminationCause::IterationLimit, trace));
+                match event {
+                    Some(event) => event,
+                    None => continue,
                 }
-                exchange_env(target, campaign, &mut *env)?;
-            }
+            } else {
+                target.run_workload(RunBudget {
+                    max_instructions: slice,
+                })?
+            };
+            let cause = match event {
+                RunEvent::Breakpoint { .. } if matches!(until, Until::Trigger) => return Ok(None),
+                // A stray breakpoint (should not happen: cleared before).
+                RunEvent::Breakpoint { .. } => {
+                    target.clear_breakpoints()?;
+                    continue;
+                }
+                RunEvent::Halted => TerminationCause::WorkloadEnd,
+                RunEvent::Detected(d) => TerminationCause::Detected(d),
+                RunEvent::Timeout => TerminationCause::Timeout,
+                // Only a real timeout when the whole remaining budget was
+                // offered; a clamped watchdog slice just loops to re-check.
+                RunEvent::BudgetExhausted if slice == remaining => TerminationCause::Timeout,
+                RunEvent::BudgetExhausted => continue,
+                RunEvent::IterationBoundary { iteration }
+                    if termination
+                        .max_iterations
+                        .is_some_and(|max| iteration >= max) =>
+                {
+                    TerminationCause::IterationLimit
+                }
+                RunEvent::IterationBoundary { .. } => {
+                    self.exchanges += 1;
+                    exchange_env(target, self.campaign, &mut *self.env)?;
+                    continue;
+                }
+            };
+            return Ok(Some(cause));
         }
     }
-}
-
-fn remaining_budget<T: TargetAccess + ?Sized>(target: &T, campaign: &Campaign) -> u64 {
-    campaign
-        .termination
-        .max_instructions
-        .saturating_sub(target.instructions_executed())
 }
 
 /// One environment exchange, via ports or via the campaign's designated
 /// memory locations (§3.2).
-fn exchange_env<T: TargetAccess + ?Sized>(
+pub(crate) fn exchange_env<T: TargetAccess + ?Sized>(
     target: &mut T,
     campaign: &Campaign,
     env: &mut dyn Environment,

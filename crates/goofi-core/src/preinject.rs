@@ -136,14 +136,16 @@ impl LivenessMap {
     }
 }
 
-/// Collects a traced reference run: init, load, then step with access
-/// logging until the workload terminates or `max_steps` is reached.
+/// Collects a traced reference run: the experiments' load block, then
+/// step with access logging until the workload terminates or `max_steps`
+/// is reached.
 ///
 /// Control-loop workloads exchange environment data at every iteration
-/// boundary, exactly as the campaign runs will — the liveness map must be
-/// built from the *same trajectory* the experiments follow, or pruning
-/// would be unsound. Pass [`envsim::NullEnvironment`] for terminating
-/// workloads.
+/// boundary through the campaign's exchange routine (ports or designated
+/// memory words), exactly as the campaign runs will — the liveness map
+/// must be built from the *same trajectory* the experiments follow, or
+/// pruning would be unsound. Pass [`envsim::NullEnvironment`] for
+/// terminating workloads.
 ///
 /// # Errors
 ///
@@ -156,10 +158,7 @@ pub fn collect_trace<T: TargetAccess + ?Sized>(
     max_steps: u64,
     env: &mut dyn envsim::Environment,
 ) -> Result<Vec<StepAccess>> {
-    target.init_test_card()?;
-    target.load_workload(&campaign.workload)?;
-    env.reset();
-    target.write_input_ports(&campaign.initial_inputs)?;
+    crate::algorithms::load(target, campaign, env)?;
     let mut trace = Vec::new();
     for _ in 0..max_steps {
         let (event, access) = target.step_traced()?;
@@ -174,9 +173,7 @@ pub fn collect_trace<T: TargetAccess + ?Sized>(
                 {
                     break;
                 }
-                let outputs = target.read_output_ports()?;
-                let inputs = env.exchange(&outputs);
-                target.write_input_ports(&inputs)?;
+                crate::algorithms::exchange_env(target, campaign, env)?;
             }
             Some(_) => break,
         }

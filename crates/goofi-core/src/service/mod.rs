@@ -50,8 +50,7 @@ pub use scheduler::{
     JobProgress, JobState, RecoverOutcome, Scheduler, ServiceConfig, WorkerCommand,
 };
 pub use server::{
-    job_list, job_list_with, new_request_id, request_shutdown, request_shutdown_with, serve,
-    submit_job, submit_job_targeted, submit_job_with, watch_to_end, watch_to_end_with, Client,
+    job_list, new_request_id, request_shutdown, serve, submit_job, watch_to_end, Client,
 };
 pub use wire::{Request, Response, WorkerEvent};
 pub use worker::{run_worker, WorkerArgs};

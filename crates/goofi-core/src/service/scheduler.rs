@@ -406,34 +406,12 @@ impl Scheduler {
     /// (0 = the config default). Validates the campaign against the
     /// database, writes the job manifest, and starts the runner thread.
     ///
-    /// # Errors
-    ///
-    /// Unknown campaign, database, or spool I/O errors.
-    pub fn submit(&self, campaign: &str, workers: usize) -> Result<String> {
-        self.submit_request(None, campaign, workers)
-    }
-
-    /// [`Scheduler::submit`] with an optional client request id, the
-    /// idempotency token of the wire protocol: resubmitting an id this
-    /// scheduler has already accepted returns the existing job instead of
-    /// starting a duplicate, so clients may blindly retry a submit whose
-    /// acknowledgement was lost in flight. Accepted ids survive daemon
-    /// restarts via the job manifest.
-    ///
-    /// # Errors
-    ///
-    /// Unknown campaign, malformed request id, database, or spool I/O
-    /// errors.
-    pub fn submit_request(
-        &self,
-        request_id: Option<&str>,
-        campaign: &str,
-        workers: usize,
-    ) -> Result<String> {
-        self.submit_request_for_target(request_id, campaign, workers, None)
-    }
-
-    /// [`Scheduler::submit_request`] with an expected target system: the
+    /// `request_id` is the optional idempotency token of the wire
+    /// protocol: resubmitting an id this scheduler has already accepted
+    /// returns the existing job instead of starting a duplicate, so
+    /// clients may blindly retry a submit whose acknowledgement was lost
+    /// in flight. Accepted ids survive daemon restarts via the job
+    /// manifest. `target`, when given, is the expected target system: the
     /// submission is rejected when the stored campaign names a different
     /// one, so a client's `--target` flag acts as a cross-check rather
     /// than an override — the campaign, not the submitter, owns the
@@ -441,9 +419,9 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// As [`Scheduler::submit_request`], plus [`GoofiError::Config`] on a
-    /// target-system mismatch.
-    pub fn submit_request_for_target(
+    /// Unknown campaign, malformed request id, database, or spool I/O
+    /// errors, and [`GoofiError::Config`] on a target-system mismatch.
+    pub fn submit(
         &self,
         request_id: Option<&str>,
         campaign: &str,
@@ -764,16 +742,14 @@ fn run_job(
                                 reader,
                             };
                         }
-                        Err(e) => {
+                        Err(_) => {
                             // Spawn failure counts as a failed lease.
                             shard_lease_failed(
                                 sched,
                                 &campaign,
-                                shard,
                                 &ranges[shard],
                                 &journal_path(shard),
                                 attempt,
-                                &e.to_string(),
                                 &mut shards[shard],
                                 &mut consecutive_failures[shard],
                                 &mut poison_quarantined,
@@ -812,8 +788,7 @@ fn run_job(
                     // Join the reader before judging: the worker's final
                     // `done` frame may still be in the pipe at exit time.
                     let _ = reader.join();
-                    let stats = comm.stats.lock().clone();
-                    last_stats[shard] = stats.clone();
+                    last_stats[shard] = comm.stats.lock().clone();
                     // The journal is the ground truth for completion; the
                     // exit status guards against a worker that "finished"
                     // while dying.
@@ -830,24 +805,12 @@ fn run_job(
                         consecutive_failures[shard] = 0;
                         shards[shard] = ShardState::Done;
                     } else {
-                        let why = if lease_expired {
-                            format!("lease expired after {:?}", sched.cfg.lease)
-                        } else if let Some(e) = &stats.error {
-                            e.clone()
-                        } else {
-                            match status {
-                                Some(s) => format!("worker exited early: {s}"),
-                                None => "worker vanished".into(),
-                            }
-                        };
                         shard_lease_failed(
                             sched,
                             &campaign,
-                            shard,
                             &ranges[shard],
                             &journal_path(shard),
                             attempt,
-                            &why,
                             &mut shards[shard],
                             &mut consecutive_failures[shard],
                             &mut poison_quarantined,
@@ -910,19 +873,16 @@ fn run_job(
 fn shard_lease_failed(
     sched: &SchedShared,
     campaign: &Campaign,
-    shard: usize,
     range: &std::ops::Range<usize>,
     journal: &Path,
     attempt: u32,
-    why: &str,
     state: &mut ShardState,
     consecutive: &mut u32,
     poison_quarantined: &mut usize,
 ) -> Result<()> {
     *consecutive += 1;
     if *consecutive >= sched.cfg.poison_after {
-        *poison_quarantined +=
-            poison_shard(sched.cfg.vfs.as_ref(), campaign, shard, range, journal)?;
+        *poison_quarantined += poison_shard(sched.cfg.vfs.as_ref(), campaign, range, journal)?;
         *state = ShardState::Poisoned;
     } else {
         *state = ShardState::Pending {
@@ -930,7 +890,6 @@ fn shard_lease_failed(
             not_before: Instant::now() + sched.cfg.backoff.delay(*consecutive),
         };
     }
-    let _ = why; // recorded via poison stubs / job detail, not per-lease
     Ok(())
 }
 
@@ -942,7 +901,6 @@ fn shard_lease_failed(
 fn poison_shard(
     vfs: &dyn Vfs,
     campaign: &Campaign,
-    _shard: usize,
     range: &std::ops::Range<usize>,
     journal_path: &Path,
 ) -> Result<usize> {

@@ -162,7 +162,7 @@ fn handle_connection(mut conn: Box<dyn Conn>, scheduler: &Scheduler, stop: &Atom
             } else {
                 Some(target.as_str())
             };
-            match scheduler.submit_request_for_target(request_id, &campaign, workers, target) {
+            match scheduler.submit(request_id, &campaign, workers, target) {
                 Ok(job) => {
                     send(&mut conn, &Response::Accepted { job: job.clone() });
                     if watch {
@@ -564,61 +564,18 @@ fn transient_error(detail: &str) -> bool {
 /// was lost in flight, the retry returns the same job instead of
 /// submitting twice.
 ///
+/// `target`, when given, is the expected target system: the daemon
+/// rejects the submission when the stored campaign targets a different
+/// CPU, so `goofi submit --target` fails loudly instead of running a
+/// campaign on the wrong core. `read_timeout` is the per-attempt
+/// acknowledgement deadline (the CLI waits 10 s; the torture harness
+/// shrinks it so lost frames fail over quickly).
+///
 /// # Errors
 ///
 /// [`GoofiError::Wire`] when the daemon rejects the submission or the
 /// retry budget is exhausted.
 pub fn submit_job(
-    transport: &dyn Transport,
-    addr: &str,
-    request_id: &str,
-    campaign: &str,
-    workers: usize,
-) -> Result<String> {
-    submit_job_with(
-        transport,
-        addr,
-        request_id,
-        campaign,
-        workers,
-        Duration::from_secs(10),
-    )
-}
-
-/// [`submit_job`] with an explicit per-attempt acknowledgement deadline —
-/// the torture harness shrinks it so lost frames fail over quickly.
-///
-/// # Errors
-///
-/// See [`submit_job`].
-pub fn submit_job_with(
-    transport: &dyn Transport,
-    addr: &str,
-    request_id: &str,
-    campaign: &str,
-    workers: usize,
-    read_timeout: Duration,
-) -> Result<String> {
-    submit_job_targeted(
-        transport,
-        addr,
-        request_id,
-        campaign,
-        workers,
-        None,
-        read_timeout,
-    )
-}
-
-/// [`submit_job_with`] carrying an expected target system: the daemon
-/// rejects the submission when the stored campaign targets a different
-/// CPU, so `goofi submit --target` fails loudly instead of running a
-/// campaign on the wrong core.
-///
-/// # Errors
-///
-/// See [`submit_job`].
-pub fn submit_job_targeted(
     transport: &dyn Transport,
     addr: &str,
     request_id: &str,
@@ -671,23 +628,14 @@ pub fn submit_job_targeted(
 /// Lists the daemon's jobs as `(job, state, campaign)` rows, retrying
 /// across fresh connections on transport damage. Safe to retry because
 /// the listing is a read-only snapshot: a damaged attempt is thrown away
-/// and the next one starts over.
+/// and the next one starts over. `read_timeout` is the per-attempt read
+/// deadline (the CLI waits 10 s).
 ///
 /// # Errors
 ///
 /// [`GoofiError::Wire`] when the daemon refuses the request or the retry
 /// budget is exhausted.
-pub fn job_list(transport: &dyn Transport, addr: &str) -> Result<Vec<(String, String, String)>> {
-    job_list_with(transport, addr, Duration::from_secs(10))
-}
-
-/// [`job_list`] with an explicit per-attempt read deadline — the torture
-/// harness shrinks it so lost frames fail over quickly.
-///
-/// # Errors
-///
-/// See [`job_list`].
-pub fn job_list_with(
+pub fn job_list(
     transport: &dyn Transport,
     addr: &str,
     read_timeout: Duration,
@@ -779,22 +727,14 @@ pub fn job_list_with(
 /// Safe to retry because repeated shutdown requests are idempotent. If a
 /// retry cannot even connect after an earlier attempt delivered the
 /// request, the daemon most likely acted on it and closed its listener —
-/// that counts as success.
+/// that counts as success. `read_timeout` is the per-attempt read
+/// deadline (the CLI waits 10 s).
 ///
 /// # Errors
 ///
 /// [`GoofiError::Wire`] when the daemon refuses the request or the retry
 /// budget is exhausted.
-pub fn request_shutdown(transport: &dyn Transport, addr: &str) -> Result<()> {
-    request_shutdown_with(transport, addr, Duration::from_secs(10))
-}
-
-/// [`request_shutdown`] with an explicit per-attempt read deadline.
-///
-/// # Errors
-///
-/// See [`request_shutdown`].
-pub fn request_shutdown_with(
+pub fn request_shutdown(
     transport: &dyn Transport,
     addr: &str,
     read_timeout: Duration,
@@ -846,27 +786,15 @@ pub fn request_shutdown_with(
 /// exactly once, in order, with no duplicates across reconnects. Returns
 /// the terminal [`Response::Progress`].
 ///
+/// The watch starts after sequence number `after` (0 for the whole
+/// stream). `read_timeout` is the heartbeat deadline that flushes out
+/// half-open daemons (the CLI waits 30 s).
+///
 /// # Errors
 ///
 /// [`GoofiError::Wire`] when the daemon does not know the job or
 /// [`SESSION_RETRIES`] consecutive reconnects fail.
 pub fn watch_to_end(
-    transport: &dyn Transport,
-    addr: &str,
-    job: &str,
-    on_progress: impl FnMut(&Response),
-) -> Result<Response> {
-    watch_to_end_with(transport, addr, job, 0, READ_TIMEOUT, on_progress)
-}
-
-/// [`watch_to_end`] resuming after sequence number `after`, with an
-/// explicit read timeout (the heartbeat deadline that flushes out
-/// half-open daemons).
-///
-/// # Errors
-///
-/// See [`watch_to_end`].
-pub fn watch_to_end_with(
     transport: &dyn Transport,
     addr: &str,
     job: &str,

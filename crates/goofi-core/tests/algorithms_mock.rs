@@ -505,3 +505,314 @@ fn swifi_runtime_uses_memory_primitive() {
     assert!(calls.borrow().iter().any(|c| c == "flip_memory_bit"));
     assert_eq!(target.memory[7], 1 << 3);
 }
+
+// ---------------------------------------------------------------------------
+// Pinned run control: every branch of the run loop, held to digests.
+
+/// FNV-1a over the text.
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// How a pinned mock campaign ends.
+#[derive(Debug, Clone, Copy)]
+enum Ending {
+    TriggerThenHalt,
+    HaltBeforeTrigger,
+    InstructionBudget,
+    DetectionBeforeTrigger,
+    DetectionAfterTrigger,
+    IterationLimitPorts,
+    IterationLimitMemory,
+    CycleWatchdog,
+    PreRuntimeThenHalt,
+}
+
+const MODELS: [FaultModel; 4] = [
+    FaultModel::TransientBitFlip,
+    FaultModel::StuckAtZero,
+    FaultModel::StuckAtOne,
+    FaultModel::Intermittent {
+        period: 15,
+        bursts: 3,
+    },
+];
+
+/// Runs the campaign for `ending` under one logging mode and fault model,
+/// then the detail re-run of its experiment, and digests everything the
+/// run loop decides: both records, the target's call log, the last run's
+/// environment exchanges, the chain write count and the final memory.
+fn pinned_run(ending: Ending, logging: LoggingMode, model: FaultModel) -> u64 {
+    let mut target = MockTarget::new(60);
+    let mut trigger = Trigger::AfterInstructions(20);
+    let mut locations = vec![
+        FaultLocation::ScanCell {
+            chain: "internal".into(),
+            cell: "A".into(),
+            bit: 2,
+        },
+        FaultLocation::Memory { addr: 7, bit: 3 },
+    ];
+    let mut max_instructions = 1_000;
+    match ending {
+        Ending::TriggerThenHalt => {}
+        Ending::HaltBeforeTrigger => trigger = Trigger::AfterInstructions(80),
+        Ending::InstructionBudget => {
+            target.workload_len = 1_000_000;
+            max_instructions = 70;
+        }
+        Ending::DetectionBeforeTrigger => target.detect_at = Some(12),
+        Ending::DetectionAfterTrigger => target.detect_at = Some(35),
+        Ending::IterationLimitPorts | Ending::IterationLimitMemory => {
+            target.workload_len = 1_000_000;
+            target.iteration_every = Some(10);
+            target.memory[5] = 77;
+        }
+        Ending::CycleWatchdog => {
+            target.workload_len = 1_000_000;
+            max_instructions = 100_000;
+        }
+        Ending::PreRuntimeThenHalt => {
+            trigger = Trigger::PreRuntime;
+            locations = vec![
+                FaultLocation::Memory { addr: 7, bit: 3 },
+                FaultLocation::Memory { addr: 9, bit: 0 },
+            ];
+        }
+    }
+    let mut c = campaign(Vec::new(), max_instructions);
+    c.faults = vec![FaultSpec {
+        locations,
+        model,
+        trigger,
+    }];
+    c.logging = logging;
+    match ending {
+        Ending::IterationLimitPorts => c.termination.max_iterations = Some(6),
+        Ending::IterationLimitMemory => {
+            c.termination.max_iterations = Some(6);
+            c.env_exchange = goofi_core::campaign::EnvExchange::Memory {
+                outputs: vec![5],
+                inputs: vec![6],
+            };
+        }
+        Ending::CycleWatchdog => {
+            c.policy = c.policy.with_watchdog(goofi_core::policy::WatchdogBudget {
+                max_cycles: Some(5_000),
+                max_wall_ms: None,
+            });
+        }
+        Ending::PreRuntimeThenHalt => {
+            c.technique = goofi_core::campaign::Technique::SwifiPreRuntime;
+        }
+        _ => {}
+    }
+    let mut env = envsim::ScriptedEnvironment::new(vec![vec![111], vec![222], vec![333]]);
+    let calls = Rc::clone(&target.calls);
+    let result = algorithms::run_campaign(
+        &mut target,
+        &c,
+        &ProgressMonitor::new(c.experiment_count()),
+        &mut env,
+    )
+    .unwrap();
+    let rerun = algorithms::rerun_detailed(&mut target, &c, 0, &mut env).unwrap();
+    let calls = calls.borrow();
+    digest(&format!(
+        "{result:?}|{rerun:?}|{calls:?}|{:?}|{}|{:?}",
+        env.observed(),
+        target.chain_writes,
+        target.memory
+    ))
+}
+
+/// Digests for normal logging under each of [`MODELS`], then detail
+/// logging under each.
+fn pinned(ending: Ending) -> Vec<u64> {
+    [LoggingMode::Normal, LoggingMode::Detail]
+        .into_iter()
+        .flat_map(|logging| MODELS.map(|model| pinned_run(ending, logging, model)))
+        .collect()
+}
+
+#[test]
+fn pinned_trigger_then_halt() {
+    assert_eq!(
+        pinned(Ending::TriggerThenHalt),
+        [
+            1063072294473377500,
+            5217482142530767117,
+            13186283413899452906,
+            3459295691404002799,
+            11719284281031876411,
+            5978833403171170939,
+            953683771781096762,
+            865637775128557339,
+        ]
+    );
+}
+
+#[test]
+fn pinned_halt_before_trigger() {
+    assert_eq!(
+        pinned(Ending::HaltBeforeTrigger),
+        [
+            1946030404413465063,
+            13920569531018690109,
+            14085992411839431535,
+            3685606448485406579,
+            6393733124609632215,
+            16188952504056494711,
+            14922694142291313537,
+            5939196429331118547,
+        ]
+    );
+}
+
+#[test]
+fn pinned_instruction_budget() {
+    assert_eq!(
+        pinned(Ending::InstructionBudget),
+        [
+            286498737408128908,
+            12741411835149386777,
+            944099998828567485,
+            6374456012836135139,
+            1625973629349387739,
+            2892659236681911363,
+            9971262598111824011,
+            17028829926041037755,
+        ]
+    );
+}
+
+#[test]
+fn pinned_detection_before_trigger() {
+    assert_eq!(
+        pinned(Ending::DetectionBeforeTrigger),
+        [
+            4258294875225905768,
+            9195999055089560136,
+            17247763522513085074,
+            9348447681769182456,
+            7330184091550030890,
+            6103928086170441194,
+            1627366151525600646,
+            4409109439458300370,
+        ]
+    );
+}
+
+#[test]
+fn pinned_detection_after_trigger() {
+    assert_eq!(
+        pinned(Ending::DetectionAfterTrigger),
+        [
+            10508744174305843554,
+            10427386606459790215,
+            4642724692738061163,
+            6590233771529839707,
+            14092809038294482609,
+            280416845637198277,
+            5018727480572105823,
+            13616052357260493351,
+        ]
+    );
+}
+
+#[test]
+fn pinned_iteration_limit_with_port_exchange() {
+    assert_eq!(
+        pinned(Ending::IterationLimitPorts),
+        [
+            5445910206187079159,
+            15102502148720812079,
+            1140783177334696744,
+            4210034099798852307,
+            18206738390631256822,
+            8471802315106804932,
+            18428560283273206709,
+            6132103426596516862,
+        ]
+    );
+}
+
+#[test]
+fn pinned_iteration_limit_with_memory_exchange() {
+    assert_eq!(
+        pinned(Ending::IterationLimitMemory),
+        [
+            4907178663339310311,
+            16792090605868941632,
+            13066832760643811667,
+            17786933643806700879,
+            13220983418108083526,
+            690295079434048993,
+            17828226228364266090,
+            13310764437943638202,
+        ]
+    );
+}
+
+#[test]
+fn pinned_cycle_watchdog() {
+    assert_eq!(
+        pinned(Ending::CycleWatchdog),
+        [
+            1312597763143651718,
+            12205470550801621268,
+            14474450835554162615,
+            2355892884128316386,
+            170495108387548780,
+            11166863513364879482,
+            17383505324856791797,
+            678624751215433944,
+        ]
+    );
+}
+
+#[test]
+fn pinned_pre_runtime_then_halt() {
+    assert_eq!(
+        pinned(Ending::PreRuntimeThenHalt),
+        [
+            17427954119684217439,
+            11440451424717145336,
+            724198085829029621,
+            13365241115564106950,
+            5115230713096748291,
+            372054028054316335,
+            8398829497168174222,
+            9827603238748428203,
+        ]
+    );
+}
+
+#[test]
+fn liveness_trace_exchanges_through_memory_on_memory_exchange_campaigns() {
+    // The liveness trace must follow the trajectory the experiments do:
+    // a memory-exchange control loop exchanges through its designated
+    // words, not through the ports.
+    let mut target = MockTarget::new(1_000);
+    target.iteration_every = Some(10);
+    target.memory[5] = 77;
+    let mut c = campaign(
+        vec![scan_fault(
+            Trigger::AfterInstructions(999),
+            FaultModel::TransientBitFlip,
+        )],
+        10_000,
+    );
+    c.termination.max_iterations = Some(3);
+    c.env_exchange = goofi_core::campaign::EnvExchange::Memory {
+        outputs: vec![5],
+        inputs: vec![6],
+    };
+    let mut env = envsim::ScriptedEnvironment::new(vec![vec![111], vec![222]]);
+    let trace = goofi_core::preinject::collect_trace(&mut target, &c, 10_000, &mut env).unwrap();
+    assert_eq!(trace.len(), 30);
+    assert_eq!(env.observed(), [[77], [77]]);
+    assert_eq!(target.memory[6], 222);
+}

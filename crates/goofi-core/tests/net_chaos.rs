@@ -211,9 +211,17 @@ fn torture_run(
     let daemon = start_daemon(&net, &db, worker_fault);
 
     let request_id = format!("req-{tag}");
-    let job = service::submit_job_with(&net, &daemon.addr, &request_id, &name, SHARDS, ACK_TIMEOUT)
-        .unwrap_or_else(|e| panic!("[{tag}] submit failed: {e}"));
-    let terminal = service::watch_to_end_with(&net, &daemon.addr, &job, 0, ACK_TIMEOUT, |_| {})
+    let job = service::submit_job(
+        &net,
+        &daemon.addr,
+        &request_id,
+        &name,
+        SHARDS,
+        None,
+        ACK_TIMEOUT,
+    )
+    .unwrap_or_else(|e| panic!("[{tag}] submit failed: {e}"));
+    let terminal = service::watch_to_end(&net, &daemon.addr, &job, 0, ACK_TIMEOUT, |_| {})
         .unwrap_or_else(|e| panic!("[{tag}] watch failed: {e}"));
     match &terminal {
         Response::Progress { state, detail, .. } => {
@@ -225,7 +233,7 @@ fn torture_run(
 
     // The one-shot status listing rides the same retry machinery and
     // must survive whatever the walk throws at its network ops too.
-    let rows = service::job_list_with(&net, &daemon.addr, ACK_TIMEOUT)
+    let rows = service::job_list(&net, &daemon.addr, ACK_TIMEOUT)
         .unwrap_or_else(|e| panic!("[{tag}] status failed: {e}"));
     assert!(
         rows.iter()
@@ -324,22 +332,23 @@ fn status_and_shutdown_ride_out_rate_chaos() {
     let daemon = start_daemon(&net, &db, None);
 
     assert!(
-        service::job_list_with(&net, &daemon.addr, ACK_TIMEOUT)
+        service::job_list(&net, &daemon.addr, ACK_TIMEOUT)
             .unwrap()
             .is_empty(),
         "no jobs before the first submit"
     );
-    let job = service::submit_job_with(
+    let job = service::submit_job(
         &net,
         &daemon.addr,
         "req-status",
         "net-status",
         SHARDS,
+        None,
         ACK_TIMEOUT,
     )
     .unwrap();
-    service::watch_to_end_with(&net, &daemon.addr, &job, 0, ACK_TIMEOUT, |_| {}).unwrap();
-    let rows = service::job_list_with(&net, &daemon.addr, ACK_TIMEOUT).unwrap();
+    service::watch_to_end(&net, &daemon.addr, &job, 0, ACK_TIMEOUT, |_| {}).unwrap();
+    let rows = service::job_list(&net, &daemon.addr, ACK_TIMEOUT).unwrap();
     assert!(
         rows.iter()
             .any(|(j, state, c)| *j == job && state == "done" && c == "net-status"),
@@ -347,7 +356,7 @@ fn status_and_shutdown_ride_out_rate_chaos() {
     );
     assert_essence_equal(&db, "net-status", &want, "statuschaos");
 
-    service::request_shutdown_with(&net, &daemon.addr, ACK_TIMEOUT).unwrap();
+    service::request_shutdown(&net, &daemon.addr, ACK_TIMEOUT).unwrap();
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -363,12 +372,13 @@ fn killed_watch_client_resumes_from_last_acked_seq_without_dups_or_gaps() {
     let want = serial_records(&campaign);
     let daemon = start_daemon(&RealNet, &db, None);
 
-    let job = service::submit_job_with(
+    let job = service::submit_job(
         &RealNet,
         &daemon.addr,
         "req-resume",
         "net-resume",
         SHARDS,
+        None,
         ACK_TIMEOUT,
     )
     .unwrap();
@@ -406,7 +416,7 @@ fn killed_watch_client_resumes_from_last_acked_seq_without_dups_or_gaps() {
 
     // Phase 2: a fresh session resumes from the last-acked seq.
     let mut phase2: Vec<u64> = Vec::new();
-    let terminal = service::watch_to_end_with(
+    let terminal = service::watch_to_end(
         &RealNet,
         &daemon.addr,
         &job,
@@ -455,48 +465,60 @@ fn duplicate_submits_with_one_request_id_yield_one_job() {
     let db = make_db(&dir, &campaign);
     let daemon = start_daemon(&RealNet, &db, None);
 
-    let first = service::submit_job_with(
+    let first = service::submit_job(
         &RealNet,
         &daemon.addr,
         "req-dedup",
         "net-dedup",
         SHARDS,
+        None,
         ACK_TIMEOUT,
     )
     .unwrap();
-    let replay = service::submit_job_with(
+    let replay = service::submit_job(
         &RealNet,
         &daemon.addr,
         "req-dedup",
         "net-dedup",
         SHARDS,
+        None,
         ACK_TIMEOUT,
     )
     .unwrap();
     assert_eq!(first, replay, "one request id, one job");
-    let terminal = service::watch_to_end(&RealNet, &daemon.addr, &first, |_| {}).unwrap();
+    let terminal = service::watch_to_end(
+        &RealNet,
+        &daemon.addr,
+        &first,
+        0,
+        Duration::from_secs(30),
+        |_| {},
+    )
+    .unwrap();
     assert!(matches!(
         &terminal,
         Response::Progress { state, .. } if state == "done"
     ));
 
     // Dedup holds after completion, and a fresh id is a fresh job.
-    let after_done = service::submit_job_with(
+    let after_done = service::submit_job(
         &RealNet,
         &daemon.addr,
         "req-dedup",
         "net-dedup",
         SHARDS,
+        None,
         ACK_TIMEOUT,
     )
     .unwrap();
     assert_eq!(first, after_done);
-    let fresh = service::submit_job_with(
+    let fresh = service::submit_job(
         &RealNet,
         &daemon.addr,
         "req-dedup-2",
         "net-dedup",
         SHARDS,
+        None,
         ACK_TIMEOUT,
     )
     .unwrap();
@@ -516,7 +538,7 @@ fn request_dedup_survives_daemon_restart() {
 
     let scheduler = Scheduler::new(config(&db, SHARDS)).unwrap();
     let job = scheduler
-        .submit_request(Some("req-persist"), "net-dedup-restart", SHARDS)
+        .submit(Some("req-persist"), "net-dedup-restart", SHARDS, None)
         .unwrap();
     let progress = scheduler.watch(&job).unwrap().wait();
     assert_eq!(progress.state, JobState::Done, "{}", progress.detail);
@@ -525,7 +547,7 @@ fn request_dedup_survives_daemon_restart() {
     let restarted = Scheduler::new(config(&db, SHARDS)).unwrap();
     restarted.recover().unwrap();
     let replay = restarted
-        .submit_request(Some("req-persist"), "net-dedup-restart", SHARDS)
+        .submit(Some("req-persist"), "net-dedup-restart", SHARDS, None)
         .unwrap();
     assert_eq!(replay, job, "dedup must survive a daemon restart");
     restarted.shutdown();

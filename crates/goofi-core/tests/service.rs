@@ -117,7 +117,7 @@ fn config(db: &Path, workers: usize) -> ServiceConfig {
 
 /// Submits the campaign, waits for the job, and asserts it completed.
 fn run_job(scheduler: &Scheduler, campaign: &str, workers: usize) -> String {
-    let job = scheduler.submit(campaign, workers).unwrap();
+    let job = scheduler.submit(None, campaign, workers, None).unwrap();
     let progress = scheduler.watch(&job).unwrap().wait();
     assert_eq!(
         progress.state,
@@ -221,7 +221,7 @@ fn killed_daemon_resumes_in_flight_jobs_from_the_spool() {
     cfg.poison_after = 1_000; // never poison in this phase
     cfg.backoff = goofi_core::policy::Backoff::exponential(5, 20);
     let scheduler = Scheduler::new(cfg).unwrap();
-    let job = scheduler.submit("svc-resume", 2).unwrap();
+    let job = scheduler.submit(None, "svc-resume", 2, None).unwrap();
 
     // Wait until the job has made *some* journaled progress.
     let watcher = scheduler.watch(&job).unwrap();
@@ -271,7 +271,7 @@ fn poison_shard_is_quarantined_with_parent_linked_rerun_stubs() {
     cfg.poison_after = 2;
     cfg.backoff = goofi_core::policy::Backoff::exponential(5, 20);
     let scheduler = Scheduler::new(cfg).unwrap();
-    let job = scheduler.submit("svc-poison", 2).unwrap();
+    let job = scheduler.submit(None, "svc-poison", 2, None).unwrap();
     let progress = scheduler.watch(&job).unwrap().wait();
 
     // The job completes *around* the poison shards instead of wedging.
@@ -309,7 +309,7 @@ fn submit_rejects_unknown_campaigns_without_spooling_anything() {
     let campaign = sim_campaign("svc-known", 2);
     let db = make_db(&dir, &campaign);
     let scheduler = Scheduler::new(config(&db, 1)).unwrap();
-    assert!(scheduler.submit("no-such-campaign", 1).is_err());
+    assert!(scheduler.submit(None, "no-such-campaign", 1, None).is_err());
     let spool: Vec<_> = std::fs::read_dir(dir.join("campaigns.gdb.spool"))
         .unwrap()
         .collect();

@@ -60,19 +60,22 @@ impl fmt::Display for QueryResult {
             }
             writeln!(f)
         };
+        // Pads by hand: a `{:<w$}` width is capped at 65,535, and a
+        // detail-mode trace cell is wider. Padding counts characters, as
+        // `{:<w$}` does.
+        let cells = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
+            write!(f, "|")?;
+            for (cell, w) in cells.iter().zip(&widths) {
+                let pad = w.saturating_sub(cell.chars().count());
+                write!(f, " {cell}{} |", " ".repeat(pad))?;
+            }
+            writeln!(f)
+        };
         line(f)?;
-        write!(f, "|")?;
-        for (c, w) in self.columns.iter().zip(&widths) {
-            write!(f, " {c:<w$} |")?;
-        }
-        writeln!(f)?;
+        cells(f, &self.columns)?;
         line(f)?;
         for row in &rendered {
-            write!(f, "|")?;
-            for (cell, w) in row.iter().zip(&widths) {
-                write!(f, " {cell:<w$} |")?;
-            }
-            writeln!(f)?;
+            cells(f, row)?;
         }
         line(f)
     }
@@ -414,6 +417,31 @@ impl Database {
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, ColumnType, ForeignKey};
+
+    #[test]
+    fn display_pads_cells_wider_than_a_format_width() {
+        // A format width is capped at 65,535; a detail-mode trace cell is
+        // wider than that.
+        let wide = "x".repeat(70_000);
+        let result = QueryResult {
+            columns: vec!["id".into(), "trace".into()],
+            rows: vec![
+                vec![Value::Int(1), Value::text(wide.clone())],
+                vec![Value::Int(22), Value::text("é")],
+            ],
+        };
+        let table = result.to_string();
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 6);
+        assert_eq!(
+            lines[1],
+            format!("| id | trace{} |", " ".repeat(70_000 - 5))
+        );
+        assert_eq!(lines[3], format!("| 1  | {wide} |"));
+        // Padding counts characters, as `{:<w$}` does.
+        assert_eq!(lines[4], format!("| 22 | é{} |", " ".repeat(70_000 - 1)));
+        assert_eq!(lines[0], format!("+----+{}+", "-".repeat(70_002)));
+    }
 
     fn two_table_db() -> Database {
         let mut db = Database::new();

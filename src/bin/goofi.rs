@@ -1101,14 +1101,16 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         // job_list retries across fresh connections on transport damage,
         // so a lossy link (`--net-chaos` drills) still gets a listing.
         for (job, state, campaign) in
-            service::job_list(&RealNet, addr).map_err(|e| e.to_string())?
+            service::job_list(&RealNet, addr, std::time::Duration::from_secs(10))
+                .map_err(|e| e.to_string())?
         {
             println!("{job:<10} {state:<8} {campaign}");
         }
         return Ok(());
     }
     if flags.contains_key("shutdown") {
-        service::request_shutdown(&RealNet, addr).map_err(|e| e.to_string())?;
+        service::request_shutdown(&RealNet, addr, std::time::Duration::from_secs(10))
+            .map_err(|e| e.to_string())?;
         println!("daemon shutting down");
         return Ok(());
     }
@@ -1124,7 +1126,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     // One request id for every retry: the daemon deduplicates, so a
     // submission whose acknowledgement was lost is not run twice.
     let request_id = service::new_request_id();
-    let job = service::submit_job_targeted(
+    let job = service::submit_job(
         &RealNet,
         addr,
         &request_id,
@@ -1147,8 +1149,15 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 /// replays from the last sequence number it saw, so no line is missed or
 /// repeated.
 fn watch_job(addr: &str, job: &str) -> Result<(), String> {
-    let terminal =
-        service::watch_to_end(&RealNet, addr, job, print_progress).map_err(|e| e.to_string())?;
+    let terminal = service::watch_to_end(
+        &RealNet,
+        addr,
+        job,
+        0,
+        std::time::Duration::from_secs(30),
+        print_progress,
+    )
+    .map_err(|e| e.to_string())?;
     match &terminal {
         Response::Progress { state, detail, .. } if state == "failed" => {
             Err(if detail.is_empty() {
