@@ -215,9 +215,11 @@ pub fn run_campaign<T: TargetAccess + ?Sized>(
 /// campaign engine's drive loop run inline on `target`
 /// (see [`crate::runner`]):
 ///
-/// * `journal` — each finished experiment is appended (and synced) before
-///   the next one starts, so a process crash loses at most the experiment
-///   in flight — see [`crate::runner::resume_campaign`];
+/// * `journal` — each finished experiment is written before the next one
+///   starts; entries are synced once per 64 and at every ordering point,
+///   so a killed process loses only the experiment in flight and a power
+///   cut at most the entries since the last sync — see
+///   [`crate::runner::resume_campaign`];
 /// * `cache` — a [`GoldenCache`] consulted before the reference run; a hit
 ///   skips recomputing the golden log entirely (and a revalidation drift
 ///   invalidates the cached entry);
@@ -281,7 +283,27 @@ pub fn run_linked_experiment_with_policy<T: TargetAccess + ?Sized>(
     link: Option<(String, String)>,
     monitor: &ProgressMonitor,
     env: &mut dyn Environment,
+    session: Option<&mut ExperimentSession>,
+) -> Result<std::result::Result<ExperimentRecord, ExperimentFailure>> {
+    run_linked_experiment_then(target, campaign, index, link, monitor, env, session, || {
+        Ok(())
+    })
+}
+
+/// [`run_linked_experiment_with_policy`] that runs `before_blocking` when
+/// a pause between retries is about to block (see
+/// [`ProgressMonitor::checkpoint_then`]); an error from it is returned as
+/// this function's `Err`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_linked_experiment_then<T: TargetAccess + ?Sized>(
+    target: &mut T,
+    campaign: &Campaign,
+    index: usize,
+    link: Option<(String, String)>,
+    monitor: &ProgressMonitor,
+    env: &mut dyn Environment,
     mut session: Option<&mut ExperimentSession>,
+    before_blocking: impl Fn() -> Result<()>,
 ) -> Result<std::result::Result<ExperimentRecord, ExperimentFailure>> {
     let retries = campaign.policy.retries();
     let tel = monitor.telemetry();
@@ -315,7 +337,7 @@ pub fn run_linked_experiment_with_policy<T: TargetAccess + ?Sized>(
                     }
                     attempt += 1;
                     // Honour pause/stop between retries as well.
-                    monitor.checkpoint()?;
+                    monitor.checkpoint_then(&before_blocking)?;
                     continue;
                 }
                 return Ok(Err(ExperimentFailure {

@@ -16,7 +16,8 @@
 //!   supervisor's smoke probe, whose entire purpose is to genuinely
 //!   re-execute;
 //! * a revalidation drift deletes the entry
-//!   ([`GoldenCache::invalidate`]); a clean revalidation (re-)stores it;
+//!   ([`GoldenCache::invalidate`]); a clean revalidation stores it again
+//!   unless this run already loaded or stored it;
 //! * any decode failure — torn write, bit rot, version or key mismatch —
 //!   is silently a miss: the reference is recomputed and the entry
 //!   rewritten. `goofi fsck` never needs to learn about cache files
@@ -27,6 +28,7 @@ use crate::journal::{encode_record_payload, fnv1a, parse_entry, Entry};
 use crate::logging::{digest_words, ExperimentRecord};
 use crate::vfs::{atomic_write, read_lossy, Vfs};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// First line of every cache file.
 const MAGIC: &str = "#goofi-golden v1";
@@ -39,6 +41,9 @@ pub struct GoldenCache<'v> {
     vfs: &'v dyn Vfs,
     path: PathBuf,
     key: String,
+    /// This instance loaded or stored the entry, and has not invalidated
+    /// it since.
+    current: AtomicBool,
 }
 
 impl<'v> GoldenCache<'v> {
@@ -57,7 +62,12 @@ impl<'v> GoldenCache<'v> {
         let path = journal_path
             .parent()
             .map_or_else(|| PathBuf::from(&file), |dir| dir.join(&file));
-        GoldenCache { vfs, path, key }
+        GoldenCache {
+            vfs,
+            path,
+            key,
+            current: AtomicBool::new(false),
+        }
     }
 
     /// The cache file's location (for reporting).
@@ -78,23 +88,34 @@ impl<'v> GoldenCache<'v> {
         }
         // The record line reuses the journal's checksummed entry format,
         // so a torn tail fails the checksum and reads as a miss.
-        match parse_entry(lines.next()?, &campaign.name)? {
-            Entry::Reference(record) => Some(record),
-            _ => None,
-        }
+        let record = match parse_entry(lines.next()?, &campaign.name)? {
+            Entry::Reference(record) => record,
+            _ => return None,
+        };
+        self.current.store(true, Ordering::Relaxed);
+        Some(record)
     }
 
-    /// Persists `reference` atomically. Store failures are deliberately
-    /// swallowed: a cache that cannot be written only costs the next run
-    /// a recomputation.
-    pub fn store(&self, _campaign: &Campaign, reference: &ExperimentRecord) {
+    /// Persists `reference` atomically and reports whether that succeeded.
+    /// A failure is otherwise swallowed: a cache that cannot be written
+    /// only costs the next run a recomputation.
+    pub fn store(&self, reference: &ExperimentRecord) -> bool {
         let payload = encode_record_payload(None, reference);
         let body = format!(
             "{MAGIC}\n{}\n{payload}\t#{:08x}\n",
             self.key,
             fnv1a(payload.as_bytes())
         );
-        let _ = atomic_write(self.vfs, &self.path, body.as_bytes());
+        let stored = atomic_write(self.vfs, &self.path, body.as_bytes()).is_ok();
+        self.current.store(stored, Ordering::Relaxed);
+        stored
+    }
+
+    /// Whether this instance loaded or stored the entry and has not
+    /// invalidated it since: storing it again would rewrite the same
+    /// bytes.
+    pub(crate) fn is_current(&self) -> bool {
+        self.current.load(Ordering::Relaxed)
     }
 
     /// Deletes the entry (golden-run revalidation observed drift, so the
@@ -102,7 +123,8 @@ impl<'v> GoldenCache<'v> {
     /// failures are swallowed for the same reason as store failures —
     /// except that a stale entry *would* matter, which is why the next
     /// load also re-checks the key and checksum.
-    pub fn invalidate(&self, _campaign: &Campaign) {
+    pub fn invalidate(&self) {
+        self.current.store(false, Ordering::Relaxed);
         let _ = self.vfs.remove_file(&self.path);
     }
 }
@@ -219,9 +241,9 @@ mod tests {
         let cache = GoldenCache::new(&RealFs, &journal, &c, "none");
         assert!(cache.load(&c).is_none());
         let reference = reference(&c);
-        cache.store(&c, &reference);
+        assert!(cache.store(&reference));
         assert_eq!(cache.load(&c), Some(reference));
-        cache.invalidate(&c);
+        cache.invalidate();
         assert!(cache.load(&c).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -246,7 +268,7 @@ mod tests {
         let journal = dir.join("dmg.journal");
         let c = campaign("gc-dmg");
         let cache = GoldenCache::new(&RealFs, &journal, &c, "none");
-        cache.store(&c, &reference(&c));
+        assert!(cache.store(&reference(&c)));
         // Flip a byte in the record line: the checksum fails, load misses.
         let mut bytes = std::fs::read(cache.path()).unwrap();
         let n = bytes.len();

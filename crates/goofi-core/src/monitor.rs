@@ -170,7 +170,28 @@ impl ProgressMonitor {
     ///
     /// Returns [`GoofiError::Stopped`] once the user has ended the campaign.
     pub fn checkpoint(&self) -> Result<()> {
+        self.checkpoint_then(|| Ok(()))
+    }
+
+    /// [`ProgressMonitor::checkpoint`] that, when the campaign is paused,
+    /// first runs `before_blocking` without holding the lock. The campaign
+    /// engine syncs its journal there, so a paused campaign holds no
+    /// unsynced entry.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProgressMonitor::checkpoint`], or the error of
+    /// `before_blocking`.
+    pub(crate) fn checkpoint_then(
+        &self,
+        before_blocking: impl FnOnce() -> Result<()>,
+    ) -> Result<()> {
         let mut cmd = self.inner.command.lock();
+        if *cmd == Command::Pause {
+            drop(cmd);
+            before_blocking()?;
+            cmd = self.inner.command.lock();
+        }
         while *cmd == Command::Pause {
             self.inner.wakeup.wait(&mut cmd);
         }
@@ -418,6 +439,27 @@ mod tests {
         thread::sleep(Duration::from_millis(50));
         m.stop();
         assert!(matches!(handle.join().unwrap(), Err(GoofiError::Stopped)));
+    }
+
+    #[test]
+    fn checkpoint_then_runs_its_hook_unlocked_and_only_when_paused() {
+        let m = ProgressMonitor::new(1);
+        m.checkpoint_then(|| panic!("hook ran without a pause"))
+            .unwrap();
+        m.pause();
+        let mut ran = false;
+        // The hook may use the monitor: it runs without the lock.
+        m.checkpoint_then(|| {
+            ran = true;
+            m.resume();
+            Ok(())
+        })
+        .unwrap();
+        assert!(ran);
+        // A failing hook fails the checkpoint instead of blocking.
+        m.pause();
+        let failed = m.checkpoint_then(|| Err(GoofiError::Config("hook".into())));
+        assert!(matches!(failed, Err(GoofiError::Config(_))));
     }
 
     #[test]

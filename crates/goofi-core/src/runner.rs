@@ -28,11 +28,15 @@
 //!   [`GoofiError::ExperimentFailed`] carrying the partial
 //!   [`CampaignResult`], and when several loops fail concurrently the
 //!   failure first in item order is reported, deterministically.
-//! - With a journal attached, every finished experiment is fsynced to an
-//!   append-only log before its loop moves on, and [`resume_campaign`]
-//!   restarts an interrupted campaign by re-running only what is missing —
-//!   previously *failed* experiments are re-run as new experiments linked
-//!   to the original via `parentExperiment` (paper §2.3).
+//! - With a journal attached, every finished experiment is written to an
+//!   append-only log before its loop moves on, and the log is synced once
+//!   per 64 entries and at every ordering point: after the reference
+//!   record, after quarantine marks and before their re-runs, before a
+//!   loop blocks on a pause, and in the fan-in. A power cut loses at most
+//!   the entries since the last sync, and [`resume_campaign`] restarts an
+//!   interrupted campaign by re-running only what is missing — previously
+//!   *failed* experiments are re-run as new experiments linked to the
+//!   original via `parentExperiment` (paper §2.3).
 //! - With revalidation enabled, each loop re-runs the golden reference on
 //!   its own target after every *n* records it completed, and once more
 //!   for its tail window; a drift quarantines exactly that loop's window.
@@ -70,12 +74,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// first. With one loop it runs inline on the calling thread.
 ///
 /// `journal`, when given, receives the reference run and every finished
-/// experiment (appended and synced) as they complete, so a crash loses at
-/// most the experiments in flight. `snapshots: false` forces every loop
-/// onto the slow load-and-execute path (benchmark baselines, equivalence
-/// testing, or a safety valve for a misbehaving target snapshot
-/// implementation). Records come back in experiment order — byte-for-byte
-/// what the serial [`algorithms::run_campaign`] produces.
+/// experiment as they complete. Entries are written at once and synced in
+/// batches, and the fan-in syncs the rest, so a killed process loses only
+/// the experiments in flight and a power cut at most the entries since
+/// the last sync. `snapshots: false` forces every loop onto the slow
+/// load-and-execute path (benchmark baselines, equivalence testing, or a
+/// safety valve for a misbehaving target snapshot implementation).
+/// Records come back in experiment order — byte-for-byte what the serial
+/// [`algorithms::run_campaign`] produces.
 ///
 /// # Errors
 ///
@@ -242,7 +248,8 @@ where
 
 /// The reference step: the journaled reference when resuming, else the
 /// golden cache's copy, else a fresh run from `fresh` (stored in the
-/// cache). A reference that did not come from the journal is journaled.
+/// cache). A reference that did not come from the journal is journaled
+/// and committed before any experiment runs.
 pub(crate) fn reference_step(
     campaign: &Campaign,
     tel: &Telemetry,
@@ -263,13 +270,17 @@ pub(crate) fn reference_step(
             let fresh = fresh()?;
             if let Some(c) = cache {
                 tel.count(Metric::GoldenCacheMisses, 1);
-                c.store(campaign, &fresh);
+                c.store(&fresh);
             }
             fresh
         }
     };
     if let Some(j) = journal {
-        tel.time(Stage::DbWrite, || j.lock().append_record(None, &reference))?;
+        tel.time(Stage::DbWrite, || {
+            let mut j = j.lock();
+            j.append_record(None, &reference)?;
+            j.commit()
+        })?;
     }
     Ok(reference)
 }
@@ -555,7 +566,11 @@ impl<'a> Engine<'a> {
     /// unclaimed one. `Ok(None)` means no work is left anywhere.
     fn claim(&self) -> Flow<Option<usize>> {
         loop {
-            if self.monitor.checkpoint().is_err() || self.aborted.load(Ordering::Acquire) {
+            // A failed commit ranks after every item's abort.
+            self.monitor
+                .checkpoint_then(|| self.commit_before_pause())
+                .map_err(|e| Halt::at(usize::MAX, e))?;
+            if self.aborted.load(Ordering::Acquire) {
                 return Err(Halt::Stop);
             }
             // Count as in flight before looking, so a loop that sees zero
@@ -646,6 +661,8 @@ impl<'a> Engine<'a> {
             record.termination = TerminationCause::TargetHang;
             record.validity = Validity::Invalid;
             self.log(pos, &record)?;
+            // The mark is durable before recovery and the re-run start.
+            self.commit(pos)?;
             self.monitor.count(Metric::Quarantined, 1);
             let parent = record.name.clone();
             self.quarantined.lock().push(record);
@@ -743,20 +760,20 @@ impl<'a> Engine<'a> {
         .map_err(|e| Halt::at(first, e))?;
         if algorithms::golden_run_matches(&self.reference, &golden) {
             // A clean check is also the moment the cache entry is known
-            // good: store it if a previous store failed or never ran.
-            if let Some(c) = self.cache {
-                c.store(self.campaign, &self.reference);
+            // good: store it unless this run already loaded or stored it.
+            if let Some(c) = self.cache.filter(|c| !c.is_current()) {
+                c.store(&self.reference);
             }
             window.clear();
             return Ok(());
         }
         // Drift: the cached golden can no longer be trusted by future runs.
         if let Some(c) = self.cache {
-            c.invalidate(self.campaign);
+            c.invalidate();
         }
-        // Mark the whole window first, re-run second: once the quarantine
-        // entries hit the journal, a crash at any later point still re-runs
-        // every suspect experiment on resume.
+        // Mark the whole window first, commit, re-run second: once the
+        // quarantine entries are synced, a crash at any later point still
+        // re-runs every suspect experiment on resume.
         let mut suspects = Vec::with_capacity(window.len());
         for pos in window.drain(..) {
             let mut slot = self.slots[pos].lock();
@@ -766,6 +783,7 @@ impl<'a> Engine<'a> {
             self.monitor.count(Metric::Quarantined, 1);
             suspects.push((pos, record.name.clone()));
         }
+        self.commit(first)?;
         for (pos, original) in suspects {
             let link = Some((format!("{original}/rerun1"), original));
             // The experiment already counted toward progress when it first
@@ -805,7 +823,7 @@ impl<'a> Engine<'a> {
         session: Option<&mut ExperimentSession>,
     ) -> Flow<std::result::Result<ExperimentRecord, ExperimentFailure>> {
         let index = self.items[pos].index;
-        algorithms::run_linked_experiment_with_policy(
+        algorithms::run_linked_experiment_then(
             target,
             self.campaign,
             index,
@@ -813,8 +831,16 @@ impl<'a> Engine<'a> {
             self.monitor,
             env,
             session,
+            || self.commit_before_pause(),
         )
         .map_err(|e| Halt::at(pos, e))
+    }
+
+    /// A loop about to block on a pause (before a claim or between
+    /// retries) first syncs the journal, so a paused campaign holds no
+    /// unsynced entry.
+    fn commit_before_pause(&self) -> Result<()> {
+        self.journal.as_ref().map_or(Ok(()), |j| j.lock().commit())
     }
 
     /// Journals `record` for the item at `pos`.
@@ -825,6 +851,12 @@ impl<'a> Engine<'a> {
 
     fn log_failure(&self, pos: usize, failure: &ExperimentFailure) -> Flow {
         self.journaled(pos, |j| j.append_failure(failure))
+    }
+
+    /// Syncs the journal's pending entries: an ordering point, failing as
+    /// the item at `pos` would.
+    fn commit(&self, pos: usize) -> Flow {
+        self.journaled(pos, ExperimentJournal::commit)
     }
 
     fn journaled(
@@ -844,7 +876,16 @@ impl<'a> Engine<'a> {
     /// included), failures by index, quarantined records and recovery
     /// episodes by name — so neither trigger-order execution nor loop
     /// interleaving leaks into the result — and the campaign's verdict.
+    /// It syncs the journal's pending entries on every path; a failed sync
+    /// fails an otherwise successful run, and an earlier error wins.
     fn finish(self) -> Result<CampaignResult> {
+        let synced = match &self.journal {
+            Some(j) => {
+                let tel = self.monitor.telemetry();
+                tel.time(Stage::DbWrite, || j.lock().commit())
+            }
+            None => Ok(()),
+        };
         let mut records = self.preloaded;
         let mut failures = Vec::new();
         let mut incomplete = false;
@@ -887,7 +928,7 @@ impl<'a> Engine<'a> {
             // Unclaimed items without a stop request should be impossible;
             // report rather than fabricate a complete result silently.
             None if incomplete => Err(GoofiError::Stopped),
-            None => Ok(*partial),
+            None => synced.map(|()| *partial),
         }
     }
 }

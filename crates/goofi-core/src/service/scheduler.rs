@@ -932,6 +932,7 @@ fn poison_shard(
         )?;
         stubs += 2;
     }
+    journal.commit()?;
     Ok(stubs)
 }
 
@@ -1201,6 +1202,44 @@ mod tests {
         assert!(watcher.since(2).is_empty());
         let (seq, _) = watcher.wait_newer(1, Duration::from_millis(10));
         assert_eq!(seq, 2);
+    }
+
+    #[test]
+    fn poison_stubs_survive_a_power_cut_right_after_poison_shard() {
+        use crate::campaign::WorkloadImage;
+        use crate::fault::{FaultLocation, FaultSpec};
+        use crate::vfs::{FaultFs, FaultKind, FaultPlan};
+        let dir = std::env::temp_dir().join(format!("goofi-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let fault = FaultSpec::single(
+            FaultLocation::Memory { addr: 0, bit: 0 },
+            crate::trigger::Trigger::AfterInstructions(1),
+        );
+        let campaign = Campaign::builder("poison")
+            .workload(WorkloadImage {
+                name: "wl".into(),
+                words: vec![1],
+                code_words: 1,
+                entry: 0,
+            })
+            .faults(vec![fault; 3])
+            .build()
+            .unwrap();
+        let counting = FaultFs::counting();
+        poison_shard(&counting, &campaign, &(0..3), &dir.join("count.gjl")).unwrap();
+        // The power fails at the first operation after the stubs went in.
+        let cut = FaultFs::new(FaultPlan {
+            at: counting.ops() + 1,
+            kind: FaultKind::PowerCut,
+            seed: 0,
+        });
+        let journal = dir.join("shard-0.gjl");
+        assert_eq!(poison_shard(&cut, &campaign, &(0..3), &journal).unwrap(), 6);
+        assert!(cut.create(&dir.join("after")).is_err());
+        let state = ExperimentJournal::load(&journal, "poison").unwrap();
+        assert_eq!(state.quarantined.len(), 6);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -254,19 +254,6 @@ where
         attempt: args.attempt,
     });
 
-    // Experiments already journaled count as "replayed", not "fresh":
-    // both the chaos kill point and nothing else depend on the split, but
-    // the distinction is what makes drills re-kill only on new work.
-    let baseline = if args.journal.exists() {
-        ExperimentJournal::load(&args.journal, &args.campaign)?
-            .completed
-            .keys()
-            .filter(|index| range.contains(index))
-            .count()
-    } else {
-        0
-    };
-
     // Progress streamer: one event per counter change.
     let finished = Arc::new(AtomicBool::new(false));
     let streamer = {
@@ -298,6 +285,17 @@ where
     // Chaos drill: self-kill (or stall) after a seeded number of *fresh*
     // completions this lease.
     if let Some(chaos) = args.chaos.filter(|c| c.active(args.attempt)) {
+        // Experiments already journaled count as "replayed", not "fresh":
+        // only the kill point depends on the split, but it is what makes
+        // drills re-kill only on new work. A journal that does not load
+        // counts none; `resume_campaign` salvages it below.
+        let baseline = ExperimentJournal::load(&args.journal, &args.campaign).map_or(0, |state| {
+            state
+                .completed
+                .keys()
+                .filter(|index| range.contains(index))
+                .count()
+        });
         let kill_point = chaos.kill_point(args.shard, args.attempt);
         let monitor = monitor.clone();
         std::thread::spawn(move || {

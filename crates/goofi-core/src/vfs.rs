@@ -6,10 +6,10 @@
 //! single seam between that persistence code and the operating system: a
 //! [`Vfs`] trait with a passthrough [`RealFs`] for production and a seeded
 //! [`FaultFs`] that deterministically injects torn writes, garbled writes,
-//! dropped fsyncs, `ENOSPC`, `EIO`, and crash-points at any file
-//! operation. The same philosophy the paper applies to target systems —
-//! prove behaviour by injecting faults, not by hoping — applied to the
-//! framework's own storage layer.
+//! dropped fsyncs, power cuts, `ENOSPC`, `EIO`, and crash-points at any
+//! file operation. The same philosophy the paper applies to target
+//! systems — prove behaviour by injecting faults, not by hoping — applied
+//! to the framework's own storage layer.
 //!
 //! A [`FaultPlan`] names the mutating operation it strikes, the
 //! [`FaultKind`] that happens there and the seed of its torn-write cut
@@ -272,6 +272,11 @@ pub enum FaultKind {
     /// *acknowledged-synced* length. Exposes any consumer that relies on
     /// unsynced data surviving a rename.
     LostSync,
+    /// Every `fsync` is honest; at the crash point the operation never
+    /// happens, the power fails and every file rolls back to its last
+    /// synced length. Exposes any consumer that acknowledges work it has
+    /// not synced yet.
+    PowerCut,
     /// The operation fails with `ENOSPC` (disk full). Transient: the
     /// process survives and later operations succeed.
     Enospc,
@@ -287,6 +292,7 @@ impl FaultKind {
             FaultKind::Torn => "torn",
             FaultKind::Garble => "garble",
             FaultKind::LostSync => "lost-sync",
+            FaultKind::PowerCut => "power-cut",
             FaultKind::Enospc => "enospc",
             FaultKind::Eio => "eio",
         }
@@ -309,8 +315,8 @@ pub struct FaultPlan {
 struct FaultState {
     ops: u64,
     crashed: bool,
-    /// Last synced length per path, tracked only for
-    /// [`FaultKind::LostSync`] rollback.
+    /// Last synced length per path, tracked for the power-failure
+    /// rollback of [`FaultKind::LostSync`] and [`FaultKind::PowerCut`].
     synced: HashMap<PathBuf, u64>,
 }
 
@@ -380,7 +386,8 @@ impl FaultFs {
     }
 
     /// Rolls every tracked file back to its last synced length — the
-    /// power-cut semantics of [`FaultKind::LostSync`].
+    /// power failure of [`FaultKind::LostSync`] and
+    /// [`FaultKind::PowerCut`].
     fn roll_back_unsynced(state: &FaultState) {
         for (path, len) in &state.synced {
             if let Ok(file) = OpenOptions::new().write(true).open(path) {
@@ -405,10 +412,10 @@ impl FaultFs {
             FaultKind::Enospc | FaultKind::Eio => Err(FaultFs::injected_err(self.plan.kind)),
             FaultKind::Torn | FaultKind::Garble if kind_is_write => Ok(Some(state.ops)),
             // A non-write op at a torn/garble crash point simply never
-            // happens; lost-sync rolls the world back first.
+            // happens; a power failure rolls the world back first.
             kind => {
                 state.crashed = true;
-                if kind == FaultKind::LostSync {
+                if matches!(kind, FaultKind::LostSync | FaultKind::PowerCut) {
                     FaultFs::roll_back_unsynced(&state);
                 }
                 Err(FaultFs::crashed_err())
@@ -660,6 +667,29 @@ mod tests {
         assert!(f.sync().is_err()); // op 7: power cut
         drop(f);
         assert_eq!(std::fs::read(&path).unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn power_cut_keeps_exactly_the_synced_bytes() {
+        let dir = temp_path("powercut-dir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f");
+        // Ops: create(1) write(2) sync(3) write(4) → the sync at 5 never
+        // happens: the power fails and the unsynced write is gone.
+        let fs = FaultFs::new(FaultPlan {
+            at: 5,
+            kind: FaultKind::PowerCut,
+            seed: 3,
+        });
+        let mut f = fs.create(&path).unwrap();
+        f.write_all(b"aaa").unwrap();
+        f.sync().unwrap();
+        f.write_all(b"bbb").unwrap();
+        assert!(f.sync().is_err());
+        assert!(fs.crashed());
+        drop(f);
+        assert_eq!(std::fs::read(&path).unwrap(), b"aaa");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

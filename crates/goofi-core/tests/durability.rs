@@ -3,9 +3,9 @@
 //!
 //! Every persistence artifact — run journal, database file, service spool —
 //! is written through the [`goofi_core::vfs`] seam, so a seeded
-//! [`FaultFs`] can tear a write, garble a sector, drop every fsync, or
-//! fail with `ENOSPC`/`EIO` at *any* chosen operation. The torture
-//! discipline is always the same:
+//! [`FaultFs`] can tear a write, garble a sector, drop every fsync, cut
+//! the power, or fail with `ENOSPC`/`EIO` at *any* chosen operation. The
+//! torture discipline is always the same:
 //!
 //! 1. count the mutating operations of an uninterrupted run,
 //! 2. crash (or fault) the run at every single one of them,
@@ -19,6 +19,7 @@
 //! spool-recovery quarantine, and proptests over randomly truncated and
 //! bit-flipped journal tails and spool manifests.
 
+use envsim::Environment;
 use goofi_core::algorithms;
 use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
 use goofi_core::dbio;
@@ -28,13 +29,21 @@ use goofi_core::fsck::{self, CorruptionClass};
 use goofi_core::journal;
 use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
+use goofi_core::policy::{ExperimentPolicy, WatchdogBudget};
 use goofi_core::runner;
+use goofi_core::supervisor::WedgeableTarget;
 use goofi_core::vfs::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs};
 use goofi_core::GoofiError;
 use proptest::prelude::*;
+use scanchain::WedgeConfig;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+mod recorder;
+use recorder::Recorder;
 
 const CAMPAIGN: &str = "torture";
 
@@ -166,20 +175,22 @@ fn run_and_persist(
     dbio::save_database(vfs, db_path, &db)
 }
 
-/// The tentpole: exhaustively crash a run→persist cycle at every mutating
-/// filesystem operation with fault `kind`, then prove crash → fsck →
-/// resume converges to the uninterrupted run's database.
-fn crash_walk(kind: FaultKind) {
+/// Exhaustively crashes a run→persist cycle of `experiments` experiments
+/// at every mutating filesystem operation with fault `kind`, then proves
+/// crash → fsck → resume converges to the uninterrupted run's database.
+fn crash_walk(kind: FaultKind, experiments: usize) {
     let dir = temp_dir(&format!("walk-{}", kind.encode()));
-    let campaign = sim_campaign(CAMPAIGN, 5);
+    let campaign = sim_campaign(CAMPAIGN, experiments);
     let want = serial_records(&campaign);
 
-    // Pass 0: learn how many mutating operations the walk must cover.
+    // Pass 0: learn how many mutating operations the walk must cover, and
+    // which of them sync the journal.
     let count_dir = dir.join("count");
     std::fs::create_dir_all(&count_dir).unwrap();
     let counting = FaultFs::counting();
+    let recorder = Recorder::new(counting.clone());
     run_and_persist(
-        &counting,
+        &recorder,
         &campaign,
         &count_dir.join("c.gdb"),
         &count_dir.join("c.gjl"),
@@ -187,6 +198,21 @@ fn crash_walk(kind: FaultKind) {
     .unwrap();
     let total = counting.ops();
     assert!(total > 10, "counting pass looks too small: {total} ops");
+    let ops = recorder.ops();
+    assert_eq!(ops.len() as u64, total, "ops numbered unlike FaultFs");
+    // (operation number, journal entries durable once it returned) per
+    // journal sync.
+    let mut entries = 0;
+    let mut syncs = Vec::new();
+    for (at, op) in (1u64..).zip(&ops) {
+        entries += usize::from(op.journal_entry());
+        if op.journal_sync() {
+            syncs.push((at, entries));
+        }
+    }
+    if kind == FaultKind::PowerCut {
+        assert_sync_batches(&syncs, experiments);
+    }
 
     for at in 1..=total {
         let kdir = dir.join(format!("at{at}"));
@@ -204,6 +230,18 @@ fn crash_walk(kind: FaultKind) {
         // report success; the walk does not care — the wreckage on disk is
         // what matters.)
         let _ = run_and_persist(&fault, &campaign, &db, &journal);
+        if kind == FaultKind::PowerCut {
+            // Only synced entries survive: after a cut just after the k-th
+            // batch sync, the reference plus k batches of records.
+            let durable = journal::ExperimentJournal::load(&journal, CAMPAIGN)
+                .ok()
+                .map(|state| state.len());
+            let synced = syncs.iter().rev().find(|s| s.0 < at).map(|s| s.1);
+            assert_eq!(
+                durable, synced,
+                "journal entries after a power cut at op {at}"
+            );
+        }
 
         // Phase 2: repair with the real filesystem, as an operator would.
         let report = fsck::fsck_all(&RealFs, &db, Some((&journal, CAMPAIGN)), true)
@@ -228,19 +266,177 @@ fn crash_walk(kind: FaultKind) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Asserts the journal synced its header, the reference, every full batch
+/// of records and, in the fan-in, the partial last one — and that the run
+/// spanned at least two full batches. `syncs` holds the entries durable
+/// after each journal sync; the batch size is read off the third.
+fn assert_sync_batches(syncs: &[(u64, usize)], experiments: usize) {
+    let durable: Vec<usize> = syncs.iter().map(|s| s.1).collect();
+    let batch = durable.get(2).map_or(0, |n| n.saturating_sub(1));
+    assert!(
+        batch > 1 && 2 * batch < experiments,
+        "no two full sync batches in {experiments} experiments: {durable:?}"
+    );
+    let mut want = vec![0, 1];
+    want.extend((1..=(experiments - 1) / batch).map(|k| 1 + k * batch));
+    want.push(1 + experiments);
+    assert_eq!(durable, want, "entries durable after each journal sync");
+}
+
 #[test]
 fn torn_write_crash_at_every_operation_converges() {
-    crash_walk(FaultKind::Torn);
+    crash_walk(FaultKind::Torn, 5);
 }
 
 #[test]
 fn garbled_write_crash_at_every_operation_converges() {
-    crash_walk(FaultKind::Garble);
+    crash_walk(FaultKind::Garble, 5);
 }
 
 #[test]
 fn lost_sync_crash_at_every_operation_converges() {
-    crash_walk(FaultKind::LostSync);
+    crash_walk(FaultKind::LostSync, 5);
+}
+
+/// Past two journal sync batches, so cuts land after full batches and
+/// inside the partial last one.
+#[test]
+fn power_cut_at_every_operation_converges() {
+    crash_walk(FaultKind::PowerCut, 160);
+}
+
+/// An environment that pauses `monitor` at the `at`-th reset counted over
+/// all its instances: the reference run resets first, then each
+/// experiment attempt once.
+struct PauseAt {
+    monitor: ProgressMonitor,
+    resets: Arc<AtomicUsize>,
+    at: usize,
+}
+
+impl Environment for PauseAt {
+    fn name(&self) -> &str {
+        "pause-at"
+    }
+
+    fn reset(&mut self) {
+        if self.resets.fetch_add(1, Ordering::SeqCst) + 1 == self.at {
+            self.monitor.pause();
+        }
+    }
+
+    fn exchange(&mut self, _outputs: &[u32]) -> Vec<u32> {
+        Vec::new()
+    }
+}
+
+/// A loop about to block on a pause first syncs the batch it is in the
+/// middle of, whether the pause finds it between two experiments or
+/// between the retries of a failing one.
+#[test]
+fn a_paused_campaign_holds_no_unsynced_entry() {
+    for retrying in [false, true] {
+        let mut campaign = sim_campaign(CAMPAIGN, 64);
+        campaign.policy = ExperimentPolicy::retry_then_skip(1);
+        if retrying {
+            // A flip past the end of memory fails every attempt.
+            campaign.faults[32].locations = vec![FaultLocation::Memory {
+                addr: 1 << 20,
+                bit: 0,
+            }];
+        }
+        let monitor = ProgressMonitor::new(64);
+        let resets = Arc::new(AtomicUsize::new(0));
+        // Reset 34 starts experiment 32, when the reference and 32 records
+        // are journaled and the records not yet synced.
+        let make_env = || {
+            Box::new(PauseAt {
+                monitor: monitor.clone(),
+                resets: Arc::clone(&resets),
+                at: 34,
+            }) as Box<dyn Environment>
+        };
+        let recorder = Recorder::new(RealFs);
+        let dir = temp_dir("pause");
+        let entries = |ops: &[recorder::Op]| ops.iter().filter(|op| op.journal_entry()).count();
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| {
+                runner::resume_campaign(
+                    SimTarget::new,
+                    Some(make_env),
+                    &campaign,
+                    &monitor,
+                    1,
+                    &recorder,
+                    dir.join("run.gjl"),
+                    0..64,
+                )
+            });
+            // Wait for the loop to block with nothing left to sync.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut ops = recorder.ops();
+            while (entries(&ops) < 33 || recorder::unsynced(&ops) > 0) && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(2));
+                ops = recorder.ops();
+            }
+            let retried = monitor.snapshot().retried;
+            monitor.resume();
+            let result = running.join().unwrap().unwrap();
+            // Between experiments the loop had journaled experiment 32;
+            // between its retries it had not.
+            let want = (34 - usize::from(retrying), 0, usize::from(retrying));
+            assert_eq!(
+                (entries(&ops), recorder::unsynced(&ops), retried),
+                want,
+                "(entries, unsynced, retries) while paused, retrying: {retrying}"
+            );
+            assert_eq!(result.failures.len(), usize::from(retrying));
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A hang's quarantine mark is synced before recovery and the re-run.
+#[test]
+fn a_hang_mark_is_synced_before_recovery_reruns_it() {
+    let mut campaign = sim_campaign(CAMPAIGN, 4);
+    campaign.policy = ExperimentPolicy::default()
+        .with_watchdog(WatchdogBudget {
+            max_cycles: Some(5_000),
+            max_wall_ms: None,
+        })
+        .with_health_check(1_000);
+    // The reference runs on the first target; the loop's target hangs on
+    // its first experiment until a power cycle.
+    let made = AtomicUsize::new(0);
+    let make_target = || {
+        let config = if made.fetch_add(1, Ordering::Relaxed) == 0 {
+            WedgeConfig::default()
+        } else {
+            WedgeConfig {
+                max_events: Some(1),
+                ..WedgeConfig::hang(1, 1.0)
+            }
+        };
+        WedgeableTarget::new(SimTarget::new(), config)
+    };
+    let recorder = Recorder::new(RealFs);
+    let dir = temp_dir("hang");
+    let result = runner::resume_campaign(
+        make_target,
+        None::<fn() -> Box<dyn Environment>>,
+        &campaign,
+        &ProgressMonitor::new(4),
+        1,
+        &recorder,
+        dir.join("run.gjl"),
+        0..4,
+    )
+    .unwrap();
+    assert_eq!(result.quarantined.len(), 1, "the hang never happened");
+    assert_eq!(recorder::unsynced_before_rerun(&recorder.ops()), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite: `ENOSPC`/`EIO` at any operation surface as

@@ -15,6 +15,7 @@
 use goofi_core::algorithms;
 use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
 use goofi_core::fault::{FaultLocation, FaultModel, FaultSpec};
+use goofi_core::golden::GoldenCache;
 use goofi_core::journal::ExperimentJournal;
 use goofi_core::link::{UnreliableTarget, VerifiedTarget, VerifyConfig};
 use goofi_core::logging::Validity;
@@ -30,6 +31,9 @@ use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod recorder;
+use recorder::Recorder;
 
 /// A deterministic lab target. `bad_loads` names the (1-based) workload
 /// loads whose runs produce drifted outputs — modelling a link that went
@@ -533,4 +537,68 @@ fn unrecovered_link_fault_is_a_policy_visible_failure() {
     }
     assert!(verified.stats().unrecovered > 0);
     assert!(monitor.snapshot().link_unrecovered > 0);
+}
+
+#[test]
+fn a_drift_syncs_its_marks_before_the_reruns_and_the_next_clean_check_restores_the_cache() {
+    // The timeline of the serial quarantine test above, resumed with one
+    // loop: the golden run on load 4 drifts, the one on load 9 is clean.
+    let c = campaign_n(4, ExperimentPolicy::default().with_revalidation(2));
+    let dir = temp_path("drift-ordering");
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("run.gjl");
+    let recorder = Recorder::new(goofi_core::vfs::RealFs);
+    let loads = Arc::new(AtomicU64::new(0));
+    let result = runner::resume_campaign(
+        move || LabTarget::drifting(200, 4..5, loads.clone()),
+        None::<fn() -> Box<dyn envsim::Environment>>,
+        &c,
+        &ProgressMonitor::new(4),
+        1,
+        &recorder,
+        &journal,
+        0..c.faults.len(),
+    )
+    .unwrap();
+    assert_eq!(result.quarantined.len(), 2, "the drift never happened");
+    assert_eq!(
+        recorder::unsynced_before_rerun(&recorder.ops()),
+        0,
+        "journal entries unsynced when the re-runs started"
+    );
+    // The drift deleted the cached golden run; the clean check stored it
+    // again.
+    let env = envsim::Environment::name(&envsim::NullEnvironment);
+    let cache = GoldenCache::new(&goofi_core::vfs::RealFs, &journal, &c, env);
+    assert_eq!(cache.load(&c), Some(result.reference));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn clean_revalidation_leaves_a_current_golden_cache_alone() {
+    // Mutating filesystem operations of one journaled run of `c`.
+    let ops = |c: &Campaign| {
+        let dir = temp_path("cache-ops");
+        std::fs::create_dir_all(&dir).unwrap();
+        let counting = goofi_core::vfs::FaultFs::counting();
+        runner::resume_campaign(
+            || LabTarget::new(200),
+            None::<fn() -> Box<dyn envsim::Environment>>,
+            c,
+            &ProgressMonitor::new(c.faults.len()),
+            1,
+            &counting,
+            dir.join("run.gjl"),
+            0..c.faults.len(),
+        )
+        .unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        counting.ops()
+    };
+    let plain = ops(&campaign_n(20, ExperimentPolicy::default()));
+    let revalidated = ops(&campaign_n(
+        20,
+        ExperimentPolicy::default().with_revalidation(2),
+    ));
+    assert_eq!(revalidated, plain);
 }

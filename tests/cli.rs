@@ -390,3 +390,45 @@ fn db_file_is_portable_across_invocations() {
     assert!(out.contains("p2"), "{out}");
     let _ = PathBuf::from(&db);
 }
+
+#[test]
+fn worker_salvages_an_empty_shard_journal_and_completes_its_range() {
+    let (guard, db) = tmp_db("worker-empty-journal");
+    stdout(&goofi(&[
+        "new",
+        &db,
+        "--name",
+        "c",
+        "--workload",
+        "crc32",
+        "--experiments",
+        "6",
+        "--seed",
+        "7",
+    ]));
+    // A shard journal a crash left empty: resume moves it aside.
+    let journal = guard.path.join("shard-0.gjl");
+    std::fs::write(&journal, "").unwrap();
+    stdout(&goofi(&[
+        "worker",
+        "--db",
+        &db,
+        "--campaign",
+        "c",
+        "--shard",
+        "0",
+        "--range",
+        "0:6",
+        "--journal",
+        &journal.to_string_lossy(),
+        "--attempt",
+        "2",
+    ]));
+    assert!(guard.path.join("shard-0.gjl.corrupt").exists());
+    let state = goofi::core::journal::ExperimentJournal::load(&journal, "c").unwrap();
+    assert!(state.reference.is_some());
+    assert_eq!(
+        state.completed.keys().copied().collect::<Vec<_>>(),
+        [0, 1, 2, 3, 4, 5]
+    );
+}
