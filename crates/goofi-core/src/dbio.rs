@@ -13,6 +13,7 @@ use crate::campaign::{
     WorkloadImage,
 };
 use crate::fault::FaultSpec;
+use crate::journal::JournalState;
 use crate::logging::{ExperimentRecord, LoggingMode, StateSnapshot, TerminationCause, Validity};
 use crate::supervisor::{RecoveryAction, RecoveryRecord, RecoveryStage, RecoveryTrigger};
 use crate::vfs::{self, Vfs};
@@ -540,6 +541,17 @@ pub fn import_journal_with(
     campaign: &str,
 ) -> Result<usize> {
     let state = crate::journal::ExperimentJournal::load_with(vfs, path, campaign)?;
+    import_journal_state(db, &state)
+}
+
+/// Imports an already loaded journal: [`import_journal`] minus the read.
+/// The service merge calls this with the state each shard's completion
+/// check loaded, so it reads no journal a second time.
+///
+/// # Errors
+///
+/// Database errors (the campaign row must exist).
+pub fn import_journal_state(db: &mut Database, state: &JournalState) -> Result<usize> {
     let mut inserted = 0;
     let existing = |db: &Database, name: &str| {
         db.table(LOG_TABLE)
@@ -584,16 +596,43 @@ pub fn save_database(vfs: &dyn Vfs, path: impl AsRef<Path>, db: &Database) -> Re
 /// ([`GoofiError::Db`]).
 pub fn load_database(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Database> {
     let path = path.as_ref();
-    let text = vfs
-        .read_to_string(path)
-        .map_err(|e| GoofiError::io("loading database from", path, &e))?;
-    Database::load_from_string(&text).map_err(|e| match e {
+    let text = read_database(vfs, path)?;
+    Database::load_from_string(&text).map_err(strict_load_error)
+}
+
+/// Loads one campaign from a database file without loading the database:
+/// only the `TargetSystemData` and `CampaignData` blocks are decoded and
+/// checked against their `CHECK` footers, and every other block is
+/// skipped undecoded. Returns what [`load_campaign`] returns after a full
+/// [`load_database`], at a cost that does not grow with the logged
+/// experiments. The service's shard workers and its restart path read
+/// their campaign this way.
+///
+/// # Errors
+///
+/// As [`load_database`] for the two campaign tables, and as
+/// [`load_campaign`].
+pub fn load_campaign_from(vfs: &dyn Vfs, path: impl AsRef<Path>, name: &str) -> Result<Campaign> {
+    let text = read_database(vfs, path.as_ref())?;
+    let db = Database::load_tables_from_string(&text, &[TARGET_TABLE, CAMPAIGN_TABLE])
+        .map_err(strict_load_error)?;
+    load_campaign(&db, name)
+}
+
+fn read_database(vfs: &dyn Vfs, path: &Path) -> Result<String> {
+    vfs.read_to_string(path)
+        .map_err(|e| GoofiError::io("loading database from", path, &e))
+}
+
+/// A strict load's error, with the salvage hint on corruption.
+fn strict_load_error(e: goofidb::DbError) -> GoofiError {
+    match e {
         goofidb::DbError::Corrupt { table, detail } => GoofiError::Db(goofidb::DbError::Corrupt {
             table,
             detail: format!("{detail} (run `goofi fsck --repair` to salvage)"),
         }),
         other => GoofiError::Db(other),
-    })
+    }
 }
 
 /// Loads one experiment record by name.

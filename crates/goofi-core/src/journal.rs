@@ -87,6 +87,30 @@ impl JournalState {
         self.completed.len() + self.failed.len() + usize::from(self.reference.is_some())
     }
 
+    /// Folds in one experiment record appended at campaign index `index`,
+    /// exactly as [`ExperimentJournal::load`] reads it back.
+    pub(crate) fn apply_record(&mut self, index: usize, record: ExperimentRecord) {
+        if record.validity == Validity::Invalid {
+            // Quarantined: drop any completed record so resume re-runs
+            // the experiment; the round keeps the rerun name unique.
+            self.completed.remove(&index);
+            *self.failed_rounds.entry(index).or_insert(0) += 1;
+            self.failed.insert(
+                index,
+                ExperimentFailure {
+                    index,
+                    name: record.name.clone(),
+                    attempts: 1,
+                    error: "quarantined by golden-run revalidation".into(),
+                },
+            );
+            self.quarantined.push(record);
+        } else {
+            self.failed.remove(&index);
+            self.completed.insert(index, record);
+        }
+    }
+
     /// Whether nothing was journaled yet.
     pub fn is_empty(&self) -> bool {
         self.reference.is_none() && self.completed.is_empty() && self.failed.is_empty()
@@ -295,28 +319,7 @@ impl ExperimentJournal {
             }
             match parse_entry(line, campaign_name) {
                 Some(Entry::Reference(record)) => state.reference = Some(record),
-                Some(Entry::Completed(index, record)) => {
-                    if record.validity == Validity::Invalid {
-                        // Quarantined: drop any completed record so resume
-                        // re-runs the experiment; the round keeps the
-                        // rerun name unique.
-                        state.completed.remove(&index);
-                        *state.failed_rounds.entry(index).or_insert(0) += 1;
-                        state.failed.insert(
-                            index,
-                            ExperimentFailure {
-                                index,
-                                name: record.name.clone(),
-                                attempts: 1,
-                                error: "quarantined by golden-run revalidation".into(),
-                            },
-                        );
-                        state.quarantined.push(record);
-                    } else {
-                        state.failed.remove(&index);
-                        state.completed.insert(index, record);
-                    }
-                }
+                Some(Entry::Completed(index, record)) => state.apply_record(index, record),
                 Some(Entry::Failed(failure)) => {
                     *state.failed_rounds.entry(failure.index).or_insert(0) += 1;
                     if !state.completed.contains_key(&failure.index) {

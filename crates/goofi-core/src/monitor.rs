@@ -18,6 +18,7 @@ use crate::telemetry::{Metric, MetricsRegistry, Telemetry};
 use crate::{GoofiError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -93,6 +94,10 @@ struct Inner {
     // on every count.
     by_termination: Mutex<BTreeMap<String, usize>>,
     progress_changed: Condvar,
+    /// Set by `finish`, under the `by_termination` lock, which also
+    /// guards the waits on `ended`.
+    finished: AtomicBool,
+    ended: Condvar,
     telemetry: Telemetry,
 }
 
@@ -128,6 +133,8 @@ impl ProgressMonitor {
                 counters: telemetry.registry().unwrap_or_default(),
                 by_termination: Mutex::new(BTreeMap::new()),
                 progress_changed: Condvar::new(),
+                finished: AtomicBool::new(false),
+                ended: Condvar::new(),
                 telemetry,
             }),
         }
@@ -248,23 +255,57 @@ impl ProgressMonitor {
         }
     }
 
-    /// Blocks until the counters differ from `last` or `timeout` elapses,
-    /// then returns a copy of the current counters. This is the push side
-    /// of live progress streaming: shard workers loop on it to emit one
-    /// wire event per change instead of polling [`ProgressMonitor::snapshot`].
+    /// Blocks until the counters differ from `last`, the run has ended
+    /// ([`ProgressMonitor::finish`]) or `timeout` elapses, then returns a
+    /// copy of the current counters. This is the push side of live
+    /// progress streaming: shard workers loop on it to emit wire events on
+    /// change instead of polling [`ProgressMonitor::snapshot`].
     pub fn wait_for_change(&self, last: &Progress, timeout: Duration) -> Progress {
         let deadline = Instant::now() + timeout;
         let mut by_termination = self.inner.by_termination.lock();
         loop {
             let p = self.snapshot_locked(&by_termination);
             let now = Instant::now();
-            if p != *last || now >= deadline {
+            if p != *last || now >= deadline || self.is_finished() {
                 return p;
             }
             self.inner
                 .progress_changed
                 .wait_for(&mut by_termination, deadline - now);
         }
+    }
+
+    /// Marks the run as ended, once nothing more will be counted, and
+    /// wakes every thread blocked in [`ProgressMonitor::wait_for_change`]
+    /// or [`ProgressMonitor::wait_finished`]: from then on both return at
+    /// once.
+    pub fn finish(&self) {
+        let _lock = self.inner.by_termination.lock();
+        self.inner.finished.store(true, Ordering::Release);
+        self.inner.progress_changed.notify_all();
+        self.inner.ended.notify_all();
+    }
+
+    /// Whether [`ProgressMonitor::finish`] has been called.
+    pub fn is_finished(&self) -> bool {
+        self.inner.finished.load(Ordering::Acquire)
+    }
+
+    /// Blocks until the run has ended or `timeout` elapses; returns
+    /// whether it has ended. Unlike [`ProgressMonitor::wait_for_change`],
+    /// counting does not wake it, so it paces a loop that must still see
+    /// the end at once.
+    pub fn wait_finished(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut lock = self.inner.by_termination.lock();
+        while !self.is_finished() {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            self.inner.ended.wait_for(&mut lock, deadline - now);
+        }
+        true
     }
 }
 
@@ -512,6 +553,46 @@ mod tests {
         let last = m.snapshot();
         let p = m.wait_for_change(&last, Duration::from_millis(20));
         assert_eq!(p, last);
+    }
+
+    #[test]
+    fn finish_ends_a_long_wait_at_once() {
+        let m = ProgressMonitor::new(2);
+        let last = m.snapshot();
+        let waiters: Vec<_> = (0..2)
+            .map(|which| {
+                let (m, last) = (m.clone(), last.clone());
+                thread::spawn(move || {
+                    let started = Instant::now();
+                    if which == 0 {
+                        assert_eq!(m.wait_for_change(&last, Duration::from_secs(10)), last);
+                    } else {
+                        assert!(m.wait_finished(Duration::from_secs(10)));
+                    }
+                    started.elapsed()
+                })
+            })
+            .collect();
+        assert!(!m.wait_finished(Duration::from_millis(50)));
+        assert!(!m.is_finished());
+        m.finish();
+        for waiter in waiters {
+            let waited = waiter.join().unwrap();
+            assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+        }
+        // Once finished, neither wait blocks.
+        assert!(m.wait_finished(Duration::from_secs(10)));
+        assert_eq!(m.wait_for_change(&last, Duration::from_secs(10)), last);
+    }
+
+    #[test]
+    fn counting_does_not_end_wait_finished() {
+        let m = ProgressMonitor::new(2);
+        let m2 = m.clone();
+        let handle = thread::spawn(move || m2.wait_finished(Duration::from_millis(200)));
+        thread::sleep(Duration::from_millis(20));
+        m.record(&TerminationCause::WorkloadEnd);
+        assert!(!handle.join().unwrap(), "a count is not the end of the run");
     }
 
     #[test]

@@ -55,6 +55,10 @@ pub use server::{
 pub use wire::{Request, Response, WorkerEvent};
 pub use worker::{run_worker, WorkerArgs};
 
+/// The scheduler's tick: a job runner samples its shards' stats once per
+/// tick, so a worker sends at most one progress frame per tick.
+pub(crate) const TICK: std::time::Duration = std::time::Duration::from_millis(10);
+
 /// Splits `0..total` into at most `shards` contiguous, near-equal,
 /// non-empty ranges covering every index exactly once. Earlier ranges get
 /// the remainder, so the split is deterministic.

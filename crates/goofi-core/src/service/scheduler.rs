@@ -21,10 +21,12 @@
 //!   `…/rerun1` stub, and the job completes around it.
 //! - **Merge.** When every shard is done or poisoned, the shard journals
 //!   are folded into the database in shard order through the idempotent
-//!   [`dbio::import_journal`] path. Journals carry global experiment
-//!   indices and each contains its own (identical, deduplicated)
-//!   reference run, so at-least-once execution still merges to a
-//!   database essence-equal to a serial run.
+//!   [`dbio::import_journal_state`] path, from the journal state each
+//!   shard's completion check (or poison quarantine) already loaded, so
+//!   no journal is read twice. Journals carry global experiment indices
+//!   and each contains its own (identical, deduplicated) reference run,
+//!   so at-least-once execution still merges to a database
+//!   essence-equal to a serial run.
 //! - **Restart recovery.** [`Scheduler::recover`] re-runs every spooled
 //!   job without a `done` marker; shard journals make the replay
 //!   idempotent, so a killed daemon resumes mid-flight jobs where they
@@ -35,7 +37,7 @@ use super::net::{FrameRead, FrameReader, NetFaultConfig};
 use super::wire::WorkerEvent;
 use crate::campaign::Campaign;
 use crate::dbio;
-use crate::journal::ExperimentJournal;
+use crate::journal::{ExperimentJournal, JournalState};
 use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity};
 use crate::policy::Backoff;
 use crate::vfs::{self, Vfs, VfsHandle};
@@ -470,7 +472,7 @@ impl Scheduler {
             workers
         };
         write_manifest(cfg.vfs.as_ref(), &dir, campaign, workers, request_id)?;
-        self.start_job(&id, campaign, workers);
+        self.start_job(&id, stored, workers);
         if let Some(rid) = request_id {
             requests.insert(rid.to_string(), id.clone());
         }
@@ -512,11 +514,26 @@ impl Scheduler {
                         // Finished before the restart: register it as a
                         // terminal entry so status listings, watches and
                         // dedup'd resubmits resolve, but run nothing.
-                        self.register_done_job(&id, &campaign);
-                    } else {
-                        self.start_job(&id, &campaign, workers);
-                        outcome.resumed.push(id);
+                        self.register_settled_job(
+                            &id,
+                            &campaign,
+                            JobState::Done,
+                            "completed before daemon restart".into(),
+                        );
+                        continue;
                     }
+                    // Only the campaign's tables: the job's merge still
+                    // loads (and checks) the whole database.
+                    match dbio::load_campaign_from(cfg.vfs.as_ref(), &cfg.db_path, &campaign) {
+                        Ok(stored) => self.start_job(&id, stored, workers),
+                        Err(e) => self.register_settled_job(
+                            &id,
+                            &campaign,
+                            JobState::Failed,
+                            e.to_string(),
+                        ),
+                    }
+                    outcome.resumed.push(id);
                 }
                 // A finished job's manifest no longer matters; damage to
                 // it is fsck's concern, not a reason to quarantine.
@@ -533,14 +550,15 @@ impl Scheduler {
         Ok(outcome)
     }
 
-    /// Registers a job that completed before a restart: terminal state,
-    /// no runner thread. Counters are left at zero — the merged database,
-    /// not this summary, is the record of what happened.
-    fn register_done_job(&self, id: &str, campaign: &str) {
+    /// Registers a job in a terminal state, with no runner thread: one
+    /// that completed before a restart, or one whose campaign no longer
+    /// reads. Counters are left at zero — the merged database, not this
+    /// summary, is the record of what happened.
+    fn register_settled_job(&self, id: &str, campaign: &str, state: JobState, detail: String) {
         let shared = Arc::new(JobShared::new());
         shared.set(|p| {
-            p.state = JobState::Done;
-            p.detail = "completed before daemon restart".into();
+            p.state = state;
+            p.detail = detail;
         });
         self.shared.jobs.lock().insert(
             id.to_string(),
@@ -552,13 +570,14 @@ impl Scheduler {
         );
     }
 
-    fn start_job(&self, id: &str, campaign: &str, workers: usize) {
+    /// Starts the runner thread of a job over its decoded campaign.
+    fn start_job(&self, id: &str, campaign: Campaign, workers: usize) {
         let shared = Arc::new(JobShared::new());
+        let name = campaign.name.clone();
         let thread = {
             let sched = Arc::clone(&self.shared);
             let job_shared = Arc::clone(&shared);
             let id = id.to_string();
-            let campaign = campaign.to_string();
             std::thread::spawn(move || {
                 if let Err(e) = run_job(&sched, &id, &campaign, workers, &job_shared) {
                     job_shared.set(|p| {
@@ -571,7 +590,7 @@ impl Scheduler {
         self.shared.jobs.lock().insert(
             id.to_string(),
             JobEntry {
-                campaign: campaign.to_string(),
+                campaign: name,
                 shared,
                 thread: Some(thread),
             },
@@ -620,7 +639,8 @@ impl Scheduler {
     }
 }
 
-/// Per-shard bookkeeping of the job runner loop.
+/// Per-shard bookkeeping of the job runner loop. A settled shard keeps
+/// the journal state the merge imports.
 enum ShardState {
     Pending {
         attempt: u32,
@@ -632,8 +652,18 @@ enum ShardState {
         comm: Arc<ShardComm>,
         reader: std::thread::JoinHandle<()>,
     },
-    Done,
-    Poisoned,
+    Done(JournalState),
+    Poisoned(JournalState),
+}
+
+impl ShardState {
+    /// A shard due for its `attempt`-th lease now.
+    fn pending(attempt: u32) -> ShardState {
+        ShardState::Pending {
+            attempt,
+            not_before: Instant::now(),
+        }
+    }
 }
 
 /// What the stdout reader thread shares with the runner loop.
@@ -660,15 +690,12 @@ struct ShardStats {
 fn run_job(
     sched: &SchedShared,
     id: &str,
-    campaign_name: &str,
+    campaign: &Campaign,
     workers: usize,
     job: &JobShared,
 ) -> Result<()> {
     let vfs = sched.cfg.vfs.as_ref();
-    let campaign: Campaign = {
-        let db = dbio::load_database(vfs, &sched.cfg.db_path)?;
-        dbio::load_campaign(&db, campaign_name)?
-    };
+    let campaign_name = campaign.name.as_str();
     let total = campaign.experiment_count();
     let ranges = super::partition(total, workers);
     let dir = sched.cfg.spool_dir.join(id);
@@ -687,15 +714,13 @@ fn run_job(
     for (shard, range) in ranges.iter().enumerate() {
         // A journal that already covers its whole range (daemon restarted
         // after the shard finished but before the merge) is done as-is.
-        if shard_journal_complete(vfs, &journal_path(shard), campaign_name, range)? {
-            last_stats[shard].completed = range.len() as u64;
-            last_stats[shard].done = true;
-            shards.push(ShardState::Done);
-        } else {
-            shards.push(ShardState::Pending {
-                attempt: 1,
-                not_before: Instant::now(),
-            });
+        match shard_journal_complete(vfs, &journal_path(shard), campaign_name, range)? {
+            Some(journal) => {
+                last_stats[shard].completed = range.len() as u64;
+                last_stats[shard].done = true;
+                shards.push(ShardState::Done(journal));
+            }
+            None => shards.push(ShardState::pending(1)),
         }
     }
 
@@ -703,7 +728,7 @@ fn run_job(
         if sched.aborted.load(Ordering::Acquire) {
             for state in &mut shards {
                 if let ShardState::Running { child, reader, .. } =
-                    std::mem::replace(state, ShardState::Poisoned)
+                    std::mem::replace(state, ShardState::pending(1))
                 {
                     kill_child(child);
                     let _ = reader.join();
@@ -715,7 +740,7 @@ fn run_job(
         let mut all_settled = true;
         for shard in 0..shards.len() {
             match &mut shards[shard] {
-                ShardState::Done | ShardState::Poisoned => {}
+                ShardState::Done(_) | ShardState::Poisoned(_) => {}
                 ShardState::Pending {
                     attempt,
                     not_before,
@@ -746,7 +771,7 @@ fn run_job(
                             // Spawn failure counts as a failed lease.
                             shard_lease_failed(
                                 sched,
-                                &campaign,
+                                campaign,
                                 &ranges[shard],
                                 &journal_path(shard),
                                 attempt,
@@ -774,7 +799,7 @@ fn run_job(
                         continue;
                     }
                     // The worker exited or its lease expired: settle it.
-                    let state = std::mem::replace(&mut shards[shard], ShardState::Poisoned);
+                    let state = std::mem::replace(&mut shards[shard], ShardState::pending(attempt));
                     let (child, reader) = match state {
                         ShardState::Running { child, reader, .. } => (child, reader),
                         _ => unreachable!("shard was running"),
@@ -792,22 +817,22 @@ fn run_job(
                     // The journal is the ground truth for completion; the
                     // exit status guards against a worker that "finished"
                     // while dying.
-                    let finished = status
-                        .as_ref()
-                        .is_some_and(std::process::ExitStatus::success)
-                        && shard_journal_complete(
+                    let finished = match status {
+                        Some(status) if status.success() => shard_journal_complete(
                             vfs,
                             &journal_path(shard),
                             campaign_name,
                             &ranges[shard],
-                        )?;
-                    if finished {
+                        )?,
+                        _ => None,
+                    };
+                    if let Some(journal) = finished {
                         consecutive_failures[shard] = 0;
-                        shards[shard] = ShardState::Done;
+                        shards[shard] = ShardState::Done(journal);
                     } else {
                         shard_lease_failed(
                             sched,
-                            &campaign,
+                            campaign,
                             &ranges[shard],
                             &journal_path(shard),
                             attempt,
@@ -831,8 +856,8 @@ fn run_job(
             agg.skipped += stats.skipped as usize;
             agg.quarantined += stats.quarantined as usize;
             match shards[shard] {
-                ShardState::Done => agg.shards_done += 1,
-                ShardState::Poisoned => agg.shards_poisoned += 1,
+                ShardState::Done(_) => agg.shards_done += 1,
+                ShardState::Poisoned(_) => agg.shards_poisoned += 1,
                 _ => {}
             }
         }
@@ -844,18 +869,19 @@ fn run_job(
         if all_settled {
             break;
         }
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(super::TICK);
     }
 
-    // Merge: fold every shard journal into the database, in shard order
-    // (deterministic), through the idempotent import path.
+    // Merge: fold every shard's journal state into the database, in shard
+    // order (deterministic), through the idempotent import path. Each
+    // state is dropped once imported, which keeps the states out of the
+    // save's peak memory.
     {
         let _db_guard = sched.db_lock.lock();
         let mut db = dbio::load_database(vfs, &sched.cfg.db_path)?;
-        for shard in 0..ranges.len() {
-            let path = journal_path(shard);
-            if vfs.exists(&path) {
-                dbio::import_journal_with(&mut db, vfs, &path, campaign_name)?;
+        for state in shards {
+            if let ShardState::Done(journal) | ShardState::Poisoned(journal) = state {
+                dbio::import_journal_state(&mut db, &journal)?;
             }
         }
         dbio::save_database(vfs, &sched.cfg.db_path, &db)?;
@@ -882,8 +908,9 @@ fn shard_lease_failed(
 ) -> Result<()> {
     *consecutive += 1;
     if *consecutive >= sched.cfg.poison_after {
-        *poison_quarantined += poison_shard(sched.cfg.vfs.as_ref(), campaign, range, journal)?;
-        *state = ShardState::Poisoned;
+        let (stubs, journal) = poison_shard(sched.cfg.vfs.as_ref(), campaign, range, journal)?;
+        *poison_quarantined += stubs;
+        *state = ShardState::Poisoned(journal);
     } else {
         *state = ShardState::Pending {
             attempt: attempt + 1,
@@ -897,17 +924,18 @@ fn shard_lease_failed(
 /// a `Validity::Invalid` stub record plus an invalid
 /// `parentExperiment`-linked `…/rerun1` stub appended to its journal, so
 /// the merged database documents the loss (and the rerun hook) instead of
-/// the job wedging forever. Returns the number of stub records written.
+/// the job wedging forever. Returns the number of stub records written and
+/// the journal's state with the stubs in, as a reload would read it.
 fn poison_shard(
     vfs: &dyn Vfs,
     campaign: &Campaign,
     range: &std::ops::Range<usize>,
     journal_path: &Path,
-) -> Result<usize> {
+) -> Result<(usize, JournalState)> {
     if !vfs.exists(journal_path) {
         ExperimentJournal::create_with(vfs, journal_path, &campaign.name)?;
     }
-    let state = ExperimentJournal::load_with(vfs, journal_path, &campaign.name)?;
+    let mut state = ExperimentJournal::load_with(vfs, journal_path, &campaign.name)?;
     let mut journal = ExperimentJournal::open_append_with(vfs, journal_path)?;
     let mut stubs = 0;
     for index in range.clone() {
@@ -925,30 +953,30 @@ fn poison_shard(
             trace: Vec::new(),
             validity: Validity::Invalid,
         };
-        journal.append_record(Some(index), &stub(original.clone(), None))?;
-        journal.append_record(
-            Some(index),
-            &stub(format!("{original}/rerun1"), Some(original)),
-        )?;
-        stubs += 2;
+        let rerun = stub(format!("{original}/rerun1"), Some(original.clone()));
+        for record in [stub(original, None), rerun] {
+            journal.append_record(Some(index), &record)?;
+            state.apply_record(index, record);
+            stubs += 1;
+        }
     }
     journal.commit()?;
-    Ok(stubs)
+    Ok((stubs, state))
 }
 
-/// Whether a shard journal exists and covers every index in `range` with
-/// a completed record. A journal that does not load — torn mid-file,
-/// garbled, or not a journal at all — is salvaged (and, failing that,
-/// quarantined aside) rather than failing the job: the shard simply
-/// counts as incomplete and re-runs.
+/// The loaded shard journal, when it exists and covers every index in
+/// `range` with a completed record; `None` otherwise. A journal that does
+/// not load — torn mid-file, garbled, or not a journal at all — is
+/// salvaged (and, failing that, quarantined aside) rather than failing the
+/// job: the shard simply counts as incomplete and re-runs.
 fn shard_journal_complete(
     vfs: &dyn Vfs,
     path: &Path,
     campaign: &str,
     range: &std::ops::Range<usize>,
-) -> Result<bool> {
+) -> Result<Option<JournalState>> {
     if !vfs.exists(path) {
-        return Ok(false);
+        return Ok(None);
     }
     let state = match ExperimentJournal::load_with(vfs, path, campaign) {
         Ok(state) => state,
@@ -956,7 +984,7 @@ fn shard_journal_complete(
             crate::journal::salvage_with(vfs, path)?;
             if !vfs.exists(path) {
                 // Not recognisably a journal; salvage renamed it aside.
-                return Ok(false);
+                return Ok(None);
             }
             match ExperimentJournal::load_with(vfs, path, campaign) {
                 Ok(state) => state,
@@ -968,14 +996,15 @@ fn shard_journal_complete(
                     let aside = std::path::PathBuf::from(aside);
                     vfs.rename(path, &aside)
                         .map_err(|e| GoofiError::io("quarantining journal", path, &e))?;
-                    return Ok(false);
+                    return Ok(None);
                 }
             }
         }
     };
-    Ok(range
+    let complete = range
         .clone()
-        .all(|index| state.completed.contains_key(&index)))
+        .all(|index| state.completed.contains_key(&index));
+    Ok(complete.then_some(state))
 }
 
 /// Spawns one worker process for a shard and a reader thread draining its
@@ -1227,7 +1256,8 @@ mod tests {
             .build()
             .unwrap();
         let counting = FaultFs::counting();
-        poison_shard(&counting, &campaign, &(0..3), &dir.join("count.gjl")).unwrap();
+        let (_, counted) =
+            poison_shard(&counting, &campaign, &(0..3), &dir.join("count.gjl")).unwrap();
         // The power fails at the first operation after the stubs went in.
         let cut = FaultFs::new(FaultPlan {
             at: counting.ops() + 1,
@@ -1235,10 +1265,15 @@ mod tests {
             seed: 0,
         });
         let journal = dir.join("shard-0.gjl");
-        assert_eq!(poison_shard(&cut, &campaign, &(0..3), &journal).unwrap(), 6);
+        let (stubs, returned) = poison_shard(&cut, &campaign, &(0..3), &journal).unwrap();
+        assert_eq!(stubs, 6);
         assert!(cut.create(&dir.join("after")).is_err());
         let state = ExperimentJournal::load(&journal, "poison").unwrap();
         assert_eq!(state.quarantined.len(), 6);
+        // The returned state is what the merge imports: the reload's.
+        assert_eq!(returned.quarantined, state.quarantined);
+        assert_eq!(returned.failed, state.failed);
+        assert_eq!(counted.quarantined, state.quarantined);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,19 +1,18 @@
 //! The shard-worker half of the campaign service.
 //!
 //! A worker is one OS process owning one shard of a campaign's experiment
-//! index space. It loads the campaign from the shared database, runs its
-//! shard's index range via [`runner::resume_campaign`] under a private
-//! journal, and streams [`WorkerEvent`] lines on stdout — the daemon reads
-//! them to renew the shard lease and aggregate job progress. The binary wrapping
-//! [`run_worker`] chooses the target system (`goofi worker` builds the
-//! Thor simulator; the test binary builds
+//! index space. It reads its campaign's tables from the shared database,
+//! runs its shard's index range via [`runner::resume_campaign`] under a
+//! private journal, and streams [`WorkerEvent`] lines on stdout — the
+//! daemon reads them to renew the shard lease and aggregate job progress.
+//! The binary wrapping [`run_worker`] chooses the target system (`goofi
+//! worker` builds the Thor simulator; the test binary builds
 //! [`SimTarget`](crate::framework::SimTarget)), which is all that differs
 //! between production and test workers.
 
 use super::chaos::{ChaosConfig, ChaosMode, CHAOS_EXIT_CODE};
 use super::net::{encode_frame, FaultInjector, FaultWriter, NetFaultConfig};
 use super::wire::WorkerEvent;
-use crate::campaign::Campaign;
 use crate::dbio;
 use crate::journal::ExperimentJournal;
 use crate::monitor::{Progress, ProgressMonitor};
@@ -24,7 +23,7 @@ use parking_lot::Mutex;
 use std::io::Write;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -224,11 +223,14 @@ fn stall_until_orphaned(daemon: Option<u32>) -> ! {
 
 /// Runs one shard to completion: the body of every worker binary.
 ///
-/// Loads the campaign from `args.db`, replays/extends the shard journal
-/// over `args.range`, and streams [`WorkerEvent`]s on stdout. With a
-/// chaos config active for this attempt, the process deterministically
-/// kills itself (or stalls) after a seeded number of fresh completions —
-/// see [`super::chaos`].
+/// Reads the campaign from `args.db` with [`dbio::load_campaign_from`],
+/// which decodes only the campaign's tables, replays/extends the shard
+/// journal over `args.range`, and streams [`WorkerEvent`]s on stdout:
+/// at most one progress frame per scheduler tick while the shard runs,
+/// then the final counters and `done` (or `error`) as soon as it ends.
+/// With a chaos config active for this attempt, the process
+/// deterministically kills itself (or stalls) after a seeded number of
+/// fresh completions — see [`super::chaos`].
 ///
 /// # Errors
 ///
@@ -239,11 +241,10 @@ where
     T: TargetAccess,
     FT: Fn() -> T + Sync,
 {
-    // The daemon that spawned this worker, read before the database load
+    // The daemon that spawned this worker, read before the database read
     // so that a daemon dying during start-up is still seen to be gone.
     let daemon = parent_id();
-    let db = dbio::load_database(&crate::vfs::RealFs, &args.db)?;
-    let campaign: Campaign = dbio::load_campaign(&db, &args.campaign)?;
+    let campaign = dbio::load_campaign_from(&crate::vfs::RealFs, &args.db, &args.campaign)?;
     let range =
         args.range.start.min(campaign.faults.len())..args.range.end.min(campaign.faults.len());
 
@@ -254,28 +255,26 @@ where
         attempt: args.attempt,
     });
 
-    // Progress streamer: one event per counter change.
-    let finished = Arc::new(AtomicBool::new(false));
+    // Progress streamer: a frame on change, then a tick's rest before the
+    // next, since the daemon samples no more often. The end of the run
+    // cuts either wait short and ends the streamer; the final counters go
+    // out below.
     let streamer = {
         let monitor = monitor.clone();
-        let finished = Arc::clone(&finished);
         let shard = args.shard;
         let events = Arc::clone(&events);
         std::thread::spawn(move || {
-            let mut last = Progress::default();
+            let mut sent = Progress::default();
             loop {
-                let p = monitor.wait_for_change(&last, Duration::from_millis(100));
-                if p != last {
-                    events.emit(&WorkerEvent::Progress {
-                        shard,
-                        completed: p.completed as u64,
-                        failed: p.failed as u64,
-                        skipped: p.skipped as u64,
-                        quarantined: p.quarantined as u64,
-                    });
-                    last = p;
+                let p = monitor.wait_for_change(&sent, Duration::from_millis(100));
+                if monitor.is_finished() {
+                    return;
                 }
-                if finished.load(Ordering::Acquire) {
+                if p != sent {
+                    events.emit(&progress_event(shard, &p));
+                    sent = p;
+                }
+                if monitor.wait_finished(super::TICK) {
                     return;
                 }
             }
@@ -301,6 +300,9 @@ where
         std::thread::spawn(move || {
             let mut last = Progress::default();
             loop {
+                // Read before the wait: once the run has ended, the
+                // wait's counters are final and the drill is over.
+                let ended = monitor.is_finished();
                 let p = monitor.wait_for_change(&last, Duration::from_millis(50));
                 if p.completed.saturating_sub(baseline) as u64 >= kill_point {
                     match chaos.mode {
@@ -312,6 +314,9 @@ where
                             stall_until_orphaned(daemon)
                         }
                     }
+                }
+                if ended {
+                    return;
                 }
                 last = p;
             }
@@ -328,10 +333,13 @@ where
         &args.journal,
         range,
     );
-    finished.store(true, Ordering::Release);
+    monitor.finish();
     let _ = streamer.join();
 
+    // The final counters always precede `done`, so the last progress
+    // frame and the `done` frame agree.
     let snapshot = monitor.snapshot();
+    events.emit(&progress_event(args.shard, &snapshot));
     match result {
         Ok(_) => {
             events.emit(&WorkerEvent::Done {
@@ -354,6 +362,16 @@ where
             });
             Err(e)
         }
+    }
+}
+
+fn progress_event(shard: usize, p: &Progress) -> WorkerEvent {
+    WorkerEvent::Progress {
+        shard,
+        completed: p.completed as u64,
+        failed: p.failed as u64,
+        skipped: p.skipped as u64,
+        quarantined: p.quarantined as u64,
     }
 }
 

@@ -1,17 +1,23 @@
 //! A [`Vfs`] that records every mutating operation before passing it on,
 //! numbered as [`goofi_core::vfs::FaultFs`] counts them: the journal
 //! ordering tests read it to see when an entry was written and when a
-//! sync made it durable.
+//! sync made it durable. It also records whole-file reads, which
+//! `FaultFs` does not count, so the service tests can count how often a
+//! job reads each file.
+
+// Each test binary that includes this module uses only part of it.
+#![allow(dead_code)]
 
 use goofi_core::vfs::{Vfs, VfsFile};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// One mutating filesystem operation.
+/// One recorded filesystem operation.
 #[derive(Debug, Clone)]
 pub struct Op {
-    /// `create`, `write`, `sync`, `rename`, `remove` or `sync-dir`.
+    /// `create`, `write`, `sync`, `rename`, `remove` or `sync-dir`, or
+    /// `read` for a whole-file read.
     pub what: &'static str,
     /// The file (for a rename, the destination).
     pub path: PathBuf,
@@ -71,9 +77,18 @@ impl<V: Vfs> Recorder<V> {
         }
     }
 
-    /// Every operation so far, in order.
+    /// Every mutating operation so far, in order.
     pub fn ops(&self) -> Vec<Op> {
-        self.ops.lock().unwrap().clone()
+        let ops = self.ops.lock().unwrap();
+        ops.iter().filter(|op| op.what != "read").cloned().collect()
+    }
+
+    /// How many whole-file reads of `path` went through so far.
+    pub fn reads(&self, path: &Path) -> usize {
+        let ops = self.ops.lock().unwrap();
+        ops.iter()
+            .filter(|op| op.what == "read" && op.path == path)
+            .count()
     }
 
     fn file(&self, path: &Path, inner: Box<dyn VfsFile>) -> Box<dyn VfsFile> {
@@ -113,10 +128,12 @@ impl VfsFile for RecordedFile {
 
 impl<V: Vfs> Vfs for Recorder<V> {
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
+        record(&self.ops, "read", path, b"");
         self.inner.read_to_string(path)
     }
 
     fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
+        record(&self.ops, "read", path, b"");
         self.inner.read_bytes(path)
     }
 

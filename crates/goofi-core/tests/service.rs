@@ -7,6 +7,8 @@
 //! *essence-equal* to a serial in-process run of the same campaign —
 //! same records, same faults, same terminations, same end states.
 
+mod recorder;
+
 use goofi_core::algorithms;
 use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
 use goofi_core::dbio;
@@ -152,6 +154,109 @@ fn assert_essence_equal(db_path: &Path, campaign: &str, want: &[ExperimentRecord
             record.name
         );
     }
+}
+
+/// A job's fixed cost follows the job, not the database's history: the
+/// daemon reads the database once at submit and once to merge (the
+/// runner reuses submit's campaign), and each shard journal once (the
+/// merge imports what the completion check loaded).
+#[test]
+fn a_job_reads_the_database_twice_and_each_shard_journal_once() {
+    let dir = temp_dir("reads");
+    let campaign = sim_campaign("svc-reads", 10);
+    let db = make_db(&dir, &campaign);
+    let want = serial_records(&campaign);
+
+    let recorder = recorder::Recorder::new(goofi_core::vfs::RealFs);
+    let mut cfg = config(&db, 2);
+    cfg.vfs = std::sync::Arc::new(recorder.clone());
+    let scheduler = Scheduler::new(cfg).unwrap();
+    let job = run_job(&scheduler, "svc-reads", 2);
+    assert_essence_equal(&db, "svc-reads", &want);
+
+    assert_eq!(recorder.reads(&db), 2, "database reads: submit and merge");
+    let spool = dir.join("campaigns.gdb.spool").join(&job);
+    for shard in 0..2 {
+        let journal = spool.join(format!("shard-{shard}.gjl"));
+        assert_eq!(
+            recorder.reads(&journal),
+            1,
+            "reads of {}",
+            journal.display()
+        );
+    }
+    scheduler.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker sends at most one progress frame per scheduler tick, and its
+/// last progress frame carries the counters its `done` frame reports.
+#[test]
+fn a_worker_paces_progress_frames_and_ends_with_its_final_counters() {
+    use goofi_core::service::net::{FrameRead, FrameReader};
+    use goofi_core::service::{WorkerArgs, WorkerEvent};
+
+    let dir = temp_dir("frames");
+    let campaign = sim_campaign("svc-frames", 300);
+    let db = make_db(&dir, &campaign);
+    let args = WorkerArgs {
+        db,
+        campaign: "svc-frames".into(),
+        shard: 0,
+        range: 20..300,
+        journal: dir.join("shard-0.gjl"),
+        attempt: 1,
+        chaos: None,
+        net_chaos: None,
+        target: None,
+    };
+    let started = std::time::Instant::now();
+    let out = std::process::Command::new(mock_worker_cmd().program)
+        .args(args.to_args())
+        .output()
+        .unwrap();
+    let wall_ms = started.elapsed().as_millis() as usize;
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let mut reader = FrameReader::new(&out.stdout[..]);
+    let mut events = Vec::new();
+    loop {
+        match reader.read_frame().unwrap() {
+            FrameRead::Frame(line) => events.push(WorkerEvent::decode_with_seq(&line).unwrap().1),
+            FrameRead::Malformed(detail) => panic!("damaged frame without net chaos: {detail}"),
+            FrameRead::Eof => break,
+        }
+    }
+    match &events[..] {
+        [.., WorkerEvent::Progress {
+            completed,
+            failed,
+            skipped: 0,
+            quarantined: 0,
+            ..
+        }, WorkerEvent::Done {
+            completed: done_completed,
+            failed: done_failed,
+            ..
+        }] => {
+            assert_eq!((completed, failed), (done_completed, done_failed));
+            assert_eq!(*completed, 280);
+        }
+        other => panic!("stdout must end with progress then done: {other:?}"),
+    }
+    let frames = events
+        .iter()
+        .filter(|e| matches!(e, WorkerEvent::Progress { .. }))
+        .count();
+    assert!(
+        frames <= 3 + wall_ms / 10,
+        "{frames} progress frames in {wall_ms} ms"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -19,6 +19,37 @@ use goofi_core::{GoofiError, RunBudget, RunEvent, TargetAccess};
 use scanchain::{BitVec, CellAccess, ChainLayout, RecoveryDepth, WedgeConfig, WedgeModel};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
+/// A one-shot gate between the loops of a parallel run.
+#[derive(Clone, Default)]
+struct Latch(Arc<(Mutex<bool>, Condvar)>);
+
+impl Latch {
+    fn open(&self) {
+        let (open, opened) = &*self.0;
+        *open.lock().unwrap() = true;
+        opened.notify_all();
+    }
+
+    /// Waits for [`Latch::open`], but at most `timeout`: a run that never
+    /// opens the latch fails its assertions rather than hanging.
+    fn wait(&self, timeout: Duration) {
+        let (open, opened) = &*self.0;
+        let guard = open.lock().unwrap();
+        drop(opened.wait_timeout_while(guard, timeout, |open| !*open));
+    }
+}
+
+/// What a target does with a [`Latch`] when its first experiment loads
+/// the workload. The load, not the run: a wedged target's hanging run
+/// never reaches the inner target.
+#[derive(Clone)]
+enum FirstLoad {
+    Opens(Latch),
+    Awaits(Latch),
+}
 
 /// A deterministic, always-healthy scripted target (the resilience suite's
 /// target, minus the scripted failures) — the inner target the wedge
@@ -33,6 +64,7 @@ struct MockTarget {
     workload_len: u64,
     breakpoint: Option<u64>,
     halted: bool,
+    first_load: Option<FirstLoad>,
 }
 
 impl MockTarget {
@@ -50,7 +82,13 @@ impl MockTarget {
             workload_len,
             breakpoint: None,
             halted: false,
+            first_load: None,
         }
+    }
+
+    fn with_first_load(mut self, gate: FirstLoad) -> Self {
+        self.first_load = Some(gate);
+        self
     }
 
     fn exec_one(&mut self) -> Option<RunEvent> {
@@ -81,6 +119,11 @@ impl TargetAccess for MockTarget {
         Ok(())
     }
     fn load_workload(&mut self, _image: &WorkloadImage) -> goofi_core::Result<()> {
+        match self.first_load.take() {
+            Some(FirstLoad::Opens(latch)) => latch.open(),
+            Some(FirstLoad::Awaits(latch)) => latch.wait(Duration::from_secs(10)),
+            None => {}
+        }
         self.instructions = 0;
         self.cycles = 0;
         self.halted = false;
@@ -417,17 +460,28 @@ fn parallel_runner_retires_offline_worker_and_redistributes_its_shard() {
 
     // Targets are handed out in creation order: the first (the reference
     // target) and one worker are healthy, the other worker's target hangs
-    // on its very first run and never recovers.
+    // on its very first run and never recovers. The healthy worker starts
+    // its first experiment only once the wedged one has started its own,
+    // so it cannot drain the campaign before the wedged loop claims an
+    // experiment.
     let built = AtomicUsize::new(0);
+    let latch = Latch::default();
     let make_target = || {
-        let config = match built.fetch_add(1, Ordering::SeqCst) {
-            1 => WedgeConfig {
-                recovery: RecoveryDepth::Never,
-                ..WedgeConfig::hang(1, 1.0)
-            },
-            _ => WedgeConfig::default(),
+        let (config, target) = match built.fetch_add(1, Ordering::SeqCst) {
+            1 => (
+                WedgeConfig {
+                    recovery: RecoveryDepth::Never,
+                    ..WedgeConfig::hang(1, 1.0)
+                },
+                MockTarget::new(200).with_first_load(FirstLoad::Opens(latch.clone())),
+            ),
+            2 => (
+                WedgeConfig::default(),
+                MockTarget::new(200).with_first_load(FirstLoad::Awaits(latch.clone())),
+            ),
+            _ => (WedgeConfig::default(), MockTarget::new(200)),
         };
-        WedgeableTarget::new(MockTarget::new(200), config)
+        WedgeableTarget::new(target, config)
     };
     let monitor = ProgressMonitor::new(6);
     let result = runner::run_campaign_parallel_journaled_opts(

@@ -346,6 +346,19 @@ impl Database {
         crate::persist::load(text)
     }
 
+    /// Restores only the named tables from [`Database::save_to_string`]
+    /// output, as strictly as [`Database::load_from_string`]. Every other
+    /// table block is skipped without being decoded or checked, and
+    /// reading stops once all named tables are in; the names must include
+    /// every table they reference.
+    ///
+    /// # Errors
+    ///
+    /// As [`Database::load_from_string`], for the named tables.
+    pub fn load_tables_from_string(text: &str, tables: &[&str]) -> Result<Database, DbError> {
+        crate::persist::load_tables(text, Some(tables))
+    }
+
     /// Best-effort restore from damaged [`Database::save_to_string`]
     /// output: decodable tables and rows are kept; every skipped piece is
     /// reported as a [`crate::PersistIssue`]. An empty issue list means

@@ -59,8 +59,15 @@ pub(crate) fn save(db: &Database) -> String {
 
 /// Restores a database from [`save`] output.
 pub(crate) fn load(text: &str) -> Result<Database, DbError> {
+    load_tables(text, None)
+}
+
+/// [`load`] of the `only` tables (every table when `None`), just as
+/// strict for those. Any other table block is skipped to its `END` line
+/// without decoding, and reading stops once every named table is in.
+pub(crate) fn load_tables(text: &str, only: Option<&[&str]>) -> Result<Database, DbError> {
     let mut db = Database::new();
-    let mut lines = text.lines().peekable();
+    let mut lines = text.lines();
     match lines.next() {
         Some(header) if header.starts_with("#goofidb") => {}
         other => {
@@ -69,7 +76,12 @@ pub(crate) fn load(text: &str) -> Result<Database, DbError> {
             )))
         }
     }
-    while let Some(line) = lines.next() {
+    // Named tables not read yet (`None`: read every table).
+    let mut missing = only.map(<[&str]>::len);
+    while missing != Some(0) {
+        let Some(line) = lines.next() else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -77,10 +89,20 @@ pub(crate) fn load(text: &str) -> Result<Database, DbError> {
             .strip_prefix("TABLE ")
             .ok_or_else(|| DbError::Execution(format!("expected TABLE, got `{line}`")))?
             .to_string();
+        if only.is_some_and(|only| !only.contains(&name.as_str())) {
+            lines
+                .by_ref()
+                .find(|line| *line == "END")
+                .ok_or_else(|| DbError::Execution("unterminated TABLE block".into()))?;
+            continue;
+        }
+        if let Some(n) = missing.as_mut() {
+            *n -= 1;
+        }
         let mut columns = Vec::new();
         let mut fks = Vec::new();
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut row_bytes = String::new();
+        let mut row_sum = FNV_OFFSET;
         loop {
             let line = lines
                 .next()
@@ -93,11 +115,10 @@ pub(crate) fn load(text: &str) -> Result<Database, DbError> {
                 // written before it existed).
                 let want = u32::from_str_radix(sum.trim(), 16)
                     .map_err(|_| DbError::Execution(format!("bad CHECK line `{line}`")))?;
-                let got = fnv1a(row_bytes.as_bytes());
-                if want != got {
+                if want != row_sum {
                     return Err(DbError::Corrupt {
                         table: name.clone(),
-                        detail: format!("row checksum {got:08x} != recorded {want:08x}"),
+                        detail: format!("row checksum {row_sum:08x} != recorded {want:08x}"),
                     });
                 }
                 continue;
@@ -125,8 +146,7 @@ pub(crate) fn load(text: &str) -> Result<Database, DbError> {
                     ref_column: parts[2].to_string(),
                 });
             } else if let Some(rest) = line.strip_prefix("ROW") {
-                row_bytes.push_str(line);
-                row_bytes.push('\n');
+                row_sum = fnv1a_line(row_sum, line);
                 let mut row = Vec::new();
                 for field in rest.split('\t').skip(1) {
                     row.push(decode_value(field)?);
@@ -228,7 +248,7 @@ pub(crate) fn load_lenient(text: &str) -> (Database, Vec<PersistIssue>) {
         let mut fks = Vec::new();
         let mut rows: Vec<Vec<Value>> = Vec::new();
         let mut bad_rows: Vec<PersistIssue> = Vec::new();
-        let mut row_bytes = String::new();
+        let mut row_sum = FNV_OFFSET;
         let mut terminated = false;
         for line in lines.by_ref() {
             if line == "END" {
@@ -237,13 +257,12 @@ pub(crate) fn load_lenient(text: &str) -> (Database, Vec<PersistIssue>) {
             }
             if let Some(sum) = line.strip_prefix("CHECK ") {
                 let want = u32::from_str_radix(sum.trim(), 16).unwrap_or(0);
-                let got = fnv1a(row_bytes.as_bytes());
-                if want != got {
+                if want != row_sum {
                     issues.push(PersistIssue {
                         table: name.clone(),
                         kind: IssueKind::ChecksumMismatch,
                         recovered: Vec::new(),
-                        detail: format!("row checksum {got:08x} != recorded {want:08x}"),
+                        detail: format!("row checksum {row_sum:08x} != recorded {want:08x}"),
                     });
                 }
             } else if let Some(rest) = line.strip_prefix("COLUMN ") {
@@ -282,8 +301,7 @@ pub(crate) fn load_lenient(text: &str) -> (Database, Vec<PersistIssue>) {
                     });
                 }
             } else if let Some(rest) = line.strip_prefix("ROW") {
-                row_bytes.push_str(line);
-                row_bytes.push('\n');
+                row_sum = fnv1a_line(row_sum, line);
                 let fields: Vec<Option<Value>> = rest
                     .split('\t')
                     .skip(1)
@@ -351,13 +369,24 @@ fn clip(line: &str) -> String {
     out
 }
 
+const FNV_OFFSET: u32 = 0x811c_9dc5;
+
 fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+fn fnv1a_extend(mut hash: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         hash ^= u32::from(b);
         hash = hash.wrapping_mul(0x0100_0193);
     }
     hash
+}
+
+/// Folds one ROW line and its newline into a running `CHECK` sum, so a
+/// load verifies a table without copying its rows' text.
+fn fnv1a_line(hash: u32, line: &str) -> u32 {
+    fnv1a_extend(fnv1a_extend(hash, line.as_bytes()), b"\n")
 }
 
 /// Orders tables so every table appears after the tables it references.
@@ -519,6 +548,34 @@ mod tests {
             Value::text("a\tb\nc\\d")
         );
         restored.check_integrity().unwrap();
+    }
+
+    #[test]
+    fn load_tables_decodes_only_the_named_tables() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY)")
+            .unwrap();
+        db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, x TEXT)")
+            .unwrap();
+        db.execute("CREATE TABLE c (id INTEGER PRIMARY KEY)")
+            .unwrap();
+        db.execute("INSERT INTO b (id, x) VALUES (1, 'kept')")
+            .unwrap();
+        db.execute("INSERT INTO c (id) VALUES (7)").unwrap();
+        let text = db.save_to_string();
+
+        let only_b = load_tables(&text, Some(&["b"])).unwrap();
+        assert_eq!(only_b.table_names(), vec!["b".to_string()]);
+        assert_eq!(only_b.table("b").unwrap().len(), 1);
+
+        // Damage to a skipped block goes unread; in a named one it fails.
+        let garbled = text.replace("ROW\tI:7", "ROW\tI:8");
+        assert!(load_tables(&garbled, Some(&["b"])).is_ok());
+        assert!(matches!(
+            load_tables(&garbled, Some(&["c"])),
+            Err(DbError::Corrupt { .. })
+        ));
+        assert!(matches!(load(&garbled), Err(DbError::Corrupt { .. })));
     }
 
     #[test]

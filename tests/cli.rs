@@ -355,6 +355,71 @@ fn fsck_reports_classes_and_repairs() {
     assert!(out.contains("fsck: clean"), "{out}");
 }
 
+/// The service's campaign-only read returns what a full load returns, on
+/// either CPU; it reads past damage outside the campaign tables, and
+/// fails on damage inside them as the full load does.
+#[test]
+fn campaign_only_read_matches_the_full_load_on_both_cpus() {
+    use goofi::core::vfs::RealFs;
+    use goofi::core::{dbio, GoofiError};
+    use goofi::goofidb::DbError;
+
+    let (_guard, db) = tmp_db("campaign-read");
+    let campaigns = [
+        ("c-thor", "thor", "crc32", "thor-rd"),
+        ("c-riscv", "riscv", "rv-memcpy", "rv32i"),
+    ];
+    for (name, target, workload, _) in campaigns {
+        stdout(&goofi(&[
+            "new",
+            &db,
+            "--name",
+            name,
+            "--target",
+            target,
+            "--workload",
+            workload,
+            "--experiments",
+            "5",
+            "--seed",
+            "7",
+        ]));
+        stdout(&goofi(&["run", &db, "--name", name]));
+    }
+    let full = dbio::load_database(&RealFs, &db).unwrap();
+    for (name, _, _, system) in campaigns {
+        let read = dbio::load_campaign_from(&RealFs, &db, name).unwrap();
+        assert_eq!(read.target_system, system);
+        assert_eq!(read, dbio::load_campaign(&full, name).unwrap());
+    }
+
+    // `from` → `to` at the first `from` inside the named table's block.
+    let text = std::fs::read_to_string(&db).unwrap();
+    let garble = |table: &str, from: &str, to: &str| {
+        let block = text.find(&format!("TABLE {table}\n")).unwrap();
+        let at = block + text[block..].find(from).unwrap();
+        format!("{}{to}{}", &text[..at], &text[at + from.len()..])
+    };
+
+    std::fs::write(&db, garble("LoggedSystemState", "T:end", "T:foo")).unwrap();
+    assert!(dbio::load_database(&RealFs, &db).is_err());
+    for (name, ..) in campaigns {
+        assert_eq!(
+            dbio::load_campaign_from(&RealFs, &db, name).unwrap(),
+            dbio::load_campaign(&full, name).unwrap()
+        );
+    }
+
+    std::fs::write(&db, garble("CampaignData", "T:crc32", "T:crc33")).unwrap();
+    match dbio::load_campaign_from(&RealFs, &db, "c-thor") {
+        Err(GoofiError::Db(DbError::Corrupt { table, detail })) => {
+            assert_eq!(table, "CampaignData");
+            assert!(detail.contains("goofi fsck --repair"), "{detail}");
+        }
+        other => panic!("expected a corrupt CampaignData, got {other:?}"),
+    }
+}
+
 #[test]
 fn db_file_is_portable_across_invocations() {
     let (_guard, db) = tmp_db("portable");
