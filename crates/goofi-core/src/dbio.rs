@@ -16,6 +16,7 @@ use crate::fault::FaultSpec;
 use crate::journal::JournalState;
 use crate::logging::{ExperimentRecord, LoggingMode, StateSnapshot, TerminationCause, Validity};
 use crate::supervisor::{RecoveryAction, RecoveryRecord, RecoveryStage, RecoveryTrigger};
+use crate::telemetry::{Stage, Telemetry};
 use crate::vfs::{self, Vfs};
 use crate::{GoofiError, Result};
 use goofidb::{Database, Value};
@@ -384,7 +385,7 @@ pub fn log_experiment(db: &mut Database, record: &ExperimentRecord) -> Result<()
 ///
 /// Database errors (the campaign row must already exist).
 pub fn store_result(db: &mut Database, result: &CampaignResult) -> Result<()> {
-    store_result_traced(db, result, &crate::telemetry::Telemetry::disabled())
+    store_result_traced(db, result, &Telemetry::disabled())
 }
 
 /// [`store_result`] with each record's insert timed as a `db-write` span in
@@ -396,23 +397,33 @@ pub fn store_result(db: &mut Database, result: &CampaignResult) -> Result<()> {
 pub fn store_result_traced(
     db: &mut Database,
     result: &CampaignResult,
-    tel: &crate::telemetry::Telemetry,
+    tel: &Telemetry,
 ) -> Result<()> {
-    let existing = |db: &Database, name: &str| {
-        db.table(LOG_TABLE)
-            .is_some_and(|t| t.contains_key(&Value::text(name)))
-    };
-    for record in std::iter::once(&result.reference)
-        .chain(result.records.iter())
-        .chain(result.quarantined.iter())
-    {
-        if !existing(db, &record.name) {
-            tel.time(crate::telemetry::Stage::DbWrite, || {
-                log_experiment(db, record)
-            })?;
+    let records = std::iter::once(&result.reference)
+        .chain(&result.records)
+        .chain(&result.quarantined);
+    log_new_records(db, records, tel).map(drop)
+}
+
+/// Logs each record whose experiment name is not in `LoggedSystemState`
+/// yet, timing each insert as a `db-write` span; returns how many it
+/// logged. Every idempotent store and import goes through here.
+fn log_new_records<'r>(
+    db: &mut Database,
+    records: impl IntoIterator<Item = &'r ExperimentRecord>,
+    tel: &Telemetry,
+) -> Result<usize> {
+    let mut inserted = 0;
+    for record in records {
+        let logged = db
+            .table(LOG_TABLE)
+            .is_some_and(|t| t.contains_key(&Value::text(record.name.as_str())));
+        if !logged {
+            tel.time(Stage::DbWrite, || log_experiment(db, record))?;
+            inserted += 1;
         }
     }
-    Ok(())
+    Ok(inserted)
 }
 
 /// Logs every action of the given recovery episodes to `RecoveryActions`,
@@ -552,28 +563,17 @@ pub fn import_journal_with(
 ///
 /// Database errors (the campaign row must exist).
 pub fn import_journal_state(db: &mut Database, state: &JournalState) -> Result<usize> {
-    let mut inserted = 0;
-    let existing = |db: &Database, name: &str| {
-        db.table(LOG_TABLE)
-            .is_some_and(|t| t.contains_key(&Value::text(name)))
-    };
-    for record in state
+    let records = state
         .reference
         .iter()
         .chain(state.completed.values())
-        .chain(state.quarantined.iter())
-    {
-        if !existing(db, &record.name) {
-            log_experiment(db, record)?;
-            inserted += 1;
-        }
-    }
-    Ok(inserted)
+        .chain(&state.quarantined);
+    log_new_records(db, records, &Telemetry::disabled())
 }
 
-/// Saves the database through a [`Vfs`] with the atomic temp-file, `fsync`,
-/// rename discipline — the routed equivalent of
-/// [`Database::save_to_path`], and the only save path the CLI uses.
+/// Saves the database through a [`Vfs`] with [`vfs::atomic_write`]'s
+/// temp-file, `fsync`, rename discipline: the one way a database file is
+/// written, and the seam the torture harness injects faults through.
 ///
 /// # Errors
 ///
@@ -585,10 +585,10 @@ pub fn save_database(vfs: &dyn Vfs, path: impl AsRef<Path>, db: &Database) -> Re
 }
 
 /// Loads a database through a [`Vfs`], verifying every table's `CHECK`
-/// checksum footer. A checksum mismatch or garbled row surfaces as
-/// [`goofidb::DbError::Corrupt`] with a hint to run `goofi fsck --repair` —
-/// the strict counterpart of the lenient salvage load that fsck itself
-/// performs.
+/// checksum footer. A checksum mismatch surfaces as
+/// [`goofidb::DbError::Corrupt`] with a hint to run `goofi fsck --repair`.
+/// The same reader, salvaging, gives fsck its verdict, so fsck finds
+/// damage in exactly the files this load refuses.
 ///
 /// # Errors
 ///

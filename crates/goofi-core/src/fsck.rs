@@ -9,8 +9,8 @@
 //!
 //! - journals are rewritten keeping every individually checksum-valid
 //!   entry ([`crate::journal::salvage_with`]); files that are not
-//!   recognisably journals are renamed aside to `<path>.corrupt`;
-//! - database tables are reloaded leniently; garbled `LoggedSystemState`
+//!   recognisably journals are quarantined aside ([`vfs::quarantine`]);
+//! - database tables are read once, salvaging; garbled `LoggedSystemState`
 //!   rows whose primary key survived are replaced by `Validity::Invalid`
 //!   stubs plus `parentExperiment`-linked `…/rerun1` stubs, so the loss
 //!   is documented and re-runnable rather than silently dropped;
@@ -46,7 +46,7 @@ pub enum CorruptionClass {
     DbChecksumMismatch,
     /// A database row failed to decode or insert.
     DbGarbledRow,
-    /// A stray `<db>.tmp` from a crashed atomic save.
+    /// A stray [`vfs::temp_path`] from a crashed atomic save.
     DbStrayTemp,
     /// A spool job directory without a manifest.
     SpoolOrphanDir,
@@ -154,26 +154,22 @@ fn finding(class: CorruptionClass, path: &Path, detail: impl Into<String>) -> Fi
     }
 }
 
-fn corrupt_sibling(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_owned();
-    s.push(".corrupt");
-    PathBuf::from(s)
-}
-
 // ---------------------------------------------------------------------------
 // Database
 // ---------------------------------------------------------------------------
 
 /// Checks (and optionally repairs) the database file at `path`.
 ///
-/// Detection: a stray `<path>.tmp` from a crashed atomic save, a
-/// structurally unreadable file, per-table `CHECK` checksum mismatches,
-/// and garbled or rejected rows. Repair: the stray temp is removed, the
-/// database is reloaded leniently, garbled `LoggedSystemState` rows whose
+/// Detection: a stray [`vfs::temp_path`] from a crashed atomic save, and
+/// whatever the database reader's salvaging load reports: a structurally
+/// unreadable file, per-table `CHECK` checksum mismatches, and garbled or
+/// rejected rows. That read is the one the strict loader makes, so the
+/// file is clean exactly when [`dbio::load_database`] accepts it. Repair:
+/// the stray temp is removed, garbled `LoggedSystemState` rows whose
 /// experiment name survived become `Validity::Invalid` stubs with
 /// `parentExperiment`-linked `…/rerun1` stubs, and the salvaged database
 /// is atomically re-saved. A file that is not recognisably a goofidb dump
-/// is renamed aside to `<path>.corrupt` rather than overwritten.
+/// is quarantined aside ([`vfs::quarantine`]) rather than overwritten.
 ///
 /// A missing file is clean — it simply means no database exists yet.
 ///
@@ -183,11 +179,7 @@ fn corrupt_sibling(path: &Path) -> PathBuf {
 pub fn fsck_database(vfs: &dyn Vfs, path: &Path, repair: bool) -> Result<FsckReport> {
     let mut report = FsckReport::default();
 
-    let tmp = {
-        let mut s = path.as_os_str().to_owned();
-        s.push(".tmp");
-        PathBuf::from(s)
-    };
+    let tmp = vfs::temp_path(path);
     if vfs.exists(&tmp) {
         let mut f = finding(
             CorruptionClass::DbStrayTemp,
@@ -207,8 +199,8 @@ pub fn fsck_database(vfs: &dyn Vfs, path: &Path, repair: bool) -> Result<FsckRep
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
         Err(e) => return Err(GoofiError::io("reading", path, &e)),
     };
-
-    if Database::load_from_string(&text).is_ok() {
+    let (mut db, issues) = Database::load_from_string_lenient(&text);
+    if issues.is_empty() {
         return Ok(report);
     }
 
@@ -220,16 +212,13 @@ pub fn fsck_database(vfs: &dyn Vfs, path: &Path, repair: bool) -> Result<FsckRep
             "not a goofidb dump (bad header)",
         );
         if repair {
-            let aside = corrupt_sibling(path);
-            vfs.rename(path, &aside)
-                .map_err(|e| GoofiError::io("quarantining", path, &e))?;
+            let aside = vfs::quarantine(vfs, path)?;
             f.repaired = Some(format!("quarantined to {}", aside.display()));
         }
         report.findings.push(f);
         return Ok(report);
     }
 
-    let (mut db, issues) = Database::load_from_string_lenient(&text);
     let mut stub_sources: Vec<(String, String)> = Vec::new();
     for issue in &issues {
         let class = match issue.kind {
@@ -257,9 +246,6 @@ pub fn fsck_database(vfs: &dyn Vfs, path: &Path, repair: bool) -> Result<FsckRep
                 stub_sources.push((name.clone(), campaign.clone()));
             }
         }
-    }
-    if report.clean() {
-        return Ok(report);
     }
     if repair {
         let mut notes = Vec::new();
@@ -392,9 +378,7 @@ pub fn fsck_journal(
         return Ok(report);
     }
     let note = if quarantine_whole_file {
-        let aside = corrupt_sibling(path);
-        vfs.rename(path, &aside)
-            .map_err(|e| GoofiError::io("quarantining", path, &e))?;
+        let aside = vfs::quarantine(vfs, path)?;
         format!("quarantined to {}", aside.display())
     } else {
         let outcome = journal::salvage_with(vfs, path)?;
@@ -591,7 +575,7 @@ mod tests {
     fn clean_database_reports_clean() {
         let dir = temp_dir("clean-db");
         let path = dir.join("db.gdb");
-        seed_db().save_to_path(&path).unwrap();
+        dbio::save_database(&RealFs, &path, &seed_db()).unwrap();
         let report = fsck_database(&RealFs, &path, false).unwrap();
         assert!(report.clean(), "{}", report.render());
         assert_eq!(report.render(), "fsck: clean");
@@ -603,10 +587,31 @@ mod tests {
     }
 
     #[test]
+    fn fsck_finds_damage_exactly_where_the_strict_load_refuses() {
+        let dir = temp_dir("flip-db");
+        let path = dir.join("db.gdb");
+        dbio::save_database(&RealFs, &path, &seed_db()).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        for at in 0..pristine.len() {
+            let mut flipped = pristine.clone();
+            flipped[at] ^= 1;
+            std::fs::write(&path, &flipped).unwrap();
+            let report = fsck_database(&RealFs, &path, false).unwrap();
+            assert_eq!(
+                report.clean(),
+                dbio::load_database(&RealFs, &path).is_ok(),
+                "byte {at}: {}",
+                report.render()
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn garbled_db_row_is_stubbed_on_repair() {
         let dir = temp_dir("garble-db");
         let path = dir.join("db.gdb");
-        seed_db().save_to_path(&path).unwrap();
+        dbio::save_database(&RealFs, &path, &seed_db()).unwrap();
         // Garble exp00001's row payload (keep the name field intact).
         let text = std::fs::read_to_string(&path).unwrap();
         let garbled = text.replace("exp00001\tN\tT:c1\tN\tT:end", "exp00001\tN\tT:c1\tN\tX?end");

@@ -1,7 +1,7 @@
 //! Crash-safe experiment journal: append-only campaign checkpointing.
 //!
 //! `goofidb` persistence is a whole-file rewrite — atomic (see
-//! `Database::save_to_path`) but only written when someone asks. A
+//! [`crate::dbio::save_database`]) but only written when someone asks. A
 //! campaign that dies 4 000 experiments into 5 000 would lose everything
 //! since the last save. The journal closes that gap: the campaign driver
 //! appends one entry per finished experiment, written at once and
@@ -412,8 +412,8 @@ pub struct SalvageOutcome {
 
 /// Repairs a journal in place: keeps the header and every entry line that
 /// individually validates, atomically rewriting the file. A file whose
-/// *header* is damaged is renamed aside to `<path>.corrupt` (quarantined,
-/// never silently deleted) so its owner can start a fresh journal. A
+/// *header* is damaged is quarantined aside ([`vfs::quarantine`], never
+/// silently deleted) so its owner can start a fresh journal. A
 /// pristine journal is left untouched.
 ///
 /// # Errors
@@ -426,16 +426,9 @@ pub fn salvage_with(vfs: &dyn Vfs, path: &Path) -> Result<SalvageOutcome> {
         crate::vfs::read_lossy(vfs, path).map_err(|e| GoofiError::io("reading", path, &e))?;
     let scan = scan_text(&text);
     let Some(campaign) = &scan.campaign else {
-        let mut corrupt = path.as_os_str().to_owned();
-        corrupt.push(".corrupt");
-        let corrupt = PathBuf::from(corrupt);
-        vfs.rename(path, &corrupt)
-            .map_err(|e| GoofiError::io("quarantining", path, &e))?;
         return Ok(SalvageOutcome {
-            rewritten: false,
-            kept: 0,
-            dropped: 0,
-            quarantined: Some(corrupt),
+            quarantined: Some(vfs::quarantine(vfs, path)?),
+            ..SalvageOutcome::default()
         });
     };
     if scan.clean() {

@@ -10,8 +10,8 @@
 //! `goofi worker` process under a lease-and-heartbeat discipline
 //! ([`scheduler`]):
 //!
-//! - Each shard runs under its own [`ExperimentJournal`]
-//!   (crate::journal::ExperimentJournal) via
+//! - Each shard runs under its own
+//!   [`ExperimentJournal`](crate::journal::ExperimentJournal) via
 //!   [`runner::resume_campaign`](crate::runner::resume_campaign) over
 //!   the shard's index range, so journal entries keep their global
 //!   campaign indices.

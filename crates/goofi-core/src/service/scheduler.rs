@@ -991,11 +991,7 @@ fn shard_journal_complete(
                 Err(_) => {
                     // Valid journal for a *different* campaign: rename it
                     // aside (never delete) and start over.
-                    let mut aside = path.as_os_str().to_owned();
-                    aside.push(".corrupt");
-                    let aside = std::path::PathBuf::from(aside);
-                    vfs.rename(path, &aside)
-                        .map_err(|e| GoofiError::io("quarantining journal", path, &e))?;
+                    vfs::quarantine(vfs, path)?;
                     return Ok(None);
                 }
             }

@@ -418,7 +418,7 @@ impl Client {
     /// Connects to a daemon at `addr` (e.g. `127.0.0.1:4711`) over plain
     /// TCP, retrying with jittered bounded exponential backoff, and
     /// performs the hello handshake. Each attempt is capped at
-    /// [`CONNECT_TIMEOUT`] and the connection gets a read timeout so a
+    /// `CONNECT_TIMEOUT` (2 s) and the connection gets a read timeout so a
     /// wedged daemon cannot hang the client forever.
     ///
     /// # Errors
@@ -793,7 +793,7 @@ pub fn request_shutdown(
 /// # Errors
 ///
 /// [`GoofiError::Wire`] when the daemon does not know the job or
-/// [`SESSION_RETRIES`] consecutive reconnects fail.
+/// `SESSION_RETRIES` (8) consecutive reconnects fail.
 pub fn watch_to_end(
     transport: &dyn Transport,
     addr: &str,

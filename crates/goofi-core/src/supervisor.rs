@@ -36,7 +36,6 @@ use crate::algorithms::{golden_run_matches, make_reference_run};
 use crate::campaign::{Campaign, WorkloadImage};
 use crate::logging::ExperimentRecord;
 use crate::monitor::ProgressMonitor;
-use crate::policy::ExperimentPolicy;
 use crate::target::{RunBudget, RunEvent, TargetAccess, TargetSnapshot};
 use crate::telemetry::Metric;
 use crate::trigger::Trigger;
@@ -276,28 +275,15 @@ impl<'a> Supervisor<'a> {
         campaign: &'a Campaign,
         reference: &'a ExperimentRecord,
     ) -> Option<Supervisor<'a>> {
-        Self::from_policy(&campaign.policy, campaign, reference)
-    }
-
-    /// [`Supervisor::from_campaign`] with an explicit policy (the resume
-    /// path overrides the stored policy from the command line).
-    pub fn from_policy(
-        policy: &ExperimentPolicy,
-        campaign: &'a Campaign,
-        reference: &'a ExperimentRecord,
-    ) -> Option<Supervisor<'a>> {
-        policy.health_check_every.map(|cadence| Supervisor {
-            campaign,
-            reference,
-            cadence: cadence.max(1),
-            ladder: RecoveryLadder::default(),
-        })
-    }
-
-    /// Overrides the default ladder bounds.
-    pub fn with_ladder(mut self, ladder: RecoveryLadder) -> Self {
-        self.ladder = ladder;
-        self
+        campaign
+            .policy
+            .health_check_every
+            .map(|cadence| Supervisor {
+                campaign,
+                reference,
+                cadence: cadence.max(1),
+                ladder: RecoveryLadder::default(),
+            })
     }
 
     /// The ladder bounds in use.

@@ -21,6 +21,7 @@
 //! the test harness switches to a fresh [`RealFs`] to play the part of the
 //! rebooted machine running `goofi fsck`.
 
+use crate::{GoofiError, Result};
 use scanchain::plan::mix;
 use std::collections::HashMap;
 use std::fmt;
@@ -154,19 +155,17 @@ pub fn write_file(vfs: &dyn Vfs, path: &Path, data: &[u8]) -> io::Result<()> {
     file.sync()
 }
 
-/// Atomically replaces `path` with `data`: write a sibling `<path>.tmp`,
-/// `fsync` it, rename it over `path`, and best-effort sync the directory.
-/// A crash at any point leaves either the old file or the new file. The
-/// temporary file is removed on failure.
+/// Atomically replaces `path` with `data`: write the sibling
+/// [`temp_path`], `fsync` it, rename it over `path`, and best-effort sync
+/// the directory. A crash at any point leaves either the old file or the
+/// new file. The temporary file is removed on failure.
 ///
 /// # Errors
 ///
 /// Propagated (or injected) I/O errors from any step but the directory
 /// sync.
 pub fn atomic_write(vfs: &dyn Vfs, path: &Path, data: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
+    let tmp = temp_path(path);
     let write = (|| {
         let mut file = vfs.create(&tmp)?;
         file.write_all(data)?;
@@ -184,6 +183,31 @@ pub fn atomic_write(vfs: &dyn Vfs, path: &Path, data: &[u8]) -> io::Result<()> {
         let _ = vfs.sync_dir(dir);
     }
     Ok(())
+}
+
+/// The sibling `<path>.tmp` that [`atomic_write`] writes and renames over
+/// `path`. A crash mid-save can leave it behind; `goofi fsck` looks for it.
+pub fn temp_path(path: &Path) -> PathBuf {
+    sibling(path, ".tmp")
+}
+
+/// Renames a damaged file aside to `<path>.corrupt` (never deleting it)
+/// and returns that quarantine path.
+///
+/// # Errors
+///
+/// A failed rename, surfaced as [`GoofiError::Io`].
+pub fn quarantine(vfs: &dyn Vfs, path: &Path) -> Result<PathBuf> {
+    let aside = sibling(path, ".corrupt");
+    vfs.rename(path, &aside)
+        .map_err(|e| GoofiError::io("quarantining", path, &e))?;
+    Ok(aside)
+}
+
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    PathBuf::from(name)
 }
 
 // ---------------------------------------------------------------------------

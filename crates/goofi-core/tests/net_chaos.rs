@@ -26,6 +26,7 @@ use goofi_core::service::{
     Response, Scheduler, ServiceConfig, Transport, WorkerCommand,
 };
 use goofi_core::trigger::Trigger;
+use goofi_core::vfs::RealFs;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -92,7 +93,7 @@ fn make_db(dir: &Path, campaign: &Campaign) -> PathBuf {
     let mut db = goofidb::Database::new();
     dbio::init_schema(&mut db).unwrap();
     dbio::store_campaign(&mut db, campaign).unwrap();
-    db.save_to_path(&path).unwrap();
+    dbio::save_database(&RealFs, &path, &db).unwrap();
     path
 }
 

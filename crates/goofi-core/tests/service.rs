@@ -18,6 +18,7 @@ use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::service::{ChaosConfig, JobState, Scheduler, ServiceConfig, WorkerCommand};
 use goofi_core::trigger::Trigger;
+use goofi_core::vfs::RealFs;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -75,7 +76,7 @@ fn make_db(dir: &Path, campaign: &Campaign) -> PathBuf {
     let mut db = goofidb::Database::new();
     dbio::init_schema(&mut db).unwrap();
     dbio::store_campaign(&mut db, campaign).unwrap();
-    db.save_to_path(&path).unwrap();
+    dbio::save_database(&RealFs, &path, &db).unwrap();
     path
 }
 

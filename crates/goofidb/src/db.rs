@@ -339,9 +339,10 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// Fails on malformed input, integrity violations in the data, or a
-    /// table whose `CHECK` checksum footer disagrees with its rows
-    /// ([`DbError::Corrupt`]).
+    /// Fails at the first damage: a table whose `CHECK` checksum footer
+    /// disagrees with its rows, or cannot be read, is [`DbError::Corrupt`];
+    /// any other malformed line or integrity violation is
+    /// [`DbError::Execution`], naming the table and the line.
     pub fn load_from_string(text: &str) -> Result<Database, DbError> {
         crate::persist::load(text)
     }
@@ -361,68 +362,11 @@ impl Database {
 
     /// Best-effort restore from damaged [`Database::save_to_string`]
     /// output: decodable tables and rows are kept; every skipped piece is
-    /// reported as a [`crate::PersistIssue`]. An empty issue list means
-    /// the file was pristine.
+    /// reported as a [`crate::PersistIssue`]. The same reader decides both
+    /// loads, so the issue list is empty exactly when
+    /// [`Database::load_from_string`] accepts the text.
     pub fn load_from_string_lenient(text: &str) -> (Database, Vec<crate::PersistIssue>) {
         crate::persist::load_lenient(text)
-    }
-
-    /// Atomically writes the database to `path`.
-    ///
-    /// The serialised text is first written to a sibling `<path>.tmp` file,
-    /// flushed to stable storage with `fsync`, and then renamed over `path`.
-    /// A crash at any point leaves either the old file or the new file — never
-    /// a torn, half-written database. The containing directory is synced
-    /// best-effort so the rename itself is durable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Io`] when any filesystem step fails; the temporary
-    /// file is removed on a failed rename.
-    pub fn save_to_path(&self, path: impl AsRef<std::path::Path>) -> Result<(), DbError> {
-        use std::io::Write;
-
-        let path = path.as_ref();
-        let io_err = |stage: &str, e: std::io::Error| {
-            DbError::Io(format!("{stage} {}: {e}", path.display()))
-        };
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let write_result = (|| {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(self.save_to_string().as_bytes())?;
-            file.sync_all()
-        })();
-        if let Err(e) = write_result {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(io_err("writing", e));
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(io_err("renaming temporary file over", e));
-        }
-        // Make the rename durable; not all filesystems support opening a
-        // directory for sync, so failure here is not fatal.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads a database previously written with [`Database::save_to_path`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Io`] when the file cannot be read, or any
-    /// [`Database::load_from_string`] error on malformed content.
-    pub fn load_from_path(path: impl AsRef<std::path::Path>) -> Result<Database, DbError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| DbError::Io(format!("reading {}: {e}", path.display())))?;
-        Database::load_from_string(&text)
     }
 }
 
@@ -587,56 +531,6 @@ mod tests {
         db.drop_table("campaigns").unwrap();
         db.drop_table("targets").unwrap();
         assert!(db.table_names().is_empty());
-    }
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        // Unique per call: the tests of one binary share a pid and run on
-        // parallel threads, so the pid alone does not keep their dirs apart.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "goofidb-dbtest-{}-{}-{name}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        p
-    }
-
-    #[test]
-    fn save_to_path_roundtrips() {
-        let mut db = two_table_db();
-        db.insert("targets", vec![Value::text("thor"), Value::Int(5)])
-            .unwrap();
-        let path = temp_path("roundtrip.gdb");
-        db.save_to_path(&path).unwrap();
-        let loaded = Database::load_from_path(&path).unwrap();
-        assert_eq!(loaded.save_to_string(), db.save_to_string());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn save_to_path_leaves_no_temporary_file() {
-        let db = two_table_db();
-        let path = temp_path("clean.gdb");
-        db.save_to_path(&path).unwrap();
-        // Overwrite an existing file too — still atomic, still no leftovers.
-        db.save_to_path(&path).unwrap();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(!std::path::Path::new(&tmp).exists());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn save_to_path_reports_io_errors() {
-        let db = Database::new();
-        let mut dir = temp_path("no-such-dir");
-        dir.push("db.gdb");
-        let e = db.save_to_path(&dir).unwrap_err();
-        assert!(matches!(e, DbError::Io(_)));
-        let e = Database::load_from_path(&dir).unwrap_err();
-        assert!(matches!(e, DbError::Io(_)));
     }
 
     #[test]

@@ -53,11 +53,6 @@ pub enum DbError {
     Parse(String),
     /// Any other execution failure.
     Execution(String),
-    /// A filesystem operation failed while loading or saving a database.
-    ///
-    /// Carries the rendered [`std::io::Error`] (which is neither `Clone` nor
-    /// `PartialEq`) together with the path involved.
-    Io(String),
     /// A persisted table's rows do not match its `CHECK` checksum footer —
     /// on-disk corruption (bit rot, torn write), not a semantic error.
     Corrupt {
@@ -93,7 +88,6 @@ impl fmt::Display for DbError {
             }
             DbError::Parse(msg) => write!(f, "SQL parse error: {msg}"),
             DbError::Execution(msg) => write!(f, "execution error: {msg}"),
-            DbError::Io(msg) => write!(f, "I/O error: {msg}"),
             DbError::Corrupt { table, detail } => {
                 write!(f, "table `{table}` is corrupt: {detail}")
             }

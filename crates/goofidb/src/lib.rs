@@ -19,8 +19,14 @@
 //! * a SQL dialect covering `CREATE TABLE`, `INSERT`, `SELECT` (with
 //!   `JOIN … ON`, `WHERE`, `GROUP BY`, aggregates, `ORDER BY`, `LIMIT`),
 //!   `UPDATE` and `DELETE`,
-//! * text-file persistence ([`Database::save_to_string`] /
-//!   [`Database::load_from_string`]).
+//! * a checksummed text format ([`Database::save_to_string`] /
+//!   [`Database::load_from_string`]), with a salvaging load
+//!   ([`Database::load_from_string_lenient`]) that reports each piece of
+//!   damage as a [`PersistIssue`]; one reader decides both loads.
+//!
+//! The crate does no file I/O: callers write and read the text. GOOFI
+//! saves it with `goofi_core::dbio::save_database`, atomically and through
+//! the `Vfs` seam its torture harness injects faults into.
 //!
 //! # Example
 //!

@@ -1,19 +1,20 @@
 //! Text persistence: a line-oriented dump/load format.
 //!
 //! The paper keeps all campaign data "in a portable SQL-database"; this
-//! module provides the portability half — a database can be saved to a text
-//! file next to the experiment results and reloaded for later analysis.
-//! Tables are emitted in foreign-key dependency order so a load replays
-//! cleanly through the integrity checks.
+//! module provides the portability half — a database can be saved to text
+//! and reloaded for later analysis (the caller does the file I/O). Tables
+//! are emitted in foreign-key dependency order so a load replays cleanly
+//! through the integrity checks.
 //!
-//! Each table block ends with a `CHECK <fnv32>` footer over its ROW lines:
-//! the strict [`load`] verifies it (detecting bit rot and torn rewrites)
-//! and [`load_lenient`] salvages around damage row by row, reporting every
+//! Each table block ends with a `CHECK <fnv32>` footer over its ROW lines.
+//! One reader, [`read`], decodes the format: strictly ([`load`]) it fails
+//! at the first damage, salvaging ([`load_lenient`]) it reports each
 //! skipped piece as a [`PersistIssue`] so `goofi fsck` can classify and
 //! quarantine rather than silently drop data. Files written before the
 //! footer existed (no CHECK line) still load.
 
 use crate::schema::{ColumnDef, ColumnType, ForeignKey, TableSchema};
+use crate::table::Row;
 use crate::value::Value;
 use crate::{Database, DbError};
 
@@ -59,116 +60,21 @@ pub(crate) fn save(db: &Database) -> String {
 
 /// Restores a database from [`save`] output.
 pub(crate) fn load(text: &str) -> Result<Database, DbError> {
-    load_tables(text, None)
+    read(text, None, None)
 }
 
 /// [`load`] of the `only` tables (every table when `None`), just as
 /// strict for those. Any other table block is skipped to its `END` line
 /// without decoding, and reading stops once every named table is in.
 pub(crate) fn load_tables(text: &str, only: Option<&[&str]>) -> Result<Database, DbError> {
-    let mut db = Database::new();
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(header) if header.starts_with("#goofidb") => {}
-        other => {
-            return Err(DbError::Execution(format!(
-                "bad persistence header: {other:?}"
-            )))
-        }
-    }
-    // Named tables not read yet (`None`: read every table).
-    let mut missing = only.map(<[&str]>::len);
-    while missing != Some(0) {
-        let Some(line) = lines.next() else {
-            break;
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let name = line
-            .strip_prefix("TABLE ")
-            .ok_or_else(|| DbError::Execution(format!("expected TABLE, got `{line}`")))?
-            .to_string();
-        if only.is_some_and(|only| !only.contains(&name.as_str())) {
-            lines
-                .by_ref()
-                .find(|line| *line == "END")
-                .ok_or_else(|| DbError::Execution("unterminated TABLE block".into()))?;
-            continue;
-        }
-        if let Some(n) = missing.as_mut() {
-            *n -= 1;
-        }
-        let mut columns = Vec::new();
-        let mut fks = Vec::new();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut row_sum = FNV_OFFSET;
-        loop {
-            let line = lines
-                .next()
-                .ok_or_else(|| DbError::Execution("unterminated TABLE block".into()))?;
-            if line == "END" {
-                break;
-            }
-            if let Some(sum) = line.strip_prefix("CHECK ") {
-                // Checksum footer over the ROW lines (absent in files
-                // written before it existed).
-                let want = u32::from_str_radix(sum.trim(), 16)
-                    .map_err(|_| DbError::Execution(format!("bad CHECK line `{line}`")))?;
-                if want != row_sum {
-                    return Err(DbError::Corrupt {
-                        table: name.clone(),
-                        detail: format!("row checksum {row_sum:08x} != recorded {want:08x}"),
-                    });
-                }
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("COLUMN ") {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                if parts.len() < 2 {
-                    return Err(DbError::Execution(format!("bad COLUMN line `{line}`")));
-                }
-                let ty = ColumnType::parse(parts[1])
-                    .ok_or_else(|| DbError::Execution(format!("bad type `{}`", parts[1])))?;
-                columns.push(ColumnDef {
-                    name: parts[0].to_string(),
-                    ty,
-                    primary_key: parts.get(2) == Some(&"PK"),
-                });
-            } else if let Some(rest) = line.strip_prefix("FK ") {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                if parts.len() != 3 {
-                    return Err(DbError::Execution(format!("bad FK line `{line}`")));
-                }
-                fks.push(ForeignKey {
-                    column: parts[0].to_string(),
-                    ref_table: parts[1].to_string(),
-                    ref_column: parts[2].to_string(),
-                });
-            } else if let Some(rest) = line.strip_prefix("ROW") {
-                row_sum = fnv1a_line(row_sum, line);
-                let mut row = Vec::new();
-                for field in rest.split('\t').skip(1) {
-                    row.push(decode_value(field)?);
-                }
-                rows.push(row);
-            } else {
-                return Err(DbError::Execution(format!("bad line `{line}`")));
-            }
-        }
-        db.create_table(TableSchema::new(name.clone(), columns, fks)?)?;
-        for row in rows {
-            db.insert(&name, row)?;
-        }
-    }
-    Ok(db)
+    read(text, only, None)
 }
 
 /// What kind of damage a lenient load worked around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueKind {
     /// A table's `CHECK` footer disagreed with its rows (bit rot or a
-    /// torn rewrite); the decodable rows were kept.
+    /// torn rewrite), or could not be read; the decodable rows were kept.
     ChecksumMismatch,
     /// A ROW line failed to decode; the row was skipped. [`PersistIssue::
     /// recovered`] carries whatever fields did decode.
@@ -196,7 +102,8 @@ impl IssueKind {
     }
 }
 
-/// One piece of damage a [`load_lenient`] call salvaged around.
+/// One piece of damage a [`Database::load_from_string_lenient`] call
+/// salvaged around.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistIssue {
     /// Table the damage was found in (empty for file-level damage).
@@ -215,39 +122,54 @@ pub struct PersistIssue {
 /// still identify the file as a goofidb dump — a missing header means this
 /// is not a database, and one issue with an empty database is returned.
 pub(crate) fn load_lenient(text: &str) -> (Database, Vec<PersistIssue>) {
-    let mut db = Database::new();
     let mut issues = Vec::new();
-    let mut lines = text.lines().peekable();
-    match lines.next() {
-        Some(header) if header.starts_with("#goofidb") => {}
-        other => {
-            issues.push(PersistIssue {
-                table: String::new(),
-                kind: IssueKind::BadLine,
-                recovered: Vec::new(),
-                detail: format!("bad persistence header: {other:?}"),
-            });
-            return (db, issues);
-        }
+    let db = read(text, None, Some(&mut issues)).unwrap_or_default();
+    (db, issues)
+}
+
+/// The one reader of the format, behind every load.
+///
+/// Without `issues`, the first damage in line order fails the read. With
+/// them, each piece of damage is recorded and the read salvages around
+/// it, never failing. A table's issues come in this order: damage to the
+/// lines of its block, a truncation, its undecodable rows, then what the
+/// schema and integrity checks rejected.
+fn read(
+    text: &str,
+    only: Option<&[&str]>,
+    issues: Option<&mut Vec<PersistIssue>>,
+) -> Result<Database, DbError> {
+    use IssueKind::{BadLine, BadRow, ChecksumMismatch, InsertFailed, Truncated};
+    let mut damage = Damage(issues);
+    let mut db = Database::new();
+    let mut lines = text.lines();
+    let header = lines.next();
+    if !header.is_some_and(|h| h.starts_with("#goofidb")) {
+        damage.note("", BadLine, format!("bad persistence header: {header:?}"))?;
+        return Ok(db);
     }
-    while let Some(line) = lines.next() {
+    // Named tables not read yet (`None`: read every table).
+    let mut missing = only.map(<[&str]>::len);
+    while missing != Some(0) {
+        let Some(line) = lines.next() else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
         let Some(name) = line.strip_prefix("TABLE ") else {
-            issues.push(PersistIssue {
-                table: String::new(),
-                kind: IssueKind::BadLine,
-                recovered: Vec::new(),
-                detail: format!("expected TABLE, got `{}`", clip(line)),
-            });
+            damage.note("", BadLine, format!("expected TABLE, got `{}`", clip(line)))?;
             continue;
         };
-        let name = name.to_string();
+        // A block of a table not named is skipped undecoded.
+        let skip = only.is_some_and(|only| !only.contains(&name));
+        if let (false, Some(n)) = (skip, missing.as_mut()) {
+            *n -= 1;
+        }
+        let first_issue = damage.count();
         let mut columns = Vec::new();
         let mut fks = Vec::new();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut bad_rows: Vec<PersistIssue> = Vec::new();
+        let mut rows: Vec<Row> = Vec::new();
         let mut row_sum = FNV_OFFSET;
         let mut terminated = false;
         for line in lines.by_ref() {
@@ -255,109 +177,134 @@ pub(crate) fn load_lenient(text: &str) -> (Database, Vec<PersistIssue>) {
                 terminated = true;
                 break;
             }
+            if skip {
+                continue;
+            }
             if let Some(sum) = line.strip_prefix("CHECK ") {
-                let want = u32::from_str_radix(sum.trim(), 16).unwrap_or(0);
-                if want != row_sum {
-                    issues.push(PersistIssue {
-                        table: name.clone(),
-                        kind: IssueKind::ChecksumMismatch,
-                        recovered: Vec::new(),
-                        detail: format!("row checksum {row_sum:08x} != recorded {want:08x}"),
-                    });
+                // Checksum footer over the ROW lines (absent in files
+                // written before it existed); an unreadable one mismatches.
+                if u32::from_str_radix(sum.trim(), 16) != Ok(row_sum) {
+                    let detail = format!("row checksum {row_sum:08x} != recorded {}", clip(sum));
+                    damage.note(name, ChecksumMismatch, detail)?;
                 }
             } else if let Some(rest) = line.strip_prefix("COLUMN ") {
                 let parts: Vec<&str> = rest.split_whitespace().collect();
-                match parts
-                    .get(1)
-                    .and_then(|t| ColumnType::parse(t))
-                    .filter(|_| parts.len() >= 2)
-                {
+                match parts.get(1).and_then(|ty| ColumnType::parse(ty)) {
                     Some(ty) => columns.push(ColumnDef {
                         name: parts[0].to_string(),
                         ty,
                         primary_key: parts.get(2) == Some(&"PK"),
                     }),
-                    None => issues.push(PersistIssue {
-                        table: name.clone(),
-                        kind: IssueKind::BadLine,
-                        recovered: Vec::new(),
-                        detail: format!("bad COLUMN line `{}`", clip(line)),
-                    }),
+                    None => {
+                        damage.note(name, BadLine, format!("bad COLUMN line `{}`", clip(line)))?
+                    }
                 }
             } else if let Some(rest) = line.strip_prefix("FK ") {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                if parts.len() == 3 {
-                    fks.push(ForeignKey {
-                        column: parts[0].to_string(),
-                        ref_table: parts[1].to_string(),
-                        ref_column: parts[2].to_string(),
-                    });
-                } else {
-                    issues.push(PersistIssue {
-                        table: name.clone(),
-                        kind: IssueKind::BadLine,
-                        recovered: Vec::new(),
-                        detail: format!("bad FK line `{}`", clip(line)),
-                    });
+                match rest.split_whitespace().collect::<Vec<_>>()[..] {
+                    [column, ref_table, ref_column] => fks.push(ForeignKey {
+                        column: column.to_string(),
+                        ref_table: ref_table.to_string(),
+                        ref_column: ref_column.to_string(),
+                    }),
+                    _ => damage.note(name, BadLine, format!("bad FK line `{}`", clip(line)))?,
                 }
             } else if let Some(rest) = line.strip_prefix("ROW") {
                 row_sum = fnv1a_line(row_sum, line);
-                let fields: Vec<Option<Value>> = rest
-                    .split('\t')
-                    .skip(1)
-                    .map(|f| decode_value(f).ok())
-                    .collect();
-                if fields.iter().all(Option::is_some) {
-                    rows.push(fields.into_iter().flatten().collect());
-                } else {
-                    bad_rows.push(PersistIssue {
-                        table: name.clone(),
-                        kind: IssueKind::BadRow,
-                        recovered: fields,
-                        detail: format!("undecodable row `{}`", clip(line)),
-                    });
+                let fields = || rest.split('\t').skip(1);
+                match fields().map(decode_value).collect() {
+                    Ok(row) => rows.push(row),
+                    Err(_) => damage.note_with(
+                        name,
+                        BadRow,
+                        || fields().map(|field| decode_value(field).ok()).collect(),
+                        format!("undecodable row `{}`", clip(line)),
+                    )?,
                 }
             } else {
-                issues.push(PersistIssue {
-                    table: name.clone(),
-                    kind: IssueKind::BadLine,
-                    recovered: Vec::new(),
-                    detail: format!("bad line `{}` in table block", clip(line)),
-                });
+                damage.note(
+                    name,
+                    BadLine,
+                    format!("bad line `{}` in table block", clip(line)),
+                )?;
             }
         }
         if !terminated {
-            issues.push(PersistIssue {
-                table: name.clone(),
-                kind: IssueKind::Truncated,
-                recovered: Vec::new(),
-                detail: "file ends inside table block".into(),
-            });
+            damage.note(name, Truncated, "file ends inside table block".into())?;
         }
-        issues.append(&mut bad_rows);
-        match TableSchema::new(name.clone(), columns, fks).and_then(|s| db.create_table(s)) {
-            Ok(()) => {
-                for row in rows {
-                    let recovered: Vec<Option<Value>> = row.iter().cloned().map(Some).collect();
-                    if let Err(e) = db.insert(&name, row) {
-                        issues.push(PersistIssue {
-                            table: name.clone(),
-                            kind: IssueKind::InsertFailed,
-                            recovered,
-                            detail: e.to_string(),
-                        });
-                    }
-                }
+        damage.rows_last(first_issue);
+        if skip {
+            continue;
+        }
+        let schema = TableSchema::new(name, columns, fks);
+        if let Err(e) = schema.and_then(|schema| db.create_table(schema)) {
+            damage.note(name, BadLine, format!("table unusable: {e}"))?;
+            continue;
+        }
+        for row in rows {
+            let kept = damage.salvaging().then(|| row.clone());
+            if let Err(e) = db.insert(name, row) {
+                let recovered = || kept.into_iter().flatten().map(Some).collect();
+                damage.note_with(name, InsertFailed, recovered, e.to_string())?;
             }
-            Err(e) => issues.push(PersistIssue {
-                table: name.clone(),
-                kind: IssueKind::BadLine,
-                recovered: Vec::new(),
-                detail: format!("table unusable: {e}"),
-            }),
         }
     }
-    (db, issues)
+    Ok(db)
+}
+
+/// Where a [`read`]'s damage goes: with no list, the first piece fails
+/// the read; with one, each piece is recorded there.
+struct Damage<'a>(Option<&'a mut Vec<PersistIssue>>);
+
+impl Damage<'_> {
+    fn salvaging(&self) -> bool {
+        self.0.is_some()
+    }
+
+    fn count(&self) -> usize {
+        self.0.as_ref().map_or(0, |list| list.len())
+    }
+
+    fn note(&mut self, table: &str, kind: IssueKind, detail: String) -> Result<(), DbError> {
+        self.note_with(table, kind, Vec::new, detail)
+    }
+
+    /// Records one piece of damage in `table` (empty for the file), or
+    /// fails a strict read with it: a checksum mismatch as
+    /// [`DbError::Corrupt`], anything else as [`DbError::Execution`].
+    /// `recovered` runs only when the read salvages.
+    fn note_with(
+        &mut self,
+        table: &str,
+        kind: IssueKind,
+        recovered: impl FnOnce() -> Vec<Option<Value>>,
+        detail: String,
+    ) -> Result<(), DbError> {
+        let Some(list) = self.0.as_deref_mut() else {
+            return Err(match kind {
+                IssueKind::ChecksumMismatch => DbError::Corrupt {
+                    table: table.to_string(),
+                    detail,
+                },
+                _ if table.is_empty() => DbError::Execution(detail),
+                _ => DbError::Execution(format!("table `{table}`: {detail}")),
+            });
+        };
+        list.push(PersistIssue {
+            table: table.to_string(),
+            kind,
+            recovered: recovered(),
+            detail,
+        });
+        Ok(())
+    }
+
+    /// Moves the bad rows among the issues since `first` behind the rest
+    /// (damaged lines, then a truncation), keeping each group in order.
+    fn rows_last(&mut self, first: usize) {
+        if let Some(list) = self.0.as_deref_mut() {
+            list[first..].sort_by_key(|issue| issue.kind == IssueKind::BadRow);
+        }
+    }
 }
 
 fn clip(line: &str) -> String {

@@ -15,7 +15,66 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Saved text of a database with two tables joined by a foreign key,
+/// whose child rows carry `notes`: text that needs escaping.
+fn saved_with_fk(notes: &[String]) -> String {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE targets (name TEXT PRIMARY KEY, chains INTEGER)")
+        .unwrap();
+    db.execute(
+        "CREATE TABLE runs (id INTEGER PRIMARY KEY, target TEXT, note TEXT, score REAL,
+         FOREIGN KEY (target) REFERENCES targets(name))",
+    )
+    .unwrap();
+    let targets = [Value::text("thor"), Value::text("rv\t32\\x"), Value::Null];
+    db.insert("targets", vec![targets[0].clone(), Value::Int(5)])
+        .unwrap();
+    db.insert("targets", vec![targets[1].clone(), Value::Null])
+        .unwrap();
+    for (i, note) in notes.iter().enumerate() {
+        let row = vec![
+            Value::Int(i as i64),
+            targets[i % 3].clone(),
+            Value::text(note.clone()),
+            Value::Real(i as f64 / 3.0),
+        ];
+        db.insert("runs", row).unwrap();
+    }
+    db.save_to_string()
+}
+
 proptest! {
+    #[test]
+    fn strict_and_salvaging_reads_agree_on_any_single_damage(
+        notes in proptest::collection::vec("[ -~\\t\\n]{0,12}", 1..5),
+        at: usize,
+        bit in 0u8..8,
+    ) {
+        let text = saved_with_fk(&notes);
+        let bytes = text.as_bytes();
+        let lines: Vec<&str> = text.lines().collect();
+        let mut flipped = bytes.to_vec();
+        flipped[at % bytes.len()] ^= 1 << bit;
+        let mut dropped = lines.clone();
+        dropped.remove(at % lines.len());
+        let mut blank = lines.clone();
+        blank.insert(at % (lines.len() + 1), "");
+        let damaged = [
+            String::from_utf8_lossy(&flipped).into_owned(),
+            String::from_utf8_lossy(&bytes[..at % bytes.len()]).into_owned(),
+            dropped.join("\n") + "\n",
+            blank.join("\n") + "\n",
+        ];
+        for text in damaged {
+            let strict = Database::load_from_string(&text);
+            let (salvaged, issues) = Database::load_from_string_lenient(&text);
+            prop_assert_eq!(strict.is_ok(), issues.is_empty(), "{:?}\n{}", issues, text);
+            if let Ok(db) = strict {
+                prop_assert_eq!(db.save_to_string(), salvaged.save_to_string());
+            }
+        }
+    }
+
     #[test]
     fn insert_then_count_and_point_lookup(
         rows in proptest::collection::btree_map(any::<i64>(), arb_value(), 0..40),

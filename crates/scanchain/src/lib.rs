@@ -57,7 +57,7 @@ pub use bitvec::BitVec;
 pub use chain::{CellAccess, CellDef, ChainLayout, ChainLayoutBuilder};
 pub use debug::{BusEvent, DebugCondition, DebugEvent, DebugUnit, DEBUG_SLOTS};
 pub use error::ScanError;
-pub use link::{FaultyScanTarget, LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel};
+pub use link::{LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel};
 pub use memory::{Memory, MemoryError, DEFAULT_MEMORY_WORDS, PAGE_WORDS};
 pub use tap::{TapController, TapInstruction, TapState};
 pub use testcard::{ScanTarget, ScanTxn, TestCard, TestCardStats};

@@ -3,9 +3,9 @@
 //! The GOOFI paper assumes the test card's JTAG link is perfect; real
 //! deployments meet corrupted readbacks, lost transactions and stalled
 //! shifts. [`LinkFaultModel`] is a *seeded, deterministic* model of such an
-//! unreliable link, and [`FaultyScanTarget`] wraps any [`ScanTarget`] so the
-//! whole capture/update transport misbehaves at configurable rates. The
-//! recovery side (verified reads, re-shift, quarantine) lives in
+//! unreliable link: it decides the fate of each transaction at configurable
+//! rates. Applying it to a target (`goofi_core::link::UnreliableTarget`)
+//! and the recovery side (verified reads, re-shift, quarantine) live in
 //! `goofi-core`; this crate only produces the faults.
 //!
 //! Determinism matters: an experiment campaign run twice with the same
@@ -15,7 +15,7 @@
 //! rather than any global randomness.
 
 use crate::plan::{self, Kind};
-use crate::{BitVec, ChainLayout, ScanError, ScanTarget};
+use crate::{BitVec, ScanError};
 use std::fmt;
 
 /// One kind of transport fault the link can inject.
@@ -281,82 +281,6 @@ impl LinkFaultModel {
             }),
             Some(LinkFault::Disconnect) => Err(ScanError::LinkDown {
                 operation: operation.to_string(),
-            }),
-        }
-    }
-}
-
-/// A [`ScanTarget`] whose transport misbehaves per a [`LinkFaultModel`].
-///
-/// Capture transactions can return corrupted or stale images or fail with
-/// [`ScanError::ShiftStall`]/[`ScanError::LinkDown`]; update transactions
-/// can be corrupted in flight, silently dropped, duplicated, or fail the
-/// same way. Layout queries are host-side metadata and are never faulted.
-#[derive(Debug)]
-pub struct FaultyScanTarget<T> {
-    inner: T,
-    model: LinkFaultModel,
-}
-
-impl<T: ScanTarget> FaultyScanTarget<T> {
-    /// Wraps `inner` with the given fault model.
-    pub fn new(inner: T, model: LinkFaultModel) -> Self {
-        FaultyScanTarget { inner, model }
-    }
-
-    /// Shared access to the wrapped target.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// The fault model (for event counters).
-    pub fn model(&self) -> &LinkFaultModel {
-        &self.model
-    }
-}
-
-impl<T: ScanTarget> ScanTarget for FaultyScanTarget<T> {
-    fn chain_names(&self) -> Vec<String> {
-        self.inner.chain_names()
-    }
-
-    fn chain_layout(&self, chain: &str) -> Option<&ChainLayout> {
-        self.inner.chain_layout(chain)
-    }
-
-    fn capture_chain(&self, chain: &str) -> Result<BitVec, ScanError> {
-        // `capture_chain` takes `&self`, so the decision is made by an
-        // interior clone of the stream advanced on `update_chain`; to keep
-        // the model single-streamed the faulting wrapper instead disturbs
-        // captures in `update_chain` order. In practice the test card pairs
-        // every capture with an update (one DR access), so faulting at
-        // update granularity faults whole transactions — which is exactly
-        // the unit the paper's test card shifts.
-        self.inner.capture_chain(chain)
-    }
-
-    fn update_chain(&mut self, chain: &str, bits: &BitVec) -> Result<(), ScanError> {
-        match self.model.next_fault() {
-            None => self.inner.update_chain(chain, bits),
-            Some(LinkFault::CorruptBit) => {
-                let mut disturbed = bits.clone();
-                if !disturbed.is_empty() {
-                    let bit = self.model.random_index(disturbed.len());
-                    disturbed.flip(bit);
-                }
-                self.inner.update_chain(chain, &disturbed)
-            }
-            // The update never reaches the device.
-            Some(LinkFault::Drop) => Ok(()),
-            Some(LinkFault::Duplicate) => {
-                self.inner.update_chain(chain, bits)?;
-                self.inner.update_chain(chain, bits)
-            }
-            Some(LinkFault::Stall) => Err(ScanError::ShiftStall {
-                operation: format!("update `{chain}`"),
-            }),
-            Some(LinkFault::Disconnect) => Err(ScanError::LinkDown {
-                operation: format!("update `{chain}`"),
             }),
         }
     }

@@ -170,13 +170,75 @@ fn print_usage() {
     );
 }
 
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+// The flags each command reads; `goofi run` reads `RESUME_FLAGS` and
+// `--no-snapshot`. (`goofi worker` checks its own in `WorkerArgs::parse`.)
+const NEW_FLAGS: &[&str] = &[
+    "name",
+    "workload",
+    "target",
+    "experiments",
+    "seed",
+    "technique",
+    "time-window",
+    "max-instr",
+    "max-iterations",
+    "detail",
+    "with-caches",
+    "on-error",
+    "retries",
+    "backoff-ms",
+    "watchdog-cycles",
+    "watchdog-ms",
+    "revalidate-every",
+    "health-check-every",
+];
+const RESUME_FLAGS: &[&str] = &[
+    "name",
+    "journal",
+    "target",
+    "workers",
+    "env",
+    "link-faults",
+    "verify-reads",
+    "health-check-every",
+    "wedge",
+    "trace",
+    "metrics",
+];
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "lease-ms",
+    "poison-after",
+    "chaos",
+    "net-chaos",
+];
+const SUBMIT_FLAGS: &[&str] = &[
+    "name", "target", "workers", "watch", "job", "status", "shutdown",
+];
+const FSCK_FLAGS: &[&str] = &["name", "journal", "repair"];
+const REPORT_FLAGS: &[&str] = &["name", "timings", "trace"];
+
+/// Splits `goofi <command>`'s arguments into positional ones and
+/// `--flag [value]` pairs. Flags not in `accepted` fail the command, all
+/// named in one message, so a mistyped flag is never silently ignored.
+fn parse_flags(
+    command: &str,
+    accepted: &[&str],
+    args: &[String],
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
+    let mut unknown = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.contains(&name) {
+                unknown.push(format!("`{a}`"));
+                i += 1;
+                continue;
+            }
             // Boolean flags have no value; detect by peeking.
             let boolean = matches!(
                 name,
@@ -204,6 +266,13 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>)
             positional.push(a.clone());
             i += 1;
         }
+    }
+    if !unknown.is_empty() {
+        return Err(format!(
+            "unknown flag{} {} for `goofi {command}` (try `goofi help`)",
+            if unknown.len() == 1 { "" } else { "s" },
+            unknown.join(", "),
+        ));
     }
     Ok((positional, flags))
 }
@@ -506,7 +575,7 @@ fn cmd_workloads() -> Result<(), String> {
 }
 
 fn cmd_new(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags("new", NEW_FLAGS, args)?;
     let db_path = positional.first().ok_or("new: missing <db> path")?;
     let name = flags.get("name").ok_or("new: --name is required")?;
     let workload_name = flags.get("workload").ok_or("new: --workload is required")?;
@@ -675,7 +744,8 @@ fn make_env(kind: Option<&str>) -> Result<Box<dyn Environment>, String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let accepted = [RESUME_FLAGS, &["no-snapshot"]].concat();
+    let (positional, flags) = parse_flags("run", &accepted, args)?;
     let db_path = positional.first().ok_or("run: missing <db> path")?;
     let name = flags.get("name").ok_or("run: --name is required")?;
     let workers: usize = flags
@@ -775,7 +845,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags("resume", RESUME_FLAGS, args)?;
     let db_path = positional.first().ok_or("resume: missing <db> path")?;
     let name = flags.get("name").ok_or("resume: --name is required")?;
     let journal_path = flags
@@ -856,11 +926,11 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
 /// the findings are reported (one class per line) and the exit code is
 /// non-zero; with `--repair` the damage is salvaged: journals are rewritten
 /// down to their valid entries, unrecognisable files are quarantined aside
-/// as `*.corrupt`, damaged spool jobs become `quarantined-*` directories,
+/// (`vfs::quarantine`), damaged spool jobs become `quarantined-*` directories,
 /// and experiments lost to garbled database rows are re-logged as
 /// `Validity::Invalid` stubs with `parentExperiment`-linked rerun stubs.
 fn cmd_fsck(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags("fsck", FSCK_FLAGS, args)?;
     let db_path = positional.first().ok_or("fsck: missing <db> path")?;
     let repair = flags.contains_key("repair");
     let journal = match (flags.get("journal"), flags.get("name")) {
@@ -988,7 +1058,7 @@ fn finish_run(
 /// spooled in-flight jobs left behind by a previous (possibly killed)
 /// daemon before accepting new work.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags("serve", SERVE_FLAGS, args)?;
     let db_path = positional.first().ok_or("serve: missing <db> path")?;
     if !Path::new(db_path).exists() {
         return Err(format!(
@@ -1093,7 +1163,7 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
 /// (optionally watching it), attach to a running job, list jobs, or ask
 /// the daemon to shut down.
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags("submit", SUBMIT_FLAGS, args)?;
     let addr = positional
         .first()
         .ok_or("submit: missing <addr> (e.g. 127.0.0.1:4711)")?;
@@ -1198,7 +1268,7 @@ fn print_progress(response: &Response) {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags("report", REPORT_FLAGS, args)?;
     let db_path = positional.first().ok_or("report: missing <db> path")?;
     let name = flags.get("name").ok_or("report: --name is required")?;
     let mut db = load_db(db_path)?;

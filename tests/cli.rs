@@ -319,6 +319,43 @@ fn errors_are_reported() {
     assert!(!out.status.success());
 }
 
+/// A flag the command does not read fails it before it touches anything,
+/// rather than being silently ignored (here: a serial, journal-less run).
+#[test]
+fn unknown_flags_fail_the_command_and_leave_the_database_untouched() {
+    let (guard, db) = tmp_db("unknown-flag");
+    stdout(&goofi(&[
+        "new",
+        &db,
+        "--name",
+        "c",
+        "--workload",
+        "fibonacci",
+        "--experiments",
+        "5",
+    ]));
+    let before = std::fs::read(&db).unwrap();
+    let journal = guard.path.join("j.gjl");
+    let journal = journal.to_str().unwrap();
+    let out = goofi(&[
+        "run", &db, "--name", "c", "--worker", "4", "--jurnal", journal,
+    ]);
+    assert!(!out.status.success(), "a mistyped flag must fail the run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("`--jurnal`"), "{stderr}");
+    assert!(stderr.contains("`--worker`"), "{stderr}");
+    assert!(stderr.contains("`goofi run`"), "{stderr}");
+    assert_eq!(std::fs::read(&db).unwrap(), before);
+    assert!(!std::path::Path::new(journal).exists());
+
+    // A boolean flag's typo is refused too, not mistaken for a value flag.
+    let out = goofi(&["run", &db, "--name", "c", "--metric"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--metric`"), "{stderr}");
+    assert_eq!(std::fs::read(&db).unwrap(), before);
+}
+
 #[test]
 fn fsck_reports_classes_and_repairs() {
     let (_guard, db) = tmp_db("fsck");
