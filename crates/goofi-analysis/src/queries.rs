@@ -104,7 +104,8 @@ pub fn campaign_stats(db: &Database, campaign: &str) -> Result<CampaignStats> {
 pub fn outcome_distribution(db: &Database, campaign: &str) -> Result<QueryResult> {
     Ok(db.query(&format!(
         "SELECT outcome, COUNT(*) AS n FROM AnalysisResults
-         WHERE campaignName = '{campaign}' GROUP BY outcome ORDER BY n DESC, outcome"
+         WHERE campaignName = {} GROUP BY outcome ORDER BY n DESC, outcome",
+        literal(campaign)
     ))?)
 }
 
@@ -116,22 +117,9 @@ pub fn outcome_distribution(db: &Database, campaign: &str) -> Result<QueryResult
 pub fn mechanism_distribution(db: &Database, campaign: &str) -> Result<QueryResult> {
     Ok(db.query(&format!(
         "SELECT mechanism, COUNT(*) AS n FROM AnalysisResults
-         WHERE campaignName = '{campaign}' AND mechanism IS NOT NULL
-         GROUP BY mechanism ORDER BY n DESC, mechanism"
-    ))?)
-}
-
-/// SQL: outcome counts per fault-location class (requires
-/// [`analyse_campaign`]).
-///
-/// # Errors
-///
-/// Database errors.
-pub fn location_distribution(db: &Database, campaign: &str) -> Result<QueryResult> {
-    Ok(db.query(&format!(
-        "SELECT locationClass, outcome, COUNT(*) AS n FROM AnalysisResults
-         WHERE campaignName = '{campaign}'
-         GROUP BY locationClass, outcome ORDER BY locationClass, outcome"
+         WHERE campaignName = {} AND mechanism IS NOT NULL
+         GROUP BY mechanism ORDER BY n DESC, mechanism",
+        literal(campaign)
     ))?)
 }
 
@@ -144,7 +132,13 @@ pub fn location_distribution(db: &Database, campaign: &str) -> Result<QueryResul
 pub fn escaped_experiments(db: &Database, campaign: &str) -> Result<QueryResult> {
     Ok(db.query(&format!(
         "SELECT experimentName FROM AnalysisResults
-         WHERE campaignName = '{campaign}' AND outcome = 'escaped'
-         ORDER BY experimentName"
+         WHERE campaignName = {} AND outcome = 'escaped'
+         ORDER BY experimentName",
+        literal(campaign)
     ))?)
+}
+
+/// `text` as an SQL string literal: quoted, with each `'` doubled.
+fn literal(text: &str) -> String {
+    format!("'{}'", text.replace('\'', "''"))
 }

@@ -595,8 +595,7 @@ pub fn save_database(vfs: &dyn Vfs, path: impl AsRef<Path>, db: &Database) -> Re
 /// I/O errors ([`GoofiError::Io`]) and corruption/parse errors
 /// ([`GoofiError::Db`]).
 pub fn load_database(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Database> {
-    let path = path.as_ref();
-    let text = read_database(vfs, path)?;
+    let text = read_strict(vfs, path.as_ref())?;
     Database::load_from_string(&text).map_err(strict_load_error)
 }
 
@@ -613,15 +612,37 @@ pub fn load_database(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Database> 
 /// As [`load_database`] for the two campaign tables, and as
 /// [`load_campaign`].
 pub fn load_campaign_from(vfs: &dyn Vfs, path: impl AsRef<Path>, name: &str) -> Result<Campaign> {
-    let text = read_database(vfs, path.as_ref())?;
+    let text = read_strict(vfs, path.as_ref())?;
     let db = Database::load_tables_from_string(&text, &[TARGET_TABLE, CAMPAIGN_TABLE])
         .map_err(strict_load_error)?;
     load_campaign(&db, name)
 }
 
-fn read_database(vfs: &dyn Vfs, path: &Path) -> Result<String> {
-    vfs.read_to_string(path)
-        .map_err(|e| GoofiError::io("loading database from", path, &e))
+/// The one read of a database file, behind the strict loads and fsck: its
+/// text, with `U+FFFD` for invalid UTF-8, and whether it was valid UTF-8.
+/// A file that is not is damaged: the strict loads refuse it, and fsck
+/// reports it and repairs it from the lossy text.
+///
+/// # Errors
+///
+/// Propagated (or injected) I/O errors.
+pub(crate) fn read_database(vfs: &dyn Vfs, path: &Path) -> std::io::Result<(String, bool)> {
+    vfs.read_bytes(path).map(vfs::lossy)
+}
+
+/// [`read_database`] for the strict loads: invalid UTF-8 is refused, not
+/// decoded lossily, since a replaced byte in a schema line would load as
+/// a renamed table or column.
+fn read_strict(vfs: &dyn Vfs, path: &Path) -> Result<String> {
+    let read = read_database(vfs, path).and_then(|(text, utf8)| {
+        utf8.then_some(text).ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8 (run `goofi fsck --repair` to salvage)",
+            )
+        })
+    });
+    read.map_err(|e| GoofiError::io("loading database from", path, &e))
 }
 
 /// A strict load's error, with the salvage hint on corruption.

@@ -22,6 +22,7 @@
 //! surviving valid content or renames the damaged original aside.
 
 use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity};
+use crate::service::scheduler;
 use crate::vfs::{self, Vfs};
 use crate::{dbio, journal, GoofiError, Result};
 use goofidb::{Database, IssueKind, Value};
@@ -36,11 +37,11 @@ pub enum CorruptionClass {
     JournalBadHeader,
     /// A journal's final entry is torn (crash mid-append).
     JournalTornTail,
-    /// A journal entry *before* the tail fails its checksum — corruption
-    /// the plain loader's torn-tail tolerance does not cover.
+    /// A journal entry *before* the tail fails its checksum or format —
+    /// not the residue of a crash mid-append. Only that entry is lost.
     JournalGarbledEntry,
     /// The database file is structurally unreadable (bad header, damaged
-    /// block structure, truncation).
+    /// block structure, truncation, bytes that are not UTF-8).
     DbUnreadable,
     /// A database table's rows disagree with its `CHECK` footer.
     DbChecksumMismatch,
@@ -160,11 +161,12 @@ fn finding(class: CorruptionClass, path: &Path, detail: impl Into<String>) -> Fi
 
 /// Checks (and optionally repairs) the database file at `path`.
 ///
-/// Detection: a stray [`vfs::temp_path`] from a crashed atomic save, and
-/// whatever the database reader's salvaging load reports: a structurally
-/// unreadable file, per-table `CHECK` checksum mismatches, and garbled or
-/// rejected rows. That read is the one the strict loader makes, so the
-/// file is clean exactly when [`dbio::load_database`] accepts it. Repair:
+/// Detection: a stray [`vfs::temp_path`] from a crashed atomic save, bytes
+/// that are not UTF-8, and whatever the database reader's salvaging load
+/// reports: a structurally unreadable file, per-table `CHECK` checksum
+/// mismatches, and garbled or rejected rows. That read is the one the
+/// strict loader makes, so the file is clean exactly when
+/// [`dbio::load_database`] accepts it. Repair:
 /// the stray temp is removed, garbled `LoggedSystemState` rows whose
 /// experiment name survived become `Validity::Invalid` stubs with
 /// `parentExperiment`-linked `…/rerun1` stubs, and the salvaged database
@@ -194,13 +196,13 @@ pub fn fsck_database(vfs: &dyn Vfs, path: &Path, repair: bool) -> Result<FsckRep
         report.findings.push(f);
     }
 
-    let text = match vfs::read_lossy(vfs, path) {
-        Ok(text) => text,
+    let (text, utf8) = match dbio::read_database(vfs, path) {
+        Ok(read) => read,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
         Err(e) => return Err(GoofiError::io("reading", path, &e)),
     };
     let (mut db, issues) = Database::load_from_string_lenient(&text);
-    if issues.is_empty() {
+    if issues.is_empty() && utf8 {
         return Ok(report);
     }
 
@@ -219,6 +221,13 @@ pub fn fsck_database(vfs: &dyn Vfs, path: &Path, repair: bool) -> Result<FsckRep
         return Ok(report);
     }
 
+    if !utf8 {
+        report.findings.push(finding(
+            CorruptionClass::DbUnreadable,
+            path,
+            "file is not valid UTF-8 (undecodable bytes read as U+FFFD)",
+        ));
+    }
     let mut stub_sources: Vec<(String, String)> = Vec::new();
     for issue in &issues {
         let class = match issue.kind {
@@ -314,8 +323,9 @@ fn stub_lost_experiment(db: &mut Database, name: &str, campaign: &str) -> Result
 /// When `expect_campaign` is given (the spool path passes the manifest's
 /// campaign), a journal naming a different campaign is classified as
 /// [`CorruptionClass::SpoolShardMismatch`] and quarantined on repair.
-/// Other damage — bad header, garbled entries, torn tail — is repaired by
-/// [`crate::journal::salvage_with`]. A missing file is clean.
+/// Other damage — bad header, garbled entries, torn tail — is repaired
+/// from the same read, as [`crate::journal::salvage_with`] would. A
+/// missing file is clean.
 ///
 /// # Errors
 ///
@@ -335,7 +345,7 @@ pub fn fsck_journal(
     let scan = journal::scan_text(&text);
     let mut quarantine_whole_file = false;
     match &scan.campaign {
-        None => {
+        Err(_) => {
             report.findings.push(finding(
                 CorruptionClass::JournalBadHeader,
                 path,
@@ -343,7 +353,7 @@ pub fn fsck_journal(
             ));
             quarantine_whole_file = true;
         }
-        Some(campaign) => {
+        Ok(campaign) => {
             if let Some(expected) = expect_campaign {
                 if campaign != expected {
                     report.findings.push(finding(
@@ -360,8 +370,7 @@ pub fn fsck_journal(
                     path,
                     format!(
                         "{} garbled entry line(s) before the tail ({} valid)",
-                        scan.garbled,
-                        scan.valid.len()
+                        scan.garbled, scan.valid
                     ),
                 ));
             }
@@ -381,7 +390,8 @@ pub fn fsck_journal(
         let aside = vfs::quarantine(vfs, path)?;
         format!("quarantined to {}", aside.display())
     } else {
-        let outcome = journal::salvage_with(vfs, path)?;
+        // Repaired from this pass: the file is not read again.
+        let outcome = scan.salvage(vfs, path)?;
         format!(
             "rewrote journal keeping {} entr{}, dropped {}",
             outcome.kept,
@@ -427,36 +437,34 @@ pub fn fsck_spool(vfs: &dyn Vfs, spool: &Path, repair: bool) -> Result<FsckRepor
         if !name.starts_with("job-") {
             continue;
         }
-        let manifest = dir.join("manifest");
+        let manifest = scheduler::manifest_path(&dir);
         let campaign = match vfs::read_lossy(vfs, &manifest) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let mut f = finding(
-                    CorruptionClass::SpoolOrphanDir,
-                    &dir,
-                    "job directory has no manifest",
-                );
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(finding(
+                CorruptionClass::SpoolOrphanDir,
+                &dir,
+                "job directory has no manifest",
+            )),
+            Err(e) => return Err(GoofiError::io("reading", &manifest, &e)),
+            Ok(text) => parse_manifest(&text)
+                .map(|(campaign, _)| campaign)
+                .ok_or_else(|| {
+                    finding(
+                        CorruptionClass::SpoolBadManifest,
+                        &manifest,
+                        "manifest does not parse",
+                    )
+                }),
+        };
+        let campaign = match campaign {
+            Ok(campaign) => campaign,
+            Err(mut f) => {
                 if repair {
-                    f.repaired = Some(quarantine_job_dir(vfs, spool, &dir, &name)?);
+                    let aside = scheduler::quarantine_job_dir(vfs, spool, &name)?;
+                    f.repaired = Some(format!("quarantined to {}", aside.display()));
                 }
                 report.findings.push(f);
                 continue;
             }
-            Err(e) => return Err(GoofiError::io("reading", &manifest, &e)),
-            Ok(text) => match parse_manifest(&text) {
-                Some((campaign, _workers)) => campaign,
-                None => {
-                    let mut f = finding(
-                        CorruptionClass::SpoolBadManifest,
-                        &manifest,
-                        "manifest does not parse",
-                    );
-                    if repair {
-                        f.repaired = Some(quarantine_job_dir(vfs, spool, &dir, &name)?);
-                    }
-                    report.findings.push(f);
-                    continue;
-                }
-            },
         };
         let mut shards = vfs
             .read_dir(&dir)
@@ -475,33 +483,11 @@ pub fn fsck_spool(vfs: &dyn Vfs, spool: &Path, repair: bool) -> Result<FsckRepor
     Ok(report)
 }
 
-/// Renames a damaged job directory to `quarantined-<id>`, which the
-/// scheduler's recovery scan skips. Returns the repair note.
-fn quarantine_job_dir(vfs: &dyn Vfs, spool: &Path, dir: &Path, name: &str) -> Result<String> {
-    let aside = spool.join(format!("quarantined-{name}"));
-    vfs.rename(dir, &aside)
-        .map_err(|e| GoofiError::io("quarantining", dir, &e))?;
-    Ok(format!("quarantined to {}", aside.display()))
-}
-
 /// Parses a spool job manifest (`#goofi-job v1` / `campaign …` /
-/// `workers …`). Shared with the scheduler's reader, which additionally
-/// wraps errors.
+/// `workers …`) into its campaign and worker count, with the scheduler's
+/// decoder.
 pub fn parse_manifest(text: &str) -> Option<(String, usize)> {
-    let mut lines = text.lines();
-    if lines.next() != Some("#goofi-job v1") {
-        return None;
-    }
-    let mut campaign = None;
-    let mut workers = None;
-    for line in lines {
-        match line.split_once(' ') {
-            Some(("campaign", v)) => campaign = Some(v.to_string()),
-            Some(("workers", v)) => workers = v.parse().ok(),
-            _ => {}
-        }
-    }
-    Some((campaign?, workers?))
+    scheduler::decode_manifest(text).map(|(campaign, workers, _)| (campaign, workers))
 }
 
 // ---------------------------------------------------------------------------
@@ -592,18 +578,27 @@ mod tests {
         let path = dir.join("db.gdb");
         dbio::save_database(&RealFs, &path, &seed_db()).unwrap();
         let pristine = std::fs::read(&path).unwrap();
-        for at in 0..pristine.len() {
+        // Bit 7 makes the bytes invalid UTF-8.
+        for (at, bit) in (0..pristine.len()).flat_map(|at| [(at, 0), (at, 7)]) {
             let mut flipped = pristine.clone();
-            flipped[at] ^= 1;
+            flipped[at] ^= 1 << bit;
             std::fs::write(&path, &flipped).unwrap();
             let report = fsck_database(&RealFs, &path, false).unwrap();
             assert_eq!(
                 report.clean(),
                 dbio::load_database(&RealFs, &path).is_ok(),
-                "byte {at}: {}",
+                "byte {at}, bit {bit}: {}",
                 report.render()
             );
         }
+        // Repair re-saves the lossy salvage, which loads.
+        let mut flipped = pristine.clone();
+        flipped[8] ^= 0x80;
+        std::fs::write(&path, &flipped).unwrap();
+        let report = fsck_database(&RealFs, &path, true).unwrap();
+        assert_eq!(report.findings[0].class, CorruptionClass::DbUnreadable);
+        dbio::load_database(&RealFs, &path).unwrap();
+        assert!(fsck_database(&RealFs, &path, false).unwrap().clean());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -38,9 +38,13 @@
 //! are completed experiment records (`-` in the index column marks the
 //! reference run), `F` entries are experiments that failed despite the
 //! policy's retries. Every entry line ends with an FNV-1a checksum of its
-//! payload. Loading stops at the first torn or corrupt line — precisely
-//! the tail a crash mid-append can leave — so a damaged tail never
-//! poisons the records before it.
+//! payload.
+//!
+//! One line walker ([`scan_text`]) reads every journal, for loading,
+//! salvage, fsck and reopening alike. It checks each entry line on its
+//! own, so a torn tail (what a crash mid-append leaves) or a garbled line
+//! in the middle costs exactly that line: a load keeps every entry that
+//! checks out, the same set a salvage keeps.
 
 use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity};
 use crate::policy::ExperimentFailure;
@@ -115,6 +119,18 @@ impl JournalState {
     pub fn is_empty(&self) -> bool {
         self.reference.is_none() && self.completed.is_empty() && self.failed.is_empty()
     }
+
+    /// This state when the journal at `path` belongs to `campaign`.
+    fn belonging_to(self, path: &Path, campaign: &str) -> Result<JournalState> {
+        if self.campaign == campaign {
+            return Ok(self);
+        }
+        Err(GoofiError::Journal(format!(
+            "{}: journal belongs to campaign `{}`, not `{campaign}`",
+            path.display(),
+            self.campaign
+        )))
+    }
 }
 
 /// An open, append-only experiment journal.
@@ -160,8 +176,7 @@ impl ExperimentJournal {
         let mut file = vfs
             .create(&path)
             .map_err(|e| GoofiError::io("creating", &path, &e))?;
-        let header = format!("{HEADER}\nC\t{}\n", escape(campaign));
-        file.write_all(header.as_bytes())
+        file.write_all(head(campaign).as_bytes())
             .and_then(|()| file.sync())
             .map_err(|e| GoofiError::io("writing header to", &path, &e))?;
         Ok(ExperimentJournal {
@@ -171,32 +186,41 @@ impl ExperimentJournal {
         })
     }
 
-    /// Opens an existing journal for appending (after [`load`]).
+    /// Opens the journal at `path` for appending `campaign`'s entries and
+    /// returns it with the state it holds. An absent file is created. An
+    /// existing one is first read once and salvaged ([`salvage_with`]),
+    /// since an entry appended after a torn line would be lost to every
+    /// later load; a fresh journal replaces a quarantined file.
     ///
     /// # Errors
     ///
-    /// I/O errors, surfaced as [`GoofiError::Io`].
-    ///
-    /// [`load`]: ExperimentJournal::load
-    pub fn open_append(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_append_with(&vfs::RealFs, path)
-    }
-
-    /// [`ExperimentJournal::open_append`] over an explicit [`Vfs`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, surfaced as [`GoofiError::Io`].
-    pub fn open_append_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
+    /// I/O errors, and [`GoofiError::Journal`] when the journal belongs to
+    /// another campaign.
+    pub fn reopen(
+        vfs: &dyn Vfs,
+        path: impl AsRef<Path>,
+        campaign: &str,
+    ) -> Result<(Self, JournalState)> {
+        let path = path.as_ref();
+        let salvaged = vfs.exists(path).then(|| salvage_with(vfs, path));
+        let kept = salvaged.transpose()?.filter(|s| s.quarantined.is_none());
+        let Some(SalvageOutcome { state, .. }) = kept else {
+            let state = JournalState {
+                campaign: campaign.to_string(),
+                ..JournalState::default()
+            };
+            return Ok((Self::create_with(vfs, path, campaign)?, state));
+        };
+        let state = state.belonging_to(path, campaign)?;
         let file = vfs
-            .open_append(&path)
-            .map_err(|e| GoofiError::io("opening", &path, &e))?;
-        Ok(ExperimentJournal {
+            .open_append(path)
+            .map_err(|e| GoofiError::io("opening", path, &e))?;
+        let journal = ExperimentJournal {
             file,
-            path,
+            path: path.to_path_buf(),
             pending: 0,
-        })
+        };
+        Ok((journal, state))
     }
 
     /// The journal's file path.
@@ -260,14 +284,14 @@ impl ExperimentJournal {
         Ok(())
     }
 
-    /// Loads a journal, tolerating a torn tail: parsing stops at the first
-    /// incomplete, checksum-mismatched or malformed entry line.
+    /// Loads a journal: every entry line that checks out on its own, in
+    /// file order. That is exactly the set [`salvage_with`] keeps, so a
+    /// torn tail or a garbled line in the middle costs only that line.
     ///
     /// # Errors
     ///
-    /// I/O errors and a missing/mismatched header — a damaged *tail* is
-    /// expected after a crash, a damaged *head* means this is not a
-    /// journal.
+    /// I/O errors, a file that is not a journal (damaged header or
+    /// campaign line), and a journal of another campaign.
     pub fn load(path: impl AsRef<Path>, campaign_name: &str) -> Result<JournalState> {
         Self::load_with(&vfs::RealFs, path, campaign_name)
     }
@@ -283,121 +307,132 @@ impl ExperimentJournal {
         campaign_name: &str,
     ) -> Result<JournalState> {
         let path = path.as_ref();
-        let text = vfs
-            .read_to_string(path)
-            .map_err(|e| GoofiError::io("reading", path, &e))?;
-        let complete = text.ends_with('\n');
-        let mut lines = text.lines();
-        if lines.next() != Some(HEADER) {
-            return Err(GoofiError::Journal(format!(
-                "{}: not a goofi journal (bad header)",
-                path.display()
-            )));
+        let text = vfs::read_lossy(vfs, path).map_err(|e| GoofiError::io("reading", path, &e))?;
+        let scan = scan_text(&text);
+        match scan.campaign {
+            Ok(_) => scan.state.belonging_to(path, campaign_name),
+            Err(why) => Err(GoofiError::Journal(format!("{}: {why}", path.display()))),
         }
-        let mut state = JournalState::default();
-        match lines.next().and_then(|l| l.strip_prefix("C\t")) {
-            Some(name) => state.campaign = unescape(name),
-            None => {
-                return Err(GoofiError::Journal(format!(
-                    "{}: missing campaign line",
-                    path.display()
-                )))
-            }
-        }
-        if state.campaign != campaign_name {
-            return Err(GoofiError::Journal(format!(
-                "{}: journal belongs to campaign `{}`, not `{campaign_name}`",
-                path.display(),
-                state.campaign
-            )));
-        }
-        let mut rest = lines.peekable();
-        while let Some(line) = rest.next() {
-            // The final line is torn if the file lacks a trailing newline.
-            if rest.peek().is_none() && !complete {
-                break;
-            }
-            match parse_entry(line, campaign_name) {
-                Some(Entry::Reference(record)) => state.reference = Some(record),
-                Some(Entry::Completed(index, record)) => state.apply_record(index, record),
-                Some(Entry::Failed(failure)) => {
-                    *state.failed_rounds.entry(failure.index).or_insert(0) += 1;
-                    if !state.completed.contains_key(&failure.index) {
-                        state.failed.insert(failure.index, failure);
-                    }
-                }
-                // Corrupt line: everything after it is suspect too.
-                None => break,
-            }
-        }
-        Ok(state)
     }
 }
 
-/// A line-level integrity scan of a journal file — finer-grained than
-/// [`ExperimentJournal::load`], which stops at the first bad line. The
-/// scan validates every entry line *individually*, so `goofi fsck` can
-/// salvage valid records that sit beyond a garbled middle line.
-#[derive(Debug, Clone, Default)]
-pub struct JournalScan {
-    /// Campaign named in the header, or `None` when the header itself is
-    /// damaged (this is not recognisably a journal).
-    pub campaign: Option<String>,
-    /// Entry lines (verbatim) whose checksum and format both validate.
-    pub valid: Vec<String>,
-    /// Complete-but-invalid lines before the end of the file — corruption
-    /// that the plain loader's torn-tail tolerance does *not* cover.
+/// What the journal line walker ([`scan_text`]) found in a journal's text.
+#[derive(Debug, Clone)]
+pub struct JournalScan<'t> {
+    /// Campaign named in the header, or why the text is not recognisably
+    /// a journal: a damaged header or campaign line.
+    pub campaign: std::result::Result<String, &'static str>,
+    /// The valid entries, folded in file order.
+    pub state: JournalState,
+    /// Entry lines whose checksum and format both validate.
+    pub valid: usize,
+    /// Complete-but-invalid lines before the end of the file.
     pub garbled: usize,
     /// The final line is torn: invalid, or valid but missing its
-    /// terminating newline (in which case it is also in `valid` — the
+    /// terminating newline (in which case it also counts as valid — the
     /// record survives, the file still needs rewriting before appends).
     pub torn_tail: bool,
+    /// The scanned text's entry lines, for a rewrite; the valid ones are
+    /// not collected, so a clean scan allocates nothing for them.
+    entries: std::str::Lines<'t>,
+    /// Positions among `entries` of the invalid lines: the garbled ones
+    /// and an invalid final line.
+    dropped: Vec<usize>,
 }
 
-impl JournalScan {
+impl JournalScan<'_> {
     /// Whether the file is a pristine journal.
     pub fn clean(&self) -> bool {
-        self.campaign.is_some() && self.garbled == 0 && !self.torn_tail
+        self.campaign.is_ok() && self.garbled == 0 && !self.torn_tail
+    }
+
+    /// Repairs the file at `path` this scan read; see [`salvage_with`].
+    pub(crate) fn salvage(self, vfs: &dyn Vfs, path: &Path) -> Result<SalvageOutcome> {
+        let Ok(campaign) = &self.campaign else {
+            return Ok(SalvageOutcome {
+                quarantined: Some(vfs::quarantine(vfs, path)?),
+                ..SalvageOutcome::default()
+            });
+        };
+        let rewritten = !self.clean();
+        if rewritten {
+            let mut body = head(campaign);
+            for (at, line) in self.entries.enumerate() {
+                if self.dropped.binary_search(&at).is_err() {
+                    body.push_str(line);
+                    body.push('\n');
+                }
+            }
+            vfs::atomic_write(vfs, path, body.as_bytes())
+                .map_err(|e| GoofiError::io("rewriting", path, &e))?;
+        }
+        Ok(SalvageOutcome {
+            rewritten,
+            kept: self.valid,
+            dropped: self.dropped.len(),
+            quarantined: None,
+            state: self.state,
+        })
     }
 }
 
-/// Scans journal text line by line. See [`JournalScan`].
-pub fn scan_text(text: &str) -> JournalScan {
-    let mut scan = JournalScan::default();
+/// The journal line walker, the only code that parses a journal: reads
+/// the header and campaign line, then checks each entry line on its own
+/// and folds the valid ones into a [`JournalState`]. See [`JournalScan`].
+pub fn scan_text(text: &str) -> JournalScan<'_> {
     let mut lines = text.lines();
-    if lines.next() != Some(HEADER) {
-        return scan;
-    }
-    let campaign = match lines.next().and_then(|l| l.strip_prefix("C\t")) {
-        Some(name) => unescape(name),
-        None => return scan,
+    let campaign = if lines.next() == Some(HEADER) {
+        let name = lines.next().and_then(|l| l.strip_prefix("C\t"));
+        name.map(unescape).ok_or("missing campaign line")
+    } else {
+        Err("not a goofi journal (bad header)")
     };
-    scan.campaign = Some(campaign.clone());
+    let mut scan = JournalScan {
+        campaign,
+        state: JournalState::default(),
+        valid: 0,
+        garbled: 0,
+        torn_tail: false,
+        entries: lines.clone(),
+        dropped: Vec::new(),
+    };
+    let Ok(campaign) = &scan.campaign else {
+        return scan;
+    };
+    let state = &mut scan.state;
+    state.campaign.clone_from(campaign);
     let complete = text.ends_with('\n');
-    let mut rest = lines.peekable();
-    while let Some(line) = rest.next() {
+    let mut rest = lines.enumerate().peekable();
+    while let Some((at, line)) = rest.next() {
         let last = rest.peek().is_none();
-        if parse_entry(line, &campaign).is_some() {
-            scan.valid.push(line.to_string());
-            if last && !complete {
-                // Valid payload but the newline never landed: the record
-                // survives, yet appending to the file as-is would
-                // concatenate onto this line. Flag it for rewriting.
-                scan.torn_tail = true;
-            }
-        } else if last {
+        let Some(entry) = parse_entry(line, campaign) else {
             // An invalid final line — unterminated or complete-but-bad —
             // is the residue of a crash mid-append: a torn tail.
-            scan.torn_tail = true;
-        } else {
-            scan.garbled += 1;
+            scan.torn_tail |= last;
+            scan.garbled += usize::from(!last);
+            scan.dropped.push(at);
+            continue;
+        };
+        // Valid, but if its newline never landed, appending to the file
+        // as-is would concatenate onto this line.
+        scan.torn_tail |= last && !complete;
+        scan.valid += 1;
+        match entry {
+            Entry::Reference(record) => state.reference = Some(record),
+            Entry::Completed(index, record) => state.apply_record(index, record),
+            Entry::Failed(failure) => {
+                *state.failed_rounds.entry(failure.index).or_insert(0) += 1;
+                if !state.completed.contains_key(&failure.index) {
+                    state.failed.insert(failure.index, failure);
+                }
+            }
         }
     }
     scan
 }
 
 /// What [`salvage_with`] did to a journal file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SalvageOutcome {
     /// The file was rewritten (damage was found and cut out).
     pub rewritten: bool,
@@ -408,49 +443,27 @@ pub struct SalvageOutcome {
     /// The file was not recognisably a journal and was renamed aside to
     /// this quarantine path instead of rewritten.
     pub quarantined: Option<PathBuf>,
+    /// The entries kept (none when the file was quarantined).
+    pub state: JournalState,
 }
 
-/// Repairs a journal in place: keeps the header and every entry line that
-/// individually validates, atomically rewriting the file. A file whose
-/// *header* is damaged is quarantined aside ([`vfs::quarantine`], never
-/// silently deleted) so its owner can start a fresh journal. A
-/// pristine journal is left untouched.
+/// Reads the journal at `path` once and repairs it in place: a damaged
+/// journal is atomically rewritten to its header and valid entry lines, a
+/// file that is not a journal is quarantined aside ([`vfs::quarantine`],
+/// never deleted), and a pristine one is left untouched. This is the
+/// read-and-repair half of [`ExperimentJournal::reopen`].
 ///
 /// # Errors
 ///
 /// I/O errors, surfaced as [`GoofiError::Io`].
 pub fn salvage_with(vfs: &dyn Vfs, path: &Path) -> Result<SalvageOutcome> {
-    // Lossy read: a garbled sector is rarely valid UTF-8, and salvage must
-    // still be able to look at the rest of the file.
-    let text =
-        crate::vfs::read_lossy(vfs, path).map_err(|e| GoofiError::io("reading", path, &e))?;
-    let scan = scan_text(&text);
-    let Some(campaign) = &scan.campaign else {
-        return Ok(SalvageOutcome {
-            quarantined: Some(vfs::quarantine(vfs, path)?),
-            ..SalvageOutcome::default()
-        });
-    };
-    if scan.clean() {
-        return Ok(SalvageOutcome {
-            kept: scan.valid.len(),
-            ..SalvageOutcome::default()
-        });
-    }
-    let mut body = format!("{HEADER}\nC\t{}\n", escape(campaign));
-    for line in &scan.valid {
-        body.push_str(line);
-        body.push('\n');
-    }
-    vfs::atomic_write(vfs, path, body.as_bytes())
-        .map_err(|e| GoofiError::io("rewriting", path, &e))?;
-    let entry_lines = text.lines().count().saturating_sub(2);
-    Ok(SalvageOutcome {
-        rewritten: true,
-        kept: scan.valid.len(),
-        dropped: entry_lines - scan.valid.len(),
-        quarantined: None,
-    })
+    let text = vfs::read_lossy(vfs, path).map_err(|e| GoofiError::io("reading", path, &e))?;
+    scan_text(&text).salvage(vfs, path)
+}
+
+/// The header and campaign line a journal of `campaign` starts with.
+fn head(campaign: &str) -> String {
+    format!("{HEADER}\nC\t{}\n", escape(campaign))
 }
 
 pub(crate) enum Entry {
@@ -738,11 +751,11 @@ mod tests {
         assert_eq!(state.completed.len(), 1);
         assert!(state.completed.contains_key(&0));
 
-        // A corrupted middle line cuts the journal there.
+        // A corrupted middle line costs that line only.
         let corrupt = text.replace("exp00000", "exp0?¿00");
         std::fs::write(&path, corrupt).unwrap();
         let state = ExperimentJournal::load(&path, "c1").unwrap();
-        assert!(state.is_empty());
+        assert_eq!(state.completed.keys().copied().collect::<Vec<_>>(), [1]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -753,7 +766,7 @@ mod tests {
         j.append_record(Some(0), &record("c1/exp00000", None))
             .unwrap();
         drop(j);
-        let mut j = ExperimentJournal::open_append(&path).unwrap();
+        let (mut j, _) = ExperimentJournal::reopen(&vfs::RealFs, &path, "c1").unwrap();
         j.append_record(Some(1), &record("c1/exp00001", None))
             .unwrap();
         drop(j);
@@ -763,11 +776,36 @@ mod tests {
     }
 
     #[test]
+    fn load_keeps_exactly_the_entries_salvage_keeps() {
+        let path = temp_journal("garbled-middle");
+        let mut j = ExperimentJournal::create(&path, "c1").unwrap();
+        for index in 0..5 {
+            let name = format!("c1/exp{index:05}");
+            j.append_record(Some(index), &record(&name, None)).unwrap();
+        }
+        drop(j);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replace("exp00002", "exq00002")).unwrap();
+        let loaded = ExperimentJournal::load(&path, "c1").unwrap();
+        let outcome = salvage_with(&vfs::RealFs, &path).unwrap();
+        assert_eq!((outcome.kept, outcome.dropped), (4, 1));
+        let salvaged = ExperimentJournal::load(&path, "c1").unwrap();
+        assert_eq!(loaded.completed.len(), 4);
+        assert_eq!(loaded, outcome.state);
+        assert_eq!(loaded, salvaged);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn wrong_campaign_is_rejected() {
         let path = temp_journal("wrong");
         ExperimentJournal::create(&path, "c1").unwrap();
         assert!(matches!(
             ExperimentJournal::load(&path, "other"),
+            Err(GoofiError::Journal(_))
+        ));
+        assert!(matches!(
+            ExperimentJournal::reopen(&vfs::RealFs, &path, "other"),
             Err(GoofiError::Journal(_))
         ));
         std::fs::remove_file(&path).unwrap();

@@ -132,9 +132,9 @@ where
 /// `range`, across up to `workers` loops.
 ///
 /// When `journal_path` does not exist yet, the journal is created and the
-/// range runs in full. Otherwise the journal is salvaged (a torn or
-/// garbled line is cut away; an unrecognisable file is quarantined aside
-/// and a fresh journal started), loaded, and the range completed:
+/// range runs in full. Otherwise the journal is reopened
+/// ([`ExperimentJournal::reopen`]: a damaged line is cut away, an
+/// unrecognisable file replaced by a fresh journal) and the range completed:
 /// journaled experiments are skipped (their records are reused verbatim),
 /// missing experiments run normally, and journaled *failures* are re-run
 /// as new experiments named `<original>/rerun<k>` with `parentExperiment`
@@ -178,19 +178,7 @@ where
     let range = range.start.min(total)..range.end.min(total);
     let tel = monitor.telemetry().clone();
     let _campaign_span = tel.campaign_span(&campaign.name);
-    if !vfs.exists(path) {
-        ExperimentJournal::create_with(vfs, path, &campaign.name)?;
-    } else {
-        // Auto-fsck before appending: a crash can leave a torn or garbled
-        // line mid-file, and anything appended after it would be invisible
-        // to every later load.
-        crate::journal::salvage_with(vfs, path)?;
-        if !vfs.exists(path) {
-            ExperimentJournal::create_with(vfs, path, &campaign.name)?;
-        }
-    }
-    let state = ExperimentJournal::load_with(vfs, path, &campaign.name)?;
-    let mut journal_file = ExperimentJournal::open_append_with(vfs, path)?;
+    let (mut journal_file, state) = ExperimentJournal::reopen(vfs, path, &campaign.name)?;
     let journal = Mutex::new(&mut journal_file);
     // The golden cache lives beside the journal, keyed by the environment
     // model too. A journal that already holds the reference is the more

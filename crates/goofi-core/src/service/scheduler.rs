@@ -37,7 +37,7 @@ use super::net::{FrameRead, FrameReader, NetFaultConfig};
 use super::wire::WorkerEvent;
 use crate::campaign::Campaign;
 use crate::dbio;
-use crate::journal::{ExperimentJournal, JournalState};
+use crate::journal::{self, ExperimentJournal, JournalState};
 use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity};
 use crate::policy::Backoff;
 use crate::vfs::{self, Vfs, VfsHandle};
@@ -539,10 +539,7 @@ impl Scheduler {
                 // it is fsck's concern, not a reason to quarantine.
                 Err(_) if done => {}
                 Err(_) => {
-                    let aside = cfg.spool_dir.join(format!("quarantined-{id}"));
-                    cfg.vfs
-                        .rename(&dir, &aside)
-                        .map_err(|e| GoofiError::io("quarantining job dir", &dir, &e))?;
+                    quarantine_job_dir(cfg.vfs.as_ref(), &cfg.spool_dir, &id)?;
                     outcome.quarantined.push(id);
                 }
             }
@@ -932,11 +929,7 @@ fn poison_shard(
     range: &std::ops::Range<usize>,
     journal_path: &Path,
 ) -> Result<(usize, JournalState)> {
-    if !vfs.exists(journal_path) {
-        ExperimentJournal::create_with(vfs, journal_path, &campaign.name)?;
-    }
-    let mut state = ExperimentJournal::load_with(vfs, journal_path, &campaign.name)?;
-    let mut journal = ExperimentJournal::open_append_with(vfs, journal_path)?;
+    let (mut journal, mut state) = ExperimentJournal::reopen(vfs, journal_path, &campaign.name)?;
     let mut stubs = 0;
     for index in range.clone() {
         if state.completed.contains_key(&index) {
@@ -965,10 +958,10 @@ fn poison_shard(
 }
 
 /// The loaded shard journal, when it exists and covers every index in
-/// `range` with a completed record; `None` otherwise. A journal that does
-/// not load — torn mid-file, garbled, or not a journal at all — is
-/// salvaged (and, failing that, quarantined aside) rather than failing the
-/// job: the shard simply counts as incomplete and re-runs.
+/// `range` with a completed record; `None` otherwise. The journal is read
+/// once and salvaged rather than failing the job: damage is cut away, and
+/// a file that is not a journal, or is another campaign's, is quarantined
+/// aside, so the shard simply counts as incomplete and re-runs.
 fn shard_journal_complete(
     vfs: &dyn Vfs,
     path: &Path,
@@ -978,25 +971,15 @@ fn shard_journal_complete(
     if !vfs.exists(path) {
         return Ok(None);
     }
-    let state = match ExperimentJournal::load_with(vfs, path, campaign) {
-        Ok(state) => state,
-        Err(_) => {
-            crate::journal::salvage_with(vfs, path)?;
-            if !vfs.exists(path) {
-                // Not recognisably a journal; salvage renamed it aside.
-                return Ok(None);
-            }
-            match ExperimentJournal::load_with(vfs, path, campaign) {
-                Ok(state) => state,
-                Err(_) => {
-                    // Valid journal for a *different* campaign: rename it
-                    // aside (never delete) and start over.
-                    vfs::quarantine(vfs, path)?;
-                    return Ok(None);
-                }
-            }
-        }
-    };
+    let salvaged = journal::salvage_with(vfs, path)?;
+    if salvaged.quarantined.is_some() {
+        return Ok(None);
+    }
+    let state = salvaged.state;
+    if state.campaign != campaign {
+        vfs::quarantine(vfs, path)?;
+        return Ok(None);
+    }
     let complete = range
         .clone()
         .all(|index| state.completed.contains_key(&index));
@@ -1121,6 +1104,14 @@ fn kill_child(mut child: Child) {
     let _ = child.wait();
 }
 
+/// First line of every job manifest.
+const MANIFEST_HEADER: &str = "#goofi-job v1";
+
+/// A job directory's manifest file.
+pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
+    dir.join("manifest")
+}
+
 /// Writes `<dir>/manifest`: the durable record from which a restarted
 /// daemon resumes the job. Same `key value` line discipline as the
 /// journal header; written with the full atomic temp-file, `fsync`,
@@ -1128,7 +1119,7 @@ fn kill_child(mut child: Child) {
 /// a complete one — never a torn one. The optional `request <id>` line
 /// keeps submit dedup working across a daemon restart; older manifests
 /// without it (and older daemons reading newer manifests) parse fine,
-/// since `parse_manifest` ignores unknown lines.
+/// since [`decode_manifest`] ignores unknown lines.
 fn write_manifest(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -1136,8 +1127,8 @@ fn write_manifest(
     workers: usize,
     request_id: Option<&str>,
 ) -> Result<()> {
-    let path = dir.join("manifest");
-    let mut body = format!("#goofi-job v1\ncampaign {campaign}\nworkers {workers}\n");
+    let path = manifest_path(dir);
+    let mut body = format!("{MANIFEST_HEADER}\ncampaign {campaign}\nworkers {workers}\n");
     if let Some(rid) = request_id {
         body.push_str(&format!("request {rid}\n"));
     }
@@ -1145,19 +1136,45 @@ fn write_manifest(
         .map_err(|e| GoofiError::io("writing manifest", &path, &e))
 }
 
+/// Decodes what [`write_manifest`] writes: the campaign, the worker count
+/// and the request id, if any. `None` when the header, the campaign or
+/// the worker count is missing; unknown lines are ignored.
+pub(crate) fn decode_manifest(text: &str) -> Option<(String, usize, Option<String>)> {
+    let mut lines = text.lines();
+    if lines.next() != Some(MANIFEST_HEADER) {
+        return None;
+    }
+    let (mut campaign, mut workers, mut request) = (None, None, None);
+    for line in lines {
+        match line.split_once(' ') {
+            Some(("campaign", v)) => campaign = Some(v.to_string()),
+            Some(("workers", v)) => workers = v.parse().ok(),
+            Some(("request", v)) => request = Some(v.to_string()),
+            _ => {}
+        }
+    }
+    Some((campaign?, workers?, request))
+}
+
 fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<(String, usize, Option<String>)> {
-    let path = dir.join("manifest");
+    let path = manifest_path(dir);
     // Lossy read so a bit-rotted manifest classifies as "bad manifest"
     // (recover quarantines the job dir) rather than an unreadable file.
     let text =
         vfs::read_lossy(vfs, &path).map_err(|e| GoofiError::io("reading manifest", &path, &e))?;
-    let (campaign, workers) = crate::fsck::parse_manifest(&text)
-        .ok_or_else(|| GoofiError::Config(format!("bad manifest in {}", path.display())))?;
-    let request_id = text
-        .lines()
-        .find_map(|line| line.strip_prefix("request "))
-        .map(str::to_string);
-    Ok((campaign, workers, request_id))
+    decode_manifest(&text)
+        .ok_or_else(|| GoofiError::Config(format!("bad manifest in {}", path.display())))
+}
+
+/// Renames the damaged job directory `<spool>/<id>` to
+/// `<spool>/quarantined-<id>`, a name [`Scheduler::recover`] never
+/// resumes, and returns that path.
+pub(crate) fn quarantine_job_dir(vfs: &dyn Vfs, spool: &Path, id: &str) -> Result<PathBuf> {
+    let dir = spool.join(id);
+    let aside = spool.join(format!("quarantined-{id}"));
+    vfs.rename(&dir, &aside)
+        .map_err(|e| GoofiError::io("quarantining job dir", &dir, &e))?;
+    Ok(aside)
 }
 
 /// Job ids (directory names) present in the spool directory, sorted.
@@ -1173,7 +1190,7 @@ fn spooled_job_ids(vfs: &dyn Vfs, spool: &Path) -> Result<Vec<String>> {
         let Some(name) = entry.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        if name.starts_with("job-") && vfs.exists(&entry.join("manifest")) {
+        if name.starts_with("job-") && vfs.exists(&manifest_path(&entry)) {
             ids.push(name.to_string());
         }
     }
@@ -1229,19 +1246,15 @@ mod tests {
         assert_eq!(seq, 2);
     }
 
-    #[test]
-    fn poison_stubs_survive_a_power_cut_right_after_poison_shard() {
+    /// A three-experiment campaign named `poison`.
+    fn poison_campaign() -> Campaign {
         use crate::campaign::WorkloadImage;
         use crate::fault::{FaultLocation, FaultSpec};
-        use crate::vfs::{FaultFs, FaultKind, FaultPlan};
-        let dir = std::env::temp_dir().join(format!("goofi-poison-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let fault = FaultSpec::single(
             FaultLocation::Memory { addr: 0, bit: 0 },
             crate::trigger::Trigger::AfterInstructions(1),
         );
-        let campaign = Campaign::builder("poison")
+        Campaign::builder("poison")
             .workload(WorkloadImage {
                 name: "wl".into(),
                 words: vec![1],
@@ -1250,7 +1263,16 @@ mod tests {
             })
             .faults(vec![fault; 3])
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn poison_stubs_survive_a_power_cut_right_after_poison_shard() {
+        use crate::vfs::{FaultFs, FaultKind, FaultPlan};
+        let dir = std::env::temp_dir().join(format!("goofi-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let campaign = poison_campaign();
         let counting = FaultFs::counting();
         let (_, counted) =
             poison_shard(&counting, &campaign, &(0..3), &dir.join("count.gjl")).unwrap();
@@ -1270,6 +1292,44 @@ mod tests {
         assert_eq!(returned.quarantined, state.quarantined);
         assert_eq!(returned.failed, state.failed);
         assert_eq!(counted.quarantined, state.quarantined);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn poison_stubs_after_a_torn_tail_are_all_visible_to_a_reload() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("goofi-poison-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("shard-0.gjl");
+        ExperimentJournal::create(&journal, "poison").unwrap();
+        // A worker killed mid-append left half an entry, without a newline.
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&journal)
+            .unwrap();
+        file.write_all(b"R\t0\tpoison/exp0").unwrap();
+        drop(file);
+        let (stubs, _) =
+            poison_shard(&crate::vfs::RealFs, &poison_campaign(), &(0..3), &journal).unwrap();
+        assert_eq!(stubs, 6);
+        let state = ExperimentJournal::load(&journal, "poison").unwrap();
+        assert_eq!(state.quarantined.len(), 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_shard_journal_of_another_campaign_is_quarantined() {
+        let dir = std::env::temp_dir().join(format!("goofi-shard-other-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("shard-0.gjl");
+        ExperimentJournal::create(&journal, "other").unwrap();
+        let complete =
+            shard_journal_complete(&crate::vfs::RealFs, &journal, "poison", &(0..3)).unwrap();
+        assert!(complete.is_none());
+        assert!(!journal.exists());
+        assert!(dir.join("shard-0.gjl.corrupt").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

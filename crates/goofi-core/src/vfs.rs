@@ -133,14 +133,24 @@ pub fn real() -> VfsHandle {
 }
 
 /// Reads a file as text, replacing invalid UTF-8 with `U+FFFD` — the read
-/// used by fsck and journal salvage, which must be able to inspect files
-/// whose garbled bytes are no longer valid UTF-8.
+/// of every journal, spool manifest and golden-cache file, which must be
+/// readable even where garbled bytes are no longer valid UTF-8. Valid
+/// text is not copied.
 ///
 /// # Errors
 ///
 /// Propagated (or injected) I/O errors.
 pub fn read_lossy(vfs: &dyn Vfs, path: &Path) -> io::Result<String> {
-    Ok(String::from_utf8_lossy(&vfs.read_bytes(path)?).into_owned())
+    vfs.read_bytes(path).map(|bytes| lossy(bytes).0)
+}
+
+/// `bytes` as text, with `U+FFFD` for invalid UTF-8, and whether they were
+/// valid UTF-8. Valid text is not copied.
+pub(crate) fn lossy(bytes: Vec<u8>) -> (String, bool) {
+    match String::from_utf8(bytes) {
+        Ok(text) => (text, true),
+        Err(e) => (String::from_utf8_lossy(e.as_bytes()).into_owned(), false),
+    }
 }
 
 /// Writes `data` to `path` and syncs it — *not* atomic; use

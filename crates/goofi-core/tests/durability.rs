@@ -439,6 +439,44 @@ fn a_hang_mark_is_synced_before_recovery_reruns_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A resume reads its journal once, salvaging and loading from the same
+/// read, and leaves a clean journal untouched.
+#[test]
+fn resume_reads_a_clean_journal_once_and_leaves_it_untouched() {
+    let dir = temp_dir("resume-reads");
+    let campaign = sim_campaign(CAMPAIGN, 5);
+    let journal = dir.join("c.gjl");
+    let resume = |vfs: &dyn Vfs| {
+        let monitor = ProgressMonitor::new(campaign.experiment_count());
+        runner::resume_campaign(
+            SimTarget::new,
+            None::<fn() -> Box<dyn Environment>>,
+            &campaign,
+            &monitor,
+            1,
+            vfs,
+            &journal,
+            0..campaign.experiment_count(),
+        )
+        .unwrap()
+    };
+    let first = resume(&RealFs);
+    let recorder = Recorder::new(RealFs);
+    let again = resume(&recorder);
+    assert_eq!(again.records, first.records);
+    assert_eq!(recorder.reads(&journal), 1, "reads of the journal");
+    let touched: Vec<_> = recorder
+        .ops()
+        .into_iter()
+        .filter(|op| op.path == journal || op.path == dir.join("c.gjl.tmp"))
+        .collect();
+    assert!(
+        touched.is_empty(),
+        "a clean journal was changed: {touched:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Satellite: `ENOSPC`/`EIO` at any operation surface as
 /// [`GoofiError::Io`] naming the damaged file — never a panic — and since
 /// they are transient, simply re-running the same cycle completes.
@@ -743,7 +781,7 @@ fn salvage_converges(case: &str, bytes: &[u8]) {
             outcome.kept,
             outcome.dropped
         );
-        assert_eq!(scan.valid.len(), outcome.kept);
+        assert_eq!(scan.valid, outcome.kept);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -754,7 +792,7 @@ proptest! {
         let text = fixture_journal();
         let cut = cut.min(text.len());
         let scan = journal::scan_text(&text[..cut]);
-        prop_assert!(scan.valid.len() <= text.lines().count());
+        prop_assert!(scan.valid <= text.lines().count());
         salvage_converges("trunc", &text.as_bytes()[..cut]);
     }
 

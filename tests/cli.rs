@@ -109,6 +109,29 @@ fn full_campaign_workflow() {
     assert!(out.contains("26"), "reference + 25 experiments: {out}"); // 25 + reference
 }
 
+/// A campaign name with a quote in it reaches the analysis queries as an
+/// SQL literal, so `report` prints its escaped experiments.
+#[test]
+fn report_runs_on_a_campaign_name_with_a_quote() {
+    let (_guard, db) = tmp_db("quote");
+    stdout(&goofi(&[
+        "new",
+        &db,
+        "--name",
+        "o'brien",
+        "--workload",
+        "crc32",
+        "--experiments",
+        "20",
+    ]));
+    stdout(&goofi(&["run", &db, "--name", "o'brien"]));
+    let out = stdout(&goofi(&["report", &db, "--name", "o'brien"]));
+    assert!(
+        out.contains("candidates for detail-mode re-run (escaped errors):\n  o'brien/exp"),
+        "{out}"
+    );
+}
+
 /// The experiment rows that define a run's essence, sorted for
 /// order-independent comparison.
 fn essence_rows(db: &str) -> Vec<String> {
