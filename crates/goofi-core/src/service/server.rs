@@ -18,8 +18,13 @@
 //!   [`watch_to_end`] replays exactly the updates it missed;
 //! - read deadlines on both sides turn half-open peers into clean
 //!   [`GoofiError::Wire`] timeouts;
-//! - client retry delays are exponential *with seeded jitter*, so a
-//!   daemon restart does not synchronise its clients into a retry storm.
+//! - one retry loop owns the backoff, the budget and the give-up of every
+//!   client call ([`Client::connect_via`], [`submit_job`], [`job_list`],
+//!   [`request_shutdown`], [`watch_to_end`]); its delays are exponential
+//!   *with seeded jitter*, so a daemon restart does not synchronise its
+//!   clients into a retry storm;
+//! - a `status` listing is checked by its row count and by unique job
+//!   ids, so rows lost or duplicated in flight are retried, not trusted.
 //!
 //! The daemon binds loopback by default — the service is a local
 //! campaign coordinator, not a network product.
@@ -86,7 +91,7 @@ const MAX_BAD_FRAMES: u32 = 16;
 /// Serves one connection: hello handshake, one request, its responses.
 fn handle_connection(mut conn: Box<dyn Conn>, scheduler: &Scheduler, stop: &AtomicBool) {
     let _ = conn.set_read_timeout(Some(SERVER_POLL));
-    let Some(request) = read_request(&mut conn, stop) else {
+    let Some(request) = read_request(&mut conn, stop, false) else {
         return;
     };
     let Request::Hello { version } = request else {
@@ -119,32 +124,11 @@ fn handle_connection(mut conn: Box<dyn Conn>, scheduler: &Scheduler, stop: &Atom
     ) {
         return;
     }
-    // A repeated hello after the handshake is a duplicated frame, not a
-    // confused client — answer it as transport damage (transient, so a
-    // retrying client does not treat it as a rejection) and keep waiting
-    // for the real request on the same connection.
-    let mut dups = 0;
-    let request = loop {
-        let Some(request) = read_request(&mut conn, stop) else {
-            return;
-        };
-        if !matches!(request, Request::Hello { .. }) {
-            break request;
-        }
-        dups += 1;
-        if dups > MAX_BAD_FRAMES
-            || !send(
-                &mut conn,
-                &Response::Error {
-                    detail: "bad frame: duplicate hello (dropped as damage)".into(),
-                },
-            )
-        {
-            return;
-        }
+    let Some(request) = read_request(&mut conn, stop, true) else {
+        return;
     };
     match request {
-        Request::Hello { .. } => unreachable!("hello loop drains duplicates"),
+        Request::Hello { .. } => unreachable!("read_request answers a late hello as damage"),
         Request::Submit {
             id,
             campaign,
@@ -193,8 +177,9 @@ fn handle_connection(mut conn: Box<dyn Conn>, scheduler: &Scheduler, stop: &Atom
         }
         Request::Status => {
             let jobs = scheduler.jobs();
-            // The header's count lets the client detect rows lost or
-            // duplicated in flight and retry the whole listing.
+            // The header's count, and each job listed once, let the client
+            // detect rows lost or duplicated in flight and retry the whole
+            // listing.
             send(
                 &mut conn,
                 &Response::Listing {
@@ -221,18 +206,24 @@ fn handle_connection(mut conn: Box<dyn Conn>, scheduler: &Scheduler, stop: &Atom
 }
 
 /// Reads frames until one decodes as a [`Request`]. Damage — a torn,
-/// corrupted or non-JSON frame, or a frame that is not a request — is
-/// answered with a typed `bad frame:` error and reading continues, up to
-/// [`MAX_BAD_FRAMES`]; the stream itself stays in sync throughout.
-/// `None` means the connection is unusable: EOF, error, the daemon is
-/// stopping, or the peer stayed silent past [`SERVER_READ_TIMEOUT`]
-/// (half-open).
-fn read_request(conn: &mut Box<dyn Conn>, stop: &AtomicBool) -> Option<Request> {
+/// corrupted or non-JSON frame, a frame that is not a request, or a hello
+/// once `handshaken` — is answered with a typed `bad frame:` error and
+/// reading continues, up to [`MAX_BAD_FRAMES`]; the stream itself stays
+/// in sync throughout. `None` means the connection is unusable: EOF,
+/// error, the daemon is stopping, or the peer stayed silent past
+/// [`SERVER_READ_TIMEOUT`] (half-open).
+fn read_request(conn: &mut Box<dyn Conn>, stop: &AtomicBool, handshaken: bool) -> Option<Request> {
     let mut bad = 0;
     let deadline = Instant::now() + SERVER_READ_TIMEOUT;
     loop {
         let problem = match conn.recv() {
             Ok(FrameRead::Frame(line)) => match Request::decode(&line) {
+                // A repeated hello is a duplicated frame, not a confused
+                // client: answered as damage, a retrying client does not
+                // take it for a refusal.
+                Ok(Request::Hello { .. }) if handshaken => {
+                    "duplicate hello (dropped as damage)".to_string()
+                }
                 Ok(request) => return Some(request),
                 Err(e) => e.to_string(),
             },
@@ -285,44 +276,35 @@ fn stream_progress(
     let Some(watcher) = scheduler.watch(job) else {
         return;
     };
-    let mut last_seq = after;
-    let mut last_sent = Instant::now();
+    // The one emit step: `false` once the stream is over, because the
+    // send failed or the update is terminal.
+    let mut emit = |(seq, progress): (u64, JobProgress)| {
+        send(conn, &progress_response(job, seq, &progress)) && !progress.state.is_terminal()
+    };
     // Prompt snapshot so an attaching client sees the stream is live even
     // if nothing changed since `after` (repeats dedup by seq). Sent only
     // when there is nothing newer to replay: a fresher snapshot first
     // would advance the client's ack past the replay below, and the
     // client would then drop the missed updates as already-seen.
-    {
-        let (seq, progress) = watcher.snapshot();
-        if seq <= after {
-            if !send(conn, &progress_response(job, seq, &progress)) {
-                return;
-            }
-            if progress.state.is_terminal() {
-                return;
-            }
-        }
+    let snapshot = watcher.snapshot();
+    if snapshot.0 <= after && !emit(snapshot) {
+        return;
     }
+    let mut last_seq = after;
+    let mut last_sent = Instant::now();
     loop {
         for (seq, progress) in watcher.since(last_seq) {
-            if !send(conn, &progress_response(job, seq, &progress)) {
+            if !emit((seq, progress)) {
                 return;
             }
             last_seq = seq;
             last_sent = Instant::now();
-            if progress.state.is_terminal() {
-                return;
-            }
         }
         if last_sent.elapsed() >= WATCH_KEEPALIVE {
-            let (seq, progress) = watcher.snapshot();
-            if !send(conn, &progress_response(job, seq, &progress)) {
+            if !emit(watcher.snapshot()) {
                 return;
             }
             last_sent = Instant::now();
-            if progress.state.is_terminal() {
-                return;
-            }
         }
         if stop.load(Ordering::Acquire) {
             return;
@@ -363,8 +345,8 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Connection attempts before [`Client::connect`] gives up.
 const CONNECT_ATTEMPTS: u32 = 4;
-/// Whole-session retries for [`submit_job`] and consecutive reconnects
-/// for [`watch_to_end`].
+/// Consecutive failed attempts before [`submit_job`], [`job_list`],
+/// [`request_shutdown`] or [`watch_to_end`] gives up.
 const SESSION_RETRIES: u32 = 8;
 /// Retry backoff bounds (milliseconds); each delay gets seeded jitter on
 /// top via [`jittered`].
@@ -435,54 +417,87 @@ impl Client {
     ///
     /// [`GoofiError::Wire`] naming `addr` when no attempt succeeds.
     pub fn connect_via(transport: &dyn Transport, addr: &str, attempts: u32) -> Result<Client> {
-        let attempts = attempts.max(1);
-        let mut last = format!("connecting to {addr}: no attempt made");
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(jittered(RETRY_BACKOFF.delay(attempt)));
+        Client::retry(addr, "connecting to", attempts, |_| {
+            Client::dial(transport, addr, READ_TIMEOUT)
+        })
+    }
+
+    /// The one retry loop behind every client call. It runs `attempt`
+    /// until it answers, sleeping the jittered [`RETRY_BACKOFF`] before
+    /// each retry, and gives up after `budget` consecutive failed
+    /// attempts. An attempt that delivered a new watch update sets its
+    /// flag, which restarts the count. A [`Failure::Refused`] ends the
+    /// call at once. Errors name the `call`, `addr` and the last failure.
+    fn retry<T>(
+        addr: &str,
+        call: &str,
+        budget: u32,
+        mut attempt: impl FnMut(&mut bool) -> std::result::Result<T, Failure>,
+    ) -> Result<T> {
+        let budget = budget.max(1);
+        let mut failed = 0;
+        let mut last = String::new();
+        while failed < budget {
+            if failed > 0 {
+                std::thread::sleep(jittered(RETRY_BACKOFF.delay(failed)));
             }
-            match transport.connect(addr, CONNECT_TIMEOUT) {
-                Ok(conn) => match Client::handshake(conn, addr) {
-                    Ok(client) => return Ok(client),
-                    Err(e) => last = e.to_string(),
-                },
-                Err(e) => last = format!("connecting to {addr}: {e}"),
+            let mut progressed = false;
+            match attempt(&mut progressed) {
+                Ok(answer) => return Ok(answer),
+                Err(Failure::Refused(detail)) => {
+                    return Err(GoofiError::Wire(format!(
+                        "{call} {addr}: daemon refused: {detail}"
+                    )))
+                }
+                Err(Failure::Damage(why)) => {
+                    failed = if progressed { 1 } else { failed + 1 };
+                    last = why;
+                }
             }
         }
         Err(GoofiError::Wire(format!(
-            "{last} (gave up after {attempts} attempt(s))"
+            "{call} {addr}: {last} (gave up after {budget} failed attempt(s) in a row)"
         )))
     }
 
-    /// Sends our hello, requires the daemon's hello back.
-    fn handshake(mut conn: Box<dyn Conn>, addr: &str) -> Result<Client> {
-        let _ = conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
+    /// Dials `addr` and shakes hands: sends our hello and requires the
+    /// daemon's hello back. The connection then reads with `read_timeout`.
+    fn dial(
+        transport: &dyn Transport,
+        addr: &str,
+        read_timeout: Duration,
+    ) -> std::result::Result<Client, Failure> {
+        let conn = transport
+            .connect(addr, CONNECT_TIMEOUT)
+            .map_err(|e| Failure::Damage(format!("connecting to {addr}: {e}")))?;
         let mut client = Client {
             conn,
             addr: addr.to_string(),
             version: PROTO_VERSION,
         };
+        client.set_read_timeout(HANDSHAKE_TIMEOUT);
         client.send(&Request::Hello {
             version: PROTO_VERSION,
         })?;
-        match client.recv()? {
-            Some(Response::Hello { version }) if version >= MIN_PROTO_VERSION => {
-                client.version = version;
-                client.set_read_timeout(READ_TIMEOUT);
-                Ok(client)
+        match client.reply()? {
+            Response::Hello { version } if version >= MIN_PROTO_VERSION => client.version = version,
+            other => return Err(unexpected(&other)),
+        }
+        client.set_read_timeout(read_timeout);
+        Ok(client)
+    }
+
+    /// The one reply check: the next response, or why the call failed. A
+    /// `bad frame:` error, a closed connection or an I/O error is
+    /// transport damage; any other daemon error is a final refusal.
+    fn reply(&mut self) -> std::result::Result<Response, Failure> {
+        match self.recv()? {
+            Some(Response::Error { detail }) if detail.starts_with("bad frame:") => {
+                Err(Failure::Damage(detail))
             }
-            Some(Response::Hello { version }) => Err(GoofiError::Wire(format!(
-                "daemon at {addr} negotiated unsupported protocol version {version}"
-            ))),
-            Some(Response::Error { detail }) => Err(GoofiError::Wire(format!(
-                "handshake with {addr} refused: {detail}"
-            ))),
-            Some(other) => Err(GoofiError::Wire(format!(
-                "handshake with {addr} got unexpected {other:?}"
-            ))),
-            None => Err(GoofiError::Wire(format!(
-                "handshake with {addr}: connection closed"
-            ))),
+            Some(Response::Error { detail }) => Err(Failure::Refused(detail)),
+            Some(response) => Ok(response),
+            None => Err(Failure::Damage("connection closed".into())),
         }
     }
 
@@ -552,10 +567,22 @@ impl Client {
     }
 }
 
-/// Whether a daemon error response reports transport damage (retryable)
-/// rather than an application decision (definitive).
-fn transient_error(detail: &str) -> bool {
-    detail.starts_with("bad frame:")
+/// Why one attempt of a client call ended without an answer.
+enum Failure {
+    /// Transport damage, a closed connection or an I/O error: retry.
+    Damage(String),
+    /// A daemon error that is not transport damage: a final refusal.
+    Refused(String),
+}
+
+impl From<GoofiError> for Failure {
+    fn from(e: GoofiError) -> Failure {
+        Failure::Damage(e.to_string())
+    }
+}
+
+fn unexpected(response: &Response) -> Failure {
+    Failure::Damage(format!("unexpected response {response:?}"))
 }
 
 /// Submits `campaign` under `request_id`, retrying across fresh
@@ -564,12 +591,13 @@ fn transient_error(detail: &str) -> bool {
 /// was lost in flight, the retry returns the same job instead of
 /// submitting twice.
 ///
-/// `target`, when given, is the expected target system: the daemon
-/// rejects the submission when the stored campaign targets a different
-/// CPU, so `goofi submit --target` fails loudly instead of running a
-/// campaign on the wrong core. `read_timeout` is the per-attempt
-/// acknowledgement deadline (the CLI waits 10 s; the torture harness
-/// shrinks it so lost frames fail over quickly).
+/// `workers` of 0 asks for the daemon's default shard count. `target`,
+/// when given, is the expected target system: the daemon rejects the
+/// submission when the stored campaign targets a different CPU, so
+/// `goofi submit --target` fails loudly instead of running a campaign on
+/// the wrong core. `read_timeout` is the per-attempt acknowledgement
+/// deadline (the CLI waits 10 s; the torture harness shrinks it so lost
+/// frames fail over quickly).
 ///
 /// # Errors
 ///
@@ -584,45 +612,22 @@ pub fn submit_job(
     target: Option<&str>,
     read_timeout: Duration,
 ) -> Result<String> {
-    let mut last = String::new();
-    for attempt in 0..SESSION_RETRIES {
-        if attempt > 0 {
-            std::thread::sleep(jittered(RETRY_BACKOFF.delay(attempt)));
+    let request = Request::Submit {
+        id: request_id.to_string(),
+        campaign: campaign.to_string(),
+        workers,
+        watch: false,
+        target: target.unwrap_or("").to_string(),
+    };
+    let call = format!("submitting `{campaign}` to");
+    Client::retry(addr, &call, SESSION_RETRIES, |_| {
+        let mut client = Client::dial(transport, addr, read_timeout)?;
+        client.send(&request)?;
+        match client.reply()? {
+            Response::Accepted { job } => Ok(job),
+            other => Err(unexpected(&other)),
         }
-        let mut client = match Client::connect_via(transport, addr, 1) {
-            Ok(client) => client,
-            Err(e) => {
-                last = e.to_string();
-                continue;
-            }
-        };
-        client.set_read_timeout(read_timeout);
-        if let Err(e) = client.send(&Request::Submit {
-            id: request_id.to_string(),
-            campaign: campaign.to_string(),
-            workers,
-            watch: false,
-            target: target.unwrap_or("").to_string(),
-        }) {
-            last = e.to_string();
-            continue;
-        }
-        match client.recv() {
-            Ok(Some(Response::Accepted { job })) => return Ok(job),
-            Ok(Some(Response::Error { detail })) if !transient_error(&detail) => {
-                return Err(GoofiError::Wire(format!(
-                    "daemon at {addr} rejected submit: {detail}"
-                )));
-            }
-            Ok(Some(Response::Error { detail })) => last = detail,
-            Ok(Some(other)) => last = format!("unexpected response {other:?}"),
-            Ok(None) => last = "connection closed before accept".into(),
-            Err(e) => last = e.to_string(),
-        }
-    }
-    Err(GoofiError::Wire(format!(
-        "submitting `{campaign}` to {addr}: {last} (gave up after {SESSION_RETRIES} attempt(s))"
-    )))
+    })
 }
 
 /// Lists the daemon's jobs as `(job, state, campaign)` rows, retrying
@@ -640,87 +645,37 @@ pub fn job_list(
     addr: &str,
     read_timeout: Duration,
 ) -> Result<Vec<(String, String, String)>> {
-    let mut last = String::new();
-    'attempts: for attempt in 0..SESSION_RETRIES {
-        if attempt > 0 {
-            std::thread::sleep(jittered(RETRY_BACKOFF.delay(attempt)));
-        }
-        let mut client = match Client::connect_via(transport, addr, 1) {
-            Ok(client) => client,
-            Err(e) => {
-                last = e.to_string();
-                continue;
-            }
+    Client::retry(addr, "listing jobs at", SESSION_RETRIES, |_| {
+        let mut client = Client::dial(transport, addr, read_timeout)?;
+        client.send(&Request::Status)?;
+        let expected = match client.reply()? {
+            Response::Listing { jobs } => jobs,
+            other => return Err(unexpected(&other)),
         };
-        client.set_read_timeout(read_timeout);
-        if let Err(e) = client.send(&Request::Status) {
-            last = e.to_string();
-            continue;
-        }
-        // The listing header announces how many rows follow; any other
-        // count on `End` means rows were lost, duplicated or reordered
-        // past the end marker in flight — throw the attempt away.
-        let expected = match client.recv() {
-            Ok(Some(Response::Listing { jobs })) => jobs,
-            Ok(Some(Response::Error { detail })) if !transient_error(&detail) => {
-                return Err(GoofiError::Wire(format!(
-                    "daemon at {addr} refused status: {detail}"
-                )));
-            }
-            Ok(other) => {
-                last = format!("expected listing header, got {other:?}");
-                continue;
-            }
-            Err(e) => {
-                last = e.to_string();
-                continue;
-            }
-        };
-        let mut rows = Vec::new();
+        // The header announces how many rows follow, and the daemon lists
+        // each job once: another count on `End`, or a repeated job id,
+        // means rows were lost, duplicated or reordered past the end
+        // marker in flight (two faults can cancel out in the count).
+        let mut rows: Vec<(String, String, String)> = Vec::new();
         loop {
-            match client.recv() {
-                Ok(Some(Response::Job {
+            match client.reply()? {
+                Response::Job {
                     job,
                     campaign,
                     state,
-                })) => rows.push((job, state, campaign)),
-                Ok(Some(Response::End)) => {
-                    if rows.len() as u64 == expected {
-                        return Ok(rows);
-                    }
-                    last = format!(
-                        "listing damaged in flight: {} of {expected} row(s) arrived",
+                } if rows.iter().all(|(seen, _, _)| *seen != job) => {
+                    rows.push((job, state, campaign));
+                }
+                Response::End if rows.len() as u64 == expected => return Ok(rows),
+                other => {
+                    return Err(Failure::Damage(format!(
+                        "listing damaged in flight: {other:?} after {} of {expected} row(s)",
                         rows.len()
-                    );
-                    continue 'attempts;
-                }
-                Ok(Some(Response::Error { detail })) if !transient_error(&detail) => {
-                    return Err(GoofiError::Wire(format!(
-                        "daemon at {addr} refused status: {detail}"
-                    )));
-                }
-                Ok(Some(Response::Error { detail })) => {
-                    last = detail;
-                    continue 'attempts;
-                }
-                Ok(Some(other)) => {
-                    last = format!("unexpected response {other:?}");
-                    continue 'attempts;
-                }
-                Ok(None) => {
-                    last = "connection closed mid-listing".into();
-                    continue 'attempts;
-                }
-                Err(e) => {
-                    last = e.to_string();
-                    continue 'attempts;
+                    )))
                 }
             }
         }
-    }
-    Err(GoofiError::Wire(format!(
-        "listing jobs at {addr}: {last} (gave up after {SESSION_RETRIES} attempt(s))"
-    )))
+    })
 }
 
 /// Asks the daemon to stop, retrying until its acknowledgement arrives.
@@ -739,45 +694,19 @@ pub fn request_shutdown(
     addr: &str,
     read_timeout: Duration,
 ) -> Result<()> {
-    let mut last = String::new();
     let mut sent = false;
-    for attempt in 0..SESSION_RETRIES {
-        if attempt > 0 {
-            std::thread::sleep(jittered(RETRY_BACKOFF.delay(attempt)));
-        }
-        let mut client = match Client::connect_via(transport, addr, 1) {
-            Ok(client) => client,
-            Err(e) if sent => {
-                let _ = e;
-                return Ok(());
-            }
-            Err(e) => {
-                last = e.to_string();
-                continue;
-            }
+    Client::retry(addr, "shutting down daemon at", SESSION_RETRIES, |_| {
+        let mut client = match Client::dial(transport, addr, read_timeout) {
+            Err(_) if sent => return Ok(()),
+            dialled => dialled?,
         };
-        client.set_read_timeout(read_timeout);
-        if let Err(e) = client.send(&Request::Shutdown) {
-            last = e.to_string();
-            continue;
-        }
+        client.send(&Request::Shutdown)?;
         sent = true;
-        match client.recv() {
-            Ok(Some(Response::End)) => return Ok(()),
-            Ok(Some(Response::Error { detail })) if !transient_error(&detail) => {
-                return Err(GoofiError::Wire(format!(
-                    "daemon at {addr} refused shutdown: {detail}"
-                )));
-            }
-            Ok(Some(Response::Error { detail })) => last = detail,
-            Ok(Some(other)) => last = format!("unexpected response {other:?}"),
-            Ok(None) => last = "connection closed before acknowledgement".into(),
-            Err(e) => last = e.to_string(),
+        match client.reply()? {
+            Response::End => Ok(()),
+            other => Err(unexpected(&other)),
         }
-    }
-    Err(GoofiError::Wire(format!(
-        "shutting down daemon at {addr}: {last} (gave up after {SESSION_RETRIES} attempt(s))"
-    )))
+    })
 }
 
 /// Watches `job` to its terminal state with session resume: every lost
@@ -793,7 +722,7 @@ pub fn request_shutdown(
 /// # Errors
 ///
 /// [`GoofiError::Wire`] when the daemon does not know the job or
-/// `SESSION_RETRIES` (8) consecutive reconnects fail.
+/// `SESSION_RETRIES` (8) consecutive reconnects deliver no new update.
 pub fn watch_to_end(
     transport: &dyn Transport,
     addr: &str,
@@ -803,72 +732,30 @@ pub fn watch_to_end(
     mut on_progress: impl FnMut(&Response),
 ) -> Result<Response> {
     let mut last_seq = after;
-    let mut stale = 0u32;
-    let mut last = String::new();
-    loop {
-        if stale >= SESSION_RETRIES {
-            return Err(GoofiError::Wire(format!(
-                "watching {job} on {addr}: {last} \
-                 (gave up after {SESSION_RETRIES} consecutive reconnect(s))"
-            )));
-        }
-        if stale > 0 {
-            std::thread::sleep(jittered(RETRY_BACKOFF.delay(stale)));
-        }
-        let mut client = match Client::connect_via(transport, addr, 1) {
-            Ok(client) => client,
-            Err(e) => {
-                stale += 1;
-                last = e.to_string();
-                continue;
-            }
-        };
-        client.set_read_timeout(read_timeout);
-        if let Err(e) = client.send(&Request::Watch {
+    let call = format!("watching {job} on");
+    Client::retry(addr, &call, SESSION_RETRIES, |progressed| {
+        let mut client = Client::dial(transport, addr, read_timeout)?;
+        client.send(&Request::Watch {
             job: job.to_string(),
             after: last_seq,
-        }) {
-            stale += 1;
-            last = e.to_string();
-            continue;
-        }
-        let failure = loop {
-            match client.recv() {
-                Ok(Some(response @ Response::Progress { .. })) => {
-                    let (seq, terminal) = match &response {
-                        Response::Progress { seq, state, .. } => {
-                            (*seq, state == "done" || state == "failed")
-                        }
-                        _ => unreachable!("matched progress"),
-                    };
-                    if seq <= last_seq {
-                        if terminal {
-                            // A repeat of an already-acked terminal state
-                            // (keepalive, or a resume that had already
-                            // seen the end) — done is done.
-                            return Ok(response);
-                        }
-                        continue; // keepalive repeat or replay overlap
-                    }
-                    stale = 0;
-                    last_seq = seq;
-                    on_progress(&response);
-                    if terminal {
-                        return Ok(response);
-                    }
-                }
-                Ok(Some(Response::Error { detail })) if !transient_error(&detail) => {
-                    return Err(GoofiError::Wire(format!(
-                        "watching {job} on {addr}: {detail}"
-                    )));
-                }
-                Ok(Some(Response::Error { detail })) => break detail,
-                Ok(Some(other)) => break format!("unexpected response {other:?}"),
-                Ok(None) => break "connection closed mid-stream".into(),
-                Err(e) => break e.to_string(),
+        })?;
+        loop {
+            let response = client.reply()?;
+            let Response::Progress { seq, state, .. } = &response else {
+                return Err(unexpected(&response));
+            };
+            let terminal = state == "done" || state == "failed";
+            // An acknowledged seq again is a keepalive or a replay
+            // overlap, and dropped; an acknowledged terminal state is
+            // still the end.
+            if *seq > last_seq {
+                last_seq = *seq;
+                *progressed = true;
+                on_progress(&response);
             }
-        };
-        stale += 1;
-        last = failure;
-    }
+            if terminal {
+                return Ok(response);
+            }
+        }
+    })
 }

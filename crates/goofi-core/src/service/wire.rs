@@ -46,7 +46,7 @@ pub enum Request {
         /// Campaign name in the daemon's database.
         campaign: String,
         /// Requested shard/worker count (the daemon caps it at the
-        /// campaign's experiment count).
+        /// campaign's experiment count); 0 asks for the daemon's default.
         workers: usize,
         /// Stream progress lines on this connection after `accepted`.
         watch: bool,
@@ -127,7 +127,7 @@ impl Request {
             "submit" => Ok(Request::Submit {
                 id: fields.str_or("id", ""),
                 campaign: fields.str("campaign")?.to_string(),
-                workers: fields.num("workers")?.max(1) as usize,
+                workers: fields.num("workers")? as usize,
                 watch: fields.num_or("watch", 0) != 0,
                 target: fields.str_or("target", ""),
             }),
@@ -533,6 +533,14 @@ mod tests {
                 workers: 1,
                 watch: false,
                 target: "rv32i".into(),
+            },
+            // 0 asks for the daemon's default and must reach it as sent.
+            Request::Submit {
+                id: String::new(),
+                campaign: "c3".into(),
+                workers: 0,
+                watch: true,
+                target: String::new(),
             },
             Request::Watch {
                 job: "job-7".into(),
