@@ -92,7 +92,19 @@ pub struct CampaignResult {
 /// observable draw streams are tied to the slow path's exact call sequence
 /// (the wedge drill) veto it, which keeps snapshot campaigns essence-equal
 /// to slow-path campaigns under every drill.
-#[derive(Debug, Default)]
+///
+/// A session also ends experiments early. On a target that
+/// [can rejoin](TargetAccess::can_rejoin), the first experiment that may
+/// use it records the **golden path**: the fault-free run from the
+/// post-load capture, with a checkpoint every 256 instructions and one at
+/// termination, checked once against the reference record. After the
+/// injection, and at every later checkpoint, the run loop asks the target
+/// to [rejoin](TargetAccess::rejoin) the golden run; if it does, the
+/// experiment ends with the golden termination and the state the target
+/// would have reached on its own. A transient fault that was overwritten,
+/// or that only sits where the golden run never looks again, thus costs
+/// no further interpretation.
+#[derive(Debug)]
 pub struct ExperimentSession {
     /// Lazily probed capability: `None` until the first experiment,
     /// `Some(false)` pins the slow path for the rest of the campaign.
@@ -101,23 +113,140 @@ pub struct ExperimentSession {
     post_load: Option<TargetSnapshot>,
     /// State at the most recent trigger point (pre-injection, pristine).
     trigger: Option<TriggerSnapshot>,
+    /// What the golden path must reproduce: the reference run's
+    /// termination and logged state.
+    reference: (TerminationCause, StateSnapshot),
+    /// `None` until the first experiment that may use the golden path;
+    /// `Some(None)` when it cannot be recorded or did not reproduce the
+    /// reference.
+    golden: Option<Option<GoldenPath>>,
 }
 
 #[derive(Debug)]
 struct TriggerSnapshot {
-    snap: TargetSnapshot,
-    /// Absolute instruction count at capture (the donor's trigger point).
-    instructions: u64,
+    /// The donor's state at its trigger point, which is the golden state
+    /// at that instruction count.
+    at: Checkpoint,
     /// Cycle counter right after the donor's Load block, so a restored
     /// experiment's watchdog measures the same elapsed cycles the slow
     /// path would.
     post_load_cycles: u64,
 }
 
+/// A capture of the fault-free run, with the counters the run loop needs
+/// without a target round trip.
+#[derive(Debug)]
+struct Checkpoint {
+    snap: TargetSnapshot,
+    /// Absolute instruction count at capture.
+    instructions: u64,
+    /// Cycle counter at capture.
+    cycles: u64,
+}
+
+impl Checkpoint {
+    fn capture<T: TargetAccess + ?Sized>(target: &mut T) -> Result<Checkpoint> {
+        Ok(Checkpoint {
+            snap: target.snapshot()?,
+            instructions: target.instructions_executed(),
+            cycles: target.cycles_executed(),
+        })
+    }
+}
+
+/// Instructions between two golden-path checkpoints, unless the run is
+/// too long for [`MAX_CHECKPOINTS`] of them.
+const CHECKPOINT_SPACING: u64 = 256;
+
+/// Most checkpoints one golden path holds; longer runs widen the spacing.
+const MAX_CHECKPOINTS: u64 = 256;
+
+/// The fault-free run from the post-load capture to its termination.
+#[derive(Debug)]
+struct GoldenPath {
+    /// Instructions between checkpoints.
+    spacing: u64,
+    /// `checkpoints[k]` is the state after `(k + 1) * spacing`
+    /// instructions.
+    checkpoints: Vec<Checkpoint>,
+    /// The state at termination.
+    end: Checkpoint,
+    /// How the run terminated: halt or detection, the ends that no cycle
+    /// count or environment steers.
+    termination: TerminationCause,
+}
+
+impl GoldenPath {
+    /// Runs the target from its post-load state to termination,
+    /// checkpointing on the way. `None` when the run is not one an
+    /// experiment can rejoin: it crosses an iteration boundary (the
+    /// environment lives outside the target), times out, stops at a
+    /// breakpoint, needs more than [`MAX_CHECKPOINTS`] checkpoints, or
+    /// does not reproduce the reference record.
+    fn record<T: TargetAccess + ?Sized>(
+        target: &mut T,
+        campaign: &Campaign,
+        reference: &(TerminationCause, StateSnapshot),
+    ) -> Result<Option<GoldenPath>> {
+        let max = campaign.termination.max_instructions;
+        let spacing = CHECKPOINT_SPACING.max(reference.1.instructions.div_ceil(MAX_CHECKPOINTS));
+        let mut checkpoints = Vec::new();
+        let termination = loop {
+            let now = target.instructions_executed();
+            let next = (now / spacing + 1) * spacing;
+            if now >= max || checkpoints.len() as u64 == MAX_CHECKPOINTS {
+                return Ok(None);
+            }
+            match target.run_workload(RunBudget {
+                max_instructions: next.min(max) - now,
+            })? {
+                RunEvent::BudgetExhausted if target.instructions_executed() == next => {
+                    checkpoints.push(Checkpoint::capture(target)?);
+                }
+                RunEvent::Halted => break TerminationCause::WorkloadEnd,
+                RunEvent::Detected(d) => break TerminationCause::Detected(d),
+                _ => return Ok(None),
+            }
+        };
+        let end = Checkpoint::capture(target)?;
+        let state = snapshot(target, campaign, true)?;
+        Ok(
+            (termination == reference.0 && state == reference.1).then_some(GoldenPath {
+                spacing,
+                checkpoints,
+                end,
+                termination,
+            }),
+        )
+    }
+
+    /// The first checkpoint past instruction count `now`.
+    fn checkpoint_after(&self, now: u64) -> Option<&Checkpoint> {
+        usize::try_from(now / self.spacing)
+            .ok()
+            .and_then(|k| self.checkpoints.get(k))
+    }
+}
+
+/// A golden path an experiment may rejoin, and the golden state at its
+/// injection point when the session holds one.
+#[derive(Clone, Copy)]
+struct Rejoin<'a> {
+    path: &'a GoldenPath,
+    at_injection: Option<&'a Checkpoint>,
+}
+
 impl ExperimentSession {
-    /// A fresh session with no captures.
-    pub fn new() -> Self {
-        Self::default()
+    /// A fresh session with no captures, for a campaign whose fault-free
+    /// reference run logged `reference`.
+    pub fn new(reference: &ExperimentRecord) -> Self {
+        ExperimentSession {
+            enabled: None,
+            post_load: None,
+            trigger: None,
+            reference: (reference.termination.clone(), reference.state.clone()),
+            golden: None,
+        }
     }
 
     /// Whether the fast path is usable on `target`, probing the capability
@@ -126,6 +255,23 @@ impl ExperimentSession {
         *self
             .enabled
             .get_or_insert_with(|| target.supports_snapshot() && target.prefix_restore_safe())
+    }
+
+    /// The golden path to rejoin from instruction count `now`, if one was
+    /// recorded, with the golden state at `now` when a capture holds it.
+    fn rejoin_at(&self, now: u64) -> Option<Rejoin<'_>> {
+        let path = self.golden.as_ref()?.as_ref()?;
+        let on_path = || {
+            now.checked_sub(1)
+                .and_then(|before| path.checkpoint_after(before))
+        };
+        let at_injection = self
+            .trigger
+            .as_ref()
+            .map(|t| &t.at)
+            .or_else(on_path)
+            .filter(|c| c.instructions == now);
+        Some(Rejoin { path, at_injection })
     }
 }
 
@@ -385,7 +531,7 @@ pub(crate) fn reference_run_traced<T: TargetAccess + ?Sized>(
     let mut run = RunLoop::new(&*target, campaign, env);
     let termination = {
         let _run = tel.stage_span(Stage::Run, exp_span.id());
-        run.until(target, Until::End(None), campaign.logging)?
+        run.until(target, Until::End(None, None), campaign.logging)?
             .expect("a run to the end stops only by terminating")
     };
     let state = {
@@ -511,9 +657,33 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
             }
         }
     }
+    let detail = logging == LoggingMode::Detail;
+
+    // The golden path, recorded once per session from the post-load state
+    // by the first experiment that may rejoin it (normal logging, a
+    // transient fault), then the post-load state again for the experiment.
+    if let Some(s) = session.as_deref_mut() {
+        let wanted = s.golden.is_none() && !detail && spec.model == FaultModel::TransientBitFlip;
+        if wanted && s.usable(&*target) {
+            s.golden = Some(None);
+            if let (true, Some(post_load)) = (target.can_rejoin(), &s.post_load) {
+                let path = {
+                    let _run = tel.stage_span(Stage::Run, exp_span.id());
+                    GoldenPath::record(target, campaign, &s.reference)?
+                };
+                let _sr = tel.stage_span(Stage::SnapshotRestore, exp_span.id());
+                if let Some(path) = &path {
+                    tel.count(Metric::SnapshotsTaken, path.checkpoints.len() as u64 + 1);
+                }
+                target.restore(post_load)?;
+                tel.count(Metric::Restores, 1);
+                s.golden = Some(path);
+            }
+        }
+    }
+
     let mut wd_start = target.cycles_executed();
     let mut run = RunLoop::new(&*target, campaign, env);
-    let detail = logging == LoggingMode::Detail;
 
     // Trigger fast-forward: `AfterInstructions` fires on an absolute
     // instruction counter that is part of the captured debug-unit state,
@@ -530,15 +700,15 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
         {
             if s.usable(&*target) {
                 if let Some(ts) = &s.trigger {
-                    if ts.instructions <= want {
+                    if ts.at.instructions <= want {
                         let _sr = tel.stage_span(Stage::SnapshotRestore, exp_span.id());
-                        target.restore(&ts.snap)?;
+                        target.restore(&ts.at.snap)?;
                         tel.count(Metric::Restores, 1);
                         // The slow path's watchdog starts counting at the
                         // post-load cycle mark; keep that origin.
                         wd_start = ts.post_load_cycles;
                         run.wd = Watchdog::start(&campaign.policy.watchdog, wd_start);
-                        at_trigger = ts.instructions == want;
+                        at_trigger = ts.at.instructions == want;
                     }
                 }
             }
@@ -570,13 +740,14 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
                 // the next experiment restores here when its own trigger
                 // is at or past this instant.
                 if !detail && !at_trigger && run.exchanges == 0 {
-                    if let (Trigger::AfterInstructions(_), Some(s)) = (spec.trigger, session) {
+                    if let (Trigger::AfterInstructions(_), Some(s)) =
+                        (spec.trigger, session.as_deref_mut())
+                    {
                         if s.usable(&*target) {
                             let _sr = tel.stage_span(Stage::SnapshotRestore, exp_span.id());
-                            if let Ok(snap) = target.snapshot() {
+                            if let Ok(at) = Checkpoint::capture(target) {
                                 s.trigger = Some(TriggerSnapshot {
-                                    snap,
-                                    instructions: target.instructions_executed(),
+                                    at,
                                     post_load_cycles: wd_start,
                                 });
                                 tel.count(Metric::SnapshotsTaken, 1);
@@ -590,10 +761,19 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
                 let _inject = tel.stage_span(Stage::Inject, exp_span.id());
                 apply_fault(target, spec)?;
             }
-            // waitForTermination();
+            // waitForTermination(); — ended early if the target rejoins
+            // the session's golden path.
+            let rejoin = session
+                .as_deref()
+                .and_then(|s| s.rejoin_at(target.instructions_executed()));
             let _run = tel.stage_span(Stage::Run, exp_span.id());
-            run.until(target, Until::End(Some(spec)), logging)?
-                .expect("a run to the end stops only by terminating")
+            let cause = run
+                .until(target, Until::End(Some(spec), rejoin), logging)?
+                .expect("a run to the end stops only by terminating");
+            if run.rejoined {
+                tel.count(Metric::Rejoined, 1);
+            }
+            cause
         }
     };
 
@@ -738,8 +918,10 @@ enum Until<'a> {
     Trigger,
     /// `waitForTermination()`: at termination, re-asserting the injected
     /// fault after every instruction when its model is persistent. A
-    /// stray breakpoint is cleared and the run goes on.
-    End(Option<&'a FaultSpec>),
+    /// stray breakpoint is cleared and the run goes on. With a golden
+    /// path, a run in slices tries to rejoin it right away and at each of
+    /// its checkpoints.
+    End(Option<&'a FaultSpec>, Option<Rejoin<'a>>),
 }
 
 /// One run of the workload, the reference run's or an experiment's, from
@@ -753,6 +935,8 @@ struct RunLoop<'a> {
     /// Environment exchanges so far; a trigger capture is only reusable
     /// when none happened before it.
     exchanges: u64,
+    /// Whether the run ended by rejoining a golden path.
+    rejoined: bool,
 }
 
 impl<'a> RunLoop<'a> {
@@ -768,6 +952,7 @@ impl<'a> RunLoop<'a> {
             wd: Watchdog::start(&campaign.policy.watchdog, target.cycles_executed()),
             trace: Vec::new(),
             exchanges: 0,
+            rejoined: false,
         }
     }
 
@@ -786,11 +971,26 @@ impl<'a> RunLoop<'a> {
         logging: LoggingMode,
     ) -> Result<Option<TerminationCause>> {
         let persistent = match until {
-            Until::End(Some(spec)) if spec.model != FaultModel::TransientBitFlip => Some(spec),
+            Until::End(Some(spec), _) if spec.model != FaultModel::TransientBitFlip => Some(spec),
             _ => None,
         };
         let detail = logging == LoggingMode::Detail;
         let stepping = detail || persistent.is_some();
+        // A persistent fault keeps changing the state, and detail mode must
+        // log every instruction: neither rejoins.
+        let rejoin = match until {
+            Until::End(_, rejoin) if !stepping => rejoin,
+            _ => None,
+        };
+        if let Some(Rejoin {
+            path,
+            at_injection: Some(at),
+        }) = rejoin
+        {
+            if let Some(cause) = self.rejoin(target, path, at)? {
+                return Ok(Some(cause));
+            }
+        }
         let injected_at = target.instructions_executed();
         let mut bursts_done: u32 = 1; // the initial injection counts as burst 1
         let termination = &self.campaign.termination;
@@ -847,9 +1047,10 @@ impl<'a> RunLoop<'a> {
                     None => continue,
                 }
             } else {
-                target.run_workload(RunBudget {
-                    max_instructions: slice,
-                })?
+                match self.run_slice(target, slice, rejoin.map(|r| r.path))? {
+                    Ok(event) => event,
+                    Err(cause) => return Ok(Some(cause)),
+                }
             };
             let cause = match event {
                 RunEvent::Breakpoint { .. } if matches!(until, Until::Trigger) => return Ok(None),
@@ -880,6 +1081,59 @@ impl<'a> RunLoop<'a> {
             };
             return Ok(Some(cause));
         }
+    }
+
+    /// Runs `slice` instructions as one `run_workload` call, or, with a
+    /// golden path, one call up to each of its checkpoints inside the
+    /// slice and a rejoin attempt at each. Either way the watchdog and
+    /// the instruction budget see the same slice. `Err(cause)` when the
+    /// target rejoined and the run ends with `cause`.
+    fn run_slice<T: TargetAccess + ?Sized>(
+        &mut self,
+        target: &mut T,
+        slice: u64,
+        golden: Option<&GoldenPath>,
+    ) -> Result<std::result::Result<RunEvent, TerminationCause>> {
+        let end = target.instructions_executed() + slice;
+        loop {
+            let now = target.instructions_executed();
+            let checkpoint = golden
+                .and_then(|path| path.checkpoint_after(now))
+                .filter(|at| at.instructions < end);
+            let (Some(path), Some(at)) = (golden, checkpoint) else {
+                return Ok(Ok(target.run_workload(RunBudget {
+                    max_instructions: end - now,
+                })?));
+            };
+            match target.run_workload(RunBudget {
+                max_instructions: at.instructions - now,
+            })? {
+                RunEvent::BudgetExhausted => {
+                    if let Some(cause) = self.rejoin(target, path, at)? {
+                        return Ok(Err(cause));
+                    }
+                }
+                event => return Ok(Ok(event)),
+            }
+        }
+    }
+
+    /// Asks the target to rejoin `path` at `at`, the golden state at its
+    /// current instruction count. The golden termination is returned when
+    /// it does; the target is left as it was when it does not, or when
+    /// the campaign's cycle budget would expire before the golden end.
+    fn rejoin<T: TargetAccess + ?Sized>(
+        &mut self,
+        target: &mut T,
+        path: &GoldenPath,
+        at: &Checkpoint,
+    ) -> Result<Option<TerminationCause>> {
+        let end_cycles = target.cycles_executed() + path.end.cycles.saturating_sub(at.cycles);
+        if self.wd.cycles_expired(end_cycles) || !target.rejoin(&at.snap, &path.end.snap)? {
+            return Ok(None);
+        }
+        self.rejoined = true;
+        Ok(Some(path.termination.clone()))
     }
 }
 
@@ -942,4 +1196,76 @@ pub fn snapshot<T: TargetAccess + ?Sized>(
         OutputRegion::Ports => target.read_output_ports()?,
     };
     Ok(snap)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::WorkloadImage;
+    use crate::framework::SimTarget;
+    use envsim::NullEnvironment;
+
+    /// A campaign on the simulator: `len` instructions, an iteration
+    /// boundary every `every` (none when 0).
+    fn sim_campaign(len: u32, every: u32) -> Campaign {
+        Campaign::builder("golden")
+            .target_system("sim")
+            .workload(WorkloadImage {
+                name: "sim".into(),
+                words: vec![len, every],
+                code_words: 2,
+                entry: 0,
+            })
+            .fault(FaultSpec::single(
+                FaultLocation::Memory { addr: 0, bit: 0 },
+                Trigger::AfterInstructions(1),
+            ))
+            .build()
+            .unwrap()
+    }
+
+    /// The golden path of `campaign` checked against `reference`, recorded
+    /// from the post-load state as a session does.
+    fn record(campaign: &Campaign, reference: &ExperimentRecord) -> Option<GoldenPath> {
+        let mut target = SimTarget::new();
+        load(&mut target, campaign, &mut NullEnvironment).unwrap();
+        let reference = (reference.termination.clone(), reference.state.clone());
+        GoldenPath::record(&mut target, campaign, &reference).unwrap()
+    }
+
+    fn reference(campaign: &Campaign) -> ExperimentRecord {
+        make_reference_run(&mut SimTarget::new(), campaign, &mut NullEnvironment).unwrap()
+    }
+
+    #[test]
+    fn a_golden_path_holds_at_most_max_checkpoints() {
+        for (len, spacing, checkpoints) in [(1_000, 256, 3), (100_000, 391, 255)] {
+            let campaign = sim_campaign(len, 0);
+            let path = record(&campaign, &reference(&campaign)).unwrap();
+            assert_eq!(path.spacing, spacing);
+            assert_eq!(path.checkpoints.len(), checkpoints);
+            assert!(path.checkpoints.len() as u64 <= MAX_CHECKPOINTS);
+            for (k, c) in path.checkpoints.iter().enumerate() {
+                assert_eq!(c.instructions, (k as u64 + 1) * spacing);
+            }
+            assert_eq!(path.end.instructions, u64::from(len));
+            assert_eq!(path.termination, TerminationCause::WorkloadEnd);
+            assert_eq!(
+                path.checkpoint_after(spacing - 1).map(|c| c.instructions),
+                Some(spacing)
+            );
+            assert!(path.checkpoint_after(u64::from(len)).is_none());
+        }
+    }
+
+    #[test]
+    fn a_golden_path_is_dropped_on_a_mismatch_or_an_iteration_boundary() {
+        let campaign = sim_campaign(1_000, 0);
+        let mut drifted = reference(&campaign);
+        drifted.state.cycles += 1;
+        assert!(record(&campaign, &drifted).is_none());
+
+        let looping = sim_campaign(1_000, 100);
+        assert!(record(&looping, &reference(&campaign)).is_none());
+    }
 }

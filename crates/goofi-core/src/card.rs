@@ -9,8 +9,9 @@
 //! [`CardTarget`] implements all of that once. A core joins by implementing
 //! [`CardCpu`] on a marker type: its name, how to build it and download an
 //! image, cache coherence after tool-side writes, how its stop reasons map
-//! to [`RunEvent`]s, and how its trace names the locations a step touched —
-//! plus one forwarding line per core operation the port drives.
+//! to [`RunEvent`]s, how its trace names the locations a step touched, and
+//! how it rejoins a fault-free run — plus one forwarding line per core
+//! operation the port drives.
 
 use crate::campaign::WorkloadImage;
 use crate::logging;
@@ -62,6 +63,12 @@ pub trait CardCpu: 'static {
     /// to `access` under the names fault locations use (`internal:<cell>`,
     /// `mem:<word>`).
     fn step_traced(cpu: &mut Self::Cpu, access: &mut StepAccess) -> Option<Self::Stop>;
+
+    /// Rejoins a fault-free run (see [`TargetAccess::rejoin`]): if `live`
+    /// would execute exactly as `checkpoint` does, turns it into the
+    /// state it reaches by the end of that run, `end`, and returns `true`;
+    /// otherwise returns `false` and leaves `live` unchanged.
+    fn rejoin(live: &mut Self::Cpu, checkpoint: &Self::Cpu, end: &Self::Cpu) -> bool;
 
     /// Main memory.
     fn memory(cpu: &Self::Cpu) -> &Memory;
@@ -297,12 +304,9 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
         }))
     }
 
-    /// Only a capture of the same core type restores: the payload type is
-    /// generic over `P`, so another core's snapshot fails the downcast.
+    /// Only a capture of the same core type restores.
     fn restore(&mut self, snapshot: &TargetSnapshot) -> Result<()> {
-        let snap = snapshot
-            .downcast_ref::<CardSnapshot<P>>()
-            .ok_or_else(|| GoofiError::Target(format!("snapshot was not taken on {}", P::NAME)))?;
+        let snap = CardSnapshot::<P>::of(snapshot)?;
         self.card = Arc::clone(&snap.card);
         self.last_image = snap.last_image.clone();
         Ok(())
@@ -310,6 +314,25 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
 
     fn supports_snapshot(&self) -> bool {
         true
+    }
+
+    fn can_rejoin(&self) -> bool {
+        true
+    }
+
+    /// The core compares and adopts ([`CardCpu::rejoin`]); the test
+    /// card's TAP state and scan statistics stay the target's own, since
+    /// the run being skipped does no scan traffic.
+    fn rejoin(&mut self, checkpoint: &TargetSnapshot, end: &TargetSnapshot) -> Result<bool> {
+        let (checkpoint, end) = (
+            CardSnapshot::<P>::of(checkpoint)?,
+            CardSnapshot::<P>::of(end)?,
+        );
+        Ok(P::rejoin(
+            self.cpu_mut(),
+            checkpoint.card.target(),
+            end.card.target(),
+        ))
     }
 
     fn memory_digest(&mut self, len: usize) -> Result<u64> {
@@ -340,4 +363,15 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
 struct CardSnapshot<P: CardCpu> {
     card: Arc<TestCard<P::Cpu>>,
     last_image: Option<WorkloadImage>,
+}
+
+impl<P: CardCpu> CardSnapshot<P> {
+    /// The payload of `snapshot`, which only a capture of the same core
+    /// type holds: the payload type is generic over `P`, so another
+    /// core's snapshot fails the downcast.
+    fn of(snapshot: &TargetSnapshot) -> Result<&Self> {
+        snapshot
+            .downcast_ref::<Self>()
+            .ok_or_else(|| GoofiError::Target(format!("snapshot was not taken on {}", P::NAME)))
+    }
 }

@@ -26,7 +26,12 @@
 //!   exactly the armed count, later counts fire strictly later, and a
 //!   cleared target runs to termination;
 //! - **reset_to_idle** — a power cycle plus workload reload zeroes the
-//!   counters and reproduces the exact first run (event, ports, digest).
+//!   counters and reproduces the exact first run (event, ports, digest);
+//! - **rejoin** — after a flip in a register the target refuses to rejoin
+//!   its own fault-free run and stays exactly as it was; without the flip
+//!   it rejoins at the run's checkpoint and reads out exactly as the run's
+//!   end state, if and only if it reports
+//!   [`TargetAccess::can_rejoin`].
 //!
 //! Workloads handed to the suite must terminate on their own (halt,
 //! detection or timeout) without iteration boundaries.
@@ -137,22 +142,24 @@ impl fmt::Display for ConformanceReport {
 type Check = fn(&mut dyn TargetAccess, &ConformanceSpec) -> std::result::Result<(), String>;
 
 /// The names of the contract checks, in execution order.
-pub const CHECK_NAMES: [&str; 6] = [
+pub const CHECK_NAMES: [&str; 7] = [
     "capabilities",
     "readout_restore_identity",
     "digest_stability",
     "snapshot_mutate_restore",
     "trigger_monotonicity",
     "reset_to_idle",
+    "rejoin",
 ];
 
-const CHECKS: [(&str, Check); 6] = [
+const CHECKS: [(&str, Check); 7] = [
     ("capabilities", check_capabilities),
     ("readout_restore_identity", check_readout_restore_identity),
     ("digest_stability", check_digest_stability),
     ("snapshot_mutate_restore", check_snapshot_mutate_restore),
     ("trigger_monotonicity", check_trigger_monotonicity),
     ("reset_to_idle", check_reset_to_idle),
+    ("rejoin", check_rejoin),
 ];
 
 /// Runs every contract check against the port and reports per-check
@@ -485,6 +492,71 @@ fn check_reset_to_idle(
         ));
     }
     Ok(())
+}
+
+fn check_rejoin(
+    t: &mut dyn TargetAccess,
+    spec: &ConformanceSpec,
+) -> std::result::Result<(), String> {
+    prepare(t, spec)?;
+    if !t.supports_snapshot() {
+        // Without captures there is no run to rejoin.
+        if t.can_rejoin() {
+            return Err("can_rejoin() is true but supports_snapshot() is false".into());
+        }
+        return Ok(());
+    }
+    t.run_workload(RunBudget {
+        max_instructions: spec.prefix_instructions,
+    })
+    .map_err(ctx("prefix run"))?;
+    let checkpoint = t.snapshot().map_err(ctx("checkpoint snapshot"))?;
+    run_to_terminal(t)?;
+    let end = t.snapshot().map_err(ctx("end snapshot"))?;
+    let finished = readout_snapshot(t).map_err(ctx("end readout"))?;
+
+    // A flipped register: the target must refuse and stay as it was.
+    t.restore(&checkpoint).map_err(ctx("restore"))?;
+    let (chain, bit) = t
+        .chain_layouts()
+        .iter()
+        .find_map(|layout| {
+            let cell = layout
+                .cells()
+                .iter()
+                .find(|c| c.access == scanchain::CellAccess::ReadWrite)?;
+            Some((layout.name().to_string(), cell.offset))
+        })
+        .ok_or("no writable scan cell to flip")?;
+    let mut bits = t.read_scan_chain(&chain).map_err(ctx("read_scan_chain"))?;
+    bits.flip(bit);
+    t.write_scan_chain(&chain, &bits)
+        .map_err(ctx("write_scan_chain"))?;
+    let flipped = readout_snapshot(t).map_err(ctx("flipped readout"))?;
+    if t.rejoin(&checkpoint, &end).map_err(ctx("rejoin"))? {
+        return Err(format!(
+            "rejoined despite a flip in chain {chain} bit {bit}"
+        ));
+    }
+    if readout_snapshot(t).map_err(ctx("refused readout"))? != flipped {
+        return Err("a refused rejoin changed the target".into());
+    }
+
+    // The fault-free state itself: rejoins exactly when the port says so.
+    t.restore(&checkpoint).map_err(ctx("second restore"))?;
+    let before = readout_snapshot(t).map_err(ctx("checkpoint readout"))?;
+    let rejoined = t.rejoin(&checkpoint, &end).map_err(ctx("second rejoin"))?;
+    let after = readout_snapshot(t).map_err(ctx("rejoined readout"))?;
+    match (rejoined, t.can_rejoin()) {
+        (true, true) if after != finished => {
+            Err("the rejoined target does not read out as the run's end state".into())
+        }
+        (false, false) if after != before => Err("a refused rejoin changed the target".into()),
+        (true, true) | (false, false) => Ok(()),
+        (rejoined, can) => Err(format!(
+            "rejoin() returned {rejoined} at the run's own checkpoint, can_rejoin() is {can}"
+        )),
+    }
 }
 
 /// Generic snapshot support for ports without native state cloning: wraps

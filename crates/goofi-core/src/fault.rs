@@ -253,24 +253,7 @@ impl FaultSpace {
     ///
     /// Panics if the space is empty.
     pub fn sample_location<R: Rng>(&self, rng: &mut R) -> FaultLocation {
-        let total = self.bit_count();
-        assert!(total > 0, "empty fault space");
-        let mut pick = rng.gen_range(0..total);
-        for (chain, cell, width) in &self.scan_cells {
-            if pick < *width as u64 {
-                return FaultLocation::ScanCell {
-                    chain: chain.clone(),
-                    cell: cell.clone(),
-                    bit: pick as usize,
-                };
-            }
-            pick -= *width as u64;
-        }
-        let mem = self.memory.as_ref().expect("pick must land in memory");
-        FaultLocation::Memory {
-            addr: mem.start + (pick / 32) as u32,
-            bit: (pick % 32) as u8,
-        }
+        Draw::new(self).location(rng)
     }
 
     /// Draws a uniformly random injection time (instruction count) from the
@@ -286,10 +269,11 @@ impl FaultSpace {
     /// Samples `n` single-bit-flip experiments: uniformly random
     /// (location, time) pairs — the standard campaign generator.
     pub fn sample_campaign<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<FaultSpec> {
+        let draw = Draw::new(self);
         (0..n)
             .map(|_| {
                 FaultSpec::single(
-                    self.sample_location(rng),
+                    draw.location(rng),
                     Trigger::AfterInstructions(self.sample_time(rng)),
                 )
             })
@@ -304,11 +288,12 @@ impl FaultSpace {
         flips: usize,
         rng: &mut R,
     ) -> Vec<FaultSpec> {
+        let draw = Draw::new(self);
         (0..n)
             .map(|_| {
                 let mut locations = Vec::with_capacity(flips);
                 while locations.len() < flips {
-                    let l = self.sample_location(rng);
+                    let l = draw.location(rng);
                     if !locations.contains(&l) {
                         locations.push(l);
                     }
@@ -321,6 +306,64 @@ impl FaultSpace {
                 }
             })
             .collect()
+    }
+}
+
+/// A fault space prepared for many draws: the running bit count at the end
+/// of each scan cell, so a draw finds its cell by binary search rather than
+/// by walking every cell (a campaign over Thor's caches draws from ~280).
+struct Draw<'a> {
+    space: &'a FaultSpace,
+    /// `ends[i]`: scan bits in cells `0..=i`.
+    ends: Vec<u64>,
+    total: u64,
+}
+
+impl<'a> Draw<'a> {
+    fn new(space: &'a FaultSpace) -> Self {
+        let ends = space
+            .scan_cells
+            .iter()
+            .scan(0, |bits, (_, _, width)| {
+                *bits += *width as u64;
+                Some(*bits)
+            })
+            .collect();
+        Draw {
+            space,
+            ends,
+            total: space.bit_count(),
+        }
+    }
+
+    /// Draws one bit uniformly.
+    fn location<R: Rng>(&self, rng: &mut R) -> FaultLocation {
+        assert!(self.total > 0, "empty fault space");
+        self.at(rng.gen_range(0..self.total))
+    }
+
+    /// Bit `pick` of the space in draw order: scan cells first, then
+    /// memory words.
+    fn at(&self, pick: u64) -> FaultLocation {
+        let cell = self.ends.partition_point(|&end| end <= pick);
+        let start = cell.checked_sub(1).map_or(0, |before| self.ends[before]);
+        if let Some((chain, name, _)) = self.space.scan_cells.get(cell) {
+            return FaultLocation::ScanCell {
+                chain: chain.clone(),
+                cell: name.clone(),
+                bit: (pick - start) as usize,
+            };
+        }
+        let pick = pick - start;
+        let mem = self
+            .space
+            .memory
+            .as_ref()
+            .expect("pick must land in memory");
+        FaultLocation::Memory {
+            addr: mem.start + (pick / 32) as u32,
+            bit: (pick % 32) as u8,
+        }
     }
 }
 
@@ -338,6 +381,34 @@ mod tests {
             ],
             memory: Some(100..104),
             time_window: 0..1000,
+        }
+    }
+
+    #[test]
+    fn a_draw_maps_every_bit_as_a_walk_over_the_cells_does() {
+        let mut s = space();
+        s.scan_cells
+            .insert(1, ("icache".into(), "L0.VALID".into(), 1));
+        let draw = Draw::new(&s);
+        for pick in 0..s.bit_count() {
+            let mut rest = pick;
+            let mut walked = None;
+            for (chain, cell, width) in &s.scan_cells {
+                if rest < *width as u64 {
+                    walked = Some(FaultLocation::ScanCell {
+                        chain: chain.clone(),
+                        cell: cell.clone(),
+                        bit: rest as usize,
+                    });
+                    break;
+                }
+                rest -= *width as u64;
+            }
+            let walked = walked.unwrap_or(FaultLocation::Memory {
+                addr: 100 + (rest / 32) as u32,
+                bit: (rest % 32) as u8,
+            });
+            assert_eq!(draw.at(pick), walked, "bit {pick}");
         }
     }
 

@@ -603,6 +603,40 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_byte_in_a_schema_line_is_found() {
+        let dir = temp_dir("schema-db");
+        let path = dir.join("db.gdb");
+        dbio::save_database(&RealFs, &path, &seed_db()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (line, flipped) in [
+            (
+                format!("TABLE {}", dbio::LOG_TABLE),
+                "TABLE LoggedSystemStatf".to_string(),
+            ),
+            (
+                "COLUMN termination TEXT".into(),
+                "COLUMN terminatiom TEXT".into(),
+            ),
+            ("FK campaignName ".into(), "FK campaignNamf ".into()),
+        ] {
+            let damaged = text.replacen(&line, &flipped, 1);
+            assert_ne!(damaged, text, "{line}");
+            std::fs::write(&path, damaged).unwrap();
+            assert!(dbio::load_database(&RealFs, &path).is_err(), "{flipped}");
+            let report = fsck_database(&RealFs, &path, false).unwrap();
+            assert!(
+                report
+                    .findings
+                    .iter()
+                    .any(|f| f.class == CorruptionClass::DbChecksumMismatch),
+                "{flipped}: {}",
+                report.render()
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn garbled_db_row_is_stubbed_on_repair() {
         let dir = temp_dir("garble-db");
         let path = dir.join("db.gdb");

@@ -341,10 +341,8 @@ impl Watchdog {
     /// count. The wall clock is only read every few calls — cheap enough
     /// for per-instruction polling.
     pub fn expired(&mut self, cycles_now: u64) -> bool {
-        if let Some(max) = self.max_cycles {
-            if cycles_now.saturating_sub(self.start_cycles) >= max {
-                return true;
-            }
+        if self.cycles_expired(cycles_now) {
+            return true;
         }
         if let Some(deadline) = self.deadline {
             if self.wall_expired {
@@ -357,6 +355,13 @@ impl Watchdog {
             }
         }
         false
+    }
+
+    /// Whether the cycle budget is exhausted at cycle count `cycles`; the
+    /// wall clock is not read.
+    pub fn cycles_expired(&self, cycles: u64) -> bool {
+        self.max_cycles
+            .is_some_and(|max| cycles.saturating_sub(self.start_cycles) >= max)
     }
 
     /// Forces a wall-clock check on the next [`Watchdog::expired`] call —

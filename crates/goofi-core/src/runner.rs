@@ -489,7 +489,9 @@ impl<'a> Engine<'a> {
         let supervisor = Supervisor::from_campaign(self.campaign, &self.reference);
         // Each loop owns its target, so it also owns the snapshot session
         // for that target's experiment prefixes.
-        let mut session = self.snapshots.then(ExperimentSession::new);
+        let mut session = self
+            .snapshots
+            .then(|| ExperimentSession::new(&self.reference));
         // Items this loop processed (the probe cadence) and the positions
         // of the records it completed since its last clean golden check.
         let mut processed: usize = 0;

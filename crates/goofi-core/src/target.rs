@@ -248,6 +248,36 @@ pub trait TargetAccess {
         true
     }
 
+    /// Whether [`TargetAccess::rejoin`] is implemented — the capability
+    /// probe a snapshot session checks before it records a golden path.
+    /// Defaults to `false`. Decorators keep the default, so a decorated
+    /// stack never rejoins: its own state (link faults, drill draws) is
+    /// not part of the comparison.
+    fn can_rejoin(&self) -> bool {
+        false
+    }
+
+    /// Rejoins a fault-free run (see
+    /// [`crate::algorithms::ExperimentSession`]). `checkpoint` is that
+    /// run's state at the target's current instruction count and `end` a
+    /// later state of the same run, both taken by
+    /// [`TargetAccess::snapshot`] on this target with no tool access in
+    /// between. If the target would execute exactly as `checkpoint` does,
+    /// it becomes the state it would reach by the end of that run and
+    /// `Ok(true)` is returned: `end`, except that state the run never
+    /// used after `checkpoint` keeps the target's own values, and the
+    /// counters move by the target's distance from `checkpoint`.
+    /// Otherwise it returns `Ok(false)` and changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// None by default (the default never rejoins); a snapshot from a
+    /// different target type is a [`crate::GoofiError::Target`] error.
+    fn rejoin(&mut self, checkpoint: &TargetSnapshot, end: &TargetSnapshot) -> Result<bool> {
+        let _ = (checkpoint, end);
+        Ok(false)
+    }
+
     /// Digest of the first `len` words of memory, exactly
     /// [`crate::logging::digest_words`] of a
     /// [`TargetAccess::read_memory`]`(0, len)` readout.
@@ -278,7 +308,7 @@ pub trait TargetAccess {
 /// exactly the paper's observability boundary. Ports using it should
 /// restore any such private state themselves after calling
 /// [`readout_restore`] (see `examples/port_a_target.rs`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadoutSnapshot {
     /// Full image of every scan chain (name → bits).
     pub chains: Vec<(String, BitVec)>,
@@ -436,7 +466,8 @@ impl<T: TargetAccess + ?Sized> TargetAccess for Box<T> {
     }
 
     // Same reasoning as power_cycle: the trait defaults would report the
-    // *box* as snapshot-incapable even when the boxed target supports it.
+    // *box* as snapshot- and rejoin-incapable even when the boxed target
+    // supports them.
     fn snapshot(&mut self) -> Result<TargetSnapshot> {
         (**self).snapshot()
     }
@@ -451,6 +482,14 @@ impl<T: TargetAccess + ?Sized> TargetAccess for Box<T> {
 
     fn prefix_restore_safe(&self) -> bool {
         (**self).prefix_restore_safe()
+    }
+
+    fn can_rejoin(&self) -> bool {
+        (**self).can_rejoin()
+    }
+
+    fn rejoin(&mut self, checkpoint: &TargetSnapshot, end: &TargetSnapshot) -> Result<bool> {
+        (**self).rejoin(checkpoint, end)
     }
 
     fn memory_digest(&mut self, len: usize) -> Result<u64> {

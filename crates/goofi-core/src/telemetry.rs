@@ -159,11 +159,14 @@ pub enum Metric {
     GoldenCacheHits,
     /// Golden-run cache misses (reference computed and stored).
     GoldenCacheMisses,
+    /// Experiments ended early by rejoining the fault-free run (see
+    /// [`crate::algorithms::ExperimentSession`]).
+    Rejoined,
 }
 
 impl Metric {
     /// Every counter, in declaration order.
-    pub const ALL: [Metric; 21] = [
+    pub const ALL: [Metric; 22] = [
         Metric::Completed,
         Metric::Skipped,
         Metric::Failed,
@@ -185,6 +188,7 @@ impl Metric {
         Metric::Restores,
         Metric::GoldenCacheHits,
         Metric::GoldenCacheMisses,
+        Metric::Rejoined,
     ];
 
     /// Stable text form used in snapshots and reports.
@@ -211,6 +215,7 @@ impl Metric {
             Metric::Restores => "restores",
             Metric::GoldenCacheHits => "golden-cache-hits",
             Metric::GoldenCacheMisses => "golden-cache-misses",
+            Metric::Rejoined => "rejoined",
         }
     }
 

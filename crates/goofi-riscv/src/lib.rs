@@ -104,6 +104,10 @@ impl CardCpu for Rv32i {
         stop
     }
 
+    fn rejoin(live: &mut Cpu, checkpoint: &Cpu, end: &Cpu) -> bool {
+        live.rejoin(checkpoint, end)
+    }
+
     fn memory(cpu: &Cpu) -> &Memory {
         cpu.memory()
     }

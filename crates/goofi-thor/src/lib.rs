@@ -8,7 +8,8 @@
 //! through the test card, exactly as §3 of the paper describes for the real
 //! Thor RD. What is Thor's own is the [`CardCpu`] impl below: the target
 //! name, image download, cache invalidation after tool-side writes, the
-//! stop-reason mapping and the register names in access traces.
+//! stop-reason mapping, the register names in access traces, and the
+//! core's rule for rejoining a fault-free run.
 //!
 //! # Example
 //!
@@ -107,6 +108,10 @@ impl CardCpu for Thor {
             access.writes.push(format!("mem:{addr}"));
         }
         stop
+    }
+
+    fn rejoin(live: &mut Cpu, checkpoint: &Cpu, end: &Cpu) -> bool {
+        live.rejoin(checkpoint, end)
     }
 
     fn memory(cpu: &Cpu) -> &Memory {

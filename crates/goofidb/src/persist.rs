@@ -6,30 +6,36 @@
 //! are emitted in foreign-key dependency order so a load replays cleanly
 //! through the integrity checks.
 //!
-//! Each table block ends with a `CHECK <fnv32>` footer over its ROW lines.
-//! One reader, [`read`], decodes the format: strictly ([`load`]) it fails
-//! at the first damage, salvaging ([`load_lenient`]) it reports each
-//! skipped piece as a [`PersistIssue`] so `goofi fsck` can classify and
-//! quarantine rather than silently drop data. Files written before the
-//! footer existed (no CHECK line) still load.
+//! Each table block ends with a `CHECK <fnv32>` footer over every line of
+//! the block from its `TABLE` line on, so a flipped byte in a table or
+//! column name or a foreign key is caught like one in a row. One reader,
+//! [`read`], decodes the format: strictly ([`load`]) it fails at the first
+//! damage, salvaging ([`load_lenient`]) it reports each skipped piece as a
+//! [`PersistIssue`] so `goofi fsck` can classify and quarantine rather
+//! than silently drop data. Older files still load: a `#goofidb v1` footer
+//! covers the ROW lines only, and files written before the footer existed
+//! have no CHECK line at all.
 
 use crate::schema::{ColumnDef, ColumnType, ForeignKey, TableSchema};
 use crate::table::Row;
 use crate::value::Value;
 use crate::{Database, DbError};
 
+/// The header of the current format, whose footers cover whole blocks.
+const HEADER: &str = "#goofidb v2";
+
 /// Serialises a database.
 pub(crate) fn save(db: &Database) -> String {
-    let mut out = String::from("#goofidb v1\n");
+    let mut out = format!("{HEADER}\n");
     for name in topo_order(db) {
         // `topo_order` only yields names from `db.table_names()`, but stay
         // panic-free regardless: a missing table is simply skipped.
         let Some(table) = db.table(&name) else {
             continue;
         };
-        out.push_str(&format!("TABLE {name}\n"));
+        let mut block = format!("TABLE {name}\n");
         for c in &table.schema().columns {
-            out.push_str(&format!(
+            block.push_str(&format!(
                 "COLUMN {} {}{}\n",
                 c.name,
                 c.ty.keyword(),
@@ -37,22 +43,21 @@ pub(crate) fn save(db: &Database) -> String {
             ));
         }
         for fk in &table.schema().foreign_keys {
-            out.push_str(&format!(
+            block.push_str(&format!(
                 "FK {} {} {}\n",
                 fk.column, fk.ref_table, fk.ref_column
             ));
         }
-        let mut rows = String::new();
         for row in table.iter() {
-            rows.push_str("ROW");
+            block.push_str("ROW");
             for v in row {
-                rows.push('\t');
-                rows.push_str(&encode_value(v));
+                block.push('\t');
+                block.push_str(&encode_value(v));
             }
-            rows.push('\n');
+            block.push('\n');
         }
-        out.push_str(&rows);
-        out.push_str(&format!("CHECK {:08x}\n", fnv1a(rows.as_bytes())));
+        out.push_str(&block);
+        out.push_str(&format!("CHECK {:08x}\n", fnv1a(block.as_bytes())));
         out.push_str("END\n");
     }
     out
@@ -148,6 +153,8 @@ fn read(
         damage.note("", BadLine, format!("bad persistence header: {header:?}"))?;
         return Ok(db);
     }
+    // Older headers keep the rows-only footer.
+    let whole_block = header == Some(HEADER);
     // Named tables not read yet (`None`: read every table).
     let mut missing = only.map(<[&str]>::len);
     while missing != Some(0) {
@@ -170,7 +177,10 @@ fn read(
         let mut columns = Vec::new();
         let mut fks = Vec::new();
         let mut rows: Vec<Row> = Vec::new();
-        let mut row_sum = FNV_OFFSET;
+        let mut block_sum = match whole_block {
+            true => fnv1a_line(FNV_OFFSET, line),
+            false => FNV_OFFSET,
+        };
         let mut terminated = false;
         for line in lines.by_ref() {
             if line == "END" {
@@ -181,13 +191,18 @@ fn read(
                 continue;
             }
             if let Some(sum) = line.strip_prefix("CHECK ") {
-                // Checksum footer over the ROW lines (absent in files
-                // written before it existed); an unreadable one mismatches.
-                if u32::from_str_radix(sum.trim(), 16) != Ok(row_sum) {
-                    let detail = format!("row checksum {row_sum:08x} != recorded {}", clip(sum));
+                // Checksum footer (absent in files written before it
+                // existed); an unreadable one mismatches.
+                if u32::from_str_radix(sum.trim(), 16) != Ok(block_sum) {
+                    let detail = format!("checksum {block_sum:08x} != recorded {}", clip(sum));
                     damage.note(name, ChecksumMismatch, detail)?;
                 }
-            } else if let Some(rest) = line.strip_prefix("COLUMN ") {
+                continue;
+            }
+            if whole_block || line.starts_with("ROW") {
+                block_sum = fnv1a_line(block_sum, line);
+            }
+            if let Some(rest) = line.strip_prefix("COLUMN ") {
                 let parts: Vec<&str> = rest.split_whitespace().collect();
                 match parts.get(1).and_then(|ty| ColumnType::parse(ty)) {
                     Some(ty) => columns.push(ColumnDef {
@@ -209,7 +224,6 @@ fn read(
                     _ => damage.note(name, BadLine, format!("bad FK line `{}`", clip(line)))?,
                 }
             } else if let Some(rest) = line.strip_prefix("ROW") {
-                row_sum = fnv1a_line(row_sum, line);
                 let fields = || rest.split('\t').skip(1);
                 match fields().map(decode_value).collect() {
                     Ok(row) => rows.push(row),
@@ -330,8 +344,8 @@ fn fnv1a_extend(mut hash: u32, bytes: &[u8]) -> u32 {
     hash
 }
 
-/// Folds one ROW line and its newline into a running `CHECK` sum, so a
-/// load verifies a table without copying its rows' text.
+/// Folds one line of a block and its newline into a running `CHECK` sum,
+/// so a load verifies a table without copying its text.
 fn fnv1a_line(hash: u32, line: &str) -> u32 {
     fnv1a_extend(fnv1a_extend(hash, line.as_bytes()), b"\n")
 }
@@ -523,6 +537,65 @@ mod tests {
             Err(DbError::Corrupt { .. })
         ));
         assert!(matches!(load(&garbled), Err(DbError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn the_footer_covers_schema_lines_and_older_files_still_load() {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (name TEXT PRIMARY KEY, termination TEXT)")
+            .unwrap();
+        db.execute(
+            "CREATE TABLE u (id INTEGER PRIMARY KEY, t TEXT, FOREIGN KEY (t) REFERENCES t(name))",
+        )
+        .unwrap();
+        db.execute("INSERT INTO t (name, termination) VALUES ('a', 'end')")
+            .unwrap();
+        let text = db.save_to_string();
+        assert!(text.starts_with("#goofidb v2\n"));
+        for (line, flipped) in [
+            ("TABLE u", "TABLE v"),
+            ("COLUMN termination TEXT", "COLUMN terminatiom TEXT"),
+            ("FK t t name", "FK t t nbme"),
+        ] {
+            let damaged = text.replacen(line, flipped, 1);
+            assert_ne!(damaged, text);
+            assert!(
+                matches!(load(&damaged), Err(DbError::Corrupt { .. })),
+                "{flipped}"
+            );
+            let (_, issues) = load_lenient(&damaged);
+            assert_eq!(issues[0].kind, IssueKind::ChecksumMismatch, "{flipped}");
+        }
+
+        // A v1 file: the footer sums the ROW lines only, so its schema
+        // lines stay unprotected, as they always were.
+        let mut v1 = String::from("#goofidb v1\n");
+        let mut block: Vec<&str> = Vec::new();
+        for line in text.lines().skip(1) {
+            if line.starts_with("CHECK ") {
+                let rows: String = block
+                    .iter()
+                    .filter(|l| l.starts_with("ROW"))
+                    .map(|l| format!("{l}\n"))
+                    .collect();
+                v1.push_str(&format!("CHECK {:08x}\n", fnv1a(rows.as_bytes())));
+                block.clear();
+            } else {
+                block.push(line);
+                v1.push_str(&format!("{line}\n"));
+            }
+        }
+        assert_eq!(load(&v1).unwrap().table_names(), db.table_names());
+        let renamed = v1.replacen("COLUMN termination", "COLUMN terminatiom", 1);
+        assert!(load(&renamed).is_ok());
+        assert!(load(&v1.replacen("T:end", "T:enc", 1)).is_err());
+        // No footer at all, as before footers existed.
+        let bare: String = text
+            .lines()
+            .filter(|l| !l.starts_with("CHECK "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(load(&bare).unwrap().table_names(), db.table_names());
     }
 
     #[test]

@@ -411,6 +411,48 @@ impl Cpu {
         self.out_ports[port]
     }
 
+    /// Rejoins a fault-free run: if `self` would execute exactly as
+    /// `checkpoint` does, becomes the state it reaches by the end of that
+    /// run and returns `true`; otherwise returns `false` and changes
+    /// nothing. `end` must be a later state of the run through
+    /// `checkpoint`, with no tool access in between.
+    ///
+    /// The core has no caches, so the comparison is plain: registers, PC,
+    /// ports, iterations, the detection and halt latches, the debug unit's
+    /// conditions and latch, and all of memory must match. Cycles and
+    /// debug counters move by `self`'s distance from `checkpoint`; the
+    /// rejoin is refused when the moved cycle count would reach the
+    /// watchdog.
+    pub fn rejoin(&mut self, checkpoint: &Cpu, end: &Cpu) -> bool {
+        let same = self.instret == checkpoint.instret
+            && end.instret >= checkpoint.instret
+            && end.cycles >= checkpoint.cycles
+            && (self.pc, self.regs) == (checkpoint.pc, checkpoint.regs)
+            && (self.in_ports, self.out_ports) == (checkpoint.in_ports, checkpoint.out_ports)
+            && (self.iterations, self.detection, self.halted)
+                == (
+                    checkpoint.iterations,
+                    checkpoint.detection,
+                    checkpoint.halted,
+                )
+            && (self.watchdog, self.entry, self.initial_sp)
+                == (checkpoint.watchdog, checkpoint.entry, checkpoint.initial_sp)
+            && self.debug.same_conditions(&checkpoint.debug)
+            && self.mem.same_contents(&checkpoint.mem);
+        if !same {
+            return false;
+        }
+        let cycles = self.cycles + (end.cycles - checkpoint.cycles);
+        if self.watchdog.is_some_and(|budget| cycles >= budget) {
+            return false;
+        }
+        let mut next = end.clone();
+        next.cycles = cycles;
+        next.debug.rebase(&self.debug, &checkpoint.debug);
+        *self = next;
+        true
+    }
+
     /// Runs until a stop condition, retiring at most `max_instructions`.
     pub fn run(&mut self, max_instructions: u64) -> StopReason {
         for _ in 0..max_instructions {
@@ -849,6 +891,29 @@ mod rv32i_tests {
         assert_eq!(cpu.reg(Reg::new(7)), 13);
         assert_eq!(cpu.instructions(), 5);
         assert!(cpu.cycles() >= 5);
+    }
+
+    #[test]
+    fn rejoin_adopts_the_run_end_or_refuses_and_changes_nothing() {
+        let mut run = Cpu::new(CpuConfig::default());
+        let words = (1..=12).map(|i| addi(5, 5, i)).collect();
+        run.load_image(&image(halting(words))).unwrap();
+        run.run(4);
+        let checkpoint = run.clone();
+        assert_eq!(run.run(100), StopReason::Halted);
+        let end = run;
+
+        let mut live = checkpoint.clone();
+        live.cycles += 7;
+        assert!(live.rejoin(&checkpoint, &end));
+        assert_eq!((live.regs, live.pc, live.halted), (end.regs, end.pc, true));
+        assert_eq!(live.cycles, end.cycles + 7);
+
+        let mut live = checkpoint.clone();
+        live.regs[5] ^= 1;
+        let before = live.clone();
+        assert!(!live.rejoin(&checkpoint, &end));
+        assert_eq!((live.regs, live.cycles), (before.regs, before.cycles));
     }
 
     #[test]

@@ -148,6 +148,25 @@ impl DebugUnit {
         self.instructions
     }
 
+    /// Whether both units would fire alike: the same armed conditions and
+    /// the same latched event. The progress counters are left out.
+    pub fn same_conditions(&self, other: &DebugUnit) -> bool {
+        self.conditions == other.conditions && self.pending == other.pending
+    }
+
+    /// Moves the progress counters of `self`, a later state of a run
+    /// through `checkpoint`, by `live`'s distance from `checkpoint`: the
+    /// counters `live` reaches by the same run.
+    pub fn rebase(&mut self, live: &DebugUnit, checkpoint: &DebugUnit) {
+        let moved = |own: u64, end: u64, from: u64| own.wrapping_add(end.wrapping_sub(from));
+        self.instructions = moved(
+            live.instructions,
+            self.instructions,
+            checkpoint.instructions,
+        );
+        self.cycles = moved(live.cycles, self.cycles, checkpoint.cycles);
+    }
+
     /// Whether no condition is armed and no event is latched: the unit
     /// only counts, so the core's per-instruction reports take the inlined
     /// path and never reach condition matching.
@@ -486,6 +505,23 @@ mod tests {
         assert_eq!(layout.cell("HIT").unwrap().access, CellAccess::ReadOnly);
         // The breakpoint fires on fetch, before the instruction completes.
         assert_eq!(layout.read_cell(&image, "ICOUNT").unwrap(), 0);
+    }
+
+    #[test]
+    fn rebase_moves_counters_and_conditions_compare_without_them() {
+        let mut checkpoint = DebugUnit::new();
+        checkpoint.on_cycles(10);
+        checkpoint.observe(BusEvent::Fetch { pc: 0 });
+        let mut end = checkpoint.clone();
+        end.on_cycles(7);
+        end.observe(BusEvent::Fetch { pc: 1 });
+        let mut live = DebugUnit::new();
+        live.on_cycles(15);
+        assert!(live.same_conditions(&checkpoint));
+        end.rebase(&live, &checkpoint);
+        assert_eq!((end.instruction_count(), end.cycles), (1, 22));
+        live.arm(DebugCondition::PcEquals(3));
+        assert!(!live.same_conditions(&checkpoint));
     }
 
     #[test]

@@ -191,6 +191,20 @@ impl Memory {
         self.pages[index].digest.store(digest, Ordering::Relaxed);
     }
 
+    /// Whether `self` and `other` hold the same words under the same code
+    /// segment and protection. Pages both still share with one capture
+    /// are equal without being read.
+    pub fn same_contents(&self, other: &Memory) -> bool {
+        self.len == other.len
+            && self.code_words == other.code_words
+            && self.protect_code == other.protect_code
+            && self
+                .pages
+                .iter()
+                .zip(&other.pages)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a.words == b.words)
+    }
+
     /// Marks `[0, code_words)` as the (write-protected) code segment.
     pub fn set_code_segment(&mut self, code_words: u32) {
         self.code_words = code_words;
@@ -442,6 +456,20 @@ mod tests {
         assert_eq!(m.cached_page_digest(0), Some(99));
         m.write_raw(0, 1).unwrap();
         assert_eq!(m.cached_page_digest(0), None);
+    }
+
+    #[test]
+    fn same_contents_compares_words_and_code_segment() {
+        let mut a = Memory::new(PAGE_WORDS * 2);
+        a.write_raw(5, 9).unwrap();
+        let mut b = a.clone();
+        assert!(a.same_contents(&b));
+        b.write_raw(PAGE_WORDS as u32 + 1, 1).unwrap();
+        assert!(!a.same_contents(&b));
+        b.write_raw(PAGE_WORDS as u32 + 1, 0).unwrap();
+        assert!(a.same_contents(&b), "equal words on unshared pages");
+        b.set_code_segment(4);
+        assert!(!a.same_contents(&b));
     }
 
     #[test]

@@ -433,6 +433,67 @@ impl Cpu {
         }
     }
 
+    /// Rejoins a fault-free run: if `self` would execute exactly as
+    /// `checkpoint` does, becomes the state it reaches by the end of that
+    /// run and returns `true`; otherwise returns `false` and changes
+    /// nothing. `end` must be a later state of the run through
+    /// `checkpoint`, with no tool access in between.
+    ///
+    /// Everything that steers execution or reaches a scan chain must
+    /// match: registers, PC, flags, IR/MAR/MDR, PSW, ports, iterations,
+    /// the detection and halt latches, the debug unit's conditions and
+    /// latch, all of memory, and every cache line the run looks up or
+    /// fills after `checkpoint`. Lines it never uses again keep `self`'s
+    /// contents; cycles, debug counters and cache statistics move by
+    /// `self`'s distance from `checkpoint`. The rejoin is refused when the
+    /// moved cycle count would reach the watchdog.
+    pub fn rejoin(&mut self, checkpoint: &Cpu, end: &Cpu) -> bool {
+        let since = checkpoint.instret;
+        let same = self.instret == since
+            && end.instret >= since
+            && end.cycles >= checkpoint.cycles
+            && (self.pc, self.regs, self.flags)
+                == (checkpoint.pc, checkpoint.regs, checkpoint.flags)
+            && (self.ir, self.mar, self.mdr) == (checkpoint.ir, checkpoint.mar, checkpoint.mdr)
+            && (self.edm, self.in_ports, self.out_ports)
+                == (checkpoint.edm, checkpoint.in_ports, checkpoint.out_ports)
+            && (self.iterations, self.detection, self.halted)
+                == (
+                    checkpoint.iterations,
+                    checkpoint.detection,
+                    checkpoint.halted,
+                )
+            && (self.watchdog, self.entry, self.initial_sp, self.config_edm)
+                == (
+                    checkpoint.watchdog,
+                    checkpoint.entry,
+                    checkpoint.initial_sp,
+                    checkpoint.config_edm,
+                )
+            && self.debug.same_conditions(&checkpoint.debug)
+            && self
+                .icache
+                .matches_where_used(&checkpoint.icache, &end.icache, since)
+            && self
+                .dcache
+                .matches_where_used(&checkpoint.dcache, &end.dcache, since)
+            && self.mem.same_contents(&checkpoint.mem);
+        if !same {
+            return false;
+        }
+        let cycles = self.cycles + (end.cycles - checkpoint.cycles);
+        if self.watchdog.is_some_and(|budget| cycles >= budget) {
+            return false;
+        }
+        let mut next = end.clone();
+        next.cycles = cycles;
+        next.debug.rebase(&self.debug, &checkpoint.debug);
+        next.icache.rebase(&self.icache, &checkpoint.icache, since);
+        next.dcache.rebase(&self.dcache, &checkpoint.dcache, since);
+        *self = next;
+        true
+    }
+
     /// Runs until a stop condition, retiring at most `max_instructions`.
     pub fn run(&mut self, max_instructions: u64) -> StopReason {
         for _ in 0..max_instructions {
@@ -486,14 +547,14 @@ impl Cpu {
         }
 
         // Fetch through the instruction cache.
-        let word = match self.icache.lookup(self.pc) {
+        let word = match self.icache.lookup(self.pc, self.instret) {
             Lookup::Hit(w) => {
                 self.cycles += 1;
                 w
             }
             Lookup::Miss => match self.mem.read(self.pc) {
                 Ok(w) => {
-                    self.icache.fill(self.pc, w);
+                    self.icache.fill(self.pc, w, self.instret);
                     self.cycles += 4;
                     w
                 }
@@ -594,14 +655,14 @@ impl Cpu {
         if LOG {
             self.scratch_log.mem_reads.push(addr);
         }
-        let value = match self.dcache.lookup(addr) {
+        let value = match self.dcache.lookup(addr, self.instret) {
             Lookup::Hit(v) => {
                 self.cycles += 1;
                 v
             }
             Lookup::Miss => match self.mem.read(addr) {
                 Ok(v) => {
-                    self.dcache.fill(addr, v);
+                    self.dcache.fill(addr, v, self.instret);
                     self.cycles += 4;
                     v
                 }
@@ -634,7 +695,7 @@ impl Cpu {
         }
         match self.mem.write(addr, value) {
             Ok(()) => {
-                self.dcache.fill(addr, value);
+                self.dcache.fill(addr, value, self.instret);
                 self.cycles += 2;
                 self.debug.observe(BusEvent::DataWrite { addr });
                 Ok(())
@@ -1290,6 +1351,80 @@ mod tests {
         assert_ne!(before, after);
         assert_eq!(after.regs[1], 9);
         assert_eq!(before.to_words().len(), after.to_words().len());
+    }
+
+    #[test]
+    fn rejoin_adopts_the_run_end_and_keeps_lines_the_run_leaves_alone() {
+        // A loop that keeps reloading one data word (D-cache line 12).
+        let image = assemble(
+            r"
+            ldi r1, 50
+        loop:
+            ld  r2, r0, 300
+            subi r1, r1, 1
+            cmpi r1, 0
+            bgt loop
+            halt
+        ",
+        )
+        .unwrap();
+        let mut run = Cpu::new(CpuConfig::default());
+        run.load_image(&image).unwrap();
+        run.run(20);
+        let checkpoint = run.clone();
+        assert_eq!(run.run(1_000), StopReason::Halted);
+        let end = run;
+
+        // The checkpoint itself rejoins and ends exactly as the run does.
+        let mut live = checkpoint.clone();
+        assert!(live.rejoin(&checkpoint, &end));
+        assert_eq!(live.state_vector(), end.state_vector());
+        assert_eq!(
+            (live.cycles, live.dcache, live.icache),
+            (end.cycles, end.dcache.clone(), end.icache.clone())
+        );
+
+        // A line the rest of the run never uses keeps the live contents;
+        // the counters move by the live offset.
+        let mut live = checkpoint.clone();
+        live.dcache.line_mut(3).data ^= 1;
+        live.cycles += 100;
+        live.debug.on_cycles(5);
+        let kept = *live.dcache.line(3);
+        assert!(live.rejoin(&checkpoint, &end));
+        assert_eq!(*live.dcache.line(3), kept);
+        assert_ne!(kept, *end.dcache.line(3));
+        assert_eq!(live.cycles, end.cycles + 100);
+        let ccount = |cpu: &Cpu| {
+            let bits = cpu.debug.capture().unwrap();
+            DebugUnit::chain_layout()
+                .read_cell(&bits, "CCOUNT")
+                .unwrap()
+        };
+        assert_eq!(ccount(&live), ccount(&end) + 5);
+        assert_eq!(
+            live.debug.instruction_count(),
+            end.debug.instruction_count()
+        );
+
+        // A used line, a register, a memory word or a cycle count the
+        // watchdog would reach: refused, and nothing changes.
+        let refused: [fn(&mut Cpu); 4] = [
+            |cpu| cpu.dcache.line_mut(12).data ^= 1,
+            |cpu| cpu.regs[2] ^= 1,
+            |cpu| cpu.mem.write_raw(400, 7).unwrap(),
+            |cpu| cpu.cycles = 2_000_000 - 10,
+        ];
+        for change in refused {
+            let mut live = checkpoint.clone();
+            change(&mut live);
+            let before = (live.state_vector(), live.cycles, live.dcache.clone());
+            assert!(!live.rejoin(&checkpoint, &end));
+            assert_eq!(
+                (live.state_vector(), live.cycles, live.dcache.clone()),
+                before
+            );
+        }
     }
 
     #[test]
