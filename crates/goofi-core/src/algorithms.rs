@@ -410,7 +410,7 @@ pub fn golden_run_matches(reference: &ExperimentRecord, golden: &ExperimentRecor
 /// Runs experiment `index` under the campaign's retry policy. `Ok(Ok(_))`
 /// is a completed record; `Ok(Err(_))` is an experiment that kept failing
 /// after every allowed retry (the caller applies the policy's skip/fail
-/// choice); `Err(_)` is reserved for [`GoofiError::Stopped`].
+/// choice); `Err(_)` ends the campaign (see Errors).
 ///
 /// With a `link`, the experiment is a re-run: the produced record is
 /// renamed to the link's name and tied to its parent via
@@ -420,26 +420,9 @@ pub fn golden_run_matches(reference: &ExperimentRecord, golden: &ExperimentRecor
 ///
 /// # Errors
 ///
-/// [`GoofiError::Stopped`] when the monitor ends the campaign mid-retry.
-#[allow(clippy::too_many_arguments)]
-pub fn run_linked_experiment_with_policy<T: TargetAccess + ?Sized>(
-    target: &mut T,
-    campaign: &Campaign,
-    index: usize,
-    link: Option<(String, String)>,
-    monitor: &ProgressMonitor,
-    env: &mut dyn Environment,
-    session: Option<&mut ExperimentSession>,
-) -> Result<std::result::Result<ExperimentRecord, ExperimentFailure>> {
-    run_linked_experiment_then(target, campaign, index, link, monitor, env, session, || {
-        Ok(())
-    })
-}
-
-/// [`run_linked_experiment_with_policy`] that runs `before_blocking` when
-/// a pause between retries is about to block (see
-/// [`ProgressMonitor::checkpoint_then`]); an error from it is returned as
-/// this function's `Err`.
+/// [`GoofiError::Stopped`] when the monitor ends the campaign mid-retry,
+/// or the error `before_blocking` returns. It runs when a pause between
+/// retries is about to block (see [`ProgressMonitor::checkpoint_then`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_linked_experiment_then<T: TargetAccess + ?Sized>(
     target: &mut T,

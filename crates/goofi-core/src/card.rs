@@ -4,24 +4,25 @@
 //! matter of filling in the target-specific methods. For a simulated core
 //! behind a scan-chain [`TestCard`], almost every [`TargetAccess`] building
 //! block is the same whatever the ISA: scan accesses walk the card's TAP,
-//! breakpoints arm the core's [`DebugUnit`], memory is the shared paged
-//! [`Memory`], and a snapshot is a copy-on-write clone of the whole card.
-//! [`CardTarget`] implements all of that once. A core joins by implementing
-//! [`CardCpu`] on a marker type: its name, how to build it and download an
-//! image, cache coherence after tool-side writes, how its stop reasons map
-//! to [`RunEvent`]s, how its trace names the locations a step touched, and
-//! how it rejoins a fault-free run — plus one forwarding line per core
-//! operation the port drives.
+//! breakpoints arm the core's [`DebugUnit`](scanchain::DebugUnit), memory
+//! is the shared paged [`Memory`](scanchain::Memory), and a snapshot is a
+//! copy-on-write clone of the whole card. Every core is the shared
+//! [`Core`] skeleton around its ISA half, so [`CardTarget`] drives run,
+//! step, reset, ports, counters and rejoin through the skeleton, and maps
+//! its stop reasons to [`RunEvent`]s in one place. A core joins by
+//! implementing [`CardCpu`] on a marker type: its name, how to download an
+//! image, cache coherence after tool-side writes, and how its trace names
+//! the locations a step touched.
 
 use crate::campaign::WorkloadImage;
 use crate::logging;
 use crate::preinject::StepAccess;
 use crate::trigger::Trigger;
-use crate::{GoofiError, Result, RunBudget, RunEvent, TargetAccess, TargetSnapshot};
+use crate::{DetectionInfo, GoofiError, Result, RunBudget, RunEvent, TargetAccess, TargetSnapshot};
 use scanchain::{
-    BitVec, ChainLayout, DebugUnit, Memory, MemoryError, ScanTarget, TestCard, TestCardStats,
+    BitVec, ChainLayout, Core, Detection as _, Isa, IsaChains, MemoryError, ScanTarget, StopReason,
+    TestCard, TestCardStats, PORT_COUNT,
 };
-use std::fmt;
 use std::sync::Arc;
 
 /// What one CPU core contributes to its [`CardTarget`] port.
@@ -31,68 +32,37 @@ use std::sync::Arc;
 /// core, so an impl holds no state: the card, its snapshots and the
 /// power-cycle bookkeeping all stay in [`CardTarget`].
 pub trait CardCpu: 'static {
-    /// The simulated core behind the test card.
-    type Cpu: ScanTarget + Clone + fmt::Debug + Send + Sync;
-    /// What the core is built from, kept so a power cycle can rebuild it.
-    type Config: Copy + Default + fmt::Debug + Send + Sync;
-    /// Why the core's `run` or `step` returned.
-    type Stop;
+    /// The ISA half of the simulated core; the core is `Core<Self::Isa>`.
+    type Isa: IsaChains;
 
     /// The target-system name campaigns store.
     const NAME: &'static str;
-    /// Number of input (and of output) ports.
-    const PORTS: usize;
 
-    /// Builds a powered-up core.
-    fn build(config: Self::Config) -> Self::Cpu;
     /// Downloads a workload image, given in the core's native units.
     ///
     /// # Errors
     ///
     /// [`MemoryError::OutOfRange`] if the image does not fit.
-    fn load(cpu: &mut Self::Cpu, image: &WorkloadImage) -> std::result::Result<(), MemoryError>;
+    fn load(
+        cpu: &mut Core<Self::Isa>,
+        image: &WorkloadImage,
+    ) -> std::result::Result<(), MemoryError>;
     /// Called after the tool wrote `words` words at `addr` behind the
     /// core's back. Cores with caches invalidate them there, or a fault
     /// would be masked by a stale cached copy; the default does nothing.
-    fn invalidate(cpu: &mut Self::Cpu, addr: u32, words: u32) {
+    fn invalidate(cpu: &mut Core<Self::Isa>, addr: u32, words: u32) {
         let _ = (cpu, addr, words);
     }
-    /// The framework event for a stop reason.
-    fn event(stop: Self::Stop) -> RunEvent;
-    /// Executes one instruction, adding the locations it read and wrote
-    /// to `access` under the names fault locations use (`internal:<cell>`,
+    /// Adds the locations one logged step read and wrote to `access`,
+    /// under the names fault locations use (`internal:<cell>`,
     /// `mem:<word>`).
-    fn step_traced(cpu: &mut Self::Cpu, access: &mut StepAccess) -> Option<Self::Stop>;
-
-    /// Rejoins a fault-free run (see [`TargetAccess::rejoin`]): if `live`
-    /// would execute exactly as `checkpoint` does, turns it into the
-    /// state it reaches by the end of that run, `end`, and returns `true`;
-    /// otherwise returns `false` and leaves `live` unchanged.
-    fn rejoin(live: &mut Self::Cpu, checkpoint: &Self::Cpu, end: &Self::Cpu) -> bool;
-
-    /// Main memory.
-    fn memory(cpu: &Self::Cpu) -> &Memory;
-    /// Main memory, mutably.
-    fn memory_mut(cpu: &mut Self::Cpu) -> &mut Memory;
-    /// The debug-event unit breakpoints are armed in.
-    fn debug_unit(cpu: &mut Self::Cpu) -> &mut DebugUnit;
-    /// Warm reset: registers and counters, not memory.
-    fn reset(cpu: &mut Self::Cpu);
-    /// Runs until a stop reason or `max_instructions` retirements.
-    fn run(cpu: &mut Self::Cpu, max_instructions: u64) -> Self::Stop;
-    /// Executes one instruction.
-    fn step(cpu: &mut Self::Cpu) -> Option<Self::Stop>;
-    /// Drives input port `port`.
-    fn set_in_port(cpu: &mut Self::Cpu, port: usize, value: u32);
-    /// Samples output port `port`.
-    fn out_port(cpu: &Self::Cpu, port: usize) -> u32;
-    /// Instructions retired.
-    fn instructions(cpu: &Self::Cpu) -> u64;
-    /// Cycles elapsed.
-    fn cycles(cpu: &Self::Cpu) -> u64;
-    /// Workload iterations completed.
-    fn iterations(cpu: &Self::Cpu) -> u64;
+    fn trace(log: &<Self::Isa as Isa>::Log, access: &mut StepAccess);
 }
+
+/// Why a [`CardCpu`]'s core stopped.
+type Stop<P> = StopReason<<<P as CardCpu>::Isa as Isa>::Detection>;
+/// What a [`CardCpu`]'s core is built from.
+type Config<P> = <<P as CardCpu>::Isa as Isa>::Config;
 
 /// A CPU core behind a scan-chain test card: the [`TargetAccess`] port for
 /// any [`CardCpu`].
@@ -103,43 +73,43 @@ pub trait CardCpu: 'static {
 /// mutation after a restore.
 #[derive(Debug)]
 pub struct CardTarget<P: CardCpu> {
-    card: Arc<TestCard<P::Cpu>>,
+    card: Arc<TestCard<Core<P::Isa>>>,
     /// Construction config, kept so a power cycle can rebuild the core
     /// from scratch.
-    config: P::Config,
+    config: Config<P>,
     /// The last downloaded workload, reloaded after a power cycle.
     last_image: Option<WorkloadImage>,
 }
 
 impl<P: CardCpu> Default for CardTarget<P> {
     fn default() -> Self {
-        Self::new(P::Config::default())
+        Self::new(Config::<P>::default())
     }
 }
 
 impl<P: CardCpu> CardTarget<P> {
     /// Creates a target with the given core configuration.
-    pub fn new(config: P::Config) -> Self {
+    pub fn new(config: Config<P>) -> Self {
         CardTarget {
-            card: Arc::new(TestCard::new(P::build(config))),
+            card: Arc::new(TestCard::new(Core::new(config))),
             config,
             last_image: None,
         }
     }
 
     /// Read access to the wrapped core (for assertions in tests/benches).
-    pub fn cpu(&self) -> &P::Cpu {
+    pub fn cpu(&self) -> &Core<P::Isa> {
         self.card.target()
     }
 
     /// Mutable access to the wrapped core.
-    pub fn cpu_mut(&mut self) -> &mut P::Cpu {
+    pub fn cpu_mut(&mut self) -> &mut Core<P::Isa> {
         self.card_mut().target_mut()
     }
 
     /// Mutable access to the card, copy-on-write: clones the shared state
     /// exactly once after a restore, then stays free until the next one.
-    fn card_mut(&mut self) -> &mut TestCard<P::Cpu> {
+    fn card_mut(&mut self) -> &mut TestCard<Core<P::Isa>> {
         Arc::make_mut(&mut self.card)
     }
 
@@ -149,13 +119,27 @@ impl<P: CardCpu> CardTarget<P> {
         self.card.stats()
     }
 
-    fn event(&mut self, stop: P::Stop) -> RunEvent {
-        let event = P::event(stop);
-        if let RunEvent::Breakpoint { .. } = event {
-            // Unlatch so execution can continue after injection.
-            P::debug_unit(self.cpu_mut()).clear();
+    /// The framework event for a stop reason, the one mapping for every
+    /// core.
+    fn event(&mut self, stop: Stop<P>) -> RunEvent {
+        match stop {
+            StopReason::Halted => RunEvent::Halted,
+            StopReason::Detected(d) => RunEvent::Detected(DetectionInfo {
+                mechanism: d.mechanism().to_string(),
+                code: d.encode(),
+            }),
+            StopReason::DebugEvent(ev) => {
+                // Unlatch so execution can continue after injection.
+                self.cpu_mut().debug_unit_mut().clear();
+                RunEvent::Breakpoint {
+                    at_instruction: ev.at_instruction,
+                    at_cycle: ev.at_cycle,
+                }
+            }
+            StopReason::Sync { iteration, .. } => RunEvent::IterationBoundary { iteration },
+            StopReason::Timeout => RunEvent::Timeout,
+            StopReason::InstrLimit => RunEvent::BudgetExhausted,
         }
-        event
     }
 }
 
@@ -179,52 +163,52 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
     }
 
     fn reset_target(&mut self) -> Result<()> {
-        P::reset(self.cpu_mut());
+        self.cpu_mut().reset();
         Ok(())
     }
 
     fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
         let cpu = self.cpu_mut();
-        P::memory_mut(cpu).load_block(addr, data).map_err(mem_err)?;
+        cpu.memory_mut().load_block(addr, data).map_err(mem_err)?;
         P::invalidate(cpu, addr, data.len() as u32);
         Ok(())
     }
 
     fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
-        P::memory(self.cpu()).read_block(addr, len).map_err(mem_err)
+        self.cpu().memory().read_block(addr, len).map_err(mem_err)
     }
 
     fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> Result<()> {
         let cpu = self.cpu_mut();
-        P::memory_mut(cpu).flip_bit(addr, bit).map_err(mem_err)?;
+        cpu.memory_mut().flip_bit(addr, bit).map_err(mem_err)?;
         P::invalidate(cpu, addr, 1);
         Ok(())
     }
 
     fn memory_size(&self) -> u32 {
-        P::memory(self.cpu()).len() as u32
+        self.cpu().memory().len() as u32
     }
 
     fn set_breakpoint(&mut self, trigger: Trigger) -> Result<()> {
         let condition = trigger
             .to_debug_condition()
             .ok_or_else(|| GoofiError::Config("pre-runtime triggers need no breakpoint".into()))?;
-        P::debug_unit(self.cpu_mut()).arm(condition);
+        self.cpu_mut().debug_unit_mut().arm(condition);
         Ok(())
     }
 
     fn clear_breakpoints(&mut self) -> Result<()> {
-        P::debug_unit(self.cpu_mut()).disarm_all();
+        self.cpu_mut().debug_unit_mut().disarm_all();
         Ok(())
     }
 
     fn run_workload(&mut self, budget: RunBudget) -> Result<RunEvent> {
-        let stop = P::run(self.cpu_mut(), budget.max_instructions);
+        let stop = self.cpu_mut().run(budget.max_instructions);
         Ok(self.event(stop))
     }
 
     fn step_instruction(&mut self) -> Result<Option<RunEvent>> {
-        let stop = P::step(self.cpu_mut());
+        let stop = self.cpu_mut().step();
         Ok(stop.map(|s| self.event(s)))
     }
 
@@ -248,31 +232,33 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
     }
 
     fn write_input_ports(&mut self, inputs: &[u32]) -> Result<()> {
-        for (port, value) in inputs.iter().enumerate().take(P::PORTS) {
-            P::set_in_port(self.cpu_mut(), port, *value);
+        for (port, value) in inputs.iter().enumerate().take(PORT_COUNT) {
+            self.cpu_mut().set_in_port(port, *value);
         }
         Ok(())
     }
 
     fn read_output_ports(&mut self) -> Result<Vec<u32>> {
-        Ok((0..P::PORTS).map(|p| P::out_port(self.cpu(), p)).collect())
+        Ok((0..PORT_COUNT).map(|p| self.cpu().out_port(p)).collect())
     }
 
     fn instructions_executed(&self) -> u64 {
-        P::instructions(self.cpu())
+        self.cpu().instructions()
     }
 
     fn cycles_executed(&self) -> u64 {
-        P::cycles(self.cpu())
+        self.cpu().cycles()
     }
 
     fn iterations_completed(&self) -> u64 {
-        P::iterations(self.cpu())
+        self.cpu().iterations()
     }
 
     fn step_traced(&mut self) -> Result<(Option<RunEvent>, StepAccess)> {
+        let mut log = Default::default();
+        let stop = self.cpu_mut().step_logged(&mut log);
         let mut access = StepAccess::default();
-        let stop = P::step_traced(self.cpu_mut(), &mut access);
+        P::trace(&log, &mut access);
         Ok((stop.map(|s| self.event(s)), access))
     }
 
@@ -282,7 +268,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
     /// cannot reach, such as a wedged detection latch, is wiped too — and
     /// the last workload image is downloaded again.
     fn power_cycle(&mut self) -> Result<()> {
-        self.card = Arc::new(TestCard::new(P::build(self.config)));
+        self.card = Arc::new(TestCard::new(Core::new(self.config)));
         self.card_mut().init().map_err(GoofiError::Scan)?;
         if let Some(image) = self.last_image.clone() {
             self.load_workload(&image)?;
@@ -320,26 +306,24 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
         true
     }
 
-    /// The core compares and adopts ([`CardCpu::rejoin`]); the test
-    /// card's TAP state and scan statistics stay the target's own, since
-    /// the run being skipped does no scan traffic.
+    /// The core compares and adopts ([`Core::rejoin`]); the test card's
+    /// TAP state and scan statistics stay the target's own, since the run
+    /// being skipped does no scan traffic.
     fn rejoin(&mut self, checkpoint: &TargetSnapshot, end: &TargetSnapshot) -> Result<bool> {
         let (checkpoint, end) = (
             CardSnapshot::<P>::of(checkpoint)?,
             CardSnapshot::<P>::of(end)?,
         );
-        Ok(P::rejoin(
-            self.cpu_mut(),
-            checkpoint.card.target(),
-            end.card.target(),
-        ))
+        Ok(self
+            .cpu_mut()
+            .rejoin(checkpoint.card.target(), end.card.target()))
     }
 
     fn memory_digest(&mut self, len: usize) -> Result<u64> {
         // The digest block size is chosen to match the CoW page size so a
         // page still shared with a snapshot never has to be re-hashed.
         const _: () = assert!(scanchain::PAGE_WORDS == logging::DIGEST_BLOCK_WORDS);
-        let memory = P::memory(self.cpu());
+        let memory = self.cpu().memory();
         if len != memory.len() {
             return Ok(logging::digest_words(&self.read_memory(0, len)?));
         }
@@ -361,7 +345,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
 
 /// The opaque payload behind [`CardTarget::snapshot`].
 struct CardSnapshot<P: CardCpu> {
-    card: Arc<TestCard<P::Cpu>>,
+    card: Arc<TestCard<Core<P::Isa>>>,
     last_image: Option<WorkloadImage>,
 }
 

@@ -60,9 +60,9 @@ pub enum GoofiError {
         /// Reference run plus all records completed before the abort.
         partial: Box<crate::algorithms::CampaignResult>,
     },
-    /// The target stopped responding and the
-    /// [`RecoveryLadder`](crate::supervisor::RecoveryLadder) exhausted every
-    /// stage: the target is offline. Like [`GoofiError::ExperimentFailed`],
+    /// The target stopped responding and the recovery ladder
+    /// ([`Supervisor::recover`](crate::supervisor::Supervisor::recover))
+    /// exhausted every stage: the target is offline. Like [`GoofiError::ExperimentFailed`],
     /// this preserves all work completed before the target died.
     TargetOffline {
         /// Where the target died, e.g. the experiment being recovered.

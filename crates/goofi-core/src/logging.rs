@@ -55,8 +55,8 @@ pub enum TerminationCause {
     IterationLimit,
     /// A [`Timeout`](TerminationCause::Timeout) that the health-probe suite
     /// confirmed was a wedged target, not a slow workload: the target
-    /// failed its probes after the run and had to climb the
-    /// [`RecoveryLadder`](crate::supervisor::RecoveryLadder). Such records
+    /// failed its probes after the run and had to climb the recovery
+    /// ladder ([`Supervisor::recover`](crate::supervisor::Supervisor::recover)). Such records
     /// are quarantined and superseded by a `parentExperiment`-linked re-run
     /// after recovery.
     TargetHang,

@@ -11,9 +11,8 @@
 //! - the **reference step** gets the fault-free reference run: from the
 //!   journal being resumed, else from the [`GoldenCache`], else a fresh
 //!   run, which is journaled;
-//! - the **drive loop** claims work items and runs each through
-//!   [`algorithms::run_linked_experiment_with_policy`] with its
-//!   [`ExperimentSession`], then resolves hangs, journals the outcome,
+//! - the **drive loop** claims work items and runs each under the
+//!   campaign's retry policy with its [`ExperimentSession`], then resolves hangs, journals the outcome,
 //!   runs scheduled health probes and revalidates the golden run on its
 //!   own target. A serial run drives one loop inline on the caller's
 //!   target; a parallel run drives one loop per scoped thread, each on a
@@ -55,7 +54,7 @@ use crate::journal::ExperimentJournal;
 use crate::logging::{ExperimentRecord, TerminationCause, Validity};
 use crate::monitor::ProgressMonitor;
 use crate::policy::ExperimentFailure;
-use crate::supervisor::{RecoveryRecord, RecoveryTrigger, Supervisor};
+use crate::supervisor::{self, RecoveryRecord, RecoveryTrigger, Supervisor};
 use crate::target::TargetAccess;
 use crate::telemetry::{Metric, Stage, Telemetry};
 use crate::trigger::Trigger;
@@ -523,7 +522,8 @@ impl<'a> Engine<'a> {
                 break Some(halt);
             }
             processed += 1;
-            if self.slots[pos].lock().record.is_some() {
+            // The window only feeds revalidation; without it, keep none.
+            if self.revalidate_every.is_some() && self.slots[pos].lock().record.is_some() {
                 window.push(pos);
             }
             if let Err(halt) =
@@ -626,7 +626,7 @@ impl<'a> Engine<'a> {
     /// for a real target hang, quarantines the record (termination
     /// rewritten to [`TerminationCause::TargetHang`]), climbs the recovery
     /// ladder and re-runs the experiment as a `parentExperiment`-linked
-    /// child — looping, bounded by the ladder's `max_hang_rounds`, in case
+    /// child — looping, bounded by the ladder's hang-round limit, in case
     /// the re-run wedges the target again. A `Timeout` whose probes pass is
     /// a slow workload and stands unchanged. `Ok(Err(_))` is an experiment
     /// that kept hanging (or whose re-run failed).
@@ -659,7 +659,7 @@ impl<'a> Engine<'a> {
             if !self.recover(target, env, sup, &parent, RecoveryTrigger::TargetHang) {
                 return Err(Halt::Retire(parent));
             }
-            if round > sup.ladder().max_hang_rounds {
+            if round > supervisor::MAX_HANG_ROUNDS {
                 return Ok(Err(ExperimentFailure {
                     index: item.index,
                     name: parent,

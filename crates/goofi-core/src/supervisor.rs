@@ -11,9 +11,10 @@
 //!   [`ExperimentPolicy::health_check_every`](crate::policy::ExperimentPolicy))
 //!   — scan-chain signature check, memory pattern write/readback, and a
 //!   golden smoke-workload run compared against the reference log;
-//! * a [`RecoveryLadder`] applies bounded, escalating recovery stages
-//!   `SoftReset → ReinitTestCard → PowerCycle`, re-probing after each
-//!   attempt, and reports [`RecoveryStage::Offline`] when nothing helps;
+//! * the recovery ladder ([`Supervisor::recover`]) applies bounded,
+//!   escalating recovery stages `SoftReset → ReinitTestCard → PowerCycle`,
+//!   re-probing after each attempt, and reports [`RecoveryStage::Offline`]
+//!   when nothing helps;
 //! * a watchdog `Timeout` that a failing probe suite *confirms* is a wedged
 //!   target is logged as
 //!   [`TerminationCause::TargetHang`](crate::logging::TerminationCause) —
@@ -211,41 +212,17 @@ pub struct RecoveryRecord {
     pub recovered: bool,
 }
 
-/// Bounded attempt counts for the ladder's stages, plus the supervision
-/// cadence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryLadder {
-    /// Soft-reset attempts before escalating.
-    pub soft_resets: u32,
-    /// Test-card re-init attempts before escalating.
-    pub reinits: u32,
-    /// Power-cycle attempts before declaring the target offline.
-    pub power_cycles: u32,
-    /// How many times one experiment may hang-and-recover before its
-    /// failure is handed to the campaign's experiment policy.
-    pub max_hang_rounds: u32,
-}
+/// The ladder's stages in climbing order, each with its bounded attempt
+/// count; the last power cycle failing means [`RecoveryStage::Offline`].
+const LADDER: [(RecoveryStage, u32); 3] = [
+    (RecoveryStage::SoftReset, 2),
+    (RecoveryStage::ReinitTestCard, 2),
+    (RecoveryStage::PowerCycle, 1),
+];
 
-impl Default for RecoveryLadder {
-    fn default() -> Self {
-        RecoveryLadder {
-            soft_resets: 2,
-            reinits: 2,
-            power_cycles: 1,
-            max_hang_rounds: 3,
-        }
-    }
-}
-
-impl RecoveryLadder {
-    fn stages(&self) -> [(RecoveryStage, u32); 3] {
-        [
-            (RecoveryStage::SoftReset, self.soft_resets),
-            (RecoveryStage::ReinitTestCard, self.reinits),
-            (RecoveryStage::PowerCycle, self.power_cycles),
-        ]
-    }
-}
+/// How many times one experiment may hang-and-recover before its failure
+/// is handed to the campaign's experiment policy.
+pub(crate) const MAX_HANG_ROUNDS: u32 = 3;
 
 // ---------------------------------------------------------------------------
 // Supervisor.
@@ -262,7 +239,6 @@ pub struct Supervisor<'a> {
     campaign: &'a Campaign,
     reference: &'a ExperimentRecord,
     cadence: u32,
-    ladder: RecoveryLadder,
 }
 
 /// Memory-pattern probe test words.
@@ -282,13 +258,7 @@ impl<'a> Supervisor<'a> {
                 campaign,
                 reference,
                 cadence: cadence.max(1),
-                ladder: RecoveryLadder::default(),
             })
-    }
-
-    /// The ladder bounds in use.
-    pub fn ladder(&self) -> &RecoveryLadder {
-        &self.ladder
     }
 
     /// Whether a scheduled probe suite is due after `completed` experiments.
@@ -433,7 +403,7 @@ impl<'a> Supervisor<'a> {
             &format!("{}: {}", experiment, trigger.encode()),
         );
         let mut actions = Vec::new();
-        for (stage, attempts) in self.ladder.stages() {
+        for (stage, attempts) in LADDER {
             for attempt in 1..=attempts {
                 let applied = match stage {
                     RecoveryStage::SoftReset => {
@@ -780,8 +750,7 @@ mod tests {
         assert!(RecoveryStage::SoftReset < RecoveryStage::ReinitTestCard);
         assert!(RecoveryStage::ReinitTestCard < RecoveryStage::PowerCycle);
         assert!(RecoveryStage::PowerCycle < RecoveryStage::Offline);
-        let ladder = RecoveryLadder::default();
-        let stages: Vec<_> = ladder.stages().iter().map(|(s, _)| *s).collect();
+        let stages: Vec<_> = LADDER.iter().map(|(s, _)| *s).collect();
         let mut sorted = stages.clone();
         sorted.sort();
         assert_eq!(stages, sorted);

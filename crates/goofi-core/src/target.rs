@@ -188,7 +188,7 @@ pub trait TargetAccess {
     fn step_traced(&mut self) -> Result<(Option<RunEvent>, crate::preinject::StepAccess)>;
 
     /// Cold-restarts the target — the strongest recovery action short of
-    /// taking the target offline (see [`crate::supervisor::RecoveryLadder`]).
+    /// taking the target offline (see [`crate::supervisor::Supervisor::recover`]).
     ///
     /// The default body re-initialises the test card and resets the core,
     /// which is the best a port without power control can do. Ports with

@@ -35,9 +35,8 @@
 use goofi_core::campaign::WorkloadImage;
 use goofi_core::card::{CardCpu, CardTarget};
 use goofi_core::preinject::StepAccess;
-use goofi_core::{DetectionInfo, RunEvent};
-use riscv::{AccessLog, Cpu, CpuConfig, Image, StopReason, PORT_COUNT};
-use scanchain::{DebugUnit, Memory, MemoryError};
+use riscv::{AccessLog, Cpu, Image, Rv32iIsa};
+use scanchain::MemoryError;
 
 /// The RV32I target system behind a scan-chain test card.
 pub type RiscvTarget = CardTarget<Rv32i>;
@@ -48,16 +47,9 @@ pub type RiscvTarget = CardTarget<Rv32i>;
 pub struct Rv32i;
 
 impl CardCpu for Rv32i {
-    type Cpu = Cpu;
-    type Config = CpuConfig;
-    type Stop = StopReason;
+    type Isa = Rv32iIsa;
 
     const NAME: &'static str = "rv32i";
-    const PORTS: usize = PORT_COUNT;
-
-    fn build(config: CpuConfig) -> Cpu {
-        Cpu::new(config)
-    }
 
     /// `WorkloadImage` fields are in the target's native units: the entry
     /// point of an RV32I image is a byte address.
@@ -69,26 +61,7 @@ impl CardCpu for Rv32i {
         })
     }
 
-    fn event(stop: StopReason) -> RunEvent {
-        match stop {
-            StopReason::Halted => RunEvent::Halted,
-            StopReason::Detected(d) => RunEvent::Detected(DetectionInfo {
-                mechanism: d.mechanism().to_string(),
-                code: d.encode(),
-            }),
-            StopReason::DebugEvent(ev) => RunEvent::Breakpoint {
-                at_instruction: ev.at_instruction,
-                at_cycle: ev.at_cycle,
-            },
-            StopReason::Sync { iteration, .. } => RunEvent::IterationBoundary { iteration },
-            StopReason::Timeout => RunEvent::Timeout,
-            StopReason::InstrLimit => RunEvent::BudgetExhausted,
-        }
-    }
-
-    fn step_traced(cpu: &mut Cpu, access: &mut StepAccess) -> Option<StopReason> {
-        let mut log = AccessLog::default();
-        let stop = cpu.step_logged(&mut log);
+    fn trace(log: &AccessLog, access: &mut StepAccess) {
         for r in &log.reg_reads {
             access.reads.push(format!("internal:X{}", r.index()));
         }
@@ -101,55 +74,6 @@ impl CardCpu for Rv32i {
         for addr in &log.mem_writes {
             access.writes.push(format!("mem:{addr}"));
         }
-        stop
-    }
-
-    fn rejoin(live: &mut Cpu, checkpoint: &Cpu, end: &Cpu) -> bool {
-        live.rejoin(checkpoint, end)
-    }
-
-    fn memory(cpu: &Cpu) -> &Memory {
-        cpu.memory()
-    }
-
-    fn memory_mut(cpu: &mut Cpu) -> &mut Memory {
-        cpu.memory_mut()
-    }
-
-    fn debug_unit(cpu: &mut Cpu) -> &mut DebugUnit {
-        cpu.debug_unit_mut()
-    }
-
-    fn reset(cpu: &mut Cpu) {
-        cpu.reset();
-    }
-
-    fn run(cpu: &mut Cpu, max_instructions: u64) -> StopReason {
-        cpu.run(max_instructions)
-    }
-
-    fn step(cpu: &mut Cpu) -> Option<StopReason> {
-        cpu.step()
-    }
-
-    fn set_in_port(cpu: &mut Cpu, port: usize, value: u32) {
-        cpu.set_in_port(port, value);
-    }
-
-    fn out_port(cpu: &Cpu, port: usize) -> u32 {
-        cpu.out_port(port)
-    }
-
-    fn instructions(cpu: &Cpu) -> u64 {
-        cpu.instructions()
-    }
-
-    fn cycles(cpu: &Cpu) -> u64 {
-        cpu.cycles()
-    }
-
-    fn iterations(cpu: &Cpu) -> u64 {
-        cpu.iterations()
     }
 }
 
@@ -157,7 +81,7 @@ impl CardCpu for Rv32i {
 mod rv32i_tests {
     use super::*;
     use goofi_core::trigger::Trigger;
-    use goofi_core::{RunBudget, TargetAccess};
+    use goofi_core::{RunBudget, RunEvent, TargetAccess};
     use riscv::{encode, AluImmOp, Instr, LoadWidth, Reg, StoreWidth};
 
     fn addi(rd: u8, rs1: u8, imm: i32) -> u32 {

@@ -7,9 +7,8 @@
 //! breakpoints are programmed into the debug unit, memory is downloaded
 //! through the test card, exactly as §3 of the paper describes for the real
 //! Thor RD. What is Thor's own is the [`CardCpu`] impl below: the target
-//! name, image download, cache invalidation after tool-side writes, the
-//! stop-reason mapping, the register names in access traces, and the
-//! core's rule for rejoining a fault-free run.
+//! name, image download, cache invalidation after tool-side writes, and
+//! the register names in access traces.
 //!
 //! # Example
 //!
@@ -29,9 +28,8 @@
 use goofi_core::campaign::WorkloadImage;
 use goofi_core::card::{CardCpu, CardTarget};
 use goofi_core::preinject::StepAccess;
-use goofi_core::{DetectionInfo, RunEvent};
-use scanchain::{DebugUnit, Memory, MemoryError};
-use thor::{AccessLog, Cpu, CpuConfig, StopReason, PORT_COUNT};
+use scanchain::MemoryError;
+use thor::{AccessLog, Cpu, ThorIsa};
 
 /// The Thor target system behind a scan-chain test card.
 pub type ThorTarget = CardTarget<Thor>;
@@ -41,16 +39,9 @@ pub type ThorTarget = CardTarget<Thor>;
 pub struct Thor;
 
 impl CardCpu for Thor {
-    type Cpu = Cpu;
-    type Config = CpuConfig;
-    type Stop = StopReason;
+    type Isa = ThorIsa;
 
     const NAME: &'static str = "thor-rd";
-    const PORTS: usize = PORT_COUNT;
-
-    fn build(config: CpuConfig) -> Cpu {
-        Cpu::new(config)
-    }
 
     fn load(cpu: &mut Cpu, image: &WorkloadImage) -> Result<(), MemoryError> {
         cpu.load_image(&thor::asm::Image {
@@ -69,26 +60,7 @@ impl CardCpu for Thor {
         }
     }
 
-    fn event(stop: StopReason) -> RunEvent {
-        match stop {
-            StopReason::Halted => RunEvent::Halted,
-            StopReason::Detected(d) => RunEvent::Detected(DetectionInfo {
-                mechanism: d.mechanism().to_string(),
-                code: d.encode(),
-            }),
-            StopReason::DebugEvent(ev) => RunEvent::Breakpoint {
-                at_instruction: ev.at_instruction,
-                at_cycle: ev.at_cycle,
-            },
-            StopReason::Sync { iteration, .. } => RunEvent::IterationBoundary { iteration },
-            StopReason::Timeout => RunEvent::Timeout,
-            StopReason::InstrLimit => RunEvent::BudgetExhausted,
-        }
-    }
-
-    fn step_traced(cpu: &mut Cpu, access: &mut StepAccess) -> Option<StopReason> {
-        let mut log = AccessLog::default();
-        let stop = cpu.step_logged(&mut log);
+    fn trace(log: &AccessLog, access: &mut StepAccess) {
         for r in &log.reg_reads {
             access.reads.push(format!("internal:R{}", r.index()));
         }
@@ -107,55 +79,6 @@ impl CardCpu for Thor {
         for addr in &log.mem_writes {
             access.writes.push(format!("mem:{addr}"));
         }
-        stop
-    }
-
-    fn rejoin(live: &mut Cpu, checkpoint: &Cpu, end: &Cpu) -> bool {
-        live.rejoin(checkpoint, end)
-    }
-
-    fn memory(cpu: &Cpu) -> &Memory {
-        cpu.memory()
-    }
-
-    fn memory_mut(cpu: &mut Cpu) -> &mut Memory {
-        cpu.memory_mut()
-    }
-
-    fn debug_unit(cpu: &mut Cpu) -> &mut DebugUnit {
-        cpu.debug_unit_mut()
-    }
-
-    fn reset(cpu: &mut Cpu) {
-        cpu.reset();
-    }
-
-    fn run(cpu: &mut Cpu, max_instructions: u64) -> StopReason {
-        cpu.run(max_instructions)
-    }
-
-    fn step(cpu: &mut Cpu) -> Option<StopReason> {
-        cpu.step()
-    }
-
-    fn set_in_port(cpu: &mut Cpu, port: usize, value: u32) {
-        cpu.set_in_port(port, value);
-    }
-
-    fn out_port(cpu: &Cpu, port: usize) -> u32 {
-        cpu.out_port(port)
-    }
-
-    fn instructions(cpu: &Cpu) -> u64 {
-        cpu.instructions()
-    }
-
-    fn cycles(cpu: &Cpu) -> u64 {
-        cpu.cycles()
-    }
-
-    fn iterations(cpu: &Cpu) -> u64 {
-        cpu.iterations()
     }
 }
 
@@ -163,7 +86,7 @@ impl CardCpu for Thor {
 mod tests {
     use super::*;
     use goofi_core::trigger::Trigger;
-    use goofi_core::{RunBudget, TargetAccess};
+    use goofi_core::{RunBudget, RunEvent, TargetAccess};
 
     fn workload(src: &str) -> WorkloadImage {
         let image = thor::asm::assemble(src).unwrap();

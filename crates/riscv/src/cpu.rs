@@ -19,14 +19,10 @@
 //! environment call the environment does not know is itself an error the
 //! workload's software EDM layer reports.
 
-use crate::isa::{
-    decode, AluImmOp, AluOp, BranchCond, DecodeError, Instr, LoadWidth, Reg, ShiftOp, StoreWidth,
-};
-use scanchain::{BusEvent, DebugEvent, DebugUnit, Memory, MemoryError};
+use crate::isa::{decode, AluImmOp, AluOp, BranchCond, Instr, LoadWidth, Reg, ShiftOp, StoreWidth};
+use crate::scan::ChainSet;
+use scanchain::{BusEvent, Core, DecodeCache, Detection as _, Isa, StepLog, PORT_COUNT};
 use std::fmt;
-
-/// Number of I/O ports in each direction.
-pub const PORT_COUNT: usize = 4;
 
 /// `ecall` code: halt the workload.
 pub const ECALL_HALT: u32 = 0;
@@ -92,9 +88,8 @@ pub enum Detection {
     Assertion(u16),
 }
 
-impl Detection {
-    /// Stable mechanism name used in database logs and report tables.
-    pub fn mechanism(&self) -> &'static str {
+impl scanchain::Detection for Detection {
+    fn mechanism(&self) -> &'static str {
         match self {
             Detection::IllegalInstr => "illegal_instr",
             Detection::Misaligned => "misaligned",
@@ -105,14 +100,7 @@ impl Detection {
         }
     }
 
-    /// Whether this is a hardware mechanism (as opposed to a software
-    /// assertion embedded in the workload).
-    pub fn is_hardware(&self) -> bool {
-        !matches!(self, Detection::Assertion(_))
-    }
-
-    /// Encodes to a compact code for the scan-visible status register.
-    pub fn encode(&self) -> u32 {
+    fn encode(&self) -> u32 {
         match self {
             Detection::IllegalInstr => 1,
             Detection::Misaligned => 2,
@@ -121,6 +109,14 @@ impl Detection {
             Detection::Ebreak => 5,
             Detection::Assertion(id) => 6 | ((*id as u32) << 8),
         }
+    }
+}
+
+impl Detection {
+    /// Whether this is a hardware mechanism (as opposed to a software
+    /// assertion embedded in the workload).
+    pub fn is_hardware(&self) -> bool {
+        !matches!(self, Detection::Assertion(_))
     }
 
     /// Decodes a status-register value; 0 means "no detection".
@@ -146,28 +142,15 @@ impl fmt::Display for Detection {
     }
 }
 
+/// The simulated RV32I processor: the shared core skeleton around the
+/// RV32I ISA half.
+///
+/// See the crate docs for an end-to-end example. The scan-chain view of
+/// the core lives in [`crate::scan`].
+pub type Cpu = Core<Rv32iIsa>;
+
 /// Why execution stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The program executed `ecall` with [`ECALL_HALT`].
-    Halted,
-    /// An error detection mechanism fired.
-    Detected(Detection),
-    /// An armed debug condition fired (breakpoint reached).
-    DebugEvent(DebugEvent),
-    /// The workload executed `ecall` with [`ECALL_SYNC`] — an iteration
-    /// boundary at which the tool exchanges data with the environment.
-    Sync {
-        /// The tag passed in `a0`.
-        tag: u16,
-        /// Completed loop iterations so far.
-        iteration: u64,
-    },
-    /// The watchdog cycle budget was exhausted (time-out termination).
-    Timeout,
-    /// The per-call instruction budget of [`Cpu::run`] was exhausted.
-    InstrLimit,
-}
+pub type StopReason = scanchain::StopReason<Detection>;
 
 /// Record of the architectural reads/writes of one instruction, used by
 /// the pre-injection (liveness) analysis. Register indices skip the
@@ -186,7 +169,7 @@ pub struct AccessLog {
     pub mem_writes: Vec<u32>,
 }
 
-impl AccessLog {
+impl StepLog for AccessLog {
     fn clear(&mut self) {
         self.pc = 0;
         self.reg_reads.clear();
@@ -196,642 +179,396 @@ impl AccessLog {
     }
 }
 
-/// Slots in the decoded-instruction cache.
-const DECODE_SLOTS: usize = 64;
-
-/// A direct-mapped cache of decoded instructions, indexed by the low bits
-/// of the fetch word address and keyed by the fetched word itself.
-///
-/// Decoding is a pure function of the word, so a slot whose stored word
-/// equals the fetched word holds exactly what [`decode`] would return, and
-/// nothing ever needs invalidating: a SWIFI code flip changes the fetched
-/// word and misses. Words that fail to decode are never stored.
+/// The RV32I half of a [`Cpu`]: the register file and decode/execute,
+/// with the alignment traps of a byte-addressed ISA. Its accessors read as
+/// the CPU's own.
 #[derive(Debug, Clone)]
-struct DecodeCache {
-    slots: [(u32, Instr); DECODE_SLOTS],
-}
-
-impl DecodeCache {
-    fn new() -> Self {
-        // Every slot starts as the valid pair (nop, decode(nop)).
-        const NOP: u32 = 0x0000_0013; // addi x0, x0, 0
-        let nop = decode(NOP).expect("nop decodes");
-        DecodeCache {
-            slots: [(NOP, nop); DECODE_SLOTS],
-        }
-    }
-
-    #[inline(always)]
-    fn decode(&mut self, word_addr: u32, word: u32) -> Result<Instr, DecodeError> {
-        let slot = &mut self.slots[word_addr as usize % DECODE_SLOTS];
-        if slot.0 == word {
-            return Ok(slot.1);
-        }
-        let instr = decode(word)?;
-        *slot = (word, instr);
-        Ok(instr)
-    }
-}
-
-/// The simulated RV32I processor.
-///
-/// See the crate docs for an end-to-end example. The scan-chain view of
-/// the core lives in [`crate::scan`].
-#[derive(Debug, Clone)]
-pub struct Cpu {
+pub struct Rv32iIsa {
     pub(crate) regs: [u32; Reg::COUNT],
-    /// Byte-addressed program counter, word-aligned while executing.
-    pub(crate) pc: u32,
-    pub(crate) mem: Memory,
-    pub(crate) in_ports: [u32; PORT_COUNT],
-    pub(crate) out_ports: [u32; PORT_COUNT],
-    pub(crate) cycles: u64,
-    pub(crate) instret: u64,
-    pub(crate) iterations: u64,
-    pub(crate) debug: DebugUnit,
-    pub(crate) detection: Option<Detection>,
-    pub(crate) halted: bool,
-    watchdog: Option<u64>,
-    entry: u32,
-    initial_sp: u32,
-    scratch_log: AccessLog,
-    decoded: DecodeCache,
-    pub(crate) chains: crate::scan::ChainSet,
+    decoded: DecodeCache<Instr>,
+    pub(crate) chains: ChainSet,
 }
 
-impl Cpu {
-    /// Creates a CPU with zeroed state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured memory does not fit the 32-bit byte
-    /// address space (`mem_words > u32::MAX / 4`).
-    pub fn new(config: CpuConfig) -> Self {
-        assert!(
-            config.mem_words <= (u32::MAX / 4) as usize,
-            "memory exceeds the 32-bit byte address space"
-        );
-        let initial_sp = config.mem_words as u32 * 4 - 4;
-        let mut regs = [0; Reg::COUNT];
-        regs[Reg::SP.index()] = initial_sp;
-        Cpu {
-            regs,
-            pc: 0,
-            mem: Memory::new(config.mem_words),
-            in_ports: [0; PORT_COUNT],
-            out_ports: [0; PORT_COUNT],
-            cycles: 0,
-            instret: 0,
-            iterations: 0,
-            debug: DebugUnit::new(),
-            detection: None,
-            halted: false,
-            watchdog: config.watchdog_cycles,
-            entry: 0,
-            initial_sp,
-            scratch_log: AccessLog::default(),
-            decoded: DecodeCache::new(),
-            chains: crate::scan::ChainSet::new(),
-        }
-    }
-
-    /// Downloads an image: code at word 0, protection boundary at the
-    /// image's code/data split, then resets the core.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::OutOfRange`] if the image does not fit.
-    pub fn load_image(&mut self, image: &Image) -> Result<(), MemoryError> {
-        self.mem.clear();
-        self.mem.load_block(0, &image.words)?;
-        self.mem.set_code_segment(image.code_words);
-        self.entry = image.entry;
-        self.reset();
-        Ok(())
-    }
-
-    /// Resets the core (registers, counters, detection latch, ports)
-    /// while leaving main memory intact. Equivalent to pulsing reset.
-    pub fn reset(&mut self) {
-        self.regs = [0; Reg::COUNT];
-        self.regs[Reg::SP.index()] = self.initial_sp;
-        self.pc = self.entry;
-        self.in_ports = [0; PORT_COUNT];
-        self.out_ports = [0; PORT_COUNT];
-        self.cycles = 0;
-        self.instret = 0;
-        self.iterations = 0;
-        self.debug.reset_counters();
-        self.detection = None;
-        self.halted = false;
-    }
-
-    /// Main memory (tool-side access).
-    pub fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable main memory (tool-side access, used by SWIFI).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    /// The debug-event unit.
-    pub fn debug_unit(&self) -> &DebugUnit {
-        &self.debug
-    }
-
-    /// Mutable debug-event unit (breakpoint programming).
-    pub fn debug_unit_mut(&mut self) -> &mut DebugUnit {
-        &mut self.debug
-    }
-
+impl Rv32iIsa {
     /// Reads a register (`x0` always reads 0).
     pub fn reg(&self, r: Reg) -> u32 {
         self.regs[r.index()]
     }
+}
 
-    /// Writes a register (tool-side; writes to `x0` are dropped).
-    pub fn set_reg(&mut self, r: Reg, value: u32) {
-        if r != Reg::X0 {
-            self.regs[r.index()] = value;
-        }
-    }
+impl Isa for Rv32iIsa {
+    type Detection = Detection;
+    type Log = AccessLog;
+    type Config = CpuConfig;
+    type Image = Image;
 
-    /// Current program counter, in bytes.
-    pub fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    /// Sets the program counter (tool-side), in bytes.
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
-    /// Cycle count since reset.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Instructions retired since reset.
-    pub fn instructions(&self) -> u64 {
-        self.instret
-    }
-
-    /// Completed sync iterations since reset.
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// Latched detection, if any.
-    pub fn detection(&self) -> Option<Detection> {
-        self.detection
-    }
-
-    /// Whether the core has halted.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Drives an input port (environment simulator → target).
-    ///
     /// # Panics
     ///
-    /// Panics if `port >= PORT_COUNT`.
-    pub fn set_in_port(&mut self, port: usize, value: u32) {
-        self.in_ports[port] = value;
+    /// Panics if the configured memory does not fit the 32-bit byte
+    /// address space (`mem_words > u32::MAX / 4`).
+    fn build(config: CpuConfig) -> Cpu {
+        assert!(
+            config.mem_words <= (u32::MAX / 4) as usize,
+            "memory exceeds the 32-bit byte address space"
+        );
+        // Every decode-cache slot starts as the valid pair (nop, decode(nop)).
+        const NOP: u32 = 0x0000_0013; // addi x0, x0, 0
+        let isa = Rv32iIsa {
+            regs: [0; Reg::COUNT],
+            decoded: DecodeCache::new(NOP, decode(NOP).expect("nop decodes")),
+            chains: ChainSet::new(),
+        };
+        let initial_sp = config.mem_words as u32 * 4 - 4;
+        Core::with_isa(isa, config.mem_words, config.watchdog_cycles, initial_sp)
     }
 
-    /// Reads an output port latch (target → environment simulator).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port >= PORT_COUNT`.
-    pub fn out_port(&self, port: usize) -> u32 {
-        self.out_ports[port]
+    fn image(image: &Image) -> (&[u32], u32, u32) {
+        (&image.words, image.code_words, image.entry)
     }
 
-    /// Rejoins a fault-free run: if `self` would execute exactly as
-    /// `checkpoint` does, becomes the state it reaches by the end of that
-    /// run and returns `true`; otherwise returns `false` and changes
-    /// nothing. `end` must be a later state of the run through
-    /// `checkpoint`, with no tool access in between.
-    ///
-    /// The core has no caches, so the comparison is plain: registers, PC,
-    /// ports, iterations, the detection and halt latches, the debug unit's
-    /// conditions and latch, and all of memory must match. Cycles and
-    /// debug counters move by `self`'s distance from `checkpoint`; the
-    /// rejoin is refused when the moved cycle count would reach the
-    /// watchdog.
-    pub fn rejoin(&mut self, checkpoint: &Cpu, end: &Cpu) -> bool {
-        let same = self.instret == checkpoint.instret
-            && end.instret >= checkpoint.instret
-            && end.cycles >= checkpoint.cycles
-            && (self.pc, self.regs) == (checkpoint.pc, checkpoint.regs)
-            && (self.in_ports, self.out_ports) == (checkpoint.in_ports, checkpoint.out_ports)
-            && (self.iterations, self.detection, self.halted)
-                == (
-                    checkpoint.iterations,
-                    checkpoint.detection,
-                    checkpoint.halted,
-                )
-            && (self.watchdog, self.entry, self.initial_sp)
-                == (checkpoint.watchdog, checkpoint.entry, checkpoint.initial_sp)
-            && self.debug.same_conditions(&checkpoint.debug)
-            && self.mem.same_contents(&checkpoint.mem);
-        if !same {
-            return false;
-        }
-        let cycles = self.cycles + (end.cycles - checkpoint.cycles);
-        if self.watchdog.is_some_and(|budget| cycles >= budget) {
-            return false;
-        }
-        let mut next = end.clone();
-        next.cycles = cycles;
-        next.debug.rebase(&self.debug, &checkpoint.debug);
-        *self = next;
-        true
+    fn reset(&mut self, initial_sp: u32) {
+        self.regs = [0; Reg::COUNT];
+        self.regs[Reg::SP.index()] = initial_sp;
     }
 
-    /// Runs until a stop condition, retiring at most `max_instructions`.
-    pub fn run(&mut self, max_instructions: u64) -> StopReason {
-        for _ in 0..max_instructions {
-            if let Some(stop) = self.step_inner::<false>() {
-                return stop;
-            }
-        }
-        StopReason::InstrLimit
-    }
-
-    /// Executes one instruction; `None` means execution continues.
-    pub fn step(&mut self) -> Option<StopReason> {
-        self.step_inner::<false>()
-    }
-
-    /// Executes one instruction and fills `log` with its architectural
-    /// reads and writes (reference-trace collection for the pre-injection
-    /// analysis).
-    pub fn step_logged(&mut self, log: &mut AccessLog) -> Option<StopReason> {
-        self.scratch_log.clear();
-        let r = self.step_inner::<true>();
-        std::mem::swap(log, &mut self.scratch_log);
-        r
-    }
-
-    /// One instruction; `LOG` fills `scratch_log` with its accesses.
     #[inline(always)]
-    fn step_inner<const LOG: bool>(&mut self) -> Option<StopReason> {
-        if self.halted {
-            return Some(StopReason::Halted);
-        }
-        if let Some(d) = self.detection {
-            return Some(StopReason::Detected(d));
-        }
-        if let Some(budget) = self.watchdog {
-            if self.cycles >= budget {
-                return Some(StopReason::Timeout);
-            }
-        }
-        // Breakpoint check on fetch, before the instruction executes.
-        if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
-            return Some(StopReason::DebugEvent(ev));
-        }
+    fn step_inner<const LOG: bool>(cpu: &mut Cpu) -> Option<StopReason> {
         if LOG {
-            self.scratch_log.pc = self.pc;
+            cpu.log.pc = cpu.pc;
         }
 
         // Fetch-address checks: alignment, then control flow.
-        if !self.pc.is_multiple_of(4) {
-            return Some(self.detect(Detection::Misaligned));
+        if !cpu.pc.is_multiple_of(4) {
+            return Some(cpu.detect(Detection::Misaligned));
         }
-        let word_addr = self.pc / 4;
-        if word_addr >= self.mem.code_segment() {
-            return Some(self.detect(Detection::ControlFlow));
+        let word_addr = cpu.pc / 4;
+        if word_addr >= cpu.mem.code_segment() {
+            return Some(cpu.detect(Detection::ControlFlow));
         }
-        let word = match self.mem.read(word_addr) {
+        let word = match cpu.mem.read(word_addr) {
             Ok(w) => w,
-            Err(_) => return Some(self.detect(Detection::AccessFault)),
+            Err(_) => return Some(cpu.detect(Detection::AccessFault)),
         };
 
         // Decode (strict: any reserved encoding traps).
-        let instr = match self.decoded.decode(word_addr, word) {
+        let instr = match cpu.isa.decoded.decode(word_addr, word, decode) {
             Ok(i) => i,
-            Err(_) => return Some(self.detect(Detection::IllegalInstr)),
+            Err(_) => return Some(cpu.detect(Detection::IllegalInstr)),
         };
 
         // Execute.
-        let stop = self.execute::<LOG>(instr);
-        self.instret += 1;
+        let stop = execute::<LOG>(cpu, instr);
+        cpu.instret += 1;
         if stop.is_some() {
             return stop;
         }
         // Surface any debug event latched by a data-access/branch/call/
         // cycle trigger during execution.
-        self.debug.pending().map(StopReason::DebugEvent)
+        cpu.debug.pending().map(StopReason::DebugEvent)
     }
 
-    fn detect(&mut self, d: Detection) -> StopReason {
-        self.detection = Some(d);
-        StopReason::Detected(d)
+    /// The core has no caches, so only the registers are compared.
+    fn rejoins(&self, checkpoint: &Self, _end: &Self, _since: u64) -> bool {
+        self.regs == checkpoint.regs
     }
+}
 
-    #[inline(always)]
-    fn log_reg_read<const LOG: bool>(&mut self, r: Reg) -> u32 {
-        if LOG && r != Reg::X0 {
-            self.scratch_log.reg_reads.push(r);
-        }
-        self.regs[r.index()]
+#[inline(always)]
+fn log_reg_read<const LOG: bool>(cpu: &mut Cpu, r: Reg) -> u32 {
+    if LOG && r != Reg::X0 {
+        cpu.log.reg_reads.push(r);
     }
+    cpu.isa.regs[r.index()]
+}
 
-    #[inline(always)]
-    fn log_reg_write<const LOG: bool>(&mut self, r: Reg, v: u32) {
-        if r == Reg::X0 {
-            return; // x0 is hardwired to zero
-        }
-        if LOG {
-            self.scratch_log.reg_writes.push(r);
-        }
-        self.regs[r.index()] = v;
+#[inline(always)]
+fn log_reg_write<const LOG: bool>(cpu: &mut Cpu, r: Reg, v: u32) {
+    if r == Reg::X0 {
+        return; // x0 is hardwired to zero
     }
-
-    /// Loads through the data bus. Byte addresses; returns `Err(stop)` on
-    /// detection.
-    #[inline(always)]
-    fn data_load<const LOG: bool>(
-        &mut self,
-        width: LoadWidth,
-        addr: u32,
-    ) -> Result<u32, StopReason> {
-        let align = match width {
-            LoadWidth::B | LoadWidth::Bu => 1,
-            LoadWidth::H | LoadWidth::Hu => 2,
-            LoadWidth::W => 4,
-        };
-        if !addr.is_multiple_of(align) {
-            return Err(self.detect(Detection::Misaligned));
-        }
-        let word_addr = addr / 4;
-        let word = match self.mem.read(word_addr) {
-            Ok(w) => w,
-            Err(_) => return Err(self.detect(Detection::AccessFault)),
-        };
-        if LOG {
-            self.scratch_log.mem_reads.push(word_addr);
-        }
-        self.debug.observe(BusEvent::DataRead { addr: word_addr });
-        let value = match width {
-            LoadWidth::W => word,
-            LoadWidth::B => (word >> (8 * (addr % 4))) as u8 as i8 as i32 as u32,
-            LoadWidth::Bu => (word >> (8 * (addr % 4))) as u8 as u32,
-            LoadWidth::H => (word >> (8 * (addr % 4))) as u16 as i16 as i32 as u32,
-            LoadWidth::Hu => (word >> (8 * (addr % 4))) as u16 as u32,
-        };
-        Ok(value)
+    if LOG {
+        cpu.log.reg_writes.push(r);
     }
+    cpu.isa.regs[r.index()] = v;
+}
 
-    /// Stores through the data bus (read-modify-write for sub-word
-    /// widths). Returns `Err(stop)` on detection.
-    #[inline(always)]
-    fn data_store<const LOG: bool>(
-        &mut self,
-        width: StoreWidth,
-        addr: u32,
-        value: u32,
-    ) -> Result<(), StopReason> {
-        let align = match width {
-            StoreWidth::B => 1,
-            StoreWidth::H => 2,
-            StoreWidth::W => 4,
-        };
-        if !addr.is_multiple_of(align) {
-            return Err(self.detect(Detection::Misaligned));
-        }
-        let word_addr = addr / 4;
-        let merged = match width {
-            StoreWidth::W => value,
-            StoreWidth::B | StoreWidth::H => {
-                let old = match self.mem.read(word_addr) {
-                    Ok(w) => w,
-                    Err(_) => return Err(self.detect(Detection::AccessFault)),
-                };
-                let (mask, shift) = match width {
-                    StoreWidth::B => (0xFFu32, 8 * (addr % 4)),
-                    StoreWidth::H => (0xFFFFu32, 8 * (addr % 4)),
-                    StoreWidth::W => unreachable!(),
-                };
-                (old & !(mask << shift)) | ((value & mask) << shift)
-            }
-        };
-        if self.mem.write(word_addr, merged).is_err() {
-            // Out of range or a store into the protected code segment:
-            // both surface as an access fault.
-            return Err(self.detect(Detection::AccessFault));
-        }
-        if LOG {
-            self.scratch_log.mem_writes.push(word_addr);
-        }
-        self.debug.observe(BusEvent::DataWrite { addr: word_addr });
-        Ok(())
+/// Loads through the data bus. Byte addresses; returns `Err(stop)` on
+/// detection.
+#[inline(always)]
+fn data_load<const LOG: bool>(
+    cpu: &mut Cpu,
+    width: LoadWidth,
+    addr: u32,
+) -> Result<u32, StopReason> {
+    let align = match width {
+        LoadWidth::B | LoadWidth::Bu => 1,
+        LoadWidth::H | LoadWidth::Hu => 2,
+        LoadWidth::W => 4,
+    };
+    if !addr.is_multiple_of(align) {
+        return Err(cpu.detect(Detection::Misaligned));
     }
-
-    /// Transfers control to `target` (branch/jal/jalr). Returns
-    /// `Err(stop)` when the target is rejected.
-    #[inline(always)]
-    fn jump(&mut self, target: u32, is_call: bool) -> Result<(), StopReason> {
-        if !target.is_multiple_of(4) {
-            return Err(self.detect(Detection::Misaligned));
-        }
-        if target / 4 >= self.mem.code_segment() {
-            return Err(self.detect(Detection::ControlFlow));
-        }
-        self.pc = target;
-        let ev = if is_call {
-            BusEvent::Call { target }
-        } else {
-            BusEvent::Branch { target }
-        };
-        self.debug.observe(ev);
-        Ok(())
+    let word_addr = addr / 4;
+    let word = match cpu.mem.read(word_addr) {
+        Ok(w) => w,
+        Err(_) => return Err(cpu.detect(Detection::AccessFault)),
+    };
+    if LOG {
+        cpu.log.mem_reads.push(word_addr);
     }
+    cpu.debug.observe(BusEvent::DataRead { addr: word_addr });
+    let value = match width {
+        LoadWidth::W => word,
+        LoadWidth::B => (word >> (8 * (addr % 4))) as u8 as i8 as i32 as u32,
+        LoadWidth::Bu => (word >> (8 * (addr % 4))) as u8 as u32,
+        LoadWidth::H => (word >> (8 * (addr % 4))) as u16 as i16 as i32 as u32,
+        LoadWidth::Hu => (word >> (8 * (addr % 4))) as u16 as u32,
+    };
+    Ok(value)
+}
 
-    #[inline(always)]
-    fn execute<const LOG: bool>(&mut self, instr: Instr) -> Option<StopReason> {
-        let next_pc = self.pc.wrapping_add(4);
-        let mut pc_set = false;
-        let mut cost = 1u64;
-
-        macro_rules! stop_on {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(stop) => {
-                        self.debug.on_cycles(cost);
-                        return Some(stop);
-                    }
-                }
+/// Stores through the data bus (read-modify-write for sub-word
+/// widths). Returns `Err(stop)` on detection.
+#[inline(always)]
+fn data_store<const LOG: bool>(
+    cpu: &mut Cpu,
+    width: StoreWidth,
+    addr: u32,
+    value: u32,
+) -> Result<(), StopReason> {
+    let align = match width {
+        StoreWidth::B => 1,
+        StoreWidth::H => 2,
+        StoreWidth::W => 4,
+    };
+    if !addr.is_multiple_of(align) {
+        return Err(cpu.detect(Detection::Misaligned));
+    }
+    let word_addr = addr / 4;
+    let merged = match width {
+        StoreWidth::W => value,
+        StoreWidth::B | StoreWidth::H => {
+            let old = match cpu.mem.read(word_addr) {
+                Ok(w) => w,
+                Err(_) => return Err(cpu.detect(Detection::AccessFault)),
             };
+            let (mask, shift) = match width {
+                StoreWidth::B => (0xFFu32, 8 * (addr % 4)),
+                StoreWidth::H => (0xFFFFu32, 8 * (addr % 4)),
+                StoreWidth::W => unreachable!(),
+            };
+            (old & !(mask << shift)) | ((value & mask) << shift)
         }
-
-        match instr {
-            Instr::Lui { rd, imm20 } => {
-                self.log_reg_write::<LOG>(rd, imm20 << 12);
-            }
-            Instr::Auipc { rd, imm20 } => {
-                self.log_reg_write::<LOG>(rd, self.pc.wrapping_add(imm20 << 12));
-            }
-            Instr::Jal { rd, offset } => {
-                cost += 2;
-                let target = self.pc.wrapping_add(offset as u32);
-                self.log_reg_write::<LOG>(rd, next_pc);
-                stop_on!(self.jump(target, rd == Reg::RA));
-                pc_set = true;
-            }
-            Instr::Jalr { rd, rs1, offset } => {
-                cost += 2;
-                let base = self.log_reg_read::<LOG>(rs1);
-                let target = base.wrapping_add(offset as u32) & !1;
-                self.log_reg_write::<LOG>(rd, next_pc);
-                stop_on!(self.jump(target, rd == Reg::RA));
-                pc_set = true;
-            }
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                let a = self.log_reg_read::<LOG>(rs1);
-                let b = self.log_reg_read::<LOG>(rs2);
-                let taken = match cond {
-                    BranchCond::Eq => a == b,
-                    BranchCond::Ne => a != b,
-                    BranchCond::Lt => (a as i32) < (b as i32),
-                    BranchCond::Ge => (a as i32) >= (b as i32),
-                    BranchCond::Ltu => a < b,
-                    BranchCond::Geu => a >= b,
-                };
-                if taken {
-                    cost += 1;
-                    let target = self.pc.wrapping_add(offset as u32);
-                    stop_on!(self.jump(target, false));
-                    pc_set = true;
-                }
-            }
-            Instr::Load {
-                width,
-                rd,
-                rs1,
-                offset,
-            } => {
-                cost += 2;
-                let base = self.log_reg_read::<LOG>(rs1);
-                let addr = base.wrapping_add(offset as u32);
-                let v = stop_on!(self.data_load::<LOG>(width, addr));
-                self.log_reg_write::<LOG>(rd, v);
-            }
-            Instr::Store {
-                width,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                cost += 2;
-                let base = self.log_reg_read::<LOG>(rs1);
-                let addr = base.wrapping_add(offset as u32);
-                let v = self.log_reg_read::<LOG>(rs2);
-                stop_on!(self.data_store::<LOG>(width, addr, v));
-            }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                let a = self.log_reg_read::<LOG>(rs1);
-                let simm = imm as u32;
-                let r = match op {
-                    AluImmOp::Addi => a.wrapping_add(simm),
-                    AluImmOp::Slti => ((a as i32) < imm) as u32,
-                    AluImmOp::Sltiu => (a < simm) as u32,
-                    AluImmOp::Xori => a ^ simm,
-                    AluImmOp::Ori => a | simm,
-                    AluImmOp::Andi => a & simm,
-                };
-                self.log_reg_write::<LOG>(rd, r);
-            }
-            Instr::Shift { op, rd, rs1, shamt } => {
-                let a = self.log_reg_read::<LOG>(rs1);
-                let r = match op {
-                    ShiftOp::Sll => a << shamt,
-                    ShiftOp::Srl => a >> shamt,
-                    ShiftOp::Sra => ((a as i32) >> shamt) as u32,
-                };
-                self.log_reg_write::<LOG>(rd, r);
-            }
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let a = self.log_reg_read::<LOG>(rs1);
-                let b = self.log_reg_read::<LOG>(rs2);
-                let r = match op {
-                    AluOp::Add => a.wrapping_add(b),
-                    AluOp::Sub => a.wrapping_sub(b),
-                    AluOp::Sll => a.wrapping_shl(b & 31),
-                    AluOp::Slt => ((a as i32) < (b as i32)) as u32,
-                    AluOp::Sltu => (a < b) as u32,
-                    AluOp::Xor => a ^ b,
-                    AluOp::Srl => a.wrapping_shr(b & 31),
-                    AluOp::Sra => ((a as i32).wrapping_shr(b & 31)) as u32,
-                    AluOp::Or => a | b,
-                    AluOp::And => a & b,
-                };
-                self.log_reg_write::<LOG>(rd, r);
-            }
-            Instr::Fence => {}
-            Instr::Ecall => {
-                let code = self.log_reg_read::<LOG>(Reg::A7);
-                match code {
-                    ECALL_HALT => {
-                        self.halted = true;
-                        self.cycles += cost;
-                        self.debug.on_cycles(cost);
-                        return Some(StopReason::Halted);
-                    }
-                    ECALL_SYNC => {
-                        let tag = self.log_reg_read::<LOG>(Reg::A0) as u16;
-                        self.iterations += 1;
-                        self.pc = next_pc;
-                        self.cycles += cost;
-                        self.debug.on_cycles(cost);
-                        return Some(StopReason::Sync {
-                            tag,
-                            iteration: self.iterations,
-                        });
-                    }
-                    ECALL_IN => {
-                        let port = self.log_reg_read::<LOG>(Reg::A0) as usize % PORT_COUNT;
-                        let v = self.in_ports[port];
-                        self.log_reg_write::<LOG>(Reg::A0, v);
-                    }
-                    ECALL_OUT => {
-                        let port = self.log_reg_read::<LOG>(Reg::A0) as usize % PORT_COUNT;
-                        let v = self.log_reg_read::<LOG>(Reg::A1);
-                        self.out_ports[port] = v;
-                    }
-                    ECALL_ASSERT => {
-                        let id = self.log_reg_read::<LOG>(Reg::A0) as u16;
-                        return Some(self.detect(Detection::Assertion(id)));
-                    }
-                    unknown => {
-                        return Some(self.detect(Detection::Assertion(unknown as u16)));
-                    }
-                }
-            }
-            Instr::Ebreak => {
-                return Some(self.detect(Detection::Ebreak));
-            }
-        }
-
-        if !pc_set {
-            self.pc = next_pc;
-        }
-        self.cycles += cost;
-        self.debug.on_cycles(cost);
-        None
+    };
+    if cpu.mem.write(word_addr, merged).is_err() {
+        // Out of range or a store into the protected code segment:
+        // both surface as an access fault.
+        return Err(cpu.detect(Detection::AccessFault));
     }
+    if LOG {
+        cpu.log.mem_writes.push(word_addr);
+    }
+    cpu.debug.observe(BusEvent::DataWrite { addr: word_addr });
+    Ok(())
+}
+
+/// Transfers control to `target` (branch/jal/jalr). Returns
+/// `Err(stop)` when the target is rejected.
+#[inline(always)]
+fn jump(cpu: &mut Cpu, target: u32, is_call: bool) -> Result<(), StopReason> {
+    if !target.is_multiple_of(4) {
+        return Err(cpu.detect(Detection::Misaligned));
+    }
+    if target / 4 >= cpu.mem.code_segment() {
+        return Err(cpu.detect(Detection::ControlFlow));
+    }
+    cpu.pc = target;
+    let ev = if is_call {
+        BusEvent::Call { target }
+    } else {
+        BusEvent::Branch { target }
+    };
+    cpu.debug.observe(ev);
+    Ok(())
+}
+
+#[inline(always)]
+fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
+    let next_pc = cpu.pc.wrapping_add(4);
+    let mut pc_set = false;
+    let mut cost = 1u64;
+
+    macro_rules! stop_on {
+        ($e:expr) => {
+            match $e {
+                Ok(v) => v,
+                Err(stop) => {
+                    cpu.debug.on_cycles(cost);
+                    return Some(stop);
+                }
+            }
+        };
+    }
+
+    match instr {
+        Instr::Lui { rd, imm20 } => {
+            log_reg_write::<LOG>(cpu, rd, imm20 << 12);
+        }
+        Instr::Auipc { rd, imm20 } => {
+            log_reg_write::<LOG>(cpu, rd, cpu.pc.wrapping_add(imm20 << 12));
+        }
+        Instr::Jal { rd, offset } => {
+            cost += 2;
+            let target = cpu.pc.wrapping_add(offset as u32);
+            log_reg_write::<LOG>(cpu, rd, next_pc);
+            stop_on!(jump(cpu, target, rd == Reg::RA));
+            pc_set = true;
+        }
+        Instr::Jalr { rd, rs1, offset } => {
+            cost += 2;
+            let base = log_reg_read::<LOG>(cpu, rs1);
+            let target = base.wrapping_add(offset as u32) & !1;
+            log_reg_write::<LOG>(cpu, rd, next_pc);
+            stop_on!(jump(cpu, target, rd == Reg::RA));
+            pc_set = true;
+        }
+        Instr::Branch {
+            cond,
+            rs1,
+            rs2,
+            offset,
+        } => {
+            let a = log_reg_read::<LOG>(cpu, rs1);
+            let b = log_reg_read::<LOG>(cpu, rs2);
+            let taken = match cond {
+                BranchCond::Eq => a == b,
+                BranchCond::Ne => a != b,
+                BranchCond::Lt => (a as i32) < (b as i32),
+                BranchCond::Ge => (a as i32) >= (b as i32),
+                BranchCond::Ltu => a < b,
+                BranchCond::Geu => a >= b,
+            };
+            if taken {
+                cost += 1;
+                let target = cpu.pc.wrapping_add(offset as u32);
+                stop_on!(jump(cpu, target, false));
+                pc_set = true;
+            }
+        }
+        Instr::Load {
+            width,
+            rd,
+            rs1,
+            offset,
+        } => {
+            cost += 2;
+            let base = log_reg_read::<LOG>(cpu, rs1);
+            let addr = base.wrapping_add(offset as u32);
+            let v = stop_on!(data_load::<LOG>(cpu, width, addr));
+            log_reg_write::<LOG>(cpu, rd, v);
+        }
+        Instr::Store {
+            width,
+            rs1,
+            rs2,
+            offset,
+        } => {
+            cost += 2;
+            let base = log_reg_read::<LOG>(cpu, rs1);
+            let addr = base.wrapping_add(offset as u32);
+            let v = log_reg_read::<LOG>(cpu, rs2);
+            stop_on!(data_store::<LOG>(cpu, width, addr, v));
+        }
+        Instr::AluImm { op, rd, rs1, imm } => {
+            let a = log_reg_read::<LOG>(cpu, rs1);
+            let simm = imm as u32;
+            let r = match op {
+                AluImmOp::Addi => a.wrapping_add(simm),
+                AluImmOp::Slti => ((a as i32) < imm) as u32,
+                AluImmOp::Sltiu => (a < simm) as u32,
+                AluImmOp::Xori => a ^ simm,
+                AluImmOp::Ori => a | simm,
+                AluImmOp::Andi => a & simm,
+            };
+            log_reg_write::<LOG>(cpu, rd, r);
+        }
+        Instr::Shift { op, rd, rs1, shamt } => {
+            let a = log_reg_read::<LOG>(cpu, rs1);
+            let r = match op {
+                ShiftOp::Sll => a << shamt,
+                ShiftOp::Srl => a >> shamt,
+                ShiftOp::Sra => ((a as i32) >> shamt) as u32,
+            };
+            log_reg_write::<LOG>(cpu, rd, r);
+        }
+        Instr::Alu { op, rd, rs1, rs2 } => {
+            let a = log_reg_read::<LOG>(cpu, rs1);
+            let b = log_reg_read::<LOG>(cpu, rs2);
+            let r = match op {
+                AluOp::Add => a.wrapping_add(b),
+                AluOp::Sub => a.wrapping_sub(b),
+                AluOp::Sll => a.wrapping_shl(b & 31),
+                AluOp::Slt => ((a as i32) < (b as i32)) as u32,
+                AluOp::Sltu => (a < b) as u32,
+                AluOp::Xor => a ^ b,
+                AluOp::Srl => a.wrapping_shr(b & 31),
+                AluOp::Sra => ((a as i32).wrapping_shr(b & 31)) as u32,
+                AluOp::Or => a | b,
+                AluOp::And => a & b,
+            };
+            log_reg_write::<LOG>(cpu, rd, r);
+        }
+        Instr::Fence => {}
+        Instr::Ecall => {
+            let code = log_reg_read::<LOG>(cpu, Reg::A7);
+            match code {
+                ECALL_HALT => {
+                    cpu.halted = true;
+                    cpu.cycles += cost;
+                    cpu.debug.on_cycles(cost);
+                    return Some(StopReason::Halted);
+                }
+                ECALL_SYNC => {
+                    let tag = log_reg_read::<LOG>(cpu, Reg::A0) as u16;
+                    cpu.iterations += 1;
+                    cpu.pc = next_pc;
+                    cpu.cycles += cost;
+                    cpu.debug.on_cycles(cost);
+                    return Some(StopReason::Sync {
+                        tag,
+                        iteration: cpu.iterations,
+                    });
+                }
+                ECALL_IN => {
+                    let port = log_reg_read::<LOG>(cpu, Reg::A0) as usize % PORT_COUNT;
+                    let v = cpu.in_ports[port];
+                    log_reg_write::<LOG>(cpu, Reg::A0, v);
+                }
+                ECALL_OUT => {
+                    let port = log_reg_read::<LOG>(cpu, Reg::A0) as usize % PORT_COUNT;
+                    let v = log_reg_read::<LOG>(cpu, Reg::A1);
+                    cpu.out_ports[port] = v;
+                }
+                ECALL_ASSERT => {
+                    let id = log_reg_read::<LOG>(cpu, Reg::A0) as u16;
+                    return Some(cpu.detect(Detection::Assertion(id)));
+                }
+                unknown => {
+                    return Some(cpu.detect(Detection::Assertion(unknown as u16)));
+                }
+            }
+        }
+        Instr::Ebreak => {
+            return Some(cpu.detect(Detection::Ebreak));
+        }
+    }
+
+    if !pc_set {
+        cpu.pc = next_pc;
+    }
+    cpu.cycles += cost;
+    cpu.debug.on_cycles(cost);
+    None
 }
 
 #[cfg(test)]

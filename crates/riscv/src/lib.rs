@@ -44,12 +44,12 @@ mod isa;
 pub mod scan;
 
 pub use cpu::{
-    AccessLog, Cpu, CpuConfig, Detection, Image, StopReason, ECALL_ASSERT, ECALL_HALT, ECALL_IN,
-    ECALL_OUT, ECALL_SYNC, PORT_COUNT,
+    AccessLog, Cpu, CpuConfig, Detection, Image, Rv32iIsa, StopReason, ECALL_ASSERT, ECALL_HALT,
+    ECALL_IN, ECALL_OUT, ECALL_SYNC,
 };
 pub use isa::{
     decode, encode, AluImmOp, AluOp, BranchCond, DecodeError, Instr, LoadWidth, Reg, ShiftOp,
     StoreWidth,
 };
 pub use scan::ChainSet;
-pub use scanchain::{Memory, MemoryError, PAGE_WORDS};
+pub use scanchain::{Memory, MemoryError, PAGE_WORDS, PORT_COUNT};

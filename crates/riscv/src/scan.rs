@@ -16,23 +16,19 @@
 //! it as observe-only, and a verified write through it must be rejected.
 //! Main memory is not scannable (pre-runtime SWIFI reaches it instead).
 
-use crate::cpu::{Cpu, PORT_COUNT};
+use crate::cpu::{Cpu, Rv32iIsa};
 use crate::isa::Reg;
-use scanchain::{BitVec, CellAccess, ChainLayout, DebugUnit, ScanError, ScanTarget};
+use scanchain::{BitVec, CellAccess, ChainLayout, Detection as _, IsaChains, ScanError};
+pub use scanchain::{BOUNDARY_CHAIN as BOUNDARY, DEBUG_CHAIN as DEBUG};
 
 /// Name of the internal (register file) chain.
 pub const INTERNAL: &str = "internal";
-/// Name of the boundary (pin) chain.
-pub const BOUNDARY: &str = "boundary";
-/// Name of the debug-unit chain.
-pub const DEBUG: &str = "debug";
 
-/// The three chain layouts of an RV32I core.
+/// The RV32I core's own chain layout; the boundary and debug chains are
+/// the shared core's.
 #[derive(Debug, Clone)]
 pub struct ChainSet {
     internal: ChainLayout,
-    boundary: ChainLayout,
-    debug: ChainLayout,
 }
 
 impl Default for ChainSet {
@@ -42,141 +38,59 @@ impl Default for ChainSet {
 }
 
 impl ChainSet {
-    /// Builds the chain layouts (fixed geometry: no caches to size).
+    /// Builds the chain layout (fixed geometry: no caches to size).
     pub fn new() -> Self {
-        let internal = {
-            let mut b = ChainLayout::builder(INTERNAL)
-                .cell("PC", 32, CellAccess::ReadWrite)
-                .cell("X0", 32, CellAccess::ReadOnly);
-            for i in 1..Reg::COUNT {
-                b = b.cell(format!("X{i}"), 32, CellAccess::ReadWrite);
-            }
-            b.cell("DETECT", 32, CellAccess::ReadOnly)
-                .cell("ITER", 32, CellAccess::ReadOnly)
-                .cell("HALTED", 1, CellAccess::ReadOnly)
-                .build()
-        };
-        let boundary = {
-            let mut b = ChainLayout::builder(BOUNDARY);
-            for i in 0..PORT_COUNT {
-                b = b.cell(format!("IN_PORT{i}"), 32, CellAccess::ReadWrite);
-            }
-            for i in 0..PORT_COUNT {
-                b = b.cell(format!("OUT_PORT{i}"), 32, CellAccess::ReadOnly);
-            }
-            b.cell("ERROR_PIN", 1, CellAccess::ReadOnly)
-                .cell("HALT_PIN", 1, CellAccess::ReadOnly)
-                .build()
-        };
-        ChainSet {
-            internal,
-            boundary,
-            debug: DebugUnit::chain_layout(),
+        let mut b = ChainLayout::builder(INTERNAL)
+            .cell("PC", 32, CellAccess::ReadWrite)
+            .cell("X0", 32, CellAccess::ReadOnly);
+        for i in 1..Reg::COUNT {
+            b = b.cell(format!("X{i}"), 32, CellAccess::ReadWrite);
         }
-    }
-
-    /// All chain names in SCAN_N index order.
-    pub fn names() -> [&'static str; 3] {
-        [INTERNAL, BOUNDARY, DEBUG]
-    }
-
-    /// Layout by chain name.
-    pub fn by_name(&self, name: &str) -> Option<&ChainLayout> {
-        match name {
-            INTERNAL => Some(&self.internal),
-            BOUNDARY => Some(&self.boundary),
-            DEBUG => Some(&self.debug),
-            _ => None,
-        }
+        let internal = b
+            .cell("DETECT", 32, CellAccess::ReadOnly)
+            .cell("ITER", 32, CellAccess::ReadOnly)
+            .cell("HALTED", 1, CellAccess::ReadOnly)
+            .build();
+        ChainSet { internal }
     }
 }
 
-impl Cpu {
-    /// The CPU's scan-chain layouts.
-    pub fn chains(&self) -> &ChainSet {
-        &self.chains
+// The internal chain is captured and updated by cell index, in the order
+// `ChainSet::new` builds its cells.
+
+impl IsaChains for Rv32iIsa {
+    const CHAINS: &'static [&'static str] = &[INTERNAL];
+
+    fn layout(&self, chain: &str) -> Option<&ChainLayout> {
+        (chain == INTERNAL).then_some(&self.chains.internal)
     }
 
-    // Both chains are captured and updated by cell index, in the order
-    // `ChainSet::new` builds their cells.
-
-    fn capture_internal(&self) -> Result<BitVec, ScanError> {
-        let regs = self.regs.iter().map(|&r| r as u64);
+    fn capture(cpu: &Cpu, chain: &str) -> Result<BitVec, ScanError> {
+        if chain != INTERNAL {
+            return Err(ScanError::UnknownChain(chain.to_string()));
+        }
+        let regs = cpu.isa.regs.iter().map(|&r| r as u64);
         let status = [
-            self.detection.map_or(0, |d| d.encode()) as u64,
-            self.iterations & 0xFFFF_FFFF,
-            self.halted as u64,
+            cpu.detection.map_or(0, |d| d.encode()) as u64,
+            cpu.iterations & 0xFFFF_FFFF,
+            cpu.halted as u64,
         ];
-        let cells = std::iter::once(self.pc as u64).chain(regs).chain(status);
-        self.chains.internal.pack(cells)
+        let cells = std::iter::once(cpu.pc as u64).chain(regs).chain(status);
+        cpu.isa.chains.internal.pack(cells)
     }
 
-    fn update_internal(&mut self, bits: &BitVec) -> Result<(), ScanError> {
+    fn update(cpu: &mut Cpu, chain: &str, bits: &BitVec) -> Result<(), ScanError> {
+        if chain != INTERNAL {
+            return Err(ScanError::UnknownChain(chain.to_string()));
+        }
         // X0 is not a latch: skipped. DETECT/ITER/HALTED are read-only.
         let [pc, _x0, regs @ .., _detect, _iter, _halted] =
-            self.chains.internal.unpack::<{ Reg::COUNT + 4 }>(bits)?;
-        self.pc = pc as u32;
-        for (reg, value) in self.regs[1..].iter_mut().zip(regs) {
+            cpu.isa.chains.internal.unpack::<{ Reg::COUNT + 4 }>(bits)?;
+        cpu.pc = pc as u32;
+        for (reg, value) in cpu.isa.regs[1..].iter_mut().zip(regs) {
             *reg = value as u32;
         }
         Ok(())
-    }
-
-    fn capture_boundary(&self) -> Result<BitVec, ScanError> {
-        let ports = self.in_ports.iter().chain(&self.out_ports);
-        let pins = [self.detection.is_some() as u64, self.halted as u64];
-        let cells = ports.map(|&p| p as u64).chain(pins);
-        self.chains.boundary.pack(cells)
-    }
-
-    fn update_boundary(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        // Output ports and pins are read-only.
-        let cells = self
-            .chains
-            .boundary
-            .unpack::<{ 2 * PORT_COUNT + 2 }>(bits)?;
-        for (port, value) in self.in_ports.iter_mut().zip(cells) {
-            *port = value as u32;
-        }
-        Ok(())
-    }
-}
-
-impl ScanTarget for Cpu {
-    fn chain_names(&self) -> Vec<String> {
-        ChainSet::names().iter().map(|s| s.to_string()).collect()
-    }
-
-    fn chain_layout(&self, chain: &str) -> Option<&ChainLayout> {
-        self.chains.by_name(chain)
-    }
-
-    fn capture_chain(&self, chain: &str) -> Result<BitVec, ScanError> {
-        match chain {
-            INTERNAL => self.capture_internal(),
-            BOUNDARY => self.capture_boundary(),
-            DEBUG => self.debug.capture(),
-            _ => Err(ScanError::UnknownChain(chain.to_string())),
-        }
-    }
-
-    fn update_chain(&mut self, chain: &str, bits: &BitVec) -> Result<(), ScanError> {
-        let layout = self
-            .chains
-            .by_name(chain)
-            .ok_or_else(|| ScanError::UnknownChain(chain.to_string()))?;
-        if bits.len() != layout.total_bits() {
-            return Err(ScanError::LengthMismatch {
-                expected: layout.total_bits(),
-                got: bits.len(),
-            });
-        }
-        match chain {
-            INTERNAL => self.update_internal(bits),
-            BOUNDARY => self.update_boundary(bits),
-            DEBUG => self.debug.update(bits),
-            _ => Err(ScanError::UnknownChain(chain.to_string())),
-        }
     }
 }
 
@@ -185,7 +99,7 @@ mod rv32i_tests {
     use super::*;
     use crate::cpu::{CpuConfig, Detection, Image, StopReason, ECALL_ASSERT, ECALL_HALT};
     use crate::isa::{encode, AluImmOp, Instr};
-    use scanchain::TestCard;
+    use scanchain::{DebugUnit, ScanTarget, TestCard, PORT_COUNT};
 
     fn addi(rd: u8, rs1: u8, imm: i32) -> u32 {
         encode(Instr::AluImm {
@@ -240,7 +154,8 @@ mod rv32i_tests {
         assert_eq!(cell("ITER"), 0x42);
         assert_eq!(cell("HALTED"), 0);
         let boundary = cpu.capture_chain(BOUNDARY).unwrap();
-        let pin = |name: &str| cpu.chains.boundary.read_cell(&boundary, name).unwrap();
+        let boundary_layout = cpu.chain_layout(BOUNDARY).unwrap().clone();
+        let pin = |name: &str| boundary_layout.read_cell(&boundary, name).unwrap();
         for i in 0..PORT_COUNT {
             assert_eq!(pin(&format!("IN_PORT{i}")), 0x200 + i as u64, "IN_PORT{i}");
             assert_eq!(
@@ -265,7 +180,7 @@ mod rv32i_tests {
         for i in 1..Reg::COUNT {
             assert_eq!(cpu.regs[i], 0x400 + i as u32, "X{i}");
         }
-        let layout = cpu.chains.boundary.clone();
+        let layout = boundary_layout;
         let mut bits = boundary.clone();
         for i in 0..PORT_COUNT {
             layout
@@ -282,7 +197,8 @@ mod rv32i_tests {
     #[test]
     fn chain_names_and_layouts_exist() {
         let cpu = Cpu::new(CpuConfig::default());
-        for name in ChainSet::names() {
+        for name in cpu.chain_names() {
+            let name = name.as_str();
             assert!(cpu.chain_layout(name).is_some(), "{name}");
             let img = cpu.capture_chain(name).unwrap();
             assert_eq!(img.len(), cpu.chain_layout(name).unwrap().total_bits());

@@ -11,11 +11,15 @@
 //! scan chains can be driven by a [`TestCard`], which in turn is what the
 //! GOOFI framework's SCIFI algorithm talks to.
 //!
-//! The crate also holds what every CPU core behind a card shares besides
-//! its scan chains, so each core and the one generic test-card port in
-//! `goofi-core` use the same types: the [`DebugUnit`] that fires fault
-//! triggers, and the paged copy-on-write main [`Memory`] that snapshots
-//! share and the memoized memory digest reads page by page.
+//! The crate also holds what every CPU core behind a card shares, so each
+//! core and the one generic test-card port in `goofi-core` use the same
+//! types: the [`DebugUnit`] that fires fault triggers, the paged
+//! copy-on-write main [`Memory`] that snapshots share and the memoized
+//! memory digest reads page by page, and the core skeleton [`Core`]. A
+//! core is `Core<I>` around its ISA half `I` ([`Isa`], [`IsaChains`]):
+//! the skeleton holds the machine state, the run loop and its fetch
+//! prologue, reset, the shared half of rejoining a fault-free run, and the
+//! boundary and debug chains, each once.
 //!
 //! [`plan`] is the one grammar of the `key=value` drill specs and the one
 //! source of seeded draws behind every self-injection drill: the link and
@@ -44,6 +48,7 @@
 
 mod bitvec;
 mod chain;
+mod cpu;
 mod debug;
 mod error;
 mod link;
@@ -55,6 +60,10 @@ mod wedge;
 
 pub use bitvec::BitVec;
 pub use chain::{CellAccess, CellDef, ChainLayout, ChainLayoutBuilder};
+pub use cpu::{
+    Core, DecodeCache, Detection, Isa, IsaChains, StepLog, StopReason, BOUNDARY_CHAIN, DEBUG_CHAIN,
+    PORT_COUNT,
+};
 pub use debug::{BusEvent, DebugCondition, DebugEvent, DebugUnit, DEBUG_SLOTS};
 pub use error::ScanError;
 pub use link::{LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel};

@@ -1,13 +1,13 @@
-//! The CPU core: fetch/decode/execute, EDMs, ports, watchdog, debug unit.
+//! Thor's ISA half: registers, IR/MAR/MDR, EDMs, both caches, and
+//! fetch/decode/execute. Ports, counters, the watchdog, the debug unit and
+//! the run loop are the shared [`Core`] skeleton's.
 
 use crate::asm::Image;
 use crate::cache::{Cache, CacheConfig, Lookup};
 use crate::edm::{Detection, EdmSet};
-use crate::isa::{decode, DecodeError, Instr, Opcode, Reg};
-use scanchain::{BusEvent, DebugEvent, DebugUnit, Memory, MemoryError};
-
-/// Number of I/O ports in each direction.
-pub const PORT_COUNT: usize = 4;
+use crate::isa::{decode, Instr, Opcode, Reg};
+use crate::scan::ChainSet;
+use scanchain::{BusEvent, Core, DecodeCache, Isa, MemoryError, StepLog, PORT_COUNT};
 
 /// Construction-time CPU configuration.
 #[derive(Debug, Clone, Copy)]
@@ -36,28 +36,15 @@ impl Default for CpuConfig {
     }
 }
 
+/// The simulated processor: the shared core skeleton around Thor's ISA
+/// half.
+///
+/// See the crate docs for an end-to-end example. The scan-chain view of the
+/// CPU lives in [`crate::scan`].
+pub type Cpu = Core<ThorIsa>;
+
 /// Why execution stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The program executed `halt`.
-    Halted,
-    /// An error detection mechanism fired.
-    Detected(Detection),
-    /// An armed debug condition fired (breakpoint reached).
-    DebugEvent(DebugEvent),
-    /// The workload executed `sync tag` — an iteration boundary at which
-    /// the tool exchanges data with the environment simulator.
-    Sync {
-        /// The tag operand of the `sync` instruction.
-        tag: u16,
-        /// Completed loop iterations so far.
-        iteration: u64,
-    },
-    /// The watchdog cycle budget was exhausted (time-out termination).
-    Timeout,
-    /// The per-call instruction budget of [`Cpu::run`] was exhausted.
-    InstrLimit,
-}
+pub type StopReason = scanchain::StopReason<Detection>;
 
 /// Condition-code flags.
 const FLAG_Z: u8 = 1;
@@ -85,7 +72,7 @@ pub struct AccessLog {
     pub flags_written: bool,
 }
 
-impl AccessLog {
+impl StepLog for AccessLog {
     fn clear(&mut self) {
         self.pc = 0;
         self.reg_reads.clear();
@@ -94,43 +81,6 @@ impl AccessLog {
         self.mem_writes.clear();
         self.flags_read = false;
         self.flags_written = false;
-    }
-}
-
-/// Slots in the decoded-instruction cache.
-const DECODE_SLOTS: usize = 64;
-
-/// A direct-mapped cache of decoded instructions, indexed by the low bits
-/// of the fetch address and keyed by the fetched word itself.
-///
-/// Decoding is a pure function of the word, so a slot whose stored word
-/// equals the fetched word holds exactly what [`decode`] would return, and
-/// nothing ever needs invalidating: a SWIFI code flip or a scan fault in
-/// the instruction cache changes the fetched word and misses. Words that
-/// fail to decode are never stored.
-#[derive(Debug, Clone)]
-struct DecodeCache {
-    slots: [(u32, Instr); DECODE_SLOTS],
-}
-
-impl DecodeCache {
-    fn new() -> Self {
-        // Every slot starts as the valid pair (0, decode(0)).
-        let nop = decode(0).expect("word 0 decodes");
-        DecodeCache {
-            slots: [(0, nop); DECODE_SLOTS],
-        }
-    }
-
-    #[inline(always)]
-    fn decode(&mut self, addr: u32, word: u32) -> Result<Instr, DecodeError> {
-        let slot = &mut self.slots[addr as usize % DECODE_SLOTS];
-        if slot.0 == word {
-            return Ok(slot.1);
-        }
-        let instr = decode(word)?;
-        *slot = (word, instr);
-        Ok(instr)
     }
 }
 
@@ -161,6 +111,23 @@ pub struct StateVector {
 }
 
 impl StateVector {
+    /// The scan-observable state of `cpu`.
+    pub fn of(cpu: &Cpu) -> StateVector {
+        StateVector {
+            regs: cpu.isa.regs,
+            pc: cpu.pc,
+            flags: cpu.isa.flags,
+            ir: cpu.isa.ir,
+            mar: cpu.isa.mar,
+            mdr: cpu.isa.mdr,
+            out_ports: cpu.out_ports,
+            iterations: cpu.iterations,
+            detection: cpu
+                .detection
+                .map_or(0, |d| scanchain::Detection::encode(&d)),
+        }
+    }
+
     /// Serialises the snapshot to words, for hashing and database storage.
     pub fn to_words(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(Reg::COUNT + PORT_COUNT + 8);
@@ -178,133 +145,26 @@ impl StateVector {
     }
 }
 
-/// The simulated processor.
-///
-/// See the crate docs for an end-to-end example. The scan-chain view of the
-/// CPU lives in [`crate::scan`].
+/// Thor's half of a [`Cpu`]; its accessors read as the CPU's own.
 #[derive(Debug, Clone)]
-pub struct Cpu {
+pub struct ThorIsa {
     pub(crate) regs: [u32; Reg::COUNT],
-    pub(crate) pc: u32,
     pub(crate) flags: u8,
     pub(crate) ir: u32,
     pub(crate) mar: u32,
     pub(crate) mdr: u32,
     pub(crate) edm: EdmSet,
-    pub(crate) mem: Memory,
     pub(crate) icache: Cache,
     pub(crate) dcache: Cache,
-    pub(crate) in_ports: [u32; PORT_COUNT],
-    pub(crate) out_ports: [u32; PORT_COUNT],
-    pub(crate) cycles: u64,
-    pub(crate) instret: u64,
-    pub(crate) iterations: u64,
-    pub(crate) debug: DebugUnit,
-    pub(crate) detection: Option<Detection>,
-    pub(crate) halted: bool,
-    watchdog: Option<u64>,
-    entry: u32,
-    initial_sp: u32,
-    /// The configured EDM set, restored by [`Cpu::reset`] — without it an
-    /// injected PSW bit flip would survive reset and contaminate every
-    /// later experiment (and the golden run) of a campaign.
+    /// The configured EDM set, restored by reset — without it an injected
+    /// PSW bit flip would survive reset and contaminate every later
+    /// experiment (and the golden run) of a campaign.
     config_edm: EdmSet,
-    scratch_log: AccessLog,
-    decoded: DecodeCache,
-    pub(crate) chains: crate::scan::ChainSet,
+    decoded: DecodeCache<Instr>,
+    pub(crate) chains: ChainSet,
 }
 
-impl Cpu {
-    /// Creates a CPU with zeroed state.
-    pub fn new(config: CpuConfig) -> Self {
-        let initial_sp = config.mem_words as u32 - 1;
-        let mut icache = Cache::new(config.icache);
-        let mut dcache = Cache::new(config.dcache);
-        icache.set_parity_enabled(config.edm.parity_i);
-        dcache.set_parity_enabled(config.edm.parity_d);
-        let chains = crate::scan::ChainSet::new(
-            icache.line_count(),
-            icache.tag_bits(),
-            dcache.line_count(),
-            dcache.tag_bits(),
-        );
-        let mut regs = [0; Reg::COUNT];
-        regs[Reg::SP.index()] = initial_sp;
-        Cpu {
-            regs,
-            pc: 0,
-            flags: 0,
-            ir: 0,
-            mar: 0,
-            mdr: 0,
-            edm: config.edm,
-            mem: Memory::new(config.mem_words),
-            icache,
-            dcache,
-            in_ports: [0; PORT_COUNT],
-            out_ports: [0; PORT_COUNT],
-            cycles: 0,
-            instret: 0,
-            iterations: 0,
-            debug: DebugUnit::new(),
-            detection: None,
-            halted: false,
-            watchdog: config.watchdog_cycles,
-            entry: 0,
-            initial_sp,
-            config_edm: config.edm,
-            scratch_log: AccessLog::default(),
-            decoded: DecodeCache::new(),
-            chains,
-        }
-    }
-
-    /// Downloads an assembled image: code at word 0, protection boundary at
-    /// the image's code/data split, then resets the core.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::OutOfRange`] if the image does not fit.
-    pub fn load_image(&mut self, image: &Image) -> Result<(), MemoryError> {
-        self.mem.clear();
-        self.mem.load_block(0, &image.words)?;
-        self.mem.set_code_segment(image.code_words);
-        self.entry = image.entry;
-        self.reset();
-        Ok(())
-    }
-
-    /// Resets the core (registers, caches, counters, detection latch, PSW
-    /// error-detection mask) while leaving main memory intact. Equivalent
-    /// to pulsing the reset pin.
-    pub fn reset(&mut self) {
-        self.regs = [0; Reg::COUNT];
-        self.regs[Reg::SP.index()] = self.initial_sp;
-        self.pc = self.entry;
-        self.flags = 0;
-        self.ir = 0;
-        self.mar = 0;
-        self.mdr = 0;
-        // The PSW mask reverts to its configured value: a fault injected
-        // into the PSW scan cell must not outlive its own experiment.
-        self.edm = self.config_edm;
-        self.icache.reset();
-        self.dcache.reset();
-        self.icache.set_parity_enabled(self.edm.parity_i);
-        self.dcache.set_parity_enabled(self.edm.parity_d);
-        // Both port latch directions reset, or an experiment would inherit
-        // the previous run's last sensor values and follow a (slightly)
-        // different trajectory than the reference run.
-        self.in_ports = [0; PORT_COUNT];
-        self.out_ports = [0; PORT_COUNT];
-        self.cycles = 0;
-        self.instret = 0;
-        self.iterations = 0;
-        self.debug.reset_counters();
-        self.detection = None;
-        self.halted = false;
-    }
-
+impl ThorIsa {
     /// The enabled error detection mechanisms.
     pub fn edm(&self) -> EdmSet {
         self.edm
@@ -317,16 +177,6 @@ impl Cpu {
         self.dcache.set_parity_enabled(edm.parity_d);
     }
 
-    /// Main memory (tool-side access).
-    pub fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    /// Mutable main memory (tool-side access, used by SWIFI).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Invalidates any cached copy of `addr` in both caches. The test card
     /// calls this after tool-side memory writes so a SWIFI fault is not
     /// silently masked by a stale cache line.
@@ -335,77 +185,9 @@ impl Cpu {
         self.dcache.invalidate(addr);
     }
 
-    /// The debug-event unit.
-    pub fn debug_unit(&self) -> &DebugUnit {
-        &self.debug
-    }
-
-    /// Mutable debug-event unit (breakpoint programming).
-    pub fn debug_unit_mut(&mut self) -> &mut DebugUnit {
-        &mut self.debug
-    }
-
     /// Reads a register.
     pub fn reg(&self, r: Reg) -> u32 {
         self.regs[r.index()]
-    }
-
-    /// Writes a register (tool-side; scan writes use the chain interface).
-    pub fn set_reg(&mut self, r: Reg, value: u32) {
-        self.regs[r.index()] = value;
-    }
-
-    /// Current program counter.
-    pub fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    /// Sets the program counter (tool-side).
-    pub fn set_pc(&mut self, pc: u32) {
-        self.pc = pc;
-    }
-
-    /// Cycle count since reset.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Instructions retired since reset.
-    pub fn instructions(&self) -> u64 {
-        self.instret
-    }
-
-    /// Completed `sync` iterations since reset.
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// Latched detection, if any.
-    pub fn detection(&self) -> Option<Detection> {
-        self.detection
-    }
-
-    /// Whether the core has executed `halt`.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Drives an input port (environment simulator -> target).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port >= PORT_COUNT`.
-    pub fn set_in_port(&mut self, port: usize, value: u32) {
-        self.in_ports[port] = value;
-    }
-
-    /// Reads an output port latch (target -> environment simulator).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port >= PORT_COUNT`.
-    pub fn out_port(&self, port: usize) -> u32 {
-        self.out_ports[port]
     }
 
     /// Instruction-cache statistics.
@@ -418,196 +200,7 @@ impl Cpu {
         self.dcache.stats()
     }
 
-    /// Snapshot of the scan-observable state.
-    pub fn state_vector(&self) -> StateVector {
-        StateVector {
-            regs: self.regs,
-            pc: self.pc,
-            flags: self.flags,
-            ir: self.ir,
-            mar: self.mar,
-            mdr: self.mdr,
-            out_ports: self.out_ports,
-            iterations: self.iterations,
-            detection: self.detection.map_or(0, |d| d.encode()),
-        }
-    }
-
-    /// Rejoins a fault-free run: if `self` would execute exactly as
-    /// `checkpoint` does, becomes the state it reaches by the end of that
-    /// run and returns `true`; otherwise returns `false` and changes
-    /// nothing. `end` must be a later state of the run through
-    /// `checkpoint`, with no tool access in between.
-    ///
-    /// Everything that steers execution or reaches a scan chain must
-    /// match: registers, PC, flags, IR/MAR/MDR, PSW, ports, iterations,
-    /// the detection and halt latches, the debug unit's conditions and
-    /// latch, all of memory, and every cache line the run looks up or
-    /// fills after `checkpoint`. Lines it never uses again keep `self`'s
-    /// contents; cycles, debug counters and cache statistics move by
-    /// `self`'s distance from `checkpoint`. The rejoin is refused when the
-    /// moved cycle count would reach the watchdog.
-    pub fn rejoin(&mut self, checkpoint: &Cpu, end: &Cpu) -> bool {
-        let since = checkpoint.instret;
-        let same = self.instret == since
-            && end.instret >= since
-            && end.cycles >= checkpoint.cycles
-            && (self.pc, self.regs, self.flags)
-                == (checkpoint.pc, checkpoint.regs, checkpoint.flags)
-            && (self.ir, self.mar, self.mdr) == (checkpoint.ir, checkpoint.mar, checkpoint.mdr)
-            && (self.edm, self.in_ports, self.out_ports)
-                == (checkpoint.edm, checkpoint.in_ports, checkpoint.out_ports)
-            && (self.iterations, self.detection, self.halted)
-                == (
-                    checkpoint.iterations,
-                    checkpoint.detection,
-                    checkpoint.halted,
-                )
-            && (self.watchdog, self.entry, self.initial_sp, self.config_edm)
-                == (
-                    checkpoint.watchdog,
-                    checkpoint.entry,
-                    checkpoint.initial_sp,
-                    checkpoint.config_edm,
-                )
-            && self.debug.same_conditions(&checkpoint.debug)
-            && self
-                .icache
-                .matches_where_used(&checkpoint.icache, &end.icache, since)
-            && self
-                .dcache
-                .matches_where_used(&checkpoint.dcache, &end.dcache, since)
-            && self.mem.same_contents(&checkpoint.mem);
-        if !same {
-            return false;
-        }
-        let cycles = self.cycles + (end.cycles - checkpoint.cycles);
-        if self.watchdog.is_some_and(|budget| cycles >= budget) {
-            return false;
-        }
-        let mut next = end.clone();
-        next.cycles = cycles;
-        next.debug.rebase(&self.debug, &checkpoint.debug);
-        next.icache.rebase(&self.icache, &checkpoint.icache, since);
-        next.dcache.rebase(&self.dcache, &checkpoint.dcache, since);
-        *self = next;
-        true
-    }
-
-    /// Runs until a stop condition, retiring at most `max_instructions`.
-    pub fn run(&mut self, max_instructions: u64) -> StopReason {
-        for _ in 0..max_instructions {
-            if let Some(stop) = self.step_inner::<false>() {
-                return stop;
-            }
-        }
-        StopReason::InstrLimit
-    }
-
-    /// Executes one instruction; `None` means execution continues.
-    pub fn step(&mut self) -> Option<StopReason> {
-        self.step_inner::<false>()
-    }
-
-    /// Executes one instruction and fills `log` with its architectural
-    /// reads and writes (reference-trace collection for the pre-injection
-    /// analysis).
-    pub fn step_logged(&mut self, log: &mut AccessLog) -> Option<StopReason> {
-        self.scratch_log.clear();
-        let r = self.step_inner::<true>();
-        std::mem::swap(log, &mut self.scratch_log);
-        r
-    }
-
-    /// One instruction; `LOG` fills `scratch_log` with its accesses.
-    #[inline(always)]
-    fn step_inner<const LOG: bool>(&mut self) -> Option<StopReason> {
-        if self.halted {
-            return Some(StopReason::Halted);
-        }
-        if let Some(d) = self.detection {
-            return Some(StopReason::Detected(d));
-        }
-        if let Some(budget) = self.watchdog {
-            if self.cycles >= budget {
-                return Some(StopReason::Timeout);
-            }
-        }
-        // Breakpoint check on fetch, before the instruction executes.
-        if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
-            return Some(StopReason::DebugEvent(ev));
-        }
-        if LOG {
-            self.scratch_log.pc = self.pc;
-        }
-
-        // Control-flow check of the fetch address itself.
-        if self.pc >= self.mem.code_segment() && self.edm.control_flow {
-            return Some(self.detect(Detection::ControlFlow));
-        }
-
-        // Fetch through the instruction cache.
-        let word = match self.icache.lookup(self.pc, self.instret) {
-            Lookup::Hit(w) => {
-                self.cycles += 1;
-                w
-            }
-            Lookup::Miss => match self.mem.read(self.pc) {
-                Ok(w) => {
-                    self.icache.fill(self.pc, w, self.instret);
-                    self.cycles += 4;
-                    w
-                }
-                Err(_) => {
-                    if self.edm.access_violation {
-                        return Some(self.detect(Detection::AccessViolation));
-                    }
-                    self.cycles += 4;
-                    0 // reads beyond memory float to zero (NOP)
-                }
-            },
-            Lookup::ParityError => return Some(self.detect(Detection::ParityI)),
-        };
-        self.ir = word;
-        self.mar = self.pc;
-
-        // Decode.
-        let instr = match self.decoded.decode(self.pc, word) {
-            Ok(i) => i,
-            Err(_) => {
-                if self.edm.illegal_opcode {
-                    return Some(self.detect(Detection::IllegalOpcode));
-                }
-                // Detection disabled: the word executes as a NOP.
-                self.pc = self.pc.wrapping_add(1);
-                self.instret += 1;
-                self.cycles += 1;
-                self.debug.on_cycles(1);
-                return self.post_instruction_stop();
-            }
-        };
-
-        // Execute.
-        let stop = self.execute::<LOG>(instr);
-        self.instret += 1;
-        if stop.is_some() {
-            return stop;
-        }
-        self.post_instruction_stop()
-    }
-
-    /// After an instruction completes, surface any debug event latched by a
-    /// data-access/branch/call/cycle trigger during execution.
-    fn post_instruction_stop(&mut self) -> Option<StopReason> {
-        self.debug.pending().map(StopReason::DebugEvent)
-    }
-
-    fn detect(&mut self, d: Detection) -> StopReason {
-        debug_assert!(self.edm.allows(d), "masked detection {d:?} latched");
-        self.detection = Some(d);
-        StopReason::Detected(d)
-    }
-
+    #[inline]
     fn set_zn(&mut self, value: u32) {
         self.flags &= !(FLAG_Z | FLAG_N);
         if value == 0 {
@@ -618,6 +211,7 @@ impl Cpu {
         }
     }
 
+    #[inline]
     fn set_arith_flags(&mut self, a: u32, b: u32, result: u32, carry: bool) {
         self.set_zn(result);
         self.flags &= !(FLAG_C | FLAG_V);
@@ -631,392 +225,543 @@ impl Cpu {
             self.flags |= FLAG_V;
         }
     }
+}
 
-    #[inline(always)]
-    fn log_reg_read<const LOG: bool>(&mut self, r: Reg) -> u32 {
-        if LOG {
-            self.scratch_log.reg_reads.push(r);
-        }
-        self.regs[r.index()]
+impl Isa for ThorIsa {
+    type Detection = Detection;
+    type Log = AccessLog;
+    type Config = CpuConfig;
+    type Image = Image;
+
+    fn build(config: CpuConfig) -> Cpu {
+        let mut icache = Cache::new(config.icache);
+        let mut dcache = Cache::new(config.dcache);
+        icache.set_parity_enabled(config.edm.parity_i);
+        dcache.set_parity_enabled(config.edm.parity_d);
+        let chains = ChainSet::new(
+            icache.line_count(),
+            icache.tag_bits(),
+            dcache.line_count(),
+            dcache.tag_bits(),
+        );
+        let isa = ThorIsa {
+            regs: [0; Reg::COUNT],
+            flags: 0,
+            ir: 0,
+            mar: 0,
+            mdr: 0,
+            edm: config.edm,
+            icache,
+            dcache,
+            config_edm: config.edm,
+            // Every slot starts as the valid pair (0, decode(0)).
+            decoded: DecodeCache::new(0, decode(0).expect("word 0 decodes")),
+            chains,
+        };
+        let initial_sp = config.mem_words as u32 - 1;
+        Core::with_isa(isa, config.mem_words, config.watchdog_cycles, initial_sp)
+    }
+
+    fn image(image: &Image) -> (&[u32], u32, u32) {
+        (&image.words, image.code_words, image.entry)
+    }
+
+    /// Registers, IR/MAR/MDR and both caches clear; the PSW error-detection
+    /// mask reverts to its configured value, so a fault injected into the
+    /// PSW scan cell does not outlive its own experiment.
+    fn reset(&mut self, initial_sp: u32) {
+        self.regs = [0; Reg::COUNT];
+        self.regs[Reg::SP.index()] = initial_sp;
+        self.flags = 0;
+        self.ir = 0;
+        self.mar = 0;
+        self.mdr = 0;
+        self.edm = self.config_edm;
+        self.icache.reset();
+        self.dcache.reset();
+        self.icache.set_parity_enabled(self.edm.parity_i);
+        self.dcache.set_parity_enabled(self.edm.parity_d);
     }
 
     #[inline(always)]
-    fn log_reg_write<const LOG: bool>(&mut self, r: Reg, v: u32) {
+    fn step_inner<const LOG: bool>(cpu: &mut Cpu) -> Option<StopReason> {
         if LOG {
-            self.scratch_log.reg_writes.push(r);
+            cpu.log.pc = cpu.pc;
         }
-        self.regs[r.index()] = v;
-    }
 
-    /// Data read through the D-cache. Returns `Err(stop)` on detection.
-    #[inline(always)]
-    fn data_read<const LOG: bool>(&mut self, addr: u32) -> Result<u32, StopReason> {
-        self.mar = addr;
-        if LOG {
-            self.scratch_log.mem_reads.push(addr);
+        // Control-flow check of the fetch address itself.
+        if cpu.pc >= cpu.mem.code_segment() && cpu.isa.edm.control_flow {
+            return Some(cpu.detect(Detection::ControlFlow));
         }
-        let value = match self.dcache.lookup(addr, self.instret) {
-            Lookup::Hit(v) => {
-                self.cycles += 1;
-                v
+
+        // Fetch through the instruction cache.
+        let word = match cpu.isa.icache.lookup(cpu.pc, cpu.instret) {
+            Lookup::Hit(w) => {
+                cpu.cycles += 1;
+                w
             }
-            Lookup::Miss => match self.mem.read(addr) {
-                Ok(v) => {
-                    self.dcache.fill(addr, v, self.instret);
-                    self.cycles += 4;
-                    v
+            Lookup::Miss => match cpu.mem.read(cpu.pc) {
+                Ok(w) => {
+                    cpu.isa.icache.fill(cpu.pc, w, cpu.instret);
+                    cpu.cycles += 4;
+                    w
                 }
-                Err(MemoryError::OutOfRange { .. }) => {
-                    if self.edm.access_violation {
-                        return Err(self.detect(Detection::AccessViolation));
+                Err(_) => {
+                    if cpu.isa.edm.access_violation {
+                        return Some(cpu.detect(Detection::AccessViolation));
                     }
-                    self.cycles += 4;
-                    0
-                }
-                Err(MemoryError::WriteProtected { .. }) => {
-                    unreachable!("read cannot hit protection")
+                    cpu.cycles += 4;
+                    0 // reads beyond memory float to zero (NOP)
                 }
             },
-            Lookup::ParityError => return Err(self.detect(Detection::ParityD)),
+            Lookup::ParityError => return Some(cpu.detect(Detection::ParityI)),
         };
-        self.mdr = value;
-        self.debug.observe(BusEvent::DataRead { addr });
-        Ok(value)
+        cpu.isa.ir = word;
+        cpu.isa.mar = cpu.pc;
+
+        // Decode.
+        let instr = match cpu.isa.decoded.decode(cpu.pc, word, decode) {
+            Ok(i) => i,
+            Err(_) => {
+                if cpu.isa.edm.illegal_opcode {
+                    return Some(cpu.detect(Detection::IllegalOpcode));
+                }
+                // Detection disabled: the word executes as a NOP.
+                cpu.pc = cpu.pc.wrapping_add(1);
+                cpu.instret += 1;
+                cpu.cycles += 1;
+                cpu.debug.on_cycles(1);
+                return post_instruction_stop(cpu);
+            }
+        };
+
+        // Execute.
+        let stop = execute::<LOG>(cpu, instr);
+        cpu.instret += 1;
+        if stop.is_some() {
+            return stop;
+        }
+        post_instruction_stop(cpu)
     }
 
-    /// Data write, write-through with allocate. Returns `Err(stop)` on
-    /// detection.
-    #[inline(always)]
-    fn data_write<const LOG: bool>(&mut self, addr: u32, value: u32) -> Result<(), StopReason> {
-        self.mar = addr;
-        self.mdr = value;
-        if LOG {
-            self.scratch_log.mem_writes.push(addr);
+    /// Registers, flags, IR/MAR/MDR and the PSW must match, and so must
+    /// every cache line the run looks up or fills after `checkpoint`.
+    fn rejoins(&self, checkpoint: &Self, end: &Self, since: u64) -> bool {
+        (self.regs, self.flags) == (checkpoint.regs, checkpoint.flags)
+            && (self.ir, self.mar, self.mdr) == (checkpoint.ir, checkpoint.mar, checkpoint.mdr)
+            && (self.edm, self.config_edm) == (checkpoint.edm, checkpoint.config_edm)
+            && self
+                .icache
+                .matches_where_used(&checkpoint.icache, &end.icache, since)
+            && self
+                .dcache
+                .matches_where_used(&checkpoint.dcache, &end.dcache, since)
+    }
+
+    /// Lines the run never uses again keep `live`'s contents; cache
+    /// statistics move by `live`'s distance from `checkpoint`.
+    fn rebase(&mut self, live: &Self, checkpoint: &Self, since: u64) {
+        self.icache.rebase(&live.icache, &checkpoint.icache, since);
+        self.dcache.rebase(&live.dcache, &checkpoint.dcache, since);
+    }
+
+    fn unmasked(&self, d: Detection) -> bool {
+        self.edm.allows(d)
+    }
+}
+
+/// After an instruction completes, surface any debug event latched by a
+/// data-access/branch/call/cycle trigger during execution.
+#[inline(always)]
+fn post_instruction_stop(cpu: &mut Cpu) -> Option<StopReason> {
+    cpu.debug.pending().map(StopReason::DebugEvent)
+}
+
+#[inline(always)]
+fn log_reg_read<const LOG: bool>(cpu: &mut Cpu, r: Reg) -> u32 {
+    if LOG {
+        cpu.log.reg_reads.push(r);
+    }
+    cpu.isa.regs[r.index()]
+}
+
+#[inline(always)]
+fn log_reg_write<const LOG: bool>(cpu: &mut Cpu, r: Reg, v: u32) {
+    if LOG {
+        cpu.log.reg_writes.push(r);
+    }
+    cpu.isa.regs[r.index()] = v;
+}
+
+/// Data read through the D-cache. Returns `Err(stop)` on detection.
+#[inline(always)]
+fn data_read<const LOG: bool>(cpu: &mut Cpu, addr: u32) -> Result<u32, StopReason> {
+    cpu.isa.mar = addr;
+    if LOG {
+        cpu.log.mem_reads.push(addr);
+    }
+    let value = match cpu.isa.dcache.lookup(addr, cpu.instret) {
+        Lookup::Hit(v) => {
+            cpu.cycles += 1;
+            v
         }
-        match self.mem.write(addr, value) {
-            Ok(()) => {
-                self.dcache.fill(addr, value, self.instret);
-                self.cycles += 2;
-                self.debug.observe(BusEvent::DataWrite { addr });
+        Lookup::Miss => match cpu.mem.read(addr) {
+            Ok(v) => {
+                cpu.isa.dcache.fill(addr, v, cpu.instret);
+                cpu.cycles += 4;
+                v
+            }
+            Err(MemoryError::OutOfRange { .. }) => {
+                if cpu.isa.edm.access_violation {
+                    return Err(cpu.detect(Detection::AccessViolation));
+                }
+                cpu.cycles += 4;
+                0
+            }
+            Err(MemoryError::WriteProtected { .. }) => {
+                unreachable!("read cannot hit protection")
+            }
+        },
+        Lookup::ParityError => return Err(cpu.detect(Detection::ParityD)),
+    };
+    cpu.isa.mdr = value;
+    cpu.debug.observe(BusEvent::DataRead { addr });
+    Ok(value)
+}
+
+/// Data write, write-through with allocate. Returns `Err(stop)` on
+/// detection.
+#[inline(always)]
+fn data_write<const LOG: bool>(cpu: &mut Cpu, addr: u32, value: u32) -> Result<(), StopReason> {
+    cpu.isa.mar = addr;
+    cpu.isa.mdr = value;
+    if LOG {
+        cpu.log.mem_writes.push(addr);
+    }
+    match cpu.mem.write(addr, value) {
+        Ok(()) => {
+            cpu.isa.dcache.fill(addr, value, cpu.instret);
+            cpu.cycles += 2;
+            cpu.debug.observe(BusEvent::DataWrite { addr });
+            Ok(())
+        }
+        Err(_) => {
+            if cpu.isa.edm.access_violation {
+                Err(cpu.detect(Detection::AccessViolation))
+            } else {
+                // Detection disabled: the store is silently dropped.
+                cpu.cycles += 2;
                 Ok(())
             }
-            Err(_) => {
-                if self.edm.access_violation {
-                    Err(self.detect(Detection::AccessViolation))
-                } else {
-                    // Detection disabled: the store is silently dropped.
-                    self.cycles += 2;
-                    Ok(())
-                }
-            }
         }
     }
+}
 
-    /// Transfers control to `target` (branch/call/return). Returns
-    /// `Err(stop)` when control-flow checking rejects the target.
-    #[inline(always)]
-    fn jump(&mut self, target: u32, is_call: bool) -> Result<(), StopReason> {
-        if self.edm.control_flow && target >= self.mem.code_segment() {
-            return Err(self.detect(Detection::ControlFlow));
-        }
-        self.pc = target;
-        self.cycles += 1;
-        let ev = if is_call {
-            BusEvent::Call { target }
-        } else {
-            BusEvent::Branch { target }
+/// Transfers control to `target` (branch/call/return). Returns
+/// `Err(stop)` when control-flow checking rejects the target.
+#[inline(always)]
+fn jump(cpu: &mut Cpu, target: u32, is_call: bool) -> Result<(), StopReason> {
+    if cpu.isa.edm.control_flow && target >= cpu.mem.code_segment() {
+        return Err(cpu.detect(Detection::ControlFlow));
+    }
+    cpu.pc = target;
+    cpu.cycles += 1;
+    let ev = if is_call {
+        BusEvent::Call { target }
+    } else {
+        BusEvent::Branch { target }
+    };
+    cpu.debug.observe(ev);
+    Ok(())
+}
+
+#[allow(clippy::too_many_lines)]
+#[inline(always)]
+fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
+    use Opcode::*;
+    let next_pc = cpu.pc.wrapping_add(1);
+    let mut pc_set = false;
+    let mut cost = 1u64;
+
+    macro_rules! stop_on {
+        ($e:expr) => {
+            match $e {
+                Ok(v) => v,
+                Err(stop) => {
+                    cpu.debug.on_cycles(cost);
+                    return Some(stop);
+                }
+            }
         };
-        self.debug.observe(ev);
-        Ok(())
     }
 
-    #[allow(clippy::too_many_lines)]
-    #[inline(always)]
-    fn execute<const LOG: bool>(&mut self, instr: Instr) -> Option<StopReason> {
-        use Opcode::*;
-        let next_pc = self.pc.wrapping_add(1);
-        let mut pc_set = false;
-        let mut cost = 1u64;
-
-        macro_rules! stop_on {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(stop) => {
-                        self.debug.on_cycles(cost);
-                        return Some(stop);
+    match instr {
+        Instr::R { op, rd, rs1, rs2 } => {
+            let a = log_reg_read::<LOG>(cpu, rs1);
+            let b = log_reg_read::<LOG>(cpu, rs2);
+            match op {
+                Nop => {}
+                Halt => {
+                    cpu.halted = true;
+                    cpu.cycles += cost;
+                    cpu.debug.on_cycles(cost);
+                    return Some(StopReason::Halted);
+                }
+                Add => {
+                    let (r, c) = a.overflowing_add(b);
+                    if cpu.isa.edm.overflow && (a as i32).checked_add(b as i32).is_none() {
+                        return Some(cpu.detect(Detection::Overflow));
+                    }
+                    cpu.isa.set_arith_flags(a, b, r, c);
+                    if LOG {
+                        cpu.log.flags_written = true;
+                    }
+                    log_reg_write::<LOG>(cpu, rd, r);
+                }
+                Sub | Cmp => {
+                    let (r, borrow) = a.overflowing_sub(b);
+                    if op == Sub
+                        && cpu.isa.edm.overflow
+                        && (a as i32).checked_sub(b as i32).is_none()
+                    {
+                        return Some(cpu.detect(Detection::Overflow));
+                    }
+                    cpu.isa.set_arith_flags(a, !b, r, !borrow);
+                    if LOG {
+                        cpu.log.flags_written = true;
+                    }
+                    if op == Sub {
+                        log_reg_write::<LOG>(cpu, rd, r);
                     }
                 }
-            };
-        }
-
-        match instr {
-            Instr::R { op, rd, rs1, rs2 } => {
-                let a = self.log_reg_read::<LOG>(rs1);
-                let b = self.log_reg_read::<LOG>(rs2);
-                match op {
-                    Nop => {}
-                    Halt => {
-                        self.halted = true;
-                        self.cycles += cost;
-                        self.debug.on_cycles(cost);
-                        return Some(StopReason::Halted);
+                Mul => {
+                    cost += 3;
+                    if cpu.isa.edm.overflow && (a as i32).checked_mul(b as i32).is_none() {
+                        return Some(cpu.detect(Detection::Overflow));
                     }
-                    Add => {
-                        let (r, c) = a.overflowing_add(b);
-                        if self.edm.overflow && (a as i32).checked_add(b as i32).is_none() {
-                            return Some(self.detect(Detection::Overflow));
-                        }
-                        self.set_arith_flags(a, b, r, c);
-                        if LOG {
-                            self.scratch_log.flags_written = true;
-                        }
-                        self.log_reg_write::<LOG>(rd, r);
+                    let r = a.wrapping_mul(b);
+                    cpu.isa.set_zn(r);
+                    if LOG {
+                        cpu.log.flags_written = true;
                     }
-                    Sub | Cmp => {
-                        let (r, borrow) = a.overflowing_sub(b);
-                        if op == Sub
-                            && self.edm.overflow
-                            && (a as i32).checked_sub(b as i32).is_none()
-                        {
-                            return Some(self.detect(Detection::Overflow));
-                        }
-                        self.set_arith_flags(a, !b, r, !borrow);
-                        if LOG {
-                            self.scratch_log.flags_written = true;
-                        }
-                        if op == Sub {
-                            self.log_reg_write::<LOG>(rd, r);
-                        }
-                    }
-                    Mul => {
-                        cost += 3;
-                        if self.edm.overflow && (a as i32).checked_mul(b as i32).is_none() {
-                            return Some(self.detect(Detection::Overflow));
-                        }
-                        let r = a.wrapping_mul(b);
-                        self.set_zn(r);
-                        if LOG {
-                            self.scratch_log.flags_written = true;
-                        }
-                        self.log_reg_write::<LOG>(rd, r);
-                    }
-                    Div => {
-                        cost += 10;
-                        if b == 0 {
-                            return Some(self.detect(Detection::DivideByZero));
-                        }
-                        let r = ((a as i32).wrapping_div(b as i32)) as u32;
-                        self.set_zn(r);
-                        if LOG {
-                            self.scratch_log.flags_written = true;
-                        }
-                        self.log_reg_write::<LOG>(rd, r);
-                    }
-                    And | Or | Xor | Shl | Shr | Asr => {
-                        let r = match op {
-                            And => a & b,
-                            Or => a | b,
-                            Xor => a ^ b,
-                            Shl => a.wrapping_shl(b & 31),
-                            Shr => a.wrapping_shr(b & 31),
-                            Asr => ((a as i32).wrapping_shr(b & 31)) as u32,
-                            _ => unreachable!(),
-                        };
-                        self.set_zn(r);
-                        if LOG {
-                            self.scratch_log.flags_written = true;
-                        }
-                        self.log_reg_write::<LOG>(rd, r);
-                    }
-                    Mov => {
-                        self.log_reg_write::<LOG>(rd, a);
-                    }
-                    Ldx => {
-                        let addr = a.wrapping_add(b);
-                        let v = stop_on!(self.data_read::<LOG>(addr));
-                        self.log_reg_write::<LOG>(rd, v);
-                        cost += 1;
-                    }
-                    Stx => {
-                        let addr = a.wrapping_add(b);
-                        let v = self.log_reg_read::<LOG>(rd);
-                        stop_on!(self.data_write::<LOG>(addr, v));
-                        cost += 1;
-                    }
-                    Push => {
-                        let sp = self.log_reg_read::<LOG>(Reg::SP).wrapping_sub(1);
-                        self.log_reg_write::<LOG>(Reg::SP, sp);
-                        stop_on!(self.data_write::<LOG>(sp, a));
-                        cost += 1;
-                    }
-                    Pop => {
-                        let sp = self.log_reg_read::<LOG>(Reg::SP);
-                        let v = stop_on!(self.data_read::<LOG>(sp));
-                        self.log_reg_write::<LOG>(rd, v);
-                        self.log_reg_write::<LOG>(Reg::SP, sp.wrapping_add(1));
-                        cost += 1;
-                    }
-                    Ret => {
-                        let target = self.log_reg_read::<LOG>(Reg::LR);
-                        stop_on!(self.jump(target, false));
-                        pc_set = true;
-                    }
-                    Jr => {
-                        stop_on!(self.jump(a, false));
-                        pc_set = true;
-                    }
-                    _ => unreachable!("imm opcode in R form"),
+                    log_reg_write::<LOG>(cpu, rd, r);
                 }
-            }
-            Instr::I { op, rd, rs1, imm } => {
-                let simm = imm as i32 as u32;
-                let zimm = imm as u16 as u32;
-                match op {
-                    Addi | Subi | Muli | Cmpi => {
-                        let a = self.log_reg_read::<LOG>(rs1);
-                        match op {
-                            Addi => {
-                                let (r, c) = a.overflowing_add(simm);
-                                if self.edm.overflow && (a as i32).checked_add(imm as i32).is_none()
-                                {
-                                    return Some(self.detect(Detection::Overflow));
-                                }
-                                self.set_arith_flags(a, simm, r, c);
-                                self.log_reg_write::<LOG>(rd, r);
-                            }
-                            Subi | Cmpi => {
-                                let (r, borrow) = a.overflowing_sub(simm);
-                                if op == Subi
-                                    && self.edm.overflow
-                                    && (a as i32).checked_sub(imm as i32).is_none()
-                                {
-                                    return Some(self.detect(Detection::Overflow));
-                                }
-                                self.set_arith_flags(a, !simm, r, !borrow);
-                                if op == Subi {
-                                    self.log_reg_write::<LOG>(rd, r);
-                                }
-                            }
-                            Muli => {
-                                cost += 3;
-                                if self.edm.overflow && (a as i32).checked_mul(imm as i32).is_none()
-                                {
-                                    return Some(self.detect(Detection::Overflow));
-                                }
-                                let r = a.wrapping_mul(simm);
-                                self.set_zn(r);
-                                self.log_reg_write::<LOG>(rd, r);
-                            }
-                            _ => unreachable!(),
-                        }
-                        if LOG {
-                            self.scratch_log.flags_written = true;
-                        }
+                Div => {
+                    cost += 10;
+                    if b == 0 {
+                        return Some(cpu.detect(Detection::DivideByZero));
                     }
-                    Andi | Ori | Xori | Shli | Shri => {
-                        let a = self.log_reg_read::<LOG>(rs1);
-                        let r = match op {
-                            Andi => a & zimm,
-                            Ori => a | zimm,
-                            Xori => a ^ zimm,
-                            Shli => a.wrapping_shl(zimm & 31),
-                            Shri => a.wrapping_shr(zimm & 31),
-                            _ => unreachable!(),
-                        };
-                        self.set_zn(r);
-                        if LOG {
-                            self.scratch_log.flags_written = true;
-                        }
-                        self.log_reg_write::<LOG>(rd, r);
+                    let r = ((a as i32).wrapping_div(b as i32)) as u32;
+                    cpu.isa.set_zn(r);
+                    if LOG {
+                        cpu.log.flags_written = true;
                     }
-                    Ldi => {
-                        self.log_reg_write::<LOG>(rd, simm);
-                    }
-                    Lui => {
-                        self.log_reg_write::<LOG>(rd, zimm << 16);
-                    }
-                    Ld => {
-                        let base = self.log_reg_read::<LOG>(rs1);
-                        let addr = base.wrapping_add(simm);
-                        let v = stop_on!(self.data_read::<LOG>(addr));
-                        self.log_reg_write::<LOG>(rd, v);
-                        cost += 1;
-                    }
-                    St => {
-                        let base = self.log_reg_read::<LOG>(rs1);
-                        let addr = base.wrapping_add(simm);
-                        let v = self.log_reg_read::<LOG>(rd);
-                        stop_on!(self.data_write::<LOG>(addr, v));
-                        cost += 1;
-                    }
-                    Br | Beq | Bne | Blt | Bge | Bgt | Ble => {
-                        let z = self.flags & FLAG_Z != 0;
-                        let n = self.flags & FLAG_N != 0;
-                        let v = self.flags & FLAG_V != 0;
-                        let taken = match op {
-                            Br => true,
-                            Beq => z,
-                            Bne => !z,
-                            Blt => n != v,
-                            Bge => n == v,
-                            Bgt => !z && n == v,
-                            Ble => z || n != v,
-                            _ => unreachable!(),
-                        };
-                        if LOG && op != Br {
-                            self.scratch_log.flags_read = true;
-                        }
-                        if taken {
-                            let target = self.pc.wrapping_add(simm);
-                            stop_on!(self.jump(target, false));
-                            pc_set = true;
-                        }
-                    }
-                    Call => {
-                        self.log_reg_write::<LOG>(Reg::LR, next_pc);
-                        stop_on!(self.jump(zimm, true));
-                        pc_set = true;
-                    }
-                    In => {
-                        let v = self.in_ports[(zimm as usize) % PORT_COUNT];
-                        self.log_reg_write::<LOG>(rd, v);
-                    }
-                    Out => {
-                        let v = self.log_reg_read::<LOG>(rs1);
-                        self.out_ports[(zimm as usize) % PORT_COUNT] = v;
-                    }
-                    Sync => {
-                        self.iterations += 1;
-                        self.pc = next_pc;
-                        self.cycles += cost;
-                        self.debug.on_cycles(cost);
-                        return Some(StopReason::Sync {
-                            tag: imm as u16,
-                            iteration: self.iterations,
-                        });
-                    }
-                    Trap => {
-                        return Some(self.detect(Detection::Assertion(imm as u16)));
-                    }
-                    _ => unreachable!("register opcode in I form"),
+                    log_reg_write::<LOG>(cpu, rd, r);
                 }
+                And | Or | Xor | Shl | Shr | Asr => {
+                    let r = match op {
+                        And => a & b,
+                        Or => a | b,
+                        Xor => a ^ b,
+                        Shl => a.wrapping_shl(b & 31),
+                        Shr => a.wrapping_shr(b & 31),
+                        Asr => ((a as i32).wrapping_shr(b & 31)) as u32,
+                        _ => unreachable!(),
+                    };
+                    cpu.isa.set_zn(r);
+                    if LOG {
+                        cpu.log.flags_written = true;
+                    }
+                    log_reg_write::<LOG>(cpu, rd, r);
+                }
+                Mov => {
+                    log_reg_write::<LOG>(cpu, rd, a);
+                }
+                Ldx => {
+                    let addr = a.wrapping_add(b);
+                    let v = stop_on!(data_read::<LOG>(cpu, addr));
+                    log_reg_write::<LOG>(cpu, rd, v);
+                    cost += 1;
+                }
+                Stx => {
+                    let addr = a.wrapping_add(b);
+                    let v = log_reg_read::<LOG>(cpu, rd);
+                    stop_on!(data_write::<LOG>(cpu, addr, v));
+                    cost += 1;
+                }
+                Push => {
+                    let sp = log_reg_read::<LOG>(cpu, Reg::SP).wrapping_sub(1);
+                    log_reg_write::<LOG>(cpu, Reg::SP, sp);
+                    stop_on!(data_write::<LOG>(cpu, sp, a));
+                    cost += 1;
+                }
+                Pop => {
+                    let sp = log_reg_read::<LOG>(cpu, Reg::SP);
+                    let v = stop_on!(data_read::<LOG>(cpu, sp));
+                    log_reg_write::<LOG>(cpu, rd, v);
+                    log_reg_write::<LOG>(cpu, Reg::SP, sp.wrapping_add(1));
+                    cost += 1;
+                }
+                Ret => {
+                    let target = log_reg_read::<LOG>(cpu, Reg::LR);
+                    stop_on!(jump(cpu, target, false));
+                    pc_set = true;
+                }
+                Jr => {
+                    stop_on!(jump(cpu, a, false));
+                    pc_set = true;
+                }
+                _ => unreachable!("imm opcode in R form"),
             }
         }
-
-        if !pc_set {
-            self.pc = next_pc;
+        Instr::I { op, rd, rs1, imm } => {
+            let simm = imm as i32 as u32;
+            let zimm = imm as u16 as u32;
+            match op {
+                Addi | Subi | Muli | Cmpi => {
+                    let a = log_reg_read::<LOG>(cpu, rs1);
+                    match op {
+                        Addi => {
+                            let (r, c) = a.overflowing_add(simm);
+                            if cpu.isa.edm.overflow && (a as i32).checked_add(imm as i32).is_none()
+                            {
+                                return Some(cpu.detect(Detection::Overflow));
+                            }
+                            cpu.isa.set_arith_flags(a, simm, r, c);
+                            log_reg_write::<LOG>(cpu, rd, r);
+                        }
+                        Subi | Cmpi => {
+                            let (r, borrow) = a.overflowing_sub(simm);
+                            if op == Subi
+                                && cpu.isa.edm.overflow
+                                && (a as i32).checked_sub(imm as i32).is_none()
+                            {
+                                return Some(cpu.detect(Detection::Overflow));
+                            }
+                            cpu.isa.set_arith_flags(a, !simm, r, !borrow);
+                            if op == Subi {
+                                log_reg_write::<LOG>(cpu, rd, r);
+                            }
+                        }
+                        Muli => {
+                            cost += 3;
+                            if cpu.isa.edm.overflow && (a as i32).checked_mul(imm as i32).is_none()
+                            {
+                                return Some(cpu.detect(Detection::Overflow));
+                            }
+                            let r = a.wrapping_mul(simm);
+                            cpu.isa.set_zn(r);
+                            log_reg_write::<LOG>(cpu, rd, r);
+                        }
+                        _ => unreachable!(),
+                    }
+                    if LOG {
+                        cpu.log.flags_written = true;
+                    }
+                }
+                Andi | Ori | Xori | Shli | Shri => {
+                    let a = log_reg_read::<LOG>(cpu, rs1);
+                    let r = match op {
+                        Andi => a & zimm,
+                        Ori => a | zimm,
+                        Xori => a ^ zimm,
+                        Shli => a.wrapping_shl(zimm & 31),
+                        Shri => a.wrapping_shr(zimm & 31),
+                        _ => unreachable!(),
+                    };
+                    cpu.isa.set_zn(r);
+                    if LOG {
+                        cpu.log.flags_written = true;
+                    }
+                    log_reg_write::<LOG>(cpu, rd, r);
+                }
+                Ldi => {
+                    log_reg_write::<LOG>(cpu, rd, simm);
+                }
+                Lui => {
+                    log_reg_write::<LOG>(cpu, rd, zimm << 16);
+                }
+                Ld => {
+                    let base = log_reg_read::<LOG>(cpu, rs1);
+                    let addr = base.wrapping_add(simm);
+                    let v = stop_on!(data_read::<LOG>(cpu, addr));
+                    log_reg_write::<LOG>(cpu, rd, v);
+                    cost += 1;
+                }
+                St => {
+                    let base = log_reg_read::<LOG>(cpu, rs1);
+                    let addr = base.wrapping_add(simm);
+                    let v = log_reg_read::<LOG>(cpu, rd);
+                    stop_on!(data_write::<LOG>(cpu, addr, v));
+                    cost += 1;
+                }
+                Br | Beq | Bne | Blt | Bge | Bgt | Ble => {
+                    let z = cpu.isa.flags & FLAG_Z != 0;
+                    let n = cpu.isa.flags & FLAG_N != 0;
+                    let v = cpu.isa.flags & FLAG_V != 0;
+                    let taken = match op {
+                        Br => true,
+                        Beq => z,
+                        Bne => !z,
+                        Blt => n != v,
+                        Bge => n == v,
+                        Bgt => !z && n == v,
+                        Ble => z || n != v,
+                        _ => unreachable!(),
+                    };
+                    if LOG && op != Br {
+                        cpu.log.flags_read = true;
+                    }
+                    if taken {
+                        let target = cpu.pc.wrapping_add(simm);
+                        stop_on!(jump(cpu, target, false));
+                        pc_set = true;
+                    }
+                }
+                Call => {
+                    log_reg_write::<LOG>(cpu, Reg::LR, next_pc);
+                    stop_on!(jump(cpu, zimm, true));
+                    pc_set = true;
+                }
+                In => {
+                    let v = cpu.in_ports[(zimm as usize) % PORT_COUNT];
+                    log_reg_write::<LOG>(cpu, rd, v);
+                }
+                Out => {
+                    let v = log_reg_read::<LOG>(cpu, rs1);
+                    cpu.out_ports[(zimm as usize) % PORT_COUNT] = v;
+                }
+                Sync => {
+                    cpu.iterations += 1;
+                    cpu.pc = next_pc;
+                    cpu.cycles += cost;
+                    cpu.debug.on_cycles(cost);
+                    return Some(StopReason::Sync {
+                        tag: imm as u16,
+                        iteration: cpu.iterations,
+                    });
+                }
+                Trap => {
+                    return Some(cpu.detect(Detection::Assertion(imm as u16)));
+                }
+                _ => unreachable!("register opcode in I form"),
+            }
         }
-        self.cycles += cost;
-        self.debug.on_cycles(cost);
-        None
     }
+
+    if !pc_set {
+        cpu.pc = next_pc;
+    }
+    cpu.cycles += cost;
+    cpu.debug.on_cycles(cost);
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use scanchain::DebugUnit;
 
     fn run_asm(src: &str) -> (Cpu, StopReason) {
         let image = assemble(src).expect("assembly");
@@ -1345,9 +1090,9 @@ mod tests {
         let image = assemble("ldi r1, 9\nhalt").unwrap();
         let mut cpu = Cpu::new(CpuConfig::default());
         cpu.load_image(&image).unwrap();
-        let before = cpu.state_vector();
+        let before = StateVector::of(&cpu);
         cpu.run(10);
-        let after = cpu.state_vector();
+        let after = StateVector::of(&cpu);
         assert_ne!(before, after);
         assert_eq!(after.regs[1], 9);
         assert_eq!(before.to_words().len(), after.to_words().len());
@@ -1378,9 +1123,9 @@ mod tests {
         // The checkpoint itself rejoins and ends exactly as the run does.
         let mut live = checkpoint.clone();
         assert!(live.rejoin(&checkpoint, &end));
-        assert_eq!(live.state_vector(), end.state_vector());
+        assert_eq!(StateVector::of(&live), StateVector::of(&end));
         assert_eq!(
-            (live.cycles, live.dcache, live.icache),
+            (live.cycles, live.isa.dcache, live.isa.icache),
             (end.cycles, end.dcache.clone(), end.icache.clone())
         );
 
@@ -1418,10 +1163,10 @@ mod tests {
         for change in refused {
             let mut live = checkpoint.clone();
             change(&mut live);
-            let before = (live.state_vector(), live.cycles, live.dcache.clone());
+            let before = (StateVector::of(&live), live.cycles, live.dcache.clone());
             assert!(!live.rejoin(&checkpoint, &end));
             assert_eq!(
-                (live.state_vector(), live.cycles, live.dcache.clone()),
+                (StateVector::of(&live), live.cycles, live.dcache.clone()),
                 before
             );
         }
@@ -1441,7 +1186,7 @@ mod tests {
         ";
         let (cpu1, _) = run_asm(src);
         let (cpu2, _) = run_asm(src);
-        assert_eq!(cpu1.state_vector(), cpu2.state_vector());
+        assert_eq!(StateVector::of(&cpu1), StateVector::of(&cpu2));
         assert_eq!(cpu1.cycles(), cpu2.cycles());
     }
 }

@@ -7,6 +7,7 @@
 //! PSW-style mask that enables/disables individual mechanisms, so campaigns
 //! can measure the contribution of each one (the ablation experiments).
 
+use scanchain::Detection as _;
 use std::fmt;
 
 /// An error detected by one of the CPU's mechanisms.
@@ -31,9 +32,8 @@ pub enum Detection {
     Assertion(u16),
 }
 
-impl Detection {
-    /// Stable mechanism name used in database logs and report tables.
-    pub fn mechanism(&self) -> &'static str {
+impl scanchain::Detection for Detection {
+    fn mechanism(&self) -> &'static str {
         match self {
             Detection::ParityI => "parity_icache",
             Detection::ParityD => "parity_dcache",
@@ -46,14 +46,7 @@ impl Detection {
         }
     }
 
-    /// Whether this is a hardware mechanism (as opposed to a software
-    /// assertion embedded in the workload).
-    pub fn is_hardware(&self) -> bool {
-        !matches!(self, Detection::Assertion(_))
-    }
-
-    /// Encodes to a compact code for the scan-visible status register.
-    pub fn encode(&self) -> u32 {
+    fn encode(&self) -> u32 {
         match self {
             Detection::ParityI => 1,
             Detection::ParityD => 2,
@@ -64,6 +57,14 @@ impl Detection {
             Detection::DivideByZero => 7,
             Detection::Assertion(id) => 8 | ((*id as u32) << 8),
         }
+    }
+}
+
+impl Detection {
+    /// Whether this is a hardware mechanism (as opposed to a software
+    /// assertion embedded in the workload).
+    pub fn is_hardware(&self) -> bool {
+        !matches!(self, Detection::Assertion(_))
     }
 
     /// Decodes a status-register value; 0 means "no detection".

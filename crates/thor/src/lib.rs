@@ -49,8 +49,8 @@ mod isa;
 pub mod scan;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use cpu::{AccessLog, Cpu, CpuConfig, StateVector, StopReason, PORT_COUNT};
+pub use cpu::{AccessLog, Cpu, CpuConfig, StateVector, StopReason, ThorIsa};
 pub use edm::{Detection, EdmSet};
 pub use isa::{decode, encode, DecodeError, Instr, Opcode, Reg};
 pub use scan::ChainSet;
-pub use scanchain::{Memory, MemoryError, PAGE_WORDS};
+pub use scanchain::{Memory, MemoryError, PAGE_WORDS, PORT_COUNT};

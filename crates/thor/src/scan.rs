@@ -18,10 +18,11 @@
 //! SCIFI reaches the microarchitectural state (the basis of experiment E2).
 
 use crate::cache::Line;
-use crate::cpu::{Cpu, PORT_COUNT};
+use crate::cpu::{Cpu, ThorIsa};
 use crate::edm::EdmSet;
 use crate::isa::Reg;
-use scanchain::{BitVec, CellAccess, ChainLayout, DebugUnit, ScanError, ScanTarget};
+use scanchain::{BitVec, CellAccess, ChainLayout, Detection as _, IsaChains, ScanError};
+pub use scanchain::{BOUNDARY_CHAIN as BOUNDARY, DEBUG_CHAIN as DEBUG};
 
 /// Name of the internal (register/latch) chain.
 pub const INTERNAL: &str = "internal";
@@ -29,19 +30,14 @@ pub const INTERNAL: &str = "internal";
 pub const ICACHE: &str = "icache";
 /// Name of the data-cache chain.
 pub const DCACHE: &str = "dcache";
-/// Name of the boundary (pin) chain.
-pub const BOUNDARY: &str = "boundary";
-/// Name of the debug-unit chain.
-pub const DEBUG: &str = "debug";
 
-/// The five chain layouts of a CPU instance (geometry-dependent).
+/// Thor's own chain layouts (geometry-dependent); the boundary and debug
+/// chains are the shared core's.
 #[derive(Debug, Clone)]
 pub struct ChainSet {
     internal: ChainLayout,
     icache: ChainLayout,
     dcache: ChainLayout,
-    boundary: ChainLayout,
-    debug: ChainLayout,
 }
 
 impl ChainSet {
@@ -64,41 +60,10 @@ impl ChainSet {
             .cell("ITER", 32, CellAccess::ReadOnly)
             .cell("HALTED", 1, CellAccess::ReadOnly)
             .build();
-        let boundary = {
-            let mut b = ChainLayout::builder(BOUNDARY);
-            for i in 0..PORT_COUNT {
-                b = b.cell(format!("IN_PORT{i}"), 32, CellAccess::ReadWrite);
-            }
-            for i in 0..PORT_COUNT {
-                b = b.cell(format!("OUT_PORT{i}"), 32, CellAccess::ReadOnly);
-            }
-            b.cell("ERROR_PIN", 1, CellAccess::ReadOnly)
-                .cell("HALT_PIN", 1, CellAccess::ReadOnly)
-                .build()
-        };
         ChainSet {
             internal,
             icache: cache_layout(ICACHE, icache_lines, icache_tag_bits),
             dcache: cache_layout(DCACHE, dcache_lines, dcache_tag_bits),
-            boundary,
-            debug: DebugUnit::chain_layout(),
-        }
-    }
-
-    /// All chain names in SCAN_N index order.
-    pub fn names() -> [&'static str; 5] {
-        [INTERNAL, ICACHE, DCACHE, BOUNDARY, DEBUG]
-    }
-
-    /// Layout by chain name.
-    pub fn by_name(&self, name: &str) -> Option<&ChainLayout> {
-        match name {
-            INTERNAL => Some(&self.internal),
-            ICACHE => Some(&self.icache),
-            DCACHE => Some(&self.dcache),
-            BOUNDARY => Some(&self.boundary),
-            DEBUG => Some(&self.debug),
-            _ => None,
         }
     }
 }
@@ -115,49 +80,46 @@ fn cache_layout(name: &str, lines: usize, tag_bits: usize) -> ChainLayout {
     b.build()
 }
 
-impl Cpu {
-    /// The CPU's scan-chain layouts.
-    pub fn chains(&self) -> &ChainSet {
-        &self.chains
-    }
+// The internal chain is captured and updated by cell index, in the order
+// `ChainSet::new` builds its cells.
 
-    // The internal and boundary chains are captured and updated by cell
-    // index, in the order `ChainSet::new` builds their cells.
+fn capture_internal(cpu: &Cpu) -> Result<BitVec, ScanError> {
+    let latches = [
+        cpu.pc as u64,
+        cpu.isa.flags as u64,
+        cpu.isa.ir as u64,
+        cpu.isa.mar as u64,
+        cpu.isa.mdr as u64,
+    ];
+    let regs = cpu.isa.regs.iter().map(|&r| r as u64);
+    let status = [
+        cpu.isa.edm.to_bits() as u64,
+        cpu.detection.map_or(0, |d| d.encode()) as u64,
+        cpu.iterations & 0xFFFF_FFFF,
+        cpu.halted as u64,
+    ];
+    cpu.isa
+        .chains
+        .internal
+        .pack(latches.into_iter().chain(regs).chain(status))
+}
 
-    fn capture_internal(&self) -> Result<BitVec, ScanError> {
-        let latches = [
-            self.pc as u64,
-            self.flags as u64,
-            self.ir as u64,
-            self.mar as u64,
-            self.mdr as u64,
-        ];
-        let regs = self.regs.iter().map(|&r| r as u64);
-        let status = [
-            self.edm.to_bits() as u64,
-            self.detection.map_or(0, |d| d.encode()) as u64,
-            self.iterations & 0xFFFF_FFFF,
-            self.halted as u64,
-        ];
-        self.chains
-            .internal
-            .pack(latches.into_iter().chain(regs).chain(status))
-    }
+fn update_internal(cpu: &mut Cpu, bits: &BitVec) -> Result<(), ScanError> {
+    // DETECT / ITER / HALTED are read-only: ignored on update.
+    let [pc, flags, ir, mar, mdr, regs @ .., psw, _detect, _iter, _halted] =
+        cpu.isa.chains.internal.unpack::<{ Reg::COUNT + 9 }>(bits)?;
+    cpu.pc = pc as u32;
+    let isa = &mut cpu.isa;
+    isa.flags = flags as u8;
+    isa.ir = ir as u32;
+    isa.mar = mar as u32;
+    isa.mdr = mdr as u32;
+    isa.regs = regs.map(|r| r as u32);
+    isa.set_edm(EdmSet::from_bits(psw as u8));
+    Ok(())
+}
 
-    fn update_internal(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        // DETECT / ITER / HALTED are read-only: ignored on update.
-        let [pc, flags, ir, mar, mdr, regs @ .., psw, _detect, _iter, _halted] =
-            self.chains.internal.unpack::<{ Reg::COUNT + 9 }>(bits)?;
-        self.pc = pc as u32;
-        self.flags = flags as u8;
-        self.ir = ir as u32;
-        self.mar = mar as u32;
-        self.mdr = mdr as u32;
-        self.regs = regs.map(|r| r as u32);
-        self.set_edm(EdmSet::from_bits(psw as u8));
-        Ok(())
-    }
-
+impl ThorIsa {
     fn capture_cache(&self, which: &str) -> BitVec {
         let (cache, layout) = if which == ICACHE {
             (&self.icache, &self.chains.icache)
@@ -201,65 +163,35 @@ impl Cpu {
             }
         }
     }
-
-    fn capture_boundary(&self) -> Result<BitVec, ScanError> {
-        let ports = self.in_ports.iter().chain(&self.out_ports);
-        let pins = [self.detection.is_some() as u64, self.halted as u64];
-        let cells = ports.map(|&p| p as u64).chain(pins);
-        self.chains.boundary.pack(cells)
-    }
-
-    fn update_boundary(&mut self, bits: &BitVec) -> Result<(), ScanError> {
-        // Output ports and pins are read-only.
-        let cells = self
-            .chains
-            .boundary
-            .unpack::<{ 2 * PORT_COUNT + 2 }>(bits)?;
-        for (port, value) in self.in_ports.iter_mut().zip(cells) {
-            *port = value as u32;
-        }
-        Ok(())
-    }
 }
 
-impl ScanTarget for Cpu {
-    fn chain_names(&self) -> Vec<String> {
-        ChainSet::names().iter().map(|s| s.to_string()).collect()
-    }
+impl IsaChains for ThorIsa {
+    const CHAINS: &'static [&'static str] = &[INTERNAL, ICACHE, DCACHE];
 
-    fn chain_layout(&self, chain: &str) -> Option<&ChainLayout> {
-        self.chains.by_name(chain)
-    }
-
-    fn capture_chain(&self, chain: &str) -> Result<BitVec, ScanError> {
+    fn layout(&self, chain: &str) -> Option<&ChainLayout> {
         match chain {
-            INTERNAL => self.capture_internal(),
-            ICACHE | DCACHE => Ok(self.capture_cache(chain)),
-            BOUNDARY => self.capture_boundary(),
-            DEBUG => self.debug.capture(),
+            INTERNAL => Some(&self.chains.internal),
+            ICACHE => Some(&self.chains.icache),
+            DCACHE => Some(&self.chains.dcache),
+            _ => None,
+        }
+    }
+
+    fn capture(cpu: &Cpu, chain: &str) -> Result<BitVec, ScanError> {
+        match chain {
+            INTERNAL => capture_internal(cpu),
+            ICACHE | DCACHE => Ok(cpu.isa.capture_cache(chain)),
             _ => Err(ScanError::UnknownChain(chain.to_string())),
         }
     }
 
-    fn update_chain(&mut self, chain: &str, bits: &BitVec) -> Result<(), ScanError> {
-        let layout = self
-            .chains
-            .by_name(chain)
-            .ok_or_else(|| ScanError::UnknownChain(chain.to_string()))?;
-        if bits.len() != layout.total_bits() {
-            return Err(ScanError::LengthMismatch {
-                expected: layout.total_bits(),
-                got: bits.len(),
-            });
-        }
+    fn update(cpu: &mut Cpu, chain: &str, bits: &BitVec) -> Result<(), ScanError> {
         match chain {
-            INTERNAL => self.update_internal(bits),
+            INTERNAL => update_internal(cpu, bits),
             ICACHE | DCACHE => {
-                self.update_cache(chain, bits);
+                cpu.isa.update_cache(chain, bits);
                 Ok(())
             }
-            BOUNDARY => self.update_boundary(bits),
-            DEBUG => self.debug.update(bits),
             _ => Err(ScanError::UnknownChain(chain.to_string())),
         }
     }
@@ -269,9 +201,9 @@ impl ScanTarget for Cpu {
 mod tests {
     use super::*;
     use crate::asm::assemble;
-    use crate::cpu::{CpuConfig, StopReason};
+    use crate::cpu::{CpuConfig, StateVector, StopReason};
     use crate::edm::Detection;
-    use scanchain::TestCard;
+    use scanchain::{DebugUnit, ScanTarget, TestCard, PORT_COUNT};
 
     fn cpu_with(src: &str) -> Cpu {
         let image = assemble(src).unwrap();
@@ -314,7 +246,8 @@ mod tests {
         assert_eq!(cell("ITER"), 0x42);
         assert_eq!(cell("HALTED"), 0);
         let boundary = cpu.capture_chain(BOUNDARY).unwrap();
-        let pin = |name: &str| cpu.chains.boundary.read_cell(&boundary, name).unwrap();
+        let boundary_layout = cpu.chain_layout(BOUNDARY).unwrap().clone();
+        let pin = |name: &str| boundary_layout.read_cell(&boundary, name).unwrap();
         for i in 0..PORT_COUNT {
             assert_eq!(pin(&format!("IN_PORT{i}")), 0x200 + i as u64, "IN_PORT{i}");
             assert_eq!(
@@ -347,7 +280,7 @@ mod tests {
         for i in 0..Reg::COUNT {
             assert_eq!(cpu.regs[i], 0x400 + i as u32, "R{i}");
         }
-        let layout = cpu.chains.boundary.clone();
+        let layout = boundary_layout;
         let mut bits = boundary.clone();
         for i in 0..PORT_COUNT {
             layout
@@ -364,7 +297,8 @@ mod tests {
     #[test]
     fn chain_names_and_layouts_exist() {
         let cpu = Cpu::new(CpuConfig::default());
-        for name in ChainSet::names() {
+        for name in cpu.chain_names() {
+            let name = name.as_str();
             assert!(cpu.chain_layout(name).is_some(), "{name}");
             let img = cpu.capture_chain(name).unwrap();
             assert_eq!(img.len(), cpu.chain_layout(name).unwrap().total_bits());
@@ -500,11 +434,11 @@ mod tests {
     fn full_chain_write_roundtrip_preserves_state() {
         let mut cpu = cpu_with("ldi r1, 5\nldi r2, 6\nhalt");
         cpu.step();
-        let before = cpu.state_vector();
+        let before = StateVector::of(&cpu);
         let mut card = TestCard::new(cpu);
         card.init().unwrap();
         let bits = card.read_chain(INTERNAL).unwrap();
         card.write_chain(INTERNAL, &bits).unwrap();
-        assert_eq!(card.target().state_vector(), before);
+        assert_eq!(StateVector::of(card.target()), before);
     }
 }

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use scanchain::{ScanTarget, TestCard};
-use thor::{asm, decode, encode, AccessLog, Cpu, CpuConfig, Instr, Opcode, Reg, StopReason};
+use thor::{
+    asm, decode, encode, AccessLog, Cpu, CpuConfig, Instr, Opcode, Reg, StateVector, StopReason,
+};
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u8..16).prop_map(Reg::new)
@@ -147,7 +149,7 @@ proptest! {
         let end = |cpu: Cpu, stop: Option<StopReason>| {
             (
                 stop.unwrap_or(StopReason::InstrLimit),
-                cpu.state_vector(),
+                StateVector::of(&cpu),
                 cpu.cycles(),
                 cpu.icache_stats(),
                 cpu.dcache_stats(),

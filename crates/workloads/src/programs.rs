@@ -430,7 +430,7 @@ fix_low:
 mod tests {
     use super::*;
     use envsim::{DcMotor, Environment};
-    use thor::{Cpu, CpuConfig, StopReason};
+    use thor::{Cpu, CpuConfig, StateVector, StopReason};
 
     fn run_to_halt(w: &Workload) -> Cpu {
         let mut cpu = Cpu::new(CpuConfig::default());
@@ -609,8 +609,8 @@ mod tests {
             if w.kind != WorkloadKind::Terminating {
                 continue;
             }
-            let a = run_to_halt(&w).state_vector();
-            let b = run_to_halt(&w).state_vector();
+            let a = StateVector::of(&run_to_halt(&w));
+            let b = StateVector::of(&run_to_halt(&w));
             assert_eq!(a, b, "{}", w.name);
         }
     }

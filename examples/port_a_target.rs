@@ -22,12 +22,12 @@
 //! The shipped `goofi-riscv` crate is where this port ends up, and it is
 //! smaller than this example: every `TargetAccess` method, native CoW
 //! snapshots and real cold reset included, is written once in
-//! `goofi_core::card::CardTarget`, and the crate only implements
-//! `goofi_core::card::CardCpu` — the target name, core construction, image
-//! download, the stop-reason mapping and the register names in access
-//! traces, plus one forwarding line per core operation. This example stays
-//! a hand-written `TargetAccess` port on purpose: it is the honest first
-//! milestone for a target that is not a simulated core behind a test card.
+//! `goofi_core::card::CardTarget`, which drives every core through the
+//! shared `scanchain::Core` skeleton and maps its stop reasons in one
+//! place. The crate only implements `goofi_core::card::CardCpu`: the
+//! target name, image download and the register names in access traces. This example stays a hand-written `TargetAccess` port
+//! on purpose: it is the honest first milestone for a target that is not a
+//! simulated core behind a test card.
 //!
 //! ```sh
 //! cargo run --example port_a_target
@@ -42,7 +42,7 @@ use goofi::core::monitor::ProgressMonitor;
 use goofi::core::trigger::Trigger;
 use goofi::core::{DetectionInfo, GoofiError, RunBudget, RunEvent, TargetAccess};
 use goofi::envsim::NullEnvironment;
-use goofi::scanchain::{BitVec, ChainLayout, TestCard};
+use goofi::scanchain::{BitVec, ChainLayout, Detection as _, ScanTarget, TestCard};
 use riscv::{Cpu, CpuConfig, Image, StopReason, PORT_COUNT};
 
 /// Day one of the RV32I port: the real core behind the real scan-chain
@@ -174,9 +174,10 @@ impl TargetAccess for FreshRv32iPort {
     }
 
     fn chain_layouts(&self) -> Vec<ChainLayout> {
-        riscv::ChainSet::names()
+        let cpu = self.card.target();
+        cpu.chain_names()
             .iter()
-            .filter_map(|n| self.card.target().chains().by_name(n).cloned())
+            .filter_map(|n| cpu.chain_layout(n).cloned())
             .collect()
     }
 

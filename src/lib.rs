@@ -38,10 +38,11 @@ pub mod targets {
     //! Everything above the `TargetAccess` seam is target-agnostic; the
     //! only components that must name concrete ports are the CLI entry
     //! points (`--target` flag, worker spawn) and they all go through
-    //! here. Adding a third CPU core means one `CardCpu` impl in its port
-    //! crate and one new variant here, with its arm in each method below
-    //! and in the CLI's worker spawn and workload pick — nothing else in
-    //! the tool changes.
+    //! here. Adding a third CPU core means its ISA half inside the
+    //! `scanchain::Core` skeleton, one `CardCpu` impl in its port crate
+    //! and one new variant here, with its arm in each method below and in
+    //! the CLI's worker spawn and workload pick — nothing else in the tool
+    //! changes.
 
     use goofi_core::card::CardCpu;
     use goofi_core::TargetAccess;
