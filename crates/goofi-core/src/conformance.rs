@@ -38,12 +38,12 @@
 
 use crate::campaign::WorkloadImage;
 use crate::target::{
-    readout_restore, readout_snapshot, ReadoutSnapshot, RunBudget, RunEvent, TargetAccess,
-    TargetSnapshot,
+    pass_through, readout_restore, readout_snapshot, ReadoutSnapshot, RunBudget, RunEvent,
+    TargetAccess, TargetSnapshot,
 };
 use crate::trigger::Trigger;
 use crate::{GoofiError, Result};
-use scanchain::{BitVec, ChainLayout};
+use scanchain::ChainLayout;
 use std::fmt;
 
 /// What the suite should expect from a particular port.
@@ -587,92 +587,14 @@ impl<T: TargetAccess> ReadoutFallback<T> {
 }
 
 impl<T: TargetAccess> TargetAccess for ReadoutFallback<T> {
-    fn target_name(&self) -> &str {
-        self.inner.target_name()
-    }
-
-    fn init_test_card(&mut self) -> Result<()> {
-        self.inner.init_test_card()
-    }
-
-    fn load_workload(&mut self, image: &WorkloadImage) -> Result<()> {
-        self.inner.load_workload(image)
-    }
-
-    fn reset_target(&mut self) -> Result<()> {
-        self.inner.reset_target()
-    }
-
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
-        self.inner.write_memory(addr, data)
-    }
-
-    fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
-        self.inner.read_memory(addr, len)
-    }
-
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> Result<()> {
-        self.inner.flip_memory_bit(addr, bit)
-    }
-
-    fn memory_size(&self) -> u32 {
-        self.inner.memory_size()
-    }
-
-    fn set_breakpoint(&mut self, trigger: Trigger) -> Result<()> {
-        self.inner.set_breakpoint(trigger)
-    }
-
-    fn clear_breakpoints(&mut self) -> Result<()> {
-        self.inner.clear_breakpoints()
-    }
-
-    fn run_workload(&mut self, budget: RunBudget) -> Result<RunEvent> {
-        self.inner.run_workload(budget)
-    }
-
-    fn step_instruction(&mut self) -> Result<Option<RunEvent>> {
-        self.inner.step_instruction()
-    }
-
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        self.inner.chain_layouts()
-    }
-
-    fn read_scan_chain(&mut self, chain: &str) -> Result<BitVec> {
-        self.inner.read_scan_chain(chain)
-    }
-
-    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> Result<()> {
-        self.inner.write_scan_chain(chain, bits)
-    }
-
-    fn write_input_ports(&mut self, inputs: &[u32]) -> Result<()> {
-        self.inner.write_input_ports(inputs)
-    }
-
-    fn read_output_ports(&mut self) -> Result<Vec<u32>> {
-        self.inner.read_output_ports()
-    }
-
-    fn instructions_executed(&self) -> u64 {
-        self.inner.instructions_executed()
-    }
-
-    fn cycles_executed(&self) -> u64 {
-        self.inner.cycles_executed()
-    }
-
-    fn iterations_completed(&self) -> u64 {
-        self.inner.iterations_completed()
-    }
-
-    fn step_traced(&mut self) -> Result<(Option<RunEvent>, crate::preinject::StepAccess)> {
-        self.inner.step_traced()
-    }
-
-    fn power_cycle(&mut self) -> Result<()> {
-        self.inner.power_cycle()
+    pass_through! { inner:
+        target_name, init_test_card, load_workload, reset_target, write_memory, read_memory,
+        flip_memory_bit, memory_size, set_breakpoint, clear_breakpoints, run_workload,
+        step_instruction, chain_layouts, read_scan_chain, write_scan_chain, write_input_ports,
+        read_output_ports, instructions_executed, cycles_executed, iterations_completed,
+        step_traced, power_cycle,
+        // A readout capture is as safe to restore over a skipped prefix as the port under it.
+        prefix_restore_safe,
     }
 
     fn snapshot(&mut self) -> Result<TargetSnapshot> {
@@ -696,15 +618,6 @@ impl<T: TargetAccess> TargetAccess for ReadoutFallback<T> {
     fn supports_snapshot(&self) -> bool {
         true
     }
-
-    fn prefix_restore_safe(&self) -> bool {
-        self.inner.prefix_restore_safe()
-    }
-
-    // memory_digest deliberately NOT forwarded: the trait default routes
-    // through this wrapper's read_memory, which is the documented decorator
-    // behaviour — and the inner fast path is exercised directly when the
-    // suite runs against the bare port.
 }
 
 #[cfg(test)]

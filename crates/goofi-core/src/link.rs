@@ -26,23 +26,21 @@
 //! campaign run twice with the same seeds produces bit-for-bit identical
 //! results — the property the end-to-end tests assert.
 
-use crate::campaign::WorkloadImage;
 use crate::monitor::ProgressMonitor;
-use crate::target::{RunBudget, RunEvent, TargetAccess, TargetSnapshot};
+use crate::target::{pass_through, TargetAccess};
 use crate::telemetry::Metric;
-use crate::trigger::Trigger;
 use crate::{GoofiError, Result};
-use scanchain::{
-    BitVec, ChainLayout, LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel, ScanError,
-};
+use scanchain::{BitVec, LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel};
+use std::borrow::Cow;
 
 /// A [`TargetAccess`] whose transport misbehaves per a [`LinkFaultModel`].
 ///
-/// Each data-path operation asks the model for the fate of one transaction;
-/// corrupted transactions flip a single bit in flight, dropped transactions
-/// silently do nothing (reads return stale zeros), duplicated transactions
-/// are applied twice, and stall/disconnect faults fail the operation with
-/// the corresponding [`ScanError`]. The host-side recovery path —
+/// Each data-path operation asks the model for the fate of one transaction
+/// ([`LinkFaultModel::next_transaction`]); corrupted transactions flip a
+/// single bit in flight, dropped transactions silently do nothing (reads
+/// return stale zeros), duplicated transactions are applied twice, and
+/// stall/disconnect faults fail the operation with the corresponding
+/// [`ScanError`](scanchain::ScanError). The host-side recovery path —
 /// [`TargetAccess::init_test_card`] and all run-control operations — is
 /// deliberately never faulted, so a [`VerifiedTarget`] above this wrapper
 /// can always re-establish the link.
@@ -76,222 +74,91 @@ impl<T: TargetAccess> UnreliableTarget<T> {
         &self.inner
     }
 
-    /// Applies one fault decision to a write-like transaction carrying
-    /// `data` words; returns the words actually transmitted (`None` when
-    /// the transaction is dropped) and how many times to apply them.
-    fn disturb_words(
-        &mut self,
-        data: &[u32],
-        operation: &str,
-    ) -> Result<Option<(Vec<u32>, usize)>> {
-        match self.model.next_fault() {
-            None => Ok(Some((data.to_vec(), 1))),
-            Some(LinkFault::CorruptBit) => {
-                let mut words = data.to_vec();
-                if !words.is_empty() {
-                    let word = self.model.random_index(words.len());
-                    let bit = self.model.random_index(32);
-                    words[word] ^= 1u32 << bit;
-                }
-                Ok(Some((words, 1)))
-            }
-            Some(LinkFault::Drop) => Ok(None),
-            Some(LinkFault::Duplicate) => Ok(Some((data.to_vec(), 2))),
-            Some(LinkFault::Stall) => Err(GoofiError::Scan(ScanError::ShiftStall {
-                operation: operation.to_string(),
-            })),
-            Some(LinkFault::Disconnect) => Err(GoofiError::Scan(ScanError::LinkDown {
-                operation: operation.to_string(),
-            })),
+    /// Flips one random bit of one random word, as a corrupting link does.
+    fn corrupt(&mut self, words: &mut [u32]) {
+        if !words.is_empty() {
+            let word = self.model.random_index(words.len());
+            let bit = self.model.random_index(32);
+            words[word] ^= 1u32 << bit;
         }
     }
 }
 
+/// How many times a transaction the link lets through reaches the device:
+/// a dropped one never, a duplicated one twice.
+fn deliveries(fault: Option<LinkFault>) -> usize {
+    match fault {
+        Some(LinkFault::Drop) => 0,
+        Some(LinkFault::Duplicate) => 2,
+        _ => 1,
+    }
+}
+
 impl<T: TargetAccess> TargetAccess for UnreliableTarget<T> {
-    fn target_name(&self) -> &str {
-        self.inner.target_name()
-    }
-
-    // Recovery path: never faulted, so the link can always be restored.
-    fn init_test_card(&mut self) -> Result<()> {
-        self.inner.init_test_card()
-    }
-
-    fn load_workload(&mut self, image: &WorkloadImage) -> Result<()> {
-        self.inner.load_workload(image)
-    }
-
-    fn reset_target(&mut self) -> Result<()> {
-        self.inner.reset_target()
-    }
-
-    // Forwarded explicitly: the trait default would re-implement power
-    // cycling as init+reset *at this layer*, bypassing whatever deeper
-    // cold-reset the wrapped target provides.
-    fn power_cycle(&mut self) -> Result<()> {
-        self.inner.power_cycle()
-    }
-
-    // Snapshot/restore bypasses the lossy link entirely: a capture is a
-    // host-side state clone of the wrapped target, not scan traffic, so
-    // the fault model has nothing to disturb. Forwarded clean, like
-    // power_cycle, so the inner target's native fast path is reachable.
-    fn snapshot(&mut self) -> Result<TargetSnapshot> {
-        self.inner.snapshot()
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) -> Result<()> {
-        self.inner.restore(snapshot)
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        self.inner.supports_snapshot()
-    }
-
-    fn prefix_restore_safe(&self) -> bool {
-        self.inner.prefix_restore_safe()
+    pass_through! { inner:
+        target_name, load_workload, reset_target, memory_size, set_breakpoint,
+        clear_breakpoints, run_workload, step_instruction, chain_layouts, write_input_ports,
+        read_output_ports, instructions_executed, cycles_executed, iterations_completed,
+        step_traced, power_cycle, snapshot, restore, supports_snapshot, prefix_restore_safe,
+        // The recovery path: never faulted, so the link can always be restored.
+        init_test_card,
     }
 
     fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
-        match self.disturb_words(data, "write memory")? {
-            None => Ok(()),
-            Some((words, times)) => {
-                for _ in 0..times {
-                    self.inner.write_memory(addr, &words)?;
-                }
-                Ok(())
-            }
+        let fault = self.model.next_transaction(|| "write memory".into())?;
+        let mut words = Cow::Borrowed(data);
+        if fault == Some(LinkFault::CorruptBit) {
+            self.corrupt(words.to_mut());
         }
+        for _ in 0..deliveries(fault) {
+            self.inner.write_memory(addr, &words)?;
+        }
+        Ok(())
     }
 
     fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
-        let words = self.inner.read_memory(addr, len)?;
-        match self.model.next_fault() {
-            None | Some(LinkFault::Duplicate) => Ok(words),
-            Some(LinkFault::CorruptBit) => {
-                let mut words = words;
-                if !words.is_empty() {
-                    let word = self.model.random_index(words.len());
-                    let bit = self.model.random_index(32);
-                    words[word] ^= 1u32 << bit;
-                }
-                Ok(words)
-            }
+        let mut words = self.inner.read_memory(addr, len)?;
+        match self.model.next_transaction(|| "read memory".into())? {
+            Some(LinkFault::CorruptBit) => self.corrupt(&mut words),
             // A dropped read returns a stale all-zero buffer.
-            Some(LinkFault::Drop) => Ok(vec![0; words.len()]),
-            Some(LinkFault::Stall) => Err(GoofiError::Scan(ScanError::ShiftStall {
-                operation: "read memory".into(),
-            })),
-            Some(LinkFault::Disconnect) => Err(GoofiError::Scan(ScanError::LinkDown {
-                operation: "read memory".into(),
-            })),
+            Some(LinkFault::Drop) => words.fill(0),
+            _ => {}
         }
+        Ok(words)
     }
 
     fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> Result<()> {
-        match self.model.next_fault() {
-            None => self.inner.flip_memory_bit(addr, bit),
+        let fault = self.model.next_transaction(|| "flip memory bit".into())?;
+        // A corrupted command flips a *different* bit of the same word; a
+        // duplicated one flips it back, as wrong as a drop.
+        let bit = match fault {
             Some(LinkFault::CorruptBit) => {
-                // The command arrives with its bit index corrupted: a
-                // *different* bit of the same word is flipped.
-                let wrong = (u32::from(bit) + 1 + self.model.random_index(31) as u32) % 32;
-                self.inner.flip_memory_bit(addr, wrong as u8)
+                ((u32::from(bit) + 1 + self.model.random_index(31) as u32) % 32) as u8
             }
-            // The command never reaches the device.
-            Some(LinkFault::Drop) => Ok(()),
-            // Applied twice: the flips cancel, equally wrong as a drop.
-            Some(LinkFault::Duplicate) => {
-                self.inner.flip_memory_bit(addr, bit)?;
-                self.inner.flip_memory_bit(addr, bit)
-            }
-            Some(LinkFault::Stall) => Err(GoofiError::Scan(ScanError::ShiftStall {
-                operation: "flip memory bit".into(),
-            })),
-            Some(LinkFault::Disconnect) => Err(GoofiError::Scan(ScanError::LinkDown {
-                operation: "flip memory bit".into(),
-            })),
+            _ => bit,
+        };
+        for _ in 0..deliveries(fault) {
+            self.inner.flip_memory_bit(addr, bit)?;
         }
-    }
-
-    fn memory_size(&self) -> u32 {
-        self.inner.memory_size()
-    }
-
-    fn set_breakpoint(&mut self, trigger: Trigger) -> Result<()> {
-        self.inner.set_breakpoint(trigger)
-    }
-
-    fn clear_breakpoints(&mut self) -> Result<()> {
-        self.inner.clear_breakpoints()
-    }
-
-    fn run_workload(&mut self, budget: RunBudget) -> Result<RunEvent> {
-        self.inner.run_workload(budget)
-    }
-
-    fn step_instruction(&mut self) -> Result<Option<RunEvent>> {
-        self.inner.step_instruction()
-    }
-
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        self.inner.chain_layouts()
+        Ok(())
     }
 
     fn read_scan_chain(&mut self, chain: &str) -> Result<BitVec> {
         let image = self.inner.read_scan_chain(chain)?;
-        self.model
-            .disturb_read(image, &format!("read `{chain}`"))
-            .map_err(GoofiError::Scan)
+        Ok(self.model.disturb_read(image, &format!("read `{chain}`"))?)
     }
 
     fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> Result<()> {
-        match self.model.next_fault() {
-            None => self.inner.write_scan_chain(chain, bits),
-            Some(LinkFault::CorruptBit) => {
-                let mut disturbed = bits.clone();
-                if !disturbed.is_empty() {
-                    let bit = self.model.random_index(disturbed.len());
-                    disturbed.flip(bit);
-                }
-                self.inner.write_scan_chain(chain, &disturbed)
-            }
-            // The update never reaches the device.
-            Some(LinkFault::Drop) => Ok(()),
-            Some(LinkFault::Duplicate) => {
-                self.inner.write_scan_chain(chain, bits)?;
-                self.inner.write_scan_chain(chain, bits)
-            }
-            Some(LinkFault::Stall) => Err(GoofiError::Scan(ScanError::ShiftStall {
-                operation: format!("write `{chain}`"),
-            })),
-            Some(LinkFault::Disconnect) => Err(GoofiError::Scan(ScanError::LinkDown {
-                operation: format!("write `{chain}`"),
-            })),
+        let fault = self.model.next_transaction(|| format!("write `{chain}`"))?;
+        let mut bits = Cow::Borrowed(bits);
+        if fault == Some(LinkFault::CorruptBit) && !bits.is_empty() {
+            let bit = self.model.random_index(bits.len());
+            bits.to_mut().flip(bit);
         }
-    }
-
-    fn write_input_ports(&mut self, inputs: &[u32]) -> Result<()> {
-        self.inner.write_input_ports(inputs)
-    }
-
-    fn read_output_ports(&mut self) -> Result<Vec<u32>> {
-        self.inner.read_output_ports()
-    }
-
-    fn instructions_executed(&self) -> u64 {
-        self.inner.instructions_executed()
-    }
-
-    fn cycles_executed(&self) -> u64 {
-        self.inner.cycles_executed()
-    }
-
-    fn iterations_completed(&self) -> u64 {
-        self.inner.iterations_completed()
-    }
-
-    fn step_traced(&mut self) -> Result<(Option<RunEvent>, crate::preinject::StepAccess)> {
-        self.inner.step_traced()
+        for _ in 0..deliveries(fault) {
+            self.inner.write_scan_chain(chain, &bits)?;
+        }
+        Ok(())
     }
 }
 
@@ -476,45 +343,13 @@ impl<T: TargetAccess> VerifiedTarget<T> {
 }
 
 impl<T: TargetAccess> TargetAccess for VerifiedTarget<T> {
-    fn target_name(&self) -> &str {
-        self.inner.target_name()
-    }
-
-    fn init_test_card(&mut self) -> Result<()> {
-        self.inner.init_test_card()
-    }
-
-    fn load_workload(&mut self, image: &WorkloadImage) -> Result<()> {
-        self.inner.load_workload(image)
-    }
-
-    fn reset_target(&mut self) -> Result<()> {
-        self.inner.reset_target()
-    }
-
-    // Forwarded explicitly so the wrapped target's real cold reset runs
-    // (the trait default would only init+reset this wrapper).
-    fn power_cycle(&mut self) -> Result<()> {
-        self.inner.power_cycle()
-    }
-
-    // Snapshot/restore is host-side state cloning, not link traffic, so
-    // there is nothing for this layer to verify — forwarded clean so the
-    // wrapped target's native fast path stays reachable.
-    fn snapshot(&mut self) -> Result<TargetSnapshot> {
-        self.inner.snapshot()
-    }
-
-    fn restore(&mut self, snapshot: &TargetSnapshot) -> Result<()> {
-        self.inner.restore(snapshot)
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        self.inner.supports_snapshot()
-    }
-
-    fn prefix_restore_safe(&self) -> bool {
-        self.inner.prefix_restore_safe()
+    pass_through! { inner:
+        target_name, init_test_card, load_workload, reset_target, memory_size, set_breakpoint,
+        clear_breakpoints, run_workload, step_instruction, chain_layouts, instructions_executed,
+        cycles_executed, iterations_completed, step_traced, power_cycle, snapshot, restore,
+        supports_snapshot, prefix_restore_safe,
+        // The trait has no readback of input ports to verify a write against.
+        write_input_ports,
     }
 
     fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
@@ -555,30 +390,6 @@ impl<T: TargetAccess> TargetAccess for VerifiedTarget<T> {
         let before = self.read_memory(addr, 1)?[0];
         let expected = before ^ (1u32 << u32::from(bit));
         self.write_memory(addr, &[expected])
-    }
-
-    fn memory_size(&self) -> u32 {
-        self.inner.memory_size()
-    }
-
-    fn set_breakpoint(&mut self, trigger: Trigger) -> Result<()> {
-        self.inner.set_breakpoint(trigger)
-    }
-
-    fn clear_breakpoints(&mut self) -> Result<()> {
-        self.inner.clear_breakpoints()
-    }
-
-    fn run_workload(&mut self, budget: RunBudget) -> Result<RunEvent> {
-        self.inner.run_workload(budget)
-    }
-
-    fn step_instruction(&mut self) -> Result<Option<RunEvent>> {
-        self.inner.step_instruction()
-    }
-
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        self.inner.chain_layouts()
     }
 
     fn read_scan_chain(&mut self, chain: &str) -> Result<BitVec> {
@@ -623,35 +434,18 @@ impl<T: TargetAccess> TargetAccess for VerifiedTarget<T> {
         )
     }
 
-    fn write_input_ports(&mut self, inputs: &[u32]) -> Result<()> {
-        self.inner.write_input_ports(inputs)
-    }
-
     fn read_output_ports(&mut self) -> Result<Vec<u32>> {
         self.read_agreeing("read_output_ports", |t| t.read_output_ports())
-    }
-
-    fn instructions_executed(&self) -> u64 {
-        self.inner.instructions_executed()
-    }
-
-    fn cycles_executed(&self) -> u64 {
-        self.inner.cycles_executed()
-    }
-
-    fn iterations_completed(&self) -> u64 {
-        self.inner.iterations_completed()
-    }
-
-    fn step_traced(&mut self) -> Result<(Option<RunEvent>, crate::preinject::StepAccess)> {
-        self.inner.step_traced()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanchain::CellAccess;
+    use crate::campaign::WorkloadImage;
+    use crate::target::{RunBudget, RunEvent};
+    use crate::trigger::Trigger;
+    use scanchain::{CellAccess, ChainLayout, ScanError};
 
     /// A minimal in-memory target: 64 words of RAM and one scan chain with
     /// a writable register and a read-only counter cell.

@@ -37,14 +37,11 @@ use crate::algorithms::{golden_run_matches, make_reference_run};
 use crate::campaign::{Campaign, WorkloadImage};
 use crate::logging::ExperimentRecord;
 use crate::monitor::ProgressMonitor;
-use crate::target::{RunBudget, RunEvent, TargetAccess, TargetSnapshot};
+use crate::target::{pass_through, RunBudget, RunEvent, TargetAccess, TargetSnapshot};
 use crate::telemetry::Metric;
-use crate::trigger::Trigger;
 use crate::{GoofiError, Result};
 use envsim::Environment;
-use scanchain::{
-    BitVec, ChainLayout, RecoveryDepth, ScanError, WedgeConfig, WedgeKind, WedgeModel,
-};
+use scanchain::{BitVec, RecoveryDepth, ScanError, WedgeConfig, WedgeKind, WedgeModel};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -546,8 +543,11 @@ impl<T: TargetAccess> WedgeableTarget<T> {
 const HANG_STEP_BURN: u64 = 4096;
 
 impl<T: TargetAccess> TargetAccess for WedgeableTarget<T> {
-    fn target_name(&self) -> &str {
-        self.inner.target_name()
+    pass_through! { inner:
+        target_name, memory_size, set_breakpoint, clear_breakpoints, chain_layouts,
+        iterations_completed, step_traced, supports_snapshot,
+        // Memory and ports are reached without the TAP, so a wedge leaves them alone.
+        write_memory, read_memory, flip_memory_bit, write_input_ports, read_output_ports,
     }
 
     fn init_test_card(&mut self) -> Result<()> {
@@ -576,30 +576,6 @@ impl<T: TargetAccess> TargetAccess for WedgeableTarget<T> {
         result
     }
 
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
-        self.inner.write_memory(addr, data)
-    }
-
-    fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
-        self.inner.read_memory(addr, len)
-    }
-
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> Result<()> {
-        self.inner.flip_memory_bit(addr, bit)
-    }
-
-    fn memory_size(&self) -> u32 {
-        self.inner.memory_size()
-    }
-
-    fn set_breakpoint(&mut self, trigger: Trigger) -> Result<()> {
-        self.inner.set_breakpoint(trigger)
-    }
-
-    fn clear_breakpoints(&mut self) -> Result<()> {
-        self.inner.clear_breakpoints()
-    }
-
     fn run_workload(&mut self, budget: RunBudget) -> Result<RunEvent> {
         self.pending_launch = false;
         match self.model.advance() {
@@ -623,10 +599,6 @@ impl<T: TargetAccess> TargetAccess for WedgeableTarget<T> {
         self.inner.step_instruction()
     }
 
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        self.inner.chain_layouts()
-    }
-
     fn read_scan_chain(&mut self, chain: &str) -> Result<BitVec> {
         match self.model.wedged() {
             Some(WedgeKind::StuckTap) => Err(self.stall(&format!("read {chain}"))),
@@ -645,28 +617,12 @@ impl<T: TargetAccess> TargetAccess for WedgeableTarget<T> {
         self.inner.write_scan_chain(chain, bits)
     }
 
-    fn write_input_ports(&mut self, inputs: &[u32]) -> Result<()> {
-        self.inner.write_input_ports(inputs)
-    }
-
-    fn read_output_ports(&mut self) -> Result<Vec<u32>> {
-        self.inner.read_output_ports()
-    }
-
     fn instructions_executed(&self) -> u64 {
         self.inner.instructions_executed() + self.hang_burn
     }
 
     fn cycles_executed(&self) -> u64 {
         self.inner.cycles_executed() + self.hang_burn
-    }
-
-    fn iterations_completed(&self) -> u64 {
-        self.inner.iterations_completed()
-    }
-
-    fn step_traced(&mut self) -> Result<(Option<RunEvent>, crate::preinject::StepAccess)> {
-        self.inner.step_traced()
     }
 
     fn power_cycle(&mut self) -> Result<()> {
@@ -699,10 +655,6 @@ impl<T: TargetAccess> TargetAccess for WedgeableTarget<T> {
         self.hang_burn = snap.hang_burn;
         self.pending_launch = snap.pending_launch;
         Ok(())
-    }
-
-    fn supports_snapshot(&self) -> bool {
-        self.inner.supports_snapshot()
     }
 
     // The drill's observable behaviour is tied to the slow path's exact

@@ -250,9 +250,10 @@ pub trait TargetAccess {
 
     /// Whether [`TargetAccess::rejoin`] is implemented — the capability
     /// probe a snapshot session checks before it records a golden path.
-    /// Defaults to `false`. Decorators keep the default, so a decorated
-    /// stack never rejoins: its own state (link faults, drill draws) is
-    /// not part of the comparison.
+    /// Defaults to `false`. Decorators keep the default (their
+    /// pass-through cannot forward it), so a decorated stack never
+    /// rejoins: its own state (link faults, drill draws) is not part of
+    /// the comparison.
     fn can_rejoin(&self) -> bool {
         false
     }
@@ -287,9 +288,9 @@ pub trait TargetAccess {
     /// per-page block digests across copy-on-write snapshots — but any
     /// override MUST return the same value as the default, since digests
     /// are compared across records regardless of which path produced
-    /// them. Decorators should NOT forward this method: the default
-    /// routes through the decorator's own `read_memory`, which is what
-    /// keeps verified/lossy read semantics intact.
+    /// them. Decorators keep this default (their pass-through cannot
+    /// forward it): it reads through the decorator's own `read_memory`,
+    /// which keeps verified and lossy reads intact.
     ///
     /// # Errors
     ///
@@ -367,6 +368,140 @@ pub fn readout_restore<T: TargetAccess + ?Sized>(
     }
     Ok(())
 }
+
+/// Writes the [`TargetAccess`] methods a decorator passes through.
+///
+/// Inside an `impl TargetAccess` block, `pass_through! { inner: a, b, … }`
+/// writes each named method with a body that calls the same method on the
+/// field `inner`, so a decorator hand-writes only the methods it changes.
+/// The four decorators (the link and wedge drills, verified I/O and the
+/// readout fallback) share one rule:
+///
+/// - `power_cycle` passes through: the trait default would re-init and
+///   reset this layer and skip the inner target's real cold reset.
+/// - `snapshot`, `restore`, `supports_snapshot` and `prefix_restore_safe`
+///   pass through unless the decorator has state of its own to capture or
+///   a reason to veto prefix reuse. A capture is a host-side clone of the
+///   inner target, not traffic a decorator disturbs or verifies, and the
+///   defaults would hide the inner target's fast path.
+/// - `memory_digest`, `can_rejoin` and `rejoin` keep the trait defaults,
+///   and there is no arm for them. The default digest reads memory through
+///   the decorator's own `read_memory`, so lossy and verified reads apply
+///   to it. A decorator's own state (link faults, drill draws) is not part
+///   of a rejoin comparison, so a decorated stack never rejoins.
+///
+/// `Box<T>` is not a decorator: it forwards every method, those three
+/// included, in its own impl.
+macro_rules! pass_through {
+    ($f:ident: $($method:ident),+ $(,)?) => {
+        $($crate::target::pass_through!(@$method $f);)+
+    };
+    (@target_name $f:ident) => { fn target_name(&self) -> &str { self.$f.target_name() } };
+    (@init_test_card $f:ident) => {
+        fn init_test_card(&mut self) -> $crate::Result<()> { self.$f.init_test_card() }
+    };
+    (@load_workload $f:ident) => {
+        fn load_workload(&mut self, image: &$crate::campaign::WorkloadImage) -> $crate::Result<()> {
+            self.$f.load_workload(image)
+        }
+    };
+    (@reset_target $f:ident) => {
+        fn reset_target(&mut self) -> $crate::Result<()> { self.$f.reset_target() }
+    };
+    (@write_memory $f:ident) => {
+        fn write_memory(&mut self, addr: u32, data: &[u32]) -> $crate::Result<()> {
+            self.$f.write_memory(addr, data)
+        }
+    };
+    (@read_memory $f:ident) => {
+        fn read_memory(&mut self, addr: u32, len: usize) -> $crate::Result<Vec<u32>> {
+            self.$f.read_memory(addr, len)
+        }
+    };
+    (@flip_memory_bit $f:ident) => {
+        fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> $crate::Result<()> {
+            self.$f.flip_memory_bit(addr, bit)
+        }
+    };
+    (@memory_size $f:ident) => { fn memory_size(&self) -> u32 { self.$f.memory_size() } };
+    (@set_breakpoint $f:ident) => {
+        fn set_breakpoint(&mut self, trigger: $crate::trigger::Trigger) -> $crate::Result<()> {
+            self.$f.set_breakpoint(trigger)
+        }
+    };
+    (@clear_breakpoints $f:ident) => {
+        fn clear_breakpoints(&mut self) -> $crate::Result<()> { self.$f.clear_breakpoints() }
+    };
+    (@run_workload $f:ident) => {
+        fn run_workload(&mut self, budget: $crate::RunBudget) -> $crate::Result<$crate::RunEvent> {
+            self.$f.run_workload(budget)
+        }
+    };
+    (@step_instruction $f:ident) => {
+        fn step_instruction(&mut self) -> $crate::Result<Option<$crate::RunEvent>> {
+            self.$f.step_instruction()
+        }
+    };
+    (@chain_layouts $f:ident) => {
+        fn chain_layouts(&self) -> Vec<::scanchain::ChainLayout> { self.$f.chain_layouts() }
+    };
+    (@read_scan_chain $f:ident) => {
+        fn read_scan_chain(&mut self, chain: &str) -> $crate::Result<::scanchain::BitVec> {
+            self.$f.read_scan_chain(chain)
+        }
+    };
+    (@write_scan_chain $f:ident) => {
+        fn write_scan_chain(
+            &mut self,
+            chain: &str,
+            bits: &::scanchain::BitVec,
+        ) -> $crate::Result<()> {
+            self.$f.write_scan_chain(chain, bits)
+        }
+    };
+    (@write_input_ports $f:ident) => {
+        fn write_input_ports(&mut self, inputs: &[u32]) -> $crate::Result<()> {
+            self.$f.write_input_ports(inputs)
+        }
+    };
+    (@read_output_ports $f:ident) => {
+        fn read_output_ports(&mut self) -> $crate::Result<Vec<u32>> { self.$f.read_output_ports() }
+    };
+    (@instructions_executed $f:ident) => {
+        fn instructions_executed(&self) -> u64 { self.$f.instructions_executed() }
+    };
+    (@cycles_executed $f:ident) => {
+        fn cycles_executed(&self) -> u64 { self.$f.cycles_executed() }
+    };
+    (@iterations_completed $f:ident) => {
+        fn iterations_completed(&self) -> u64 { self.$f.iterations_completed() }
+    };
+    (@step_traced $f:ident) => {
+        fn step_traced(
+            &mut self,
+        ) -> $crate::Result<(Option<$crate::RunEvent>, $crate::preinject::StepAccess)> {
+            self.$f.step_traced()
+        }
+    };
+    (@power_cycle $f:ident) => {
+        fn power_cycle(&mut self) -> $crate::Result<()> { self.$f.power_cycle() }
+    };
+    (@snapshot $f:ident) => {
+        fn snapshot(&mut self) -> $crate::Result<$crate::TargetSnapshot> { self.$f.snapshot() }
+    };
+    (@restore $f:ident) => {
+        fn restore(&mut self, snapshot: &$crate::TargetSnapshot) -> $crate::Result<()> {
+            self.$f.restore(snapshot)
+        }
+    };
+    (@supports_snapshot $f:ident) => {
+        fn supports_snapshot(&self) -> bool { self.$f.supports_snapshot() }
+    };
+    (@prefix_restore_safe $f:ident) => {
+        fn prefix_restore_safe(&self) -> bool { self.$f.prefix_restore_safe() }
+    };
+}
+pub(crate) use pass_through;
 
 /// Boxed targets are targets too, so callers can assemble decorator stacks
 /// (e.g. [`crate::link::VerifiedTarget`] over
@@ -494,5 +629,111 @@ impl<T: TargetAccess + ?Sized> TargetAccess for Box<T> {
 
     fn memory_digest(&mut self, len: usize) -> Result<u64> {
         (**self).memory_digest(len)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conformance::ReadoutFallback;
+    use crate::framework::SimTarget;
+    use crate::link::{UnreliableTarget, VerifiedTarget};
+    use crate::logging::digest_words;
+    use crate::supervisor::WedgeableTarget;
+    use scanchain::{LinkFaultConfig, WedgeConfig};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    const SENTINEL: u64 = 0x5E47_1E15;
+
+    /// Calls that reached the probe.
+    #[derive(Default)]
+    struct Reached {
+        rejoins: Cell<u32>,
+        power_cycles: Cell<u32>,
+    }
+
+    /// `SimTarget` behind the pass-through, except where a decorator that
+    /// broke the rules would show it: the probe rejoins, counts `rejoin`
+    /// and `power_cycle` calls, and digests its memory to a sentinel.
+    struct Probe {
+        sim: SimTarget,
+        reached: Rc<Reached>,
+    }
+
+    impl TargetAccess for Probe {
+        pass_through! { sim:
+            target_name, init_test_card, load_workload, reset_target, write_memory,
+            read_memory, flip_memory_bit, memory_size, set_breakpoint, clear_breakpoints,
+            run_workload, step_instruction, chain_layouts, read_scan_chain, write_scan_chain,
+            write_input_ports, read_output_ports, instructions_executed, cycles_executed,
+            iterations_completed, step_traced, snapshot, restore, supports_snapshot,
+            prefix_restore_safe,
+        }
+
+        fn power_cycle(&mut self) -> Result<()> {
+            self.reached
+                .power_cycles
+                .set(self.reached.power_cycles.get() + 1);
+            self.sim.power_cycle()
+        }
+
+        fn can_rejoin(&self) -> bool {
+            true
+        }
+
+        fn rejoin(&mut self, _checkpoint: &TargetSnapshot, _end: &TargetSnapshot) -> Result<bool> {
+            self.reached.rejoins.set(self.reached.rejoins.get() + 1);
+            Ok(true)
+        }
+
+        fn memory_digest(&mut self, _len: usize) -> Result<u64> {
+            Ok(SENTINEL)
+        }
+    }
+
+    /// Wraps a fresh probe with `wrap` and holds the result to the rules
+    /// in the pass-through's doc.
+    fn keeps_the_rules<D: TargetAccess>(label: &str, wrap: impl FnOnce(Probe) -> D) {
+        let reached = Rc::new(Reached::default());
+        let probe = Probe {
+            sim: SimTarget::new(),
+            reached: Rc::clone(&reached),
+        };
+        let mut target = wrap(probe);
+
+        assert!(!target.can_rejoin(), "{label}: can_rejoin passed through");
+        let capture = target.snapshot().unwrap();
+        assert!(!target.rejoin(&capture, &capture).unwrap(), "{label}: rejoined");
+        assert_eq!(reached.rejoins.get(), 0, "{label}: rejoin passed through");
+
+        target.write_memory(3, &[0xDEAD_BEEF, 7]).unwrap();
+        let len = target.memory_size() as usize;
+        let own = digest_words(&target.read_memory(0, len).unwrap());
+        let digest = target.memory_digest(len).unwrap();
+        assert_ne!(digest, SENTINEL, "{label}: memory_digest passed through");
+        assert_eq!(digest, own, "{label}");
+
+        target.power_cycle().unwrap();
+        assert_eq!(reached.power_cycles.get(), 1, "{label}: power_cycle");
+    }
+
+    #[test]
+    fn decorators_keep_the_pass_through_rules() {
+        let mut bare = Probe {
+            sim: SimTarget::new(),
+            reached: Rc::default(),
+        };
+        assert!(bare.can_rejoin());
+        assert_eq!(bare.memory_digest(64).unwrap(), SENTINEL);
+
+        keeps_the_rules("unreliable", |p| {
+            UnreliableTarget::new(p, LinkFaultConfig::default())
+        });
+        keeps_the_rules("verified", VerifiedTarget::new);
+        keeps_the_rules("wedgeable", |p| {
+            WedgeableTarget::new(p, WedgeConfig::default())
+        });
+        keeps_the_rules("readout fallback", ReadoutFallback::new);
     }
 }

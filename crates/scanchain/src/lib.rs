@@ -69,5 +69,5 @@ pub use error::ScanError;
 pub use link::{LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel};
 pub use memory::{Memory, MemoryError, DEFAULT_MEMORY_WORDS, PAGE_WORDS};
 pub use tap::{TapController, TapInstruction, TapState};
-pub use testcard::{ScanTarget, ScanTxn, TestCard, TestCardStats};
+pub use testcard::{ScanTarget, TestCard, TestCardStats};
 pub use wedge::{RecoveryDepth, WedgeConfig, WedgeCounts, WedgeKind, WedgeModel};

@@ -258,31 +258,51 @@ impl LinkFaultModel {
         Some(fault)
     }
 
+    /// Decides the fate of the next transaction, like
+    /// [`LinkFaultModel::next_fault`], and fails the ones that never
+    /// complete: a stall is [`ScanError::ShiftStall`], a disconnect
+    /// [`ScanError::LinkDown`], each naming `operation()`. Otherwise
+    /// returns the fault that disturbs the transaction's data (corrupt,
+    /// drop or duplicate), or `None` for a clean one.
+    ///
+    /// # Errors
+    ///
+    /// As above, for stall and disconnect faults.
+    pub fn next_transaction(
+        &mut self,
+        operation: impl FnOnce() -> String,
+    ) -> Result<Option<LinkFault>, ScanError> {
+        match self.next_fault() {
+            Some(LinkFault::Stall) => Err(ScanError::ShiftStall {
+                operation: operation(),
+            }),
+            Some(LinkFault::Disconnect) => Err(ScanError::LinkDown {
+                operation: operation(),
+            }),
+            fault => Ok(fault),
+        }
+    }
+
     /// Applies a fault decision to a captured (read) image.
     ///
     /// Returns the possibly-disturbed image, or the typed error for
     /// stall/disconnect faults. `operation` names the transaction for
     /// error messages.
-    pub fn disturb_read(&mut self, image: BitVec, operation: &str) -> Result<BitVec, ScanError> {
-        match self.next_fault() {
-            None | Some(LinkFault::Duplicate) => Ok(image),
-            Some(LinkFault::CorruptBit) => {
-                let mut image = image;
-                if !image.is_empty() {
-                    let bit = self.random_index(image.len());
-                    image.flip(bit);
-                }
-                Ok(image)
+    pub fn disturb_read(
+        &mut self,
+        mut image: BitVec,
+        operation: &str,
+    ) -> Result<BitVec, ScanError> {
+        match self.next_transaction(|| operation.to_string())? {
+            Some(LinkFault::CorruptBit) if !image.is_empty() => {
+                let bit = self.random_index(image.len());
+                image.flip(bit);
             }
             // A dropped read transaction returns a stale all-zero image.
-            Some(LinkFault::Drop) => Ok(BitVec::zeros(image.len())),
-            Some(LinkFault::Stall) => Err(ScanError::ShiftStall {
-                operation: operation.to_string(),
-            }),
-            Some(LinkFault::Disconnect) => Err(ScanError::LinkDown {
-                operation: operation.to_string(),
-            }),
+            Some(LinkFault::Drop) => image = BitVec::zeros(image.len()),
+            _ => {}
         }
+        Ok(image)
     }
 }
 

@@ -275,33 +275,6 @@ impl<T: ScanTarget> TestCard<T> {
         Ok(())
     }
 
-    /// Opens a batched scan transaction on `chain`.
-    ///
-    /// The transaction performs **one** capture–shift–update walk to read
-    /// the chain, then any number of in-memory cell reads, writes and bit
-    /// flips, and finally at most one more walk on
-    /// [`ScanTxn::commit`] — two TAP walks for *n* cell operations instead
-    /// of the 2·*n* that per-cell [`TestCard::write_cell`] /
-    /// [`TestCard::flip_cell_bit`] calls would cost. This is the hot-path
-    /// primitive behind batched injection, state logging and health-probe
-    /// signatures.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown chains or propagates target capture errors.
-    pub fn begin_txn(&mut self, chain: &str) -> Result<ScanTxn<'_, T>, ScanError> {
-        let layout = self.layout(chain)?.clone();
-        let captured = self.read_chain(chain)?;
-        Ok(ScanTxn {
-            card: self,
-            chain: chain.to_string(),
-            layout,
-            captured: captured.clone(),
-            bits: captured,
-            dirty: false,
-        })
-    }
-
     /// Navigates the TAP and performs one full DR access on `chain`.
     ///
     /// Captures the chain; if `update` is given, shifts that image in and
@@ -363,119 +336,6 @@ impl<T: ScanTarget> TestCard<T> {
 
     fn sync_stats(&mut self) {
         self.stats.tck_cycles = self.tap.tck_count();
-    }
-}
-
-/// A batched scan-chain transaction: one TAP walk in, in-memory edits, at
-/// most one TAP walk out. See [`TestCard::begin_txn`].
-///
-/// Dropping a transaction without calling [`ScanTxn::commit`] discards all
-/// pending edits; the target chain keeps its captured image (the opening
-/// read used SAMPLE semantics and did not disturb it).
-#[derive(Debug)]
-pub struct ScanTxn<'a, T: ScanTarget> {
-    card: &'a mut TestCard<T>,
-    chain: String,
-    layout: ChainLayout,
-    /// The image captured when the transaction opened.
-    captured: BitVec,
-    /// The working image, edited in memory.
-    bits: BitVec,
-    dirty: bool,
-}
-
-impl<T: ScanTarget> ScanTxn<'_, T> {
-    /// The chain this transaction is operating on.
-    pub fn chain(&self) -> &str {
-        &self.chain
-    }
-
-    /// The image captured when the transaction opened (pre-edit state,
-    /// which the SCIFI algorithm logs as experiment data).
-    pub fn captured(&self) -> &BitVec {
-        &self.captured
-    }
-
-    /// The current working image, including uncommitted edits.
-    pub fn bits(&self) -> &BitVec {
-        &self.bits
-    }
-
-    /// Reads a named cell from the working image — no TAP traffic.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown cell names.
-    pub fn read_cell(&self, cell: &str) -> Result<u64, ScanError> {
-        self.layout.read_cell(&self.bits, cell)
-    }
-
-    /// Writes a named cell in the working image — no TAP traffic until
-    /// [`ScanTxn::commit`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown names, read-only cells, or too-wide values.
-    pub fn write_cell(&mut self, cell: &str, value: u64) -> Result<(), ScanError> {
-        let def = self
-            .layout
-            .cell(cell)
-            .ok_or_else(|| ScanError::UnknownCell(cell.to_string()))?;
-        if def.access == crate::CellAccess::ReadOnly {
-            return Err(ScanError::ReadOnlyCell {
-                cell: cell.to_string(),
-                chain: self.chain.clone(),
-            });
-        }
-        self.layout.write_cell(&mut self.bits, cell, value)?;
-        self.dirty = true;
-        Ok(())
-    }
-
-    /// Inverts `bit` within the named cell in the working image — the
-    /// SCIFI bit-flip primitive, deferred to commit.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown names, read-only cells, or a bit index outside the
-    /// cell.
-    pub fn flip_cell_bit(&mut self, cell: &str, bit: usize) -> Result<(), ScanError> {
-        let def = self
-            .layout
-            .cell(cell)
-            .ok_or_else(|| ScanError::UnknownCell(cell.to_string()))?;
-        if def.access == crate::CellAccess::ReadOnly {
-            return Err(ScanError::ReadOnlyCell {
-                cell: cell.to_string(),
-                chain: self.chain.clone(),
-            });
-        }
-        if bit >= def.width {
-            return Err(ScanError::ValueTooWide {
-                cell: cell.to_string(),
-                width: def.width,
-                value: bit as u64,
-            });
-        }
-        self.bits.flip(def.offset + bit);
-        self.dirty = true;
-        Ok(())
-    }
-
-    /// Applies all pending edits with a single capture–shift–update walk.
-    ///
-    /// A clean transaction (no writes or flips) costs no TAP traffic at
-    /// all. Returns the image that was captured when the transaction
-    /// opened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates chain-write errors from the underlying card.
-    pub fn commit(self) -> Result<BitVec, ScanError> {
-        if self.dirty {
-            self.card.write_chain(&self.chain, &self.bits)?;
-        }
-        Ok(self.captured)
     }
 }
 
@@ -644,73 +504,6 @@ mod tests {
         // Chain access still works afterwards.
         c.write_cell("alpha", "X", 3).unwrap();
         assert_eq!(c.read_cell("alpha", "X").unwrap(), 3);
-    }
-
-    #[test]
-    fn txn_batches_many_ops_into_two_walks() {
-        let mut c = card();
-        let before = c.stats();
-        let mut txn = c.begin_txn("alpha").unwrap();
-        txn.write_cell("X", 0xAA).unwrap();
-        txn.write_cell("Y", 0x55).unwrap();
-        txn.flip_cell_bit("X", 0).unwrap();
-        assert_eq!(txn.read_cell("X").unwrap(), 0xAB);
-        txn.commit().unwrap();
-        let after = c.stats();
-        // One read walk to open, one write walk to commit — regardless of
-        // how many cell operations happened in between.
-        assert_eq!(after.reads, before.reads + 1);
-        assert_eq!(after.writes, before.writes + 1);
-        assert_eq!(c.read_cell("alpha", "X").unwrap(), 0xAB);
-        assert_eq!(c.read_cell("alpha", "Y").unwrap(), 0x55);
-    }
-
-    #[test]
-    fn clean_txn_commit_costs_no_write_walk() {
-        let mut c = card();
-        c.write_cell("alpha", "X", 7).unwrap();
-        let before = c.stats();
-        let txn = c.begin_txn("alpha").unwrap();
-        assert_eq!(txn.read_cell("X").unwrap(), 7);
-        let captured = txn.commit().unwrap();
-        let after = c.stats();
-        assert_eq!(after.reads, before.reads + 1);
-        assert_eq!(after.writes, before.writes);
-        let layout = c.layout("alpha").unwrap();
-        assert_eq!(layout.read_cell(&captured, "X").unwrap(), 7);
-    }
-
-    #[test]
-    fn dropped_txn_discards_pending_edits() {
-        let mut c = card();
-        {
-            let mut txn = c.begin_txn("alpha").unwrap();
-            txn.write_cell("X", 0xFF).unwrap();
-            // No commit: edits vanish.
-        }
-        assert_eq!(c.read_cell("alpha", "X").unwrap(), 0);
-    }
-
-    #[test]
-    fn txn_rejects_readonly_and_out_of_range() {
-        let mut c = card();
-        let mut txn = c.begin_txn("alpha").unwrap();
-        assert!(matches!(
-            txn.write_cell("STATUS", 1).unwrap_err(),
-            ScanError::ReadOnlyCell { .. }
-        ));
-        assert!(matches!(
-            txn.flip_cell_bit("STATUS", 0).unwrap_err(),
-            ScanError::ReadOnlyCell { .. }
-        ));
-        assert!(matches!(
-            txn.flip_cell_bit("X", 8).unwrap_err(),
-            ScanError::ValueTooWide { .. }
-        ));
-        assert!(matches!(
-            txn.read_cell("NOPE").unwrap_err(),
-            ScanError::UnknownCell(_)
-        ));
     }
 
     #[test]
