@@ -77,8 +77,9 @@ pub struct CardTarget<P: CardCpu> {
     /// Construction config, kept so a power cycle can rebuild the core
     /// from scratch.
     config: Config<P>,
-    /// The last downloaded workload, reloaded after a power cycle.
-    last_image: Option<WorkloadImage>,
+    /// The last downloaded workload, reloaded after a power cycle; shared
+    /// with every snapshot taken since.
+    last_image: Option<Arc<WorkloadImage>>,
 }
 
 impl<P: CardCpu> Default for CardTarget<P> {
@@ -158,7 +159,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
 
     fn load_workload(&mut self, image: &WorkloadImage) -> Result<()> {
         P::load(self.cpu_mut(), image).map_err(mem_err)?;
-        self.last_image = Some(image.clone());
+        self.last_image = Some(Arc::new(image.clone()));
         Ok(())
     }
 
@@ -271,7 +272,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
         self.card = Arc::new(TestCard::new(Core::new(self.config)));
         self.card_mut().init().map_err(GoofiError::Scan)?;
         if let Some(image) = self.last_image.clone() {
-            self.load_workload(&image)?;
+            P::load(self.cpu_mut(), &image).map_err(mem_err)?;
         }
         Ok(())
     }
@@ -346,7 +347,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
 /// The opaque payload behind [`CardTarget::snapshot`].
 struct CardSnapshot<P: CardCpu> {
     card: Arc<TestCard<Core<P::Isa>>>,
-    last_image: Option<WorkloadImage>,
+    last_image: Option<Arc<WorkloadImage>>,
 }
 
 impl<P: CardCpu> CardSnapshot<P> {

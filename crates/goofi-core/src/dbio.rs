@@ -111,7 +111,7 @@ pub fn store_target_system(db: &mut Database, data: &TargetSystemData) -> Result
     // Replace an existing row of the same name.
     let existing = db
         .table(TARGET_TABLE)
-        .is_some_and(|t| t.contains_key(&Value::text(data.name.clone())));
+        .is_some_and(|t| t.contains_key(data.name.as_str()));
     if existing {
         db.update_where(
             TARGET_TABLE,
@@ -146,7 +146,7 @@ pub fn load_target_system(db: &Database, name: &str) -> Result<TargetSystemData>
         .table(TARGET_TABLE)
         .ok_or_else(|| GoofiError::Config(format!("no {TARGET_TABLE} table")))?;
     let row = table
-        .find_by_key(&Value::text(name))
+        .find_by_key(name)
         .ok_or_else(|| GoofiError::Config(format!("unknown target system `{name}`")))?;
     let locations_text = row[3].as_text().unwrap_or_default();
     let mut locations = Vec::new();
@@ -235,7 +235,7 @@ pub fn store_campaign(db: &mut Database, campaign: &Campaign) -> Result<()> {
 pub fn update_campaign(db: &mut Database, campaign: &Campaign) -> Result<()> {
     let exists = db
         .table(CAMPAIGN_TABLE)
-        .is_some_and(|t| t.contains_key(&Value::text(campaign.name.clone())));
+        .is_some_and(|t| t.contains_key(campaign.name.as_str()));
     if !exists {
         return Err(GoofiError::Config(format!(
             "unknown campaign `{}`",
@@ -269,7 +269,7 @@ pub fn load_campaign(db: &Database, name: &str) -> Result<Campaign> {
         .table(CAMPAIGN_TABLE)
         .ok_or_else(|| GoofiError::Config(format!("no {CAMPAIGN_TABLE} table")))?;
     let row = table
-        .find_by_key(&Value::text(name))
+        .find_by_key(name)
         .ok_or_else(|| GoofiError::Config(format!("unknown campaign `{name}`")))?;
     let bad = |what: &str| GoofiError::Config(format!("campaign `{name}`: bad {what}"));
 
@@ -342,12 +342,13 @@ pub fn load_campaign(db: &Database, name: &str) -> Result<Campaign> {
 /// Fails when the campaign row is absent (foreign key) or the experiment
 /// name is taken.
 pub fn log_experiment(db: &mut Database, record: &ExperimentRecord) -> Result<()> {
-    let trace = record
-        .trace
-        .iter()
-        .map(StateSnapshot::encode)
-        .collect::<Vec<_>>()
-        .join("---\n");
+    let mut trace = String::new();
+    for (i, state) in record.trace.iter().enumerate() {
+        if i > 0 {
+            trace.push_str("---\n");
+        }
+        state.encode_into(&mut trace, false);
+    }
     let mut row = vec![
         Value::text(record.name.clone()),
         record.parent.clone().map_or(Value::Null, Value::text),
@@ -417,7 +418,7 @@ fn log_new_records<'r>(
     for record in records {
         let logged = db
             .table(LOG_TABLE)
-            .is_some_and(|t| t.contains_key(&Value::text(record.name.as_str())));
+            .is_some_and(|t| t.contains_key(record.name.as_str()));
         if !logged {
             tel.time(Stage::DbWrite, || log_experiment(db, record))?;
             inserted += 1;
@@ -442,7 +443,7 @@ pub fn log_recovery_actions(
 ) -> Result<()> {
     let existing = |db: &Database, name: &str| {
         db.table(RECOVERY_TABLE)
-            .is_some_and(|t| t.contains_key(&Value::text(name)))
+            .is_some_and(|t| t.contains_key(name))
     };
     for episode in recoveries {
         for (seq, action) in episode.actions.iter().enumerate() {
@@ -666,7 +667,7 @@ pub fn load_experiment(db: &Database, name: &str) -> Result<ExperimentRecord> {
         .table(LOG_TABLE)
         .ok_or_else(|| GoofiError::Config(format!("no {LOG_TABLE} table")))?;
     let row = table
-        .find_by_key(&Value::text(name))
+        .find_by_key(name)
         .ok_or_else(|| GoofiError::Config(format!("unknown experiment `{name}`")))?;
     decode_log_row(row)
 }

@@ -7,7 +7,7 @@
 use crate::trigger::Trigger;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A single fault-injection location.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -33,10 +33,20 @@ pub enum FaultLocation {
 impl FaultLocation {
     /// Compact string form for the `experimentData` database attribute.
     pub fn encode(&self) -> String {
-        match self {
-            FaultLocation::ScanCell { chain, cell, bit } => format!("scan:{chain}:{cell}:{bit}"),
-            FaultLocation::Memory { addr, bit } => format!("mem:{addr}:{bit}"),
-        }
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`FaultLocation::encode`]'s text to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            FaultLocation::ScanCell { chain, cell, bit } => {
+                write!(out, "scan:{chain}:{cell}:{bit}")
+            }
+            FaultLocation::Memory { addr, bit } => write!(out, "mem:{addr}:{bit}"),
+        };
     }
 
     /// Parses [`FaultLocation::encode`] output.
@@ -106,12 +116,20 @@ pub enum FaultModel {
 impl FaultModel {
     /// Compact string form for the database.
     pub fn encode(self) -> String {
-        match self {
-            FaultModel::TransientBitFlip => "flip".to_string(),
-            FaultModel::StuckAtZero => "sa0".to_string(),
-            FaultModel::StuckAtOne => "sa1".to_string(),
-            FaultModel::Intermittent { period, bursts } => format!("int:{period}:{bursts}"),
-        }
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`FaultModel::encode`]'s text to `out`.
+    pub(crate) fn encode_into(self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            FaultModel::TransientBitFlip => out.write_str("flip"),
+            FaultModel::StuckAtZero => out.write_str("sa0"),
+            FaultModel::StuckAtOne => out.write_str("sa1"),
+            FaultModel::Intermittent { period, bursts } => write!(out, "int:{period}:{bursts}"),
+        };
     }
 
     /// Parses [`FaultModel::encode`] output.
@@ -174,13 +192,24 @@ impl FaultSpec {
 
     /// Serialises to the `experimentData` attribute format.
     pub fn encode(&self) -> String {
-        let locs: Vec<String> = self.locations.iter().map(FaultLocation::encode).collect();
-        format!(
-            "model={};trigger={};locations={}",
-            self.model.encode(),
-            self.trigger.encode(),
-            locs.join(",")
-        )
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`FaultSpec::encode`]'s text to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
+        out.push_str("model=");
+        self.model.encode_into(out);
+        out.push_str(";trigger=");
+        self.trigger.encode_into(out);
+        out.push_str(";locations=");
+        for (i, location) in self.locations.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            location.encode_into(out);
+        }
     }
 
     /// Parses [`FaultSpec::encode`] output.

@@ -291,7 +291,7 @@ pub fn fsck_database(vfs: &dyn Vfs, path: &Path, repair: bool) -> Result<FsckRep
 fn stub_lost_experiment(db: &mut Database, name: &str, campaign: &str) -> Result<bool> {
     let exists = |db: &Database, key: &str| {
         db.table(dbio::LOG_TABLE)
-            .is_some_and(|t| t.contains_key(&Value::text(key)))
+            .is_some_and(|t| t.contains_key(key))
     };
     if exists(db, name) {
         return Ok(false);

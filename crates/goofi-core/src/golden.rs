@@ -24,7 +24,7 @@
 //!   because a damaged cache can only cost time, not correctness.
 
 use crate::campaign::Campaign;
-use crate::journal::{encode_record_payload, fnv1a, parse_entry, Entry};
+use crate::journal::{encode_record, parse_entry, push_entry, Entry};
 use crate::logging::{digest_words, ExperimentRecord};
 use crate::vfs::{atomic_write, read_lossy, Vfs};
 use std::path::{Path, PathBuf};
@@ -100,12 +100,8 @@ impl<'v> GoldenCache<'v> {
     /// A failure is otherwise swallowed: a cache that cannot be written
     /// only costs the next run a recomputation.
     pub fn store(&self, reference: &ExperimentRecord) -> bool {
-        let payload = encode_record_payload(None, reference);
-        let body = format!(
-            "{MAGIC}\n{}\n{payload}\t#{:08x}\n",
-            self.key,
-            fnv1a(payload.as_bytes())
-        );
+        let mut body = format!("{MAGIC}\n{}\n", self.key);
+        push_entry(&mut body, |out| encode_record(out, None, reference));
         let stored = atomic_write(self.vfs, &self.path, body.as_bytes()).is_ok();
         self.current.store(stored, Ordering::Relaxed);
         stored

@@ -34,11 +34,14 @@
 //! F <index> <attempts> <error> #<fnv>
 //! ```
 //!
-//! Fields are tab-separated and escaped (`\t`, `\n`, `\\`); `R` entries
-//! are completed experiment records (`-` in the index column marks the
-//! reference run), `F` entries are experiments that failed despite the
-//! policy's retries. Every entry line ends with an FNV-1a checksum of its
-//! payload.
+//! Fields are tab-separated and escaped (`\\`, `\t`, `\n`, `\r`) by
+//! [`goofidb::codec`], the escape of the database file too; any other
+//! escape makes the entry damaged. `R` entries are completed experiment
+//! records (`-` in the index column marks the reference run), `F` entries
+//! are experiments that failed despite the policy's retries. Every entry
+//! line ends with an FNV-1a checksum of its payload. An append encodes its
+//! entry, checksum included, into one reused line buffer and writes it
+//! with one `write_all`.
 //!
 //! One line walker ([`scan_text`]) reads every journal, for loading,
 //! salvage, fsck and reopening alike. It checks each entry line on its
@@ -50,7 +53,10 @@ use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity
 use crate::policy::ExperimentFailure;
 use crate::vfs::{self, Vfs, VfsFile};
 use crate::{fault::FaultSpec, GoofiError, Result};
+use goofidb::codec::{escape_into, fnv1a, needs_escape, unescape};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 
 const HEADER: &str = "#goofi-journal v1";
@@ -144,6 +150,9 @@ pub struct ExperimentJournal {
     path: PathBuf,
     /// Entries written since the last sync.
     pending: usize,
+    /// The line each append encodes its entry into, kept between appends
+    /// so an entry allocates nothing once it has grown.
+    line: String,
 }
 
 impl std::fmt::Debug for ExperimentJournal {
@@ -183,6 +192,7 @@ impl ExperimentJournal {
             file,
             path,
             pending: 0,
+            line: String::new(),
         })
     }
 
@@ -219,6 +229,7 @@ impl ExperimentJournal {
             file,
             path: path.to_path_buf(),
             pending: 0,
+            line: String::new(),
         };
         Ok((journal, state))
     }
@@ -236,7 +247,7 @@ impl ExperimentJournal {
     /// I/O errors, surfaced as [`GoofiError::Io`], a failed batch sync
     /// included.
     pub fn append_record(&mut self, index: Option<usize>, record: &ExperimentRecord) -> Result<()> {
-        self.append_line(&encode_record_payload(index, record))
+        self.append(|line| encode_record(line, index, record))
     }
 
     /// Appends an experiment failure.
@@ -245,13 +256,11 @@ impl ExperimentJournal {
     ///
     /// As [`ExperimentJournal::append_record`].
     pub fn append_failure(&mut self, failure: &ExperimentFailure) -> Result<()> {
-        let payload = format!(
-            "F\t{}\t{}\t{}",
-            failure.index,
-            failure.attempts,
-            escape(&failure.error)
-        );
-        self.append_line(&payload)
+        self.append(|line| {
+            // Writing into a `String` cannot fail.
+            let _ = write!(line, "F\t{}\t{}\t", failure.index, failure.attempts);
+            escape_into(line, &failure.error);
+        })
     }
 
     /// Syncs every entry appended since the last sync; a no-op when none
@@ -272,10 +281,13 @@ impl ExperimentJournal {
         Ok(())
     }
 
-    fn append_line(&mut self, payload: &str) -> Result<()> {
-        let line = format!("{payload}\t#{:08x}\n", fnv1a(payload.as_bytes()));
+    /// Writes the entry `payload` encodes as one line, with one
+    /// `write_all`.
+    fn append(&mut self, payload: impl FnOnce(&mut String)) -> Result<()> {
+        self.line.clear();
+        push_entry(&mut self.line, payload);
         self.file
-            .write_all(line.as_bytes())
+            .write_all(self.line.as_bytes())
             .map_err(|e| GoofiError::io("appending to", &self.path, &e))?;
         self.pending += 1;
         if self.pending >= SYNC_EVERY {
@@ -382,8 +394,12 @@ impl JournalScan<'_> {
 pub fn scan_text(text: &str) -> JournalScan<'_> {
     let mut lines = text.lines();
     let campaign = if lines.next() == Some(HEADER) {
-        let name = lines.next().and_then(|l| l.strip_prefix("C\t"));
-        name.map(unescape).ok_or("missing campaign line")
+        match lines.next().and_then(|l| l.strip_prefix("C\t")) {
+            Some(name) => unescape(name)
+                .map(Cow::into_owned)
+                .map_err(|_| "undecodable campaign line"),
+            None => Err("missing campaign line"),
+        }
     } else {
         Err("not a goofi journal (bad header)")
     };
@@ -463,79 +479,130 @@ pub fn salvage_with(vfs: &dyn Vfs, path: &Path) -> Result<SalvageOutcome> {
 
 /// The header and campaign line a journal of `campaign` starts with.
 fn head(campaign: &str) -> String {
-    format!("{HEADER}\nC\t{}\n", escape(campaign))
+    let mut head = format!("{HEADER}\nC\t");
+    escape_into(&mut head, campaign);
+    head.push('\n');
+    head
 }
 
-pub(crate) enum Entry {
+/// One journal entry line, decoded.
+#[derive(Debug, PartialEq)]
+pub enum Entry {
+    /// The reference run's record.
     Reference(ExperimentRecord),
+    /// The record of the experiment at this campaign index.
     Completed(usize, ExperimentRecord),
+    /// An experiment that failed despite the policy's retries.
     Failed(ExperimentFailure),
 }
 
-/// One journal record line, minus the trailing checksum column (shared
-/// with the golden-run cache, which persists a reference record in the
-/// same checksummed format).
-pub(crate) fn encode_record_payload(index: Option<usize>, record: &ExperimentRecord) -> String {
-    format!(
-        "R\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        index.map_or_else(|| "-".to_string(), |i| i.to_string()),
-        escape(&record.name),
-        record.parent.as_deref().map_or_else(|| "-".into(), escape),
-        record
-            .fault
-            .as_ref()
-            .map_or_else(|| "-".into(), |f| escape(&f.encode())),
-        escape(&record.termination.encode()),
-        escape(&record.state.encode()),
-        if record.trace.is_empty() {
-            "-".to_string()
-        } else {
-            escape(
-                &record
-                    .trace
-                    .iter()
-                    .map(StateSnapshot::encode)
-                    .collect::<Vec<_>>()
-                    .join("---\n"),
-            )
-        },
-        record.validity.encode(),
-    )
+/// Appends one sealed entry line to `out`: the payload `encode` writes,
+/// then a tab, `#`, the payload's FNV-1a checksum in hex and a newline.
+pub(crate) fn push_entry(out: &mut String, encode: impl FnOnce(&mut String)) {
+    let start = out.len();
+    encode(out);
+    let sum = fnv1a(&out.as_bytes()[start..]);
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "\t#{sum:08x}");
 }
 
-pub(crate) fn parse_entry(line: &str, campaign: &str) -> Option<Entry> {
+/// Appends a record entry's payload, the line minus its checksum column
+/// (shared with the golden-run cache, which persists a reference record in
+/// the same checksummed format). Every field goes straight into `out`.
+pub(crate) fn encode_record(out: &mut String, index: Option<usize>, record: &ExperimentRecord) {
+    out.push_str("R\t");
+    match index {
+        // Writing into a `String` cannot fail.
+        Some(index) => {
+            let _ = write!(out, "{index}");
+        }
+        None => out.push('-'),
+    }
+    out.push('\t');
+    escape_into(out, &record.name);
+    out.push('\t');
+    match &record.parent {
+        Some(parent) => escape_into(out, parent),
+        None => out.push('-'),
+    }
+    out.push('\t');
+    match &record.fault {
+        Some(fault) => escaped(out, |out| fault.encode_into(out)),
+        None => out.push('-'),
+    }
+    out.push('\t');
+    escaped(out, |out| record.termination.encode_into(out));
+    out.push('\t');
+    record.state.encode_into(out, true);
+    out.push('\t');
+    if record.trace.is_empty() {
+        out.push('-');
+    }
+    for (i, state) in record.trace.iter().enumerate() {
+        if i > 0 {
+            out.push_str("---\\n");
+        }
+        state.encode_into(out, true);
+    }
+    out.push('\t');
+    out.push_str(record.validity.encode());
+}
+
+/// Appends what `write` writes, escaped: in place, unless it holds a byte
+/// to escape, which no fault or termination text written today does.
+fn escaped(out: &mut String, write: impl FnOnce(&mut String)) {
+    let start = out.len();
+    write(out);
+    if needs_escape(&out[start..]) {
+        let raw = out.split_off(start);
+        escape_into(out, &raw);
+    }
+}
+
+/// Decodes one entry line of the journal of `campaign`: `None` unless its
+/// checksum and every field check out.
+pub fn parse_entry(line: &str, campaign: &str) -> Option<Entry> {
     let (payload, checksum) = line.rsplit_once("\t#")?;
     if u32::from_str_radix(checksum, 16).ok()? != fnv1a(payload.as_bytes()) {
         return None;
     }
-    let fields: Vec<&str> = payload.split('\t').collect();
-    match fields.as_slice() {
+    let mut fields = [""; 9];
+    let mut count = 0;
+    for field in payload.split('\t') {
+        *fields.get_mut(count)? = field;
+        count += 1;
+    }
+    fn text(field: &str) -> Option<Cow<'_, str>> {
+        unescape(field).ok()
+    }
+    match &fields[..count] {
         // The validity column was added later; 8-field entries written by
         // older versions load as valid records.
         ["R", index, name, parent, fault, termination, state, trace]
         | ["R", index, name, parent, fault, termination, state, trace, _] => {
-            let validity = match fields.get(8) {
-                Some(v) => Validity::decode(v)?,
-                None => Validity::Valid,
+            let validity = match count {
+                9 => Validity::decode(fields[8])?,
+                _ => Validity::Valid,
             };
             let record = ExperimentRecord {
-                name: unescape(name),
-                parent: (*parent != "-").then(|| unescape(parent)),
-                campaign: campaign.to_string(),
-                fault: if *fault == "-" {
-                    None
-                } else {
-                    Some(FaultSpec::decode(&unescape(fault))?)
+                name: text(name)?.into_owned(),
+                parent: match *parent {
+                    "-" => None,
+                    parent => Some(text(parent)?.into_owned()),
                 },
-                termination: TerminationCause::decode(&unescape(termination))?,
-                state: StateSnapshot::decode(&unescape(state))?,
-                trace: if *trace == "-" {
-                    Vec::new()
-                } else {
-                    unescape(trace)
+                campaign: campaign.to_string(),
+                fault: match *fault {
+                    "-" => None,
+                    fault => Some(FaultSpec::decode(&text(fault)?)?),
+                },
+                termination: TerminationCause::decode(&text(termination)?)?,
+                state: StateSnapshot::decode(&text(state)?)?,
+                trace: match *trace {
+                    "-" => Vec::new(),
+                    trace => text(trace)?
                         .split("---\n")
                         .map(StateSnapshot::decode)
-                        .collect::<Option<Vec<_>>>()?
+                        .collect::<Option<Vec<_>>>()?,
                 },
                 validity,
             };
@@ -551,54 +618,11 @@ pub(crate) fn parse_entry(line: &str, campaign: &str) -> Option<Entry> {
                 index,
                 name: format!("{campaign}/exp{index:05}"),
                 attempts: attempts.parse().ok()?,
-                error: unescape(error),
+                error: text(error)?.into_owned(),
             }))
         }
         _ => None,
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -634,6 +658,107 @@ mod tests {
             trace: vec![StateSnapshot::default()],
             validity: Validity::Valid,
         }
+    }
+
+    /// A reference, a detail re-run with every optional field set, and a
+    /// failure whose error needs escaping: one of each journal entry.
+    fn pinned_entries() -> (ExperimentRecord, ExperimentRecord, ExperimentFailure) {
+        let mut state = StateSnapshot {
+            memory_digest: 0xdead_beef_0123_4567,
+            outputs: vec![1, 0, u32::MAX],
+            iterations: 1,
+            instructions: 100,
+            cycles: 150,
+            ..StateSnapshot::default()
+        };
+        state.scan.insert("internal".into(), "0101".into());
+        state.scan.insert("icache".into(), "110".into());
+        let reference = ExperimentRecord {
+            name: "c1/reference".into(),
+            parent: None,
+            campaign: "c1".into(),
+            fault: None,
+            termination: TerminationCause::WorkloadEnd,
+            state: state.clone(),
+            trace: Vec::new(),
+            validity: Validity::Valid,
+        };
+        let mut later = state.clone();
+        later.instructions = 101;
+        later.outputs.clear();
+        let detail = ExperimentRecord {
+            name: "c1/exp00003/detail".into(),
+            parent: Some("c1/exp00003".into()),
+            fault: Some(FaultSpec::single(
+                crate::fault::FaultLocation::ScanCell {
+                    chain: "internal".into(),
+                    cell: "R1".into(),
+                    bit: 4,
+                },
+                crate::trigger::Trigger::AfterInstructions(100),
+            )),
+            termination: TerminationCause::Detected(crate::target::DetectionInfo {
+                mechanism: "parity_icache".into(),
+                code: 1,
+            }),
+            trace: vec![state, later],
+            validity: Validity::Invalid,
+            ..reference.clone()
+        };
+        let failure = ExperimentFailure {
+            index: 5,
+            name: "c1/exp00005".into(),
+            attempts: 2,
+            error: "scan link down:\tstall\nafter 2 attempts".into(),
+        };
+        (reference, detail, failure)
+    }
+
+    /// The journal [`pinned_entries`] are written to: the format is
+    /// pinned, so a codec change that alters one byte fails here.
+    const PINNED_JOURNAL: &str = concat!(
+        "#goofi-journal v1\n",
+        "C\tc1\n",
+        "R\t-\tc1/reference\t-\t-\tend\t",
+        "chain icache 110\\nchain internal 0101\\nmemdigest 16045690981116495207\\n",
+        "outputs 1,0,4294967295\\ncounters 1 100 150\\n\t-\tvalid\t#770af1ba\n",
+        "R\t3\tc1/exp00003/detail\tc1/exp00003\t",
+        "model=flip;trigger=instr:100;locations=scan:internal:R1:4\tdetected:parity_icache:1\t",
+        "chain icache 110\\nchain internal 0101\\nmemdigest 16045690981116495207\\n",
+        "outputs 1,0,4294967295\\ncounters 1 100 150\\n\t",
+        "chain icache 110\\nchain internal 0101\\nmemdigest 16045690981116495207\\n",
+        "outputs 1,0,4294967295\\ncounters 1 100 150\\n---\\n",
+        "chain icache 110\\nchain internal 0101\\nmemdigest 16045690981116495207\\n",
+        "outputs \\ncounters 1 101 150\\n\tinvalid\t#016999ea\n",
+        "F\t5\t2\tscan link down:\\tstall\\nafter 2 attempts\t#87ae9fbe\n",
+    );
+
+    #[test]
+    fn journal_writes_the_pinned_lines_and_parses_them_back() {
+        let (reference, detail, failure) = pinned_entries();
+        let path = temp_journal("pinned");
+        let mut j = ExperimentJournal::create(&path, "c1").unwrap();
+        j.append_record(None, &reference).unwrap();
+        j.append_record(Some(3), &detail).unwrap();
+        j.append_failure(&failure).unwrap();
+        drop(j);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(text, PINNED_JOURNAL);
+
+        let lines: Vec<&str> = PINNED_JOURNAL.lines().skip(2).collect();
+        assert!(matches!(
+            parse_entry(lines[0], "c1"),
+            Some(Entry::Reference(r)) if r == reference
+        ));
+        assert!(matches!(
+            parse_entry(lines[1], "c1"),
+            Some(Entry::Completed(3, r)) if r == detail
+        ));
+        assert!(matches!(
+            parse_entry(lines[2], "c1"),
+            Some(Entry::Failed(f)) if f == failure
+        ));
     }
 
     #[test]
@@ -821,9 +946,19 @@ mod tests {
     }
 
     #[test]
-    fn escape_roundtrips() {
-        for s in ["plain", "tab\tnl\ncr\rback\\slash", "", "trailing\\"] {
-            assert_eq!(unescape(&escape(s)), s);
-        }
+    fn an_unknown_escape_marks_the_entry_damaged() {
+        // No writer emits `\q`: a line holding one is damaged even when its
+        // checksum agrees, and costs that line like any other.
+        let sealed = |payload: &str| {
+            let mut line = String::new();
+            push_entry(&mut line, |out| out.push_str(payload));
+            line
+        };
+        let (bad, good) = (sealed("F\t1\t1\tstall \\q"), sealed("F\t2\t1\tstall \\t"));
+        assert!(parse_entry(bad.trim_end(), "c1").is_none());
+        let text = format!("{}{bad}{good}", head("c1"));
+        let scan = scan_text(&text);
+        assert_eq!((scan.valid, scan.garbled, scan.torn_tail), (1, 1, false));
+        assert_eq!(scan.state.failed[&2].error, "stall \t");
     }
 }

@@ -10,8 +10,9 @@
 //! when and where any faults were injected".
 
 use crate::target::DetectionInfo;
+use goofidb::codec::escape_into;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Normal (end-state only) or detail (per-instruction trace) logging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -65,13 +66,21 @@ pub enum TerminationCause {
 impl TerminationCause {
     /// Database string form.
     pub fn encode(&self) -> String {
-        match self {
-            TerminationCause::WorkloadEnd => "end".to_string(),
-            TerminationCause::Detected(d) => format!("detected:{}:{}", d.mechanism, d.code),
-            TerminationCause::Timeout => "timeout".to_string(),
-            TerminationCause::IterationLimit => "iterations".to_string(),
-            TerminationCause::TargetHang => "hang".to_string(),
-        }
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`TerminationCause::encode`]'s text to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            TerminationCause::WorkloadEnd => out.write_str("end"),
+            TerminationCause::Detected(d) => write!(out, "detected:{}:{}", d.mechanism, d.code),
+            TerminationCause::Timeout => out.write_str("timeout"),
+            TerminationCause::IterationLimit => out.write_str("iterations"),
+            TerminationCause::TargetHang => out.write_str("hang"),
+        };
     }
 
     /// Parses [`TerminationCause::encode`] output.
@@ -127,17 +136,36 @@ impl StateSnapshot {
     /// Serialises to the text form stored in the database.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        for (chain, bits) in &self.scan {
-            out.push_str(&format!("chain {chain} {bits}\n"));
-        }
-        out.push_str(&format!("memdigest {}\n", self.memory_digest));
-        let outs: Vec<String> = self.outputs.iter().map(u32::to_string).collect();
-        out.push_str(&format!("outputs {}\n", outs.join(",")));
-        out.push_str(&format!(
-            "counters {} {} {}\n",
-            self.iterations, self.instructions, self.cycles
-        ));
+        self.encode_into(&mut out, false);
         out
+    }
+
+    /// Appends [`StateSnapshot::encode`]'s text to `out`; with `escaped`,
+    /// that text as [`escape_into`] escapes it for a journal field,
+    /// written straight into `out`.
+    pub(crate) fn encode_into(&self, out: &mut String, escaped: bool) {
+        let (text, newline): (fn(&mut String, &str), &str) = match escaped {
+            true => (escape_into, "\\n"),
+            false => (String::push_str, "\n"),
+        };
+        for (chain, bits) in &self.scan {
+            out.push_str("chain ");
+            text(out, chain);
+            out.push(' ');
+            text(out, bits);
+            out.push_str(newline);
+        }
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "memdigest {}{newline}outputs ", self.memory_digest);
+        for (i, value) in self.outputs.iter().enumerate() {
+            let comma = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{comma}{value}");
+        }
+        let _ = write!(
+            out,
+            "{newline}counters {} {} {}{newline}",
+            self.iterations, self.instructions, self.cycles
+        );
     }
 
     /// Parses [`StateSnapshot::encode`] output.

@@ -33,7 +33,7 @@
 //! interleaving, but the *schedule itself* is a pure function of the
 //! seed, which is what the torture harness sweeps.
 
-use crate::journal::fnv1a;
+use goofidb::codec::fnv1a;
 use scanchain::plan::{self, mix, Kind};
 use std::fmt;
 use std::io::{self, Read, Write};

@@ -704,7 +704,10 @@ mod tests {
 
         assert!(!target.can_rejoin(), "{label}: can_rejoin passed through");
         let capture = target.snapshot().unwrap();
-        assert!(!target.rejoin(&capture, &capture).unwrap(), "{label}: rejoined");
+        assert!(
+            !target.rejoin(&capture, &capture).unwrap(),
+            "{label}: rejoined"
+        );
         assert_eq!(reached.rejoins.get(), 0, "{label}: rejoin passed through");
 
         target.write_memory(3, &[0xDEAD_BEEF, 7]).unwrap();

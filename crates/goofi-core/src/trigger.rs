@@ -7,7 +7,7 @@
 //! real-time clock" — all of which are implemented here.
 
 use scanchain::DebugCondition;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// When to inject a fault during an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,16 +54,24 @@ impl Trigger {
 
     /// Compact string form for the `experimentData` database attribute.
     pub fn encode(self) -> String {
-        match self {
-            Trigger::PreRuntime => "pre".to_string(),
-            Trigger::Breakpoint(pc) => format!("pc:{pc}"),
-            Trigger::AfterInstructions(n) => format!("instr:{n}"),
-            Trigger::DataAccess(a) => format!("daccess:{a}"),
-            Trigger::DataWrite(a) => format!("dwrite:{a}"),
-            Trigger::BranchExecuted => "branch".to_string(),
-            Trigger::CallExecuted => "call".to_string(),
-            Trigger::AfterCycles(n) => format!("cycles:{n}"),
-        }
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Trigger::encode`]'s text to `out`.
+    pub(crate) fn encode_into(self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Trigger::PreRuntime => out.write_str("pre"),
+            Trigger::Breakpoint(pc) => write!(out, "pc:{pc}"),
+            Trigger::AfterInstructions(n) => write!(out, "instr:{n}"),
+            Trigger::DataAccess(a) => write!(out, "daccess:{a}"),
+            Trigger::DataWrite(a) => write!(out, "dwrite:{a}"),
+            Trigger::BranchExecuted => out.write_str("branch"),
+            Trigger::CallExecuted => out.write_str("call"),
+            Trigger::AfterCycles(n) => write!(out, "cycles:{n}"),
+        };
     }
 
     /// Parses [`Trigger::encode`] output.

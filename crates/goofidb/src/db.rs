@@ -175,21 +175,19 @@ impl Database {
             .tables
             .get(table)
             .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
-        let fks: Vec<_> = t.schema().foreign_keys.clone();
-        for fk in &fks {
+        for fk in &t.schema().foreign_keys {
             let idx = t
                 .schema()
                 .column_index(&fk.column)
                 .ok_or_else(|| DbError::NoSuchColumn(fk.column.clone()))?;
-            let v = row.get(idx).cloned().unwrap_or(Value::Null);
-            if v.is_null() {
+            let Some(v) = row.get(idx).filter(|v| !v.is_null()) else {
                 continue; // NULL foreign keys are permitted.
-            }
+            };
             let target = self
                 .tables
                 .get(&fk.ref_table)
                 .ok_or_else(|| DbError::NoSuchTable(fk.ref_table.clone()))?;
-            if !target.contains_key(&v) {
+            if !target.contains_key(v) {
                 return Err(DbError::ForeignKeyViolation {
                     constraint: format!("{}.{fk}", table),
                     key: v.to_string(),

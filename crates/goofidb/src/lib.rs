@@ -22,7 +22,9 @@
 //! * a checksummed text format ([`Database::save_to_string`] /
 //!   [`Database::load_from_string`]), with a salvaging load
 //!   ([`Database::load_from_string_lenient`]) that reports each piece of
-//!   damage as a [`PersistIssue`]; one reader decides both loads.
+//!   damage as a [`PersistIssue`]; one reader decides both loads. Its
+//!   field escape and checksum ([`codec`]) are GOOFI's experiment
+//!   journal's too.
 //!
 //! The crate does no file I/O: callers write and read the text. GOOFI
 //! saves it with `goofi_core::dbio::save_database`, atomically and through
@@ -43,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 mod db;
 mod error;
 mod persist;
@@ -56,4 +59,4 @@ pub use error::DbError;
 pub use persist::{IssueKind, PersistIssue};
 pub use schema::{ColumnDef, ColumnType, ForeignKey, TableSchema};
 pub use table::{Row, Table};
-pub use value::Value;
+pub use value::{AsKey, Key, Value};

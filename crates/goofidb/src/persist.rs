@@ -16,51 +16,73 @@
 //! covers the ROW lines only, and files written before the footer existed
 //! have no CHECK line at all.
 
+use crate::codec::{escape_into, fnv1a, fnv1a_extend, unescape, FNV_OFFSET};
 use crate::schema::{ColumnDef, ColumnType, ForeignKey, TableSchema};
-use crate::table::Row;
+use crate::table::{Row, Table};
 use crate::value::Value;
 use crate::{Database, DbError};
+use std::fmt::{self, Write};
 
 /// The header of the current format, whose footers cover whole blocks.
 const HEADER: &str = "#goofidb v2";
 
-/// Serialises a database.
+/// Serialises a database into one string: every block is written in
+/// place, and its `CHECK` footer sums the block's byte range.
 pub(crate) fn save(db: &Database) -> String {
-    let mut out = format!("{HEADER}\n");
+    let mut out = String::with_capacity(saved_len_hint(db));
+    out.push_str(HEADER);
+    out.push('\n');
     for name in topo_order(db) {
         // `topo_order` only yields names from `db.table_names()`, but stay
         // panic-free regardless: a missing table is simply skipped.
-        let Some(table) = db.table(&name) else {
-            continue;
-        };
-        let mut block = format!("TABLE {name}\n");
-        for c in &table.schema().columns {
-            block.push_str(&format!(
-                "COLUMN {} {}{}\n",
-                c.name,
-                c.ty.keyword(),
-                if c.primary_key { " PK" } else { "" }
-            ));
+        if let Some(table) = db.table(&name) {
+            // Writing into a `String` cannot fail.
+            let _ = write_block(&mut out, &name, table);
         }
-        for fk in &table.schema().foreign_keys {
-            block.push_str(&format!(
-                "FK {} {} {}\n",
-                fk.column, fk.ref_table, fk.ref_column
-            ));
-        }
-        for row in table.iter() {
-            block.push_str("ROW");
-            for v in row {
-                block.push('\t');
-                block.push_str(&encode_value(v));
-            }
-            block.push('\n');
-        }
-        out.push_str(&block);
-        out.push_str(&format!("CHECK {:08x}\n", fnv1a(block.as_bytes())));
-        out.push_str("END\n");
     }
     out
+}
+
+/// Appends one table's block: its schema lines and rows, then a `CHECK`
+/// footer over the block's bytes and `END`.
+fn write_block(out: &mut String, name: &str, table: &Table) -> fmt::Result {
+    let block = out.len();
+    writeln!(out, "TABLE {name}")?;
+    for c in &table.schema().columns {
+        let pk = if c.primary_key { " PK" } else { "" };
+        writeln!(out, "COLUMN {} {}{pk}", c.name, c.ty.keyword())?;
+    }
+    for fk in &table.schema().foreign_keys {
+        writeln!(out, "FK {} {} {}", fk.column, fk.ref_table, fk.ref_column)?;
+    }
+    for row in table.iter() {
+        out.push_str("ROW");
+        for v in row {
+            out.push('\t');
+            encode_value(out, v)?;
+        }
+        out.push('\n');
+    }
+    let sum = fnv1a(&out.as_bytes()[block..]);
+    writeln!(out, "CHECK {sum:08x}")?;
+    out.push_str("END\n");
+    Ok(())
+}
+
+/// About the length [`save`] writes: every value's text plus a few bytes
+/// per field, so the output string grows once at most.
+fn saved_len_hint(db: &Database) -> usize {
+    let names = db.table_names();
+    let rows = names
+        .iter()
+        .filter_map(|name| db.table(name))
+        .flat_map(|t| t.iter());
+    let fields: usize = rows
+        .flatten()
+        .map(|v| 4 + v.as_text().map_or(20, str::len))
+        .sum();
+    // Escapes lengthen a few fields; schema lines are short.
+    fields + fields / 32 + 4096
 }
 
 /// Restores a database from [`save`] output.
@@ -225,8 +247,9 @@ fn read(
                 }
             } else if let Some(rest) = line.strip_prefix("ROW") {
                 let fields = || rest.split('\t').skip(1);
-                match fields().map(decode_value).collect() {
-                    Ok(row) => rows.push(row),
+                let mut row = Vec::with_capacity(columns.len());
+                match fields().try_for_each(|field| decode_value(field).map(|v| row.push(v))) {
+                    Ok(()) => rows.push(row),
                     Err(_) => damage.note_with(
                         name,
                         BadRow,
@@ -330,20 +353,6 @@ fn clip(line: &str) -> String {
     out
 }
 
-const FNV_OFFSET: u32 = 0x811c_9dc5;
-
-fn fnv1a(bytes: &[u8]) -> u32 {
-    fnv1a_extend(FNV_OFFSET, bytes)
-}
-
-fn fnv1a_extend(mut hash: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
 /// Folds one line of a block and its newline into a running `CHECK` sum,
 /// so a load verifies a table without copying its text.
 fn fnv1a_line(hash: u32, line: &str) -> u32 {
@@ -382,14 +391,19 @@ fn topo_order(db: &Database) -> Vec<String> {
     out
 }
 
-fn encode_value(v: &Value) -> String {
+/// Appends one field of a ROW line.
+fn encode_value(out: &mut String, v: &Value) -> fmt::Result {
     match v {
-        Value::Null => "N".to_string(),
-        Value::Int(i) => format!("I:{i}"),
+        Value::Null => out.push('N'),
+        Value::Int(i) => write!(out, "I:{i}")?,
         // Bit-exact float round trip.
-        Value::Real(r) => format!("R:{}", r.to_bits()),
-        Value::Text(s) => format!("T:{}", escape(s)),
+        Value::Real(r) => write!(out, "R:{}", r.to_bits())?,
+        Value::Text(s) => {
+            out.push_str("T:");
+            escape_into(out, s);
+        }
     }
+    Ok(())
 }
 
 fn decode_value(field: &str) -> Result<Value, DbError> {
@@ -408,53 +422,99 @@ fn decode_value(field: &str) -> Result<Value, DbError> {
             .parse::<u64>()
             .map(|bits| Value::Real(f64::from_bits(bits)))
             .map_err(|_| DbError::Execution(format!("bad real `{body}`"))),
-        "T" => Ok(Value::Text(unescape(body)?)),
+        "T" => Ok(Value::Text(unescape(body)?.into_owned())),
         _ => Err(DbError::Execution(format!("bad value tag `{tag}`"))),
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Result<String, DbError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            other => {
-                return Err(DbError::Execution(format!(
-                    "bad escape `\\{}`",
-                    other.map(String::from).unwrap_or_default()
-                )))
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, ColumnType};
+
+    /// A database holding every value kind, a primary and a foreign key.
+    fn every_value_kind() -> Database {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE targets (name TEXT PRIMARY KEY, chains INTEGER)")
+            .unwrap();
+        db.execute(
+            "CREATE TABLE runs (id INTEGER PRIMARY KEY, target TEXT, score REAL, note TEXT,
+             FOREIGN KEY (target) REFERENCES targets(name))",
+        )
+        .unwrap();
+        let name = "thör\\\t\n\r✓";
+        db.insert("targets", vec![Value::text(name), Value::Int(i64::MIN)])
+            .unwrap();
+        db.insert(
+            "runs",
+            vec![
+                Value::Int(-42),
+                Value::text(name),
+                Value::Real(-0.0),
+                Value::text(""),
+            ],
+        )
+        .unwrap();
+        db.insert(
+            "runs",
+            vec![
+                Value::Int(7),
+                Value::Null,
+                Value::Real(f64::from_bits(0x7ff8_0000_0000_0001)),
+                Value::text("a\\b\\\\c\td\ne\rf — ü"),
+            ],
+        )
+        .unwrap();
+        db
+    }
+
+    /// The bytes [`every_value_kind`] saves to: the format is pinned, so
+    /// a codec change that alters one byte fails here.
+    const EVERY_VALUE_KIND: &str = concat!(
+        "#goofidb v2\n",
+        "TABLE targets\n",
+        "COLUMN name TEXT PK\n",
+        "COLUMN chains INTEGER\n",
+        "ROW\tT:thör\\\\\\t\\n\\r✓\tI:-9223372036854775808\n",
+        "CHECK f7cf0e2f\n",
+        "END\n",
+        "TABLE runs\n",
+        "COLUMN id INTEGER PK\n",
+        "COLUMN target TEXT\n",
+        "COLUMN score REAL\n",
+        "COLUMN note TEXT\n",
+        "FK target targets name\n",
+        "ROW\tI:-42\tT:thör\\\\\\t\\n\\r✓\tR:9223372036854775808\tT:\n",
+        "ROW\tI:7\tN\tR:9221120237041090561\tT:a\\\\b\\\\\\\\c\\td\\ne\\rf — ü\n",
+        "CHECK a93400dd\n",
+        "END\n",
+    );
+
+    #[test]
+    fn save_writes_the_pinned_bytes_and_load_reads_them_back() {
+        let db = every_value_kind();
+        assert_eq!(db.save_to_string(), EVERY_VALUE_KIND);
+
+        // REAL values compare by bit pattern: -0.0 and the NaN payload
+        // must survive, which `==` on f64 cannot see.
+        let bits = |row: &Row| -> Vec<Result<u64, Value>> {
+            row.iter()
+                .map(|v| match v {
+                    Value::Real(r) => Ok(r.to_bits()),
+                    other => Err(other.clone()),
+                })
+                .collect()
+        };
+        let loaded = Database::load_from_string(EVERY_VALUE_KIND).unwrap();
+        assert_eq!(loaded.table_names(), db.table_names());
+        for name in db.table_names() {
+            let (a, b) = (db.table(&name).unwrap(), loaded.table(&name).unwrap());
+            assert_eq!(a.schema(), b.schema());
+            let rows = |t: &crate::Table| t.iter().map(bits).collect::<Vec<_>>();
+            assert_eq!(rows(a), rows(b), "{name}");
+        }
+        assert_eq!(loaded.save_to_string(), EVERY_VALUE_KIND);
+    }
 
     #[test]
     fn roundtrip_with_fk_and_special_chars() {

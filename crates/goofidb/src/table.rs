@@ -1,9 +1,9 @@
 //! Row storage with a primary-key index.
 
 use crate::schema::TableSchema;
-use crate::value::{KeyValue, Value};
+use crate::value::{AsKey, Key, Value};
 use crate::DbError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One row: values in schema column order.
 pub type Row = Vec<Value>;
@@ -13,7 +13,37 @@ pub type Row = Vec<Value>;
 pub struct Table {
     schema: TableSchema,
     rows: Vec<Row>,
-    pk_index: HashMap<KeyValue, usize>,
+    pk_index: KeyIndex,
+}
+
+/// The primary-key index: each key's row position. Integer and text keys
+/// are kept apart so a lookup hashes the borrowed key it is given.
+#[derive(Debug, Clone, Default)]
+struct KeyIndex {
+    ints: HashMap<i64, usize>,
+    texts: HashMap<String, usize>,
+}
+
+impl KeyIndex {
+    fn get(&self, key: Key<'_>) -> Option<usize> {
+        match key {
+            Key::Int(i) => self.ints.get(&i),
+            Key::Text(s) => self.texts.get(s),
+        }
+        .copied()
+    }
+
+    fn insert(&mut self, key: Key<'_>, at: usize) {
+        match key {
+            Key::Int(i) => self.ints.insert(i, at),
+            Key::Text(s) => self.texts.insert(s.to_owned(), at),
+        };
+    }
+
+    fn clear(&mut self) {
+        self.ints.clear();
+        self.texts.clear();
+    }
 }
 
 impl Table {
@@ -22,7 +52,7 @@ impl Table {
         Table {
             schema,
             rows: Vec::new(),
-            pk_index: HashMap::new(),
+            pk_index: KeyIndex::default(),
         }
     }
 
@@ -48,7 +78,7 @@ impl Table {
 
     /// Validates a row against the schema (arity, types, PK key-ability);
     /// returns the primary-key column index and key for indexed tables.
-    fn validate(&self, row: &Row) -> Result<Option<(usize, KeyValue)>, DbError> {
+    fn validate<'r>(&self, row: &'r Row) -> Result<Option<(usize, Key<'r>)>, DbError> {
         if row.len() != self.schema.columns.len() {
             return Err(DbError::ArityMismatch {
                 expected: self.schema.columns.len(),
@@ -66,7 +96,7 @@ impl Table {
         }
         match self.schema.primary_key_index() {
             Some(pk) => {
-                let key = KeyValue::from_value(&row[pk]).ok_or_else(|| DbError::BadPrimaryKey {
+                let key = row[pk].as_key().ok_or_else(|| DbError::BadPrimaryKey {
                     table: self.schema.name.clone(),
                     reason: format!("key value {} is not indexable", row[pk]),
                 })?;
@@ -85,7 +115,7 @@ impl Table {
     /// [`Database`](crate::Database), which can see the referenced tables.
     pub fn insert(&mut self, row: Row) -> Result<(), DbError> {
         if let Some((pk, key)) = self.validate(&row)? {
-            if self.pk_index.contains_key(&key) {
+            if self.pk_index.get(key).is_some() {
                 return Err(DbError::DuplicateKey {
                     table: self.schema.name.clone(),
                     key: row[pk].to_string(),
@@ -97,14 +127,15 @@ impl Table {
         Ok(())
     }
 
-    /// Point lookup by primary key.
-    pub fn find_by_key(&self, key: &Value) -> Option<&Row> {
-        let key = KeyValue::from_value(key)?;
-        self.pk_index.get(&key).map(|&i| &self.rows[i])
+    /// Point lookup by primary key: a [`Value`](crate::Value), or a
+    /// `str` for a TEXT key.
+    pub fn find_by_key<K: AsKey + ?Sized>(&self, key: &K) -> Option<&Row> {
+        let at = self.pk_index.get(key.as_key()?)?;
+        Some(&self.rows[at])
     }
 
     /// Whether a primary-key value exists (foreign-key checks).
-    pub fn contains_key(&self, key: &Value) -> bool {
+    pub fn contains_key<K: AsKey + ?Sized>(&self, key: &K) -> bool {
         self.find_by_key(key).is_some()
     }
 
@@ -142,10 +173,10 @@ impl Table {
 
     /// Re-validates every row after a bulk mutation.
     pub(crate) fn revalidate(&self) -> Result<(), DbError> {
-        let mut seen = HashMap::new();
+        let mut seen = HashSet::new();
         for row in &self.rows {
             if let Some((pk, key)) = self.validate(row)? {
-                if seen.insert(key, ()).is_some() {
+                if !seen.insert(key) {
                     return Err(DbError::DuplicateKey {
                         table: self.schema.name.clone(),
                         key: row[pk].to_string(),
@@ -160,7 +191,7 @@ impl Table {
         self.pk_index.clear();
         if let Some(pk) = self.schema.primary_key_index() {
             for (i, row) in self.rows.iter().enumerate() {
-                if let Some(key) = KeyValue::from_value(&row[pk]) {
+                if let Some(key) = row[pk].as_key() {
                     self.pk_index.insert(key, i);
                 }
             }

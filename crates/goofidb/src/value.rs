@@ -141,26 +141,38 @@ impl From<String> for Value {
     }
 }
 
-/// A hashable key derived from a value, used for primary-key indexes.
+/// A primary-key value, borrowed from a row or a lookup.
 ///
 /// Only integer and text values may be primary keys (floats make unreliable
 /// keys and are rejected at insert time).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum KeyValue {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Key<'a> {
     /// Integer key.
     Int(i64),
     /// Text key.
-    Text(String),
+    Text(&'a str),
 }
 
-impl KeyValue {
-    /// Builds a key from a value; `None` for NULL/REAL.
-    pub fn from_value(v: &Value) -> Option<KeyValue> {
-        match v {
-            Value::Int(i) => Some(KeyValue::Int(*i)),
-            Value::Text(s) => Some(KeyValue::Text(s.clone())),
+/// What a primary-key lookup takes: a [`Value`], or a `str` to look a
+/// TEXT key up without building a [`Value`] for it.
+pub trait AsKey {
+    /// The key; `None` for NULL and REAL, which no row has as its key.
+    fn as_key(&self) -> Option<Key<'_>>;
+}
+
+impl AsKey for Value {
+    fn as_key(&self) -> Option<Key<'_>> {
+        match self {
+            Value::Int(i) => Some(Key::Int(*i)),
+            Value::Text(s) => Some(Key::Text(s)),
             _ => None,
         }
+    }
+}
+
+impl AsKey for str {
+    fn as_key(&self) -> Option<Key<'_>> {
+        Some(Key::Text(self))
     }
 }
 
@@ -215,13 +227,11 @@ mod tests {
 
     #[test]
     fn key_values() {
-        assert_eq!(KeyValue::from_value(&Value::Int(3)), Some(KeyValue::Int(3)));
-        assert_eq!(
-            KeyValue::from_value(&Value::text("x")),
-            Some(KeyValue::Text("x".into()))
-        );
-        assert_eq!(KeyValue::from_value(&Value::Real(1.0)), None);
-        assert_eq!(KeyValue::from_value(&Value::Null), None);
+        assert_eq!(Value::Int(3).as_key(), Some(Key::Int(3)));
+        assert_eq!(Value::text("x").as_key(), Some(Key::Text("x")));
+        assert_eq!("x".as_key(), Value::text("x").as_key());
+        assert_eq!(Value::Real(1.0).as_key(), None);
+        assert_eq!(Value::Null.as_key(), None);
     }
 
     #[test]

@@ -243,14 +243,13 @@ impl BitVec {
 
     /// Serialises to a `0`/`1` string, bit 0 first.
     pub fn to_bit_string(&self) -> String {
-        let mut s = String::with_capacity(self.len);
-        for (w, word) in self.words.iter().enumerate() {
-            let bits = (self.len - w * 64).min(64);
-            for b in 0..bits {
-                s.push(if (word >> b) & 1 == 1 { '1' } else { '0' });
+        let mut digits = vec![b'0'; self.len];
+        for (chunk, word) in digits.chunks_mut(64).zip(&self.words) {
+            for (b, digit) in chunk.iter_mut().enumerate() {
+                *digit += ((word >> b) & 1) as u8;
             }
         }
-        s
+        String::from_utf8(digits).expect("ASCII digits")
     }
 
     /// Parses a `0`/`1` string produced by [`BitVec::to_bit_string`].
