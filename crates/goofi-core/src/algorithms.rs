@@ -746,15 +746,21 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
             }
             // waitForTermination(); — ended early if the target rejoins
             // the session's golden path.
-            let rejoin = session
-                .as_deref()
-                .and_then(|s| s.rejoin_at(target.instructions_executed()));
+            let injected_at = target.instructions_executed();
+            let rejoin = session.as_deref().and_then(|s| s.rejoin_at(injected_at));
             let _run = tel.stage_span(Stage::Run, exp_span.id());
             let cause = run
                 .until(target, Until::End(Some(spec), rejoin), logging)?
                 .expect("a run to the end stops only by terminating");
             if run.rejoined {
                 tel.count(Metric::Rejoined, 1);
+            }
+            if cause == TerminationCause::Timeout {
+                tel.count(Metric::TimedOut, 1);
+                tel.count(
+                    Metric::TimeoutInstructions,
+                    target.instructions_executed().saturating_sub(injected_at),
+                );
             }
             cause
         }

@@ -474,7 +474,7 @@ pub fn fsck_spool(vfs: &dyn Vfs, spool: &Path, repair: bool) -> Result<FsckRepor
             let is_journal = shard
                 .file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("shard-") && n.ends_with(".gjl"));
+                .is_some_and(scheduler::is_shard_journal);
             if is_journal {
                 report.merge(fsck_journal(vfs, &shard, Some(&campaign), repair)?);
             }

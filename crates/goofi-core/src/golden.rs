@@ -33,6 +33,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// First line of every cache file.
 const MAGIC: &str = "#goofi-golden v1";
 
+/// Whether a file name is a cache entry's, `golden-<key>.gc` (the name
+/// [`GoldenCache::new`] gives it).
+pub(crate) fn is_cache_file(name: &str) -> bool {
+    name.starts_with("golden-") && name.ends_with(".gc")
+}
+
 /// A persisted golden-run cache entry location plus the [`Vfs`] to reach
 /// it. One instance serves one campaign run; the file lives next to the
 /// journal as `golden-<key>.gc`.

@@ -37,6 +37,7 @@ use super::net::{FrameRead, FrameReader, NetFaultConfig};
 use super::wire::WorkerEvent;
 use crate::campaign::Campaign;
 use crate::dbio;
+use crate::golden;
 use crate::journal::{self, ExperimentJournal, JournalState};
 use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity};
 use crate::policy::Backoff;
@@ -501,6 +502,10 @@ impl Scheduler {
                 continue;
             }
             let done = cfg.vfs.exists(&dir.join("done"));
+            if done {
+                // A crash between the done marker and the cleanup.
+                remove_spent_files(cfg.vfs.as_ref(), &dir);
+            }
             match read_manifest(cfg.vfs.as_ref(), &dir) {
                 Ok((campaign, workers, request_id)) => {
                     if let Some(rid) = request_id {
@@ -887,7 +892,37 @@ fn run_job(
     vfs::write_file(vfs, &done, b"done\n")
         .map_err(|e| GoofiError::io("writing done marker", &done, &e))?;
     job.set(|p| p.state = JobState::Done);
+    // After the report, so the cleanup stays out of the job's turnaround.
+    remove_spent_files(vfs, &dir);
     Ok(())
+}
+
+/// Whether a spool file name is a shard journal (`shard-<k>.gjl`); a
+/// journal quarantined aside has another suffix.
+pub(crate) fn is_shard_journal(name: &str) -> bool {
+    name.starts_with("shard-") && name.ends_with(".gjl")
+}
+
+/// Removes the shard journals of a job whose merge is saved and whose
+/// `done` marker is written, and the golden-run cache its workers shared:
+/// nothing reads them again. What `recover`, request-id dedup and
+/// `fsck_spool` read (the manifest and `done`) stays, as does anything
+/// quarantined aside. Best effort: a file left behind is removed by the
+/// next [`Scheduler::recover`].
+fn remove_spent_files(vfs: &dyn Vfs, dir: &Path) {
+    let Ok(entries) = vfs.read_dir(dir) else {
+        return;
+    };
+    let merged = |name: &str| is_shard_journal(name) || golden::is_cache_file(name);
+    for path in entries {
+        if path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(merged)
+        {
+            let _ = vfs.remove_file(&path);
+        }
+    }
 }
 
 /// Handles one failed lease: backoff-requeue, or poison the shard once it

@@ -162,11 +162,17 @@ pub enum Metric {
     /// Experiments ended early by rejoining the fault-free run (see
     /// [`crate::algorithms::ExperimentSession`]).
     Rejoined,
+    /// Experiments that ran into the time-out after their fault was
+    /// injected.
+    TimedOut,
+    /// Instructions those experiments retired from injection to the
+    /// time-out: the share of the run stage the time-outs take.
+    TimeoutInstructions,
 }
 
 impl Metric {
     /// Every counter, in declaration order.
-    pub const ALL: [Metric; 22] = [
+    pub const ALL: [Metric; 24] = [
         Metric::Completed,
         Metric::Skipped,
         Metric::Failed,
@@ -189,6 +195,8 @@ impl Metric {
         Metric::GoldenCacheHits,
         Metric::GoldenCacheMisses,
         Metric::Rejoined,
+        Metric::TimedOut,
+        Metric::TimeoutInstructions,
     ];
 
     /// Stable text form used in snapshots and reports.
@@ -216,6 +224,8 @@ impl Metric {
             Metric::GoldenCacheHits => "golden-cache-hits",
             Metric::GoldenCacheMisses => "golden-cache-misses",
             Metric::Rejoined => "rejoined",
+            Metric::TimedOut => "timed-out",
+            Metric::TimeoutInstructions => "timeout-instructions",
         }
     }
 

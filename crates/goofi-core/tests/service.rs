@@ -409,6 +409,67 @@ fn poison_shard_is_quarantined_with_parent_linked_rerun_stubs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A finished job's spool keeps only what a restart reads: its shard
+/// journals go once the merge is saved and `done` is written, and a fresh
+/// scheduler still knows the job as done, dedups its request id and finds
+/// nothing for fsck. Journals a crash left beside `done` go at `recover`;
+/// a journal quarantined aside stays.
+#[test]
+fn a_finished_job_leaves_only_its_manifest_and_done_marker() {
+    let dir = temp_dir("spool-cleanup");
+    let campaign = sim_campaign("svc-cleanup", 10);
+    let db = make_db(&dir, &campaign);
+    let want = serial_records(&campaign);
+    let spool = dir.join("campaigns.gdb.spool");
+    let listing = |job: &str| {
+        let mut names: Vec<String> = std::fs::read_dir(spool.join(job))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let scheduler = Scheduler::new(config(&db, 2)).unwrap();
+    let job = scheduler
+        .submit(Some("cleanup-1"), "svc-cleanup", 2, None)
+        .unwrap();
+    let progress = scheduler.watch(&job).unwrap().wait();
+    assert_eq!(progress.state, JobState::Done, "{}", progress.detail);
+    // The runner removes the journals after reporting done; joining it
+    // waits for that.
+    scheduler.shutdown();
+    assert_essence_equal(&db, "svc-cleanup", &want);
+    assert_eq!(listing(&job), ["done", "manifest"]);
+
+    // What a crash between `done` and the cleanup leaves, beside a
+    // journal quarantined aside.
+    std::fs::write(spool.join(&job).join("shard-1.gjl"), "torn").unwrap();
+    std::fs::write(spool.join(&job).join("golden-0.gc"), "torn").unwrap();
+    std::fs::write(spool.join(&job).join("shard-0.gjl.corrupt"), "aside").unwrap();
+    let scheduler2 = Scheduler::new(config(&db, 2)).unwrap();
+    let recovered = scheduler2.recover().unwrap();
+    assert!(recovered.resumed.is_empty() && recovered.quarantined.is_empty());
+    assert_eq!(listing(&job), ["done", "manifest", "shard-0.gjl.corrupt"]);
+    std::fs::remove_file(spool.join(&job).join("shard-0.gjl.corrupt")).unwrap();
+    let states: Vec<_> = scheduler2
+        .jobs()
+        .into_iter()
+        .map(|(id, _, p)| (id, p.state))
+        .collect();
+    assert_eq!(states, [(job.clone(), JobState::Done)]);
+    assert_eq!(
+        scheduler2
+            .submit(Some("cleanup-1"), "svc-cleanup", 2, None)
+            .unwrap(),
+        job
+    );
+    let report = goofi_core::fsck::fsck_spool(&RealFs, &spool, false).unwrap();
+    assert!(report.clean(), "{:?}", report.findings);
+    scheduler2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn submit_rejects_unknown_campaigns_without_spooling_anything() {
     let dir = temp_dir("reject");

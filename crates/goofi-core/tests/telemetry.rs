@@ -279,6 +279,82 @@ fn span_hierarchy_follows_four_phase_workflow() {
     }
 }
 
+/// Time-outs are counted apart from the run stage's mean: on an
+/// rv-memcpy campaign whose budget lets some internal-chain flips run
+/// away, `timed-out` counts the `Timeout` records and
+/// `timeout-instructions` what they retired after injection.
+#[test]
+fn time_outs_count_their_records_and_the_instructions_after_injection() {
+    use goofi_core::campaign::TargetSystemData;
+    use goofi_core::fault::FaultSpace;
+    use goofi_core::logging::TerminationCause;
+    use goofi_core::telemetry::Metric;
+    use rand::SeedableRng;
+
+    let w = workloads::riscv_memcpy();
+    let description = TargetSystemData::from_target(&goofi_riscv::RiscvTarget::default(), "rv32i");
+    let space = FaultSpace {
+        scan_cells: description
+            .locations
+            .iter()
+            .filter(|(chain, _, _, rw)| *rw && chain == "internal")
+            .map(|(chain, cell, width, _)| (chain.clone(), cell.clone(), *width))
+            .collect(),
+        memory: None,
+        time_window: 0..259,
+    };
+    let campaign = Campaign::builder("rv-timeouts")
+        .target_system("rv32i")
+        .workload(WorkloadImage {
+            name: w.name.clone(),
+            words: w.image.words.clone(),
+            code_words: w.image.code_words,
+            entry: w.image.entry,
+        })
+        .observe_chains(["internal"])
+        .output(OutputRegion::Ports)
+        .termination(Termination {
+            max_instructions: 5_000,
+            max_iterations: None,
+        })
+        .faults(space.sample_campaign(300, &mut rand::rngs::StdRng::seed_from_u64(0xE1)))
+        .build()
+        .unwrap();
+    let tel = Telemetry::enabled();
+    let monitor = ProgressMonitor::with_telemetry(campaign.experiment_count(), tel.clone());
+    let mut target = goofi_riscv::RiscvTarget::default();
+    let result = algorithms::run_campaign(
+        &mut target,
+        &campaign,
+        &monitor,
+        &mut envsim::NullEnvironment,
+    )
+    .unwrap();
+
+    let timeouts: Vec<_> = result
+        .records
+        .iter()
+        .filter(|r| r.termination == TerminationCause::Timeout)
+        .collect();
+    assert!(!timeouts.is_empty(), "the campaign must have time-outs");
+    let after_injection: u64 = timeouts
+        .iter()
+        .map(|r| match r.fault.as_ref().map(|f| f.trigger) {
+            Some(Trigger::AfterInstructions(at)) => r.state.instructions - at,
+            other => panic!("{}: trigger {other:?}", r.name),
+        })
+        .sum();
+    let metrics = tel.metrics().expect("telemetry enabled");
+    assert_eq!(
+        metrics.counter(Metric::TimedOut.encode()),
+        timeouts.len() as u64
+    );
+    assert_eq!(
+        metrics.counter(Metric::TimeoutInstructions.encode()),
+        after_injection
+    );
+}
+
 #[test]
 fn metrics_snapshot_agrees_with_progress_monitor() {
     let (tel, monitor) = run_traced(vec![Arc::new(RingSink::new(64))]);

@@ -21,8 +21,9 @@
 
 use crate::isa::{decode, AluImmOp, AluOp, BranchCond, Instr, LoadWidth, Reg, ShiftOp, StoreWidth};
 use crate::scan::ChainSet;
-use scanchain::{BusEvent, Core, DecodeCache, Detection as _, Isa, StepLog, PORT_COUNT};
+use scanchain::{BusEvent, Core, Detection as _, Isa, Memory, StepLog, PORT_COUNT};
 use std::fmt;
+use std::sync::Arc;
 
 /// `ecall` code: halt the workload.
 pub const ECALL_HALT: u32 = 0;
@@ -182,11 +183,61 @@ impl StepLog for AccessLog {
 /// The RV32I half of a [`Cpu`]: the register file and decode/execute,
 /// with the alignment traps of a byte-addressed ISA. Its accessors read as
 /// the CPU's own.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Rv32iIsa {
     pub(crate) regs: [u32; Reg::COUNT],
-    decoded: DecodeCache<Instr>,
+    code: Code,
     pub(crate) chains: ChainSet,
+}
+
+/// The predecoded code is a cache, not state, so it is left out.
+impl fmt::Debug for Rv32iIsa {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Rv32iIsa")
+            .field("regs", &self.regs)
+            .field("chains", &self.chains)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The code segment decoded once: the fetch path of every instruction.
+///
+/// RV32I fetches straight from memory, so its code is decoded again when
+/// the first run or step after a tool-side write to memory finds it changed
+/// ([`Isa::sync_code`]): a compare of the segment's words, which catches a
+/// SWIFI flip. A restored snapshot carries the code of its own memory.
+/// Within a run only a program store reaches the segment (with protection
+/// off), and that rebuilds it. It covers the words that are both code and
+/// memory, so a fetch past it is a control-flow error or, inside the code
+/// segment, an access fault.
+#[derive(Clone, Default)]
+struct Code {
+    /// The code-segment length it was built for, in words.
+    segment: u32,
+    /// The words it decodes.
+    words: Arc<[u32]>,
+    /// Each word's decoding; `None` for a reserved encoding.
+    instrs: Arc<[Option<Instr>]>,
+}
+
+impl Code {
+    /// Decodes `mem`'s code segment.
+    fn of(mem: &Memory) -> Code {
+        let len = (mem.code_segment() as usize).min(mem.len());
+        let words = mem.read_block(0, len).expect("the segment lies in memory");
+        Code {
+            segment: mem.code_segment(),
+            instrs: words.iter().map(|&w| decode(w).ok()).collect(),
+            words: words.into(),
+        }
+    }
+
+    /// Whether it still decodes `mem`'s code segment.
+    fn current(&self, mem: &Memory) -> bool {
+        self.segment == mem.code_segment()
+            && self.words.len() == (mem.code_segment() as usize).min(mem.len())
+            && mem.starts_with(&self.words)
+    }
 }
 
 impl Rv32iIsa {
@@ -211,11 +262,9 @@ impl Isa for Rv32iIsa {
             config.mem_words <= (u32::MAX / 4) as usize,
             "memory exceeds the 32-bit byte address space"
         );
-        // Every decode-cache slot starts as the valid pair (nop, decode(nop)).
-        const NOP: u32 = 0x0000_0013; // addi x0, x0, 0
         let isa = Rv32iIsa {
             regs: [0; Reg::COUNT],
-            decoded: DecodeCache::new(NOP, decode(NOP).expect("nop decodes")),
+            code: Code::default(),
             chains: ChainSet::new(),
         };
         let initial_sp = config.mem_words as u32 * 4 - 4;
@@ -232,39 +281,41 @@ impl Isa for Rv32iIsa {
     }
 
     #[inline(always)]
-    fn step_inner<const LOG: bool>(cpu: &mut Cpu) -> Option<StopReason> {
+    fn step_inner<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu) -> Option<StopReason> {
         if LOG {
             cpu.log.pc = cpu.pc;
         }
 
-        // Fetch-address checks: alignment, then control flow.
+        // Fetch: alignment, then control flow, then the word's range, then
+        // its decoding (strict: any reserved encoding traps).
         if !cpu.pc.is_multiple_of(4) {
             return Some(cpu.detect(Detection::Misaligned));
         }
         let word_addr = cpu.pc / 4;
-        if word_addr >= cpu.mem.code_segment() {
-            return Some(cpu.detect(Detection::ControlFlow));
-        }
-        let word = match cpu.mem.read(word_addr) {
-            Ok(w) => w,
-            Err(_) => return Some(cpu.detect(Detection::AccessFault)),
-        };
-
-        // Decode (strict: any reserved encoding traps).
-        let instr = match cpu.isa.decoded.decode(word_addr, word, decode) {
-            Ok(i) => i,
-            Err(_) => return Some(cpu.detect(Detection::IllegalInstr)),
+        let instr = match cpu.isa.code.instrs.get(word_addr as usize) {
+            Some(&Some(instr)) => instr,
+            Some(None) => return Some(cpu.detect(Detection::IllegalInstr)),
+            None if word_addr >= cpu.mem.code_segment() => {
+                return Some(cpu.detect(Detection::ControlFlow))
+            }
+            None => return Some(cpu.detect(Detection::AccessFault)),
         };
 
         // Execute.
-        let stop = execute::<LOG>(cpu, instr);
+        let stop = execute::<LOG, WATCH>(cpu, instr);
         cpu.instret += 1;
         if stop.is_some() {
             return stop;
         }
         // Surface any debug event latched by a data-access/branch/call/
         // cycle trigger during execution.
-        cpu.debug.pending().map(StopReason::DebugEvent)
+        cpu.debug_stop::<WATCH>()
+    }
+
+    fn sync_code(cpu: &mut Cpu) {
+        if !cpu.isa.code.current(&cpu.mem) {
+            cpu.isa.code = Code::of(&cpu.mem);
+        }
     }
 
     /// The core has no caches, so only the registers are compared.
@@ -295,7 +346,7 @@ fn log_reg_write<const LOG: bool>(cpu: &mut Cpu, r: Reg, v: u32) {
 /// Loads through the data bus. Byte addresses; returns `Err(stop)` on
 /// detection.
 #[inline(always)]
-fn data_load<const LOG: bool>(
+fn data_load<const LOG: bool, const WATCH: bool>(
     cpu: &mut Cpu,
     width: LoadWidth,
     addr: u32,
@@ -316,7 +367,7 @@ fn data_load<const LOG: bool>(
     if LOG {
         cpu.log.mem_reads.push(word_addr);
     }
-    cpu.debug.observe(BusEvent::DataRead { addr: word_addr });
+    cpu.observe::<WATCH>(BusEvent::DataRead { addr: word_addr });
     let value = match width {
         LoadWidth::W => word,
         LoadWidth::B => (word >> (8 * (addr % 4))) as u8 as i8 as i32 as u32,
@@ -330,7 +381,7 @@ fn data_load<const LOG: bool>(
 /// Stores through the data bus (read-modify-write for sub-word
 /// widths). Returns `Err(stop)` on detection.
 #[inline(always)]
-fn data_store<const LOG: bool>(
+fn data_store<const LOG: bool, const WATCH: bool>(
     cpu: &mut Cpu,
     width: StoreWidth,
     addr: u32,
@@ -365,17 +416,21 @@ fn data_store<const LOG: bool>(
         // both surface as an access fault.
         return Err(cpu.detect(Detection::AccessFault));
     }
+    if word_addr < cpu.mem.code_segment() {
+        // Protection is off and the program rewrote its own code.
+        Rv32iIsa::sync_code(cpu);
+    }
     if LOG {
         cpu.log.mem_writes.push(word_addr);
     }
-    cpu.debug.observe(BusEvent::DataWrite { addr: word_addr });
+    cpu.observe::<WATCH>(BusEvent::DataWrite { addr: word_addr });
     Ok(())
 }
 
 /// Transfers control to `target` (branch/jal/jalr). Returns
 /// `Err(stop)` when the target is rejected.
 #[inline(always)]
-fn jump(cpu: &mut Cpu, target: u32, is_call: bool) -> Result<(), StopReason> {
+fn jump<const WATCH: bool>(cpu: &mut Cpu, target: u32, is_call: bool) -> Result<(), StopReason> {
     if !target.is_multiple_of(4) {
         return Err(cpu.detect(Detection::Misaligned));
     }
@@ -388,12 +443,12 @@ fn jump(cpu: &mut Cpu, target: u32, is_call: bool) -> Result<(), StopReason> {
     } else {
         BusEvent::Branch { target }
     };
-    cpu.debug.observe(ev);
+    cpu.observe::<WATCH>(ev);
     Ok(())
 }
 
 #[inline(always)]
-fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
+fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
     let next_pc = cpu.pc.wrapping_add(4);
     let mut pc_set = false;
     let mut cost = 1u64;
@@ -403,7 +458,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
             match $e {
                 Ok(v) => v,
                 Err(stop) => {
-                    cpu.debug.on_cycles(cost);
+                    cpu.on_cycles::<WATCH>(cost);
                     return Some(stop);
                 }
             }
@@ -421,7 +476,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
             cost += 2;
             let target = cpu.pc.wrapping_add(offset as u32);
             log_reg_write::<LOG>(cpu, rd, next_pc);
-            stop_on!(jump(cpu, target, rd == Reg::RA));
+            stop_on!(jump::<WATCH>(cpu, target, rd == Reg::RA));
             pc_set = true;
         }
         Instr::Jalr { rd, rs1, offset } => {
@@ -429,7 +484,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
             let base = log_reg_read::<LOG>(cpu, rs1);
             let target = base.wrapping_add(offset as u32) & !1;
             log_reg_write::<LOG>(cpu, rd, next_pc);
-            stop_on!(jump(cpu, target, rd == Reg::RA));
+            stop_on!(jump::<WATCH>(cpu, target, rd == Reg::RA));
             pc_set = true;
         }
         Instr::Branch {
@@ -451,7 +506,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
             if taken {
                 cost += 1;
                 let target = cpu.pc.wrapping_add(offset as u32);
-                stop_on!(jump(cpu, target, false));
+                stop_on!(jump::<WATCH>(cpu, target, false));
                 pc_set = true;
             }
         }
@@ -464,7 +519,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
             cost += 2;
             let base = log_reg_read::<LOG>(cpu, rs1);
             let addr = base.wrapping_add(offset as u32);
-            let v = stop_on!(data_load::<LOG>(cpu, width, addr));
+            let v = stop_on!(data_load::<LOG, WATCH>(cpu, width, addr));
             log_reg_write::<LOG>(cpu, rd, v);
         }
         Instr::Store {
@@ -477,7 +532,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
             let base = log_reg_read::<LOG>(cpu, rs1);
             let addr = base.wrapping_add(offset as u32);
             let v = log_reg_read::<LOG>(cpu, rs2);
-            stop_on!(data_store::<LOG>(cpu, width, addr, v));
+            stop_on!(data_store::<LOG, WATCH>(cpu, width, addr, v));
         }
         Instr::AluImm { op, rd, rs1, imm } => {
             let a = log_reg_read::<LOG>(cpu, rs1);
@@ -525,7 +580,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
                 ECALL_HALT => {
                     cpu.halted = true;
                     cpu.cycles += cost;
-                    cpu.debug.on_cycles(cost);
+                    cpu.on_cycles::<WATCH>(cost);
                     return Some(StopReason::Halted);
                 }
                 ECALL_SYNC => {
@@ -533,7 +588,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
                     cpu.iterations += 1;
                     cpu.pc = next_pc;
                     cpu.cycles += cost;
-                    cpu.debug.on_cycles(cost);
+                    cpu.on_cycles::<WATCH>(cost);
                     return Some(StopReason::Sync {
                         tag,
                         iteration: cpu.iterations,
@@ -567,7 +622,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
         cpu.pc = next_pc;
     }
     cpu.cycles += cost;
-    cpu.debug.on_cycles(cost);
+    cpu.on_cycles::<WATCH>(cost);
     None
 }
 
@@ -687,8 +742,9 @@ mod rv32i_tests {
     #[test]
     fn code_word_flip_runs_the_new_instruction() {
         // x5 += 1 (word 2) on each of three passes; after the first pass,
-        // a SWIFI flip of immediate bit 1 turns it into x5 += 3. Decoded
-        // instructions are cached by word, so the flip must take effect.
+        // a SWIFI flip of immediate bit 1 turns it into x5 += 3. The code
+        // is decoded once, so the next run must see the flip and decode
+        // it again.
         let mut cpu = Cpu::new(CpuConfig::default());
         cpu.load_image(&image(halting(vec![
             addi(5, 0, 0),
@@ -710,6 +766,18 @@ mod rv32i_tests {
         cpu.memory_mut().flip_bit(2, 20 + 1).unwrap();
         assert_eq!(cpu.run(100), StopReason::Halted);
         assert_eq!(cpu.reg(Reg::new(5)), 7);
+    }
+
+    #[test]
+    fn a_new_image_runs_its_own_code() {
+        // The same core, its code decoded by a run, then a second image.
+        let mut cpu = Cpu::new(CpuConfig::default());
+        for value in [1, 2] {
+            cpu.load_image(&image(halting(vec![addi(5, 0, value)])))
+                .unwrap();
+            assert_eq!(cpu.run(100), StopReason::Halted);
+            assert_eq!(cpu.reg(Reg::new(5)), value as u32);
+        }
     }
 
     #[test]

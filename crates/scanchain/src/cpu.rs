@@ -12,7 +12,9 @@
 //! - image download and the shared half of reset;
 //! - the run loop: `run`, `step` and `step_logged` over the ISA's
 //!   [`Isa::step_inner`], behind one fetch prologue (halt, then a latched
-//!   detection, then the watchdog, then a fetch breakpoint);
+//!   detection, then the watchdog, then a fetch breakpoint). `run` checks
+//!   the two latches once, on entry, and runs a quiet instantiation of the
+//!   step when the debug unit is idle (see [`Core::run`]);
 //! - the shared half of rejoining a fault-free run;
 //! - the boundary (pin) and debug scan chains, beside the ISA's own
 //!   ([`IsaChains`]).
@@ -94,8 +96,22 @@ pub trait Isa: Clone + fmt::Debug + Send + Sync + Sized {
     /// Resets the ISA half; the stack pointer restarts at `initial_sp`.
     fn reset(&mut self, initial_sp: u32);
     /// Executes the instruction at `cpu.pc` once the fetch prologue let it
-    /// through; `LOG` fills `cpu.log` with its accesses.
-    fn step_inner<const LOG: bool>(cpu: &mut Core<Self>) -> Option<StopReason<Self::Detection>>;
+    /// through; `LOG` fills `cpu.log` with its accesses. `WATCH` is false
+    /// in a quiet run, where the debug unit is idle throughout: the step
+    /// reports its bus events, cycles and latched debug event through
+    /// [`Core::observe`], [`Core::on_cycles`] and [`Core::debug_stop`],
+    /// which then compile to nothing, a plain add and `None`.
+    fn step_inner<const LOG: bool, const WATCH: bool>(
+        cpu: &mut Core<Self>,
+    ) -> Option<StopReason<Self::Detection>>;
+    /// Brings what the ISA half caches of its code up to date with memory.
+    /// `run`, `step` and `step_logged` call it before their first
+    /// instruction whenever the tool may have changed memory since the last
+    /// call ([`Core::memory_mut`], [`Core::load_image`]), so it sees every
+    /// tool-side change. The default caches nothing.
+    fn sync_code(cpu: &mut Core<Self>) {
+        let _ = cpu;
+    }
     /// The ISA half of [`Core::rejoin`]: whether `self` steers execution
     /// exactly as `checkpoint` does, given the run from `checkpoint`
     /// (retired instruction `since`) to `end`.
@@ -137,54 +153,6 @@ pub trait IsaChains: Isa {
     fn update(cpu: &mut Core<Self>, chain: &str, bits: &BitVec) -> Result<(), ScanError>;
 }
 
-/// Slots in the decoded-instruction cache.
-const DECODE_SLOTS: usize = 64;
-
-/// A direct-mapped cache of decoded instructions, indexed by the low bits
-/// of the fetch word address and keyed by the fetched word itself.
-///
-/// Decoding is a pure function of the word, so a slot whose stored word
-/// equals the fetched word holds exactly what the decoder would return,
-/// and nothing ever needs invalidating: a SWIFI code flip or a scan fault
-/// in an instruction cache changes the fetched word and misses. Words that
-/// fail to decode are never stored.
-#[derive(Debug, Clone)]
-pub struct DecodeCache<T> {
-    slots: [(u32, T); DECODE_SLOTS],
-}
-
-impl<T: Copy> DecodeCache<T> {
-    /// A cache whose every slot holds `word` and its decoding `decoded`.
-    pub fn new(word: u32, decoded: T) -> Self {
-        DecodeCache {
-            slots: [(word, decoded); DECODE_SLOTS],
-        }
-    }
-
-    /// The decoding of `word`, fetched from word address `addr`: its
-    /// slot's if the slot holds `word`, else `decode`'s, which fills the
-    /// slot when it succeeds.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `decode` returns for an undecodable word.
-    #[inline(always)]
-    pub fn decode<E>(
-        &mut self,
-        addr: u32,
-        word: u32,
-        decode: impl FnOnce(u32) -> Result<T, E>,
-    ) -> Result<T, E> {
-        let slot = &mut self.slots[addr as usize % DECODE_SLOTS];
-        if slot.0 == word {
-            return Ok(slot.1);
-        }
-        let decoded = decode(word)?;
-        *slot = (word, decoded);
-        Ok(decoded)
-    }
-}
-
 /// A simulated CPU core: the shared machine state around an ISA half.
 ///
 /// The fields are public for the ISA's execute code; the tool reaches the
@@ -215,6 +183,9 @@ pub struct Core<I: Isa> {
     pub halted: bool,
     /// The access record of the instruction [`Core::step_logged`] runs.
     pub log: I::Log,
+    /// Whether the tool may have changed memory since the last
+    /// [`Isa::sync_code`]; the next run or step calls it first.
+    memory_touched: bool,
     watchdog: Option<u64>,
     entry: u32,
     initial_sp: u32,
@@ -257,6 +228,7 @@ impl<I: Isa> Core<I> {
             detection: None,
             halted: false,
             log: I::Log::default(),
+            memory_touched: true,
             watchdog,
             entry: 0,
             initial_sp,
@@ -276,6 +248,7 @@ impl<I: Isa> Core<I> {
         self.mem.clear();
         self.mem.load_block(0, words)?;
         self.mem.set_code_segment(code_words);
+        self.memory_touched = true;
         self.entry = entry;
         self.reset();
         Ok(())
@@ -306,6 +279,7 @@ impl<I: Isa> Core<I> {
 
     /// Mutable main memory (tool-side access, used by SWIFI).
     pub fn memory_mut(&mut self) -> &mut Memory {
+        self.memory_touched = true;
         &mut self.mem
     }
 
@@ -422,13 +396,50 @@ impl<I: Isa> Core<I> {
     }
 
     /// Runs until a stop condition, retiring at most `max_instructions`.
+    ///
+    /// The halt and detection latches are checked once, here: only a step
+    /// that returns a stop sets either. A debug unit that is idle on entry
+    /// (nothing armed, nothing latched) stays idle for the whole call,
+    /// since only the tool arms conditions, so the steps then run as the
+    /// quiet instantiation of [`Isa::step_inner`]. Every counter ends as
+    /// single [`Core::step`]s leave it.
     pub fn run(&mut self, max_instructions: u64) -> StopReason<I::Detection> {
-        for _ in 0..max_instructions {
-            if let Some(stop) = self.step_one::<false>() {
-                return stop;
-            }
+        if max_instructions == 0 {
+            return StopReason::InstrLimit;
         }
-        StopReason::InstrLimit
+        if let Some(stop) = self.latched() {
+            return stop;
+        }
+        self.sync_code();
+        if self.debug.idle() {
+            self.run_steps::<false>(max_instructions)
+        } else {
+            self.run_steps::<true>(max_instructions)
+        }
+    }
+
+    /// The run loop past the latches. Quiet (`WATCH` false), the loop
+    /// tells the debug unit nothing per fetch and adds the fetches it
+    /// counted once, on the way out.
+    fn run_steps<const WATCH: bool>(&mut self, max_instructions: u64) -> StopReason<I::Detection> {
+        let budget = self.watchdog_budget();
+        let mut fetched = 0;
+        let stop = loop {
+            if fetched == max_instructions {
+                break StopReason::InstrLimit;
+            }
+            if let Some(stop) = self.fetch::<WATCH>(budget) {
+                break stop;
+            }
+            fetched += 1;
+            if let Some(stop) = I::step_inner::<false, WATCH>(self) {
+                break stop;
+            }
+        };
+        if !WATCH {
+            self.debug.count_fetches(fetched);
+        }
+        stop
     }
 
     /// Executes one instruction; `None` means execution continues.
@@ -446,25 +457,90 @@ impl<I: Isa> Core<I> {
         stop
     }
 
-    /// One instruction: the fetch prologue, then the ISA's step.
+    /// One watched instruction: the whole fetch prologue, then the ISA's
+    /// step.
     #[inline(always)]
     fn step_one<const LOG: bool>(&mut self) -> Option<StopReason<I::Detection>> {
+        if let Some(stop) = self.latched() {
+            return Some(stop);
+        }
+        if let Some(stop) = self.fetch::<true>(self.watchdog_budget()) {
+            return Some(stop);
+        }
+        self.sync_code();
+        I::step_inner::<LOG, true>(self)
+    }
+
+    /// [`Isa::sync_code`], if the tool may have changed memory since the
+    /// last call.
+    #[inline(always)]
+    fn sync_code(&mut self) {
+        if self.memory_touched {
+            self.memory_touched = false;
+            I::sync_code(self);
+        }
+    }
+
+    /// The stop a latched halt or detection causes before anything runs.
+    #[inline(always)]
+    fn latched(&self) -> Option<StopReason<I::Detection>> {
         if self.halted {
             return Some(StopReason::Halted);
         }
-        if let Some(d) = self.detection {
-            return Some(StopReason::Detected(d));
+        self.detection.map(StopReason::Detected)
+    }
+
+    /// The cycle count at which the watchdog fires; a disabled watchdog's
+    /// is never reached.
+    #[inline(always)]
+    fn watchdog_budget(&self) -> u64 {
+        self.watchdog.unwrap_or(u64::MAX)
+    }
+
+    /// The fetch prologue past the latches: the watchdog, then (watched) a
+    /// fetch breakpoint, checked before the instruction executes.
+    #[inline(always)]
+    fn fetch<const WATCH: bool>(&mut self, budget: u64) -> Option<StopReason<I::Detection>> {
+        if self.cycles >= budget {
+            return Some(StopReason::Timeout);
         }
-        if let Some(budget) = self.watchdog {
-            if self.cycles >= budget {
-                return Some(StopReason::Timeout);
+        if WATCH {
+            if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
+                return Some(StopReason::DebugEvent(ev));
             }
         }
-        // Breakpoint check on fetch, before the instruction executes.
-        if let Some(ev) = self.debug.observe(BusEvent::Fetch { pc: self.pc }) {
-            return Some(StopReason::DebugEvent(ev));
+        None
+    }
+
+    /// Reports a data access, branch or call to the debug unit; a quiet
+    /// run (`WATCH` false) reports nothing.
+    #[inline(always)]
+    pub fn observe<const WATCH: bool>(&mut self, event: BusEvent) {
+        if WATCH {
+            self.debug.observe(event);
         }
-        I::step_inner::<LOG>(self)
+    }
+
+    /// Adds `cycles` to the debug unit's cycle counter (CCOUNT); only a
+    /// watched run matches cycle-count conditions.
+    #[inline(always)]
+    pub fn on_cycles<const WATCH: bool>(&mut self, cycles: u64) {
+        if WATCH {
+            self.debug.on_cycles(cycles);
+        } else {
+            self.debug.count_cycles(cycles);
+        }
+    }
+
+    /// The stop for a debug event latched while an instruction executed;
+    /// a quiet run latches none.
+    #[inline(always)]
+    pub fn debug_stop<const WATCH: bool>(&self) -> Option<StopReason<I::Detection>> {
+        if WATCH {
+            self.debug.pending().map(StopReason::DebugEvent)
+        } else {
+            None
+        }
     }
 }
 
@@ -601,7 +677,9 @@ mod tests {
             self.sp = initial_sp;
         }
 
-        fn step_inner<const LOG: bool>(cpu: &mut Core<Toy>) -> Option<StopReason<Fault>> {
+        fn step_inner<const LOG: bool, const WATCH: bool>(
+            cpu: &mut Core<Toy>,
+        ) -> Option<StopReason<Fault>> {
             let word = cpu.mem.read(cpu.pc).unwrap_or(0);
             if LOG {
                 cpu.log.0.push(cpu.pc);
@@ -635,31 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_cache_misses_on_a_changed_word_and_never_caches_a_failure() {
-        let mut cache = DecodeCache::new(0, 0u32);
-        let mut calls = 0;
-        let mut decode = |addr: u32, word: u32| {
-            cache.decode(addr, word, |w| {
-                calls += 1;
-                if w == 0xBAD {
-                    Err(())
-                } else {
-                    Ok(w + 1)
-                }
-            })
-        };
-        assert_eq!(decode(5, 7), Ok(8));
-        assert_eq!(decode(5, 7), Ok(8));
-        // The same address with a changed word misses and refills.
-        assert_eq!(decode(5, 9), Ok(10));
-        assert_eq!(decode(5 + DECODE_SLOTS as u32, 9), Ok(10));
-        // An undecodable word fails each time it is fetched.
-        assert_eq!(decode(6, 0xBAD), Err(()));
-        assert_eq!(decode(6, 0xBAD), Err(()));
-        assert_eq!(calls, 4);
-    }
-
-    #[test]
     fn fetch_prologue_stops_halt_then_detection_then_watchdog_then_breakpoint() {
         let mut cpu = toy(&[0, 0, 1]);
         cpu.halted = true;
@@ -683,6 +736,28 @@ mod tests {
         cpu.debug.disarm_all();
         assert_eq!(cpu.run(10), StopReason::Halted);
         assert_eq!(cpu.isa.acc, 2);
+    }
+
+    #[test]
+    fn a_quiet_run_counts_the_fetches_single_steps_count() {
+        // Two counting words, then one whose own step latches a fault.
+        let mut quiet = toy(&[0, 0, 7]);
+        let mut watched = quiet.clone();
+        assert_eq!(quiet.run(10), StopReason::Detected(Fault(7)));
+        assert_eq!((watched.step(), watched.step()), (None, None));
+        assert_eq!(watched.step(), Some(StopReason::Detected(Fault(7))));
+        assert_eq!(quiet.debug.instruction_count(), 3);
+        assert_eq!(watched.debug.instruction_count(), 3);
+        // The latch stops the next run on entry, before any fetch.
+        assert_eq!(quiet.run(10), StopReason::Detected(Fault(7)));
+        assert_eq!(quiet.debug.instruction_count(), 3);
+
+        // The budget and the watchdog stop before a fetch is counted.
+        let mut quiet = toy(&[0; 8]);
+        assert_eq!(quiet.run(5), StopReason::InstrLimit);
+        assert_eq!(quiet.debug.instruction_count(), 5);
+        assert_eq!(quiet.run(1_000), StopReason::Timeout);
+        assert_eq!((quiet.cycles, quiet.debug.instruction_count()), (100, 100));
     }
 
     #[test]

@@ -169,10 +169,25 @@ impl DebugUnit {
 
     /// Whether no condition is armed and no event is latched: the unit
     /// only counts, so the core's per-instruction reports take the inlined
-    /// path and never reach condition matching.
+    /// path and never reach condition matching. Only the tool arms a
+    /// condition, and only an armed one latches an event, so a unit idle
+    /// when a run starts stays idle until the run returns.
     #[inline(always)]
-    fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.conditions.is_empty() && self.pending.is_none()
+    }
+
+    /// Counts `fetches` instructions that an idle unit was not told of
+    /// one by one: what [`Self::observe`] counts for each `Fetch`.
+    #[inline(always)]
+    pub(crate) fn count_fetches(&mut self, fetches: u64) {
+        self.instructions += fetches;
+    }
+
+    /// [`Self::on_cycles`] of an idle unit: the plain add.
+    #[inline(always)]
+    pub(crate) fn count_cycles(&mut self, cycles: u64) {
+        self.cycles += cycles;
     }
 
     /// Advances the cycle counter; fires any armed cycle-count condition.

@@ -61,8 +61,7 @@ mod wedge;
 pub use bitvec::BitVec;
 pub use chain::{CellAccess, CellDef, ChainLayout, ChainLayoutBuilder};
 pub use cpu::{
-    Core, DecodeCache, Detection, Isa, IsaChains, StepLog, StopReason, BOUNDARY_CHAIN, DEBUG_CHAIN,
-    PORT_COUNT,
+    Core, Detection, Isa, IsaChains, StepLog, StopReason, BOUNDARY_CHAIN, DEBUG_CHAIN, PORT_COUNT,
 };
 pub use debug::{BusEvent, DebugCondition, DebugEvent, DebugUnit, DEBUG_SLOTS};
 pub use error::ScanError;

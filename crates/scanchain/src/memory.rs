@@ -147,18 +147,23 @@ impl Memory {
     }
 
     /// The word at `addr`; the caller has bounds-checked `addr < len`.
-    #[inline]
+    #[inline(always)]
     fn word(&self, addr: usize) -> u32 {
         self.pages[addr >> PAGE_SHIFT].words[addr & PAGE_MASK]
     }
 
-    /// Mutable word at `addr` (bounds-checked by the caller), unsharing
-    /// the containing page if a snapshot still references it.
-    #[inline]
-    fn word_mut(&mut self, addr: usize) -> &mut u32 {
-        let page = Arc::make_mut(&mut self.pages[addr >> PAGE_SHIFT]);
-        *page.digest.get_mut() = 0;
-        &mut page.words[addr & PAGE_MASK]
+    /// Stores `value` at `addr` (bounds-checked by the caller) and drops
+    /// the page's digest. A page this memory alone holds is written in
+    /// place; one a snapshot still shares is copied first, out of line.
+    #[inline(always)]
+    fn set_word(&mut self, addr: usize, value: u32) {
+        let slot = &mut self.pages[addr >> PAGE_SHIFT];
+        if let Some(page) = Arc::get_mut(slot) {
+            *page.digest.get_mut() = 0;
+            page.words[addr & PAGE_MASK] = value;
+        } else {
+            set_word_unshared(slot, addr, value);
+        }
     }
 
     /// Number of copy-on-write pages backing this memory.
@@ -231,7 +236,7 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`MemoryError::OutOfRange`] past the end of memory.
-    #[inline]
+    #[inline(always)]
     pub fn read(&self, addr: u32) -> Result<u32, MemoryError> {
         if (addr as usize) < self.len {
             Ok(self.word(addr as usize))
@@ -247,13 +252,13 @@ impl Memory {
     /// Returns [`MemoryError::OutOfRange`] past the end of memory and
     /// [`MemoryError::WriteProtected`] for stores into a protected code
     /// segment.
-    #[inline]
+    #[inline(always)]
     pub fn write(&mut self, addr: u32, value: u32) -> Result<(), MemoryError> {
         if self.protect_code && addr < self.code_words {
             return Err(MemoryError::WriteProtected { addr });
         }
         if (addr as usize) < self.len {
-            *self.word_mut(addr as usize) = value;
+            self.set_word(addr as usize, value);
             Ok(())
         } else {
             Err(MemoryError::OutOfRange { addr })
@@ -277,7 +282,7 @@ impl Memory {
     /// Returns [`MemoryError::OutOfRange`] past the end of memory.
     pub fn write_raw(&mut self, addr: u32, value: u32) -> Result<(), MemoryError> {
         if (addr as usize) < self.len {
-            *self.word_mut(addr as usize) = value;
+            self.set_word(addr as usize, value);
             Ok(())
         } else {
             Err(MemoryError::OutOfRange { addr })
@@ -350,6 +355,16 @@ impl Memory {
         Ok(out)
     }
 
+    /// Whether the first `words.len()` words of memory are `words`,
+    /// compared a page at a time.
+    pub fn starts_with(&self, words: &[u32]) -> bool {
+        words.len() <= self.len
+            && words
+                .chunks(PAGE_WORDS)
+                .zip(&self.pages)
+                .all(|(chunk, page)| page.words[..chunk.len()] == *chunk)
+    }
+
     /// Zeroes all of memory and forgets the code segment.
     pub fn clear(&mut self) {
         // Re-point every slot at one shared zero page instead of writing
@@ -361,6 +376,16 @@ impl Memory {
         }
         self.code_words = 0;
     }
+}
+
+/// [`Memory::set_word`] on a page a snapshot still shares: copies the
+/// page, then stores. Kept out of line so the store path stays small.
+#[cold]
+#[inline(never)]
+fn set_word_unshared(slot: &mut Arc<Page>, addr: usize, value: u32) {
+    let page = Arc::make_mut(slot);
+    *page.digest.get_mut() = 0;
+    page.words[addr & PAGE_MASK] = value;
 }
 
 #[cfg(test)]
@@ -470,6 +495,33 @@ mod tests {
         assert!(a.same_contents(&b), "equal words on unshared pages");
         b.set_code_segment(4);
         assert!(!a.same_contents(&b));
+    }
+
+    #[test]
+    fn a_store_to_a_shared_page_leaves_the_sharer_alone() {
+        let mut a = Memory::new(PAGE_WORDS * 2);
+        a.write_raw(3, 1).unwrap();
+        a.cache_page_digest(0, 42);
+        let snapshot = a.clone();
+        a.write(3, 2).unwrap();
+        a.write(4, 5).unwrap();
+        assert_eq!((a.read(3), a.read(4)), (Ok(2), Ok(5)));
+        assert_eq!((snapshot.read(3), snapshot.read(4)), (Ok(1), Ok(0)));
+        assert_eq!(a.cached_page_digest(0), None);
+        assert_eq!(snapshot.cached_page_digest(0), Some(42));
+    }
+
+    #[test]
+    fn starts_with_compares_a_prefix_across_pages() {
+        let mut m = Memory::new(PAGE_WORDS * 2);
+        let prefix: Vec<u32> = (1..=PAGE_WORDS as u32 + 3).collect();
+        m.load_block(0, &prefix).unwrap();
+        assert!(m.starts_with(&prefix));
+        assert!(m.starts_with(&prefix[..2]));
+        assert!(m.starts_with(&[]));
+        m.flip_bit(PAGE_WORDS as u32 + 1, 0).unwrap();
+        assert!(!m.starts_with(&prefix));
+        assert!(!Memory::new(2).starts_with(&[0, 0, 0]));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::cache::{Cache, CacheConfig, Lookup};
 use crate::edm::{Detection, EdmSet};
 use crate::isa::{decode, Instr, Opcode, Reg};
 use crate::scan::ChainSet;
-use scanchain::{BusEvent, Core, DecodeCache, Isa, MemoryError, StepLog, PORT_COUNT};
+use scanchain::{BusEvent, Core, Isa, MemoryError, StepLog, PORT_COUNT};
 
 /// Construction-time CPU configuration.
 #[derive(Debug, Clone, Copy)]
@@ -142,6 +142,57 @@ impl StateVector {
         v.push((self.iterations >> 32) as u32);
         v.push(self.detection);
         v
+    }
+}
+
+/// Slots in the decoded-instruction cache.
+const DECODE_SLOTS: usize = 64;
+
+/// A direct-mapped cache of decoded instructions, indexed by the low bits
+/// of the fetch word address and keyed by the fetched word itself.
+///
+/// Decoding is a pure function of the word, so a slot whose stored word
+/// equals the fetched word holds exactly what the decoder would return,
+/// and nothing ever needs invalidating: a SWIFI code flip or a scan fault
+/// in an instruction cache changes the fetched word and misses. Words that
+/// fail to decode are never stored. Thor decodes whatever word its
+/// instruction cache returns, which may differ from memory, so it keeps
+/// this cache rather than decoding its code segment once (as RV32I does,
+/// through [`Isa::sync_code`]).
+#[derive(Debug, Clone)]
+struct DecodeCache<T> {
+    slots: [(u32, T); DECODE_SLOTS],
+}
+
+impl<T: Copy> DecodeCache<T> {
+    /// A cache whose every slot holds `word` and its decoding `decoded`.
+    fn new(word: u32, decoded: T) -> Self {
+        DecodeCache {
+            slots: [(word, decoded); DECODE_SLOTS],
+        }
+    }
+
+    /// The decoding of `word`, fetched from word address `addr`: its
+    /// slot's if the slot holds `word`, else `decode`'s, which fills the
+    /// slot when it succeeds.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `decode` returns for an undecodable word.
+    #[inline(always)]
+    fn decode<E>(
+        &mut self,
+        addr: u32,
+        word: u32,
+        decode: impl FnOnce(u32) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let slot = &mut self.slots[addr as usize % DECODE_SLOTS];
+        if slot.0 == word {
+            return Ok(slot.1);
+        }
+        let decoded = decode(word)?;
+        *slot = (word, decoded);
+        Ok(decoded)
     }
 }
 
@@ -284,7 +335,7 @@ impl Isa for ThorIsa {
     }
 
     #[inline(always)]
-    fn step_inner<const LOG: bool>(cpu: &mut Cpu) -> Option<StopReason> {
+    fn step_inner<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu) -> Option<StopReason> {
         if LOG {
             cpu.log.pc = cpu.pc;
         }
@@ -330,18 +381,20 @@ impl Isa for ThorIsa {
                 cpu.pc = cpu.pc.wrapping_add(1);
                 cpu.instret += 1;
                 cpu.cycles += 1;
-                cpu.debug.on_cycles(1);
-                return post_instruction_stop(cpu);
+                cpu.on_cycles::<WATCH>(1);
+                return cpu.debug_stop::<WATCH>();
             }
         };
 
         // Execute.
-        let stop = execute::<LOG>(cpu, instr);
+        let stop = execute::<LOG, WATCH>(cpu, instr);
         cpu.instret += 1;
         if stop.is_some() {
             return stop;
         }
-        post_instruction_stop(cpu)
+        // Surface any debug event latched by a data-access/branch/call/
+        // cycle trigger during execution.
+        cpu.debug_stop::<WATCH>()
     }
 
     /// Registers, flags, IR/MAR/MDR and the PSW must match, and so must
@@ -370,13 +423,6 @@ impl Isa for ThorIsa {
     }
 }
 
-/// After an instruction completes, surface any debug event latched by a
-/// data-access/branch/call/cycle trigger during execution.
-#[inline(always)]
-fn post_instruction_stop(cpu: &mut Cpu) -> Option<StopReason> {
-    cpu.debug.pending().map(StopReason::DebugEvent)
-}
-
 #[inline(always)]
 fn log_reg_read<const LOG: bool>(cpu: &mut Cpu, r: Reg) -> u32 {
     if LOG {
@@ -395,7 +441,10 @@ fn log_reg_write<const LOG: bool>(cpu: &mut Cpu, r: Reg, v: u32) {
 
 /// Data read through the D-cache. Returns `Err(stop)` on detection.
 #[inline(always)]
-fn data_read<const LOG: bool>(cpu: &mut Cpu, addr: u32) -> Result<u32, StopReason> {
+fn data_read<const LOG: bool, const WATCH: bool>(
+    cpu: &mut Cpu,
+    addr: u32,
+) -> Result<u32, StopReason> {
     cpu.isa.mar = addr;
     if LOG {
         cpu.log.mem_reads.push(addr);
@@ -425,14 +474,18 @@ fn data_read<const LOG: bool>(cpu: &mut Cpu, addr: u32) -> Result<u32, StopReaso
         Lookup::ParityError => return Err(cpu.detect(Detection::ParityD)),
     };
     cpu.isa.mdr = value;
-    cpu.debug.observe(BusEvent::DataRead { addr });
+    cpu.observe::<WATCH>(BusEvent::DataRead { addr });
     Ok(value)
 }
 
 /// Data write, write-through with allocate. Returns `Err(stop)` on
 /// detection.
 #[inline(always)]
-fn data_write<const LOG: bool>(cpu: &mut Cpu, addr: u32, value: u32) -> Result<(), StopReason> {
+fn data_write<const LOG: bool, const WATCH: bool>(
+    cpu: &mut Cpu,
+    addr: u32,
+    value: u32,
+) -> Result<(), StopReason> {
     cpu.isa.mar = addr;
     cpu.isa.mdr = value;
     if LOG {
@@ -442,7 +495,7 @@ fn data_write<const LOG: bool>(cpu: &mut Cpu, addr: u32, value: u32) -> Result<(
         Ok(()) => {
             cpu.isa.dcache.fill(addr, value, cpu.instret);
             cpu.cycles += 2;
-            cpu.debug.observe(BusEvent::DataWrite { addr });
+            cpu.observe::<WATCH>(BusEvent::DataWrite { addr });
             Ok(())
         }
         Err(_) => {
@@ -460,7 +513,7 @@ fn data_write<const LOG: bool>(cpu: &mut Cpu, addr: u32, value: u32) -> Result<(
 /// Transfers control to `target` (branch/call/return). Returns
 /// `Err(stop)` when control-flow checking rejects the target.
 #[inline(always)]
-fn jump(cpu: &mut Cpu, target: u32, is_call: bool) -> Result<(), StopReason> {
+fn jump<const WATCH: bool>(cpu: &mut Cpu, target: u32, is_call: bool) -> Result<(), StopReason> {
     if cpu.isa.edm.control_flow && target >= cpu.mem.code_segment() {
         return Err(cpu.detect(Detection::ControlFlow));
     }
@@ -471,13 +524,13 @@ fn jump(cpu: &mut Cpu, target: u32, is_call: bool) -> Result<(), StopReason> {
     } else {
         BusEvent::Branch { target }
     };
-    cpu.debug.observe(ev);
+    cpu.observe::<WATCH>(ev);
     Ok(())
 }
 
 #[allow(clippy::too_many_lines)]
 #[inline(always)]
-fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
+fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
     use Opcode::*;
     let next_pc = cpu.pc.wrapping_add(1);
     let mut pc_set = false;
@@ -488,7 +541,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
             match $e {
                 Ok(v) => v,
                 Err(stop) => {
-                    cpu.debug.on_cycles(cost);
+                    cpu.on_cycles::<WATCH>(cost);
                     return Some(stop);
                 }
             }
@@ -504,7 +557,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
                 Halt => {
                     cpu.halted = true;
                     cpu.cycles += cost;
-                    cpu.debug.on_cycles(cost);
+                    cpu.on_cycles::<WATCH>(cost);
                     return Some(StopReason::Halted);
                 }
                 Add => {
@@ -579,36 +632,36 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
                 }
                 Ldx => {
                     let addr = a.wrapping_add(b);
-                    let v = stop_on!(data_read::<LOG>(cpu, addr));
+                    let v = stop_on!(data_read::<LOG, WATCH>(cpu, addr));
                     log_reg_write::<LOG>(cpu, rd, v);
                     cost += 1;
                 }
                 Stx => {
                     let addr = a.wrapping_add(b);
                     let v = log_reg_read::<LOG>(cpu, rd);
-                    stop_on!(data_write::<LOG>(cpu, addr, v));
+                    stop_on!(data_write::<LOG, WATCH>(cpu, addr, v));
                     cost += 1;
                 }
                 Push => {
                     let sp = log_reg_read::<LOG>(cpu, Reg::SP).wrapping_sub(1);
                     log_reg_write::<LOG>(cpu, Reg::SP, sp);
-                    stop_on!(data_write::<LOG>(cpu, sp, a));
+                    stop_on!(data_write::<LOG, WATCH>(cpu, sp, a));
                     cost += 1;
                 }
                 Pop => {
                     let sp = log_reg_read::<LOG>(cpu, Reg::SP);
-                    let v = stop_on!(data_read::<LOG>(cpu, sp));
+                    let v = stop_on!(data_read::<LOG, WATCH>(cpu, sp));
                     log_reg_write::<LOG>(cpu, rd, v);
                     log_reg_write::<LOG>(cpu, Reg::SP, sp.wrapping_add(1));
                     cost += 1;
                 }
                 Ret => {
                     let target = log_reg_read::<LOG>(cpu, Reg::LR);
-                    stop_on!(jump(cpu, target, false));
+                    stop_on!(jump::<WATCH>(cpu, target, false));
                     pc_set = true;
                 }
                 Jr => {
-                    stop_on!(jump(cpu, a, false));
+                    stop_on!(jump::<WATCH>(cpu, a, false));
                     pc_set = true;
                 }
                 _ => unreachable!("imm opcode in R form"),
@@ -684,7 +737,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
                 Ld => {
                     let base = log_reg_read::<LOG>(cpu, rs1);
                     let addr = base.wrapping_add(simm);
-                    let v = stop_on!(data_read::<LOG>(cpu, addr));
+                    let v = stop_on!(data_read::<LOG, WATCH>(cpu, addr));
                     log_reg_write::<LOG>(cpu, rd, v);
                     cost += 1;
                 }
@@ -692,7 +745,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
                     let base = log_reg_read::<LOG>(cpu, rs1);
                     let addr = base.wrapping_add(simm);
                     let v = log_reg_read::<LOG>(cpu, rd);
-                    stop_on!(data_write::<LOG>(cpu, addr, v));
+                    stop_on!(data_write::<LOG, WATCH>(cpu, addr, v));
                     cost += 1;
                 }
                 Br | Beq | Bne | Blt | Bge | Bgt | Ble => {
@@ -714,13 +767,13 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
                     }
                     if taken {
                         let target = cpu.pc.wrapping_add(simm);
-                        stop_on!(jump(cpu, target, false));
+                        stop_on!(jump::<WATCH>(cpu, target, false));
                         pc_set = true;
                     }
                 }
                 Call => {
                     log_reg_write::<LOG>(cpu, Reg::LR, next_pc);
-                    stop_on!(jump(cpu, zimm, true));
+                    stop_on!(jump::<WATCH>(cpu, zimm, true));
                     pc_set = true;
                 }
                 In => {
@@ -735,7 +788,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
                     cpu.iterations += 1;
                     cpu.pc = next_pc;
                     cpu.cycles += cost;
-                    cpu.debug.on_cycles(cost);
+                    cpu.on_cycles::<WATCH>(cost);
                     return Some(StopReason::Sync {
                         tag: imm as u16,
                         iteration: cpu.iterations,
@@ -753,7 +806,7 @@ fn execute<const LOG: bool>(cpu: &mut Cpu, instr: Instr) -> Option<StopReason> {
         cpu.pc = next_pc;
     }
     cpu.cycles += cost;
-    cpu.debug.on_cycles(cost);
+    cpu.on_cycles::<WATCH>(cost);
     None
 }
 
@@ -769,6 +822,31 @@ mod tests {
         cpu.load_image(&image).unwrap();
         let stop = cpu.run(1_000_000);
         (cpu, stop)
+    }
+
+    #[test]
+    fn decode_cache_misses_on_a_changed_word_and_never_caches_a_failure() {
+        let mut cache = DecodeCache::new(0, 0u32);
+        let mut calls = 0;
+        let mut decode = |addr: u32, word: u32| {
+            cache.decode(addr, word, |w| {
+                calls += 1;
+                if w == 0xBAD {
+                    Err(())
+                } else {
+                    Ok(w + 1)
+                }
+            })
+        };
+        assert_eq!(decode(5, 7), Ok(8));
+        assert_eq!(decode(5, 7), Ok(8));
+        // The same address with a changed word misses and refills.
+        assert_eq!(decode(5, 9), Ok(10));
+        assert_eq!(decode(5 + DECODE_SLOTS as u32, 9), Ok(10));
+        // An undecodable word fails each time it is fetched.
+        assert_eq!(decode(6, 0xBAD), Err(()));
+        assert_eq!(decode(6, 0xBAD), Err(()));
+        assert_eq!(calls, 4);
     }
 
     #[test]

@@ -1044,7 +1044,7 @@ fn finish_run(
             if !nonzero.is_empty() {
                 println!("counters:");
                 for (name, value) in nonzero {
-                    println!("  {name:<16} {value}");
+                    println!("  {name:<20} {value}");
                 }
             }
         }
