@@ -38,11 +38,11 @@
 
 use crate::campaign::WorkloadImage;
 use crate::target::{
-    pass_through, readout_restore, readout_snapshot, ReadoutSnapshot, RunBudget, RunEvent,
-    TargetAccess, TargetSnapshot,
+    readout_restore, readout_snapshot, ReadoutSnapshot, RunBudget, RunEvent, TargetAccess,
+    TargetSnapshot,
 };
 use crate::trigger::Trigger;
-use crate::{GoofiError, Result};
+use crate::{pass_through, GoofiError, Result};
 use scanchain::ChainLayout;
 use std::fmt;
 

@@ -27,9 +27,9 @@
 //! results — the property the end-to-end tests assert.
 
 use crate::monitor::ProgressMonitor;
-use crate::target::{pass_through, TargetAccess};
+use crate::target::TargetAccess;
 use crate::telemetry::Metric;
-use crate::{GoofiError, Result};
+use crate::{pass_through, GoofiError, Result};
 use scanchain::{BitVec, LinkFault, LinkFaultConfig, LinkFaultCounts, LinkFaultModel};
 use std::borrow::Cow;
 

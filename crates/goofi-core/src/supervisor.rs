@@ -37,9 +37,9 @@ use crate::algorithms::{golden_run_matches, make_reference_run};
 use crate::campaign::{Campaign, WorkloadImage};
 use crate::logging::ExperimentRecord;
 use crate::monitor::ProgressMonitor;
-use crate::target::{pass_through, RunBudget, RunEvent, TargetAccess, TargetSnapshot};
+use crate::target::{RunBudget, RunEvent, TargetAccess, TargetSnapshot};
 use crate::telemetry::Metric;
-use crate::{GoofiError, Result};
+use crate::{pass_through, GoofiError, Result};
 use envsim::Environment;
 use scanchain::{BitVec, RecoveryDepth, ScanError, WedgeConfig, WedgeKind, WedgeModel};
 use std::fmt;

@@ -374,8 +374,9 @@ pub fn readout_restore<T: TargetAccess + ?Sized>(
 /// Inside an `impl TargetAccess` block, `pass_through! { inner: a, b, … }`
 /// writes each named method with a body that calls the same method on the
 /// field `inner`, so a decorator hand-writes only the methods it changes.
-/// The four decorators (the link and wedge drills, verified I/O and the
-/// readout fallback) share one rule:
+/// Every decorator shares one rule, the four in this crate (the link and
+/// wedge drills, verified I/O and the readout fallback) and any written
+/// outside it:
 ///
 /// - `power_cycle` passes through: the trait default would re-init and
 ///   reset this layer and skip the inner target's real cold reset.
@@ -390,11 +391,56 @@ pub fn readout_restore<T: TargetAccess + ?Sized>(
 ///   to it. A decorator's own state (link faults, drill draws) is not part
 ///   of a rejoin comparison, so a decorated stack never rejoins.
 ///
+/// Any crate may use it: it is exported at the crate root
+/// (`goofi_core::pass_through`). The methods it writes name this crate's
+/// types through `$crate`, and `ChainLayout` and `BitVec` as
+/// `::scanchain::…`, so the using crate depends on `scanchain`, as every
+/// `TargetAccess` implementation does. Their bodies call the method on the
+/// field, so `TargetAccess` must be in scope where the macro expands. A
+/// decorator that counts the runs reaching the target under it writes one
+/// method:
+///
+/// ```
+/// use goofi_core::framework::SimTarget;
+/// use goofi_core::{pass_through, RunBudget, RunEvent, TargetAccess};
+///
+/// struct CountingRuns<T> {
+///     inner: T,
+///     runs: u64,
+/// }
+///
+/// impl<T: TargetAccess> TargetAccess for CountingRuns<T> {
+///     pass_through! { inner:
+///         target_name, init_test_card, load_workload, reset_target, write_memory,
+///         read_memory, flip_memory_bit, memory_size, set_breakpoint, clear_breakpoints,
+///         step_instruction, chain_layouts, read_scan_chain, write_scan_chain,
+///         write_input_ports, read_output_ports, instructions_executed, cycles_executed,
+///         iterations_completed, step_traced, power_cycle, snapshot, restore,
+///         supports_snapshot, prefix_restore_safe,
+///     }
+///
+///     fn run_workload(&mut self, budget: RunBudget) -> goofi_core::Result<RunEvent> {
+///         self.runs += 1;
+///         self.inner.run_workload(budget)
+///     }
+/// }
+///
+/// let mut target = CountingRuns { inner: SimTarget::new(), runs: 0 };
+/// target.init_test_card()?;
+/// let budget = RunBudget { max_instructions: 1_000 };
+/// assert_eq!(target.run_workload(budget)?, RunEvent::Halted);
+/// assert_eq!((target.runs, target.instructions_executed()), (1, 100));
+/// // The snapshot capability is the simulator's; rejoining stays off.
+/// assert!(target.supports_snapshot() && !target.can_rejoin());
+/// # Ok::<(), goofi_core::GoofiError>(())
+/// ```
+///
 /// `Box<T>` is not a decorator: it forwards every method, those three
 /// included, in its own impl.
+#[macro_export]
 macro_rules! pass_through {
     ($f:ident: $($method:ident),+ $(,)?) => {
-        $($crate::target::pass_through!(@$method $f);)+
+        $($crate::pass_through!(@$method $f);)+
     };
     (@target_name $f:ident) => { fn target_name(&self) -> &str { self.$f.target_name() } };
     (@init_test_card $f:ident) => {
@@ -501,7 +547,6 @@ macro_rules! pass_through {
         fn prefix_restore_safe(&self) -> bool { self.$f.prefix_restore_safe() }
     };
 }
-pub(crate) use pass_through;
 
 /// Boxed targets are targets too, so callers can assemble decorator stacks
 /// (e.g. [`crate::link::VerifiedTarget`] over
@@ -662,7 +707,7 @@ mod tests {
     }
 
     impl TargetAccess for Probe {
-        pass_through! { sim:
+        crate::pass_through! { sim:
             target_name, init_test_card, load_workload, reset_target, write_memory,
             read_memory, flip_memory_bit, memory_size, set_breakpoint, clear_breakpoints,
             run_workload, step_instruction, chain_layouts, read_scan_chain, write_scan_chain,

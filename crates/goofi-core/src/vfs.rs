@@ -26,7 +26,7 @@ use scanchain::plan::mix;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -54,12 +54,17 @@ pub trait VfsFile: Send {
 /// service spool do is expressible in these, which is what makes the
 /// fault matrix exhaustive.
 pub trait Vfs: Send + Sync + fmt::Debug {
-    /// Reads a whole file as UTF-8 text.
+    /// Reads a whole file as UTF-8 text: [`Vfs::read_bytes`], then strict
+    /// UTF-8, as `std::fs::read_to_string` reads.
     ///
     /// # Errors
     ///
-    /// Propagated (or injected) I/O errors.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
+    /// Propagated (or injected) I/O errors, and
+    /// [`io::ErrorKind::InvalidData`] when the file is not UTF-8.
+    fn read_to_string(&self, path: &Path) -> io::Result<String> {
+        String::from_utf8(self.read_bytes(path)?)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
 
     /// Reads a whole file as raw bytes — the recovery path's read: a
     /// garbled sector is rarely valid UTF-8, and fsck must still be able
@@ -241,10 +246,6 @@ impl VfsFile for RealFile {
 }
 
 impl Vfs for RealFs {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        std::fs::read_to_string(path)
-    }
-
     fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
     }
@@ -524,13 +525,6 @@ impl VfsFile for FaultFile {
 }
 
 impl Vfs for FaultFs {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        self.check_alive()?;
-        let mut out = String::new();
-        File::open(path)?.read_to_string(&mut out)?;
-        Ok(out)
-    }
-
     fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
         self.check_alive()?;
         std::fs::read(path)
@@ -630,6 +624,20 @@ mod tests {
         atomic_write(vfs.as_ref(), &path, b"world\n").unwrap();
         assert_eq!(vfs.read_to_string(&path).unwrap(), "world\n");
         assert!(!path.with_extension("tmp").exists());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn read_to_string_is_strict_utf8_over_read_bytes() {
+        let path = temp_path("utf8");
+        std::fs::write(&path, b"ok \xFF").unwrap();
+        let err = RealFs.read_to_string(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(RealFs.read_bytes(&path).unwrap(), b"ok \xFF");
         std::fs::remove_file(&path).unwrap();
     }
 

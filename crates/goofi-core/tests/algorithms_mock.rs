@@ -3,58 +3,36 @@
 //! termination/fault-model edge cases independently of any real CPU.
 
 use goofi_core::algorithms::{self, CampaignResult};
-use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
+use goofi_core::campaign::{Campaign, WorkloadImage};
 use goofi_core::fault::{FaultLocation, FaultModel, FaultSpec};
 use goofi_core::logging::{LoggingMode, TerminationCause};
 use goofi_core::monitor::ProgressMonitor;
-use goofi_core::preinject::StepAccess;
 use goofi_core::trigger::Trigger;
-use goofi_core::{DetectionInfo, GoofiError, RunBudget, RunEvent, TargetAccess};
-use scanchain::{BitVec, CellAccess, ChainLayout};
+use goofi_core::{pass_through, RunBudget, RunEvent, TargetAccess};
+use scanchain::BitVec;
 use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-/// A deterministic scripted target.
-///
-/// The "workload" runs for `workload_len` instructions and halts. A `sync`
-/// boundary fires every `iteration_every` instructions (if set). A
-/// detection fires at instruction `detect_at` (if set). Each instruction
-/// zeroes cell `A` of the scan chain — simulating hardware that overwrites
-/// the location every cycle, so persistent fault models must keep
-/// re-asserting.
+mod scripted;
+use scripted::Scripted;
+
+/// The scripted device, rewriting cell `A` every instruction, behind a log
+/// of the building blocks the algorithms call and a count of chain writes.
+/// It derefs to the device, so a test sets and reads the device directly.
 struct MockTarget {
-    layout: ChainLayout,
-    chain: BitVec,
-    memory: Vec<u32>,
-    instructions: u64,
-    iterations: u64,
-    workload_len: u64,
-    iteration_every: Option<u64>,
-    detect_at: Option<u64>,
-    breakpoint: Option<u64>,
-    halted: bool,
+    inner: Scripted,
     calls: Rc<RefCell<Vec<String>>>,
     chain_writes: u64,
 }
 
 impl MockTarget {
     fn new(workload_len: u64) -> Self {
-        let layout = ChainLayout::builder("internal")
-            .cell("A", 8, CellAccess::ReadWrite)
-            .cell("S", 4, CellAccess::ReadOnly)
-            .build();
+        let mut inner = Scripted::new(workload_len);
+        inner.refresh_a = true;
         MockTarget {
-            chain: BitVec::zeros(layout.total_bits()),
-            layout,
-            memory: vec![0; 64],
-            instructions: 0,
-            iterations: 0,
-            workload_len,
-            iteration_every: None,
-            detect_at: None,
-            breakpoint: None,
-            halted: false,
-            calls: Rc::new(RefCell::new(Vec::new())),
+            inner,
+            calls: Rc::default(),
             chain_writes: 0,
         }
     }
@@ -62,178 +40,80 @@ impl MockTarget {
     fn log(&self, call: &str) {
         self.calls.borrow_mut().push(call.to_string());
     }
+}
 
-    fn exec_one(&mut self) -> Option<RunEvent> {
-        if self.halted {
-            return Some(RunEvent::Halted);
-        }
-        if self.breakpoint == Some(self.instructions) {
-            return Some(RunEvent::Breakpoint {
-                at_instruction: self.instructions,
-                at_cycle: self.instructions,
-            });
-        }
-        self.instructions += 1;
-        // The hardware rewrites cell A every instruction.
-        self.layout.write_cell(&mut self.chain, "A", 0).unwrap();
-        if self.detect_at == Some(self.instructions) {
-            return Some(RunEvent::Detected(DetectionInfo {
-                mechanism: "mock".into(),
-                code: 9,
-            }));
-        }
-        if self.instructions >= self.workload_len {
-            self.halted = true;
-            return Some(RunEvent::Halted);
-        }
-        if let Some(every) = self.iteration_every {
-            if self.instructions.is_multiple_of(every) {
-                self.iterations += 1;
-                return Some(RunEvent::IterationBoundary {
-                    iteration: self.iterations,
-                });
-            }
-        }
-        None
+impl Deref for MockTarget {
+    type Target = Scripted;
+    fn deref(&self) -> &Scripted {
+        &self.inner
+    }
+}
+
+impl DerefMut for MockTarget {
+    fn deref_mut(&mut self) -> &mut Scripted {
+        &mut self.inner
     }
 }
 
 impl TargetAccess for MockTarget {
-    fn target_name(&self) -> &str {
-        "mock"
+    pass_through! { inner:
+        target_name, read_memory, memory_size, step_instruction, chain_layouts,
+        read_output_ports, instructions_executed, cycles_executed, iterations_completed,
+        step_traced, power_cycle, snapshot, restore, supports_snapshot, prefix_restore_safe,
     }
     fn init_test_card(&mut self) -> goofi_core::Result<()> {
         self.log("init_test_card");
-        Ok(())
+        self.inner.init_test_card()
     }
-    fn load_workload(&mut self, _image: &WorkloadImage) -> goofi_core::Result<()> {
+    fn load_workload(&mut self, image: &WorkloadImage) -> goofi_core::Result<()> {
         self.log("load_workload");
-        self.instructions = 0;
-        self.iterations = 0;
-        self.halted = false;
-        self.chain = BitVec::zeros(self.layout.total_bits());
-        Ok(())
+        self.inner.load_workload(image)
     }
     fn reset_target(&mut self) -> goofi_core::Result<()> {
         self.log("reset_target");
-        Ok(())
+        self.inner.reset_target()
     }
     fn write_memory(&mut self, addr: u32, data: &[u32]) -> goofi_core::Result<()> {
         self.log("write_memory");
-        for (i, w) in data.iter().enumerate() {
-            self.memory[addr as usize + i] = *w;
-        }
-        Ok(())
-    }
-    fn read_memory(&mut self, addr: u32, len: usize) -> goofi_core::Result<Vec<u32>> {
-        Ok(self.memory[addr as usize..addr as usize + len].to_vec())
+        self.inner.write_memory(addr, data)
     }
     fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> goofi_core::Result<()> {
         self.log("flip_memory_bit");
-        self.memory[addr as usize] ^= 1 << bit;
-        Ok(())
-    }
-    fn memory_size(&self) -> u32 {
-        self.memory.len() as u32
+        self.inner.flip_memory_bit(addr, bit)
     }
     fn set_breakpoint(&mut self, trigger: Trigger) -> goofi_core::Result<()> {
         self.log("set_breakpoint");
-        match trigger {
-            Trigger::AfterInstructions(n) => {
-                self.breakpoint = Some(n);
-                Ok(())
-            }
-            other => Err(GoofiError::Config(format!(
-                "mock target only supports instruction-count triggers, got {other}"
-            ))),
-        }
+        self.inner.set_breakpoint(trigger)
     }
     fn clear_breakpoints(&mut self) -> goofi_core::Result<()> {
         self.log("clear_breakpoints");
-        self.breakpoint = None;
-        Ok(())
+        self.inner.clear_breakpoints()
     }
     fn run_workload(&mut self, budget: RunBudget) -> goofi_core::Result<RunEvent> {
         self.log("run_workload");
-        for _ in 0..budget.max_instructions {
-            if let Some(ev) = self.exec_one() {
-                return Ok(ev);
-            }
-        }
-        Ok(RunEvent::BudgetExhausted)
-    }
-    fn step_instruction(&mut self) -> goofi_core::Result<Option<RunEvent>> {
-        Ok(self.exec_one())
-    }
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        vec![self.layout.clone()]
+        self.inner.run_workload(budget)
     }
     fn read_scan_chain(&mut self, chain: &str) -> goofi_core::Result<BitVec> {
         self.log("read_scan_chain");
-        assert_eq!(chain, "internal");
-        Ok(self.chain.clone())
+        self.inner.read_scan_chain(chain)
     }
     fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> goofi_core::Result<()> {
         self.log("write_scan_chain");
-        assert_eq!(chain, "internal");
-        self.chain = self.layout.masked_update(&self.chain, bits).unwrap();
         self.chain_writes += 1;
-        Ok(())
+        self.inner.write_scan_chain(chain, bits)
     }
-    fn write_input_ports(&mut self, _inputs: &[u32]) -> goofi_core::Result<()> {
+    fn write_input_ports(&mut self, inputs: &[u32]) -> goofi_core::Result<()> {
         self.log("write_input_ports");
-        Ok(())
-    }
-    fn read_output_ports(&mut self) -> goofi_core::Result<Vec<u32>> {
-        Ok(vec![self.instructions as u32])
-    }
-    fn instructions_executed(&self) -> u64 {
-        self.instructions
-    }
-    fn cycles_executed(&self) -> u64 {
-        self.instructions
-    }
-    fn iterations_completed(&self) -> u64 {
-        self.iterations
-    }
-    fn step_traced(&mut self) -> goofi_core::Result<(Option<RunEvent>, StepAccess)> {
-        let ev = self.exec_one();
-        Ok((
-            ev,
-            StepAccess {
-                reads: vec![],
-                writes: vec!["internal:A".into()],
-            },
-        ))
+        self.inner.write_input_ports(inputs)
     }
 }
 
 fn scan_fault(trigger: Trigger, model: FaultModel) -> FaultSpec {
-    FaultSpec {
-        locations: vec![FaultLocation::ScanCell {
-            chain: "internal".into(),
-            cell: "A".into(),
-            bit: 2,
-        }],
-        model,
-        trigger,
-    }
+    scripted::fault_in_a(2, model, trigger)
 }
 
 fn campaign(faults: Vec<FaultSpec>, max_instructions: u64) -> Campaign {
-    Campaign::builder("mock")
-        .workload(WorkloadImage {
-            name: "mock-wl".into(),
-            words: vec![0],
-            code_words: 1,
-            entry: 0,
-        })
-        .observe_chains(["internal"])
-        .output(OutputRegion::Ports)
-        .termination(Termination {
-            max_instructions,
-            max_iterations: None,
-        })
+    scripted::campaign("mock", max_instructions)
         .faults(faults)
         .build()
         .unwrap()

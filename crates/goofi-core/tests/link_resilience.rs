@@ -13,42 +13,33 @@
 //!    crash-safe journal, and in the database.
 
 use goofi_core::algorithms;
-use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
-use goofi_core::fault::{FaultLocation, FaultModel, FaultSpec};
+use goofi_core::campaign::{Campaign, WorkloadImage};
 use goofi_core::golden::GoldenCache;
 use goofi_core::journal::ExperimentJournal;
 use goofi_core::link::{UnreliableTarget, VerifiedTarget, VerifyConfig};
 use goofi_core::logging::Validity;
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::policy::ExperimentPolicy;
-use goofi_core::preinject::StepAccess;
-use goofi_core::trigger::Trigger;
 use goofi_core::{dbio, runner};
-use goofi_core::{GoofiError, RunBudget, RunEvent, TargetAccess};
+use goofi_core::{pass_through, TargetAccess};
 use goofidb::Database;
-use scanchain::{BitVec, CellAccess, ChainLayout, LinkFaultConfig};
+use scanchain::LinkFaultConfig;
 use std::ops::Range;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod recorder;
 use recorder::Recorder;
+mod scripted;
+use scripted::{temp_path, Scripted};
 
-/// A deterministic lab target. `bad_loads` names the (1-based) workload
-/// loads whose runs produce drifted outputs — modelling a link that went
-/// bad between two golden-run checks. The load counter is shared across
-/// clones so parallel workers observe one global timeline.
+/// The scripted device on a lab link. `bad_loads` names the (1-based)
+/// workload loads whose runs produce drifted outputs — modelling a link
+/// that went bad between two golden-run checks. The load counter is shared
+/// across clones so parallel workers observe one global timeline.
 #[derive(Clone)]
 struct LabTarget {
-    layout: ChainLayout,
-    chain: BitVec,
-    memory: Vec<u32>,
-    instructions: u64,
-    cycles: u64,
-    workload_len: u64,
-    breakpoint: Option<u64>,
-    halted: bool,
+    inner: Scripted,
     loads: Arc<AtomicU64>,
     bad_loads: Range<u64>,
     bad_now: bool,
@@ -60,197 +51,45 @@ impl LabTarget {
     }
 
     fn drifting(workload_len: u64, bad_loads: Range<u64>, loads: Arc<AtomicU64>) -> Self {
-        let layout = ChainLayout::builder("internal")
-            .cell("A", 8, CellAccess::ReadWrite)
-            .cell("S", 4, CellAccess::ReadOnly)
-            .build();
         LabTarget {
-            chain: BitVec::zeros(layout.total_bits()),
-            layout,
-            memory: vec![0; 64],
-            instructions: 0,
-            cycles: 0,
-            workload_len,
-            breakpoint: None,
-            halted: false,
+            inner: Scripted::new(workload_len),
             loads,
             bad_loads,
             bad_now: false,
         }
     }
-
-    fn exec_one(&mut self) -> Option<RunEvent> {
-        if self.halted {
-            return Some(RunEvent::Halted);
-        }
-        if self.breakpoint == Some(self.instructions) {
-            return Some(RunEvent::Breakpoint {
-                at_instruction: self.instructions,
-                at_cycle: self.cycles,
-            });
-        }
-        self.instructions += 1;
-        self.cycles += 1;
-        if self.instructions >= self.workload_len {
-            self.halted = true;
-            return Some(RunEvent::Halted);
-        }
-        None
-    }
 }
 
 impl TargetAccess for LabTarget {
-    fn target_name(&self) -> &str {
-        "lab"
+    pass_through! { inner:
+        target_name, init_test_card, reset_target, write_memory, read_memory, flip_memory_bit,
+        memory_size, set_breakpoint, clear_breakpoints, run_workload, step_instruction,
+        chain_layouts, read_scan_chain, write_scan_chain, write_input_ports,
+        instructions_executed, cycles_executed, iterations_completed, step_traced, power_cycle,
+        snapshot, restore, supports_snapshot, prefix_restore_safe,
     }
-    fn init_test_card(&mut self) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn load_workload(&mut self, _image: &WorkloadImage) -> goofi_core::Result<()> {
+    fn load_workload(&mut self, image: &WorkloadImage) -> goofi_core::Result<()> {
         let load = self.loads.fetch_add(1, Ordering::SeqCst) + 1;
         self.bad_now = self.bad_loads.contains(&load);
-        self.instructions = 0;
-        self.cycles = 0;
-        self.halted = false;
-        self.breakpoint = None;
-        self.memory = vec![0; 64];
-        self.chain = BitVec::zeros(self.layout.total_bits());
-        Ok(())
-    }
-    fn reset_target(&mut self) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> goofi_core::Result<()> {
-        for (i, w) in data.iter().enumerate() {
-            self.memory[addr as usize + i] = *w;
-        }
-        Ok(())
-    }
-    fn read_memory(&mut self, addr: u32, len: usize) -> goofi_core::Result<Vec<u32>> {
-        Ok(self.memory[addr as usize..addr as usize + len].to_vec())
-    }
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> goofi_core::Result<()> {
-        self.memory[addr as usize] ^= 1 << bit;
-        Ok(())
-    }
-    fn memory_size(&self) -> u32 {
-        self.memory.len() as u32
-    }
-    fn set_breakpoint(&mut self, trigger: Trigger) -> goofi_core::Result<()> {
-        match trigger {
-            Trigger::AfterInstructions(n) => {
-                self.breakpoint = Some(n);
-                Ok(())
-            }
-            other => Err(GoofiError::Config(format!(
-                "lab target only supports instruction-count triggers, got {other}"
-            ))),
-        }
-    }
-    fn clear_breakpoints(&mut self) -> goofi_core::Result<()> {
-        self.breakpoint = None;
-        Ok(())
-    }
-    fn run_workload(&mut self, budget: RunBudget) -> goofi_core::Result<RunEvent> {
-        for _ in 0..budget.max_instructions {
-            if let Some(ev) = self.exec_one() {
-                return Ok(ev);
-            }
-        }
-        Ok(RunEvent::BudgetExhausted)
-    }
-    fn step_instruction(&mut self) -> goofi_core::Result<Option<RunEvent>> {
-        Ok(self.exec_one())
-    }
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        vec![self.layout.clone()]
-    }
-    fn read_scan_chain(&mut self, chain: &str) -> goofi_core::Result<BitVec> {
-        assert_eq!(chain, "internal");
-        Ok(self.chain.clone())
-    }
-    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> goofi_core::Result<()> {
-        assert_eq!(chain, "internal");
-        self.chain = self.layout.masked_update(&self.chain, bits).unwrap();
-        Ok(())
-    }
-    fn write_input_ports(&mut self, _inputs: &[u32]) -> goofi_core::Result<()> {
-        Ok(())
+        self.inner.load_workload(image)
     }
     fn read_output_ports(&mut self) -> goofi_core::Result<Vec<u32>> {
-        let value = self.instructions as u32;
+        let mut outputs = self.inner.read_output_ports()?;
         // A drifted run yields wrong outputs — what a stuck scan link
         // looks like from the host.
-        Ok(vec![if self.bad_now {
-            value ^ 0x8000_0000
-        } else {
-            value
-        }])
-    }
-    fn instructions_executed(&self) -> u64 {
-        self.instructions
-    }
-    fn cycles_executed(&self) -> u64 {
-        self.cycles
-    }
-    fn iterations_completed(&self) -> u64 {
-        0
-    }
-    fn step_traced(&mut self) -> goofi_core::Result<(Option<RunEvent>, StepAccess)> {
-        let ev = self.exec_one();
-        Ok((
-            ev,
-            StepAccess {
-                reads: vec![],
-                writes: vec!["internal:A".into()],
-            },
-        ))
+        if self.bad_now {
+            outputs[0] ^= 0x8000_0000;
+        }
+        Ok(outputs)
     }
 }
 
 fn campaign_n(n: usize, policy: ExperimentPolicy) -> Campaign {
-    let faults: Vec<FaultSpec> = (0..n)
-        .map(|i| FaultSpec {
-            locations: vec![FaultLocation::ScanCell {
-                chain: "internal".into(),
-                cell: "A".into(),
-                bit: i % 8,
-            }],
-            model: FaultModel::TransientBitFlip,
-            trigger: Trigger::AfterInstructions(10 * (i as u64 + 1)),
-        })
-        .collect();
-    Campaign::builder("lossy")
-        .workload(WorkloadImage {
-            name: "lab-wl".into(),
-            words: vec![0],
-            code_words: 1,
-            entry: 0,
-        })
-        .observe_chains(["internal"])
-        .output(OutputRegion::Ports)
-        .termination(Termination {
-            max_instructions: 1_000_000,
-            max_iterations: None,
-        })
+    scripted::campaign("lossy", 1_000_000)
         .policy(policy)
-        .faults(faults)
+        .faults(scripted::staggered_flips(n, |i| i % 8))
         .build()
         .unwrap()
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    // Unique per call: the tests of one binary share a pid and run on
-    // parallel threads, so the pid alone does not keep their dirs apart.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "goofi-link-{}-{}-{name}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    p
 }
 
 #[test]

@@ -127,11 +127,6 @@ impl VfsFile for RecordedFile {
 }
 
 impl<V: Vfs> Vfs for Recorder<V> {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        record(&self.ops, "read", path, b"");
-        self.inner.read_to_string(path)
-    }
-
     fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
         record(&self.ops, "read", path, b"");
         self.inner.read_bytes(path)

@@ -2,38 +2,33 @@
 //! detection, crash-safe journaling and resume with `parentExperiment`
 //! re-runs — driven by a scripted target that can fail or hang on demand.
 
-use goofi_core::algorithms::{self, CampaignResult};
-use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
-use goofi_core::fault::{FaultLocation, FaultModel, FaultSpec};
+use goofi_core::algorithms;
+use goofi_core::campaign::{Campaign, WorkloadImage};
 use goofi_core::journal::ExperimentJournal;
 use goofi_core::logging::TerminationCause;
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::policy::{ExperimentPolicy, WatchdogBudget};
-use goofi_core::preinject::StepAccess;
 use goofi_core::trigger::Trigger;
 use goofi_core::{dbio, runner};
-use goofi_core::{GoofiError, RunBudget, RunEvent, TargetAccess};
+use goofi_core::{pass_through, GoofiError, RunBudget, RunEvent, TargetAccess};
 use goofidb::Database;
-use scanchain::{BitVec, CellAccess, ChainLayout};
+use scanchain::BitVec;
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
 
-/// A deterministic target whose experiments can be scripted to fail or
-/// hang, keyed by the experiment's trigger time (each campaign fault gets
-/// a distinct trigger, so the key identifies the experiment — and the
-/// reference run, which sets no breakpoint, is never affected).
+mod scripted;
+use scripted::{run_serial, temp_path, trigger_of, Scripted};
+
+/// The scripted device with experiments scripted to fail or hang, keyed by
+/// the experiment's trigger time (each campaign fault gets a distinct
+/// trigger, so the key identifies the experiment — and the reference run,
+/// which sets no breakpoint, is never affected).
 #[derive(Clone)]
 struct FlakyTarget {
-    layout: ChainLayout,
-    chain: BitVec,
-    memory: Vec<u32>,
-    instructions: u64,
-    cycles: u64,
-    workload_len: u64,
-    breakpoint: Option<u64>,
+    inner: Scripted,
     current_trigger: Option<u64>,
-    halted: bool,
     injected: bool,
+    /// Cycles a stalled run burned since the load, without retiring any.
+    stalled: u64,
     /// trigger time → how many more run_workload calls fail (pre-injection).
     fail_plan: HashMap<u64, u32>,
     /// trigger times whose post-injection run stalls while burning cycles.
@@ -45,98 +40,43 @@ struct FlakyTarget {
 
 impl FlakyTarget {
     fn new(workload_len: u64) -> Self {
-        let layout = ChainLayout::builder("internal")
-            .cell("A", 8, CellAccess::ReadWrite)
-            .cell("S", 4, CellAccess::ReadOnly)
-            .build();
         FlakyTarget {
-            chain: BitVec::zeros(layout.total_bits()),
-            layout,
-            memory: vec![0; 64],
-            instructions: 0,
-            cycles: 0,
-            workload_len,
-            breakpoint: None,
+            inner: Scripted::new(workload_len),
             current_trigger: None,
-            halted: false,
             injected: false,
+            stalled: 0,
             fail_plan: HashMap::new(),
             hang_cycles: HashSet::new(),
             hang_wall: HashSet::new(),
         }
     }
-
-    fn exec_one(&mut self) -> Option<RunEvent> {
-        if self.halted {
-            return Some(RunEvent::Halted);
-        }
-        if self.breakpoint == Some(self.instructions) {
-            return Some(RunEvent::Breakpoint {
-                at_instruction: self.instructions,
-                at_cycle: self.cycles,
-            });
-        }
-        self.instructions += 1;
-        self.cycles += 1;
-        if self.instructions >= self.workload_len {
-            self.halted = true;
-            return Some(RunEvent::Halted);
-        }
-        None
-    }
 }
 
 impl TargetAccess for FlakyTarget {
-    fn target_name(&self) -> &str {
-        "flaky"
+    pass_through! { inner:
+        target_name, init_test_card, reset_target, write_memory, read_memory, flip_memory_bit,
+        memory_size, clear_breakpoints, step_instruction, chain_layouts, read_scan_chain,
+        write_input_ports, read_output_ports, instructions_executed, iterations_completed,
+        step_traced, power_cycle, snapshot, restore, supports_snapshot, prefix_restore_safe,
     }
-    fn init_test_card(&mut self) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn load_workload(&mut self, _image: &WorkloadImage) -> goofi_core::Result<()> {
-        self.instructions = 0;
-        self.cycles = 0;
-        self.halted = false;
-        self.injected = false;
-        self.breakpoint = None;
+    fn load_workload(&mut self, image: &WorkloadImage) -> goofi_core::Result<()> {
         self.current_trigger = None;
-        self.chain = BitVec::zeros(self.layout.total_bits());
-        Ok(())
-    }
-    fn reset_target(&mut self) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> goofi_core::Result<()> {
-        for (i, w) in data.iter().enumerate() {
-            self.memory[addr as usize + i] = *w;
-        }
-        Ok(())
-    }
-    fn read_memory(&mut self, addr: u32, len: usize) -> goofi_core::Result<Vec<u32>> {
-        Ok(self.memory[addr as usize..addr as usize + len].to_vec())
-    }
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> goofi_core::Result<()> {
-        self.memory[addr as usize] ^= 1 << bit;
-        Ok(())
-    }
-    fn memory_size(&self) -> u32 {
-        self.memory.len() as u32
+        self.injected = false;
+        self.stalled = 0;
+        self.inner.load_workload(image)
     }
     fn set_breakpoint(&mut self, trigger: Trigger) -> goofi_core::Result<()> {
-        match trigger {
-            Trigger::AfterInstructions(n) => {
-                self.breakpoint = Some(n);
-                self.current_trigger = Some(n);
-                Ok(())
-            }
-            other => Err(GoofiError::Config(format!(
-                "flaky target only supports instruction-count triggers, got {other}"
-            ))),
+        if let Trigger::AfterInstructions(n) = trigger {
+            self.current_trigger = Some(n);
         }
+        self.inner.set_breakpoint(trigger)
     }
-    fn clear_breakpoints(&mut self) -> goofi_core::Result<()> {
-        self.breakpoint = None;
-        Ok(())
+    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> goofi_core::Result<()> {
+        self.injected = true;
+        self.inner.write_scan_chain(chain, bits)
+    }
+    fn cycles_executed(&self) -> u64 {
+        self.inner.cycles_executed() + self.stalled
     }
     fn run_workload(&mut self, budget: RunBudget) -> goofi_core::Result<RunEvent> {
         if let Some(t) = self.current_trigger {
@@ -149,119 +89,23 @@ impl TargetAccess for FlakyTarget {
                 }
             } else if self.hang_cycles.contains(&t) {
                 // Stalled hardware: cycles tick, nothing retires.
-                self.cycles += budget.max_instructions.max(1);
+                self.stalled += budget.max_instructions.max(1);
                 return Ok(RunEvent::BudgetExhausted);
             } else if self.hang_wall.contains(&t) {
                 // Dead link: nothing advances at all.
                 return Ok(RunEvent::BudgetExhausted);
             }
         }
-        for _ in 0..budget.max_instructions {
-            if let Some(ev) = self.exec_one() {
-                return Ok(ev);
-            }
-        }
-        Ok(RunEvent::BudgetExhausted)
+        self.inner.run_workload(budget)
     }
-    fn step_instruction(&mut self) -> goofi_core::Result<Option<RunEvent>> {
-        Ok(self.exec_one())
-    }
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        vec![self.layout.clone()]
-    }
-    fn read_scan_chain(&mut self, chain: &str) -> goofi_core::Result<BitVec> {
-        assert_eq!(chain, "internal");
-        Ok(self.chain.clone())
-    }
-    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> goofi_core::Result<()> {
-        assert_eq!(chain, "internal");
-        self.chain = self.layout.masked_update(&self.chain, bits).unwrap();
-        self.injected = true;
-        Ok(())
-    }
-    fn write_input_ports(&mut self, _inputs: &[u32]) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn read_output_ports(&mut self) -> goofi_core::Result<Vec<u32>> {
-        Ok(vec![self.instructions as u32])
-    }
-    fn instructions_executed(&self) -> u64 {
-        self.instructions
-    }
-    fn cycles_executed(&self) -> u64 {
-        self.cycles
-    }
-    fn iterations_completed(&self) -> u64 {
-        0
-    }
-    fn step_traced(&mut self) -> goofi_core::Result<(Option<RunEvent>, StepAccess)> {
-        let ev = self.exec_one();
-        Ok((
-            ev,
-            StepAccess {
-                reads: vec![],
-                writes: vec!["internal:A".into()],
-            },
-        ))
-    }
-}
-
-/// Experiment `i` triggers at instruction `10 * (i + 1)`.
-fn trigger_of(index: usize) -> u64 {
-    10 * (index as u64 + 1)
 }
 
 fn campaign_n(n: usize, policy: ExperimentPolicy) -> Campaign {
-    let faults: Vec<FaultSpec> = (0..n)
-        .map(|i| FaultSpec {
-            locations: vec![FaultLocation::ScanCell {
-                chain: "internal".into(),
-                cell: "A".into(),
-                bit: 2,
-            }],
-            model: FaultModel::TransientBitFlip,
-            trigger: Trigger::AfterInstructions(trigger_of(i)),
-        })
-        .collect();
-    Campaign::builder("mock")
-        .workload(WorkloadImage {
-            name: "mock-wl".into(),
-            words: vec![0],
-            code_words: 1,
-            entry: 0,
-        })
-        .observe_chains(["internal"])
-        .output(OutputRegion::Ports)
-        .termination(Termination {
-            max_instructions: 1_000_000,
-            max_iterations: None,
-        })
+    scripted::campaign("mock", 1_000_000)
         .policy(policy)
-        .faults(faults)
+        .faults(scripted::staggered_flips(n, |_| 2))
         .build()
         .unwrap()
-}
-
-fn run_serial(
-    target: &mut FlakyTarget,
-    c: &Campaign,
-    monitor: &ProgressMonitor,
-) -> goofi_core::Result<CampaignResult> {
-    algorithms::run_campaign(target, c, monitor, &mut envsim::NullEnvironment)
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    // Unique per call: the tests of one binary share a pid and run on
-    // parallel threads, so the pid alone does not keep their dirs apart.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "goofi-resilience-{}-{}-{name}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    p
 }
 
 #[test]

@@ -1,26 +1,25 @@
 //! Target supervision end-to-end: health probes between experiments, hang
 //! confirmation, the staged recovery ladder, graceful degradation of the
 //! parallel runner, and resume after a crash mid-recovery — driven by a
-//! [`WedgeableTarget`] around the scripted target from the resilience
-//! suite.
+//! [`WedgeableTarget`] around the scripted device the engine suites share.
 
-use goofi_core::algorithms::{self, CampaignResult};
-use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
-use goofi_core::fault::{FaultLocation, FaultModel, FaultSpec};
+use goofi_core::algorithms;
+use goofi_core::campaign::{Campaign, WorkloadImage};
+use goofi_core::fault::FaultSpec;
 use goofi_core::journal::ExperimentJournal;
 use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::policy::{ExperimentPolicy, WatchdogBudget};
-use goofi_core::preinject::StepAccess;
 use goofi_core::runner;
 use goofi_core::supervisor::{RecoveryStage, RecoveryTrigger, Supervisor, WedgeableTarget};
-use goofi_core::trigger::Trigger;
-use goofi_core::{GoofiError, RunBudget, RunEvent, TargetAccess};
-use scanchain::{BitVec, CellAccess, ChainLayout, RecoveryDepth, WedgeConfig, WedgeModel};
-use std::path::PathBuf;
+use goofi_core::{pass_through, GoofiError, RunBudget, TargetAccess};
+use scanchain::{RecoveryDepth, WedgeConfig, WedgeModel};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
+
+mod scripted;
+use scripted::{run_serial, temp_path, Scripted};
 
 /// A one-shot gate between the loops of a parallel run.
 #[derive(Clone, Default)]
@@ -51,37 +50,18 @@ enum FirstLoad {
     Awaits(Latch),
 }
 
-/// A deterministic, always-healthy scripted target (the resilience suite's
-/// target, minus the scripted failures) — the inner target the wedge
-/// decorator misbehaves around.
+/// The scripted device, always healthy: the inner target the wedge
+/// decorator misbehaves around, with an optional [`FirstLoad`] action.
 #[derive(Clone)]
 struct MockTarget {
-    layout: ChainLayout,
-    chain: BitVec,
-    memory: Vec<u32>,
-    instructions: u64,
-    cycles: u64,
-    workload_len: u64,
-    breakpoint: Option<u64>,
-    halted: bool,
+    inner: Scripted,
     first_load: Option<FirstLoad>,
 }
 
 impl MockTarget {
     fn new(workload_len: u64) -> Self {
-        let layout = ChainLayout::builder("internal")
-            .cell("A", 8, CellAccess::ReadWrite)
-            .cell("S", 4, CellAccess::ReadOnly)
-            .build();
         MockTarget {
-            chain: BitVec::zeros(layout.total_bits()),
-            layout,
-            memory: vec![0; 64],
-            instructions: 0,
-            cycles: 0,
-            workload_len,
-            breakpoint: None,
-            halted: false,
+            inner: Scripted::new(workload_len),
             first_load: None,
         }
     }
@@ -90,163 +70,30 @@ impl MockTarget {
         self.first_load = Some(gate);
         self
     }
-
-    fn exec_one(&mut self) -> Option<RunEvent> {
-        if self.halted {
-            return Some(RunEvent::Halted);
-        }
-        if self.breakpoint == Some(self.instructions) {
-            return Some(RunEvent::Breakpoint {
-                at_instruction: self.instructions,
-                at_cycle: self.cycles,
-            });
-        }
-        self.instructions += 1;
-        self.cycles += 1;
-        if self.instructions >= self.workload_len {
-            self.halted = true;
-            return Some(RunEvent::Halted);
-        }
-        None
-    }
 }
 
 impl TargetAccess for MockTarget {
-    fn target_name(&self) -> &str {
-        "mock"
+    pass_through! { inner:
+        target_name, init_test_card, reset_target, write_memory, read_memory, flip_memory_bit,
+        memory_size, set_breakpoint, clear_breakpoints, run_workload, step_instruction,
+        chain_layouts, read_scan_chain, write_scan_chain, write_input_ports, read_output_ports,
+        instructions_executed, cycles_executed, iterations_completed, step_traced, power_cycle,
+        snapshot, restore, supports_snapshot, prefix_restore_safe,
     }
-    fn init_test_card(&mut self) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn load_workload(&mut self, _image: &WorkloadImage) -> goofi_core::Result<()> {
+    fn load_workload(&mut self, image: &WorkloadImage) -> goofi_core::Result<()> {
         match self.first_load.take() {
             Some(FirstLoad::Opens(latch)) => latch.open(),
             Some(FirstLoad::Awaits(latch)) => latch.wait(Duration::from_secs(10)),
             None => {}
         }
-        self.instructions = 0;
-        self.cycles = 0;
-        self.halted = false;
-        self.breakpoint = None;
-        self.chain = BitVec::zeros(self.layout.total_bits());
-        Ok(())
+        self.inner.load_workload(image)
     }
-    fn reset_target(&mut self) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> goofi_core::Result<()> {
-        for (i, w) in data.iter().enumerate() {
-            self.memory[addr as usize + i] = *w;
-        }
-        Ok(())
-    }
-    fn read_memory(&mut self, addr: u32, len: usize) -> goofi_core::Result<Vec<u32>> {
-        Ok(self.memory[addr as usize..addr as usize + len].to_vec())
-    }
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> goofi_core::Result<()> {
-        self.memory[addr as usize] ^= 1 << bit;
-        Ok(())
-    }
-    fn memory_size(&self) -> u32 {
-        self.memory.len() as u32
-    }
-    fn set_breakpoint(&mut self, trigger: Trigger) -> goofi_core::Result<()> {
-        match trigger {
-            Trigger::AfterInstructions(n) => {
-                self.breakpoint = Some(n);
-                Ok(())
-            }
-            other => Err(GoofiError::Config(format!(
-                "mock target only supports instruction-count triggers, got {other}"
-            ))),
-        }
-    }
-    fn clear_breakpoints(&mut self) -> goofi_core::Result<()> {
-        self.breakpoint = None;
-        Ok(())
-    }
-    fn run_workload(&mut self, budget: RunBudget) -> goofi_core::Result<RunEvent> {
-        for _ in 0..budget.max_instructions {
-            if let Some(ev) = self.exec_one() {
-                return Ok(ev);
-            }
-        }
-        Ok(RunEvent::BudgetExhausted)
-    }
-    fn step_instruction(&mut self) -> goofi_core::Result<Option<RunEvent>> {
-        Ok(self.exec_one())
-    }
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        vec![self.layout.clone()]
-    }
-    fn read_scan_chain(&mut self, chain: &str) -> goofi_core::Result<BitVec> {
-        assert_eq!(chain, "internal");
-        Ok(self.chain.clone())
-    }
-    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> goofi_core::Result<()> {
-        assert_eq!(chain, "internal");
-        self.chain = self.layout.masked_update(&self.chain, bits).unwrap();
-        Ok(())
-    }
-    fn write_input_ports(&mut self, _inputs: &[u32]) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn read_output_ports(&mut self) -> goofi_core::Result<Vec<u32>> {
-        Ok(vec![self.instructions as u32])
-    }
-    fn instructions_executed(&self) -> u64 {
-        self.instructions
-    }
-    fn cycles_executed(&self) -> u64 {
-        self.cycles
-    }
-    fn iterations_completed(&self) -> u64 {
-        0
-    }
-    fn step_traced(&mut self) -> goofi_core::Result<(Option<RunEvent>, StepAccess)> {
-        let ev = self.exec_one();
-        Ok((
-            ev,
-            StepAccess {
-                reads: vec![],
-                writes: vec!["internal:A".into()],
-            },
-        ))
-    }
-}
-
-/// Experiment `i` triggers at instruction `10 * (i + 1)`.
-fn trigger_of(index: usize) -> u64 {
-    10 * (index as u64 + 1)
 }
 
 fn campaign_n(n: usize, policy: ExperimentPolicy) -> Campaign {
-    let faults: Vec<FaultSpec> = (0..n)
-        .map(|i| FaultSpec {
-            locations: vec![FaultLocation::ScanCell {
-                chain: "internal".into(),
-                cell: "A".into(),
-                bit: 2,
-            }],
-            model: FaultModel::TransientBitFlip,
-            trigger: Trigger::AfterInstructions(trigger_of(i)),
-        })
-        .collect();
-    Campaign::builder("mock")
-        .workload(WorkloadImage {
-            name: "mock-wl".into(),
-            words: vec![0],
-            code_words: 1,
-            entry: 0,
-        })
-        .observe_chains(["internal"])
-        .output(OutputRegion::Ports)
-        .termination(Termination {
-            max_instructions: 100_000,
-            max_iterations: None,
-        })
+    scripted::campaign("mock", 100_000)
         .policy(policy)
-        .faults(faults)
+        .faults(scripted::staggered_flips(n, |_| 2))
         .build()
         .unwrap()
 }
@@ -285,28 +132,6 @@ fn first_wedged_op(cfg: WedgeConfig) -> Option<u64> {
         }
     }
     None
-}
-
-fn run_serial<T: TargetAccess>(
-    target: &mut T,
-    c: &Campaign,
-    monitor: &ProgressMonitor,
-) -> goofi_core::Result<CampaignResult> {
-    algorithms::run_campaign(target, c, monitor, &mut envsim::NullEnvironment)
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    // Unique per call: the tests of one binary share a pid and run on
-    // parallel threads, so the pid alone does not keep their dirs apart.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "goofi-supervision-{}-{}-{name}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    p
 }
 
 /// The part of a record supervision must preserve: everything except the

@@ -6,191 +6,24 @@
 
 use goofi_core::algorithms;
 use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
-use goofi_core::fault::{FaultLocation, FaultModel, FaultSpec};
+use goofi_core::fault::{FaultModel, FaultSpec};
 use goofi_core::monitor::ProgressMonitor;
-use goofi_core::preinject::StepAccess;
 use goofi_core::telemetry::{
     JsonlSink, MetricsSnapshot, RingSink, SpanKind, SpanRecord, Stage, Telemetry, TraceSink,
 };
 use goofi_core::trigger::Trigger;
-use goofi_core::{GoofiError, RunBudget, RunEvent, TargetAccess};
-use scanchain::{BitVec, CellAccess, ChainLayout};
-use std::path::PathBuf;
+use goofi_core::GoofiError;
 use std::sync::Arc;
 
-/// A deterministic scripted target: the "workload" runs for `workload_len`
-/// instructions and halts. Instruction-count breakpoints work; any other
-/// trigger kind makes `set_breakpoint` fail, which lets tests provoke a
-/// mid-campaign experiment failure on demand.
-struct MockTarget {
-    layout: ChainLayout,
-    chain: BitVec,
-    memory: Vec<u32>,
-    instructions: u64,
-    workload_len: u64,
-    breakpoint: Option<u64>,
-    halted: bool,
-}
-
-impl MockTarget {
-    fn new(workload_len: u64) -> Self {
-        let layout = ChainLayout::builder("internal")
-            .cell("A", 8, CellAccess::ReadWrite)
-            .cell("S", 4, CellAccess::ReadOnly)
-            .build();
-        MockTarget {
-            chain: BitVec::zeros(layout.total_bits()),
-            layout,
-            memory: vec![0; 64],
-            instructions: 0,
-            workload_len,
-            breakpoint: None,
-            halted: false,
-        }
-    }
-
-    fn exec_one(&mut self) -> Option<RunEvent> {
-        if self.halted {
-            return Some(RunEvent::Halted);
-        }
-        if self.breakpoint == Some(self.instructions) {
-            return Some(RunEvent::Breakpoint {
-                at_instruction: self.instructions,
-                at_cycle: self.instructions,
-            });
-        }
-        self.instructions += 1;
-        if self.instructions >= self.workload_len {
-            self.halted = true;
-            return Some(RunEvent::Halted);
-        }
-        None
-    }
-}
-
-impl TargetAccess for MockTarget {
-    fn target_name(&self) -> &str {
-        "mock"
-    }
-    fn init_test_card(&mut self) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn load_workload(&mut self, _image: &WorkloadImage) -> goofi_core::Result<()> {
-        self.instructions = 0;
-        self.halted = false;
-        self.chain = BitVec::zeros(self.layout.total_bits());
-        Ok(())
-    }
-    fn reset_target(&mut self) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> goofi_core::Result<()> {
-        for (i, w) in data.iter().enumerate() {
-            self.memory[addr as usize + i] = *w;
-        }
-        Ok(())
-    }
-    fn read_memory(&mut self, addr: u32, len: usize) -> goofi_core::Result<Vec<u32>> {
-        Ok(self.memory[addr as usize..addr as usize + len].to_vec())
-    }
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> goofi_core::Result<()> {
-        self.memory[addr as usize] ^= 1 << bit;
-        Ok(())
-    }
-    fn memory_size(&self) -> u32 {
-        self.memory.len() as u32
-    }
-    fn set_breakpoint(&mut self, trigger: Trigger) -> goofi_core::Result<()> {
-        match trigger {
-            Trigger::AfterInstructions(n) => {
-                self.breakpoint = Some(n);
-                Ok(())
-            }
-            other => Err(GoofiError::Target(format!(
-                "mock target only supports instruction-count triggers, got {other}"
-            ))),
-        }
-    }
-    fn clear_breakpoints(&mut self) -> goofi_core::Result<()> {
-        self.breakpoint = None;
-        Ok(())
-    }
-    fn run_workload(&mut self, budget: RunBudget) -> goofi_core::Result<RunEvent> {
-        for _ in 0..budget.max_instructions {
-            if let Some(ev) = self.exec_one() {
-                return Ok(ev);
-            }
-        }
-        Ok(RunEvent::BudgetExhausted)
-    }
-    fn step_instruction(&mut self) -> goofi_core::Result<Option<RunEvent>> {
-        Ok(self.exec_one())
-    }
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        vec![self.layout.clone()]
-    }
-    fn read_scan_chain(&mut self, chain: &str) -> goofi_core::Result<BitVec> {
-        assert_eq!(chain, "internal");
-        Ok(self.chain.clone())
-    }
-    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> goofi_core::Result<()> {
-        assert_eq!(chain, "internal");
-        self.chain = self.layout.masked_update(&self.chain, bits).unwrap();
-        Ok(())
-    }
-    fn write_input_ports(&mut self, _inputs: &[u32]) -> goofi_core::Result<()> {
-        Ok(())
-    }
-    fn read_output_ports(&mut self) -> goofi_core::Result<Vec<u32>> {
-        Ok(vec![self.instructions as u32])
-    }
-    fn instructions_executed(&self) -> u64 {
-        self.instructions
-    }
-    fn cycles_executed(&self) -> u64 {
-        self.instructions
-    }
-    fn iterations_completed(&self) -> u64 {
-        0
-    }
-    fn step_traced(&mut self) -> goofi_core::Result<(Option<RunEvent>, StepAccess)> {
-        let ev = self.exec_one();
-        Ok((
-            ev,
-            StepAccess {
-                reads: vec![],
-                writes: vec![],
-            },
-        ))
-    }
-}
+mod scripted;
+use scripted::{temp_path, Scripted};
 
 fn scan_fault(trigger: Trigger) -> FaultSpec {
-    FaultSpec {
-        locations: vec![FaultLocation::ScanCell {
-            chain: "internal".into(),
-            cell: "A".into(),
-            bit: 2,
-        }],
-        model: FaultModel::TransientBitFlip,
-        trigger,
-    }
+    scripted::fault_in_a(2, FaultModel::TransientBitFlip, trigger)
 }
 
 fn campaign(faults: Vec<FaultSpec>) -> Campaign {
-    Campaign::builder("tel-e2e")
-        .workload(WorkloadImage {
-            name: "mock-wl".into(),
-            words: vec![0],
-            code_words: 1,
-            entry: 0,
-        })
-        .observe_chains(["internal"])
-        .output(OutputRegion::Ports)
-        .termination(Termination {
-            max_instructions: 1_000,
-            max_iterations: None,
-        })
+    scripted::campaign("tel-e2e", 1_000)
         .faults(faults)
         .build()
         .unwrap()
@@ -205,17 +38,13 @@ fn good_campaign() -> Campaign {
     ])
 }
 
-fn tmp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("goofi-tel-e2e-{name}-{}", std::process::id()))
-}
-
 /// Runs `good_campaign` with the given sinks attached; returns the
 /// telemetry handle and the monitor after a successful run.
 fn run_traced(sinks: Vec<Arc<dyn TraceSink>>) -> (Telemetry, ProgressMonitor) {
     let c = good_campaign();
     let tel = Telemetry::with_sinks(sinks);
     let monitor = ProgressMonitor::with_telemetry(c.experiment_count(), tel.clone());
-    let mut target = MockTarget::new(100);
+    let mut target = Scripted::new(100);
     algorithms::run_campaign(&mut target, &c, &monitor, &mut envsim::NullEnvironment).unwrap();
     (tel, monitor)
 }
@@ -380,7 +209,7 @@ fn metrics_snapshot_agrees_with_progress_monitor() {
 
 #[test]
 fn flight_recorder_dumps_on_failure_and_roundtrips() {
-    // The second experiment's trigger kind is unsupported by the mock, so
+    // The second experiment's trigger kind is unsupported by the device, so
     // the default fail-fast policy aborts the campaign mid-flight.
     let c = campaign(vec![
         scan_fault(Trigger::AfterInstructions(10)),
@@ -389,12 +218,12 @@ fn flight_recorder_dumps_on_failure_and_roundtrips() {
     let ring = Arc::new(RingSink::new(256));
     let tel = Telemetry::with_sinks(vec![ring.clone()]);
     let monitor = ProgressMonitor::with_telemetry(c.experiment_count(), tel.clone());
-    let mut target = MockTarget::new(100);
+    let mut target = Scripted::new(100);
     let err = algorithms::run_campaign(&mut target, &c, &monitor, &mut envsim::NullEnvironment)
         .unwrap_err();
     assert!(matches!(err, GoofiError::ExperimentFailed { .. }), "{err}");
 
-    let path = tmp_path("flight");
+    let path = temp_path("flight");
     let dumped = tel.dump_flight(&path).unwrap();
     assert!(dumped > 0);
     let text = std::fs::read_to_string(&path).unwrap();
@@ -426,7 +255,7 @@ fn flight_recorder_dumps_on_failure_and_roundtrips() {
 fn jsonl_trace_reproduces_live_histograms() {
     // The `goofi report --timings <trace>` path: per-stage histograms
     // rebuilt from the trace file must equal the in-process registry's.
-    let path = tmp_path("trace");
+    let path = temp_path("trace");
     let sink = Arc::new(JsonlSink::create(&path).unwrap());
     let (tel, _monitor) = run_traced(vec![sink]);
     tel.flush();

@@ -342,6 +342,18 @@ fn apply_health_check_override(
     Ok(())
 }
 
+/// Parses the `--workers N` loop count shared by `run` and `resume`: one
+/// loop when absent, and at least one, refused before anything is loaded
+/// or written.
+fn workers_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
+    match flags.get("workers").map(|v| v.parse::<usize>()) {
+        None => Ok(1),
+        Some(Ok(0)) => Err("`--workers` must be at least 1".into()),
+        Some(Ok(workers)) => Ok(workers),
+        Some(Err(_)) => Err("bad --workers".into()),
+    }
+}
+
 /// Parses the `--wedge` target-misbehaviour spec shared by `run` and
 /// `resume` (see [`WedgeConfig::decode`] for the `key=value` grammar).
 fn wedge_flag(flags: &HashMap<String, String>) -> Result<Option<WedgeConfig>, String> {
@@ -748,9 +760,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags("run", &accepted, args)?;
     let db_path = positional.first().ok_or("run: missing <db> path")?;
     let name = flags.get("name").ok_or("run: --name is required")?;
-    let workers: usize = flags
-        .get("workers")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| "bad --workers"))?;
+    let workers = workers_flag(&flags)?;
 
     let mut db = load_db(db_path)?;
     // The paper's readCampaignData step.
@@ -776,7 +786,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let journal_path = flags.get("journal").cloned();
     let snapshots = !flags.contains_key("no-snapshot");
     let started = std::time::Instant::now();
-    let result = if workers <= 1 {
+    let result = if workers == 1 {
         let mut target = decorate_target(kind, wedge, link, verify, &monitor, 0);
         let mut env = make_env(env_kind.as_deref())?;
         let mut journal = match &journal_path {
@@ -851,9 +861,13 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     let journal_path = flags
         .get("journal")
         .ok_or("resume: --journal is required")?;
-    let workers: usize = flags
-        .get("workers")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| "bad --workers"))?;
+    let workers = workers_flag(&flags)?;
+    if !Path::new(journal_path.as_str()).exists() {
+        return Err(format!(
+            "resume: journal {journal_path} does not exist (a journaled run writes it: \
+             `goofi run {db_path} --name {name} --journal {journal_path}`)"
+        ));
+    }
 
     let mut db = load_db(db_path)?;
     let mut campaign = dbio::load_campaign(&db, name).map_err(|e| e.to_string())?;

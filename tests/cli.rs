@@ -379,6 +379,66 @@ fn unknown_flags_fail_the_command_and_leave_the_database_untouched() {
     assert_eq!(std::fs::read(&db).unwrap(), before);
 }
 
+/// `run` and `resume` refuse `--workers 0`, and `resume` refuses a journal
+/// that does not exist, each before it loads the database or touches a
+/// journal.
+#[test]
+fn zero_workers_and_a_missing_journal_fail_before_anything_is_touched() {
+    let (guard, db) = tmp_db("front-door");
+    stdout(&goofi(&[
+        "new",
+        &db,
+        "--name",
+        "c",
+        "--workload",
+        "crc32",
+        "--experiments",
+        "4",
+    ]));
+    let journal = guard.path.join("j.gjl");
+    let journal = journal.to_str().unwrap();
+    stdout(&goofi(&["run", &db, "--name", "c", "--journal", journal]));
+    let db_before = std::fs::read(&db).unwrap();
+    let journal_before = std::fs::read(journal).unwrap();
+
+    for command in ["run", "resume"] {
+        let out = goofi(&[
+            command,
+            &db,
+            "--name",
+            "c",
+            "--journal",
+            journal,
+            "--workers",
+            "0",
+        ]);
+        assert!(!out.status.success(), "{command} ran with no workers");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("`--workers` must be at least 1"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command} printed before refusing");
+        assert_eq!(std::fs::read(&db).unwrap(), db_before, "{command}");
+        assert_eq!(std::fs::read(journal).unwrap(), journal_before, "{command}");
+    }
+
+    let missing = guard.path.join("missing.gjl");
+    let missing = missing.to_str().unwrap();
+    let out = goofi(&["resume", &db, "--name", "c", "--journal", missing]);
+    assert!(!out.status.success(), "resumed from a missing journal");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("journal {missing} does not exist")),
+        "{stderr}"
+    );
+    assert!(stderr.contains("`goofi run"), "{stderr}");
+    assert!(!stderr.contains("I/O error"), "{stderr}");
+    assert!(out.stdout.is_empty(), "resume printed before refusing");
+    assert_eq!(std::fs::read(&db).unwrap(), db_before);
+    assert!(!std::path::Path::new(missing).exists());
+}
+
 #[test]
 fn fsck_reports_classes_and_repairs() {
     let (_guard, db) = tmp_db("fsck");

@@ -35,9 +35,9 @@ use goofi::core::policy::{ExperimentPolicy, WatchdogBudget};
 use goofi::core::runner;
 use goofi::core::supervisor::WedgeableTarget;
 use goofi::core::trigger::Trigger;
-use goofi::core::TargetAccess;
+use goofi::core::{pass_through, TargetAccess};
 use goofi::envsim::NullEnvironment;
-use goofi::scanchain::{BitVec, ChainLayout, LinkFaultConfig, RecoveryDepth, WedgeConfig};
+use goofi::scanchain::{LinkFaultConfig, RecoveryDepth, WedgeConfig};
 use goofi::targets::TargetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -532,20 +532,14 @@ impl<T: TargetAccess> DriftingLink<T> {
 }
 
 impl<T: TargetAccess> TargetAccess for DriftingLink<T> {
-    fn target_name(&self) -> &str {
-        self.inner.target_name()
-    }
-    fn init_test_card(&mut self) -> goofi::core::Result<()> {
-        self.inner.init_test_card()
-    }
-    fn load_workload(&mut self, image: &WorkloadImage) -> goofi::core::Result<()> {
-        self.inner.load_workload(image)
-    }
-    fn reset_target(&mut self) -> goofi::core::Result<()> {
-        self.inner.reset_target()
-    }
-    fn write_memory(&mut self, addr: u32, data: &[u32]) -> goofi::core::Result<()> {
-        self.inner.write_memory(addr, data)
+    // memory_digest keeps the trait default: it routes through this
+    // decorator's (possibly drifting) read_memory, like a real lossy link.
+    pass_through! { inner:
+        target_name, init_test_card, load_workload, reset_target, write_memory,
+        flip_memory_bit, memory_size, set_breakpoint, clear_breakpoints, step_instruction,
+        chain_layouts, read_scan_chain, write_scan_chain, write_input_ports, read_output_ports,
+        instructions_executed, cycles_executed, iterations_completed, step_traced, power_cycle,
+        snapshot, restore, supports_snapshot, prefix_restore_safe,
     }
     fn read_memory(&mut self, addr: u32, len: usize) -> goofi::core::Result<Vec<u32>> {
         let mut words = self.inner.read_memory(addr, len)?;
@@ -556,18 +550,6 @@ impl<T: TargetAccess> TargetAccess for DriftingLink<T> {
         }
         Ok(words)
     }
-    fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> goofi::core::Result<()> {
-        self.inner.flip_memory_bit(addr, bit)
-    }
-    fn memory_size(&self) -> u32 {
-        self.inner.memory_size()
-    }
-    fn set_breakpoint(&mut self, trigger: Trigger) -> goofi::core::Result<()> {
-        self.inner.set_breakpoint(trigger)
-    }
-    fn clear_breakpoints(&mut self) -> goofi::core::Result<()> {
-        self.inner.clear_breakpoints()
-    }
     fn run_workload(
         &mut self,
         budget: goofi::core::RunBudget,
@@ -575,58 +557,6 @@ impl<T: TargetAccess> TargetAccess for DriftingLink<T> {
         self.runs += 1;
         self.inner.run_workload(budget)
     }
-    fn step_instruction(&mut self) -> goofi::core::Result<Option<goofi::core::RunEvent>> {
-        self.inner.step_instruction()
-    }
-    fn chain_layouts(&self) -> Vec<ChainLayout> {
-        self.inner.chain_layouts()
-    }
-    fn read_scan_chain(&mut self, chain: &str) -> goofi::core::Result<BitVec> {
-        self.inner.read_scan_chain(chain)
-    }
-    fn write_scan_chain(&mut self, chain: &str, bits: &BitVec) -> goofi::core::Result<()> {
-        self.inner.write_scan_chain(chain, bits)
-    }
-    fn write_input_ports(&mut self, inputs: &[u32]) -> goofi::core::Result<()> {
-        self.inner.write_input_ports(inputs)
-    }
-    fn read_output_ports(&mut self) -> goofi::core::Result<Vec<u32>> {
-        self.inner.read_output_ports()
-    }
-    fn instructions_executed(&self) -> u64 {
-        self.inner.instructions_executed()
-    }
-    fn cycles_executed(&self) -> u64 {
-        self.inner.cycles_executed()
-    }
-    fn iterations_completed(&self) -> u64 {
-        self.inner.iterations_completed()
-    }
-    fn step_traced(
-        &mut self,
-    ) -> goofi::core::Result<(
-        Option<goofi::core::RunEvent>,
-        goofi::core::preinject::StepAccess,
-    )> {
-        self.inner.step_traced()
-    }
-    fn power_cycle(&mut self) -> goofi::core::Result<()> {
-        self.inner.power_cycle()
-    }
-    fn snapshot(&mut self) -> goofi::core::Result<goofi::core::TargetSnapshot> {
-        self.inner.snapshot()
-    }
-    fn restore(&mut self, snapshot: &goofi::core::TargetSnapshot) -> goofi::core::Result<()> {
-        self.inner.restore(snapshot)
-    }
-    fn supports_snapshot(&self) -> bool {
-        self.inner.supports_snapshot()
-    }
-    fn prefix_restore_safe(&self) -> bool {
-        self.inner.prefix_restore_safe()
-    }
-    // memory_digest NOT forwarded: the trait default routes through this
-    // decorator's (possibly drifting) read_memory, like a real lossy link.
 }
 
 #[test]
