@@ -21,7 +21,7 @@
 //! Nothing is ever deleted: every repair either rewrites a file from its
 //! surviving valid content or renames the damaged original aside.
 
-use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity};
+use crate::logging::ExperimentRecord;
 use crate::service::scheduler;
 use crate::vfs::{self, Vfs};
 use crate::{dbio, journal, GoofiError, Result};
@@ -284,10 +284,9 @@ pub fn fsck_database(vfs: &dyn Vfs, path: &Path, repair: bool) -> Result<FsckRep
     Ok(report)
 }
 
-/// Inserts a `Validity::Invalid` stub for a lost experiment plus a
-/// `parentExperiment`-linked `…/rerun1` stub — the same convention the
-/// service uses for poisoned shards. Returns `false` when the experiment
-/// already has a (surviving) row.
+/// Logs [`ExperimentRecord::lost_stubs`] for a lost experiment, as the
+/// service does for a poisoned shard's. Returns `false` when the
+/// experiment already has a (surviving) row.
 fn stub_lost_experiment(db: &mut Database, name: &str, campaign: &str) -> Result<bool> {
     let exists = |db: &Database, key: &str| {
         db.table(dbio::LOG_TABLE)
@@ -296,20 +295,10 @@ fn stub_lost_experiment(db: &mut Database, name: &str, campaign: &str) -> Result
     if exists(db, name) {
         return Ok(false);
     }
-    let stub = |n: String, parent: Option<String>| ExperimentRecord {
-        name: n,
-        parent,
-        campaign: campaign.to_string(),
-        fault: None,
-        termination: TerminationCause::TargetHang,
-        state: StateSnapshot::default(),
-        trace: Vec::new(),
-        validity: Validity::Invalid,
-    };
-    dbio::log_experiment(db, &stub(name.to_string(), None))?;
-    let rerun = format!("{name}/rerun1");
-    if !exists(db, &rerun) {
-        dbio::log_experiment(db, &stub(rerun, Some(name.to_string())))?;
+    let [original, rerun] = ExperimentRecord::lost_stubs(campaign, name, None);
+    dbio::log_experiment(db, &original)?;
+    if !exists(db, &rerun.name) {
+        dbio::log_experiment(db, &rerun)?;
     }
     Ok(true)
 }
@@ -518,6 +507,7 @@ pub fn fsck_all(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logging::{StateSnapshot, TerminationCause, Validity};
     use crate::vfs::RealFs;
 
     fn temp_dir(name: &str) -> PathBuf {

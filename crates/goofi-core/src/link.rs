@@ -442,111 +442,41 @@ impl<T: TargetAccess> TargetAccess for VerifiedTarget<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::WorkloadImage;
-    use crate::target::{RunBudget, RunEvent};
-    use crate::trigger::Trigger;
-    use scanchain::{CellAccess, ChainLayout, ScanError};
+    use crate::framework::SimTarget;
+    use scanchain::ScanError;
 
-    /// A minimal in-memory target: 64 words of RAM and one scan chain with
-    /// a writable register and a read-only counter cell.
-    struct MemTarget {
-        memory: Vec<u32>,
-        chain: BitVec,
-        layout: ChainLayout,
+    /// [`SimTarget`] counting the card initialisations a recovering
+    /// link makes.
+    struct CountingInits {
+        sim: SimTarget,
         inits: u32,
     }
 
-    impl MemTarget {
-        fn new() -> Self {
-            let layout = ChainLayout::builder("regs")
-                .cell("R0", 8, CellAccess::ReadWrite)
-                .cell("CNT", 4, CellAccess::ReadOnly)
-                .build();
-            MemTarget {
-                memory: vec![0; 64],
-                chain: BitVec::zeros(12),
-                layout,
-                inits: 0,
-            }
+    impl TargetAccess for CountingInits {
+        pass_through! { sim:
+            target_name, load_workload, reset_target, write_memory, read_memory,
+            flip_memory_bit, memory_size, set_breakpoint, clear_breakpoints, run_workload,
+            step_instruction, chain_layouts, read_scan_chain, write_scan_chain,
+            write_input_ports, read_output_ports, instructions_executed, cycles_executed,
+            iterations_completed, step_traced, power_cycle, snapshot, restore,
+            supports_snapshot, prefix_restore_safe,
         }
-    }
 
-    impl TargetAccess for MemTarget {
-        fn target_name(&self) -> &str {
-            "mem"
-        }
         fn init_test_card(&mut self) -> Result<()> {
             self.inits += 1;
-            Ok(())
-        }
-        fn load_workload(&mut self, _image: &WorkloadImage) -> Result<()> {
-            Ok(())
-        }
-        fn reset_target(&mut self) -> Result<()> {
-            Ok(())
-        }
-        fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
-            let a = addr as usize;
-            self.memory[a..a + data.len()].copy_from_slice(data);
-            Ok(())
-        }
-        fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
-            let a = addr as usize;
-            Ok(self.memory[a..a + len].to_vec())
-        }
-        fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> Result<()> {
-            self.memory[addr as usize] ^= 1u32 << u32::from(bit);
-            Ok(())
-        }
-        fn memory_size(&self) -> u32 {
-            64
-        }
-        fn set_breakpoint(&mut self, _trigger: Trigger) -> Result<()> {
-            Ok(())
-        }
-        fn clear_breakpoints(&mut self) -> Result<()> {
-            Ok(())
-        }
-        fn run_workload(&mut self, _budget: RunBudget) -> Result<RunEvent> {
-            Ok(RunEvent::Halted)
-        }
-        fn step_instruction(&mut self) -> Result<Option<RunEvent>> {
-            Ok(Some(RunEvent::Halted))
-        }
-        fn chain_layouts(&self) -> Vec<ChainLayout> {
-            vec![self.layout.clone()]
-        }
-        fn read_scan_chain(&mut self, _chain: &str) -> Result<BitVec> {
-            Ok(self.chain.clone())
-        }
-        fn write_scan_chain(&mut self, _chain: &str, bits: &BitVec) -> Result<()> {
-            // Masked update: only writable cells take the shifted value.
-            let masked = self.layout.masked_update(&self.chain, bits)?;
-            self.chain = masked;
-            Ok(())
-        }
-        fn write_input_ports(&mut self, _inputs: &[u32]) -> Result<()> {
-            Ok(())
-        }
-        fn read_output_ports(&mut self) -> Result<Vec<u32>> {
-            Ok(vec![self.memory[0]])
-        }
-        fn instructions_executed(&self) -> u64 {
-            0
-        }
-        fn cycles_executed(&self) -> u64 {
-            0
-        }
-        fn iterations_completed(&self) -> u64 {
-            0
-        }
-        fn step_traced(&mut self) -> Result<(Option<RunEvent>, crate::preinject::StepAccess)> {
-            Err(GoofiError::Unimplemented("step_traced"))
+            self.sim.init_test_card()
         }
     }
 
-    fn lossy(rate_cfg: LinkFaultConfig) -> UnreliableTarget<MemTarget> {
-        UnreliableTarget::new(MemTarget::new(), rate_cfg)
+    fn sim() -> CountingInits {
+        CountingInits {
+            sim: SimTarget::new(),
+            inits: 0,
+        }
+    }
+
+    fn lossy(rate_cfg: LinkFaultConfig) -> UnreliableTarget<CountingInits> {
+        UnreliableTarget::new(sim(), rate_cfg)
     }
 
     #[test]
@@ -592,7 +522,7 @@ mod tests {
             ..Default::default()
         });
         assert!(matches!(
-            t.read_scan_chain("regs"),
+            t.read_scan_chain("internal"),
             Err(GoofiError::Scan(ScanError::ShiftStall { .. }))
         ));
         let mut t = lossy(LinkFaultConfig {
@@ -608,18 +538,18 @@ mod tests {
 
     #[test]
     fn verified_target_is_transparent_on_a_clean_link() {
-        let mut t = VerifiedTarget::new(MemTarget::new());
+        let mut t = VerifiedTarget::new(sim());
         t.write_memory(1, &[7, 8]).unwrap();
         assert_eq!(t.read_memory(1, 2).unwrap(), vec![7, 8]);
         t.flip_memory_bit(1, 1).unwrap();
         assert_eq!(t.read_memory(1, 1).unwrap(), vec![5]);
         let mut bits = BitVec::zeros(12);
         t.chain_layouts()[0]
-            .write_cell(&mut bits, "R0", 0xA5)
+            .write_cell(&mut bits, "A", 0xA5)
             .unwrap();
-        t.write_scan_chain("regs", &bits).unwrap();
-        let back = t.read_scan_chain("regs").unwrap();
-        assert_eq!(t.chain_layouts()[0].read_cell(&back, "R0").unwrap(), 0xA5);
+        t.write_scan_chain("internal", &bits).unwrap();
+        let back = t.read_scan_chain("internal").unwrap();
+        assert_eq!(t.chain_layouts()[0].read_cell(&back, "A").unwrap(), 0xA5);
         assert_eq!(t.stats(), LinkEventStats::default());
     }
 
@@ -698,19 +628,19 @@ mod tests {
 
     #[test]
     fn verified_scan_write_checks_only_writable_cells() {
-        // The read-only CNT cell never takes shifted values; a verified
+        // The read-only S cell never takes shifted values; a verified
         // write must not loop forever trying to make it match.
-        let mut t = VerifiedTarget::new(MemTarget::new());
-        let mut bits = BitVec::ones(12); // asks CNT to become 0xF too
+        let mut t = VerifiedTarget::new(sim());
+        let mut bits = BitVec::ones(12); // asks S to become 0xF too
         t.chain_layouts()[0]
-            .write_cell(&mut bits, "R0", 0x3C)
+            .write_cell(&mut bits, "A", 0x3C)
             .unwrap();
-        t.write_scan_chain("regs", &bits).unwrap();
-        let back = t.read_scan_chain("regs").unwrap();
+        t.write_scan_chain("internal", &bits).unwrap();
+        let back = t.read_scan_chain("internal").unwrap();
         let layout = &t.chain_layouts()[0];
-        assert_eq!(layout.read_cell(&back, "R0").unwrap(), 0x3C);
+        assert_eq!(layout.read_cell(&back, "A").unwrap(), 0x3C);
         assert_eq!(
-            layout.read_cell(&back, "CNT").unwrap(),
+            layout.read_cell(&back, "S").unwrap(),
             0,
             "RO cell untouched"
         );

@@ -343,6 +343,33 @@ impl ExperimentRecord {
     pub fn is_reference(&self) -> bool {
         self.fault.is_none()
     }
+
+    /// The records that document a lost experiment, one whose run no
+    /// longer exists: an invalid `TargetHang` record named `name` and its
+    /// invalid `parentExperiment`-linked `…/rerun1` child (the paper's
+    /// §2.3 re-run hook), both with an empty state and no trace. A
+    /// poisoned service shard writes them for every experiment it still
+    /// owed, and `fsck --repair` for every row a garbled database lost.
+    pub fn lost_stubs(
+        campaign: &str,
+        name: &str,
+        fault: Option<crate::fault::FaultSpec>,
+    ) -> [ExperimentRecord; 2] {
+        let stub = |name: String, parent: Option<String>| ExperimentRecord {
+            name,
+            parent,
+            campaign: campaign.to_string(),
+            fault: fault.clone(),
+            termination: TerminationCause::TargetHang,
+            state: StateSnapshot::default(),
+            trace: Vec::new(),
+            validity: Validity::Invalid,
+        };
+        [
+            stub(name.to_string(), None),
+            stub(format!("{name}/rerun1"), Some(name.to_string())),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ use crate::campaign::Campaign;
 use crate::dbio;
 use crate::golden;
 use crate::journal::{self, ExperimentJournal, JournalState};
-use crate::logging::{ExperimentRecord, StateSnapshot, TerminationCause, Validity};
+use crate::logging::ExperimentRecord;
 use crate::policy::Backoff;
 use crate::vfs::{self, Vfs, VfsHandle};
 use crate::{GoofiError, Result};
@@ -970,19 +970,9 @@ fn poison_shard(
         if state.completed.contains_key(&index) {
             continue;
         }
-        let original = campaign.experiment_name(index);
-        let stub = |name: String, parent: Option<String>| ExperimentRecord {
-            name,
-            parent,
-            campaign: campaign.name.clone(),
-            fault: campaign.faults.get(index).cloned(),
-            termination: TerminationCause::TargetHang,
-            state: StateSnapshot::default(),
-            trace: Vec::new(),
-            validity: Validity::Invalid,
-        };
-        let rerun = stub(format!("{original}/rerun1"), Some(original.clone()));
-        for record in [stub(original, None), rerun] {
+        let name = campaign.experiment_name(index);
+        let fault = campaign.faults.get(index).cloned();
+        for record in ExperimentRecord::lost_stubs(&campaign.name, &name, fault) {
             journal.append_record(Some(index), &record)?;
             state.apply_record(index, record);
             stubs += 1;

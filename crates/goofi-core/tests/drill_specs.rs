@@ -9,15 +9,18 @@
 //! (tests, README, DESIGN.md, the CLI usage text, the CLI suites) to the
 //! configuration it decodes to.
 
+mod oracle;
+
 use goofi_core::service::chaos::ChaosConfig;
 use goofi_core::service::net::{
     encode_frame, FaultInjector, FaultWriter, FrameSink, NetFaultConfig, NetFaultKind, OpClass,
 };
 use goofi_core::vfs::{atomic_write, FaultFs, FaultKind, FaultPlan, Vfs};
+use oracle::temp_dir;
 use proptest::prelude::*;
 use scanchain::{plan, LinkFaultConfig, LinkFaultModel, RecoveryDepth, WedgeConfig, WedgeModel};
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// FNV-1a over the text.
 fn digest(text: &str) -> u64 {
@@ -178,18 +181,6 @@ fn chaos_kill_points_are_pinned() {
     );
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "goofi-drill-specs-{}-{}-{name}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// A journal append-and-sync sequence, an atomic database write and one
 /// more append: the persistence shapes the durability suite walks.
 fn fs_script(vfs: &dyn Vfs, dir: &Path) -> io::Result<()> {
@@ -208,14 +199,14 @@ fn fs_script(vfs: &dyn Vfs, dir: &Path) -> io::Result<()> {
 #[test]
 fn fault_fs_torn_and_garbled_walk_is_pinned() {
     let counting = FaultFs::counting();
-    let dir = scratch_dir("count");
+    let dir = temp_dir("count");
     fs_script(&counting, &dir).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     let mut survivors = Vec::new();
     for kind in [FaultKind::Torn, FaultKind::Garble] {
         for seed in [7, 99] {
             for at in 1..=counting.ops() {
-                let dir = scratch_dir("walk");
+                let dir = temp_dir("walk");
                 let _ = fs_script(&FaultFs::new(FaultPlan { at, kind, seed }), &dir);
                 let mut files: Vec<_> = std::fs::read_dir(&dir)
                     .unwrap()

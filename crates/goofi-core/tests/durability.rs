@@ -20,14 +20,12 @@
 //! bit-flipped journal tails and spool manifests.
 
 use envsim::Environment;
-use goofi_core::algorithms;
-use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
+use goofi_core::campaign::Campaign;
 use goofi_core::dbio;
-use goofi_core::fault::{FaultLocation, FaultSpec};
+use goofi_core::fault::FaultLocation;
 use goofi_core::framework::SimTarget;
 use goofi_core::fsck::{self, CorruptionClass};
 use goofi_core::journal;
-use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::policy::{ExperimentPolicy, WatchdogBudget};
 use goofi_core::runner;
@@ -36,112 +34,17 @@ use goofi_core::vfs::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs};
 use goofi_core::GoofiError;
 use proptest::prelude::*;
 use scanchain::WedgeConfig;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+mod oracle;
 mod recorder;
+use oracle::{assert_essence_equal, config, make_db, serial_records, sim_campaign, temp_dir};
 use recorder::Recorder;
 
 const CAMPAIGN: &str = "torture";
-
-fn temp_dir(name: &str) -> PathBuf {
-    // Unique per call: the tests of one binary share a pid and run on
-    // parallel threads, so the pid alone does not keep their dirs apart.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "goofi-durability-{}-{}-{name}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn sim_campaign(name: &str, faults: usize) -> Campaign {
-    Campaign::builder(name)
-        .workload(WorkloadImage {
-            name: "sim-wl".into(),
-            words: vec![60],
-            code_words: 1,
-            entry: 0,
-        })
-        .observe_chains(["internal"])
-        .output(OutputRegion::Ports)
-        .termination(Termination {
-            max_instructions: 1_000,
-            max_iterations: None,
-        })
-        .faults(
-            (0..faults)
-                .map(|i| {
-                    FaultSpec::single(
-                        FaultLocation::ScanCell {
-                            chain: "internal".into(),
-                            cell: "A".into(),
-                            bit: i % 8,
-                        },
-                        goofi_core::trigger::Trigger::AfterInstructions(5 + i as u64),
-                    )
-                })
-                .collect::<Vec<_>>(),
-        )
-        .build()
-        .unwrap()
-}
-
-/// The serial in-process ground truth over the same simulated target.
-fn serial_records(campaign: &Campaign) -> Vec<ExperimentRecord> {
-    let mut target = SimTarget::new();
-    let monitor = ProgressMonitor::new(campaign.experiment_count());
-    algorithms::run_campaign(
-        &mut target,
-        campaign,
-        &monitor,
-        &mut envsim::NullEnvironment,
-    )
-    .unwrap()
-    .records
-}
-
-/// The part of a record a crash must not change.
-fn essence(r: &ExperimentRecord) -> (Option<&FaultSpec>, &TerminationCause, String, Validity) {
-    (
-        r.fault.as_ref(),
-        &r.termination,
-        r.state.encode(),
-        r.validity,
-    )
-}
-
-/// Asserts the database's records for `campaign` are essence-equal to
-/// `want`: every serial record present exactly once with the same outcome.
-fn assert_essence_equal(db_path: &Path, campaign: &str, want: &[ExperimentRecord]) {
-    let db = dbio::load_database(&RealFs, db_path).unwrap();
-    let got = dbio::load_experiments(&db, campaign).unwrap();
-    let by_name: BTreeMap<&str, &ExperimentRecord> =
-        got.iter().map(|r| (r.name.as_str(), r)).collect();
-    assert_eq!(
-        got.len(),
-        by_name.len(),
-        "duplicate experiments after recovery"
-    );
-    for record in want {
-        let merged = by_name
-            .get(record.name.as_str())
-            .unwrap_or_else(|| panic!("experiment `{}` missing after recovery", record.name));
-        assert_eq!(
-            essence(merged),
-            essence(record),
-            "experiment `{}` diverged from the uninterrupted run",
-            record.name
-        );
-    }
-}
 
 /// One full persistence cycle over `vfs`: a journaled (resuming) run, then
 /// merge the journal into the database file with an atomic checksummed
@@ -261,7 +164,7 @@ fn crash_walk(kind: FaultKind, experiments: usize) {
             .unwrap_or_else(|e| panic!("resume failed at op {at} ({kind:?}): {e}"));
 
         // Phase 5: nothing was lost, nothing was duplicated.
-        assert_essence_equal(&db, CAMPAIGN, &want);
+        assert_essence_equal(&db, CAMPAIGN, &want, &format!("{kind:?} at op {at}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -529,7 +432,7 @@ fn transient_disk_errors_surface_as_io_and_retry_completes() {
                     panic!("op {at} {kind:?}: expected GoofiError::Io, got: {other}")
                 }
             }
-            assert_essence_equal(&db, CAMPAIGN, &want);
+            assert_essence_equal(&db, CAMPAIGN, &want, &format!("{kind:?} at op {at}"));
         }
         assert!(
             surfaced > 0,
@@ -673,16 +576,12 @@ fn fsck_detects_and_repairs_every_corruption_class() {
 /// the intact job resumes and completes.
 #[test]
 fn recover_quarantines_damaged_spool_jobs_and_resumes_intact_ones() {
-    use goofi_core::service::{JobState, Scheduler, ServiceConfig, WorkerCommand};
+    use goofi_core::service::{JobState, Scheduler};
 
     let dir = temp_dir("recover");
     let campaign = sim_campaign("torture-spool", 6);
     let want = serial_records(&campaign);
-    let db = dir.join("campaigns.gdb");
-    let mut dbo = goofidb::Database::new();
-    dbio::init_schema(&mut dbo).unwrap();
-    dbio::store_campaign(&mut dbo, &campaign).unwrap();
-    dbio::save_database(&RealFs, &db, &dbo).unwrap();
+    let db = make_db(&dir, &campaign);
 
     // A spool as a killed daemon leaves it: one intact in-flight job, one
     // whose manifest a crash destroyed.
@@ -698,16 +597,7 @@ fn recover_quarantines_damaged_spool_jobs_and_resumes_intact_ones() {
     std::fs::create_dir_all(&bad).unwrap();
     std::fs::write(bad.join("manifest"), "\u{1}\u{2}garbage").unwrap();
 
-    let mut cfg = ServiceConfig::new(
-        &db,
-        WorkerCommand {
-            program: PathBuf::from(env!("CARGO_BIN_EXE_goofi-mock-worker")),
-            args: Vec::new(),
-        },
-    );
-    cfg.default_workers = 2;
-    cfg.lease = std::time::Duration::from_secs(5);
-    let scheduler = Scheduler::new(cfg).unwrap();
+    let scheduler = Scheduler::new(config(&db, 2)).unwrap();
     let recovered = scheduler.recover().unwrap();
     assert_eq!(recovered.resumed, vec!["job-1".to_string()]);
     assert_eq!(recovered.quarantined, vec!["job-2".to_string()]);
@@ -719,20 +609,12 @@ fn recover_quarantines_damaged_spool_jobs_and_resumes_intact_ones() {
 
     let done = scheduler.watch("job-1").unwrap().wait();
     assert_eq!(done.state, JobState::Done, "{}", done.detail);
-    assert_essence_equal(&db, "torture-spool", &want);
+    assert_essence_equal(&db, "torture-spool", &want, "recovered spool");
     scheduler.shutdown();
 
     // A second daemon generation skips the quarantined directory forever.
     let recovered2 = {
-        let mut cfg = ServiceConfig::new(
-            &db,
-            WorkerCommand {
-                program: PathBuf::from(env!("CARGO_BIN_EXE_goofi-mock-worker")),
-                args: Vec::new(),
-            },
-        );
-        cfg.default_workers = 2;
-        let scheduler2 = Scheduler::new(cfg).unwrap();
+        let scheduler2 = Scheduler::new(config(&db, 2)).unwrap();
         let outcome = scheduler2.recover().unwrap();
         scheduler2.shutdown();
         outcome

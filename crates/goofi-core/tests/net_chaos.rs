@@ -13,22 +13,15 @@
 //! the walk then replays the campaign with a single deterministic fault
 //! planted across that op range, for every fault kind.
 
-use goofi_core::algorithms;
-use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
-use goofi_core::dbio;
-use goofi_core::fault::{FaultLocation, FaultSpec};
-use goofi_core::framework::SimTarget;
-use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
-use goofi_core::monitor::ProgressMonitor;
+mod oracle;
+
 use goofi_core::policy::Backoff;
 use goofi_core::service::{
     self, serve, Client, FaultNet, JobState, NetFaultConfig, NetFaultKind, RealNet, Request,
-    Response, Scheduler, ServiceConfig, Transport, WorkerCommand,
+    Response, Scheduler, ServiceConfig, Transport,
 };
-use goofi_core::trigger::Trigger;
-use goofi_core::vfs::RealFs;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use oracle::{assert_essence_equal, make_db, serial_records, sim_campaign, temp_dir};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,122 +34,13 @@ const SHARDS: usize = 2;
 /// quick retry instead of a production-sized timeout.
 const ACK_TIMEOUT: Duration = Duration::from_millis(1500);
 
-fn temp_dir(name: &str) -> PathBuf {
-    // Unique per call: the tests of one binary share a pid and run on
-    // parallel threads, so the pid alone does not keep their dirs apart.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "goofi-netchaos-{}-{}-{name}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn sim_campaign(name: &str, faults: usize) -> Campaign {
-    Campaign::builder(name)
-        .workload(WorkloadImage {
-            name: "sim-wl".into(),
-            words: vec![60],
-            code_words: 1,
-            entry: 0,
-        })
-        .observe_chains(["internal"])
-        .output(OutputRegion::Ports)
-        .termination(Termination {
-            max_instructions: 1_000,
-            max_iterations: None,
-        })
-        .faults(
-            (0..faults)
-                .map(|i| {
-                    FaultSpec::single(
-                        FaultLocation::ScanCell {
-                            chain: "internal".into(),
-                            cell: "A".into(),
-                            bit: i % 8,
-                        },
-                        Trigger::AfterInstructions(5 + i as u64),
-                    )
-                })
-                .collect::<Vec<_>>(),
-        )
-        .build()
-        .unwrap()
-}
-
-fn make_db(dir: &Path, campaign: &Campaign) -> PathBuf {
-    let path = dir.join("campaigns.gdb");
-    let mut db = goofidb::Database::new();
-    dbio::init_schema(&mut db).unwrap();
-    dbio::store_campaign(&mut db, campaign).unwrap();
-    dbio::save_database(&RealFs, &path, &db).unwrap();
-    path
-}
-
-/// The serial in-process ground truth over the same simulated target.
-fn serial_records(campaign: &Campaign) -> Vec<ExperimentRecord> {
-    let mut target = SimTarget::new();
-    let monitor = ProgressMonitor::new(campaign.experiment_count());
-    algorithms::run_campaign(
-        &mut target,
-        campaign,
-        &monitor,
-        &mut envsim::NullEnvironment,
-    )
-    .unwrap()
-    .records
-}
-
-fn essence(r: &ExperimentRecord) -> (Option<&FaultSpec>, &TerminationCause, String, Validity) {
-    (
-        r.fault.as_ref(),
-        &r.termination,
-        r.state.encode(),
-        r.validity,
-    )
-}
-
-fn mock_worker_cmd() -> WorkerCommand {
-    WorkerCommand {
-        program: PathBuf::from(env!("CARGO_BIN_EXE_goofi-mock-worker")),
-        args: Vec::new(),
-    }
-}
-
+/// The oracle's service, with a short lease and a fast backoff: a walk
+/// runs many campaigns back to back.
 fn config(db: &Path, workers: usize) -> ServiceConfig {
-    let mut cfg = ServiceConfig::new(db, mock_worker_cmd());
-    cfg.default_workers = workers;
+    let mut cfg = oracle::config(db, workers);
     cfg.lease = Duration::from_secs(2);
     cfg.backoff = Backoff::exponential(5, 50);
     cfg
-}
-
-fn assert_essence_equal(db_path: &Path, campaign: &str, want: &[ExperimentRecord], tag: &str) {
-    let text = std::fs::read_to_string(db_path).unwrap();
-    let db = goofidb::Database::load_from_string(&text).unwrap();
-    let got = dbio::load_experiments(&db, campaign).unwrap();
-    let by_name: BTreeMap<&str, &ExperimentRecord> =
-        got.iter().map(|r| (r.name.as_str(), r)).collect();
-    assert_eq!(
-        got.len(),
-        by_name.len(),
-        "[{tag}] merged database must not hold duplicate experiments"
-    );
-    for record in want {
-        let merged = by_name
-            .get(record.name.as_str())
-            .unwrap_or_else(|| panic!("[{tag}] experiment `{}` missing after merge", record.name));
-        assert_eq!(
-            essence(merged),
-            essence(record),
-            "[{tag}] experiment `{}` diverged from the serial run",
-            record.name
-        );
-    }
 }
 
 /// A daemon serving over `transport`, stopped via the shared flag.

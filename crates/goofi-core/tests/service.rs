@@ -7,116 +7,17 @@
 //! *essence-equal* to a serial in-process run of the same campaign —
 //! same records, same faults, same terminations, same end states.
 
+mod oracle;
 mod recorder;
 
-use goofi_core::algorithms;
-use goofi_core::campaign::{Campaign, OutputRegion, Termination, WorkloadImage};
 use goofi_core::dbio;
-use goofi_core::fault::{FaultLocation, FaultSpec};
-use goofi_core::framework::SimTarget;
-use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
-use goofi_core::monitor::ProgressMonitor;
-use goofi_core::service::{ChaosConfig, JobState, Scheduler, ServiceConfig, WorkerCommand};
-use goofi_core::trigger::Trigger;
+use goofi_core::logging::{TerminationCause, Validity};
+use goofi_core::service::{ChaosConfig, JobState, Scheduler};
 use goofi_core::vfs::RealFs;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use oracle::{
+    assert_essence_equal, config, make_db, mock_worker_cmd, serial_records, sim_campaign, temp_dir,
+};
 use std::time::Duration;
-
-fn temp_dir(name: &str) -> PathBuf {
-    // Unique per call: the tests of one binary share a pid and run on
-    // parallel threads, so the pid alone does not keep their dirs apart.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "goofi-service-{}-{}-{name}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn sim_campaign(name: &str, faults: usize) -> Campaign {
-    Campaign::builder(name)
-        .workload(WorkloadImage {
-            name: "sim-wl".into(),
-            words: vec![60],
-            code_words: 1,
-            entry: 0,
-        })
-        .observe_chains(["internal"])
-        .output(OutputRegion::Ports)
-        .termination(Termination {
-            max_instructions: 1_000,
-            max_iterations: None,
-        })
-        .faults(
-            (0..faults)
-                .map(|i| {
-                    FaultSpec::single(
-                        FaultLocation::ScanCell {
-                            chain: "internal".into(),
-                            cell: "A".into(),
-                            bit: i % 8,
-                        },
-                        Trigger::AfterInstructions(5 + i as u64),
-                    )
-                })
-                .collect::<Vec<_>>(),
-        )
-        .build()
-        .unwrap()
-}
-
-/// Stores `campaign` in a fresh database file and returns its path.
-fn make_db(dir: &Path, campaign: &Campaign) -> PathBuf {
-    let path = dir.join("campaigns.gdb");
-    let mut db = goofidb::Database::new();
-    dbio::init_schema(&mut db).unwrap();
-    dbio::store_campaign(&mut db, campaign).unwrap();
-    dbio::save_database(&RealFs, &path, &db).unwrap();
-    path
-}
-
-/// The serial in-process ground truth over the same simulated target.
-fn serial_records(campaign: &Campaign) -> Vec<ExperimentRecord> {
-    let mut target = SimTarget::new();
-    let monitor = ProgressMonitor::new(campaign.experiment_count());
-    algorithms::run_campaign(
-        &mut target,
-        campaign,
-        &monitor,
-        &mut envsim::NullEnvironment,
-    )
-    .unwrap()
-    .records
-}
-
-/// The part of a record sharding must preserve.
-fn essence(r: &ExperimentRecord) -> (Option<&FaultSpec>, &TerminationCause, String, Validity) {
-    (
-        r.fault.as_ref(),
-        &r.termination,
-        r.state.encode(),
-        r.validity,
-    )
-}
-
-fn mock_worker_cmd() -> WorkerCommand {
-    WorkerCommand {
-        program: PathBuf::from(env!("CARGO_BIN_EXE_goofi-mock-worker")),
-        args: Vec::new(),
-    }
-}
-
-fn config(db: &Path, workers: usize) -> ServiceConfig {
-    let mut cfg = ServiceConfig::new(db, mock_worker_cmd());
-    cfg.default_workers = workers;
-    cfg.lease = Duration::from_secs(5);
-    cfg
-}
 
 /// Submits the campaign, waits for the job, and asserts it completed.
 fn run_job(scheduler: &Scheduler, campaign: &str, workers: usize) -> String {
@@ -131,32 +32,6 @@ fn run_job(scheduler: &Scheduler, campaign: &str, workers: usize) -> String {
     job
 }
 
-/// Asserts the database's experiment records for `campaign` are
-/// essence-equal to `want` (same names, same outcomes).
-fn assert_essence_equal(db_path: &Path, campaign: &str, want: &[ExperimentRecord]) {
-    let text = std::fs::read_to_string(db_path).unwrap();
-    let db = goofidb::Database::load_from_string(&text).unwrap();
-    let got = dbio::load_experiments(&db, campaign).unwrap();
-    let by_name: BTreeMap<&str, &ExperimentRecord> =
-        got.iter().map(|r| (r.name.as_str(), r)).collect();
-    assert_eq!(
-        got.len(),
-        by_name.len(),
-        "merged database must not hold duplicate experiments"
-    );
-    for record in want {
-        let merged = by_name
-            .get(record.name.as_str())
-            .unwrap_or_else(|| panic!("experiment `{}` missing after merge", record.name));
-        assert_eq!(
-            essence(merged),
-            essence(record),
-            "experiment `{}` diverged from the serial run",
-            record.name
-        );
-    }
-}
-
 /// A job's fixed cost follows the job, not the database's history: the
 /// daemon reads the database once at submit and once to merge (the
 /// runner reuses submit's campaign), and each shard journal once (the
@@ -168,12 +43,12 @@ fn a_job_reads_the_database_twice_and_each_shard_journal_once() {
     let db = make_db(&dir, &campaign);
     let want = serial_records(&campaign);
 
-    let recorder = recorder::Recorder::new(goofi_core::vfs::RealFs);
+    let recorder = recorder::Recorder::new(RealFs);
     let mut cfg = config(&db, 2);
     cfg.vfs = std::sync::Arc::new(recorder.clone());
     let scheduler = Scheduler::new(cfg).unwrap();
     let job = run_job(&scheduler, "svc-reads", 2);
-    assert_essence_equal(&db, "svc-reads", &want);
+    assert_essence_equal(&db, "svc-reads", &want, "recorded job");
 
     assert_eq!(recorder.reads(&db), 2, "database reads: submit and merge");
     let spool = dir.join("campaigns.gdb.spool").join(&job);
@@ -280,7 +155,7 @@ fn sharded_job_merges_to_serial_essence() {
         .join("done")
         .exists());
 
-    assert_essence_equal(&db, "svc-happy", &want);
+    assert_essence_equal(&db, "svc-happy", &want, "sharded job");
     scheduler.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -303,7 +178,7 @@ fn chaos_killed_workers_are_reassigned_and_the_job_completes() {
     // Both shards were struck (attempt 1 always dies), so both journals
     // were written across at least two leases — yet the merged database is
     // still essence-equal to the serial run, with no duplicates.
-    assert_essence_equal(&db, "svc-chaos", &want);
+    assert_essence_equal(&db, "svc-chaos", &want, "chaos-killed workers");
     let progress = scheduler.watch(&job).unwrap().current();
     assert_eq!(progress.completed, 10);
     assert_eq!(progress.shards_poisoned, 0);
@@ -359,7 +234,7 @@ fn killed_daemon_resumes_in_flight_jobs_from_the_spool() {
     assert_eq!(done.state, JobState::Done, "{}", done.detail);
     assert_eq!(done.completed, 8);
 
-    assert_essence_equal(&db, "svc-resume", &want);
+    assert_essence_equal(&db, "svc-resume", &want, "resumed daemon");
     scheduler2.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -389,8 +264,7 @@ fn poison_shard_is_quarantined_with_parent_linked_rerun_stubs() {
     // Every lost experiment is documented in the merged database: an
     // invalid original plus an invalid `parentExperiment`-linked rerun
     // stub, the paper's §2.3 re-run hook.
-    let text = std::fs::read_to_string(&db).unwrap();
-    let parsed = goofidb::Database::load_from_string(&text).unwrap();
+    let parsed = dbio::load_database(&RealFs, &db).unwrap();
     let records = dbio::load_experiments(&parsed, "svc-poison").unwrap();
     for i in 0..6 {
         let name = campaign.experiment_name(i);
@@ -439,7 +313,7 @@ fn a_finished_job_leaves_only_its_manifest_and_done_marker() {
     // The runner removes the journals after reporting done; joining it
     // waits for that.
     scheduler.shutdown();
-    assert_essence_equal(&db, "svc-cleanup", &want);
+    assert_essence_equal(&db, "svc-cleanup", &want, "finished job");
     assert_eq!(listing(&job), ["done", "manifest"]);
 
     // What a crash between `done` and the cleanup leaves, beside a
@@ -551,7 +425,7 @@ fn serve_and_client_speak_the_wire_protocol_end_to_end() {
         saw_done,
         "watch stream must end with a terminal progress line"
     );
-    assert_essence_equal(&db, "svc-wire", &want);
+    assert_essence_equal(&db, "svc-wire", &want, "wire submit");
 
     // Status lists the finished job.
     let mut status = Client::connect(&addr).unwrap();

@@ -5,7 +5,6 @@
 
 use goofi_core::algorithms;
 use goofi_core::campaign::{Campaign, WorkloadImage};
-use goofi_core::fault::FaultSpec;
 use goofi_core::journal::ExperimentJournal;
 use goofi_core::logging::{ExperimentRecord, TerminationCause, Validity};
 use goofi_core::monitor::ProgressMonitor;
@@ -18,7 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+mod oracle;
 mod scripted;
+use oracle::essence;
 use scripted::{run_serial, temp_path, Scripted};
 
 /// A one-shot gate between the loops of a parallel run.
@@ -132,17 +133,6 @@ fn first_wedged_op(cfg: WedgeConfig) -> Option<u64> {
         }
     }
     None
-}
-
-/// The part of a record supervision must preserve: everything except the
-/// (intentionally different) re-run name and parent link.
-fn essence(r: &ExperimentRecord) -> (Option<&FaultSpec>, &TerminationCause, String, Validity) {
-    (
-        r.fault.as_ref(),
-        &r.termination,
-        r.state.encode(),
-        r.validity,
-    )
 }
 
 #[test]

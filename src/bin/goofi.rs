@@ -16,7 +16,7 @@
 
 use goofi::analysis::{queries, report};
 use goofi::core::algorithms;
-use goofi::core::campaign::{Campaign, OutputRegion, TargetSystemData, Technique, Termination};
+use goofi::core::campaign::{Campaign, TargetSystemData, Technique, Termination};
 use goofi::core::journal::ExperimentJournal;
 use goofi::core::link::{UnreliableTarget, VerifiedTarget};
 use goofi::core::logging::LoggingMode;
@@ -327,55 +327,20 @@ fn policy_from_flags(flags: &HashMap<String, String>) -> Result<ExperimentPolicy
     Ok(policy.with_watchdog(watchdog))
 }
 
-/// Applies the `--health-check-every` override to a loaded campaign, so
-/// supervision can be switched on (or its cadence changed) at run time
-/// without re-creating the campaign.
-fn apply_health_check_override(
-    campaign: &mut Campaign,
+/// Parses an optional count that must be at least 1: `run`'s and
+/// `resume`'s `--workers`, and `serve`'s `--workers`, `--lease-ms` and
+/// `--poison-after`. A 0 is refused before anything is loaded, bound or
+/// written.
+fn positive_flag<N: std::str::FromStr + Default + PartialEq>(
     flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    if let Some(v) = flags.get("health-check-every") {
-        campaign.policy = campaign
-            .policy
-            .with_health_check(v.parse().map_err(|_| "bad --health-check-every")?);
-    }
-    Ok(())
-}
-
-/// Parses the `--workers N` loop count shared by `run` and `resume`: one
-/// loop when absent, and at least one, refused before anything is loaded
-/// or written.
-fn workers_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
-    match flags.get("workers").map(|v| v.parse::<usize>()) {
-        None => Ok(1),
-        Some(Ok(0)) => Err("`--workers` must be at least 1".into()),
-        Some(Ok(workers)) => Ok(workers),
-        Some(Err(_)) => Err("bad --workers".into()),
-    }
-}
-
-/// Parses the `--wedge` target-misbehaviour spec shared by `run` and
-/// `resume` (see [`WedgeConfig::decode`] for the `key=value` grammar).
-fn wedge_flag(flags: &HashMap<String, String>) -> Result<Option<WedgeConfig>, String> {
-    match flags.get("wedge") {
-        Some(spec) => Ok(Some(
-            WedgeConfig::decode(spec).ok_or_else(|| format!("bad --wedge spec `{spec}`"))?,
-        )),
+    name: &str,
+) -> Result<Option<N>, String> {
+    match flags.get(name).map(|v| v.parse::<N>()) {
         None => Ok(None),
+        Some(Ok(n)) if n == N::default() => Err(format!("`--{name}` must be at least 1")),
+        Some(Ok(n)) => Ok(Some(n)),
+        Some(Err(_)) => Err(format!("bad --{name}")),
     }
-}
-
-/// Parses the `--link-faults`/`--verify-reads` transport flags shared by
-/// `run` and `resume`.
-fn link_flags(flags: &HashMap<String, String>) -> Result<(Option<LinkFaultConfig>, bool), String> {
-    let link = match flags.get("link-faults") {
-        Some(spec) => Some(
-            LinkFaultConfig::decode(spec)
-                .ok_or_else(|| format!("bad --link-faults spec `{spec}`"))?,
-        ),
-        None => None,
-    };
-    Ok((link, flags.contains_key("verify-reads")))
 }
 
 /// Builds the run's telemetry from the `--trace`/`--metrics` flags shared
@@ -499,31 +464,21 @@ fn decorate_target(
 /// Stores whatever a failed campaign completed before erroring out, so an
 /// aborted run never throws away finished experiments.
 fn salvage_partial(db: &mut Database, db_path: &str, err: GoofiError) -> String {
-    match err {
-        GoofiError::ExperimentFailed { failure, partial } => {
-            let salvaged = partial.records.len();
-            let stored = dbio::store_result(db, &partial)
-                .map_err(|e| e.to_string())
-                .and_then(|()| save_db(db_path, db));
-            match stored {
-                Ok(()) => {
-                    format!("{failure}; salvaged {salvaged} completed record(s) to {db_path}")
-                }
-                Err(e) => format!("{failure}; salvaging partial results also failed: {e}"),
-            }
-        }
-        GoofiError::TargetOffline { context, partial } => {
-            let salvaged = partial.records.len();
-            let what = format!("target offline: recovery ladder exhausted during {context}");
-            let stored = dbio::store_result(db, &partial)
-                .map_err(|e| e.to_string())
-                .and_then(|()| save_db(db_path, db));
-            match stored {
-                Ok(()) => format!("{what}; salvaged {salvaged} completed record(s) to {db_path}"),
-                Err(e) => format!("{what}; salvaging partial results also failed: {e}"),
-            }
-        }
-        other => other.to_string(),
+    let (what, partial) = match err {
+        GoofiError::ExperimentFailed { failure, partial } => (failure.to_string(), partial),
+        GoofiError::TargetOffline { context, partial } => (
+            format!("target offline: recovery ladder exhausted during {context}"),
+            partial,
+        ),
+        other => return other.to_string(),
+    };
+    let salvaged = partial.records.len();
+    let stored = dbio::store_result(db, &partial)
+        .map_err(|e| e.to_string())
+        .and_then(|()| save_db(db_path, db));
+    match stored {
+        Ok(()) => format!("{what}; salvaged {salvaged} completed record(s) to {db_path}"),
+        Err(e) => format!("{what}; salvaging partial results also failed: {e}"),
     }
 }
 
@@ -560,28 +515,20 @@ fn cmd_targets() -> Result<(), String> {
 }
 
 fn cmd_workloads() -> Result<(), String> {
-    let kind_str = |kind: &workloads::WorkloadKind| match kind {
-        workloads::WorkloadKind::Terminating => "terminating",
-        workloads::WorkloadKind::ControlLoop => "control-loop",
-    };
     println!("{:<14} {:<8} {:<12} description", "name", "target", "kind");
-    for w in workloads::all() {
-        println!(
-            "{:<14} {:<8} {:<12} {}",
-            w.name,
-            TargetKind::Thor.flag(),
-            kind_str(&w.kind),
-            w.description,
-        );
-    }
-    for w in workloads::riscv_all() {
-        println!(
-            "{:<14} {:<8} {:<12} {}",
-            w.name,
-            TargetKind::Riscv.flag(),
-            kind_str(&w.kind),
-            w.description,
-        );
+    for kind in TargetKind::ALL {
+        for p in kind.programs() {
+            println!(
+                "{:<14} {:<8} {:<12} {}",
+                p.image.name,
+                kind.flag(),
+                match p.kind {
+                    workloads::WorkloadKind::Terminating => "terminating",
+                    workloads::WorkloadKind::ControlLoop => "control-loop",
+                },
+                p.description,
+            );
+        }
     }
     Ok(())
 }
@@ -592,35 +539,7 @@ fn cmd_new(args: &[String]) -> Result<(), String> {
     let name = flags.get("name").ok_or("new: --name is required")?;
     let workload_name = flags.get("workload").ok_or("new: --workload is required")?;
     let kind = target_flag(&flags)?.unwrap_or_default();
-    // Unified view over the per-target workload libraries: everything the
-    // set-up phase needs is an image plus kind and output location.
-    struct PickedWorkload {
-        name: String,
-        words: Vec<u32>,
-        code_words: u32,
-        entry: u32,
-        kind: workloads::WorkloadKind,
-        output: workloads::OutputSpec,
-    }
-    let wl = match kind {
-        TargetKind::Thor => workloads::by_name(workload_name).map(|w| PickedWorkload {
-            name: w.name,
-            words: w.image.words,
-            code_words: w.image.code_words,
-            entry: w.image.entry,
-            kind: w.kind,
-            output: w.output,
-        }),
-        TargetKind::Riscv => workloads::riscv_by_name(workload_name).map(|w| PickedWorkload {
-            name: w.name,
-            words: w.image.words,
-            code_words: w.image.code_words,
-            entry: w.image.entry,
-            kind: w.kind,
-            output: w.output,
-        }),
-    }
-    .ok_or_else(|| {
+    let wl = kind.program(workload_name).ok_or_else(|| {
         format!("unknown workload `{workload_name}` for --target {kind} (see `goofi workloads`)")
     })?;
     let experiments: usize = flags
@@ -682,7 +601,7 @@ fn cmd_new(args: &[String]) -> Result<(), String> {
         Technique::SwifiRuntime => {
             let space = goofi::core::fault::FaultSpace {
                 scan_cells: vec![],
-                memory: Some(0..wl.words.len() as u32),
+                memory: Some(0..wl.image.words.len() as u32),
                 time_window,
             };
             space.sample_campaign(experiments, &mut rng)
@@ -690,7 +609,7 @@ fn cmd_new(args: &[String]) -> Result<(), String> {
         Technique::SwifiPreRuntime => {
             let space = goofi::core::fault::FaultSpace {
                 scan_cells: vec![],
-                memory: Some(0..wl.words.len() as u32),
+                memory: Some(0..wl.image.words.len() as u32),
                 time_window: 0..1,
             };
             space
@@ -707,17 +626,9 @@ fn cmd_new(args: &[String]) -> Result<(), String> {
     let campaign = Campaign::builder(name.clone())
         .target_system(&data.name)
         .technique(technique)
-        .workload(goofi::core::campaign::WorkloadImage {
-            name: wl.name.clone(),
-            words: wl.words.clone(),
-            code_words: wl.code_words,
-            entry: wl.entry,
-        })
+        .workload(wl.image)
         .observe_chains(["internal"])
-        .output(match wl.output {
-            workloads::OutputSpec::Memory { addr, len } => OutputRegion::Memory { addr, len },
-            workloads::OutputSpec::Ports => OutputRegion::Ports,
-        })
+        .output(wl.output)
         .termination(Termination {
             max_instructions,
             max_iterations,
@@ -755,132 +666,276 @@ fn make_env(kind: Option<&str>) -> Result<Box<dyn Environment>, String> {
     })
 }
 
+/// What `goofi run` and `goofi resume` share around the engine call: the
+/// flags, the database and its campaign, the run's telemetry and monitor,
+/// and the drills each target is built under.
+struct RunSetup {
+    flags: HashMap<String, String>,
+    db_path: String,
+    journal: Option<String>,
+    workers: usize,
+    env_kind: Option<String>,
+    link: Option<LinkFaultConfig>,
+    verify: bool,
+    wedge: Option<WedgeConfig>,
+    db: Database,
+    campaign: Campaign,
+    kind: TargetKind,
+    monitor: ProgressMonitor,
+}
+
+impl RunSetup {
+    /// Parses `command`'s flags and loads its campaign. Every flag is
+    /// checked before the database is read: `--workers 0`, an unknown
+    /// environment or drill spec and, for `resume`, a missing journal are
+    /// refused with nothing loaded or written. A stop signal then halts
+    /// the monitor.
+    fn load(command: &str, accepted: &[&str], args: &[String]) -> Result<RunSetup, String> {
+        let (positional, flags) = parse_flags(command, accepted, args)?;
+        let db_path = positional
+            .first()
+            .ok_or(format!("{command}: missing <db> path"))?
+            .clone();
+        let name = flags
+            .get("name")
+            .ok_or(format!("{command}: --name is required"))?;
+        let journal = flags.get("journal").cloned();
+        let resume = command == "resume";
+        if resume && journal.is_none() {
+            return Err("resume: --journal is required".into());
+        }
+        let workers = positive_flag(&flags, "workers")?.unwrap_or(1);
+        if let Some(journal) = journal
+            .as_ref()
+            .filter(|j| resume && !Path::new(j).exists())
+        {
+            return Err(format!(
+                "resume: journal {journal} does not exist (a journaled run writes it: \
+                 `goofi run {db_path} --name {name} --journal {journal}`)"
+            ));
+        }
+        let env_kind = flags.get("env").cloned();
+        make_env(env_kind.as_deref())?; // validate before the workers clone it
+        let link = flags
+            .get("link-faults")
+            .map(|spec| {
+                LinkFaultConfig::decode(spec)
+                    .ok_or_else(|| format!("bad --link-faults spec `{spec}`"))
+            })
+            .transpose()?;
+        let verify = flags.contains_key("verify-reads");
+        let wedge = flags
+            .get("wedge")
+            .map(|spec| {
+                WedgeConfig::decode(spec).ok_or_else(|| format!("bad --wedge spec `{spec}`"))
+            })
+            .transpose()?;
+
+        let db = load_db(&db_path)?;
+        // The paper's readCampaignData step.
+        let mut campaign = dbio::load_campaign(&db, name).map_err(|e| e.to_string())?;
+        if let Some(v) = flags.get("health-check-every") {
+            campaign.policy = campaign
+                .policy
+                .with_health_check(v.parse().map_err(|_| "bad --health-check-every")?);
+        }
+        let kind = campaign_target(&campaign, &flags)?;
+        let tel = telemetry_from_flags(&flags)?;
+        let monitor = ProgressMonitor::with_telemetry(campaign.experiment_count(), tel);
+        stop_on_signal(&monitor);
+        Ok(RunSetup {
+            flags,
+            db_path,
+            journal,
+            workers,
+            env_kind,
+            link,
+            verify,
+            wedge,
+            db,
+            campaign,
+            kind,
+            monitor,
+        })
+    }
+
+    /// The seeded target factory: the n-th target it builds (from 0)
+    /// offsets its wedge and link-fault seeds by n, so parallel loops draw
+    /// distinct but deterministic streams and a serial run draws loop 0's.
+    fn targets(&self) -> impl Fn() -> Box<dyn TargetAccess> + Sync {
+        let (kind, wedge, link, verify) = (self.kind, self.wedge, self.link, self.verify);
+        let monitor = self.monitor.clone();
+        let built = std::sync::atomic::AtomicU64::new(0);
+        move || {
+            let worker = built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            decorate_target(kind, wedge, link, verify, &monitor, worker)
+        }
+    }
+
+    /// The environment factory. `load` validated the kind; the
+    /// `NullEnvironment` fallback only keeps a loop from panicking.
+    fn envs(&self) -> impl Fn() -> Box<dyn Environment> + Sync {
+        let env_kind = self.env_kind.clone();
+        move || make_env(env_kind.as_deref()).unwrap_or_else(|_| Box::new(NullEnvironment))
+    }
+
+    /// Stores the run's records and prints its summary. When the engine
+    /// failed, it stores what completed instead and dumps the flight
+    /// recorder.
+    fn finish(
+        mut self,
+        result: goofi::core::Result<algorithms::CampaignResult>,
+        started: std::time::Instant,
+    ) -> Result<(), String> {
+        let (db, db_path, monitor) = (&mut self.db, self.db_path.as_str(), &self.monitor);
+        let result = result.map_err(|e| {
+            let msg = salvage_partial(db, db_path, e);
+            dump_flight(monitor.telemetry(), &self.flags, db_path, msg)
+        })?;
+        let elapsed = started.elapsed();
+        dbio::store_result_traced(db, &result, monitor.telemetry()).map_err(|e| e.to_string())?;
+        // Detail mode keeps the full recovery audit trail in the database.
+        if self.campaign.logging == LoggingMode::Detail && !result.recoveries.is_empty() {
+            dbio::log_recovery_actions(db, &self.campaign.name, &result.recoveries)
+                .map_err(|e| e.to_string())?;
+        }
+        save_db(db_path, db)?;
+        let progress = monitor.snapshot();
+        println!(
+            "done in {elapsed:?}: {} experiments logged ({:.1} exp/s)",
+            progress.completed,
+            progress.completed as f64 / elapsed.as_secs_f64(),
+        );
+        for (cause, n) in &progress.by_termination {
+            println!("  terminated by {cause}: {n}");
+        }
+        if progress.link_recovered > 0 || progress.link_unrecovered > 0 {
+            println!(
+                "link events: {} recovered, {} unrecovered",
+                progress.link_recovered, progress.link_unrecovered,
+            );
+        }
+        if progress.probes_run > 0 || progress.hangs > 0 {
+            println!(
+                "supervision: {} probe suite(s) run ({} failed), {} target hang(s)",
+                progress.probes_run, progress.probes_failed, progress.hangs,
+            );
+            println!(
+                "  recovery actions: {} soft reset(s), {} card re-init(s), {} power cycle(s), {} target(s) offline",
+                progress.soft_resets, progress.card_reinits, progress.power_cycles, progress.targets_offline,
+            );
+        }
+        if !result.recoveries.is_empty() {
+            println!("recovery episodes:");
+            for episode in &result.recoveries {
+                println!(
+                    "  {} ({}): {} action(s), {}",
+                    episode.experiment,
+                    episode.trigger,
+                    episode.actions.len(),
+                    if episode.recovered {
+                        "recovered"
+                    } else {
+                        "target offline"
+                    },
+                );
+            }
+        }
+        if !result.quarantined.is_empty() {
+            println!(
+                "quarantined by golden-run revalidation ({} record(s), kept as invalid, re-run via parentExperiment):",
+                result.quarantined.len(),
+            );
+            for record in &result.quarantined {
+                println!("  {}", record.name);
+            }
+        }
+        if !result.failures.is_empty() {
+            println!("failed experiments (skipped by policy):");
+            for failure in &result.failures {
+                println!("  {failure}");
+            }
+        }
+        let tel = monitor.telemetry();
+        tel.flush();
+        if self.flags.contains_key("metrics") {
+            if let Some(snapshot) = tel.metrics() {
+                println!("\nper-stage timings:");
+                println!("{}", snapshot.render_timings());
+                let nonzero: Vec<_> = snapshot.counters.iter().filter(|(_, v)| **v > 0).collect();
+                if !nonzero.is_empty() {
+                    println!("counters:");
+                    for (name, value) in nonzero {
+                        println!("  {name:<20} {value}");
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let accepted = [RESUME_FLAGS, &["no-snapshot"]].concat();
-    let (positional, flags) = parse_flags("run", &accepted, args)?;
-    let db_path = positional.first().ok_or("run: missing <db> path")?;
-    let name = flags.get("name").ok_or("run: --name is required")?;
-    let workers = workers_flag(&flags)?;
-
-    let mut db = load_db(db_path)?;
-    // The paper's readCampaignData step.
-    let mut campaign = dbio::load_campaign(&db, name).map_err(|e| e.to_string())?;
-    apply_health_check_override(&mut campaign, &flags)?;
-    let campaign = campaign;
-    let kind = campaign_target(&campaign, &flags)?;
-    let tel = telemetry_from_flags(&flags)?;
-    let monitor = ProgressMonitor::with_telemetry(campaign.experiment_count(), tel.clone());
-    stop_on_signal(&monitor);
+    let setup = RunSetup::load("run", &accepted, args)?;
+    let campaign = &setup.campaign;
     println!(
-        "running campaign `{name}`: {} experiments on {} ({}, {:?} logging)",
+        "running campaign `{}`: {} experiments on {} ({}, {:?} logging)",
+        campaign.name,
         campaign.experiment_count(),
-        kind.system_name(),
+        setup.kind.system_name(),
         campaign.technique.encode(),
         campaign.logging,
     );
 
-    let env_kind = flags.get("env").cloned();
-    make_env(env_kind.as_deref())?; // validate before the workers clone it
-    let (link, verify) = link_flags(&flags)?;
-    let wedge = wedge_flag(&flags)?;
-    let journal_path = flags.get("journal").cloned();
-    let snapshots = !flags.contains_key("no-snapshot");
+    let mut journal = match &setup.journal {
+        Some(p) => Some(ExperimentJournal::create(p, &campaign.name).map_err(|e| e.to_string())?),
+        None => None,
+    };
+    let snapshots = !setup.flags.contains_key("no-snapshot");
     let started = std::time::Instant::now();
-    let result = if workers == 1 {
-        let mut target = decorate_target(kind, wedge, link, verify, &monitor, 0);
-        let mut env = make_env(env_kind.as_deref())?;
-        let mut journal = match &journal_path {
-            Some(p) => {
-                Some(ExperimentJournal::create(p, &campaign.name).map_err(|e| e.to_string())?)
-            }
-            None => None,
-        };
+    let result = if setup.workers == 1 {
+        let mut target = setup.targets()();
+        let mut env = setup.envs()();
         // The golden cache lives next to the journal; a journal-less run
         // has nowhere durable to keep it.
-        let cache = journal_path.as_ref().map(|p| {
+        let cache = setup.journal.as_ref().map(|p| {
             goofi::core::golden::GoldenCache::new(
                 &goofi::core::vfs::RealFs,
                 Path::new(p.as_str()),
-                &campaign,
+                campaign,
                 env.name(),
             )
         });
         algorithms::run_campaign_journaled_opts(
             &mut target,
-            &campaign,
-            &monitor,
+            campaign,
+            &setup.monitor,
             env.as_mut(),
             journal.as_mut(),
             cache.as_ref(),
             snapshots,
         )
     } else {
-        let env_kind2 = env_kind.clone();
-        let mut journal = match &journal_path {
-            Some(p) => {
-                Some(ExperimentJournal::create(p, &campaign.name).map_err(|e| e.to_string())?)
-            }
-            None => None,
-        };
-        let worker_seq = std::sync::atomic::AtomicU64::new(0);
-        let make_monitor = monitor.clone();
         runner::run_campaign_parallel_journaled_opts(
-            move || {
-                let worker = worker_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                decorate_target(kind, wedge, link, verify, &make_monitor, worker)
-            },
-            Some(move || {
-                // Validated before the workers started; a NullEnvironment
-                // fallback keeps a worker thread from panicking regardless.
-                make_env(env_kind2.as_deref()).unwrap_or_else(|_| Box::new(NullEnvironment))
-            }),
-            &campaign,
-            &monitor,
-            workers,
+            setup.targets(),
+            Some(setup.envs()),
+            campaign,
+            &setup.monitor,
+            setup.workers,
             journal.as_mut(),
             snapshots,
         )
     };
-    let result = result
-        .map_err(|e| dump_flight(&tel, &flags, db_path, salvage_partial(&mut db, db_path, e)))?;
-    finish_run(
-        &mut db,
-        db_path,
-        &monitor,
-        &campaign,
-        &result,
-        started.elapsed(),
-        flags.contains_key("metrics"),
-    )
+    setup.finish(result, started)
 }
 
 fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags("resume", RESUME_FLAGS, args)?;
-    let db_path = positional.first().ok_or("resume: missing <db> path")?;
-    let name = flags.get("name").ok_or("resume: --name is required")?;
-    let journal_path = flags
-        .get("journal")
-        .ok_or("resume: --journal is required")?;
-    let workers = workers_flag(&flags)?;
-    if !Path::new(journal_path.as_str()).exists() {
-        return Err(format!(
-            "resume: journal {journal_path} does not exist (a journaled run writes it: \
-             `goofi run {db_path} --name {name} --journal {journal_path}`)"
-        ));
-    }
-
-    let mut db = load_db(db_path)?;
-    let mut campaign = dbio::load_campaign(&db, name).map_err(|e| e.to_string())?;
-    apply_health_check_override(&mut campaign, &flags)?;
-    let campaign = campaign;
-    let kind = campaign_target(&campaign, &flags)?;
-    let tel = telemetry_from_flags(&flags)?;
-    let monitor = ProgressMonitor::with_telemetry(campaign.experiment_count(), tel.clone());
-    stop_on_signal(&monitor);
-    let env_kind = flags.get("env").cloned();
-    make_env(env_kind.as_deref())?; // validate before the workers clone it
-    let (link, verify) = link_flags(&flags)?;
-    let wedge = wedge_flag(&flags)?;
+    let setup = RunSetup::load("resume", RESUME_FLAGS, args)?;
+    let journal_path = setup
+        .journal
+        .clone()
+        .expect("`RunSetup::load` refuses a resume without --journal");
     // Auto-fsck: salvage a torn/garbled journal before resuming from it,
     // and tell the operator what was dropped. (The runner re-checks through
     // its own VFS; this pass makes the repair visible.)
@@ -901,36 +956,23 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "resuming campaign `{name}` from {journal_path}: {} experiments total",
-        campaign.experiment_count(),
+        "resuming campaign `{}` from {journal_path}: {} experiments total",
+        setup.campaign.name,
+        setup.campaign.experiment_count(),
     );
 
     let started = std::time::Instant::now();
-    let worker_seq = std::sync::atomic::AtomicU64::new(0);
-    let make_monitor = monitor.clone();
     let result = runner::resume_campaign(
-        move || {
-            let worker = worker_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            decorate_target(kind, wedge, link, verify, &make_monitor, worker)
-        },
-        Some(move || make_env(env_kind.as_deref()).unwrap_or_else(|_| Box::new(NullEnvironment))),
-        &campaign,
-        &monitor,
-        workers,
+        setup.targets(),
+        Some(setup.envs()),
+        &setup.campaign,
+        &setup.monitor,
+        setup.workers,
         &goofi::core::vfs::RealFs,
-        journal_path,
-        0..campaign.experiment_count(),
-    )
-    .map_err(|e| dump_flight(&tel, &flags, db_path, salvage_partial(&mut db, db_path, e)))?;
-    finish_run(
-        &mut db,
-        db_path,
-        &monitor,
-        &campaign,
-        &result,
-        started.elapsed(),
-        flags.contains_key("metrics"),
-    )
+        &journal_path,
+        0..setup.campaign.experiment_count(),
+    );
+    setup.finish(result, started)
 }
 
 /// `goofi fsck <db> [--name C --journal J] [--repair]`: checks every
@@ -976,96 +1018,6 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn finish_run(
-    db: &mut Database,
-    db_path: &str,
-    monitor: &ProgressMonitor,
-    campaign: &Campaign,
-    result: &algorithms::CampaignResult,
-    elapsed: std::time::Duration,
-    show_metrics: bool,
-) -> Result<(), String> {
-    dbio::store_result_traced(db, result, monitor.telemetry()).map_err(|e| e.to_string())?;
-    // Detail mode keeps the full recovery audit trail in the database.
-    if campaign.logging == LoggingMode::Detail && !result.recoveries.is_empty() {
-        dbio::log_recovery_actions(db, &campaign.name, &result.recoveries)
-            .map_err(|e| e.to_string())?;
-    }
-    save_db(db_path, db)?;
-    let progress = monitor.snapshot();
-    println!(
-        "done in {elapsed:?}: {} experiments logged ({:.1} exp/s)",
-        progress.completed,
-        progress.completed as f64 / elapsed.as_secs_f64(),
-    );
-    for (cause, n) in &progress.by_termination {
-        println!("  terminated by {cause}: {n}");
-    }
-    if progress.link_recovered > 0 || progress.link_unrecovered > 0 {
-        println!(
-            "link events: {} recovered, {} unrecovered",
-            progress.link_recovered, progress.link_unrecovered,
-        );
-    }
-    if progress.probes_run > 0 || progress.hangs > 0 {
-        println!(
-            "supervision: {} probe suite(s) run ({} failed), {} target hang(s)",
-            progress.probes_run, progress.probes_failed, progress.hangs,
-        );
-        println!(
-            "  recovery actions: {} soft reset(s), {} card re-init(s), {} power cycle(s), {} target(s) offline",
-            progress.soft_resets, progress.card_reinits, progress.power_cycles, progress.targets_offline,
-        );
-    }
-    if !result.recoveries.is_empty() {
-        println!("recovery episodes:");
-        for episode in &result.recoveries {
-            println!(
-                "  {} ({}): {} action(s), {}",
-                episode.experiment,
-                episode.trigger,
-                episode.actions.len(),
-                if episode.recovered {
-                    "recovered"
-                } else {
-                    "target offline"
-                },
-            );
-        }
-    }
-    if !result.quarantined.is_empty() {
-        println!(
-            "quarantined by golden-run revalidation ({} record(s), kept as invalid, re-run via parentExperiment):",
-            result.quarantined.len(),
-        );
-        for record in &result.quarantined {
-            println!("  {}", record.name);
-        }
-    }
-    if !result.failures.is_empty() {
-        println!("failed experiments (skipped by policy):");
-        for failure in &result.failures {
-            println!("  {failure}");
-        }
-    }
-    let tel = monitor.telemetry();
-    tel.flush();
-    if show_metrics {
-        if let Some(snapshot) = tel.metrics() {
-            println!("\nper-stage timings:");
-            println!("{}", snapshot.render_timings());
-            let nonzero: Vec<_> = snapshot.counters.iter().filter(|(_, v)| **v > 0).collect();
-            if !nonzero.is_empty() {
-                println!("counters:");
-                for (name, value) in nonzero {
-                    println!("  {name:<20} {value}");
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// `goofi serve <db>`: the campaign-service daemon. Accepts submissions
 /// on a loopback TCP socket, shards each job across spawned
 /// `goofi worker` processes under lease discipline, and resumes any
@@ -1091,14 +1043,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             args: vec!["worker".to_string()],
         },
     );
-    if let Some(v) = flags.get("workers") {
-        cfg.default_workers = v.parse().map_err(|_| "bad --workers")?;
+    if let Some(workers) = positive_flag(&flags, "workers")? {
+        cfg.default_workers = workers;
     }
-    if let Some(v) = flags.get("lease-ms") {
-        cfg.lease = std::time::Duration::from_millis(v.parse().map_err(|_| "bad --lease-ms")?);
+    if let Some(ms) = positive_flag(&flags, "lease-ms")? {
+        cfg.lease = std::time::Duration::from_millis(ms);
     }
-    if let Some(v) = flags.get("poison-after") {
-        cfg.poison_after = v.parse().map_err(|_| "bad --poison-after")?;
+    if let Some(failures) = positive_flag(&flags, "poison-after")? {
+        cfg.poison_after = failures;
     }
     if let Some(spec) = flags.get("chaos") {
         cfg.chaos =

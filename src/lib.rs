@@ -37,15 +37,53 @@ pub mod targets {
     //!
     //! Everything above the `TargetAccess` seam is target-agnostic; the
     //! only components that must name concrete ports are the CLI entry
-    //! points (`--target` flag, worker spawn) and they all go through
-    //! here. Adding a third CPU core means its ISA half inside the
-    //! `scanchain::Core` skeleton, one `CardCpu` impl in its port crate
-    //! and one new variant here, with its arm in each method below and in
-    //! the CLI's worker spawn and workload pick — nothing else in the tool
-    //! changes.
+    //! points (`--target` flag, workload pick, worker spawn) and they all
+    //! go through here. Adding a third CPU core means its ISA half inside
+    //! the `scanchain::Core` skeleton, one `CardCpu` impl in its port
+    //! crate and one new variant here, with its arm in each method below
+    //! (its program library in [`TargetKind::programs`]) and in the CLI's
+    //! worker spawn — nothing else in the tool changes.
 
+    use goofi_core::campaign::{OutputRegion, WorkloadImage};
     use goofi_core::card::CardCpu;
     use goofi_core::TargetAccess;
+    use workloads::{OutputSpec, WorkloadKind};
+
+    /// A library program as campaign set-up reads it, whichever CPU it
+    /// was written for.
+    #[derive(Debug, Clone)]
+    pub struct Program {
+        /// The image a campaign loads; its name is the program's.
+        pub image: WorkloadImage,
+        /// Where the program leaves its result.
+        pub output: OutputRegion,
+        /// Terminating or control loop.
+        pub kind: WorkloadKind,
+        /// One-line description for `goofi workloads`.
+        pub description: String,
+    }
+
+    /// A [`Program`] from a library workload of either CPU: the two
+    /// libraries' types carry the same fields.
+    macro_rules! program {
+        ($w:expr) => {{
+            let w = $w;
+            Program {
+                image: WorkloadImage {
+                    name: w.name,
+                    words: w.image.words,
+                    code_words: w.image.code_words,
+                    entry: w.image.entry,
+                },
+                output: match w.output {
+                    OutputSpec::Memory { addr, len } => OutputRegion::Memory { addr, len },
+                    OutputSpec::Ports => OutputRegion::Ports,
+                },
+                kind: w.kind,
+                description: w.description,
+            }
+        }};
+    }
 
     /// A ported target system selectable on the command line.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -111,6 +149,22 @@ pub mod targets {
                 TargetKind::Thor => Box::new(goofi_thor::ThorTarget::default()),
                 TargetKind::Riscv => Box::new(goofi_riscv::RiscvTarget::default()),
             }
+        }
+
+        /// Every program in the CPU's workload library, in listing order.
+        pub fn programs(self) -> Vec<Program> {
+            match self {
+                TargetKind::Thor => workloads::all().into_iter().map(|w| program!(w)).collect(),
+                TargetKind::Riscv => workloads::riscv_all()
+                    .into_iter()
+                    .map(|w| program!(w))
+                    .collect(),
+            }
+        }
+
+        /// The library program called `name` on this CPU, if it has one.
+        pub fn program(self, name: &str) -> Option<Program> {
+            self.programs().into_iter().find(|p| p.image.name == name)
         }
     }
 

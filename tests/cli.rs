@@ -1,51 +1,14 @@
 //! Integration tests of the `goofi` CLI — the operator workflow the
 //! paper's GUI provided, driven end to end through a database file.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+mod common;
 
-fn goofi(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_goofi"))
-        .args(args)
-        .output()
-        .expect("spawn goofi")
-}
+use common::{essence_rows, goofi, stdout, TempDir};
 
-fn tmp_db(name: &str) -> (tempdir::TempDirGuard, String) {
-    let dir = tempdir::create(name);
+fn tmp_db(name: &str) -> (TempDir, String) {
+    let dir = TempDir::new(name);
     let path = dir.path.join("campaign.gdb").to_string_lossy().into_owned();
     (dir, path)
-}
-
-/// Minimal self-cleaning temp dir (std-only).
-mod tempdir {
-    use std::path::PathBuf;
-
-    pub struct TempDirGuard {
-        pub path: PathBuf,
-    }
-
-    impl Drop for TempDirGuard {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.path);
-        }
-    }
-
-    pub fn create(name: &str) -> TempDirGuard {
-        let path = std::env::temp_dir().join(format!("goofi-cli-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&path).expect("mkdir");
-        TempDirGuard { path }
-    }
-}
-
-fn stdout(out: &Output) -> String {
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 #[test]
@@ -132,19 +95,6 @@ fn report_runs_on_a_campaign_name_with_a_quote() {
     );
 }
 
-/// The experiment rows that define a run's essence, sorted for
-/// order-independent comparison.
-fn essence_rows(db: &str) -> Vec<String> {
-    let out = stdout(&goofi(&[
-        "sql",
-        db,
-        "SELECT experimentName, termination, stateVector, validity FROM LoggedSystemState",
-    ]));
-    let mut rows: Vec<String> = out.lines().map(str::to_string).collect();
-    rows.sort();
-    rows
-}
-
 /// The snapshot fast path must be invisible in the results, even with
 /// fault-model decorators stacked on the target: a flaky transport (with
 /// read verification) forwards snapshots cleanly, and a wedgeable target
@@ -164,7 +114,7 @@ fn snapshot_path_matches_slow_path_under_fault_stacks() {
         ("wedge", &["--wedge", "seed=7,hang=0.05,recover=power"]),
     ];
     for (label, extra) in stacks {
-        let guard = tempdir::create(&format!("snapeq-{label}"));
+        let guard = TempDir::new(&format!("snapeq-{label}"));
         let mut dbs = Vec::new();
         for mode in ["fast", "slow"] {
             let db = guard
@@ -439,6 +389,57 @@ fn zero_workers_and_a_missing_journal_fail_before_anything_is_touched() {
     assert!(!std::path::Path::new(missing).exists());
 }
 
+/// `serve` refuses 0 for `--lease-ms`, `--poison-after` and `--workers`
+/// before it binds its address or creates the spool: a 0 lease expires
+/// every shard's lease at once, and the job ends with every shard
+/// poisoned and its experiments stubbed as hangs.
+#[test]
+fn serve_refuses_zero_counts_before_binding_or_spooling() {
+    let (_guard, db) = tmp_db("serve-zero");
+    stdout(&goofi(&[
+        "new",
+        &db,
+        "--name",
+        "c",
+        "--workload",
+        "fibonacci",
+        "--experiments",
+        "4",
+    ]));
+    let before = std::fs::read(&db).unwrap();
+    for flag in ["--lease-ms", "--poison-after", "--workers"] {
+        let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_goofi"))
+            .args(["serve", &db, "--addr", "127.0.0.1:0", flag, "0"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn goofi serve");
+        // A daemon that took the flag would serve until stopped.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while daemon.try_wait().unwrap().is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = daemon.kill();
+                let _ = daemon.wait();
+                panic!("`serve {flag} 0` is serving");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = daemon.wait_with_output().unwrap();
+        assert!(!out.status.success(), "serve took {flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{flag}` must be at least 1")),
+            "{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "serve {flag} 0 printed before refusing"
+        );
+        assert!(!std::path::Path::new(&format!("{db}.spool")).exists());
+        assert_eq!(std::fs::read(&db).unwrap(), before, "{flag}");
+    }
+}
+
 #[test]
 fn fsck_reports_classes_and_repairs() {
     let (_guard, db) = tmp_db("fsck");
@@ -573,7 +574,6 @@ fn db_file_is_portable_across_invocations() {
     ]));
     assert!(out.contains("p1"), "{out}");
     assert!(out.contains("p2"), "{out}");
-    let _ = PathBuf::from(&db);
 }
 
 #[test]

@@ -9,6 +9,9 @@
 //! crc32 --with-caches`, on RV32I with `--workload rv-memcpy`. They are
 //! marked `-text` in `.gitattributes`, so no checkout rewrites them.
 
+mod common;
+
+use common::TempDir;
 use goofi::core::dbio;
 use goofi::core::golden::GoldenCache;
 use goofi::core::journal::{parse_entry, Entry, ExperimentJournal};
@@ -29,26 +32,6 @@ fn fixture_text(file: &str) -> String {
     std::fs::read_to_string(fixture_path(file)).expect("fixture")
 }
 
-/// A temporary directory of this test process, removed when dropped.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(name: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!(
-            "goofi-codec-fixtures-{name}-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 #[test]
 fn each_fixture_database_resaves_byte_for_byte() {
     for (cpu, _) in FIXTURES {
@@ -67,7 +50,7 @@ fn each_fixture_journal_reencodes_to_its_own_lines() {
     for (cpu, campaign) in FIXTURES {
         let text = fixture_text(&format!("{cpu}.gjl"));
         let dir = TempDir::new(cpu);
-        let copy = dir.0.join("copy.gjl");
+        let copy = dir.path.join("copy.gjl");
         let mut journal = ExperimentJournal::create(&copy, campaign).expect("create");
         for line in text.lines().skip(2) {
             let appended = match parse_entry(line, campaign).expect("a valid entry") {
@@ -93,7 +76,7 @@ fn each_fixture_golden_cache_file_is_rewritten_to_its_own_bytes() {
         let reference = state.reference.expect("a reference entry");
         let dir = TempDir::new(&format!("golden-{cpu}"));
         // The CLI keys the cache by the environment's name, `none` here.
-        let cache = GoldenCache::new(&RealFs, &dir.0.join("run.gjl"), &campaign, "none");
+        let cache = GoldenCache::new(&RealFs, &dir.path.join("run.gjl"), &campaign, "none");
         assert!(cache.store(&reference));
         let file = cache.path().file_name().expect("file name");
         let pinned = std::fs::read(fixture_path(&file.to_string_lossy())).expect("fixture");

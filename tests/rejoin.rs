@@ -13,10 +13,7 @@
 //! count the rejoins through the `rejoined` metric.
 
 use goofi::core::algorithms::{self, CampaignResult};
-use goofi::core::campaign::{
-    Campaign, CampaignBuilder, OutputRegion, TargetSystemData, Technique, Termination,
-    WorkloadImage,
-};
+use goofi::core::campaign::{Campaign, CampaignBuilder, TargetSystemData, Technique, Termination};
 use goofi::core::fault::{FaultLocation, FaultModel, FaultSpace, FaultSpec};
 use goofi::core::link::{UnreliableTarget, VerifiedTarget};
 use goofi::core::logging::{ExperimentRecord, LoggingMode, TerminationCause};
@@ -39,48 +36,15 @@ fn programs(kind: TargetKind) -> &'static [&'static str] {
     }
 }
 
-fn image_of(kind: TargetKind, program: &str) -> (WorkloadImage, OutputRegion) {
-    let region = |output| match output {
-        workloads::OutputSpec::Memory { addr, len } => OutputRegion::Memory { addr, len },
-        workloads::OutputSpec::Ports => OutputRegion::Ports,
-    };
-    let (name, image, output) = match kind {
-        TargetKind::Thor => {
-            let w = workloads::by_name(program).unwrap();
-            (
-                w.name,
-                (w.image.words, w.image.code_words, w.image.entry),
-                w.output,
-            )
-        }
-        TargetKind::Riscv => {
-            let w = workloads::riscv_by_name(program).unwrap();
-            (
-                w.name,
-                (w.image.words, w.image.code_words, w.image.entry),
-                w.output,
-            )
-        }
-    };
-    let (words, code_words, entry) = image;
-    let image = WorkloadImage {
-        name,
-        words,
-        code_words,
-        entry,
-    };
-    (image, region(output))
-}
-
 /// The `goofi new` campaign shape: the internal chain observed, outputs
 /// and a memory digest logged.
 fn builder(kind: TargetKind, program: &str) -> CampaignBuilder {
-    let (image, output) = image_of(kind, program);
+    let library = kind.program(program).unwrap();
     Campaign::builder(format!("rejoin-{program}"))
         .target_system(kind.system_name())
-        .workload(image)
+        .workload(library.image)
         .observe_chains(["internal"])
-        .output(output)
+        .output(library.output)
         .termination(Termination {
             max_instructions: 500_000,
             max_iterations: None,
@@ -115,7 +79,7 @@ fn reference(kind: TargetKind, builder: &CampaignBuilder) -> ExperimentRecord {
 /// SWIFI campaigns: pre-runtime flips anywhere in the image, and runtime
 /// flips in the data area spread over the reference run.
 fn swifi_campaigns(kind: TargetKind, program: &str, n: usize, seed: u64) -> [Campaign; 2] {
-    let (image, _) = image_of(kind, program);
+    let image = kind.program(program).unwrap().image;
     let len = reference(kind, &builder(kind, program)).state.instructions;
     let words = image.words.len() as u32;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -272,7 +236,9 @@ fn a_cycle_budget_just_above_the_golden_run_vetoes_late_rejoins() {
     let at = len - 4_097;
     let mut target = kind.build();
     target.init_test_card().unwrap();
-    target.load_workload(&image_of(kind, program).0).unwrap();
+    target
+        .load_workload(&kind.program(program).unwrap().image)
+        .unwrap();
     let budget_before = RunBudget {
         max_instructions: len - 1,
     };
@@ -352,16 +318,15 @@ fn persistent_faults_and_detail_logging_never_rejoin() {
 #[test]
 fn a_control_loop_with_an_environment_never_rejoins() {
     let kind = TargetKind::Thor;
-    let wl = workloads::by_name("pi-control").unwrap();
+    let library = kind.program("pi-control").unwrap();
     let data = TargetSystemData::from_target(&*kind.build(), kind.description());
     let mut space = data.fault_space(None, 0..3_000);
     space.scan_cells.retain(|(chain, _, _)| chain == "internal");
-    let (image, output) = image_of(kind, &wl.name);
     let campaign = Campaign::builder("rejoin-motor")
         .target_system(kind.system_name())
-        .workload(image)
+        .workload(library.image)
         .observe_chains(["internal"])
-        .output(output)
+        .output(library.output)
         .termination(Termination {
             max_instructions: 2_000_000,
             max_iterations: Some(40),

@@ -10,7 +10,7 @@
 //! runs the terminating `rv-memcpy`.
 
 use goofi::core::algorithms;
-use goofi::core::campaign::{Campaign, OutputRegion, TargetSystemData, Termination, WorkloadImage};
+use goofi::core::campaign::{Campaign, TargetSystemData, Termination};
 use goofi::core::fault::FaultModel;
 use goofi::core::logging::LoggingMode;
 use goofi::core::monitor::ProgressMonitor;
@@ -40,21 +40,13 @@ const MODELS: [FaultModel; 4] = [
 /// (scan cells of the internal chain or code-segment memory words),
 /// triggers spread over the run and a little past its end.
 fn pinned_campaign(kind: TargetKind, logging: LoggingMode, model: FaultModel) -> Campaign {
-    let (image, output, max_iterations, window) = match kind {
-        TargetKind::Thor => {
-            let w = workloads::by_name("pi-control").unwrap();
-            let image = (w.name, w.image.words, w.image.code_words, w.image.entry);
-            (image, w.output, Some(10), 0..260)
-        }
-        TargetKind::Riscv => {
-            let w = workloads::riscv_by_name("rv-memcpy").unwrap();
-            let image = (w.name, w.image.words, w.image.code_words, w.image.entry);
-            (image, w.output, None, 0..300)
-        }
+    let (program, max_iterations, window) = match kind {
+        TargetKind::Thor => ("pi-control", Some(10), 0..260),
+        TargetKind::Riscv => ("rv-memcpy", None, 0..300),
     };
-    let (name, words, code_words, entry) = image;
+    let library = kind.program(program).unwrap();
     let data = TargetSystemData::from_target(&*kind.build(), kind.description());
-    let mut space = data.fault_space(Some(0..code_words), window);
+    let mut space = data.fault_space(Some(0..library.image.code_words), window);
     space.scan_cells.retain(|(chain, _, _)| chain == "internal");
     let mut faults = space.sample_multi_campaign(12, 2, &mut StdRng::seed_from_u64(0x5eed));
     for fault in &mut faults {
@@ -62,17 +54,9 @@ fn pinned_campaign(kind: TargetKind, logging: LoggingMode, model: FaultModel) ->
     }
     let mut campaign = Campaign::builder("pinned")
         .target_system(kind.system_name())
-        .workload(WorkloadImage {
-            name,
-            words,
-            code_words,
-            entry,
-        })
+        .workload(library.image)
         .observe_chains(["internal"])
-        .output(match output {
-            workloads::OutputSpec::Memory { addr, len } => OutputRegion::Memory { addr, len },
-            workloads::OutputSpec::Ports => OutputRegion::Ports,
-        })
+        .output(library.output)
         .termination(Termination {
             max_instructions: 5_000,
             max_iterations,

@@ -23,7 +23,7 @@
 
 use goofi::core::algorithms;
 use goofi::core::campaign::{
-    Campaign, CampaignBuilder, OutputRegion, TargetSystemData, Termination, WorkloadImage,
+    Campaign, CampaignBuilder, TargetSystemData, Termination, WorkloadImage,
 };
 use goofi::core::conformance::{run_suite, ConformanceSpec, ReadoutFallback, CHECK_NAMES};
 use goofi::core::fault::{FaultLocation, FaultSpec};
@@ -38,62 +38,31 @@ use goofi::core::trigger::Trigger;
 use goofi::core::{pass_through, TargetAccess};
 use goofi::envsim::NullEnvironment;
 use goofi::scanchain::{LinkFaultConfig, RecoveryDepth, WedgeConfig};
-use goofi::targets::TargetKind;
+use goofi::targets::{Program, TargetKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A self-terminating, memory-output workload for each CPU: `crc32` for
-/// Thor, `rv-memcpy` for RV32I. Same role on both sides of every
-/// differential test below.
-fn workload_for(kind: TargetKind) -> (WorkloadImage, OutputRegion) {
-    match kind {
-        TargetKind::Thor => {
-            let w = workloads::by_name("crc32").unwrap();
-            (
-                WorkloadImage {
-                    name: w.name.clone(),
-                    words: w.image.words.clone(),
-                    code_words: w.image.code_words,
-                    entry: w.image.entry,
-                },
-                match w.output {
-                    workloads::OutputSpec::Memory { addr, len } => {
-                        OutputRegion::Memory { addr, len }
-                    }
-                    workloads::OutputSpec::Ports => OutputRegion::Ports,
-                },
-            )
-        }
-        TargetKind::Riscv => {
-            let w = workloads::riscv_by_name("rv-memcpy").unwrap();
-            (
-                WorkloadImage {
-                    name: w.name.clone(),
-                    words: w.image.words.clone(),
-                    code_words: w.image.code_words,
-                    entry: w.image.entry,
-                },
-                match w.output {
-                    workloads::OutputSpec::Memory { addr, len } => {
-                        OutputRegion::Memory { addr, len }
-                    }
-                    workloads::OutputSpec::Ports => OutputRegion::Ports,
-                },
-            )
-        }
-    }
+/// A self-terminating, memory-output library program for each CPU:
+/// `crc32` for Thor, `rv-memcpy` for RV32I. Same role on both sides of
+/// every differential test below.
+fn program_for(kind: TargetKind) -> Program {
+    let name = match kind {
+        TargetKind::Thor => "crc32",
+        TargetKind::Riscv => "rv-memcpy",
+    };
+    kind.program(name).unwrap()
 }
 
 /// A campaign builder with the same framework-side shape on either CPU:
 /// same name, same observed chain, same termination policy — only the
 /// workload image and target-system name differ.
 fn campaign_for(kind: TargetKind, name: &str) -> CampaignBuilder {
-    let (image, output) = workload_for(kind);
+    let program = program_for(kind);
     Campaign::builder(name)
         .target_system(kind.system_name())
-        .workload(image)
+        .workload(program.image)
         .observe_chains(["internal"])
-        .output(output)
+        .output(program.output)
         .termination(Termination {
             max_instructions: 500_000,
             max_iterations: None,
@@ -152,7 +121,7 @@ fn framework_essence(r: &ExperimentRecord) -> (String, Option<String>, String, b
 #[test]
 fn conformance_suite_passes_for_every_registered_target() {
     for kind in TargetKind::ALL {
-        let (image, _) = workload_for(kind);
+        let image = program_for(kind).image;
         let mut spec = ConformanceSpec::new(format!("{} native", kind.flag()), image);
         spec.expect_name = Some(kind.system_name().to_string());
         spec.expect_snapshot = Some(true);
@@ -187,7 +156,7 @@ fn conformance_suite_passes_for_the_simulator_and_readout_fallbacks() {
     // no native snapshot gets working state capture from its scan chains
     // alone. Counters live outside the chains, so they are not restored.
     for kind in TargetKind::ALL {
-        let (image, _) = workload_for(kind);
+        let image = program_for(kind).image;
         let mut spec = ConformanceSpec::new(format!("{} via readout fallback", kind.flag()), image);
         spec.expect_name = Some(kind.system_name().to_string());
         spec.expect_snapshot = Some(true);
@@ -201,7 +170,7 @@ fn conformance_suite_passes_for_the_simulator_and_readout_fallbacks() {
 #[test]
 fn conformance_suite_passes_for_every_decorator_stack_over_both_cpus() {
     for kind in TargetKind::ALL {
-        let (image, _) = workload_for(kind);
+        let image = program_for(kind).image;
         let spec_for = |label: &str| {
             let mut spec = ConformanceSpec::new(format!("{label}({})", kind.flag()), image.clone());
             spec.expect_name = Some(kind.system_name().to_string());
@@ -246,7 +215,7 @@ fn a_snapshot_from_the_other_cpu_is_refused_and_changes_nothing() {
     let started = |kind: TargetKind| {
         let mut target = kind.build();
         target.init_test_card().unwrap();
-        target.load_workload(&workload_for(kind).0).unwrap();
+        target.load_workload(&program_for(kind).image).unwrap();
         let budget = goofi::core::RunBudget {
             max_instructions: 50,
         };

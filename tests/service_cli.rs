@@ -5,50 +5,13 @@
 //! The oracle throughout: a service-run campaign must leave the database
 //! essence-equal to `goofi run` executing the same campaign serially.
 
+mod common;
+
+use common::{essence_rows, goofi, stdout, TempDir};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-fn goofi(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_goofi"))
-        .args(args)
-        .output()
-        .expect("spawn goofi")
-}
-
-fn stdout(out: &Output) -> String {
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-/// Minimal self-cleaning temp dir (std-only).
-mod tempdir {
-    use std::path::PathBuf;
-
-    pub struct TempDirGuard {
-        pub path: PathBuf,
-    }
-
-    impl Drop for TempDirGuard {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.path);
-        }
-    }
-
-    pub fn create(name: &str) -> TempDirGuard {
-        let path =
-            std::env::temp_dir().join(format!("goofi-service-cli-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).expect("mkdir");
-        TempDirGuard { path }
-    }
-}
 
 /// A running `goofi serve` daemon with its stdout tapped.
 struct Daemon {
@@ -144,22 +107,9 @@ fn make_campaign(dir: &std::path::Path, file: &str, experiments: &str) -> String
     db
 }
 
-/// The experiment rows that define a run's essence, sorted for
-/// order-independent comparison.
-fn essence_rows(db: &str) -> Vec<String> {
-    let out = stdout(&goofi(&[
-        "sql",
-        db,
-        "SELECT experimentName, termination, stateVector, validity FROM LoggedSystemState",
-    ]));
-    let mut rows: Vec<String> = out.lines().map(str::to_string).collect();
-    rows.sort();
-    rows
-}
-
 #[test]
 fn chaos_drill_survives_worker_kills_and_matches_serial_run() {
-    let guard = tempdir::create("chaos");
+    let guard = TempDir::new("chaos");
     let db = make_campaign(&guard.path, "service.gdb", "10");
     let serial = make_campaign(&guard.path, "serial.gdb", "10");
     stdout(&goofi(&["run", &serial, "--name", "c1"]));
@@ -219,7 +169,7 @@ fn processes_naming(arg: &str) -> Vec<u32> {
 
 #[test]
 fn sigkilled_daemon_resumes_the_job_on_restart() {
-    let guard = tempdir::create("resume");
+    let guard = TempDir::new("resume");
     let db = make_campaign(&guard.path, "service.gdb", "8");
     let serial = make_campaign(&guard.path, "serial.gdb", "8");
     stdout(&goofi(&["run", &serial, "--name", "c1"]));
