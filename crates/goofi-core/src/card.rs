@@ -2,17 +2,19 @@
 //!
 //! The paper's `Framework` template (§3, Figure 3) makes porting GOOFI a
 //! matter of filling in the target-specific methods. For a simulated core
-//! behind a scan-chain [`TestCard`], almost every [`TargetAccess`] building
-//! block is the same whatever the ISA: scan accesses walk the card's TAP,
+//! behind a scan-chain [`TestCard`], every [`TargetAccess`] building block
+//! is the same whatever the ISA: scan accesses walk the card's TAP,
 //! breakpoints arm the core's [`DebugUnit`](scanchain::DebugUnit), memory
 //! is the shared paged [`Memory`](scanchain::Memory), and a snapshot is a
 //! copy-on-write clone of the whole card. Every core is the shared
 //! [`Core`] skeleton around its ISA half, so [`CardTarget`] drives run,
 //! step, reset, ports, counters and rejoin through the skeleton, and maps
-//! its stop reasons to [`RunEvent`]s in one place. A core joins by
-//! implementing [`CardCpu`] on a marker type: its name, how to download an
-//! image, cache coherence after tool-side writes, and how its trace names
-//! the locations a step touched.
+//! its stop reasons to [`RunEvent`]s in one place. The ISA half is the
+//! whole port: `CardTarget<I>` takes its name from
+//! [`Isa::NAME`](scanchain::Isa::NAME), invalidates its caches after
+//! tool-side writes through [`Isa::invalidate`](scanchain::Isa::invalidate),
+//! and names what a traced step touched from the layout of its first chain
+//! ([`IsaChains::CHAINS`]).
 
 use crate::campaign::WorkloadImage;
 use crate::logging;
@@ -20,77 +22,38 @@ use crate::preinject::StepAccess;
 use crate::trigger::Trigger;
 use crate::{DetectionInfo, GoofiError, Result, RunBudget, RunEvent, TargetAccess, TargetSnapshot};
 use scanchain::{
-    BitVec, ChainLayout, Core, Detection as _, Isa, IsaChains, MemoryError, ScanTarget, StopReason,
-    TestCard, TestCardStats, PORT_COUNT,
+    AccessLog, BitVec, ChainLayout, Core, Detection as _, IsaChains, MemoryError, ScanTarget,
+    StopReason, TestCard, TestCardStats, PORT_COUNT,
 };
 use std::sync::Arc;
 
-/// What one CPU core contributes to its [`CardTarget`] port.
-///
-/// Implemented on a marker type in the port crate, since the core type is
-/// foreign there. The methods are associated functions that take the
-/// core, so an impl holds no state: the card, its snapshots and the
-/// power-cycle bookkeeping all stay in [`CardTarget`].
-pub trait CardCpu: 'static {
-    /// The ISA half of the simulated core; the core is `Core<Self::Isa>`.
-    type Isa: IsaChains;
-
-    /// The target-system name campaigns store.
-    const NAME: &'static str;
-
-    /// Downloads a workload image, given in the core's native units.
-    ///
-    /// # Errors
-    ///
-    /// [`MemoryError::OutOfRange`] if the image does not fit.
-    fn load(
-        cpu: &mut Core<Self::Isa>,
-        image: &WorkloadImage,
-    ) -> std::result::Result<(), MemoryError>;
-    /// Called after the tool wrote `words` words at `addr` behind the
-    /// core's back. Cores with caches invalidate them there, or a fault
-    /// would be masked by a stale cached copy; the default does nothing.
-    fn invalidate(cpu: &mut Core<Self::Isa>, addr: u32, words: u32) {
-        let _ = (cpu, addr, words);
-    }
-    /// Adds the locations one logged step read and wrote to `access`,
-    /// under the names fault locations use (`internal:<cell>`,
-    /// `mem:<word>`).
-    fn trace(log: &<Self::Isa as Isa>::Log, access: &mut StepAccess);
-}
-
-/// Why a [`CardCpu`]'s core stopped.
-type Stop<P> = StopReason<<<P as CardCpu>::Isa as Isa>::Detection>;
-/// What a [`CardCpu`]'s core is built from.
-type Config<P> = <<P as CardCpu>::Isa as Isa>::Config;
-
 /// A CPU core behind a scan-chain test card: the [`TargetAccess`] port for
-/// any [`CardCpu`].
+/// any ISA half `I`.
 ///
 /// The card (core, memory, TAP) lives behind an [`Arc`] so that snapshots
 /// are copy-on-write: a capture is a reference-count bump, a restore
 /// re-points the `Arc`, and the one deep copy is deferred to the first
 /// mutation after a restore.
 #[derive(Debug)]
-pub struct CardTarget<P: CardCpu> {
-    card: Arc<TestCard<Core<P::Isa>>>,
+pub struct CardTarget<I: IsaChains> {
+    card: Arc<TestCard<Core<I>>>,
     /// Construction config, kept so a power cycle can rebuild the core
     /// from scratch.
-    config: Config<P>,
+    config: I::Config,
     /// The last downloaded workload, reloaded after a power cycle; shared
     /// with every snapshot taken since.
     last_image: Option<Arc<WorkloadImage>>,
 }
 
-impl<P: CardCpu> Default for CardTarget<P> {
+impl<I: IsaChains> Default for CardTarget<I> {
     fn default() -> Self {
-        Self::new(Config::<P>::default())
+        Self::new(I::Config::default())
     }
 }
 
-impl<P: CardCpu> CardTarget<P> {
+impl<I: IsaChains> CardTarget<I> {
     /// Creates a target with the given core configuration.
-    pub fn new(config: Config<P>) -> Self {
+    pub fn new(config: I::Config) -> Self {
         CardTarget {
             card: Arc::new(TestCard::new(Core::new(config))),
             config,
@@ -99,18 +62,18 @@ impl<P: CardCpu> CardTarget<P> {
     }
 
     /// Read access to the wrapped core (for assertions in tests/benches).
-    pub fn cpu(&self) -> &Core<P::Isa> {
+    pub fn cpu(&self) -> &Core<I> {
         self.card.target()
     }
 
     /// Mutable access to the wrapped core.
-    pub fn cpu_mut(&mut self) -> &mut Core<P::Isa> {
+    pub fn cpu_mut(&mut self) -> &mut Core<I> {
         self.card_mut().target_mut()
     }
 
     /// Mutable access to the card, copy-on-write: clones the shared state
     /// exactly once after a restore, then stays free until the next one.
-    fn card_mut(&mut self) -> &mut TestCard<Core<P::Isa>> {
+    fn card_mut(&mut self) -> &mut TestCard<Core<I>> {
         Arc::make_mut(&mut self.card)
     }
 
@@ -122,7 +85,7 @@ impl<P: CardCpu> CardTarget<P> {
 
     /// The framework event for a stop reason, the one mapping for every
     /// core.
-    fn event(&mut self, stop: Stop<P>) -> RunEvent {
+    fn event(&mut self, stop: StopReason<I::Detection>) -> RunEvent {
         match stop {
             StopReason::Halted => RunEvent::Halted,
             StopReason::Detected(d) => RunEvent::Detected(DetectionInfo {
@@ -142,15 +105,23 @@ impl<P: CardCpu> CardTarget<P> {
             StopReason::InstrLimit => RunEvent::BudgetExhausted,
         }
     }
+
+    /// Downloads `image` into the core: its words, code length and entry
+    /// in the core's own units.
+    fn load(&mut self, image: &WorkloadImage) -> Result<()> {
+        self.cpu_mut()
+            .load_words(&image.words, image.code_words, image.entry)
+            .map_err(mem_err)
+    }
 }
 
 fn mem_err(e: MemoryError) -> GoofiError {
     GoofiError::Target(format!("memory access failed: {e}"))
 }
 
-impl<P: CardCpu> TargetAccess for CardTarget<P> {
+impl<I: IsaChains> TargetAccess for CardTarget<I> {
     fn target_name(&self) -> &str {
-        P::NAME
+        I::NAME
     }
 
     fn init_test_card(&mut self) -> Result<()> {
@@ -158,7 +129,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
     }
 
     fn load_workload(&mut self, image: &WorkloadImage) -> Result<()> {
-        P::load(self.cpu_mut(), image).map_err(mem_err)?;
+        self.load(image)?;
         self.last_image = Some(Arc::new(image.clone()));
         Ok(())
     }
@@ -171,7 +142,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
     fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
         let cpu = self.cpu_mut();
         cpu.memory_mut().load_block(addr, data).map_err(mem_err)?;
-        P::invalidate(cpu, addr, data.len() as u32);
+        I::invalidate(cpu, addr, data.len() as u32);
         Ok(())
     }
 
@@ -182,7 +153,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
     fn flip_memory_bit(&mut self, addr: u32, bit: u8) -> Result<()> {
         let cpu = self.cpu_mut();
         cpu.memory_mut().flip_bit(addr, bit).map_err(mem_err)?;
-        P::invalidate(cpu, addr, 1);
+        I::invalidate(cpu, addr, 1);
         Ok(())
     }
 
@@ -255,11 +226,30 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
         self.cpu().iterations()
     }
 
+    /// Names each logged access as fault locations do: a cell of the
+    /// ISA's first chain as `<chain>:<cell>`, a memory word as
+    /// `mem:<word>`.
     fn step_traced(&mut self) -> Result<(Option<RunEvent>, StepAccess)> {
-        let mut log = Default::default();
+        let mut log = AccessLog::default();
         let stop = self.cpu_mut().step_logged(&mut log);
-        let mut access = StepAccess::default();
-        P::trace(&log, &mut access);
+        let chain = I::CHAINS[0];
+        let layout = self
+            .cpu()
+            .isa
+            .layout(chain)
+            .expect("the first chain has a layout");
+        let names = |cells: &[usize], words: &[u32]| {
+            let cells = cells
+                .iter()
+                .map(|&cell| format!("{chain}:{}", layout.cells()[cell].name));
+            cells
+                .chain(words.iter().map(|w| format!("mem:{w}")))
+                .collect()
+        };
+        let access = StepAccess {
+            reads: names(&log.cell_reads, &log.mem_reads),
+            writes: names(&log.cell_writes, &log.mem_writes),
+        };
         Ok((stop.map(|s| self.event(s)), access))
     }
 
@@ -272,7 +262,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
         self.card = Arc::new(TestCard::new(Core::new(self.config)));
         self.card_mut().init().map_err(GoofiError::Scan)?;
         if let Some(image) = self.last_image.clone() {
-            P::load(self.cpu_mut(), &image).map_err(mem_err)?;
+            self.load(&image)?;
         }
         Ok(())
     }
@@ -285,7 +275,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
     /// traffic at all, which is the entire point: a restore replaces a
     /// workload download plus prefix re-execution.
     fn snapshot(&mut self) -> Result<TargetSnapshot> {
-        Ok(TargetSnapshot::new(CardSnapshot::<P> {
+        Ok(TargetSnapshot::new(CardSnapshot::<I> {
             card: Arc::clone(&self.card),
             last_image: self.last_image.clone(),
         }))
@@ -293,7 +283,7 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
 
     /// Only a capture of the same core type restores.
     fn restore(&mut self, snapshot: &TargetSnapshot) -> Result<()> {
-        let snap = CardSnapshot::<P>::of(snapshot)?;
+        let snap = CardSnapshot::<I>::of(snapshot)?;
         self.card = Arc::clone(&snap.card);
         self.last_image = snap.last_image.clone();
         Ok(())
@@ -312,8 +302,8 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
     /// being skipped does no scan traffic.
     fn rejoin(&mut self, checkpoint: &TargetSnapshot, end: &TargetSnapshot) -> Result<bool> {
         let (checkpoint, end) = (
-            CardSnapshot::<P>::of(checkpoint)?,
-            CardSnapshot::<P>::of(end)?,
+            CardSnapshot::<I>::of(checkpoint)?,
+            CardSnapshot::<I>::of(end)?,
         );
         Ok(self
             .cpu_mut()
@@ -345,18 +335,18 @@ impl<P: CardCpu> TargetAccess for CardTarget<P> {
 }
 
 /// The opaque payload behind [`CardTarget::snapshot`].
-struct CardSnapshot<P: CardCpu> {
-    card: Arc<TestCard<Core<P::Isa>>>,
+struct CardSnapshot<I: IsaChains> {
+    card: Arc<TestCard<Core<I>>>,
     last_image: Option<Arc<WorkloadImage>>,
 }
 
-impl<P: CardCpu> CardSnapshot<P> {
+impl<I: IsaChains> CardSnapshot<I> {
     /// The payload of `snapshot`, which only a capture of the same core
-    /// type holds: the payload type is generic over `P`, so another
+    /// type holds: the payload type is generic over `I`, so another
     /// core's snapshot fails the downcast.
     fn of(snapshot: &TargetSnapshot) -> Result<&Self> {
         snapshot
             .downcast_ref::<Self>()
-            .ok_or_else(|| GoofiError::Target(format!("snapshot was not taken on {}", P::NAME)))
+            .ok_or_else(|| GoofiError::Target(format!("snapshot was not taken on {}", I::NAME)))
     }
 }

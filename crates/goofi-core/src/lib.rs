@@ -10,7 +10,7 @@
 //! | GUI layer                          | typed campaign builders + [`monitor`] (CLI/API) |
 //! | `FaultInjectionAlgorithms` class   | [`algorithms`] (generic functions) + abstract methods on [`TargetAccess`] |
 //! | `Framework` template class         | [`framework::NullTarget`] + the documented [`TargetAccess`] trait |
-//! | `TargetSystemInterface` subclasses | [`card::CardTarget`] over a [`card::CardCpu`] impl (`goofi-thor`, `goofi-riscv`) |
+//! | `TargetSystemInterface` subclasses | [`card::CardTarget`] over a core's ISA half (`goofi-thor`, `goofi-riscv`) |
 //! | SQL database layer                 | [`dbio`] over the `goofidb` crate    |
 //!
 //! The Java abstract class becomes a trait: concrete fault-injection

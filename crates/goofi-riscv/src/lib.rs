@@ -2,20 +2,20 @@
 //! target system, ported through the same Framework template as
 //! `goofi-thor`.
 //!
-//! The port is deliberately boring: every [`goofi_core::TargetAccess`]
-//! building block comes from the one generic test-card port,
-//! [`goofi_core::card::CardTarget`], exactly as for Thor; this crate only
-//! fills in the [`CardCpu`] impl. That is the paper's genericity claim made
-//! concrete — a different ISA (byte-addressed PCs, a hardwired zero
-//! register, ECALL-based environment calls, no caches) slots in behind the
-//! identical interface, and the campaign algorithms, database and analyses
-//! never notice.
+//! The port is one type alias: every [`goofi_core::TargetAccess`] building
+//! block comes from [`goofi_core::card::CardTarget`], as for Thor, over the
+//! ISA half [`riscv::Rv32iIsa`] (name `rv32i`; no caches to invalidate;
+//! registers named in traces by their internal-chain cells `X1`–`X31`).
+//! That is the paper's genericity claim made concrete — a different ISA
+//! (byte-addressed PCs, a hardwired zero register, ECALL-based environment
+//! calls, no caches) slots in behind the identical interface, and the
+//! campaign algorithms, database and analyses never notice.
 //!
 //! Unit conventions: memory addresses are in words (like Thor), but the
 //! program counter — and therefore [`goofi_core::trigger::Trigger::Breakpoint`]
-//! operands — is a *byte* address, because that is RV32I's native PC unit.
-//! The framework treats trigger operands as opaque target units, so nothing
-//! above this crate needs to care.
+//! operands and an image's entry point — is a *byte* address, because that
+//! is RV32I's native PC unit. The framework treats trigger operands as
+//! opaque target units, so nothing above this crate needs to care.
 //!
 //! # Example
 //!
@@ -32,54 +32,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use goofi_core::campaign::WorkloadImage;
-use goofi_core::card::{CardCpu, CardTarget};
-use goofi_core::preinject::StepAccess;
-use riscv::{AccessLog, Cpu, Image, Rv32iIsa};
-use scanchain::MemoryError;
+use goofi_core::card::CardTarget;
+use riscv::Rv32iIsa;
 
 /// The RV32I target system behind a scan-chain test card.
-pub type RiscvTarget = CardTarget<Rv32i>;
-
-/// The RV32I core's half of [`RiscvTarget`]. It has no caches, so
-/// tool-side writes need no invalidation.
-#[derive(Debug)]
-pub struct Rv32i;
-
-impl CardCpu for Rv32i {
-    type Isa = Rv32iIsa;
-
-    const NAME: &'static str = "rv32i";
-
-    /// `WorkloadImage` fields are in the target's native units: the entry
-    /// point of an RV32I image is a byte address.
-    fn load(cpu: &mut Cpu, image: &WorkloadImage) -> Result<(), MemoryError> {
-        cpu.load_image(&Image {
-            words: image.words.clone(),
-            code_words: image.code_words,
-            entry: image.entry,
-        })
-    }
-
-    fn trace(log: &AccessLog, access: &mut StepAccess) {
-        for r in &log.reg_reads {
-            access.reads.push(format!("internal:X{}", r.index()));
-        }
-        for w in &log.reg_writes {
-            access.writes.push(format!("internal:X{}", w.index()));
-        }
-        for addr in &log.mem_reads {
-            access.reads.push(format!("mem:{addr}"));
-        }
-        for addr in &log.mem_writes {
-            access.writes.push(format!("mem:{addr}"));
-        }
-    }
-}
+pub type RiscvTarget = CardTarget<Rv32iIsa>;
 
 #[cfg(test)]
 mod rv32i_tests {
     use super::*;
+    use goofi_core::campaign::WorkloadImage;
     use goofi_core::trigger::Trigger;
     use goofi_core::{RunBudget, RunEvent, TargetAccess};
     use riscv::{encode, AluImmOp, Instr, LoadWidth, Reg, StoreWidth};

@@ -6,9 +6,9 @@
 //! [`scanchain::TestCard`] — scan accesses walk the real TAP state machine,
 //! breakpoints are programmed into the debug unit, memory is downloaded
 //! through the test card, exactly as §3 of the paper describes for the real
-//! Thor RD. What is Thor's own is the [`CardCpu`] impl below: the target
-//! name, image download, cache invalidation after tool-side writes, and
-//! the register names in access traces.
+//! Thor RD. What is Thor's own is its ISA half, [`thor::ThorIsa`]: the name
+//! `thor-rd`, cache invalidation after tool-side writes, and the internal
+//! chain whose cells (`R0`–`R15`, `FLAGS`) name registers in traces.
 //!
 //! # Example
 //!
@@ -25,66 +25,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use goofi_core::campaign::WorkloadImage;
-use goofi_core::card::{CardCpu, CardTarget};
-use goofi_core::preinject::StepAccess;
-use scanchain::MemoryError;
-use thor::{AccessLog, Cpu, ThorIsa};
+use goofi_core::card::CardTarget;
+use thor::ThorIsa;
 
 /// The Thor target system behind a scan-chain test card.
-pub type ThorTarget = CardTarget<Thor>;
-
-/// Thor's half of [`ThorTarget`].
-#[derive(Debug)]
-pub struct Thor;
-
-impl CardCpu for Thor {
-    type Isa = ThorIsa;
-
-    const NAME: &'static str = "thor-rd";
-
-    fn load(cpu: &mut Cpu, image: &WorkloadImage) -> Result<(), MemoryError> {
-        cpu.load_image(&thor::asm::Image {
-            words: image.words.clone(),
-            code_words: image.code_words,
-            entry: image.entry,
-            labels: Default::default(),
-        })
-    }
-
-    /// Keeps the caches coherent with the tool-side write, or the fault
-    /// would be masked by a stale cached copy.
-    fn invalidate(cpu: &mut Cpu, addr: u32, words: u32) {
-        for addr in addr..addr + words {
-            cpu.invalidate_cached(addr);
-        }
-    }
-
-    fn trace(log: &AccessLog, access: &mut StepAccess) {
-        for r in &log.reg_reads {
-            access.reads.push(format!("internal:R{}", r.index()));
-        }
-        for w in &log.reg_writes {
-            access.writes.push(format!("internal:R{}", w.index()));
-        }
-        if log.flags_read {
-            access.reads.push("internal:FLAGS".to_string());
-        }
-        if log.flags_written {
-            access.writes.push("internal:FLAGS".to_string());
-        }
-        for addr in &log.mem_reads {
-            access.reads.push(format!("mem:{addr}"));
-        }
-        for addr in &log.mem_writes {
-            access.writes.push(format!("mem:{addr}"));
-        }
-    }
-}
+pub type ThorTarget = CardTarget<ThorIsa>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goofi_core::campaign::WorkloadImage;
     use goofi_core::trigger::Trigger;
     use goofi_core::{RunBudget, RunEvent, TargetAccess};
 

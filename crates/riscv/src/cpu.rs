@@ -20,8 +20,8 @@
 //! workload's software EDM layer reports.
 
 use crate::isa::{decode, AluImmOp, AluOp, BranchCond, Instr, LoadWidth, Reg, ShiftOp, StoreWidth};
-use crate::scan::ChainSet;
-use scanchain::{BusEvent, Core, Detection as _, Isa, Memory, StepLog, PORT_COUNT};
+use crate::scan::{ChainSet, X0_CELL};
+use scanchain::{BusEvent, Core, Detection as _, Isa, Memory, PORT_COUNT};
 use std::fmt;
 use std::sync::Arc;
 
@@ -153,33 +153,6 @@ pub type Cpu = Core<Rv32iIsa>;
 /// Why execution stopped.
 pub type StopReason = scanchain::StopReason<Detection>;
 
-/// Record of the architectural reads/writes of one instruction, used by
-/// the pre-injection (liveness) analysis. Register indices skip the
-/// hardwired `x0`; memory addresses are in words.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AccessLog {
-    /// Program counter of the instruction, in bytes.
-    pub pc: u32,
-    /// Registers read.
-    pub reg_reads: Vec<Reg>,
-    /// Registers written.
-    pub reg_writes: Vec<Reg>,
-    /// Memory words read.
-    pub mem_reads: Vec<u32>,
-    /// Memory words written.
-    pub mem_writes: Vec<u32>,
-}
-
-impl StepLog for AccessLog {
-    fn clear(&mut self) {
-        self.pc = 0;
-        self.reg_reads.clear();
-        self.reg_writes.clear();
-        self.mem_reads.clear();
-        self.mem_writes.clear();
-    }
-}
-
 /// The RV32I half of a [`Cpu`]: the register file and decode/execute,
 /// with the alignment traps of a byte-addressed ISA. Its accessors read as
 /// the CPU's own.
@@ -248,8 +221,8 @@ impl Rv32iIsa {
 }
 
 impl Isa for Rv32iIsa {
+    const NAME: &'static str = "rv32i";
     type Detection = Detection;
-    type Log = AccessLog;
     type Config = CpuConfig;
     type Image = Image;
 
@@ -327,7 +300,7 @@ impl Isa for Rv32iIsa {
 #[inline(always)]
 fn log_reg_read<const LOG: bool>(cpu: &mut Cpu, r: Reg) -> u32 {
     if LOG && r != Reg::X0 {
-        cpu.log.reg_reads.push(r);
+        cpu.log.cell_reads.push(X0_CELL + r.index());
     }
     cpu.isa.regs[r.index()]
 }
@@ -338,7 +311,7 @@ fn log_reg_write<const LOG: bool>(cpu: &mut Cpu, r: Reg, v: u32) {
         return; // x0 is hardwired to zero
     }
     if LOG {
-        cpu.log.reg_writes.push(r);
+        cpu.log.cell_writes.push(X0_CELL + r.index());
     }
     cpu.isa.regs[r.index()] = v;
 }
@@ -1043,6 +1016,7 @@ mod rv32i_tests {
 
     #[test]
     fn step_logged_records_accesses() {
+        use scanchain::{AccessLog, ScanTarget};
         let words = halting(vec![
             addi(5, 0, 3),
             encode(Instr::Store {
@@ -1061,17 +1035,20 @@ mod rv32i_tests {
         let mut cpu = Cpu::new(CpuConfig::default());
         cpu.load_image(&image(words)).unwrap();
         let mut log = AccessLog::default();
+        // Registers are logged as their cells in the internal chain.
+        let layout = cpu.chain_layout(crate::scan::INTERNAL).unwrap().clone();
+        let cell = |name: &str| layout.cells().iter().position(|c| c.name == name).unwrap();
 
         assert!(cpu.step_logged(&mut log).is_none());
-        assert_eq!(log.reg_writes, vec![Reg::new(5)]);
+        assert_eq!(log.cell_writes, vec![cell("X5")]);
 
         assert!(cpu.step_logged(&mut log).is_none());
         assert_eq!(log.mem_writes, vec![100]);
-        assert!(log.reg_reads.contains(&Reg::new(5)));
+        assert!(log.cell_reads.contains(&cell("X5")));
 
         assert!(cpu.step_logged(&mut log).is_none());
         assert_eq!(log.mem_reads, vec![100]);
-        assert_eq!(log.reg_writes, vec![Reg::new(6)]);
+        assert_eq!(log.cell_writes, vec![cell("X6")]);
     }
 
     #[test]

@@ -44,8 +44,8 @@ mod isa;
 pub mod scan;
 
 pub use cpu::{
-    AccessLog, Cpu, CpuConfig, Detection, Image, Rv32iIsa, StopReason, ECALL_ASSERT, ECALL_HALT,
-    ECALL_IN, ECALL_OUT, ECALL_SYNC,
+    Cpu, CpuConfig, Detection, Image, Rv32iIsa, StopReason, ECALL_ASSERT, ECALL_HALT, ECALL_IN,
+    ECALL_OUT, ECALL_SYNC,
 };
 pub use isa::{
     decode, encode, AluImmOp, AluOp, BranchCond, DecodeError, Instr, LoadWidth, Reg, ShiftOp,

@@ -24,6 +24,10 @@ pub use scanchain::{BOUNDARY_CHAIN as BOUNDARY, DEBUG_CHAIN as DEBUG};
 /// Name of the internal (register file) chain.
 pub const INTERNAL: &str = "internal";
 
+/// Index of the `X0` cell in the internal chain; `Xn` is `X0_CELL + n`, as
+/// the access log names it.
+pub(crate) const X0_CELL: usize = 1;
+
 /// The RV32I core's own chain layout; the boundary and debug chains are
 /// the shared core's.
 #[derive(Debug, Clone)]
@@ -51,6 +55,7 @@ impl ChainSet {
             .cell("ITER", 32, CellAccess::ReadOnly)
             .cell("HALTED", 1, CellAccess::ReadOnly)
             .build();
+        debug_assert_eq!(internal.cells()[X0_CELL].name, "X0");
         ChainSet { internal }
     }
 }

@@ -9,10 +9,10 @@
 
 use proptest::prelude::*;
 use riscv::{
-    decode, encode, AccessLog, AluImmOp, AluOp, BranchCond, Cpu, CpuConfig, Detection, Image,
-    Instr, LoadWidth, Reg, ShiftOp, StopReason, StoreWidth, ECALL_HALT, ECALL_IN, ECALL_OUT,
-    PORT_COUNT,
+    decode, encode, AluImmOp, AluOp, BranchCond, Cpu, CpuConfig, Detection, Image, Instr,
+    LoadWidth, Reg, ShiftOp, StopReason, StoreWidth, ECALL_HALT, ECALL_IN, ECALL_OUT, PORT_COUNT,
 };
+use scanchain::AccessLog;
 
 fn pick<T: std::fmt::Debug + Clone>(items: Vec<T>) -> impl Strategy<Value = T> {
     (0..items.len()).prop_map(move |i| items[i].clone())

@@ -1,10 +1,10 @@
 //! The skeleton every simulated CPU core shares.
 //!
 //! A core behind a [`TestCard`](crate::TestCard) has two halves. The ISA
-//! half is the core's own: registers, decode and execute, and whatever
-//! else its instruction set has (caches, an EDM mask). It implements
-//! [`Isa`]. The other half is the same for every core and is written once
-//! here as [`Core`]:
+//! half is the core's own: its name, registers, decode and execute, and
+//! whatever else its instruction set has (caches, an EDM mask). It
+//! implements [`Isa`]. The other half is the same for every core and is
+//! written once here as [`Core`]:
 //!
 //! - the machine state: PC, main memory, the I/O port latches, the cycle,
 //!   instruction and iteration counters, the debug unit, the detection and
@@ -15,6 +15,8 @@
 //!   detection, then the watchdog, then a fetch breakpoint). `run` checks
 //!   the two latches once, on entry, and runs a quiet instantiation of the
 //!   step when the debug unit is idle (see [`Core::run`]);
+//! - the one [`AccessLog`] a logged step fills, in which every ISA names
+//!   a register by its cell in the ISA's first chain;
 //! - the shared half of rejoining a fault-free run;
 //! - the boundary (pin) and debug scan chains, beside the ISA's own
 //!   ([`IsaChains`]).
@@ -69,19 +71,43 @@ pub trait Detection: Copy + Eq + fmt::Debug + Send + Sync {
     fn encode(&self) -> u32;
 }
 
-/// The record of one instruction's accesses that [`Core::step_logged`]
-/// fills.
-pub trait StepLog: Default + Clone + fmt::Debug + Send + Sync {
+/// The architectural reads and writes of one instruction, which
+/// [`Core::step_logged`] records for the pre-injection (liveness) analysis.
+///
+/// A register or latch is logged as its cell's index in the layout of the
+/// ISA's first chain ([`IsaChains::CHAINS`]), so the same record serves
+/// every core and names its entries from that layout.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AccessLog {
+    /// Program counter of the instruction, in the ISA's address unit.
+    pub pc: u32,
+    /// Cells read, by index.
+    pub cell_reads: Vec<usize>,
+    /// Cells written, by index.
+    pub cell_writes: Vec<usize>,
+    /// Memory words read.
+    pub mem_reads: Vec<u32>,
+    /// Memory words written.
+    pub mem_writes: Vec<u32>,
+}
+
+impl AccessLog {
     /// Empties the record, keeping its allocations.
-    fn clear(&mut self);
+    pub(crate) fn clear(&mut self) {
+        self.pc = 0;
+        self.cell_reads.clear();
+        self.cell_writes.clear();
+        self.mem_reads.clear();
+        self.mem_writes.clear();
+    }
 }
 
 /// The ISA half of a core: what [`Core`] cannot know.
-pub trait Isa: Clone + fmt::Debug + Send + Sync + Sized {
+pub trait Isa: Clone + fmt::Debug + Send + Sync + Sized + 'static {
+    /// The target-system name campaigns store.
+    const NAME: &'static str;
     /// What the core's mechanisms detect.
     type Detection: Detection;
-    /// What [`Core::step_logged`] records of one instruction.
-    type Log: StepLog;
     /// Construction-time configuration, kept so a power cycle can
     /// rebuild the core.
     type Config: Copy + Default + fmt::Debug + Send + Sync;
@@ -96,11 +122,13 @@ pub trait Isa: Clone + fmt::Debug + Send + Sync + Sized {
     /// Resets the ISA half; the stack pointer restarts at `initial_sp`.
     fn reset(&mut self, initial_sp: u32);
     /// Executes the instruction at `cpu.pc` once the fetch prologue let it
-    /// through; `LOG` fills `cpu.log` with its accesses. `WATCH` is false
-    /// in a quiet run, where the debug unit is idle throughout: the step
-    /// reports its bus events, cycles and latched debug event through
-    /// [`Core::observe`], [`Core::on_cycles`] and [`Core::debug_stop`],
-    /// which then compile to nothing, a plain add and `None`.
+    /// through; `LOG` fills `cpu.log` with its accesses, a register as its
+    /// cell in the first of [`IsaChains::CHAINS`] ([`AccessLog`]). `WATCH`
+    /// is false in a quiet run, where the debug unit is idle throughout:
+    /// the step reports its bus events, cycles and latched debug event
+    /// through [`Core::observe`], [`Core::on_cycles`] and
+    /// [`Core::debug_stop`], which then compile to nothing, a plain add and
+    /// `None`.
     fn step_inner<const LOG: bool, const WATCH: bool>(
         cpu: &mut Core<Self>,
     ) -> Option<StopReason<Self::Detection>>;
@@ -111,6 +139,12 @@ pub trait Isa: Clone + fmt::Debug + Send + Sync + Sized {
     /// tool-side change. The default caches nothing.
     fn sync_code(cpu: &mut Core<Self>) {
         let _ = cpu;
+    }
+    /// Called after the tool wrote `words` words at `addr` behind the
+    /// core's back. A core with caches invalidates them there, or a fault
+    /// would be masked by a stale cached copy; the default does nothing.
+    fn invalidate(cpu: &mut Core<Self>, addr: u32, words: u32) {
+        let _ = (cpu, addr, words);
     }
     /// The ISA half of [`Core::rejoin`]: whether `self` steers execution
     /// exactly as `checkpoint` does, given the run from `checkpoint`
@@ -182,7 +216,7 @@ pub struct Core<I: Isa> {
     /// The halt latch.
     pub halted: bool,
     /// The access record of the instruction [`Core::step_logged`] runs.
-    pub log: I::Log,
+    pub log: AccessLog,
     /// Whether the tool may have changed memory since the last
     /// [`Isa::sync_code`]; the next run or step calls it first.
     memory_touched: bool,
@@ -227,7 +261,7 @@ impl<I: Isa> Core<I> {
             debug: DebugUnit::new(),
             detection: None,
             halted: false,
-            log: I::Log::default(),
+            log: AccessLog::default(),
             memory_touched: true,
             watchdog,
             entry: 0,
@@ -237,14 +271,29 @@ impl<I: Isa> Core<I> {
         core
     }
 
-    /// Downloads an image: its words at word 0, the protection boundary at
-    /// its code/data split, then resets the core.
+    /// Downloads an image ([`Core::load_words`]).
     ///
     /// # Errors
     ///
     /// Returns [`MemoryError::OutOfRange`] if the image does not fit.
     pub fn load_image(&mut self, image: &I::Image) -> Result<(), MemoryError> {
         let (words, code_words, entry) = I::image(image);
+        self.load_words(words, code_words, entry)
+    }
+
+    /// Downloads a program: `words` at word 0, the protection boundary
+    /// after its first `code_words`, the reset PC at `entry` (in the ISA's
+    /// address unit), then resets the core.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemoryError::OutOfRange`] if the words do not fit.
+    pub fn load_words(
+        &mut self,
+        words: &[u32],
+        code_words: u32,
+        entry: u32,
+    ) -> Result<(), MemoryError> {
         self.mem.clear();
         self.mem.load_block(0, words)?;
         self.mem.set_code_segment(code_words);
@@ -450,7 +499,7 @@ impl<I: Isa> Core<I> {
     /// Executes one instruction and fills `log` with its architectural
     /// reads and writes (reference-trace collection for the pre-injection
     /// analysis).
-    pub fn step_logged(&mut self, log: &mut I::Log) -> Option<StopReason<I::Detection>> {
+    pub fn step_logged(&mut self, log: &mut AccessLog) -> Option<StopReason<I::Detection>> {
         self.log.clear();
         let stop = self.step_one::<true>();
         std::mem::swap(log, &mut self.log);
@@ -640,15 +689,6 @@ mod tests {
         }
     }
 
-    #[derive(Debug, Clone, Default)]
-    struct Trace(Vec<u32>);
-
-    impl StepLog for Trace {
-        fn clear(&mut self) {
-            self.0.clear();
-        }
-    }
-
     /// A toy ISA: word 0 counts into `acc` (one cycle), 1 halts, any other
     /// word latches `Fault(word)`.
     #[derive(Debug, Clone, Default)]
@@ -659,8 +699,8 @@ mod tests {
     }
 
     impl Isa for Toy {
+        const NAME: &'static str = "toy";
         type Detection = Fault;
-        type Log = Trace;
         type Config = ();
         type Image = Vec<u32>;
 
@@ -682,7 +722,7 @@ mod tests {
         ) -> Option<StopReason<Fault>> {
             let word = cpu.mem.read(cpu.pc).unwrap_or(0);
             if LOG {
-                cpu.log.0.push(cpu.pc);
+                cpu.log.mem_reads.push(cpu.pc);
             }
             cpu.isa.steps += 1;
             cpu.pc += 1;

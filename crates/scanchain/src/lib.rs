@@ -17,9 +17,9 @@
 //! copy-on-write main [`Memory`] that snapshots share and the memoized
 //! memory digest reads page by page, and the core skeleton [`Core`]. A
 //! core is `Core<I>` around its ISA half `I` ([`Isa`], [`IsaChains`]):
-//! the skeleton holds the machine state, the run loop and its fetch
-//! prologue, reset, the shared half of rejoining a fault-free run, and the
-//! boundary and debug chains, each once.
+//! the skeleton holds the machine state, the run loop, its fetch prologue
+//! and [`AccessLog`], reset, the shared half of rejoining a fault-free
+//! run, and the boundary and debug chains, each once.
 //!
 //! [`plan`] is the one grammar of the `key=value` drill specs and the one
 //! source of seeded draws behind every self-injection drill: the link and
@@ -61,7 +61,7 @@ mod wedge;
 pub use bitvec::BitVec;
 pub use chain::{CellAccess, CellDef, ChainLayout, ChainLayoutBuilder};
 pub use cpu::{
-    Core, Detection, Isa, IsaChains, StepLog, StopReason, BOUNDARY_CHAIN, DEBUG_CHAIN, PORT_COUNT,
+    AccessLog, Core, Detection, Isa, IsaChains, StopReason, BOUNDARY_CHAIN, DEBUG_CHAIN, PORT_COUNT,
 };
 pub use debug::{BusEvent, DebugCondition, DebugEvent, DebugUnit, DEBUG_SLOTS};
 pub use error::ScanError;

@@ -6,8 +6,8 @@ use crate::asm::Image;
 use crate::cache::{Cache, CacheConfig, Lookup};
 use crate::edm::{Detection, EdmSet};
 use crate::isa::{decode, Instr, Opcode, Reg};
-use crate::scan::ChainSet;
-use scanchain::{BusEvent, Core, Isa, MemoryError, StepLog, PORT_COUNT};
+use crate::scan::{ChainSet, FLAGS_CELL, R0_CELL};
+use scanchain::{BusEvent, Core, Isa, MemoryError, PORT_COUNT};
 
 /// Construction-time CPU configuration.
 #[derive(Debug, Clone, Copy)]
@@ -51,99 +51,6 @@ const FLAG_Z: u8 = 1;
 const FLAG_N: u8 = 2;
 const FLAG_C: u8 = 4;
 const FLAG_V: u8 = 8;
-
-/// Record of the architectural reads/writes of one instruction, used by the
-/// pre-injection (liveness) analysis of GOOFI's §4 extensions.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AccessLog {
-    /// Program counter of the instruction.
-    pub pc: u32,
-    /// Registers read.
-    pub reg_reads: Vec<Reg>,
-    /// Registers written.
-    pub reg_writes: Vec<Reg>,
-    /// Memory words read.
-    pub mem_reads: Vec<u32>,
-    /// Memory words written.
-    pub mem_writes: Vec<u32>,
-    /// Whether the instruction read the condition flags.
-    pub flags_read: bool,
-    /// Whether the instruction wrote the condition flags.
-    pub flags_written: bool,
-}
-
-impl StepLog for AccessLog {
-    fn clear(&mut self) {
-        self.pc = 0;
-        self.reg_reads.clear();
-        self.reg_writes.clear();
-        self.mem_reads.clear();
-        self.mem_writes.clear();
-        self.flags_read = false;
-        self.flags_written = false;
-    }
-}
-
-/// A snapshot of the CPU's scan-observable architectural state.
-///
-/// This is the `statevector` that GOOFI logs to the `LoggedSystemState`
-/// table after the reference run and after every experiment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct StateVector {
-    /// General-purpose registers.
-    pub regs: [u32; Reg::COUNT],
-    /// Program counter.
-    pub pc: u32,
-    /// Condition flags.
-    pub flags: u8,
-    /// Instruction register (last fetched word).
-    pub ir: u32,
-    /// Memory address register.
-    pub mar: u32,
-    /// Memory data register.
-    pub mdr: u32,
-    /// Output port latches.
-    pub out_ports: [u32; PORT_COUNT],
-    /// Completed workload iterations.
-    pub iterations: u64,
-    /// Latched detection status (encoded; 0 = none).
-    pub detection: u32,
-}
-
-impl StateVector {
-    /// The scan-observable state of `cpu`.
-    pub fn of(cpu: &Cpu) -> StateVector {
-        StateVector {
-            regs: cpu.isa.regs,
-            pc: cpu.pc,
-            flags: cpu.isa.flags,
-            ir: cpu.isa.ir,
-            mar: cpu.isa.mar,
-            mdr: cpu.isa.mdr,
-            out_ports: cpu.out_ports,
-            iterations: cpu.iterations,
-            detection: cpu
-                .detection
-                .map_or(0, |d| scanchain::Detection::encode(&d)),
-        }
-    }
-
-    /// Serialises the snapshot to words, for hashing and database storage.
-    pub fn to_words(&self) -> Vec<u32> {
-        let mut v = Vec::with_capacity(Reg::COUNT + PORT_COUNT + 8);
-        v.extend_from_slice(&self.regs);
-        v.push(self.pc);
-        v.push(self.flags as u32);
-        v.push(self.ir);
-        v.push(self.mar);
-        v.push(self.mdr);
-        v.extend_from_slice(&self.out_ports);
-        v.push(self.iterations as u32);
-        v.push((self.iterations >> 32) as u32);
-        v.push(self.detection);
-        v
-    }
-}
 
 /// Slots in the decoded-instruction cache.
 const DECODE_SLOTS: usize = 64;
@@ -279,8 +186,8 @@ impl ThorIsa {
 }
 
 impl Isa for ThorIsa {
+    const NAME: &'static str = "thor-rd";
     type Detection = Detection;
-    type Log = AccessLog;
     type Config = CpuConfig;
     type Image = Image;
 
@@ -397,6 +304,14 @@ impl Isa for ThorIsa {
         cpu.debug_stop::<WATCH>()
     }
 
+    /// Keeps the caches coherent with the tool-side write, or the fault
+    /// would be masked by a stale cached copy.
+    fn invalidate(cpu: &mut Cpu, addr: u32, words: u32) {
+        for addr in addr..addr + words {
+            cpu.invalidate_cached(addr);
+        }
+    }
+
     /// Registers, flags, IR/MAR/MDR and the PSW must match, and so must
     /// every cache line the run looks up or fills after `checkpoint`.
     fn rejoins(&self, checkpoint: &Self, end: &Self, since: u64) -> bool {
@@ -426,7 +341,7 @@ impl Isa for ThorIsa {
 #[inline(always)]
 fn log_reg_read<const LOG: bool>(cpu: &mut Cpu, r: Reg) -> u32 {
     if LOG {
-        cpu.log.reg_reads.push(r);
+        cpu.log.cell_reads.push(R0_CELL + r.index());
     }
     cpu.isa.regs[r.index()]
 }
@@ -434,7 +349,7 @@ fn log_reg_read<const LOG: bool>(cpu: &mut Cpu, r: Reg) -> u32 {
 #[inline(always)]
 fn log_reg_write<const LOG: bool>(cpu: &mut Cpu, r: Reg, v: u32) {
     if LOG {
-        cpu.log.reg_writes.push(r);
+        cpu.log.cell_writes.push(R0_CELL + r.index());
     }
     cpu.isa.regs[r.index()] = v;
 }
@@ -567,7 +482,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
                     }
                     cpu.isa.set_arith_flags(a, b, r, c);
                     if LOG {
-                        cpu.log.flags_written = true;
+                        cpu.log.cell_writes.push(FLAGS_CELL);
                     }
                     log_reg_write::<LOG>(cpu, rd, r);
                 }
@@ -581,7 +496,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
                     }
                     cpu.isa.set_arith_flags(a, !b, r, !borrow);
                     if LOG {
-                        cpu.log.flags_written = true;
+                        cpu.log.cell_writes.push(FLAGS_CELL);
                     }
                     if op == Sub {
                         log_reg_write::<LOG>(cpu, rd, r);
@@ -595,7 +510,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
                     let r = a.wrapping_mul(b);
                     cpu.isa.set_zn(r);
                     if LOG {
-                        cpu.log.flags_written = true;
+                        cpu.log.cell_writes.push(FLAGS_CELL);
                     }
                     log_reg_write::<LOG>(cpu, rd, r);
                 }
@@ -607,7 +522,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
                     let r = ((a as i32).wrapping_div(b as i32)) as u32;
                     cpu.isa.set_zn(r);
                     if LOG {
-                        cpu.log.flags_written = true;
+                        cpu.log.cell_writes.push(FLAGS_CELL);
                     }
                     log_reg_write::<LOG>(cpu, rd, r);
                 }
@@ -623,7 +538,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
                     };
                     cpu.isa.set_zn(r);
                     if LOG {
-                        cpu.log.flags_written = true;
+                        cpu.log.cell_writes.push(FLAGS_CELL);
                     }
                     log_reg_write::<LOG>(cpu, rd, r);
                 }
@@ -709,7 +624,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
                         _ => unreachable!(),
                     }
                     if LOG {
-                        cpu.log.flags_written = true;
+                        cpu.log.cell_writes.push(FLAGS_CELL);
                     }
                 }
                 Andi | Ori | Xori | Shli | Shri => {
@@ -724,7 +639,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
                     };
                     cpu.isa.set_zn(r);
                     if LOG {
-                        cpu.log.flags_written = true;
+                        cpu.log.cell_writes.push(FLAGS_CELL);
                     }
                     log_reg_write::<LOG>(cpu, rd, r);
                 }
@@ -763,7 +678,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
                         _ => unreachable!(),
                     };
                     if LOG && op != Br {
-                        cpu.log.flags_read = true;
+                        cpu.log.cell_reads.push(FLAGS_CELL);
                     }
                     if taken {
                         let target = cpu.pc.wrapping_add(simm);
@@ -814,7 +729,7 @@ fn execute<const LOG: bool, const WATCH: bool>(cpu: &mut Cpu, instr: Instr) -> O
 mod tests {
     use super::*;
     use crate::asm::assemble;
-    use scanchain::DebugUnit;
+    use scanchain::{AccessLog, BitVec, DebugUnit, ScanTarget};
 
     fn run_asm(src: &str) -> (Cpu, StopReason) {
         let image = assemble(src).expect("assembly");
@@ -822,6 +737,14 @@ mod tests {
         cpu.load_image(&image).unwrap();
         let stop = cpu.run(1_000_000);
         (cpu, stop)
+    }
+
+    /// What every scan chain of `cpu` captures.
+    fn chains(cpu: &Cpu) -> Vec<BitVec> {
+        cpu.chain_names()
+            .iter()
+            .map(|chain| cpu.capture_chain(chain).unwrap())
+            .collect()
     }
 
     #[test]
@@ -1150,17 +1073,20 @@ mod tests {
         let mut cpu = Cpu::new(CpuConfig::default());
         cpu.load_image(&image).unwrap();
         let mut log = AccessLog::default();
+        // Registers are logged as their cells in the internal chain.
+        let layout = cpu.chain_layout(crate::scan::INTERNAL).unwrap().clone();
+        let cell = |name: &str| layout.cells().iter().position(|c| c.name == name).unwrap();
 
         assert!(cpu.step_logged(&mut log).is_none());
-        assert_eq!(log.reg_writes, vec![Reg::new(1)]);
+        assert_eq!(log.cell_writes, vec![cell("R1")]);
 
         assert!(cpu.step_logged(&mut log).is_none());
         assert_eq!(log.mem_writes, vec![50]);
-        assert!(log.reg_reads.contains(&Reg::new(1)));
+        assert!(log.cell_reads.contains(&cell("R1")));
 
         assert!(cpu.step_logged(&mut log).is_none());
         assert_eq!(log.mem_reads, vec![50]);
-        assert_eq!(log.reg_writes, vec![Reg::new(2)]);
+        assert_eq!(log.cell_writes, vec![cell("R2")]);
     }
 
     #[test]
@@ -1168,12 +1094,16 @@ mod tests {
         let image = assemble("ldi r1, 9\nhalt").unwrap();
         let mut cpu = Cpu::new(CpuConfig::default());
         cpu.load_image(&image).unwrap();
-        let before = StateVector::of(&cpu);
+        let before = chains(&cpu);
         cpu.run(10);
-        let after = StateVector::of(&cpu);
+        let after = chains(&cpu);
         assert_ne!(before, after);
-        assert_eq!(after.regs[1], 9);
-        assert_eq!(before.to_words().len(), after.to_words().len());
+        let internal = cpu.chain_layout(crate::scan::INTERNAL).unwrap();
+        assert_eq!(internal.read_cell(&after[0], "R1").unwrap(), 9);
+        assert_eq!(
+            before.iter().map(BitVec::len).collect::<Vec<_>>(),
+            after.iter().map(BitVec::len).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1201,7 +1131,7 @@ mod tests {
         // The checkpoint itself rejoins and ends exactly as the run does.
         let mut live = checkpoint.clone();
         assert!(live.rejoin(&checkpoint, &end));
-        assert_eq!(StateVector::of(&live), StateVector::of(&end));
+        assert_eq!(chains(&live), chains(&end));
         assert_eq!(
             (live.cycles, live.isa.dcache, live.isa.icache),
             (end.cycles, end.dcache.clone(), end.icache.clone())
@@ -1241,12 +1171,9 @@ mod tests {
         for change in refused {
             let mut live = checkpoint.clone();
             change(&mut live);
-            let before = (StateVector::of(&live), live.cycles, live.dcache.clone());
+            let before = (chains(&live), live.cycles, live.dcache.clone());
             assert!(!live.rejoin(&checkpoint, &end));
-            assert_eq!(
-                (StateVector::of(&live), live.cycles, live.dcache.clone()),
-                before
-            );
+            assert_eq!((chains(&live), live.cycles, live.dcache.clone()), before);
         }
     }
 
@@ -1264,7 +1191,7 @@ mod tests {
         ";
         let (cpu1, _) = run_asm(src);
         let (cpu2, _) = run_asm(src);
-        assert_eq!(StateVector::of(&cpu1), StateVector::of(&cpu2));
+        assert_eq!(chains(&cpu1), chains(&cpu2));
         assert_eq!(cpu1.cycles(), cpu2.cycles());
     }
 }

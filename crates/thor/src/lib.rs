@@ -49,7 +49,7 @@ mod isa;
 pub mod scan;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use cpu::{AccessLog, Cpu, CpuConfig, StateVector, StopReason, ThorIsa};
+pub use cpu::{Cpu, CpuConfig, StopReason, ThorIsa};
 pub use edm::{Detection, EdmSet};
 pub use isa::{decode, encode, DecodeError, Instr, Opcode, Reg};
 pub use scan::ChainSet;

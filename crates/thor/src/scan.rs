@@ -31,6 +31,12 @@ pub const ICACHE: &str = "icache";
 /// Name of the data-cache chain.
 pub const DCACHE: &str = "dcache";
 
+/// Index of the `FLAGS` cell in the internal chain, as the access log
+/// names it.
+pub(crate) const FLAGS_CELL: usize = 1;
+/// Index of the `R0` cell in the internal chain; `Rn` is `R0_CELL + n`.
+pub(crate) const R0_CELL: usize = 5;
+
 /// Thor's own chain layouts (geometry-dependent); the boundary and debug
 /// chains are the shared core's.
 #[derive(Debug, Clone)]
@@ -60,6 +66,8 @@ impl ChainSet {
             .cell("ITER", 32, CellAccess::ReadOnly)
             .cell("HALTED", 1, CellAccess::ReadOnly)
             .build();
+        debug_assert_eq!(internal.cells()[FLAGS_CELL].name, "FLAGS");
+        debug_assert_eq!(internal.cells()[R0_CELL].name, "R0");
         ChainSet {
             internal,
             icache: cache_layout(ICACHE, icache_lines, icache_tag_bits),
@@ -201,7 +209,7 @@ impl IsaChains for ThorIsa {
 mod tests {
     use super::*;
     use crate::asm::assemble;
-    use crate::cpu::{CpuConfig, StateVector, StopReason};
+    use crate::cpu::{CpuConfig, StopReason};
     use crate::edm::Detection;
     use scanchain::{DebugUnit, ScanTarget, TestCard, PORT_COUNT};
 
@@ -434,11 +442,17 @@ mod tests {
     fn full_chain_write_roundtrip_preserves_state() {
         let mut cpu = cpu_with("ldi r1, 5\nldi r2, 6\nhalt");
         cpu.step();
-        let before = StateVector::of(&cpu);
+        let chains = |cpu: &Cpu| {
+            cpu.chain_names()
+                .iter()
+                .map(|chain| cpu.capture_chain(chain).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let before = chains(&cpu);
         let mut card = TestCard::new(cpu);
         card.init().unwrap();
         let bits = card.read_chain(INTERNAL).unwrap();
         card.write_chain(INTERNAL, &bits).unwrap();
-        assert_eq!(StateVector::of(card.target()), before);
+        assert_eq!(chains(card.target()), before);
     }
 }

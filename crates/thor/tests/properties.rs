@@ -1,10 +1,8 @@
 //! Property-based tests for the CPU substrate.
 
 use proptest::prelude::*;
-use scanchain::{ScanTarget, TestCard};
-use thor::{
-    asm, decode, encode, AccessLog, Cpu, CpuConfig, Instr, Opcode, Reg, StateVector, StopReason,
-};
+use scanchain::{AccessLog, BitVec, ScanTarget, TestCard};
+use thor::{asm, decode, encode, Cpu, CpuConfig, Instr, Opcode, Reg, StopReason};
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
     (0u8..16).prop_map(Reg::new)
@@ -149,7 +147,7 @@ proptest! {
         let end = |cpu: Cpu, stop: Option<StopReason>| {
             (
                 stop.unwrap_or(StopReason::InstrLimit),
-                StateVector::of(&cpu),
+                chains(&cpu),
                 cpu.cycles(),
                 cpu.icache_stats(),
                 cpu.dcache_stats(),
@@ -172,6 +170,14 @@ proptest! {
         let stop = (0..n).find_map(|_| cpu.step_logged(&mut log));
         prop_assert_eq!(&ran, &end(cpu, stop));
     }
+}
+
+/// What every scan chain of `cpu` captures.
+fn chains(cpu: &Cpu) -> Vec<BitVec> {
+    cpu.chain_names()
+        .iter()
+        .map(|chain| cpu.capture_chain(chain).unwrap())
+        .collect()
 }
 
 /// An input-driven program for the determinism property: `in[0] % 16`

@@ -430,7 +430,8 @@ fix_low:
 mod tests {
     use super::*;
     use envsim::{DcMotor, Environment};
-    use thor::{Cpu, CpuConfig, StateVector, StopReason};
+    use scanchain::ScanTarget;
+    use thor::{Cpu, CpuConfig, StopReason};
 
     fn run_to_halt(w: &Workload) -> Cpu {
         let mut cpu = Cpu::new(CpuConfig::default());
@@ -609,8 +610,13 @@ mod tests {
             if w.kind != WorkloadKind::Terminating {
                 continue;
             }
-            let a = StateVector::of(&run_to_halt(&w));
-            let b = StateVector::of(&run_to_halt(&w));
+            let [a, b] = [run_to_halt(&w), run_to_halt(&w)].map(|cpu| {
+                let chains = cpu.chain_names();
+                chains
+                    .iter()
+                    .map(|c| cpu.capture_chain(c).unwrap())
+                    .collect::<Vec<_>>()
+            });
             assert_eq!(a, b, "{}", w.name);
         }
     }

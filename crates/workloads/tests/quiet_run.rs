@@ -6,9 +6,10 @@
 //! event, and the fetches counted once on the way out. RV32I also fetches
 //! from its code segment decoded once. None of that may show: after the
 //! same faults, `run(budget)` must leave every CPU exactly as the same
-//! number of `step()` calls does, including what `StateVector` leaves out
-//! (the debug unit's ICOUNT, CCOUNT and HIT, memory, and Thor's cache lines
-//! and statistics).
+//! number of `step()` calls does: every scan chain (the debug unit's
+//! ICOUNT, CCOUNT and HIT included), the ports, the counters, the
+//! detection, memory, and the whole ISA half (Thor's cache statistics
+//! included).
 
 use goofi_core::campaign::WorkloadImage;
 use goofi_core::{RunBudget, RunEvent, TargetAccess};
@@ -76,11 +77,7 @@ fn assert_same<I: IsaChains>(a: &Core<I>, b: &Core<I>, what: &str) {
 /// fault-free run on `fresh()`, and holds `run(BUDGET)` on an idle debug
 /// unit to as many steps. Returns how many ran into the budget or the
 /// watchdog.
-fn flips_run_as_steps<I: IsaChains>(
-    name: &str,
-    fresh: impl Fn() -> Core<I>,
-    state: impl Fn(&Core<I>) -> String,
-) -> usize {
+fn flips_run_as_steps<I: IsaChains>(name: &str, fresh: impl Fn() -> Core<I>) -> usize {
     let mut golden = fresh();
     let len = {
         let mut end = golden.clone();
@@ -109,7 +106,6 @@ fn flips_run_as_steps<I: IsaChains>(
         let stop = quiet.run(BUDGET);
         assert_eq!(stop, steps(&mut watched, BUDGET), "{what}: stop");
         assert_same(&quiet, &watched, &what);
-        assert_eq!(state(&quiet), state(&watched), "{what}: state vector");
         if matches!(stop, StopReason::InstrLimit | StopReason::Timeout) {
             runaways += 1;
         }
@@ -141,11 +137,7 @@ fn after_internal_chain_flips_a_quiet_run_ends_as_single_steps_do_on_both_cpus()
             watchdog_cycles: watchdog_after(|| load(thor::CpuConfig::default()), 30_000),
             ..thor::CpuConfig::default()
         };
-        runaways += flips_run_as_steps(
-            &w.name,
-            || load(config),
-            |cpu| format!("{:?}", thor::StateVector::of(cpu)),
-        );
+        runaways += flips_run_as_steps(&w.name, || load(config));
     }
     for w in workloads::riscv_all() {
         assert_eq!(w.kind, WorkloadKind::Terminating);
@@ -158,9 +150,7 @@ fn after_internal_chain_flips_a_quiet_run_ends_as_single_steps_do_on_both_cpus()
             watchdog_cycles: watchdog_after(|| load(riscv::CpuConfig::default()), 30_000),
             ..riscv::CpuConfig::default()
         };
-        // RV32I's scan-visible state vector is its internal chain, which
-        // `assert_same` compares already.
-        runaways += flips_run_as_steps(&w.name, || load(config), |_| String::new());
+        runaways += flips_run_as_steps(&w.name, || load(config));
     }
     assert!(runaways > 0, "no flip ran away; the budget tests nothing");
 }

@@ -8,7 +8,8 @@
 //! assume the core is cycle-deterministic, so any drift in these numbers is
 //! a regression even if the workload's *output* stays correct.
 
-use riscv::{AccessLog, Cpu, CpuConfig, StopReason};
+use riscv::{Cpu, CpuConfig, StopReason};
+use scanchain::AccessLog;
 use workloads::{
     riscv_by_name, riscv_fibonacci, riscv_memcpy, RiscvWorkload, RISCV_MEMCPY_DATA,
     RISCV_MEMCPY_WORDS,

@@ -14,11 +14,14 @@ use goofi::core::fault::FaultSpace;
 use goofi::core::monitor::ProgressMonitor;
 use goofi::envsim::DcMotor;
 use goofi::goofi_thor::ThorTarget;
+use goofi::targets::TargetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let workload = workloads::by_name("pi-control").expect("workload exists");
+    let program = TargetKind::Thor
+        .program("pi-control")
+        .expect("program exists");
     let mut target = ThorTarget::default();
     let target_data = TargetSystemData::from_target(&target, "Thor-RD-like CPU simulator");
 
@@ -42,12 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let campaign = Campaign::builder("control-loop")
         .target_system(&target_data.name)
-        .workload(goofi::core::campaign::WorkloadImage {
-            name: workload.name.clone(),
-            words: workload.image.words.clone(),
-            code_words: workload.image.code_words,
-            entry: workload.image.entry,
-        })
+        .workload(program.image)
         .observe_chains(["internal"])
         .output(OutputRegion::Ports)
         .termination(Termination {

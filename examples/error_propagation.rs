@@ -11,16 +11,17 @@
 
 use goofi::analysis::{classify, propagation, Outcome};
 use goofi::core::algorithms;
-use goofi::core::campaign::{Campaign, OutputRegion, TargetSystemData, Termination};
+use goofi::core::campaign::{Campaign, TargetSystemData, Termination};
 use goofi::core::logging::LoggingMode;
 use goofi::core::monitor::ProgressMonitor;
 use goofi::envsim::NullEnvironment;
 use goofi::goofi_thor::ThorTarget;
+use goofi::targets::TargetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let workload = workloads::by_name("crc32").expect("workload exists");
+    let program = TargetKind::Thor.program("crc32").expect("program exists");
     let mut target = ThorTarget::default();
     let target_data = TargetSystemData::from_target(&target, "Thor-RD-like CPU simulator");
 
@@ -29,17 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let faults = space.sample_campaign(300, &mut StdRng::seed_from_u64(41));
     let campaign = Campaign::builder("prop-hunt")
         .target_system(&target_data.name)
-        .workload(goofi::core::campaign::WorkloadImage {
-            name: workload.name.clone(),
-            words: workload.image.words.clone(),
-            code_words: workload.image.code_words,
-            entry: workload.image.entry,
-        })
+        .workload(program.image)
         .observe_chains(["internal"])
-        .output(match workload.output {
-            workloads::OutputSpec::Memory { addr, len } => OutputRegion::Memory { addr, len },
-            workloads::OutputSpec::Ports => OutputRegion::Ports,
-        })
+        .output(program.output)
         .termination(Termination {
             max_instructions: 200_000,
             max_iterations: None,

@@ -20,14 +20,16 @@
 //!    exhaustive pre-runtime campaign against the new CPU unchanged.
 //!
 //! The shipped `goofi-riscv` crate is where this port ends up, and it is
-//! smaller than this example: every `TargetAccess` method, native CoW
-//! snapshots and real cold reset included, is written once in
+//! one type alias: every `TargetAccess` method, native CoW snapshots,
+//! access tracing and real cold reset included, is written once in
 //! `goofi_core::card::CardTarget`, which drives every core through the
 //! shared `scanchain::Core` skeleton and maps its stop reasons in one
-//! place. The crate only implements `goofi_core::card::CardCpu`: the
-//! target name, image download and the register names in access traces. This example stays a hand-written `TargetAccess` port
-//! on purpose: it is the honest first milestone for a target that is not a
-//! simulated core behind a test card.
+//! place. `RiscvTarget` is `CardTarget<riscv::Rv32iIsa>`: the ISA half
+//! alone supplies the target name, cache invalidation (none on RV32I) and
+//! the chain whose cells name registers in access traces. This example
+//! stays a hand-written `TargetAccess` port on purpose: it is the honest
+//! first milestone for a target that is not a simulated core behind a test
+//! card.
 //!
 //! ```sh
 //! cargo run --example port_a_target
@@ -35,7 +37,7 @@
 
 use goofi::analysis::{classify_campaign, report, stats::CampaignStats};
 use goofi::core::algorithms;
-use goofi::core::campaign::{Campaign, OutputRegion, Technique, Termination, WorkloadImage};
+use goofi::core::campaign::{Campaign, Technique, Termination, WorkloadImage};
 use goofi::core::conformance::{run_suite, ConformanceSpec, ReadoutFallback};
 use goofi::core::fault::{FaultLocation, FaultSpec};
 use goofi::core::monitor::ProgressMonitor;
@@ -43,7 +45,8 @@ use goofi::core::trigger::Trigger;
 use goofi::core::{DetectionInfo, GoofiError, RunBudget, RunEvent, TargetAccess};
 use goofi::envsim::NullEnvironment;
 use goofi::scanchain::{BitVec, ChainLayout, Detection as _, ScanTarget, TestCard};
-use riscv::{Cpu, CpuConfig, Image, StopReason, PORT_COUNT};
+use goofi::targets::TargetKind;
+use riscv::{Cpu, CpuConfig, StopReason, PORT_COUNT};
 
 /// Day one of the RV32I port: the real core behind the real scan-chain
 /// test card, and nothing else. Contrast with `goofi_riscv::RiscvTarget`,
@@ -106,14 +109,9 @@ impl TargetAccess for FreshRv32iPort {
     fn load_workload(&mut self, image: &WorkloadImage) -> goofi::core::Result<()> {
         // WorkloadImage fields are in the target's native units; an RV32I
         // entry point is a byte address.
-        let rv_image = Image {
-            words: image.words.clone(),
-            code_words: image.code_words,
-            entry: image.entry,
-        };
         self.card
             .target_mut()
-            .load_image(&rv_image)
+            .load_words(&image.words, image.code_words, image.entry)
             .map_err(mem_err)
     }
 
@@ -224,20 +222,11 @@ impl TargetAccess for FreshRv32iPort {
     }
 }
 
-/// The RV32I workload library speaks `riscv::Image`; the framework speaks
-/// `WorkloadImage`. Same fields, target-native units on both sides.
-fn to_workload_image(w: &workloads::RiscvWorkload) -> WorkloadImage {
-    WorkloadImage {
-        name: w.name.clone(),
-        words: w.image.words.clone(),
-        code_words: w.image.code_words,
-        entry: w.image.entry,
-    }
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let memcpy = workloads::riscv_memcpy();
-    let workload = to_workload_image(&memcpy);
+    let memcpy = TargetKind::Riscv
+        .program("rv-memcpy")
+        .expect("program exists");
+    let workload = memcpy.image;
 
     // Milestone 1: generic snapshot support. The fresh port never
     // implements `snapshot`/`restore`; the readout fallback builds both
@@ -275,10 +264,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .target_system("rv32i")
         .technique(Technique::SwifiPreRuntime)
         .workload(workload)
-        .output(OutputRegion::Memory {
-            addr: workloads::RISCV_MEMCPY_DST,
-            len: workloads::RISCV_MEMCPY_WORDS + 1,
-        })
+        .output(memcpy.output)
         .termination(Termination {
             max_instructions: 100_000,
             max_iterations: None,

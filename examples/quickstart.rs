@@ -10,10 +10,11 @@
 
 use goofi::analysis::{classify_campaign, report, stats::CampaignStats};
 use goofi::core::algorithms;
-use goofi::core::campaign::{Campaign, OutputRegion, TargetSystemData, Termination};
+use goofi::core::campaign::{Campaign, TargetSystemData, Termination};
 use goofi::core::monitor::ProgressMonitor;
 use goofi::envsim::NullEnvironment;
 use goofi::goofi_thor::ThorTarget;
+use goofi::targets::TargetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -29,7 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Set-up phase: workload, fault space, campaign. --------------------
-    let workload = workloads::by_name("bubblesort").expect("workload exists");
+    let program = TargetKind::Thor
+        .program("bubblesort")
+        .expect("program exists");
     let space = target_data.fault_space(None, 0..2_000);
     println!(
         "fault space: {} injectable bits x 2000 time points",
@@ -39,17 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let campaign = Campaign::builder("quickstart")
         .target_system(&target_data.name)
-        .workload(goofi::core::campaign::WorkloadImage {
-            name: workload.name.clone(),
-            words: workload.image.words.clone(),
-            code_words: workload.image.code_words,
-            entry: workload.image.entry,
-        })
+        .workload(program.image)
         .observe_chains(["internal"])
-        .output(match workload.output {
-            workloads::OutputSpec::Memory { addr, len } => OutputRegion::Memory { addr, len },
-            workloads::OutputSpec::Ports => OutputRegion::Ports,
-        })
+        .output(program.output)
         .termination(Termination {
             max_instructions: 200_000,
             max_iterations: None,

@@ -31,8 +31,6 @@ use goofi::core::telemetry::{JsonlSink, MetricsSnapshot, RingSink, Stage, Teleme
 use goofi::core::{dbio, runner};
 use goofi::core::{GoofiError, TargetAccess};
 use goofi::envsim::{DcMotor, Environment, JetEngine, NullEnvironment, WaterTank};
-use goofi::goofi_riscv::RiscvTarget;
-use goofi::goofi_thor::ThorTarget;
 use goofi::goofidb::Database;
 use goofi::scanchain::{LinkFaultConfig, WedgeConfig};
 use goofi::targets::TargetKind;
@@ -1118,11 +1116,7 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
         Some(name) => TargetKind::from_system_name(name)
             .ok_or_else(|| format!("worker: unknown target system `{name}`"))?,
     };
-    match kind {
-        TargetKind::Thor => service::run_worker(&parsed, ThorTarget::default),
-        TargetKind::Riscv => service::run_worker(&parsed, RiscvTarget::default),
-    }
-    .map_err(|e| e.to_string())
+    service::run_worker(&parsed, || kind.build()).map_err(|e| e.to_string())
 }
 
 /// `goofi submit <addr>`: client side of the service — submit a campaign

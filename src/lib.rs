@@ -39,14 +39,14 @@ pub mod targets {
     //! only components that must name concrete ports are the CLI entry
     //! points (`--target` flag, workload pick, worker spawn) and they all
     //! go through here. Adding a third CPU core means its ISA half inside
-    //! the `scanchain::Core` skeleton, one `CardCpu` impl in its port
-    //! crate and one new variant here, with its arm in each method below
-    //! (its program library in [`TargetKind::programs`]) and in the CLI's
-    //! worker spawn — nothing else in the tool changes.
+    //! the `scanchain::Core` skeleton (which `goofi_core::card::CardTarget`
+    //! then ports as it stands) and one new [`TargetKind`] variant, with
+    //! its arm in each method below (its program library in
+    //! [`TargetKind::programs`]) — nothing else in the tool changes.
 
     use goofi_core::campaign::{OutputRegion, WorkloadImage};
-    use goofi_core::card::CardCpu;
     use goofi_core::TargetAccess;
+    use scanchain::Isa;
     use workloads::{OutputSpec, WorkloadKind};
 
     /// A library program as campaign set-up reads it, whichever CPU it
@@ -120,8 +120,8 @@ pub mod targets {
         /// `target_system` field in the database).
         pub fn system_name(self) -> &'static str {
             match self {
-                TargetKind::Thor => goofi_thor::Thor::NAME,
-                TargetKind::Riscv => goofi_riscv::Rv32i::NAME,
+                TargetKind::Thor => thor::ThorIsa::NAME,
+                TargetKind::Riscv => riscv::Rv32iIsa::NAME,
             }
         }
 

@@ -14,24 +14,13 @@ use goofi::core::{dbio, runner};
 use goofi::envsim::{DcMotor, NullEnvironment};
 use goofi::goofi_thor::ThorTarget;
 use goofi::goofidb::Database;
+use goofi::targets::{Program, TargetKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use workloads::{OutputSpec, Workload};
 
-fn workload_image(w: &Workload) -> goofi::core::campaign::WorkloadImage {
-    goofi::core::campaign::WorkloadImage {
-        name: w.name.clone(),
-        words: w.image.words.clone(),
-        code_words: w.image.code_words,
-        entry: w.image.entry,
-    }
-}
-
-fn output_region(w: &Workload) -> OutputRegion {
-    match w.output {
-        OutputSpec::Memory { addr, len } => OutputRegion::Memory { addr, len },
-        OutputSpec::Ports => OutputRegion::Ports,
-    }
+/// The Thor library program called `name`.
+fn program(name: &str) -> Program {
+    TargetKind::Thor.program(name).expect(name)
 }
 
 fn scan_loc(cell: &str, bit: usize) -> FaultLocation {
@@ -42,12 +31,12 @@ fn scan_loc(cell: &str, bit: usize) -> FaultLocation {
     }
 }
 
-fn base_campaign(name: &str, wl: &Workload) -> goofi::core::campaign::CampaignBuilder {
+fn base_campaign(name: &str, wl: &Program) -> goofi::core::campaign::CampaignBuilder {
     Campaign::builder(name)
         .target_system("thor-rd")
-        .workload(workload_image(wl))
+        .workload(wl.image.clone())
         .observe_chains(["internal"])
-        .output(output_region(wl))
+        .output(wl.output)
         .termination(Termination {
             max_instructions: 500_000,
             max_iterations: None,
@@ -56,10 +45,10 @@ fn base_campaign(name: &str, wl: &Workload) -> goofi::core::campaign::CampaignBu
 
 #[test]
 fn crafted_faults_cover_all_outcome_categories() {
-    let wl = workloads::by_name("bubblesort").unwrap();
+    let wl = program("bubblesort");
     let result_addr = match wl.output {
-        OutputSpec::Memory { addr, .. } => addr,
-        OutputSpec::Ports => unreachable!(),
+        OutputRegion::Memory { addr, .. } => addr,
+        OutputRegion::Ports => unreachable!(),
     };
     let campaign = base_campaign("crafted", &wl)
         // (0) Overwritten: R1 is overwritten by the first instruction.
@@ -122,7 +111,7 @@ fn crafted_faults_cover_all_outcome_categories() {
 
 #[test]
 fn random_scifi_campaign_is_deterministic_and_classifiable() {
-    let wl = workloads::by_name("crc32").unwrap();
+    let wl = program("crc32");
     let target_data = TargetSystemData::from_target(&ThorTarget::default(), "thor sim");
     let space = target_data.fault_space(None, 0..2_000);
     let faults = space.sample_campaign(40, &mut StdRng::seed_from_u64(1234));
@@ -151,7 +140,7 @@ fn random_scifi_campaign_is_deterministic_and_classifiable() {
 
 #[test]
 fn swifi_preruntime_campaign_runs() {
-    let wl = workloads::by_name("primes").unwrap();
+    let wl = program("primes");
     // Flip bits across the code segment: expect plenty of detections
     // (illegal opcode / control flow) and some escapes.
     let faults: Vec<FaultSpec> = (0..20)
@@ -186,7 +175,7 @@ fn swifi_preruntime_campaign_runs() {
 
 #[test]
 fn technique_dispatch_is_enforced() {
-    let wl = workloads::by_name("primes").unwrap();
+    let wl = program("primes");
     let scifi = base_campaign("c-scifi", &wl)
         .fault(FaultSpec::single(
             scan_loc("R1", 0),
@@ -204,7 +193,7 @@ fn technique_dispatch_is_enforced() {
 
 #[test]
 fn control_loop_campaign_with_environment() {
-    let wl = workloads::by_name("pi-control").unwrap();
+    let wl = program("pi-control");
     let campaign = base_campaign("control", &wl)
         .termination(Termination {
             max_instructions: 2_000_000,
@@ -243,7 +232,7 @@ fn control_loop_campaign_with_environment() {
 
 #[test]
 fn database_workflow_and_automatic_analysis() {
-    let wl = workloads::by_name("fibonacci").unwrap();
+    let wl = program("fibonacci");
     let target_data = TargetSystemData::from_target(&ThorTarget::default(), "thor sim");
     let space = target_data.fault_space(Some(0..wl.image.words.len() as u32), 0..3_000);
     let faults = space.sample_campaign(25, &mut StdRng::seed_from_u64(7));
@@ -291,7 +280,7 @@ fn database_workflow_and_automatic_analysis() {
 
 #[test]
 fn parallel_runner_matches_serial() {
-    let wl = workloads::by_name("matmul").unwrap();
+    let wl = program("matmul");
     let target_data = TargetSystemData::from_target(&ThorTarget::default(), "thor sim");
     let space = target_data.fault_space(None, 0..2_000);
     let faults = space.sample_campaign(16, &mut StdRng::seed_from_u64(99));
@@ -324,7 +313,7 @@ fn parallel_runner_matches_serial() {
 fn journaled_campaign_resumes_to_identical_results() {
     use goofi::core::journal::ExperimentJournal;
 
-    let wl = workloads::by_name("crc32").unwrap();
+    let wl = program("crc32");
     let target_data = TargetSystemData::from_target(&ThorTarget::default(), "thor sim");
     let space = target_data.fault_space(None, 0..2_000);
     let faults = space.sample_campaign(8, &mut StdRng::seed_from_u64(5));
@@ -379,7 +368,7 @@ fn journaled_campaign_resumes_to_identical_results() {
 
 #[test]
 fn detail_rerun_links_parent_and_shows_propagation() {
-    let wl = workloads::by_name("crc32").unwrap();
+    let wl = program("crc32");
     // A fault in the CRC accumulator register (r1) mid-computation escapes
     // as an incorrect result.
     let campaign = base_campaign("detail", &wl)
@@ -421,7 +410,7 @@ fn dead_fault_in_control_loop_is_non_effective() {
     // Regression: experiments must start from exactly the reference run's
     // initial conditions (including input-port latches), so a fault in a
     // register the workload never touches cannot change the outputs.
-    let wl = workloads::by_name("pi-control-ber").unwrap();
+    let wl = program("pi-control-ber");
     let campaign = base_campaign("dead-ctl", &wl)
         .termination(Termination {
             max_instructions: 3_000_000,
@@ -457,7 +446,7 @@ fn pin_level_fault_injection_through_boundary_chain() {
     // Pin-level FI (the paper's third technique) forces a bit on the
     // sensor input pin of the PI controller mid-run: the implausible
     // reading must trip the workload's input assertion.
-    let wl = workloads::by_name("pi-control").unwrap();
+    let wl = program("pi-control");
     let campaign = base_campaign("pin", &wl)
         .technique(Technique::PinLevel)
         .termination(Termination {
@@ -560,7 +549,7 @@ fn memory_based_environment_exchange_on_real_target() {
 
 #[test]
 fn stopping_a_campaign_midway() {
-    let wl = workloads::by_name("primes").unwrap();
+    let wl = program("primes");
     let faults: Vec<FaultSpec> = (0..10)
         .map(|i| FaultSpec::single(scan_loc("R1", i), Trigger::AfterInstructions(50)))
         .collect();
@@ -575,7 +564,7 @@ fn stopping_a_campaign_midway() {
 
 #[test]
 fn trigger_beyond_workload_end_logs_natural_termination() {
-    let wl = workloads::by_name("fibonacci").unwrap();
+    let wl = program("fibonacci");
     let campaign = base_campaign("late", &wl)
         .fault(FaultSpec::single(
             scan_loc("R1", 0),

@@ -10,31 +10,24 @@ use goofi::core::{dbio, GoofiError};
 use goofi::envsim::NullEnvironment;
 use goofi::goofi_thor::ThorTarget;
 use goofi::goofidb::Database;
+use goofi::targets::TargetKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
 
 fn random_campaign(seed: u64, n: usize, workload: &str) -> Campaign {
-    let wl = workloads::by_name(workload).expect("workload");
+    let program = TargetKind::Thor.program(workload).expect("workload");
     let data = TargetSystemData::from_target(&ThorTarget::default(), "sim");
-    let mut space = data.fault_space(Some(0..wl.image.words.len() as u32), 0..3_000);
+    let mut space = data.fault_space(Some(0..program.image.words.len() as u32), 0..3_000);
     // Drop the infrastructure chains so faults land in architectural state.
     space
         .scan_cells
         .retain(|(chain, _, _)| chain == "internal" || chain == "icache" || chain == "dcache");
     Campaign::builder(format!("inv-{workload}-{seed}"))
         .target_system("thor-rd")
-        .workload(goofi::core::campaign::WorkloadImage {
-            name: wl.name.clone(),
-            words: wl.image.words.clone(),
-            code_words: wl.image.code_words,
-            entry: wl.image.entry,
-        })
+        .workload(program.image)
         .observe_chains(["internal"])
-        .output(match wl.output {
-            workloads::OutputSpec::Memory { addr, len } => OutputRegion::Memory { addr, len },
-            workloads::OutputSpec::Ports => OutputRegion::Ports,
-        })
+        .output(program.output)
         .termination(Termination {
             max_instructions: 300_000,
             max_iterations: None,
@@ -229,15 +222,8 @@ fn decorators_and_trait_objects_forward_power_cycle_to_the_real_target() {
     let mut stack: Box<dyn TargetAccess> = Box::new(boxed); // Box-in-Box: blanket impl too
 
     stack.init_test_card().unwrap();
-    let wl = workloads::by_name("primes").unwrap();
-    stack
-        .load_workload(&goofi::core::campaign::WorkloadImage {
-            name: wl.name.clone(),
-            words: wl.image.words.clone(),
-            code_words: wl.image.code_words,
-            entry: wl.image.entry,
-        })
-        .unwrap();
+    let primes = TargetKind::Thor.program("primes").unwrap();
+    stack.load_workload(&primes.image).unwrap();
     // The armed run draws the wedge: the whole budget burns with no
     // progress.
     let before = stack.instructions_executed();
@@ -269,14 +255,9 @@ fn decorators_and_trait_objects_forward_power_cycle_to_the_real_target() {
 
 #[test]
 fn readonly_scan_cells_are_rejected_as_fault_locations() {
-    let wl = workloads::by_name("primes").unwrap();
+    let primes = TargetKind::Thor.program("primes").unwrap();
     let campaign = Campaign::builder("ro")
-        .workload(goofi::core::campaign::WorkloadImage {
-            name: wl.name.clone(),
-            words: wl.image.words.clone(),
-            code_words: wl.image.code_words,
-            entry: wl.image.entry,
-        })
+        .workload(primes.image)
         .output(OutputRegion::Ports)
         .fault(goofi::core::fault::FaultSpec::single(
             goofi::core::fault::FaultLocation::ScanCell {
