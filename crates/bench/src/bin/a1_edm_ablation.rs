@@ -26,13 +26,7 @@ fn main() {
     let data = bench::thor_description();
     let wl = workloads::by_name("crc32").expect("workload exists");
 
-    let probe = bench::campaign_for("a1-probe", &wl)
-        .fault(goofi_core::fault::FaultSpec::single(
-            goofi_core::fault::FaultLocation::Memory { addr: 0, bit: 0 },
-            goofi_core::trigger::Trigger::AfterInstructions(1),
-        ))
-        .build()
-        .unwrap();
+    let probe = bench::campaign_for("a1-probe", &wl).build().unwrap();
     let len = bench::reference_length(&probe);
     let space = bench::full_scifi_space(&data, 0..len);
     let faults = space.sample_campaign(n, &mut StdRng::seed_from_u64(0xA1));

@@ -47,10 +47,6 @@ fn campaigns(names: &[&str], per_workload: usize, window: Window) -> Vec<Campaig
         .map(|name| {
             let wl = workloads::by_name(name).expect("workload exists");
             let probe = bench::campaign_for(&format!("b11-{name}-probe"), &wl)
-                .fault(goofi_core::fault::FaultSpec::single(
-                    goofi_core::fault::FaultLocation::Memory { addr: 0, bit: 0 },
-                    goofi_core::trigger::Trigger::AfterInstructions(1),
-                ))
                 .build()
                 .unwrap();
             let len = bench::reference_length(&probe);

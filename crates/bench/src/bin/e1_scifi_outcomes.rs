@@ -22,10 +22,6 @@ fn main() {
     for name in ["bubblesort", "crc32", "matmul"] {
         let wl = workloads::by_name(name).expect("workload exists");
         let campaign_probe = bench::campaign_for(&format!("e1-{name}-probe"), &wl)
-            .fault(goofi_core::fault::FaultSpec::single(
-                goofi_core::fault::FaultLocation::Memory { addr: 0, bit: 0 },
-                goofi_core::trigger::Trigger::AfterInstructions(1),
-            ))
             .build()
             .unwrap();
         let len = bench::reference_length(&campaign_probe);

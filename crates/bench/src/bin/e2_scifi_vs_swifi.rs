@@ -27,13 +27,7 @@ fn main() {
     let wl = workloads::by_name("bubblesort").expect("workload exists");
     let image_words = wl.image.words.len() as u32;
 
-    let probe = bench::campaign_for("e2-probe", &wl)
-        .fault(goofi_core::fault::FaultSpec::single(
-            goofi_core::fault::FaultLocation::Memory { addr: 0, bit: 0 },
-            goofi_core::trigger::Trigger::AfterInstructions(1),
-        ))
-        .build()
-        .unwrap();
+    let probe = bench::campaign_for("e2-probe", &wl).build().unwrap();
     let len = bench::reference_length(&probe);
 
     // SCIFI: scan-reachable state.

@@ -25,13 +25,7 @@ fn main() {
     let data = bench::thor_description();
     let wl = workloads::by_name("matmul").expect("workload exists");
 
-    let probe = bench::campaign_for("e4-probe", &wl)
-        .fault(goofi_core::fault::FaultSpec::single(
-            goofi_core::fault::FaultLocation::Memory { addr: 0, bit: 0 },
-            goofi_core::trigger::Trigger::AfterInstructions(1),
-        ))
-        .build()
-        .unwrap();
+    let probe = bench::campaign_for("e4-probe", &wl).build().unwrap();
     let len = bench::reference_length(&probe);
 
     // Blind campaign over registers + data memory.

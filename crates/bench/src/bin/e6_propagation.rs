@@ -23,13 +23,7 @@ fn main() {
     let data = bench::thor_description();
     let wl = workloads::by_name("crc32").expect("workload exists");
 
-    let probe = bench::campaign_for("e6-probe", &wl)
-        .fault(goofi_core::fault::FaultSpec::single(
-            goofi_core::fault::FaultLocation::Memory { addr: 0, bit: 0 },
-            goofi_core::trigger::Trigger::AfterInstructions(1),
-        ))
-        .build()
-        .unwrap();
+    let probe = bench::campaign_for("e6-probe", &wl).build().unwrap();
     let len = bench::reference_length(&probe);
     let space = bench::internal_fault_space(&data, 100..len);
     let faults = space.sample_campaign(300, &mut StdRng::seed_from_u64(0xE6));

@@ -43,10 +43,6 @@ fn main() {
     for name in &names {
         let wl = workloads::riscv_by_name(name).expect("workload exists");
         let campaign_probe = bench::riscv_campaign_for(&format!("rv-e1-{name}-probe"), &wl)
-            .fault(goofi_core::fault::FaultSpec::single(
-                goofi_core::fault::FaultLocation::Memory { addr: 0, bit: 0 },
-                goofi_core::trigger::Trigger::AfterInstructions(1),
-            ))
             .build()
             .unwrap();
         let len = bench::riscv_reference_length(&campaign_probe);

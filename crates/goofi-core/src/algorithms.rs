@@ -646,7 +646,7 @@ fn run_experiment_inner<T: TargetAccess + ?Sized>(
     // by the first experiment that may rejoin it (normal logging, a
     // transient fault), then the post-load state again for the experiment.
     if let Some(s) = session.as_deref_mut() {
-        let wanted = s.golden.is_none() && !detail && spec.model == FaultModel::TransientBitFlip;
+        let wanted = s.golden.is_none() && !detail && !spec.model.is_persistent();
         if wanted && s.usable(&*target) {
             s.golden = Some(None);
             if let (true, Some(post_load)) = (target.can_rejoin(), &s.post_load) {
@@ -960,7 +960,7 @@ impl<'a> RunLoop<'a> {
         logging: LoggingMode,
     ) -> Result<Option<TerminationCause>> {
         let persistent = match until {
-            Until::End(Some(spec), _) if spec.model != FaultModel::TransientBitFlip => Some(spec),
+            Until::End(Some(spec), _) if spec.model.is_persistent() => Some(spec),
             _ => None,
         };
         let detail = logging == LoggingMode::Detail;

@@ -519,46 +519,18 @@ pub fn load_recovery_actions(db: &Database, campaign: &str) -> Result<Vec<Recove
     Ok(episodes)
 }
 
-/// Imports the records of a crash-safe experiment journal (see
-/// [`crate::journal`]) into `LoggedSystemState`, skipping experiments
-/// already present — so a journal can be folded into the database after a
-/// crash, idempotently. Returns how many records were inserted.
+/// Imports the records of a loaded crash-safe experiment journal (see
+/// [`crate::journal`]; load it with
+/// [`ExperimentJournal::load_with`](crate::journal::ExperimentJournal::load_with))
+/// into `LoggedSystemState`, skipping experiments already present — so a
+/// journal can be folded into the database after a crash, idempotently.
+/// Returns how many records were inserted.
 ///
 /// This is also the campaign service's merge primitive: the scheduler
-/// folds every shard journal of a finished job through here (in shard
-/// order), and the name-keyed dedup is what turns the service's
-/// at-least-once execution into an exactly-once database.
-///
-/// # Errors
-///
-/// Journal read errors and database errors (the campaign row must exist).
-pub fn import_journal(
-    db: &mut Database,
-    path: impl AsRef<std::path::Path>,
-    campaign: &str,
-) -> Result<usize> {
-    import_journal_with(db, &vfs::RealFs, path, campaign)
-}
-
-/// [`import_journal`] over an explicit [`Vfs`] — the seam the durability
-/// torture harness injects faults through.
-///
-/// # Errors
-///
-/// As [`import_journal`].
-pub fn import_journal_with(
-    db: &mut Database,
-    vfs: &dyn Vfs,
-    path: impl AsRef<std::path::Path>,
-    campaign: &str,
-) -> Result<usize> {
-    let state = crate::journal::ExperimentJournal::load_with(vfs, path, campaign)?;
-    import_journal_state(db, &state)
-}
-
-/// Imports an already loaded journal: [`import_journal`] minus the read.
-/// The service merge calls this with the state each shard's completion
-/// check loaded, so it reads no journal a second time.
+/// folds the state each shard's completion check loaded through here (in
+/// shard order), so it reads no journal a second time, and the name-keyed
+/// dedup is what turns the service's at-least-once execution into an
+/// exactly-once database.
 ///
 /// # Errors
 ///
@@ -854,9 +826,10 @@ mod tests {
         journal.append_record(Some(0), &exp).unwrap();
         drop(journal);
 
-        assert_eq!(import_journal(&mut db, &path, "c1").unwrap(), 2);
+        let state = crate::journal::ExperimentJournal::load(&path, "c1").unwrap();
+        assert_eq!(import_journal_state(&mut db, &state).unwrap(), 2);
         // Importing again inserts nothing new.
-        assert_eq!(import_journal(&mut db, &path, "c1").unwrap(), 0);
+        assert_eq!(import_journal_state(&mut db, &state).unwrap(), 0);
         assert_eq!(load_experiments(&db, "c1").unwrap().len(), 2);
         std::fs::remove_file(&path).unwrap();
     }

@@ -434,8 +434,8 @@ pub fn fsck_spool(vfs: &dyn Vfs, spool: &Path, repair: bool) -> Result<FsckRepor
                 "job directory has no manifest",
             )),
             Err(e) => return Err(GoofiError::io("reading", &manifest, &e)),
-            Ok(text) => parse_manifest(&text)
-                .map(|(campaign, _)| campaign)
+            Ok(text) => scheduler::decode_manifest(&text)
+                .map(|(campaign, ..)| campaign)
                 .ok_or_else(|| {
                     finding(
                         CorruptionClass::SpoolBadManifest,
@@ -472,13 +472,6 @@ pub fn fsck_spool(vfs: &dyn Vfs, spool: &Path, repair: bool) -> Result<FsckRepor
     Ok(report)
 }
 
-/// Parses a spool job manifest (`#goofi-job v1` / `campaign …` /
-/// `workers …`) into its campaign and worker count, with the scheduler's
-/// decoder.
-pub fn parse_manifest(text: &str) -> Option<(String, usize)> {
-    scheduler::decode_manifest(text).map(|(campaign, workers, _)| (campaign, workers))
-}
-
 // ---------------------------------------------------------------------------
 // Everything
 // ---------------------------------------------------------------------------
@@ -499,7 +492,7 @@ pub fn fsck_all(
     if let Some((path, campaign)) = journal {
         report.merge(fsck_journal(vfs, path, Some(campaign), repair)?);
     }
-    let spool = PathBuf::from(format!("{}.spool", db_path.display()));
+    let spool = scheduler::default_spool_dir(db_path);
     report.merge(fsck_spool(vfs, &spool, repair)?);
     Ok(report)
 }
@@ -720,11 +713,12 @@ mod tests {
 
     #[test]
     fn manifest_parser_matches_writer_format() {
+        let decode = |text| scheduler::decode_manifest(text).map(|(c, w, _)| (c, w));
         assert_eq!(
-            parse_manifest("#goofi-job v1\ncampaign c one\nworkers 3\n"),
+            decode("#goofi-job v1\ncampaign c one\nworkers 3\n"),
             Some(("c one".to_string(), 3))
         );
-        assert_eq!(parse_manifest("#goofi-job v1\ncampaign c\n"), None);
-        assert_eq!(parse_manifest("nope\n"), None);
+        assert_eq!(decode("#goofi-job v1\ncampaign c\n"), None);
+        assert_eq!(decode("nope\n"), None);
     }
 }

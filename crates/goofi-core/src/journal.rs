@@ -21,7 +21,7 @@
 //! campaign indices), so a crashed or lease-revoked worker's replacement
 //! replays the journal instead of redoing its work, and the scheduler
 //! merges shard journals into the database idempotently via
-//! [`crate::dbio::import_journal`].
+//! [`crate::dbio::import_journal_state`].
 //!
 //! ## Format
 //!
@@ -84,10 +84,11 @@ pub struct JournalState {
     /// experiment that fails on every resume still gets a fresh child name
     /// each time.
     pub failed_rounds: BTreeMap<usize, u32>,
-    /// Records quarantined by golden-run revalidation (validity
-    /// `invalid`), unless a later valid `R` entry superseded them. Their
-    /// indices appear in [`JournalState::failed`] so resume re-runs them;
-    /// the records themselves are kept for database import.
+    /// Every record journaled with validity `invalid` (quarantined by
+    /// golden-run revalidation, a hung experiment, a lost-experiment
+    /// stub), also one a later valid `R` entry superseded: the database
+    /// import keeps the invalid originals. An index whose last record is
+    /// invalid appears in [`JournalState::failed`], so resume re-runs it.
     pub quarantined: Vec<ExperimentRecord>,
 }
 

@@ -11,14 +11,17 @@
 //! Each campaign event is counted once, into a [`MetricsRegistry`]: the
 //! telemetry's registry when telemetry is enabled, a private one otherwise.
 //! [`ProgressMonitor::snapshot`] reads [`Progress`] back from it, so the
-//! progress window and a `--metrics` snapshot cannot disagree.
+//! progress window and a `--metrics` snapshot cannot disagree. The window
+//! holds only counters the engine records: completed and failed
+//! experiments, retries, link events, quarantined records, probe suites,
+//! hangs, recovery actions and offline targets.
 
 use crate::logging::TerminationCause;
 use crate::telemetry::{Metric, MetricsRegistry, Telemetry};
 use crate::{GoofiError, Result};
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,8 +40,6 @@ pub struct Progress {
     pub total: usize,
     /// Experiments completed so far.
     pub completed: usize,
-    /// Experiments skipped (e.g. pruned by pre-injection analysis).
-    pub skipped: usize,
     /// Experiments that failed despite the campaign's retry policy.
     pub failed: usize,
     /// Experiment retries attempted so far.
@@ -72,12 +73,12 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// Fraction of experiments done, 0.0..=1.0.
+    /// Fraction of experiments done (completed or failed), 0.0..=1.0.
     pub fn fraction(&self) -> f64 {
         if self.total == 0 {
             1.0
         } else {
-            (self.completed + self.skipped + self.failed) as f64 / self.total as f64
+            (self.completed + self.failed) as f64 / self.total as f64
         }
     }
 }
@@ -98,6 +99,9 @@ struct Inner {
     /// guards the waits on `ended`.
     finished: AtomicBool,
     ended: Condvar,
+    /// The completed count at which [`ProgressMonitor::record`] pauses
+    /// the campaign (`u64::MAX`: never).
+    pause_at: AtomicU64,
     telemetry: Telemetry,
 }
 
@@ -135,6 +139,7 @@ impl ProgressMonitor {
                 progress_changed: Condvar::new(),
                 finished: AtomicBool::new(false),
                 ended: Condvar::new(),
+                pause_at: AtomicU64::new(u64::MAX),
                 telemetry,
             }),
         }
@@ -208,17 +213,32 @@ impl ProgressMonitor {
         Ok(())
     }
 
+    /// Pauses the campaign as the `completed`-th experiment is recorded,
+    /// so that experiment is the last one to run before the next
+    /// checkpoint blocks. A chaos-struck shard worker strikes at its kill
+    /// point this way, however late its drill thread wakes.
+    pub(crate) fn pause_at(&self, completed: usize) {
+        self.inner
+            .pause_at
+            .store(completed as u64, Ordering::Relaxed);
+    }
+
     /// Records a completed experiment and its termination cause.
     pub fn record(&self, cause: &TerminationCause) {
         let mut by_termination = self.inner.by_termination.lock();
         *by_termination.entry(cause.encode()).or_insert(0) += 1;
         self.inner.counters.add(Metric::Completed, 1);
+        if self.inner.counters.counter(Metric::Completed)
+            == self.inner.pause_at.load(Ordering::Relaxed)
+        {
+            self.pause();
+        }
         self.inner.progress_changed.notify_all();
     }
 
-    /// Adds `n` to a campaign counter (a skipped, failed or retried
-    /// experiment, a link event, a quarantined record, a probe suite, a
-    /// recovery action) and wakes progress watchers. A completed
+    /// Adds `n` to a campaign counter (a failed or retried experiment, a
+    /// link event, a quarantined record, a probe suite, a recovery
+    /// action) and wakes progress watchers. A completed
     /// experiment goes through [`ProgressMonitor::record`], which also
     /// counts its termination cause.
     pub fn count(&self, metric: Metric, n: u64) {
@@ -238,7 +258,6 @@ impl ProgressMonitor {
         Progress {
             total: self.inner.total,
             completed: n(Metric::Completed),
-            skipped: n(Metric::Skipped),
             failed: n(Metric::Failed),
             retried: n(Metric::Retried),
             link_recovered: n(Metric::LinkRecovered),
@@ -323,10 +342,10 @@ mod tests {
             mechanism: "parity_icache".into(),
             code: 1,
         }));
-        m.count(Metric::Skipped, 1);
+        m.count(Metric::Failed, 1);
         let p = m.snapshot();
         assert_eq!(p.completed, 2);
-        assert_eq!(p.skipped, 1);
+        assert_eq!(p.failed, 1);
         assert_eq!(p.fraction(), 0.75);
         assert_eq!(p.by_termination.get("end"), Some(&1));
     }
@@ -391,10 +410,9 @@ mod tests {
 
     /// Each campaign-event metric paired with the `Progress` field that
     /// reads it.
-    fn progress_fields() -> [(Metric, Field); 14] {
+    fn progress_fields() -> [(Metric, Field); 13] {
         [
             (Metric::Completed, |p| p.completed),
-            (Metric::Skipped, |p| p.skipped),
             (Metric::Failed, |p| p.failed),
             (Metric::Retried, |p| p.retried),
             (Metric::LinkRecovered, |p| p.link_recovered),

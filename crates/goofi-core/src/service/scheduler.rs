@@ -89,7 +89,7 @@ pub struct ServiceConfig {
     /// worker perturbs its own event frames, exercising the daemon's
     /// frame resync and sequence dedup (`goofi serve --net-chaos`).
     pub net_chaos: Option<NetFaultConfig>,
-    /// Filesystem all scheduler persistence goes through — [`vfs::real`]
+    /// Filesystem all scheduler persistence goes through — [`vfs::RealFs`]
     /// in production, a fault-injecting [`crate::vfs::FaultFs`] in the
     /// durability torture harness.
     pub vfs: VfsHandle,
@@ -101,10 +101,9 @@ impl ServiceConfig {
     /// exponential backoff, no chaos.
     pub fn new(db_path: impl Into<PathBuf>, worker_cmd: WorkerCommand) -> Self {
         let db_path = db_path.into();
-        let spool_dir = PathBuf::from(format!("{}.spool", db_path.display()));
         ServiceConfig {
+            spool_dir: default_spool_dir(&db_path),
             db_path,
-            spool_dir,
             worker_cmd,
             default_workers: 2,
             lease: Duration::from_secs(5),
@@ -112,9 +111,15 @@ impl ServiceConfig {
             backoff: Backoff::exponential(50, 2_000),
             chaos: None,
             net_chaos: None,
-            vfs: vfs::real(),
+            vfs: Arc::new(vfs::RealFs),
         }
     }
+}
+
+/// The spool directory of the database at `db_path`: `<db>.spool`, where
+/// `goofi serve` keeps its jobs and `goofi fsck` looks for them.
+pub(crate) fn default_spool_dir(db_path: &Path) -> PathBuf {
+    PathBuf::from(format!("{}.spool", db_path.display()))
 }
 
 /// What [`Scheduler::recover`] did with the spool.
@@ -168,8 +173,6 @@ pub struct JobProgress {
     pub completed: usize,
     /// Experiments failed.
     pub failed: usize,
-    /// Experiments skipped.
-    pub skipped: usize,
     /// Records quarantined (workers' own plus poison-shard stubs).
     pub quarantined: usize,
     /// Shards finished.
@@ -189,7 +192,6 @@ impl JobProgress {
             total: 0,
             completed: 0,
             failed: 0,
-            skipped: 0,
             quarantined: 0,
             shards_done: 0,
             shards_total: 0,
@@ -208,11 +210,6 @@ pub struct JobWatcher {
 }
 
 impl JobWatcher {
-    /// The job's current aggregated progress.
-    pub fn current(&self) -> JobProgress {
-        self.shared.inner.lock().current.clone()
-    }
-
     /// The current progress with its sequence number (0 until the first
     /// update).
     pub fn snapshot(&self) -> (u64, JobProgress) {
@@ -258,37 +255,15 @@ impl JobWatcher {
         (h.seq, h.current.clone())
     }
 
-    /// Blocks until the progress differs from `last` or `timeout`
-    /// elapses; returns the current progress either way.
-    pub fn wait_changed(&self, last: &JobProgress, timeout: Duration) -> JobProgress {
-        let deadline = Instant::now() + timeout;
-        let mut h = self.shared.inner.lock();
-        while h.current == *last {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if self
-                .shared
-                .changed
-                .wait_for(&mut h, deadline - now)
-                .timed_out()
-            {
-                break;
-            }
-        }
-        h.current.clone()
-    }
-
     /// Blocks until the job reaches a terminal state.
     pub fn wait(&self) -> JobProgress {
-        let mut last = JobProgress::new();
+        let mut seq = 0;
         loop {
-            let p = self.wait_changed(&last, Duration::from_millis(500));
+            let (newest, p) = self.wait_newer(seq, Duration::from_millis(500));
             if p.state.is_terminal() {
                 return p;
             }
-            last = p;
+            seq = newest;
         }
     }
 }
@@ -677,11 +652,12 @@ struct ShardComm {
     stats: Mutex<ShardStats>,
 }
 
+/// A shard's counters and terminal flags, as its worker last reported
+/// them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ShardStats {
     completed: u64,
     failed: u64,
-    skipped: u64,
     quarantined: u64,
     done: bool,
     error: Option<String>,
@@ -716,14 +692,11 @@ fn run_job(
     for (shard, range) in ranges.iter().enumerate() {
         // A journal that already covers its whole range (daemon restarted
         // after the shard finished but before the merge) is done as-is.
-        match shard_journal_complete(vfs, &journal_path(shard), campaign_name, range)? {
-            Some(journal) => {
-                last_stats[shard].completed = range.len() as u64;
-                last_stats[shard].done = true;
-                shards.push(ShardState::Done(journal));
-            }
-            None => shards.push(ShardState::pending(1)),
-        }
+        let state = match shard_journal_complete(vfs, &journal_path(shard), campaign_name, range)? {
+            Some(journal) => ShardState::Done(journal),
+            None => ShardState::pending(1),
+        };
+        shards.push(state);
     }
 
     loop {
@@ -853,14 +826,21 @@ fn run_job(
         agg.total = total;
         agg.shards_total = ranges.len();
         for (shard, stats) in last_stats.iter().enumerate() {
-            agg.completed += stats.completed as usize;
-            agg.failed += stats.failed as usize;
-            agg.skipped += stats.skipped as usize;
-            agg.quarantined += stats.quarantined as usize;
-            match shards[shard] {
-                ShardState::Done(_) => agg.shards_done += 1,
-                ShardState::Poisoned(_) => agg.shards_poisoned += 1,
-                _ => {}
+            match &shards[shard] {
+                // A finished shard counts what its journal holds, not the
+                // frames its worker last got through: its whole range
+                // completed, and the journal's quarantined records.
+                ShardState::Done(journal) => {
+                    agg.completed += ranges[shard].len();
+                    agg.quarantined += journal.quarantined.len();
+                    agg.shards_done += 1;
+                }
+                state => {
+                    agg.completed += stats.completed as usize;
+                    agg.failed += stats.failed as usize;
+                    agg.quarantined += stats.quarantined as usize;
+                    agg.shards_poisoned += usize::from(matches!(state, ShardState::Poisoned(_)));
+                }
             }
         }
         agg.quarantined += poison_quarantined;
@@ -1042,7 +1022,10 @@ fn spawn_worker(
     let mut child = Command::new(&cfg.worker_cmd.program)
         .args(&cfg.worker_cmd.args)
         .args(worker_args.to_args())
-        .stdin(Stdio::null())
+        // The `Child` holds the write end, so the worker's stdin reaches
+        // its end only once this daemon is gone: how a stalled chaos
+        // worker learns that nobody is left to kill it.
+        .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -1092,22 +1075,14 @@ fn spawn_worker(
                     WorkerEvent::Progress {
                         completed,
                         failed,
-                        skipped,
                         quarantined,
                         ..
                     } => {
                         stats.completed = completed;
                         stats.failed = failed;
-                        stats.skipped = skipped;
                         stats.quarantined = quarantined;
                     }
-                    WorkerEvent::Done {
-                        completed, failed, ..
-                    } => {
-                        stats.completed = completed;
-                        stats.failed = failed;
-                        stats.done = true;
-                    }
+                    WorkerEvent::Done { .. } => stats.done = true,
                     WorkerEvent::Error { kind, detail, .. } => {
                         stats.error = Some(format!("{kind}: {detail}"));
                     }
@@ -1161,10 +1136,12 @@ fn write_manifest(
         .map_err(|e| GoofiError::io("writing manifest", &path, &e))
 }
 
-/// Decodes what [`write_manifest`] writes: the campaign, the worker count
-/// and the request id, if any. `None` when the header, the campaign or
-/// the worker count is missing; unknown lines are ignored.
-pub(crate) fn decode_manifest(text: &str) -> Option<(String, usize, Option<String>)> {
+/// Decodes a spool job manifest (`#goofi-job v1` / `campaign …` /
+/// `workers …` / `request …`): the campaign, the worker count and the
+/// request id, if any. `None` when the header, the campaign or the worker
+/// count is missing; unknown lines are ignored. The one manifest reader,
+/// behind [`Scheduler::recover`] and `goofi fsck`.
+pub fn decode_manifest(text: &str) -> Option<(String, usize, Option<String>)> {
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_HEADER) {
         return None;

@@ -3,8 +3,8 @@
 //!
 //! All service I/O goes through [`super::net`]: length-prefixed,
 //! checksummed frames over a [`Conn`], dialled/bound by a [`Transport`]
-//! ([`RealNet`] in production, `FaultNet` under torture). The protocol
-//! survives a faulty network by construction:
+//! ([`RealNet`](super::RealNet) in production, `FaultNet` under torture).
+//! The protocol survives a faulty network by construction:
 //!
 //! - every connection opens with a version handshake
 //!   ([`Request::Hello`] → [`Response::Hello`]);
@@ -29,7 +29,7 @@
 //! The daemon binds loopback by default — the service is a local
 //! campaign coordinator, not a network product.
 
-use super::net::{Conn, FrameRead, Listener, RealNet, Transport, MIN_PROTO_VERSION, PROTO_VERSION};
+use super::net::{Conn, FrameRead, Listener, Transport, MIN_PROTO_VERSION, PROTO_VERSION};
 use super::scheduler::{JobProgress, Scheduler};
 use super::wire::{Request, Response};
 use crate::policy::Backoff;
@@ -333,7 +333,7 @@ fn send(conn: &mut Box<dyn Conn>, response: &Response) -> bool {
     conn.send(&response.encode()).is_ok()
 }
 
-/// Per-attempt connect timeout for [`Client::connect`].
+/// Per-attempt connect timeout for [`Client::connect_via`].
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// How long the handshake waits for the daemon's hello. A healthy daemon
 /// answers immediately, so silence here means the frame was lost or the
@@ -343,8 +343,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 /// daemon is gone. The daemon's [`WATCH_KEEPALIVE`] resend keeps healthy
 /// watch streams well inside this.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
-/// Connection attempts before [`Client::connect`] gives up.
-const CONNECT_ATTEMPTS: u32 = 4;
 /// Consecutive failed attempts before [`submit_job`], [`job_list`],
 /// [`request_shutdown`] or [`watch_to_end`] gives up.
 const SESSION_RETRIES: u32 = 8;
@@ -397,21 +395,13 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a daemon at `addr` (e.g. `127.0.0.1:4711`) over plain
-    /// TCP, retrying with jittered bounded exponential backoff, and
-    /// performs the hello handshake. Each attempt is capped at
-    /// `CONNECT_TIMEOUT` (2 s) and the connection gets a read timeout so a
-    /// wedged daemon cannot hang the client forever.
-    ///
-    /// # Errors
-    ///
-    /// [`GoofiError::Wire`] naming `addr` when no attempt succeeds.
-    pub fn connect(addr: &str) -> Result<Client> {
-        Client::connect_via(&RealNet, addr, CONNECT_ATTEMPTS)
-    }
-
-    /// [`Client::connect`] over an explicit transport — the seam the
-    /// torture harness uses to dial through a `FaultNet`.
+    /// Connects to a daemon at `addr` (e.g. `127.0.0.1:4711`) over
+    /// `transport` ([`RealNet`](super::RealNet) for plain TCP, a
+    /// `FaultNet` under test), making up to `attempts` attempts with
+    /// jittered bounded exponential backoff, and performs the hello
+    /// handshake. Each attempt is capped at `CONNECT_TIMEOUT` (2 s) and the
+    /// connection gets a read timeout so a wedged daemon cannot hang the
+    /// client forever.
     ///
     /// # Errors
     ///

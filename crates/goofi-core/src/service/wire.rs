@@ -6,7 +6,9 @@
 //!
 //! - [`Request`]: client → daemon (`goofi submit` → `goofi serve`);
 //! - [`Response`]: daemon → client, including streamed progress lines;
-//! - [`WorkerEvent`]: shard worker → daemon, on the worker's stdout.
+//! - [`WorkerEvent`]: shard worker → daemon, on the worker's stdout. Its
+//!   `progress` frames carry the shard's live counters; `done` names only
+//!   the shard, whose final counts the daemon reads from its journal.
 //!
 //! On the wire each encoded message rides inside a length-prefixed,
 //! checksummed frame ([`super::net`]); this module is the payload
@@ -339,19 +341,15 @@ pub enum WorkerEvent {
         completed: u64,
         /// Experiments failed.
         failed: u64,
-        /// Experiments skipped.
-        skipped: u64,
         /// Records quarantined.
         quarantined: u64,
     },
-    /// The shard finished.
+    /// The shard finished. Its final counters went out in the progress
+    /// frame before this one; the daemon counts a finished shard from its
+    /// journal.
     Done {
         /// Shard index.
         shard: usize,
-        /// Final completed count.
-        completed: u64,
-        /// Final failed count.
-        failed: u64,
     },
     /// The shard cannot continue on this worker.
     Error {
@@ -375,20 +373,12 @@ impl WorkerEvent {
                 shard,
                 completed,
                 failed,
-                skipped,
                 quarantined,
             } => format!(
                 "{{\"ev\":\"progress\",\"shard\":{shard},\"completed\":{completed},\
-                 \"failed\":{failed},\"skipped\":{skipped},\"quarantined\":{quarantined}}}"
+                 \"failed\":{failed},\"quarantined\":{quarantined}}}"
             ),
-            WorkerEvent::Done {
-                shard,
-                completed,
-                failed,
-            } => format!(
-                "{{\"ev\":\"done\",\"shard\":{shard},\"completed\":{completed},\
-                 \"failed\":{failed}}}"
-            ),
+            WorkerEvent::Done { shard } => format!("{{\"ev\":\"done\",\"shard\":{shard}}}"),
             WorkerEvent::Error {
                 shard,
                 kind,
@@ -441,14 +431,9 @@ impl WorkerEvent {
                 shard,
                 completed: fields.num("completed")?,
                 failed: fields.num("failed")?,
-                skipped: fields.num("skipped")?,
                 quarantined: fields.num("quarantined")?,
             }),
-            "done" => Ok(WorkerEvent::Done {
-                shard,
-                completed: fields.num("completed")?,
-                failed: fields.num("failed")?,
-            }),
+            "done" => Ok(WorkerEvent::Done { shard }),
             "error" => Ok(WorkerEvent::Error {
                 shard,
                 kind: fields.str("kind")?.to_string(),
@@ -604,14 +589,9 @@ mod tests {
                 shard: 0,
                 completed: 5,
                 failed: 0,
-                skipped: 1,
                 quarantined: 0,
             },
-            WorkerEvent::Done {
-                shard: 1,
-                completed: 10,
-                failed: 2,
-            },
+            WorkerEvent::Done { shard: 1 },
             WorkerEvent::Error {
                 shard: 0,
                 kind: "target-offline".into(),
@@ -629,17 +609,12 @@ mod tests {
             shard: 1,
             completed: 4,
             failed: 0,
-            skipped: 0,
             quarantined: 1,
         };
         let line = event.encode_with_seq(9);
         assert_eq!(WorkerEvent::decode_with_seq(&line).unwrap(), (9, event));
         // Legacy frames without a seq decode as seq 0.
-        let legacy = WorkerEvent::Done {
-            shard: 0,
-            completed: 3,
-            failed: 1,
-        };
+        let legacy = WorkerEvent::Done { shard: 0 };
         assert_eq!(
             WorkerEvent::decode_with_seq(&legacy.encode()).unwrap(),
             (0, legacy)

@@ -5,6 +5,10 @@
 //! runs its shard's index range via [`runner::resume_campaign`] under a
 //! private journal, and streams [`WorkerEvent`] lines on stdout — the
 //! daemon reads them to renew the shard lease and aggregate job progress.
+//! Its last progress frame carries the final counters; `done` then names
+//! only the shard, since the daemon counts a finished shard from its
+//! journal.
+//!
 //! The binary wrapping [`run_worker`] chooses the target system (`goofi
 //! worker` builds the Thor simulator; the test binary builds
 //! [`SimTarget`](crate::framework::SimTarget)), which is all that differs
@@ -202,22 +206,13 @@ impl EventSender {
     }
 }
 
-/// This process's parent id, where the platform reports one.
-fn parent_id() -> Option<u32> {
-    #[cfg(unix)]
-    return Some(std::os::unix::process::parent_id());
-    #[cfg(not(unix))]
-    return None;
-}
-
 /// A stalled chaos worker's end: the daemon kills it at the lease
-/// deadline. Should that daemon die first, the worker is re-parented, its
-/// parent id stops matching `daemon`, and it exits rather than sleep
-/// forever with nobody left to kill it.
-fn stall_until_orphaned(daemon: Option<u32>) -> ! {
-    while parent_id() == daemon {
-        std::thread::sleep(Duration::from_millis(100));
-    }
+/// deadline. Should that daemon die first, even before this worker got
+/// going, the worker's stdin (a pipe only the daemon holds open) reaches
+/// its end, and the worker exits rather than stall forever with nobody
+/// left to kill it.
+fn stall_until_orphaned() -> ! {
+    let _ = std::io::copy(&mut std::io::stdin(), &mut std::io::sink());
     std::process::exit(CHAOS_EXIT_CODE)
 }
 
@@ -227,7 +222,8 @@ fn stall_until_orphaned(daemon: Option<u32>) -> ! {
 /// which decodes only the campaign's tables, replays/extends the shard
 /// journal over `args.range`, and streams [`WorkerEvent`]s on stdout:
 /// at most one progress frame per scheduler tick while the shard runs,
-/// then the final counters and `done` (or `error`) as soon as it ends.
+/// then a progress frame with the final counters and `done` (or `error`)
+/// as soon as it ends.
 /// With a chaos config active for this attempt, the process
 /// deterministically kills itself (or stalls) after a seeded number of
 /// fresh completions — see [`super::chaos`].
@@ -241,9 +237,6 @@ where
     T: TargetAccess,
     FT: Fn() -> T + Sync,
 {
-    // The daemon that spawned this worker, read before the database read
-    // so that a daemon dying during start-up is still seen to be gone.
-    let daemon = parent_id();
     let campaign = dbio::load_campaign_from(&crate::vfs::RealFs, &args.db, &args.campaign)?;
     let range =
         args.range.start.min(campaign.faults.len())..args.range.end.min(campaign.faults.len());
@@ -296,6 +289,9 @@ where
                 .count()
         });
         let kill_point = chaos.kill_point(args.shard, args.attempt);
+        // The run itself pauses at the kill point, so no experiment runs
+        // past it while this thread is still to wake.
+        monitor.pause_at(baseline + kill_point as usize);
         let monitor = monitor.clone();
         std::thread::spawn(move || {
             let mut last = Progress::default();
@@ -307,12 +303,9 @@ where
                 if p.completed.saturating_sub(baseline) as u64 >= kill_point {
                     match chaos.mode {
                         ChaosMode::Exit => std::process::exit(CHAOS_EXIT_CODE),
-                        ChaosMode::Stall => {
-                            // Freeze the campaign without exiting: the
-                            // lease deadline must catch us.
-                            monitor.pause();
-                            stall_until_orphaned(daemon)
-                        }
+                        // The campaign is frozen at its pause: stall without
+                        // exiting, so the lease deadline must catch us.
+                        ChaosMode::Stall => stall_until_orphaned(),
                     }
                 }
                 if ended {
@@ -336,17 +329,11 @@ where
     monitor.finish();
     let _ = streamer.join();
 
-    // The final counters always precede `done`, so the last progress
-    // frame and the `done` frame agree.
-    let snapshot = monitor.snapshot();
-    events.emit(&progress_event(args.shard, &snapshot));
+    // The final counters always precede `done` or `error`.
+    events.emit(&progress_event(args.shard, &monitor.snapshot()));
     match result {
         Ok(_) => {
-            events.emit(&WorkerEvent::Done {
-                shard: args.shard,
-                completed: snapshot.completed as u64,
-                failed: snapshot.failed as u64,
-            });
+            events.emit(&WorkerEvent::Done { shard: args.shard });
             Ok(())
         }
         Err(e) => {
@@ -370,7 +357,6 @@ fn progress_event(shard: usize, p: &Progress) -> WorkerEvent {
         shard,
         completed: p.completed as u64,
         failed: p.failed as u64,
-        skipped: p.skipped as u64,
         quarantined: p.quarantined as u64,
     }
 }

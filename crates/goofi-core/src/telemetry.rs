@@ -12,7 +12,8 @@
 //! 2. **Metrics** — a [`MetricsRegistry`] of atomic [`Metric`] counters
 //!    (the one store of every `ProgressMonitor` counter) and log-scale
 //!    latency [`Histogram`]s per workflow [`Stage`]
-//!    (load/run/inject/scan/classify/db-write/probe/recover).
+//!    (load/run/inject/scan/classify/db-write/probe/recover/
+//!    snapshot-restore).
 //! 3. **Flight recorder** — a [`RingSink`] keeps the last-N spans; on a
 //!    campaign-fatal `GoofiError` the CLI dumps it next to the journal so
 //!    failed campaigns are post-mortem debuggable without re-running.
@@ -63,9 +64,6 @@ pub enum Stage {
     Probe,
     /// Recovery-ladder actions after a hang or failed probe.
     Recover,
-    /// Persistence integrity checks and repairs (`goofi fsck`, the
-    /// auto-fsck on resume, and shard-journal salvage).
-    Fsck,
     /// Snapshot captures and restores on the hot path (replacing workload
     /// reload plus prefix re-execution between experiments).
     SnapshotRestore,
@@ -73,7 +71,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in workflow order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 9] = [
         Stage::Load,
         Stage::Run,
         Stage::Inject,
@@ -82,7 +80,6 @@ impl Stage {
         Stage::DbWrite,
         Stage::Probe,
         Stage::Recover,
-        Stage::Fsck,
         Stage::SnapshotRestore,
     ];
 
@@ -97,7 +94,6 @@ impl Stage {
             Stage::DbWrite => "db-write",
             Stage::Probe => "probe",
             Stage::Recover => "recover",
-            Stage::Fsck => "fsck",
             Stage::SnapshotRestore => "snapshot-restore",
         }
     }
@@ -112,15 +108,13 @@ impl Stage {
     }
 }
 
-/// A monotonically increasing campaign counter. The first fourteen are the
+/// A monotonically increasing campaign counter. The first thirteen are the
 /// `ProgressMonitor` counters: the monitor counts them here and reads its
 /// progress window back from them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Metric {
     /// Experiments completed.
     Completed,
-    /// Experiments skipped by pre-injection analysis.
-    Skipped,
     /// Experiments failed despite the retry policy.
     Failed,
     /// Retry attempts.
@@ -147,10 +141,6 @@ pub enum Metric {
     TargetsOffline,
     /// Trace records dropped because a sink failed (e.g. disk full).
     TraceDropped,
-    /// Corruption findings reported by `goofi fsck` and resume salvage.
-    FsckFindings,
-    /// Findings repaired (salvaged, stubbed, or quarantined aside).
-    FsckRepaired,
     /// Target snapshots captured on the hot path.
     SnapshotsTaken,
     /// Target restores replacing a workload reload / prefix re-execution.
@@ -172,9 +162,8 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter, in declaration order.
-    pub const ALL: [Metric; 24] = [
+    pub const ALL: [Metric; 21] = [
         Metric::Completed,
-        Metric::Skipped,
         Metric::Failed,
         Metric::Retried,
         Metric::LinkRecovered,
@@ -188,8 +177,6 @@ impl Metric {
         Metric::PowerCycles,
         Metric::TargetsOffline,
         Metric::TraceDropped,
-        Metric::FsckFindings,
-        Metric::FsckRepaired,
         Metric::SnapshotsTaken,
         Metric::Restores,
         Metric::GoldenCacheHits,
@@ -203,7 +190,6 @@ impl Metric {
     pub fn encode(self) -> &'static str {
         match self {
             Metric::Completed => "completed",
-            Metric::Skipped => "skipped",
             Metric::Failed => "failed",
             Metric::Retried => "retried",
             Metric::LinkRecovered => "link-recovered",
@@ -217,8 +203,6 @@ impl Metric {
             Metric::PowerCycles => "power-cycles",
             Metric::TargetsOffline => "targets-offline",
             Metric::TraceDropped => "trace-dropped",
-            Metric::FsckFindings => "fsck-findings",
-            Metric::FsckRepaired => "fsck-repaired",
             Metric::SnapshotsTaken => "snapshots-taken",
             Metric::Restores => "restores",
             Metric::GoldenCacheHits => "golden-cache-hits",
@@ -809,17 +793,22 @@ impl MetricsSnapshot {
 
     /// Renders the per-stage timing table shown by `goofi report
     /// --timings` and the CLI `--metrics` summary. One row per stage, in
-    /// workflow order, including empty stages so the shape is stable.
+    /// workflow order, including empty stages so the shape is stable. The
+    /// name column is as wide as the longest stage name.
     pub fn render_timings(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<10} {:>8} {:>14} {:>10} {:>10} {:>10}\n",
+        let w = Stage::ALL
+            .iter()
+            .map(|s| s.encode().len())
+            .max()
+            .unwrap_or(0);
+        let mut out = format!(
+            "{:<w$} {:>8} {:>14} {:>10} {:>10} {:>10}\n",
             "stage", "spans", "total_us", "mean_us", "p50<=us", "p99<=us"
-        ));
+        );
         for s in Stage::ALL {
             let h = self.stage(s);
             out.push_str(&format!(
-                "{:<10} {:>8} {:>14} {:>10} {:>10} {:>10}\n",
+                "{:<w$} {:>8} {:>14} {:>10} {:>10} {:>10}\n",
                 s.encode(),
                 h.count(),
                 h.sum_us,
@@ -967,12 +956,8 @@ impl Telemetry {
     }
 
     /// Opens an experiment span, parented to the current campaign span.
-    pub fn experiment_span(&self, name: &str) -> Span {
-        self.open(SpanKind::Experiment, 0, name, "")
-    }
-
-    /// [`Telemetry::experiment_span`] with a lazily-built name, so hot call
-    /// sites skip the name allocation entirely when disabled.
+    /// The name is built lazily, so hot call sites skip its allocation
+    /// entirely when disabled.
     pub fn experiment_span_with(&self, name: impl FnOnce() -> String) -> Span {
         if self.inner.is_some() {
             self.open(SpanKind::Experiment, 0, &name(), "")
@@ -1254,7 +1239,7 @@ mod tests {
         let tel = Telemetry::with_sinks(vec![ring.clone()]);
         {
             let campaign = tel.campaign_span("c1");
-            let exp = tel.experiment_span("c1/exp00000");
+            let exp = tel.experiment_span_with(|| "c1/exp00000".into());
             assert_ne!(exp.id(), 0);
             let stage = tel.stage_span(Stage::Load, exp.id());
             drop(stage);
@@ -1282,7 +1267,7 @@ mod tests {
         assert_eq!(load.parent, Some(exp.id));
         assert_eq!(db.parent, Some(campaign.id));
         // After the campaign span closes, new spans are roots again.
-        drop(tel.experiment_span("orphan"));
+        drop(tel.experiment_span_with(|| "orphan".into()));
         assert_eq!(ring.buffered().last().unwrap().parent, None);
     }
 
@@ -1387,6 +1372,29 @@ mod tests {
                 "row {i}: {}",
                 lines[1 + i]
             );
+        }
+    }
+
+    #[test]
+    fn timing_rows_end_their_numeric_columns_under_the_header() {
+        // Where each whitespace-separated field of a line ends.
+        fn field_ends(line: &str) -> Vec<usize> {
+            let b = line.as_bytes();
+            (0..b.len())
+                .filter(|&i| b[i] != b' ' && b.get(i + 1).is_none_or(|&n| n == b' '))
+                .map(|i| i + 1)
+                .collect()
+        }
+        let tel = Telemetry::enabled();
+        for (us, s) in (1..).map(|n| n * 997).zip(Stage::ALL) {
+            tel.record_stage(s, us);
+        }
+        let table = tel.metrics().unwrap().render_timings();
+        let mut lines = table.lines();
+        let header = field_ends(lines.next().unwrap());
+        for row in lines {
+            // The first field is the left-aligned stage name.
+            assert_eq!(field_ends(row)[1..], header[1..], "{row}");
         }
     }
 

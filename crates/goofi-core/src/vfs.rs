@@ -132,11 +132,6 @@ pub trait Vfs: Send + Sync + fmt::Debug {
 /// Shared, cloneable handle to a [`Vfs`] implementation.
 pub type VfsHandle = Arc<dyn Vfs>;
 
-/// The production filesystem: [`RealFs`] behind a [`VfsHandle`].
-pub fn real() -> VfsHandle {
-    Arc::new(RealFs)
-}
-
 /// Reads a file as text, replacing invalid UTF-8 with `U+FFFD` — the read
 /// of every journal, spool manifest and golden-cache file, which must be
 /// readable even where garbled bytes are no longer valid UTF-8. Valid
@@ -618,10 +613,10 @@ mod tests {
     #[test]
     fn real_fs_atomic_write_roundtrips() {
         let path = temp_path("atomic");
-        let vfs = real();
-        atomic_write(vfs.as_ref(), &path, b"hello\n").unwrap();
+        let vfs = RealFs;
+        atomic_write(&vfs, &path, b"hello\n").unwrap();
         assert_eq!(vfs.read_to_string(&path).unwrap(), "hello\n");
-        atomic_write(vfs.as_ref(), &path, b"world\n").unwrap();
+        atomic_write(&vfs, &path, b"world\n").unwrap();
         assert_eq!(vfs.read_to_string(&path).unwrap(), "world\n");
         assert!(!path.with_extension("tmp").exists());
         std::fs::remove_file(&path).unwrap();

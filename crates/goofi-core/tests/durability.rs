@@ -25,10 +25,11 @@ use goofi_core::dbio;
 use goofi_core::fault::FaultLocation;
 use goofi_core::framework::SimTarget;
 use goofi_core::fsck::{self, CorruptionClass};
-use goofi_core::journal;
+use goofi_core::journal::{self, ExperimentJournal};
 use goofi_core::monitor::ProgressMonitor;
 use goofi_core::policy::{ExperimentPolicy, WatchdogBudget};
 use goofi_core::runner;
+use goofi_core::service::scheduler;
 use goofi_core::supervisor::WedgeableTarget;
 use goofi_core::vfs::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs};
 use goofi_core::GoofiError;
@@ -74,7 +75,8 @@ fn run_and_persist(
         dbio::store_campaign(&mut fresh, campaign)?;
         fresh
     };
-    dbio::import_journal_with(&mut db, vfs, journal_path, &campaign.name)?;
+    let state = ExperimentJournal::load_with(vfs, journal_path, &campaign.name)?;
+    dbio::import_journal_state(&mut db, &state)?;
     dbio::save_database(vfs, db_path, &db)
 }
 
@@ -696,14 +698,14 @@ proptest! {
 
     #[test]
     fn manifest_parser_is_total_on_noise(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = fsck::parse_manifest(&String::from_utf8_lossy(&bytes));
+        let _ = scheduler::decode_manifest(&String::from_utf8_lossy(&bytes));
     }
 
     #[test]
     fn truncated_manifests_never_misparse(cut in 0usize..64) {
         let valid = "#goofi-job v1\ncampaign tort camp\nworkers 3\n";
         let cut = cut.min(valid.len());
-        if let Some((campaign, workers)) = fsck::parse_manifest(&valid[..cut]) {
+        if let Some((campaign, workers, _)) = scheduler::decode_manifest(&valid[..cut]) {
             // A prefix either fails to parse or yields the original values.
             prop_assert_eq!(campaign, "tort camp");
             prop_assert_eq!(workers, 3);

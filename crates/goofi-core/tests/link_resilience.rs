@@ -206,7 +206,7 @@ fn golden_run_drift_quarantines_window_and_reruns_with_parent_links() {
     let mut db = Database::new();
     dbio::init_schema(&mut db).unwrap();
     dbio::store_campaign(&mut db, &c).unwrap();
-    let imported = dbio::import_journal(&mut db, &journal_path, "lossy").unwrap();
+    let imported = dbio::import_journal_state(&mut db, &state).unwrap();
     assert_eq!(imported, 7); // reference + 4 valid records + 2 quarantined
     let original = dbio::load_experiment(&db, "lossy/exp00000").unwrap();
     assert_eq!(original.validity, Validity::Invalid);

@@ -272,7 +272,7 @@ fn killed_watch_client_resumes_from_last_acked_seq_without_dups_or_gaps() {
     // so much as a goodbye — the connection is dropped mid-stream.
     let mut phase1: Vec<u64> = Vec::new();
     {
-        let mut client = Client::connect(&daemon.addr).unwrap();
+        let mut client = Client::connect_via(&RealNet, &daemon.addr, 4).unwrap();
         client.set_read_timeout(Duration::from_secs(5));
         client
             .send(&Request::Watch {
@@ -495,7 +495,7 @@ fn protocol_version_negotiation_refuses_old_and_caps_new() {
     }
 
     // The blessed path reports the negotiated version.
-    let client = Client::connect(&daemon.addr).unwrap();
+    let client = Client::connect_via(&RealNet, &daemon.addr, 4).unwrap();
     assert!(client.negotiated_version() >= 2);
 
     daemon.shutdown();
@@ -511,7 +511,7 @@ fn damaged_frames_get_typed_errors_and_the_stream_stays_in_sync() {
     let db = make_db(&dir, &campaign);
     let daemon = start_daemon(&RealNet, &db, None);
 
-    let mut client = Client::connect(&daemon.addr).unwrap();
+    let mut client = Client::connect_via(&RealNet, &daemon.addr, 4).unwrap();
     client.send_raw("complete garbage, not a frame\n").unwrap();
     match client.recv().unwrap() {
         Some(Response::Error { detail }) => assert!(

@@ -318,7 +318,7 @@ fn resume_reruns_failed_experiments_as_linked_children() {
     let mut db = Database::new();
     dbio::init_schema(&mut db).unwrap();
     dbio::store_campaign(&mut db, &c).unwrap();
-    let imported = dbio::import_journal(&mut db, &journal, "mock").unwrap();
+    let imported = dbio::import_journal_state(&mut db, &state).unwrap();
     assert_eq!(imported, 4); // reference + 3 experiments
     let rerun_row = dbio::load_experiment(&db, "mock/exp00001/rerun1").unwrap();
     assert_eq!(rerun_row.parent.as_deref(), Some("mock/exp00001"));

@@ -73,29 +73,15 @@ fn arb_response() -> impl Strategy<Value = Response> {
 fn arb_worker_event() -> impl Strategy<Value = WorkerEvent> {
     prop_oneof![
         (0usize..1024, 1u32..64).prop_map(|(shard, attempt)| WorkerEvent::Hello { shard, attempt }),
-        (
-            0usize..1024,
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        )
-            .prop_map(|(shard, completed, failed, skipped, quarantined)| {
-                WorkerEvent::Progress {
-                    shard,
-                    completed,
-                    failed,
-                    skipped,
-                    quarantined,
-                }
-            },),
-        (0usize..1024, any::<u64>(), any::<u64>()).prop_map(|(shard, completed, failed)| {
-            WorkerEvent::Done {
+        (0usize..1024, any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(shard, completed, failed, quarantined)| WorkerEvent::Progress {
                 shard,
                 completed,
                 failed,
+                quarantined,
             }
-        }),
+        ),
+        (0usize..1024).prop_map(|shard| WorkerEvent::Done { shard }),
         (0usize..1024, NASTY, NASTY).prop_map(|(shard, kind, detail)| WorkerEvent::Error {
             shard,
             kind,

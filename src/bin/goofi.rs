@@ -304,10 +304,10 @@ fn policy_from_flags(flags: &HashMap<String, String>) -> Result<ExperimentPolicy
     }
     if let Some(v) = flags.get("backoff-ms") {
         let (a, b) = v.split_once(':').ok_or("bad --backoff-ms, use A:B")?;
-        policy.backoff = Backoff::exponential(
+        policy = policy.with_backoff(Backoff::exponential(
             a.parse().map_err(|_| "bad --backoff-ms start")?,
             b.parse().map_err(|_| "bad --backoff-ms cap")?,
-        );
+        ));
     }
     let mut watchdog = WatchdogBudget::default();
     if let Some(v) = flags.get("watchdog-cycles") {

@@ -245,7 +245,7 @@ fn report_timings_matches_golden_table() {
         .lines()
         .skip_while(|l| !l.starts_with("per-stage timings (from "))
         .skip(1)
-        .take(11)
+        .take(10)
         .map(normalize_timings)
         .collect::<Vec<_>>();
     let golden = [
@@ -258,7 +258,6 @@ fn report_timings_matches_golden_table() {
         "db-write N N N N N",
         "probe N N N N N",
         "recover N N N N N",
-        "fsck N N N N N",
         "snapshot-restore N N N N N",
     ];
     assert_eq!(section, golden, "full output:\n{out}");
